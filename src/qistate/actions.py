@@ -7,6 +7,8 @@ only determined up to a phase per block, so map equality is tested by
 action, not by comparing unitaries.
 """
 
+import math
+
 import numpy as np
 
 from . import matcore
@@ -113,16 +115,104 @@ def equal_as_maps(g: Automorphism, h: Automorphism, tol: float = TOL_EQ) -> bool
     return True
 
 
+class MapIndex:
+    """Automorphisms kept for lookup up to equality as maps, by a hashed fingerprint.
+
+    The fingerprint of g is f(g) = sum_i <S_i, g(R)_i>
+    = sum_i tr(S_i* u_i R_{perm^-1(i)} u_i*) for fixed, seeded probe blocks
+    R and S of unit Frobenius norm.  It is blind to the per-block phases of
+    the unitaries, and it moves by at most ``cell_width(tol)`` between two
+    maps that ``equal_as_maps`` accepts at ``tol``.  The key of g is its
+    block permutation plus the real and imaginary parts of f(g) rounded down
+    to a grid of that width, so two such maps have keys at most one cell
+    apart: a lookup probes the 3 x 3 neighbouring cells and confirms every
+    candidate with ``equal_as_maps``.
+    """
+
+    _PROBE_SEED = 20241204
+
+    def __init__(self, descriptor: AlgebraDescriptor, tol: float = TOL_EQ):
+        rng = np.random.default_rng(self._PROBE_SEED)
+        self.descriptor = descriptor
+        self.tol = tol
+        self.probes_r = [_unit_probe(rng, n) for n in descriptor.block_dims]
+        self.probes_s = [_unit_probe(rng, n) for n in descriptor.block_dims]
+        self.width = self.cell_width(tol)
+        self.elements = []
+        self.cells = {}
+
+    def cell_width(self, tol: float) -> float:
+        """Bound on |f(g) - f(h)| over pairs with equal_as_maps(g, h, tol).
+
+        Blocks are unitary to within t = TOL_EQ (what ``Automorphism``
+        checks by default), and equal_as_maps bounds ||u_h* u_g - phase||
+        by tol max(1, n).  So u_g = u_h (phase + E) with
+        ||E|| <= e = (tol max(1, n) + t) / (1 - t), and
+        ||g(R)_i - h(R)_i||_F <= (1 + t)(2e + e^2) ||R_i||_F, which bounds
+        block i's share of the gap since ||S_i||_F = 1.  The term
+        8 n^2 eps per block covers the roundoff of both fingerprints.
+        """
+        t, eps = TOL_EQ, np.finfo(float).eps
+        width = 0.0
+        for n in self.descriptor.block_dims:
+            e = (tol * max(1.0, n) + t) / (1.0 - t)
+            width += (1.0 + t) * (2.0 * e + e * e) + 8.0 * n * n * eps
+        return width
+
+    def fingerprint(self, g: Automorphism) -> complex:
+        return complex(sum(np.vdot(s, u @ self.probes_r[j] @ dagger(u))
+                           for s, u, j in zip(self.probes_s, g.unitaries, g.inv_perm)))
+
+    def key(self, g: Automorphism) -> tuple:
+        f = self.fingerprint(g)
+        return (g.perm, math.floor(f.real / self.width),
+                math.floor(f.imag / self.width))
+
+    def find(self, g: Automorphism, tol: float = None, key: tuple = None) -> int:
+        """Lowest index of an element equal to g as a map (at ``tol``,
+        default the index's own), or -1."""
+        if g.descriptor != self.descriptor:
+            return -1
+        tol = self.tol if tol is None else tol
+        perm, re, im = key or self.key(g)
+        reach = math.ceil(self.cell_width(tol) / self.width)
+        if reach == 1:
+            keys = [(perm, re + a, im + b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+        else:  # a looser tolerance than the grid was built for
+            keys = [k for k in self.cells if k[0] == perm
+                    and abs(k[1] - re) <= reach and abs(k[2] - im) <= reach]
+        candidates = sorted(i for k in keys for i in self.cells.get(k, ()))
+        for i in candidates:
+            if equal_as_maps(self.elements[i], g, tol):
+                return i
+        return -1
+
+    def add(self, g: Automorphism, key: tuple = None) -> int:
+        """Append g (assumed absent) and return its index."""
+        self.elements.append(g)
+        self.cells.setdefault(key or self.key(g), []).append(len(self.elements) - 1)
+        return len(self.elements) - 1
+
+
+def _unit_probe(rng, n: int) -> np.ndarray:
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return m / np.linalg.norm(m)
+
+
 class FiniteGroup:
-    """Closed list of automorphisms with composition and inverse tables."""
+    """Closed list of automorphisms with composition and inverse tables.
 
-    __slots__ = ("descriptor", "elements", "mult", "inv")
+    ``index`` is the closure's fingerprint index over ``elements``.
+    """
 
-    def __init__(self, descriptor, elements, mult, inv):
+    __slots__ = ("descriptor", "elements", "mult", "inv", "index")
+
+    def __init__(self, descriptor, elements, mult, inv, index: MapIndex):
         self.descriptor = descriptor
         self.elements = elements
         self.mult = mult            # mult[i][j] = index of elements[i] o elements[j]
         self.inv = inv
+        self.index = index
 
     @property
     def order(self) -> int:
@@ -135,10 +225,10 @@ class FiniteGroup:
         return 0
 
     def element_index(self, g: Automorphism, tol: float = TOL_EQ) -> int:
-        for i, e in enumerate(self.elements):
-            if equal_as_maps(e, g, tol):
-                return i
-        raise InputError("automorphism is not an element of the group")
+        i = self.index.find(g, tol)
+        if i < 0:
+            raise InputError("automorphism is not an element of the group")
+        return i
 
     def block_orbits(self):
         """Orbits of the block-permutation action on block indices."""
@@ -163,7 +253,17 @@ class FiniteGroup:
 def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGroup:
     """Breadth-first closure of a generator set under composition.
 
-    Deduplication compares automorphisms as maps.  Raises once the closure
+    Elements are listed in breadth-first order from the identity: the
+    distinct generators, then each frontier element composed with each
+    generator in turn.  Every candidate is looked up in a ``MapIndex``
+    (phase-invariant fingerprint on a grid derived from ``tol``, confirmed
+    by ``equal_as_maps``), so the search makes (|G| - 1) |S| ``compose``
+    calls for |S| generators.  It records the right Cayley graph
+    right[k, s] = index of elements[k] o generators[s], and each element's
+    parent and generator in the search tree.  The multiplication table then
+    follows from integer lookups alone, column by column in search order:
+    elements[c] = elements[parent(c)] o generators[s(c)] gives
+    mult[:, c] = right[mult[:, parent(c)], s(c)].  Raises once the closure
     exceeds ``cap`` elements (generators of infinite order).
     """
     if not generators:
@@ -173,46 +273,45 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
         if g.descriptor != desc:
             raise InputError("generators live on different algebras")
 
-    elements = [identity_automorphism(desc)]
-
-    def find(g):
-        for i, e in enumerate(elements):
-            if equal_as_maps(e, g, tol):
-                return i
-        return -1
-
+    index = MapIndex(desc, tol)
+    index.add(identity_automorphism(desc))
+    elements = index.elements
+    right = [[0] * len(generators)]
+    parent, via = [0], [0]
     frontier = []
-    for g in generators:
-        if find(g) < 0:
-            elements.append(g)
-            frontier.append(g)
+
+    def visit(k, s, g, check_cap):
+        key = index.key(g)
+        j = index.find(g, key=key)
+        if j < 0:
+            if check_cap and len(elements) >= cap:
+                raise InputError(f"group not finite at cap {cap}")
+            j = index.add(g, key)
+            right.append([0] * len(generators))
+            parent.append(k)
+            via.append(s)
+            frontier.append(j)
+        right[k][s] = j
+
+    for s, g in enumerate(generators):
+        visit(0, s, g, check_cap=False)
     while frontier:
-        new_frontier = []
-        for g in frontier:
-            for s in generators:
-                gs = compose(g, s)
-                if find(gs) < 0:
-                    if len(elements) >= cap:
-                        raise InputError(f"group not finite at cap {cap}")
-                    elements.append(gs)
-                    new_frontier.append(gs)
-        frontier = new_frontier
+        layer, frontier = frontier, []
+        for k in layer:
+            for s, gen in enumerate(generators):
+                visit(k, s, compose(elements[k], gen), check_cap=True)
 
     n = len(elements)
-    mult = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            idx = find(compose(elements[i], elements[j]))
-            if idx < 0:
-                raise InputError("closure is inconsistent: product left the set")
-            mult[i, j] = idx
-    inv = [0] * n
-    for i in range(n):
-        hits = np.nonzero(mult[i] == 0)[0]
-        if len(hits) != 1:
-            raise InputError("closure is inconsistent: no unique inverse")
-        inv[i] = int(hits[0])
-    return FiniteGroup(desc, elements, mult, inv)
+    right = np.array(right, dtype=int)
+    mult = np.empty((n, n), dtype=int)
+    mult[:, 0] = np.arange(n)
+    for c in range(1, n):
+        mult[:, c] = right[mult[:, parent[c]], via[c]]
+    is_identity = mult == 0
+    if np.any(np.count_nonzero(is_identity, axis=1) != 1):
+        raise InputError("closure is inconsistent: no unique inverse")
+    inv = [int(i) for i in np.argmax(is_identity, axis=1)]
+    return FiniteGroup(desc, elements, mult, inv, index)
 
 
 def trivial_group(descriptor: AlgebraDescriptor) -> FiniteGroup:

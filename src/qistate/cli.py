@@ -21,9 +21,6 @@ from .actions import Automorphism, close_group
 from .cocycle import (build_table, is_strongly_qi, random_psd_probe,
                       sandwich_check, sz_domination, verify_adjoint_relation,
                       verify_cocycle_identity, verify_inverse_formula)
-from .commutative import (AxBElement, QuadConfig, symmetric_grid,
-                          unboundedness_witness, verify_axb,
-                          verify_translation_identities)
 from .expectation import (commutant_f0, cond_expectation, e0_projection,
                           expectation_checks, verify_ks)
 from .invariant import gamma_properties_check, invariant_state, strong_case_check
@@ -327,7 +324,7 @@ def cmd_trace(args) -> int:
     ergodic = is_center_ergodic(group)
     checks.add(Check("center_ergodic", "fixed central elements are scalars",
                      0.0 if ergodic else 1.0, 0.5, ergodic))
-    tau = invariant_trace(group, tol_eq)
+    tau = invariant_trace(group)
     table = build_table(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
     c = trace_density(phi, tau, tol_eq=tol_eq, tol_pos=tol_pos)
     probes = [random_psd_probe(rng, desc) for _ in range(6)]
@@ -350,6 +347,11 @@ def cmd_trace(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    # Imported here: it loads scipy.integrate, which no other command needs.
+    from .commutative import (AxBElement, QuadConfig, symmetric_grid,
+                              unboundedness_witness, verify_axb,
+                              verify_translation_identities)
+
     rng = np.random.default_rng(args.seed)
     quad = QuadConfig(radius=args.grid_r)
     grid = symmetric_grid(args.grid_r, args.grid_n)

@@ -38,40 +38,19 @@ def is_center_ergodic(group: FiniteGroup) -> bool:
     return len(group.block_orbits()) == 1
 
 
-def _invariance_solution_space(group: FiniteGroup):
-    """Kernel of the weight constraints w_{perm(i)} = w_i over all g."""
-    k = group.descriptor.num_blocks
-    rows = []
-    for g in group.elements:
-        p = np.zeros((k, k))
-        for j in range(k):
-            p[g.perm[j], j] = 1.0
-        rows.append(p - np.eye(k))
-    stacked = np.vstack(rows)
-    _, s, vh = np.linalg.svd(stacked)
-    tol = 1e-12 * max(1.0, s[0] if len(s) else 1.0)
-    rank = int(np.sum(s > tol))
-    return vh.T[:, rank:]
-
-
-def invariant_trace(group: FiniteGroup, tol_eq: float = TOL_EQ) -> TraceFunctional:
+def invariant_trace(group: FiniteGroup) -> TraceFunctional:
     """The invariant trace with weight 1 on block 0; requires ergodicity.
 
-    Uniqueness is certified by the invariance-constraint system having a
-    one-dimensional solution space.
+    Invariant weights are exactly the functions constant on the block
+    orbits, so the solution space has one dimension per orbit.  The trace
+    is unique up to scale iff the action is transitive, and then every
+    weight is 1.
     """
-    space = _invariance_solution_space(group)
-    dim = space.shape[1]
-    if not is_center_ergodic(group) or dim != 1:
-        raise PreconditionError(f"trace not unique: solution space has dimension {dim}")
-    w = np.real(space[:, 0])
-    w = w / w[0]
-    if np.min(w) <= 0:
-        raise PreconditionError("invariant weight vector is not positive")
-    if np.max(np.abs(w - 1.0)) <= tol_eq:
-        # Transitivity forces equal weights; snap away the SVD roundoff.
-        w = np.ones_like(w)
-    return TraceFunctional(group.descriptor, w)
+    orbits = group.block_orbits()
+    if len(orbits) != 1:
+        raise PreconditionError(
+            f"trace not unique: solution space has dimension {len(orbits)}")
+    return TraceFunctional(group.descriptor, np.ones(group.descriptor.num_blocks))
 
 
 def trace_density(phi: State, tau: TraceFunctional, tol_eq: float = TOL_EQ,

@@ -31,8 +31,8 @@ from qistate.standard_form import (gamma_factorization, group_unitaries,
                                    lemma_chain_checks, verify_covariance,
                                    verify_representation)
 from qistate.trace import (invariant_trace, is_center_ergodic, trace_density,
-                           verify_density_relations,
-                           _invariance_solution_space)
+                           verify_density_relations)
+from test_trace import invariance_solution_space
 
 TOL = 1e-9
 
@@ -217,7 +217,7 @@ def test_criterion_7_invariant_trace():
     worst = 0.0
     for inst in instances:
         assert is_center_ergodic(inst.group)
-        assert _invariance_solution_space(inst.group).shape[1] == 1
+        assert invariance_solution_space(inst.group).shape[1] == 1
         tau = invariant_trace(inst.group)
         c = trace_density(inst.phi, tau)
         for a in matrix_unit_basis(inst.descriptor):

@@ -1,13 +1,21 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+from qistate import actions
 from qistate.actions import (Automorphism, apply, close_group, compose,
                              equal_as_maps, identity_automorphism, inverse,
                              predual)
 from qistate.algebra import AlgebraDescriptor, AlgebraElement, identity
-from qistate.instances import (inner_generator, permutation_generator,
-                               random_unitary)
-from qistate.matcore import InputError
+from qistate.cli import parse_instance
+from qistate.instances import (clock_matrix, conjugate_generator,
+                               inner_generator, permutation_generator,
+                               random_unitary, shift_matrix)
+from qistate.matcore import InputError, TOL_EQ
+
+REPO_INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
@@ -192,3 +200,193 @@ def test_block_orbits():
     swap = permutation_generator(desc, (1, 0, 2))
     grp = close_group([swap], cap=4)
     assert grp.block_orbits() == [[0, 1], [2]]
+
+
+# -- closure against the O(|G|^3) compose-and-scan reference -------------------
+
+def reference_closure(generators, cap=10000, tol=TOL_EQ):
+    """The original closure: breadth-first search with a linear scan per
+    lookup, then every product composed and scanned.  Returns
+    (elements, mult, inv)."""
+    desc = generators[0].descriptor
+    elements = [identity_automorphism(desc)]
+
+    def find(g):
+        for i, e in enumerate(elements):
+            if equal_as_maps(e, g, tol):
+                return i
+        return -1
+
+    frontier = []
+    for g in generators:
+        if find(g) < 0:
+            elements.append(g)
+            frontier.append(g)
+    while frontier:
+        new_frontier = []
+        for g in frontier:
+            for s in generators:
+                gs = compose(g, s)
+                if find(gs) < 0:
+                    if len(elements) >= cap:
+                        raise InputError(f"group not finite at cap {cap}")
+                    elements.append(gs)
+                    new_frontier.append(gs)
+        frontier = new_frontier
+
+    n = len(elements)
+    mult = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(n):
+            mult[i, j] = find(compose(elements[i], elements[j]))
+    assert np.all(mult >= 0), "product left the set"
+    inv = [int(np.nonzero(mult[i] == 0)[0][0]) for i in range(n)]
+    return elements, mult, inv
+
+
+def assert_matches_reference(generators, tol=TOL_EQ):
+    grp = close_group(generators, tol=tol)
+    elements, mult, inv = reference_closure(generators, tol=tol)
+    assert grp.order == len(elements)
+    for e, r in zip(grp.elements, elements):
+        assert e.perm == r.perm
+        for ue, ur in zip(e.unitaries, r.unitaries):
+            assert np.array_equal(ue, ur)
+    assert grp.mult.dtype == mult.dtype
+    assert np.array_equal(grp.mult, mult)
+    assert grp.inv == inv
+    return grp
+
+
+def weyl_generators(n):
+    desc = AlgebraDescriptor((n,))
+    return [inner_generator(desc, 0, shift_matrix(n)),
+            inner_generator(desc, 0, clock_matrix(n))]
+
+
+def with_block_phases(rng, g):
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=g.descriptor.num_blocks)
+    return Automorphism(g.descriptor, g.perm,
+                        [np.exp(1j * t) * u for t, u in zip(thetas, g.unitaries)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_closure_matches_reference_weyl(n):
+    grp = assert_matches_reference(weyl_generators(n))
+    assert grp.order == n * n
+
+
+@pytest.mark.parametrize("name", ["qubit.json", "c2_swap.json", "m2m2_swap.json",
+                                  "nonstrong_weyl3.json"])
+def test_closure_matches_reference_bundled(name):
+    with open(os.path.join(REPO_INSTANCES, name)) as fh:
+        _, _, gens, tols, _ = parse_instance(json.load(fh))
+    assert_matches_reference(gens, tol=tols["tol_eq"])
+
+
+@pytest.mark.parametrize("k,d", [(2, 1), (3, 2), (4, 2), (5, 3)])
+def test_closure_matches_reference_cyclic_blocks(rng, k, d):
+    desc = AlgebraDescriptor((d,) * k)
+    cycle = permutation_generator(desc, [(j + 1) % k for j in range(k)])
+    grp = assert_matches_reference([cycle])
+    assert grp.order == k
+    # the same cycle and a shift on every block, in a random frame
+    frame = [random_unitary(rng, d) for _ in range(k)]
+    shift = Automorphism(desc, range(k), [shift_matrix(d)] * k)
+    gens = [conjugate_generator(cycle, frame), conjugate_generator(shift, frame)]
+    assert assert_matches_reference(gens).order == k * d
+
+
+def test_closure_matches_reference_random_phases(rng):
+    desc = AlgebraDescriptor((2, 2, 3))
+    gens = [permutation_generator(desc, (1, 0, 2)),
+            inner_generator(desc, 2, clock_matrix(3)),
+            inner_generator(desc, 0, shift_matrix(2))]
+    for gens_ in (weyl_generators(4), gens):
+        plain = close_group(gens_)
+        phased = assert_matches_reference([with_block_phases(rng, g) for g in gens_])
+        assert phased.order == plain.order
+        assert np.array_equal(phased.mult, plain.mult)
+        assert phased.inv == plain.inv
+
+
+def test_closure_matches_reference_duplicate_and_identity_generators():
+    shift, clock = weyl_generators(3)
+    e = identity_automorphism(shift.descriptor)
+    for gens in ([shift, clock, shift], [e, shift, clock], [shift, e, clock, clock]):
+        assert assert_matches_reference(gens).order == 9
+
+
+def test_closure_composes_once_per_element_and_generator(monkeypatch):
+    calls = []
+
+    def counting(g, h):
+        calls.append(1)
+        return compose(g, h)
+
+    monkeypatch.setattr(actions, "compose", counting)
+    gens = weyl_generators(5)
+    grp = close_group(gens)
+    assert len(calls) == (grp.order - 1) * len(gens)
+
+
+def edge_perturbation(rng, index, g, tol):
+    """g with each unitary turned by exp(i eps H), H = +-1 on the spectrum of
+    the direction that moves block i's fingerprint term the most, and eps
+    about as large as equal_as_maps(g, ., tol) allows."""
+    directions = []
+    for i, (u, j) in enumerate(zip(g.unitaries, g.inv_perm)):
+        # first order: the term moves by -eps Im tr(H [R, T*]), T = u* S u
+        t = actions.dagger(u) @ index.probes_s[i] @ u
+        c = index.probes_r[j] @ actions.dagger(t) - actions.dagger(t) @ index.probes_r[j]
+        w, v = np.linalg.eigh((c - actions.dagger(c)) / 2j)
+        sign = np.where(w >= 0, 1.0, -1.0) * rng.choice((1.0, -1.0))
+        directions.append((u, v, sign))
+
+    def turned(eps):
+        return Automorphism(g.descriptor, g.perm,
+                            [u @ (v * np.exp(1j * eps * sign)) @ actions.dagger(v)
+                             for u, v, sign in directions])
+
+    eps = tol * max(g.descriptor.block_dims)
+    while not equal_as_maps(g, turned(eps), tol):
+        eps *= 0.9
+    return turned(eps)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-4])
+def test_maps_perturbed_within_tol_deduplicate(rng, tol):
+    gens = weyl_generators(4)
+    grp = close_group(gens, tol=tol)
+    index = grp.index
+    crossed, widest = 0, 0.0
+    for i, g in enumerate(grp.elements):
+        for _ in range(4):
+            h = edge_perturbation(rng, index, g, tol)
+            gap = index.fingerprint(g) - index.fingerprint(h)
+            widest = max(widest, abs(gap.real), abs(gap.imag))
+            crossed += index.key(g) != index.key(h)
+            # the closure's own lookup, and the one behind element_index
+            assert index.find(h) == i
+            assert grp.element_index(h, tol) == i
+    # the derived cell width bounds the gap, and is not loose by much
+    assert 0.25 * index.width < widest <= index.width
+    # the neighbouring cells, not only the own cell, find the perturbed maps
+    assert crossed > 0
+
+
+def test_element_index_member(rng):
+    grp = close_group(weyl_generators(4))
+    for i, j in [(0, 0), (3, 7), (15, 2)]:
+        g = with_block_phases(rng, compose(grp.elements[i], grp.elements[j]))
+        assert grp.element_index(g) == grp.mult[i, j]
+
+
+def test_element_index_non_member_raises(rng):
+    grp = close_group(weyl_generators(4))
+    stranger = inner_generator(grp.descriptor, 0, random_unitary(rng, 4))
+    with pytest.raises(InputError, match="not an element"):
+        grp.element_index(stranger)
+    other = identity_automorphism(AlgebraDescriptor((2, 2)))
+    with pytest.raises(InputError, match="not an element"):
+        grp.element_index(other)

@@ -198,3 +198,19 @@ def test_console_entry_point_env_logging(qubit_file):
         capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_PASS
     assert "closed group of order 2" in proc.stderr
+
+
+def test_import_leaves_scipy_for_counterexample():
+    # scipy.integrate is loaded only by the counterexample command
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import sys, qistate.cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded on import'\n"
+        "code = qistate.cli.main(['counterexample', '--grid-N', '301'])\n"
+        "assert 'scipy' in sys.modules\n"
+        "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qistate.algebra import (AlgebraDescriptor, AlgebraElement, identity,
-                             state_from_density)
+from qistate import cocycle
+from qistate.algebra import (AlgebraDescriptor, AlgebraElement, evaluate,
+                             identity, matrix_unit_basis, state_from_density)
 from qistate.actions import apply, close_group, inverse, predual
-from qistate.cocycle import (build_table, is_strongly_qi, random_psd_probe,
+from qistate.cocycle import (_cocycle_defect, build_table, is_strongly_qi, random_psd_probe,
                              rn_cocycle, sandwich_check, sz_domination,
                              verify_adjoint_relation, verify_cocycle_identity,
                              verify_inverse_formula)
@@ -227,3 +228,47 @@ def test_strong_instances_are_strong(rng):
         inst = random_strong_instance(rng)
         strong, checks = is_strongly_qi(build_table(inst.phi, inst.group))
         assert strong and checks.passed
+
+
+def matrix_unit_defect(phi, g, x):
+    """Oracle: max |phi(g(E)) - phi(x E)| by a loop over the matrix units."""
+    return max(abs(evaluate(phi, apply(g, a)) - evaluate(phi, x @ a))
+               for a in matrix_unit_basis(phi.descriptor))
+
+
+def multi_block_instances(rng):
+    for dims in ((2, 2), (1, 1, 2), (2, 2, 3), (3, 3)):
+        yield random_instance(rng, AlgebraDescriptor(dims))
+
+
+def test_cocycle_defect_matches_matrix_unit_oracle(rng):
+    for inst in multi_block_instances(rng):
+        table = build_table(inst.phi, inst.group)
+        for g, x in zip(inst.group.elements, table.entries):
+            assert abs(_cocycle_defect(inst.phi, g, x)
+                       - matrix_unit_defect(inst.phi, g, x)) <= 1e-15
+
+
+def test_cocycle_defect_rejects_wrong_x(rng, monkeypatch):
+    checked = 0
+    for inst in multi_block_instances(rng):
+        grp = inst.group
+        table = build_table(inst.phi, grp)
+        for i, g in enumerate(grp.elements):
+            # the cocycle of another element, where it differs from x_g
+            j = (i + 1) % grp.order
+            wrong = table.entries[j]
+            if (wrong - table.entries[i]).op_norm() < 1e-3:
+                continue
+            checked += 1
+            defect = _cocycle_defect(inst.phi, g, wrong)
+            oracle = matrix_unit_defect(inst.phi, g, wrong)
+            assert abs(defect - oracle) <= 1e-14 * max(1.0, oracle)
+            assert defect > 1e-9 * max(1.0, wrong.op_norm())
+            # rn_cocycle refuses it when its own x is replaced by the wrong one
+            monkeypatch.setattr(cocycle, "predual",
+                                lambda _, rho, h=grp.elements[j]: predual(h, rho))
+            with pytest.raises(PreconditionError, match="cocycle defect"):
+                rn_cocycle(inst.phi, g)
+            monkeypatch.undo()
+    assert checked > 0

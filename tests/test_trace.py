@@ -5,10 +5,26 @@ from qistate.algebra import AlgebraDescriptor, AlgebraElement, evaluate
 from qistate.actions import close_group
 from qistate.cocycle import build_table, random_psd_probe
 from qistate.instances import (inner_generator, permutation_generator,
-                               random_strong_instance)
+                               random_instance, random_strong_instance)
 from qistate.matcore import PreconditionError
 from qistate.trace import (invariant_trace, is_center_ergodic, trace_density,
                            trace_invariance_check, verify_density_relations)
+
+
+def invariance_solution_space(group):
+    """Independent oracle: kernel of the weight constraints
+    w_{perm(i)} = w_i over all g, by SVD."""
+    k = group.descriptor.num_blocks
+    rows = []
+    for g in group.elements:
+        p = np.zeros((k, k))
+        for j in range(k):
+            p[g.perm[j], j] = 1.0
+        rows.append(p - np.eye(k))
+    _, s, vh = np.linalg.svd(np.vstack(rows))
+    tol = 1e-12 * max(1.0, s[0] if len(s) else 1.0)
+    rank = int(np.sum(s > tol))
+    return vh.T[:, rank:]
 
 
 def test_single_block_is_ergodic(qubit):
@@ -111,5 +127,25 @@ def test_uniqueness_dimension_is_one_when_ergodic(rng):
     cycle = permutation_generator(desc, (1, 2, 0))
     grp = close_group([cycle], cap=6)
     assert is_center_ergodic(grp)
-    from qistate.trace import _invariance_solution_space
-    assert _invariance_solution_space(grp).shape[1] == 1
+    assert invariance_solution_space(grp).shape[1] == 1
+
+
+def test_invariant_trace_matches_svd_oracle(rng):
+    # The oracle's solution space has one dimension per block orbit; when
+    # it is one, it is spanned by the unit weights invariant_trace returns.
+    seen = set()
+    for _ in range(60):
+        desc = AlgebraDescriptor(tuple(int(n) for n in rng.choice((1, 2), size=4)))
+        grp = random_instance(rng, desc).group
+        space = invariance_solution_space(grp)
+        assert space.shape[1] == len(grp.block_orbits())
+        seen.add(space.shape[1] == 1)
+        if space.shape[1] == 1:
+            w = np.real(space[:, 0] / space[0, 0])
+            tau = invariant_trace(grp)
+            assert np.allclose(w, tau.weights, atol=1e-12)
+            assert np.all(tau.weights == 1.0)
+        else:
+            with pytest.raises(PreconditionError, match="trace not unique"):
+                invariant_trace(grp)
+    assert seen == {True, False}
