@@ -8,6 +8,7 @@ action, not by comparing unitaries.
 """
 
 import math
+import random
 
 import numpy as np
 
@@ -132,7 +133,9 @@ class MapIndex:
     _PROBE_SEED = 20241204
 
     def __init__(self, descriptor: AlgebraDescriptor, tol: float = TOL_EQ):
-        rng = np.random.default_rng(self._PROBE_SEED)
+        # The standard-library generator keeps numpy.random (a lazy import
+        # of several milliseconds) out of every closure.
+        rng = random.Random(self._PROBE_SEED)
         self.descriptor = descriptor
         self.tol = tol
         self.probes_r = [_unit_probe(rng, n) for n in descriptor.block_dims]
@@ -194,8 +197,9 @@ class MapIndex:
         return len(self.elements) - 1
 
 
-def _unit_probe(rng, n: int) -> np.ndarray:
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _unit_probe(rng: random.Random, n: int) -> np.ndarray:
+    m = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                  for _ in range(n * n)]).reshape(n, n)
     return m / np.linalg.norm(m)
 
 

@@ -382,6 +382,16 @@ def test_element_index_member(rng):
         assert grp.element_index(g) == grp.mult[i, j]
 
 
+def test_element_index_at_a_looser_tol_than_the_closure(rng):
+    # keys farther apart than the neighbouring cells are searched too
+    grp = close_group(weyl_generators(4), tol=1e-9)
+    loose = 1e-4
+    for i in (0, 5, 11):
+        h = edge_perturbation(rng, grp.index, grp.elements[i], loose)
+        assert grp.index.find(h) == -1
+        assert grp.element_index(h, loose) == i
+
+
 def test_element_index_non_member_raises(rng):
     grp = close_group(weyl_generators(4))
     stranger = inner_generator(grp.descriptor, 0, random_unitary(rng, 4))

@@ -5,10 +5,10 @@ from qistate import cocycle
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, evaluate,
                              identity, matrix_unit_basis, state_from_density)
 from qistate.actions import apply, close_group, inverse, predual
-from qistate.cocycle import (_cocycle_defect, build_table, is_strongly_qi, random_psd_probe,
-                             rn_cocycle, sandwich_check, sz_domination,
-                             verify_adjoint_relation, verify_cocycle_identity,
-                             verify_inverse_formula)
+from qistate.cocycle import (_cocycle_defect, build_table, is_strongly_qi,
+                             random_psd_probe, rn_cocycle, sandwich_check,
+                             sz_domination, verify_adjoint_relation,
+                             verify_cocycle_identity, verify_inverse_formula)
 from qistate.instances import (hadamard2, inner_generator, random_instance,
                                random_strong_instance)
 from qistate.matcore import PreconditionError
