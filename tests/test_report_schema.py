@@ -1,0 +1,115 @@
+"""Report-schema regression: every instance command on every bundled instance.
+
+For each run the exit code, the report's pass flag, the check names in
+order with their ``asserted`` and ``pass`` flags, the summary keys, and the
+integer, boolean and null summary values must stay as listed here.
+Residuals and other floats are not pinned.
+"""
+
+import json
+import os
+
+import pytest
+
+from qistate.cli import main
+
+REPO_INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
+
+
+def rows(names, diagnostics=None):
+    """(name, asserted, pass) per check; ``diagnostics`` maps each check that
+    is recorded but not asserted to its pass flag."""
+    diagnostics = diagnostics or {}
+    return [(n, n not in diagnostics, diagnostics.get(n, True)) for n in names]
+
+
+COCYCLE_LAWS = ["cocycle_identity", "inverse_formula", "adjoint_relation",
+                "sandwich", "self_adjoint"]
+STRONG_QI = ["positive", "spectrum_window", "pairwise_commuting", "centralizer"]
+GAMMA = ["gamma_permutes_cocycle", "gamma_multiplicative", "gamma_preserves_state",
+         "gamma_twisted_product", "gamma_adjoint", "gamma_fixed_d", "psi_invariant",
+         "psi_faithful"]
+IMPLEMENT_HEAD = ["unitary_isometry", "unitary_surjective", "covariance",
+                  "representation", "predual_via_a_g", "predual_via_x_g",
+                  "density_intertwine"]
+FACTORIZATION = ["gamma_root_link", "gamma_density_link", "d_factorization",
+                 "cocycle_factorization"]
+EXPECTATION_HEAD = ["range", "idempotent", "unital", "positive",
+                    "state_invariance", "bimodule", "e0_projection", "f0_identity"]
+KS = ["compression", "state_decomposition", "mean_formula"]
+TRACE = ["center_ergodic", "trace_invariance", "trace_density_predual",
+         "trace_density_intertwine", "trace_property"]
+
+SUMMARY_KEYS = {
+    "check": ["fixed_algebra_dim", "group_order", "lambda", "strong_qi",
+              "trace_weights"],
+    "invariant": ["d", "group_order", "lambda", "min_singular_value_d",
+                  "psi_density", "strong_qi"],
+    "implement": ["group_order", "l2_dimension", "lambda",
+                  "representation_deviation", "strong_qi"],
+    "expectation": ["commutant_dim", "e0_rank", "fixed_algebra_dim",
+                    "group_order", "lambda", "strong_qi"],
+    "trace": ["density", "group_order", "lambda", "trace_weights"],
+}
+
+
+def strong_expected(order, l2_dim, fixed_dim, e0_rank, commutant_dim):
+    """Expected runs on a strongly quasi-invariant bundled instance."""
+    return {
+        "check": (rows(COCYCLE_LAWS + STRONG_QI + ["sz_domination"],
+                       {"self_adjoint": True}),
+                  {"fixed_algebra_dim": None, "group_order": order,
+                   "strong_qi": True, "trace_weights": None}),
+        "invariant": (rows(GAMMA + ["d_self_adjoint", "d_spectrum_window",
+                                    "d_orbit_commutes"]),
+                      {"group_order": order, "strong_qi": True}),
+        "implement": (rows(IMPLEMENT_HEAD + ["a_g_is_root", "a_g_root_commute"]
+                           + FACTORIZATION),
+                      {"group_order": order, "l2_dimension": l2_dim,
+                       "strong_qi": True}),
+        "expectation": (rows(EXPECTATION_HEAD + KS),
+                        {"commutant_dim": commutant_dim, "e0_rank": e0_rank,
+                         "fixed_algebra_dim": fixed_dim, "group_order": order,
+                         "strong_qi": True}),
+        "trace": (rows(TRACE), {"group_order": order}),
+    }
+
+
+EXPECTED = {
+    "qubit.json": strong_expected(2, 4, 2, 2, 8),
+    "c2_swap.json": strong_expected(2, 2, 1, 1, 4),
+    "m2m2_swap.json": strong_expected(2, 8, 4, 4, 16),
+    "nonstrong_weyl3.json": {
+        "check": (rows(COCYCLE_LAWS + ["sz_domination"], {"self_adjoint": False}),
+                  {"fixed_algebra_dim": None, "group_order": 9,
+                   "strong_qi": False, "trace_weights": None}),
+        "invariant": (rows(GAMMA), {"group_order": 9, "strong_qi": False}),
+        "implement": (rows(IMPLEMENT_HEAD + FACTORIZATION,
+                           {"representation": False}),
+                      {"group_order": 9, "l2_dimension": 9, "strong_qi": False}),
+        "expectation": (rows(EXPECTATION_HEAD, {"f0_identity": True}),
+                        {"commutant_dim": 81, "e0_rank": 0,
+                         "fixed_algebra_dim": 1, "group_order": 9,
+                         "strong_qi": False}),
+        "trace": (rows(TRACE), {"group_order": 9}),
+    },
+}
+
+
+@pytest.mark.parametrize("instance", sorted(EXPECTED))
+@pytest.mark.parametrize("command", sorted(SUMMARY_KEYS))
+def test_report_schema(instance, command, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    path = os.path.join(REPO_INSTANCES, instance)
+    assert main([command, "--input", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    checks, fixed_values = EXPECTED[instance][command]
+    assert report["pass"] is True
+    assert [(c["name"], c["asserted"], c["pass"]) for c in report["checks"]] == checks
+    summary = report["summary"]
+    assert sorted(summary) == SUMMARY_KEYS[command]
+    exact = {k: v for k, v in summary.items()
+             if v is None or isinstance(v, (bool, int))}
+    assert exact == fixed_values
+    assert all(type(exact[k]) is type(v) for k, v in fixed_values.items())
