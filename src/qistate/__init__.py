@@ -23,4 +23,5 @@ from .expectation import (ConditionalExpectation, FixedAlgebra, commutant_f0,
                           verify_ks)
 from .trace import (TraceFunctional, invariant_trace, is_center_ergodic,
                     trace_density, verify_density_relations)
+from .analysis import Analysis
 from .matcore import InputError, PreconditionError

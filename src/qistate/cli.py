@@ -18,19 +18,19 @@ import numpy as np
 from . import __version__
 from .algebra import AlgebraDescriptor, AlgebraElement, State, identity
 from .actions import Automorphism, close_group
-from .cocycle import (build_table, is_strongly_qi, random_psd_probe,
-                      sandwich_check, sz_domination, verify_adjoint_relation,
+from .analysis import Analysis
+# build_table is not called here; perfbench's tests read it from this module.
+from .cocycle import (build_table, random_psd_probe, sandwich_check,  # noqa: F401
+                      sz_domination, verify_adjoint_relation,
                       verify_cocycle_identity, verify_inverse_formula)
-from .expectation import (commutant_f0, cond_expectation, e0_projection,
-                          expectation_checks, verify_ks)
-from .invariant import gamma_properties_check, invariant_state, strong_case_check
+from .expectation import expectation_checks, verify_ks
+from .invariant import gamma_properties_check, strong_case_check
 from .matcore import InputError, PreconditionError, TOL_EQ, TOL_POS
-from .reporting import Check, CheckSet
-from .standard_form import (gamma_factorization, group_unitaries,
-                            lemma_chain_checks, verify_covariance,
-                            verify_representation)
-from .trace import (invariant_trace, is_center_ergodic, trace_density,
-                    trace_invariance_check, verify_density_relations)
+from .reporting import Check, CheckSet, residual_check
+from .standard_form import (gamma_factorization, lemma_chain_checks,
+                            verify_covariance, verify_representation)
+from .trace import (is_center_ergodic, trace_invariance_check,
+                    verify_density_relations)
 
 log = logging.getLogger("qistate")
 
@@ -151,9 +151,10 @@ def load_instance(path: str):
 
 # -- report assembly ----------------------------------------------------------
 
-def make_report(command: str, checks, summary: dict, digest: str = None) -> dict:
+def emit_report(command: str, checks, summary: dict, digest: str = None,
+                out_path: str = None) -> None:
     entries = [c.to_dict() for c in checks]
-    return {
+    report = {
         "tool": "qistate",
         "version": __version__,
         "command": command,
@@ -162,9 +163,6 @@ def make_report(command: str, checks, summary: dict, digest: str = None) -> dict
         "checks": entries,
         "summary": summary,
     }
-
-
-def emit_report(report: dict, out_path: str = None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
@@ -173,180 +171,152 @@ def emit_report(report: dict, out_path: str = None) -> None:
 
 
 # -- subcommands ---------------------------------------------------------------
+# Each returns (checks, summary, input digest); main emits the report.
 
-def _base_objects(args):
+def _analysis(args):
     (desc, phi, gens, tols, cap), digest = load_instance(args.input)
     if args.tol_eq is not None:
         tols["tol_eq"] = args.tol_eq
     if args.tol_pos is not None:
         tols["tol_pos"] = args.tol_pos
-    cap = args.closure_cap or cap
-    group = close_group(gens, cap=cap, tol=tols["tol_eq"])
+    group = close_group(gens, cap=args.closure_cap or cap, tol=tols["tol_eq"])
     log.info("closed group of order %d on blocks %s", group.order, desc.block_dims)
-    return desc, phi, group, tols, digest
+    return Analysis(phi, group, **tols), digest
 
 
-def cmd_check(args) -> int:
-    desc, phi, group, tols, digest = _base_objects(args)
-    tol_eq, tol_pos = tols["tol_eq"], tols["tol_pos"]
+def cmd_check(args):
+    an, digest = _analysis(args)
+    desc, table, tol_eq = an.phi.descriptor, an.table, an.tol_eq
     rng = np.random.default_rng(args.seed)
-    table = build_table(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
     checks = CheckSet()
     checks.add(verify_cocycle_identity(table, tol_eq))
     checks.add(verify_inverse_formula(table, tol_eq))
     checks.add(verify_adjoint_relation(table, tol_eq))
     probes = [random_psd_probe(rng, desc) for _ in range(8)] + [identity(desc)]
     checks.add(sandwich_check(table, probes, tol_eq))
-    strong, strong_checks = is_strongly_qi(table, tol_eq, tol_pos)
+    strong, strong_checks = an.strong_qi
     checks.extend(strong_checks.checks)
     # positive-form domination, probed with each cocycle element
-    worst = None
-    for x in table.entries:
-        c = sz_domination(phi, x, probes, tol_eq, tol_pos)
-        worst = c if worst is None or c.residual > worst.residual else worst
-    checks.add(worst)
+    checks.add(max((sz_domination(an.phi, x, probes, tol_eq, an.tol_pos)
+                    for x in table.entries), key=lambda c: c.residual))
     summary = {
         "lambda": table.lambda_bound,
-        "group_order": group.order,
+        "group_order": an.group.order,
         "strong_qi": bool(strong),
         "fixed_algebra_dim": None,
         "trace_weights": None,
     }
-    emit_report(make_report("check", checks, summary, digest), args.out)
-    return EXIT_PASS if checks.passed else EXIT_CHECK_FAILURE
+    return checks, summary, digest
 
 
-def cmd_invariant(args) -> int:
-    desc, phi, group, tols, digest = _base_objects(args)
-    tol_eq, tol_pos = tols["tol_eq"], tols["tol_pos"]
+def cmd_invariant(args):
+    an, digest = _analysis(args)
+    tol_eq = an.tol_eq
     rng = np.random.default_rng(args.seed)
     checks = CheckSet()
-    checks.extend(gamma_properties_check(phi, group, rng, tol_eq).checks)
-    cert = invariant_state(phi, group, tol_eq=tol_eq, tol_pos=tol_pos)
+    checks.extend(gamma_properties_check(an, rng).checks)
+    cert = an.certificate
     res = cert.residuals
-    checks.add(Check("gamma_fixed_d", "Gamma_g(d) = d", res["gamma_fixed"],
-                     tol_eq * max(1.0, cert.d.op_norm()),
-                     res["gamma_fixed"] <= tol_eq * max(1.0, cert.d.op_norm())))
+    checks.add(residual_check("gamma_fixed_d", "Gamma_g(d) = d", res["gamma_fixed"],
+                              tol_eq, cert.d.op_norm()))
+    # pass flags from the certificate, which tests other thresholds
     checks.add(Check("psi_invariant", "psi o g = psi", res["invariance"],
                      tol_eq, res["asserts"]["invariance"]))
     checks.add(Check("psi_faithful", "psi >= phi/lambda stays faithful",
                      max(0.0, -res["faithfulness_margin"]), tol_eq,
                      res["asserts"]["faithful"]
                      and -res["faithfulness_margin"] <= tol_eq))
-    table = build_table(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
-    strong, _ = is_strongly_qi(table, tol_eq, tol_pos)
-    if strong:
-        checks.extend(strong_case_check(phi, group, tol_eq, tol_pos).checks)
+    if an.strong:
+        checks.extend(strong_case_check(an).checks)
     summary = {
         "lambda": cert.lambda_used,
-        "group_order": group.order,
-        "strong_qi": bool(strong),
+        "group_order": an.group.order,
+        "strong_qi": bool(an.strong),
         "d": element_to_json(cert.d),
         "psi_density": element_to_json(cert.psi.density),
         "min_singular_value_d": res["min_singular_value_d"],
     }
-    emit_report(make_report("invariant", checks, summary, digest), args.out)
-    return EXIT_PASS if checks.passed else EXIT_CHECK_FAILURE
+    return checks, summary, digest
 
 
-def cmd_implement(args) -> int:
-    desc, phi, group, tols, digest = _base_objects(args)
-    tol_eq, tol_pos = tols["tol_eq"], tols["tol_pos"]
-    table = build_table(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
-    strong, _ = is_strongly_qi(table, tol_eq, tol_pos)
-    us = group_unitaries(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
-    checks = CheckSet()
-    n = desc.dim
-    worst_iso = max(float(np.linalg.norm(np.conj(u.matrix.T) @ u.matrix - np.eye(n), 2))
-                    for u in us)
+def cmd_implement(args):
+    an, digest = _analysis(args)
+    tol_eq, strong, us = an.tol_eq, an.strong, an.unitaries
+    n = an.phi.descriptor.dim
     worst_sur = max(float(np.linalg.norm(u.matrix @ np.conj(u.matrix.T) - np.eye(n), 2))
                     for u in us)
-    checks.add(Check("unitary_isometry", "U_g* U_g = 1", worst_iso, tol_eq,
-                     worst_iso <= tol_eq))
-    checks.add(Check("unitary_surjective", "U_g U_g* = 1", worst_sur, tol_eq,
-                     worst_sur <= tol_eq))
-    checks.add(verify_covariance(phi, group, tol_eq, tol_pos, unitaries=us))
-    checks.add(verify_representation(phi, group, strong, tol_eq, tol_pos, unitaries=us))
-    checks.extend(lemma_chain_checks(phi, group, strong, tol_eq, tol_pos).checks)
-    cert = invariant_state(phi, group, tol_eq=tol_eq, tol_pos=tol_pos)
-    _, _, gamma_checks = gamma_factorization(phi, cert.psi, tol_eq, tol_pos, group)
-    checks.extend(gamma_checks.checks)
+    checks = CheckSet()
+    checks.add(residual_check("unitary_isometry", "U_g* U_g = 1",
+                              max(u.unitarity_residual for u in us), tol_eq))
+    checks.add(residual_check("unitary_surjective", "U_g U_g* = 1", worst_sur, tol_eq))
+    checks.add(verify_covariance(an))
+    checks.add(verify_representation(an))
+    checks.extend(lemma_chain_checks(an).checks)
+    checks.extend(gamma_factorization(an)[2].checks)
     summary = {
-        "lambda": table.lambda_bound,
-        "group_order": group.order,
+        "lambda": an.table.lambda_bound,
+        "group_order": an.group.order,
         "strong_qi": bool(strong),
         "l2_dimension": n,
         "representation_deviation": checks["representation"].residual,
     }
-    emit_report(make_report("implement", checks, summary, digest), args.out)
-    return EXIT_PASS if checks.passed else EXIT_CHECK_FAILURE
+    return checks, summary, digest
 
 
-def cmd_expectation(args) -> int:
-    desc, phi, group, tols, digest = _base_objects(args)
-    tol_eq, tol_pos = tols["tol_eq"], tols["tol_pos"]
+def cmd_expectation(args):
+    an, digest = _analysis(args)
+    tol_eq, strong = an.tol_eq, an.strong
     rng = np.random.default_rng(args.seed)
-    table = build_table(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
-    strong, _ = is_strongly_qi(table, tol_eq, tol_pos)
-    cert = invariant_state(phi, group, tol_eq=tol_eq, tol_pos=tol_pos)
-    Phi = cond_expectation(cert.psi, group, tol_eq=tol_eq, tol_pos=tol_pos)
     checks = CheckSet()
-    checks.extend(expectation_checks(cert.psi, Phi, rng, tol_eq).checks)
-    e0 = e0_projection(phi, group, tol_eq=tol_eq, tol_pos=tol_pos)
-    checks.add(Check("e0_projection", "E0 = E0* = E0^2",
-                     e0.projection_residual, tol_eq,
-                     e0.projection_residual <= tol_eq))
-    f0_report = commutant_f0(phi, group, tol_eq=tol_eq, tol_pos=tol_pos)
-    checks.add(Check("f0_identity", "F0 = [B' E0] = 1",
-                     f0_report.identity_residual, tol_eq,
-                     (f0_report.identity_residual <= tol_eq) if strong else True,
-                     asserted=strong,
+    checks.extend(expectation_checks(an, rng).checks)
+    e0 = an.e0
+    checks.add(residual_check("e0_projection", "E0 = E0* = E0^2",
+                              e0.projection_residual, tol_eq))
+    f0_report = an.f0
+    # recorded but always passing outside the strong bounded case
+    checks.add(Check("f0_identity", "F0 = [B' E0] = 1", f0_report.identity_residual,
+                     tol_eq, f0_report.is_identity or not strong, asserted=strong,
                      detail="asserted only in the strong bounded case"))
     if strong:
-        checks.extend(verify_ks(phi, group, tol_eq, tol_pos).checks)
+        checks.extend(verify_ks(an).checks)
     summary = {
-        "lambda": table.lambda_bound,
-        "group_order": group.order,
+        "lambda": an.table.lambda_bound,
+        "group_order": an.group.order,
         "strong_qi": bool(strong),
-        "fixed_algebra_dim": Phi.fixed.dimension,
+        "fixed_algebra_dim": an.fixed.dimension,
         "e0_rank": int(round(float(np.real(np.trace(e0.matrix))))),
         "commutant_dim": f0_report.commutant_dim,
     }
-    emit_report(make_report("expectation", checks, summary, digest), args.out)
-    return EXIT_PASS if checks.passed else EXIT_CHECK_FAILURE
+    return checks, summary, digest
 
 
-def cmd_trace(args) -> int:
-    desc, phi, group, tols, digest = _base_objects(args)
-    tol_eq, tol_pos = tols["tol_eq"], tols["tol_pos"]
+def cmd_trace(args):
+    an, digest = _analysis(args)
     rng = np.random.default_rng(args.seed)
     checks = CheckSet()
-    ergodic = is_center_ergodic(group)
-    checks.add(Check("center_ergodic", "fixed central elements are scalars",
-                     0.0 if ergodic else 1.0, 0.5, ergodic))
-    tau = invariant_trace(group)
-    table = build_table(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
-    c = trace_density(phi, tau, tol_eq=tol_eq, tol_pos=tol_pos)
-    probes = [random_psd_probe(rng, desc) for _ in range(6)]
-    checks.add(trace_invariance_check(tau, group, probes, tol_eq))
-    checks.extend(verify_density_relations(phi, table, tau, tol_eq).checks)
+    ergodic = is_center_ergodic(an.group)
+    checks.add(residual_check("center_ergodic", "fixed central elements are scalars",
+                              0.0 if ergodic else 1.0, 0.5))
+    tau, table, c = an.tau, an.table, an.c
+    probes = [random_psd_probe(rng, an.phi.descriptor) for _ in range(6)]
+    checks.add(trace_invariance_check(an, probes))
+    checks.extend(verify_density_relations(an).checks)
     pair_worst = 0.0
     for a in probes:
         for b in probes[:3]:
             pair_worst = max(pair_worst, abs(tau(a @ b) - tau(b @ a)))
-    checks.add(Check("trace_property", "tau(ab) = tau(ba)", pair_worst,
-                     tol_eq, pair_worst <= tol_eq))
+    checks.add(residual_check("trace_property", "tau(ab) = tau(ba)", pair_worst,
+                              an.tol_eq))
     summary = {
         "lambda": table.lambda_bound,
-        "group_order": group.order,
+        "group_order": an.group.order,
         "trace_weights": [float(w) for w in tau.weights],
         "density": element_to_json(c),
     }
-    emit_report(make_report("trace", checks, summary, digest), args.out)
-    return EXIT_PASS if checks.passed else EXIT_CHECK_FAILURE
+    return checks, summary, digest
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args):
     # Imported here: it loads scipy.integrate, which no other command needs.
     from .commutative import (AxBElement, QuadConfig, symmetric_grid,
                               unboundedness_witness, verify_axb,
@@ -366,9 +336,9 @@ def cmd_counterexample(args) -> int:
         t1, t2 = rng.uniform(-4.0, 4.0, size=2)
         cs = verify_translation_identities(float(t1), float(t2), grid)
         worst_chain = max(worst_chain, cs["translation_chain_rule"].residual)
-    checks.add(Check("translation_chain_rule",
-                     "x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1)",
-                     worst_chain, 1e-12, worst_chain <= 1e-12))
+    checks.add(residual_check("translation_chain_rule",
+                              "x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1)",
+                              worst_chain, 1e-12))
     qi = verify_translation_identities(1.0, 0.5, grid, f=bump, f_sup=1.0, quad=quad)
     checks.add(qi["translation_quasi_invariance"])
 
@@ -385,16 +355,15 @@ def cmd_counterexample(args) -> int:
         e2 = AxBElement(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2.0, 2.0)))
         cs = verify_axb(e1, e2, grid)
         worst_chain = max(worst_chain, cs["axb_chain_rule"].residual)
-    checks.add(Check("axb_chain_rule", "affine cocycle chain rule",
-                     worst_chain, 1e-12, worst_chain <= 1e-12))
+    checks.add(residual_check("axb_chain_rule", "affine cocycle chain rule",
+                              worst_chain, 1e-12))
     axb_qi = verify_axb(AxBElement(2.0, 0.0), AxBElement(0.5, 1.0), grid,
                         f=bump, f_sup=1.0, quad=quad)
     checks.add(axb_qi["axb_quasi_invariance"])
 
     summary = {"grid_radius": args.grid_r, "grid_points": args.grid_n,
                "seed": args.seed}
-    emit_report(make_report("counterexample", checks, summary, None), args.out)
-    return EXIT_PASS if checks.passed else EXIT_CHECK_FAILURE
+    return checks, summary, None
 
 
 # -- entry point ----------------------------------------------------------------
@@ -414,15 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, fn in commands.items():
         p = sub.add_parser(name)
-        if name != "counterexample":
+        if name == "counterexample":
+            p.add_argument("--grid-R", dest="grid_r", type=float, default=100.0)
+            p.add_argument("--grid-N", dest="grid_n", type=int, default=1001)
+        else:
             p.add_argument("--input", required=True, help="instance JSON file")
-        p.add_argument("--tol-eq", type=float, default=None)
-        p.add_argument("--tol-pos", type=float, default=None)
-        p.add_argument("--closure-cap", type=int, default=None)
-        p.add_argument("--grid-R", dest="grid_r", type=float, default=100.0)
-        p.add_argument("--grid-N", dest="grid_n", type=int, default=1001)
+            p.add_argument("--tol-eq", type=float, default=None)
+            p.add_argument("--tol-pos", type=float, default=None)
+            p.add_argument("--closure-cap", type=int, default=None)
+        if name != "implement":
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the report here as well")
-        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
     return parser
 
@@ -433,13 +404,15 @@ def main(argv=None) -> int:
                         stream=sys.stderr, format="%(name)s %(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        checks, summary, digest = args.func(args)
     except InstanceFormatError as exc:
         print(f"validation error at {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (PreconditionError, InputError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    emit_report(args.command, checks, summary, digest, args.out)
+    return EXIT_PASS if checks.passed else EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

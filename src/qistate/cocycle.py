@@ -22,17 +22,16 @@ from .reporting import Check, CheckSet, residual_check
 
 
 def rn_cocycle(phi: State, g: Automorphism, tol_pos: float = TOL_POS,
-               tol_eq: float = TOL_EQ, verify: bool = True) -> AlgebraElement:
+               tol_eq: float = TOL_EQ) -> AlgebraElement:
     """x_g = rho^-1 g^-1(rho), checked against phi(g(a)) = phi(x_g a)."""
     require_faithful(phi, tol_pos)
     rho = phi.density
     x = rho.inv() @ predual(g, rho)
-    if verify:
-        worst = _cocycle_defect(phi, g, x)
-        if worst > tol_eq * max(1.0, x.op_norm()):
-            raise PreconditionError(
-                f"cocycle defect {worst:.3e}: state/automorphism pair is inconsistent"
-            )
+    worst = _cocycle_defect(phi, g, x)
+    if worst > tol_eq * max(1.0, x.op_norm()):
+        raise PreconditionError(
+            f"cocycle defect {worst:.3e}: state/automorphism pair is inconsistent"
+        )
     return x
 
 
@@ -60,9 +59,6 @@ class CocycleTable:
     group: FiniteGroup
     entries: list
     lambda_bound: float
-
-    def __getitem__(self, i: int) -> AlgebraElement:
-        return self.entries[i]
 
 
 def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS,
@@ -213,11 +209,16 @@ def sandwich_check(table: CocycleTable, probes, tol_eq: float = TOL_EQ) -> Check
                           max(0.0, worst), tol_eq, lam)
 
 
+def random_probe(rng, descriptor) -> AlgebraElement:
+    """Random element with independent standard complex Gaussian entries,
+    drawn block by block, real part before imaginary part."""
+    return AlgebraElement(descriptor, [rng.standard_normal((n, n))
+                                       + 1j * rng.standard_normal((n, n))
+                                       for n in descriptor.block_dims])
+
+
 def random_psd_probe(rng, descriptor, scale: float = 1.0) -> AlgebraElement:
-    """Random PSD element, normalized to unit operator norm."""
-    blocks = []
-    for n in descriptor.block_dims:
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        blocks.append(m @ matcore.dagger(m))
-    x = AlgebraElement(descriptor, blocks)
+    """Random PSD element m m*, normalized to operator norm ``scale``."""
+    m = random_probe(rng, descriptor)
+    x = m @ m.adjoint()
     return (scale / max(x.op_norm(), 1e-300)) * x

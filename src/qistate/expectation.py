@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraDescriptor, AlgebraElement, State, evaluate,
-                      from_block, left_mult_matrix, matrix_unit_basis,
+                      from_block, identity, left_mult_matrix, matrix_unit_basis,
                       require_faithful, unvec, vec)
 from .actions import FiniteGroup, apply, predual
-from .cocycle import build_table, is_strongly_qi
-from .invariant import invariant_state
+from .cocycle import random_probe
 from .matcore import PreconditionError, TOL_EQ, TOL_POS, dagger
 from .reporting import Check, CheckSet, residual_check
-from .standard_form import L2Operator, group_unitaries
+from .standard_form import L2Operator
 
 
 def _action_matrix(g, descriptor) -> np.ndarray:
@@ -105,32 +104,26 @@ class ConditionalExpectation:
         return (1.0 / self.group.order) * out
 
 
-def cond_expectation(psi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
-                     tol_pos: float = TOL_POS) -> ConditionalExpectation:
-    """The averaging expectation, admissible only for an invariant faithful psi."""
+def cond_expectation(psi: State, group: FiniteGroup, fixed: FixedAlgebra,
+                     tol_eq: float = TOL_EQ, tol_pos: float = TOL_POS) -> ConditionalExpectation:
+    """The averaging expectation onto ``fixed``, admissible only for an invariant faithful psi."""
     require_faithful(psi, tol_pos)
     worst = max((predual(g, psi.density) - psi.density).op_norm()
                 for g in group.elements)
     if worst > tol_eq * max(1.0, psi.density.op_norm()):
         raise PreconditionError(f"state is not invariant: residual {worst:.3e}")
-    return ConditionalExpectation(group, fixed_algebra(group, tol_eq, tol_pos))
+    return ConditionalExpectation(group, fixed)
 
 
-def expectation_checks(psi: State, Phi: ConditionalExpectation, rng=None,
-                       tol_eq: float = TOL_EQ, n_probes: int = 4) -> CheckSet:
+def expectation_checks(an, rng=None, n_probes: int = 4) -> CheckSet:
     """Defining properties: range, idempotence, unitality, positivity,
     invariance of psi, bimodule law over the fixed basis."""
     rng = rng or np.random.default_rng(0)
+    psi, Phi, tol_eq = an.certificate.psi, an.Phi, an.tol_eq
     desc = psi.descriptor
     checks = CheckSet()
-
-    def probe():
-        blocks = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                  for n in desc.block_dims]
-        return AlgebraElement(desc, blocks)
-
-    probes = [probe() for _ in range(n_probes)]
-    ident = AlgebraElement(desc, [np.eye(n) for n in desc.block_dims])
+    probes = [random_probe(rng, desc) for _ in range(n_probes)]
+    ident = identity(desc)
 
     checks.add(residual_check("range", "Phi(a) is a fixed point",
                               max(Phi.fixed.span_distance(Phi(a)) for a in probes),
@@ -160,35 +153,29 @@ def expectation_checks(psi: State, Phi: ConditionalExpectation, rng=None,
     return checks
 
 
-def e0_projection(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
-                  tol_pos: float = TOL_POS, unitaries=None) -> L2Operator:
-    """Orthogonal projection onto the joint fixed vectors of all U_g."""
-    require_faithful(phi, tol_pos)
-    us = unitaries or group_unitaries(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
-    n = phi.descriptor.dim
-    rows = [u.matrix - np.eye(n) for u in us[1:]]
+def e0_projection(unitaries, tol_pos: float = TOL_POS) -> L2Operator:
+    """Orthogonal projection onto the joint fixed vectors of all U_g; the
+    first unitary is that of the identity element."""
+    desc = unitaries[0].descriptor
+    n = desc.dim
+    rows = [u.matrix - np.eye(n) for u in unitaries[1:]]
     q = _kernel_onb(np.vstack(rows) if rows else np.empty((0, n)), n, tol_pos)
     e0 = q @ dagger(q)
     res = float(np.linalg.norm(e0 @ e0 - e0, 2))
-    return L2Operator(phi.descriptor, e0, projection_residual=res)
+    return L2Operator(desc, e0, projection_residual=res)
 
 
-def verify_ks(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
-              tol_pos: float = TOL_POS) -> CheckSet:
+def verify_ks(an) -> CheckSet:
     """Characterizations of the expectation in the strong bounded case:
     the compression law Phi(b) E0 = E0 L_b E0, the state decomposition
     phi(a) = psi(Phi(d^-1 a)), and the group-mean formula."""
-    table = build_table(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
-    strong, _ = is_strongly_qi(table, tol_eq=tol_eq, tol_pos=tol_pos)
-    if not strong:
+    if not an.strong:
         raise PreconditionError("state is not strongly quasi-invariant")
-    cert = invariant_state(phi, group, tol_eq=tol_eq, tol_pos=tol_pos)
-    psi, d = cert.psi, cert.d
-    if d.min_sv() <= tol_pos * max(1.0, d.op_norm()):
+    phi, group, tol_eq = an.phi, an.group, an.tol_eq
+    psi, d = an.certificate.psi, an.certificate.d
+    if d.min_sv() <= an.tol_pos * max(1.0, d.op_norm()):
         raise PreconditionError("invariant-state element d is singular")
-    Phi = cond_expectation(psi, group, tol_eq=tol_eq, tol_pos=tol_pos)
-    us = group_unitaries(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
-    e0 = e0_projection(phi, group, tol_eq=tol_eq, tol_pos=tol_pos, unitaries=us)
+    Phi, us, e0 = an.Phi, an.unitaries, an.e0
 
     checks = CheckSet()
     basis = matrix_unit_basis(phi.descriptor)
@@ -218,15 +205,11 @@ def verify_ks(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
     return checks
 
 
-def uniqueness_probe(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
-                     tol_pos: float = TOL_POS) -> Check:
+def uniqueness_probe(an) -> Check:
     """Solve the compression law for each basis element and compare with the
     averaging expectation; unique solution within the linear class."""
-    Phi = cond_expectation(invariant_state(phi, group).psi, group,
-                           tol_eq=tol_eq, tol_pos=tol_pos)
-    e0 = e0_projection(phi, group, tol_eq=tol_eq, tol_pos=tol_pos)
-    basis = matrix_unit_basis(phi.descriptor)
-    n = phi.descriptor.dim
+    Phi, e0 = an.Phi, an.e0
+    basis = matrix_unit_basis(an.phi.descriptor)
     design = np.column_stack([(left_mult_matrix(b) @ e0.matrix).ravel()
                               for b in basis])
     worst = 0.0
@@ -238,7 +221,7 @@ def uniqueness_probe(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
             m = m + complex(c) * bb
         worst = max(worst, (m - Phi(b)).op_norm())
     return residual_check("expectation_unique",
-                          "the compression law determines Phi", worst, tol_eq)
+                          "the compression law determines Phi", worst, an.tol_eq)
 
 
 @dataclass
@@ -250,21 +233,19 @@ class CommutantReport:
     commutation_residual: float
 
 
-def commutant_f0(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
+def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float = TOL_EQ,
                  tol_pos: float = TOL_POS, n_cap: int = 256) -> CommutantReport:
-    """Projection onto span(B' E0 L2) for B the fixed-point algebra.
+    """Projection onto span(B' E0 L2) for B = ``fa`` the fixed-point algebra.
 
     B' inside all operators on the Hilbert-Schmidt space is solved from the
     commutator constraints blockwise: an operator commuting with every left
     multiplication from B is built from intertwiners between the B-actions
     on the block column spaces, tensored with arbitrary column-index maps.
     """
-    desc = phi.descriptor
+    desc = e0.descriptor
     n = desc.dim
     if n > n_cap:
         raise PreconditionError(f"commutant computation too large: dim {n} > cap {n_cap}")
-    fa = fixed_algebra(group, tol_eq=tol_eq, tol_pos=tol_pos)
-    e0 = e0_projection(phi, group, tol_eq=tol_eq, tol_pos=tol_pos)
 
     dims = desc.block_dims
     k = len(dims)

@@ -14,40 +14,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, State, evaluate, matrix_unit_basis,
-                      require_faithful, state_from_density)
-from .actions import Automorphism, FiniteGroup, apply, inverse, predual
-from .cocycle import CocycleTable, build_table, is_strongly_qi, rn_cocycle
+                      state_from_density)
+from .actions import apply, inverse, predual
+from .cocycle import CocycleTable, random_probe
 from .matcore import PreconditionError, TOL_EQ, TOL_POS
 from .reporting import CheckSet, residual_check
 
 
-def gamma_map(phi: State, g: Automorphism, a: AlgebraElement,
-              tol_pos: float = TOL_POS) -> AlgebraElement:
-    """Gamma_g(a) = x_{g^-1} g(a)."""
-    x = rn_cocycle(phi, inverse(g), tol_pos=tol_pos, verify=False)
-    return x @ apply(g, a)
+def gamma_map(table: CocycleTable, i: int, a: AlgebraElement) -> AlgebraElement:
+    """Gamma_g(a) = x_{g^-1} g(a) for g the group element with index ``i``."""
+    group = table.group
+    return table.entries[group.inv[i]] @ apply(group.elements[i], a)
 
 
-def gamma_properties_check(phi: State, group: FiniteGroup, rng=None,
-                           tol_eq: float = TOL_EQ, n_probes: int = 4) -> CheckSet:
+def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
     """The five algebraic properties of the Gamma maps, over the whole group."""
     rng = rng or np.random.default_rng(0)
-    table = build_table(phi, group)
+    table, tol_eq = an.table, an.tol_eq
+    phi, group = table.phi, table.group
     checks = CheckSet()
-    desc = phi.descriptor
-
-    def probe():
-        blocks = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                  for n in desc.block_dims]
-        return AlgebraElement(desc, blocks)
-
-    probes = [probe() for _ in range(n_probes)]
+    probes = [random_probe(rng, phi.descriptor) for _ in range(n_probes)]
 
     # (i) Gamma_g(x_h) = x_{h g^-1}
     worst = 0.0
-    for i, g in enumerate(group.elements):
+    for i in range(group.order):
         for h in range(group.order):
-            lhs = gamma_map(phi, g, table.entries[h])
+            lhs = gamma_map(table, i, table.entries[h])
             rhs = table.entries[group.mult[h, group.inv[i]]]
             worst = max(worst, (lhs - rhs).op_norm())
     checks.add(residual_check("gamma_permutes_cocycle", "Gamma_g(x_h) = x_{h g^-1}",
@@ -55,32 +47,31 @@ def gamma_properties_check(phi: State, group: FiniteGroup, rng=None,
 
     # (ii) Gamma_{gh} = Gamma_g o Gamma_h
     worst = 0.0
-    for i, g in enumerate(group.elements):
-        for j, h in enumerate(group.elements):
-            gh = group.elements[group.mult[i, j]]
+    for i in range(group.order):
+        for j in range(group.order):
             for a in probes:
-                lhs = gamma_map(phi, gh, a)
-                rhs = gamma_map(phi, g, gamma_map(phi, h, a))
+                lhs = gamma_map(table, group.mult[i, j], a)
+                rhs = gamma_map(table, i, gamma_map(table, j, a))
                 worst = max(worst, (lhs - rhs).op_norm() / max(1.0, a.op_norm()))
     checks.add(residual_check("gamma_multiplicative", "Gamma_{gh} = Gamma_g Gamma_h",
                               worst, tol_eq, table.lambda_bound ** 2))
 
     # (iii) phi o Gamma_g = phi
     worst = 0.0
-    for g in group.elements:
-        for a in matrix_unit_basis(desc):
-            worst = max(worst, abs(evaluate(phi, gamma_map(phi, g, a)) - evaluate(phi, a)))
+    for i in range(group.order):
+        for a in matrix_unit_basis(phi.descriptor):
+            worst = max(worst, abs(evaluate(phi, gamma_map(table, i, a)) - evaluate(phi, a)))
     checks.add(residual_check("gamma_preserves_state", "phi(Gamma_g(a)) = phi(a)",
                               worst, tol_eq))
 
     # (iv) Gamma_g(ab) = Gamma_g(a) (x_{g^-1})^-1 Gamma_g(b)
     worst = 0.0
-    for i, g in enumerate(group.elements):
+    for i in range(group.order):
         xinv = table.entries[group.inv[i]].inv()
         for a in probes[:2]:
             for b in probes[2:]:
-                lhs = gamma_map(phi, g, a @ b)
-                rhs = gamma_map(phi, g, a) @ xinv @ gamma_map(phi, g, b)
+                lhs = gamma_map(table, i, a @ b)
+                rhs = gamma_map(table, i, a) @ xinv @ gamma_map(table, i, b)
                 worst = max(worst, (lhs - rhs).op_norm()
                             / max(1.0, a.op_norm() * b.op_norm()))
     checks.add(residual_check("gamma_twisted_product",
@@ -89,11 +80,11 @@ def gamma_properties_check(phi: State, group: FiniteGroup, rng=None,
 
     # (v) Gamma_g(a)* = (x_{g^-1})^-1 Gamma_g(a*) (x_{g^-1})*
     worst = 0.0
-    for i, g in enumerate(group.elements):
+    for i in range(group.order):
         x = table.entries[group.inv[i]]
         for a in probes:
-            lhs = gamma_map(phi, g, a).adjoint()
-            rhs = x.inv() @ gamma_map(phi, g, a.adjoint()) @ x.adjoint()
+            lhs = gamma_map(table, i, a).adjoint()
+            rhs = x.inv() @ gamma_map(table, i, a.adjoint()) @ x.adjoint()
             worst = max(worst, (lhs - rhs).op_norm() / max(1.0, a.op_norm()))
     checks.add(residual_check("gamma_adjoint",
                               "Gamma_g(a)* = x_{g^-1}^-1 Gamma_g(a*) x_{g^-1}*",
@@ -101,21 +92,19 @@ def gamma_properties_check(phi: State, group: FiniteGroup, rng=None,
     return checks
 
 
-def fixed_density_d(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
-                    tol_pos: float = TOL_POS, table: CocycleTable = None) -> AlgebraElement:
+def fixed_density_d(table: CocycleTable, tol_eq: float = TOL_EQ) -> AlgebraElement:
     """Gamma-fixed element d = average of all cocycle entries; phi(d) = 1.
 
     Exact for finite groups because Gamma_g permutes the x_h.
     """
-    table = table or build_table(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
     d = table.entries[0]
     for x in table.entries[1:]:
         d = d + x
-    d = (1.0 / group.order) * d
-    worst = max((gamma_map(phi, g, d) - d).op_norm() for g in group.elements)
+    d = (1.0 / table.group.order) * d
+    worst = max((gamma_map(table, i, d) - d).op_norm() for i in range(table.group.order))
     if worst > tol_eq * max(1.0, d.op_norm()):
         raise PreconditionError(f"averaged element is not Gamma-fixed: residual {worst:.3e}")
-    defect = abs(evaluate(phi, d) - 1.0)
+    defect = abs(evaluate(table.phi, d) - 1.0)
     if defect > tol_eq:
         raise PreconditionError(f"phi(d) = 1 fails by {defect:.3e}")
     return d
@@ -130,21 +119,16 @@ class InvariantCertificate:
     lambda_used: float
     residuals: dict
 
-    @property
-    def passed(self) -> bool:
-        return all(v for v in self.residuals.get("asserts", {}).values())
 
-
-def invariant_state(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
+def invariant_state(table: CocycleTable, tol_eq: float = TOL_EQ,
                     tol_pos: float = TOL_POS) -> InvariantCertificate:
     """Forward construction: d, then psi(a) = phi(d a) as an explicit state.
 
     The density of psi is the symmetrization of rho d, accepted only when
     the anti-Hermitian part is at roundoff level and the result is PSD.
     """
-    require_faithful(phi, tol_pos)
-    table = build_table(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
-    d = fixed_density_d(phi, group, tol_eq=tol_eq, tol_pos=tol_pos, table=table)
+    phi, group = table.phi, table.group
+    d = fixed_density_d(table, tol_eq=tol_eq)
     rho = phi.density
     rho_d = rho @ d
     skew = (rho_d - rho_d.adjoint()).op_norm()
@@ -159,7 +143,7 @@ def invariant_state(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
     psi = state_from_density(rho_psi, tol_eq=max(tol_eq, 1e-9), tol_pos=tol_pos)
 
     inv_res = max((predual(g, rho_psi) - rho_psi).op_norm() for g in group.elements)
-    gamma_res = max((gamma_map(phi, g, d) - d).op_norm() for g in group.elements)
+    gamma_res = max((gamma_map(table, i, d) - d).op_norm() for i in range(group.order))
     # psi is sandwiched between phi/lambda and lambda*phi, hence faithful.
     margin = mn - (phi.density.min_eig() / table.lambda_bound)
     residuals = {
@@ -177,27 +161,26 @@ def invariant_state(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
     return InvariantCertificate(d, psi, table.lambda_bound, residuals)
 
 
-def cocycle_from_d(phi: State, d: AlgebraElement, g: Automorphism,
-                   tol_eq: float = TOL_EQ, tol_pos: float = TOL_POS,
-                   check_invariance: bool = True) -> AlgebraElement:
+def cocycle_from_d(table: CocycleTable, d: AlgebraElement, i: int,
+                   tol_eq: float = TOL_EQ, tol_pos: float = TOL_POS) -> AlgebraElement:
     """Converse direction: x_g = d g^-1(d^-1) for an invertible d whose
-    state psi = phi(d .) is invariant; checked against the direct cocycle
-    and the bound ||x_g|| <= ||d|| ||d^-1||."""
-    require_faithful(phi, tol_pos)
+    state psi = phi(d .) is invariant, with g the group element with index
+    ``i``; checked against the table's x_g and the bound
+    ||x_g|| <= ||d|| ||d^-1||."""
+    phi, g = table.phi, table.group.elements[i]
     if d.min_sv() <= tol_pos * max(1.0, d.op_norm()):
         raise PreconditionError("d is numerically singular")
     d_inv = d.inv()
-    if check_invariance:
-        rho_d = phi.density @ d
-        rho_psi = 0.5 * (rho_d + rho_d.adjoint())
-        worst = max((predual(h, rho_psi) - rho_psi).op_norm()
-                    for h in (g, inverse(g)))
-        if worst > tol_eq * max(1.0, rho_psi.op_norm()):
-            raise PreconditionError(
-                f"phi(d .) is not invariant under g: residual {worst:.3e}"
-            )
+    rho_d = phi.density @ d
+    rho_psi = 0.5 * (rho_d + rho_d.adjoint())
+    worst = max((predual(h, rho_psi) - rho_psi).op_norm()
+                for h in (g, inverse(g)))
+    if worst > tol_eq * max(1.0, rho_psi.op_norm()):
+        raise PreconditionError(
+            f"phi(d .) is not invariant under g: residual {worst:.3e}"
+        )
     x = d @ apply(inverse(g), d_inv)
-    direct = rn_cocycle(phi, g, tol_pos=tol_pos, verify=False)
+    direct = table.entries[i]
     defect = (x - direct).op_norm()
     if defect > tol_eq * max(1.0, direct.op_norm()):
         raise PreconditionError(
@@ -209,23 +192,19 @@ def cocycle_from_d(phi: State, d: AlgebraElement, g: Automorphism,
     return x
 
 
-def strong_case_check(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
-                      tol_pos: float = TOL_POS) -> CheckSet:
+def strong_case_check(an) -> CheckSet:
     """Extra structure in the strongly quasi-invariant case: d is positive
     with spectrum in [1/lambda, lambda] and commutes with its orbit."""
-    table = build_table(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
-    strong, _ = is_strongly_qi(table, tol_eq=tol_eq, tol_pos=tol_pos)
-    if not strong:
+    if not an.strong:
         raise PreconditionError("state is not strongly quasi-invariant")
-    d = fixed_density_d(phi, group, tol_eq=tol_eq, tol_pos=tol_pos, table=table)
+    d, lam, tol_eq = an.certificate.d, an.table.lambda_bound, an.tol_eq
     checks = CheckSet()
-    lam = table.lambda_bound
     checks.add(residual_check("d_self_adjoint", "d = d*", d.herm_residual(),
                               tol_eq, d.op_norm()))
     lo, hi = d.min_eig(), max(np.linalg.eigvalsh(b)[-1] for b in d.blocks)
     checks.add(residual_check("d_spectrum_window", "1/lambda <= d <= lambda",
                               max(0.0, 1.0 / lam - lo, hi - lam), tol_eq, lam))
-    worst = max((d @ apply(g, d) - apply(g, d) @ d).op_norm() for g in group.elements)
+    worst = max((d @ apply(g, d) - apply(g, d) @ d).op_norm() for g in an.group.elements)
     checks.add(residual_check("d_orbit_commutes", "[d, g(d)] = 0",
                               worst, tol_eq, d.op_norm() ** 2))
     return checks

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .algebra import (AlgebraDescriptor, AlgebraElement, State, density_power,
-                      left_mult_matrix, matrix_unit_basis, require_faithful,
-                      unvec, vec)
-from .actions import Automorphism, FiniteGroup, apply, inverse, predual
-from .cocycle import rn_cocycle
-from .matcore import PreconditionError, TOL_EQ, TOL_POS, dagger
+from .algebra import (AlgebraDescriptor, AlgebraElement, density_power,
+                      left_mult_matrix, matrix_unit_basis, unvec, vec)
+from .actions import apply, inverse, predual
+from .matcore import PreconditionError, dagger
 from .reporting import Check, CheckSet, residual_check
 
 
@@ -33,53 +31,38 @@ class L2Operator:
     unitarity_residual: float = None
     projection_residual: float = None
 
-    def __matmul__(self, other):
-        return L2Operator(self.descriptor, self.matrix @ other.matrix)
 
-    def apply(self, xi: AlgebraElement) -> AlgebraElement:
-        return unvec(self.descriptor, self.matrix @ vec(xi))
-
-
-def identity_operator(descriptor: AlgebraDescriptor) -> L2Operator:
-    return L2Operator(descriptor, np.eye(descriptor.dim), 0.0, 0.0)
-
-
-def a_g(phi: State, g: Automorphism, tol_pos: float = TOL_POS,
-        tol_eq: float = TOL_EQ) -> AlgebraElement:
-    """Positive invertible a_g with rho^{1/2} a_g^2 rho^{1/2} = g^-1(rho).
+def a_g(an, i: int) -> AlgebraElement:
+    """Positive invertible a_g with rho^{1/2} a_g^2 rho^{1/2} = g^-1(rho),
+    for g the group element with index ``i`` of the instance analysis ``an``.
 
     Also satisfies a_g^2 = rho^{1/2} x_g rho^{-1/2} and
     a_g^2 >= 1/||x_{g^-1}||.
     """
-    require_faithful(phi, tol_pos)
-    root_inv = density_power(phi, 0.5j, tol_pos)        # rho^{-1/2}
-    middle = root_inv @ predual(g, phi.density) @ root_inv
+    phi, table, tol_eq, tol_pos = an.phi, an.table, an.tol_eq, an.tol_pos
+    root, root_inv = an.roots
+    middle = root_inv @ predual(an.group.elements[i], phi.density) @ root_inv
     sym = 0.5 * (middle + middle.adjoint())
     a = AlgebraElement(phi.descriptor,
                        [matcore.psd_sqrt(b, tol_pos=tol_pos) for b in sym.blocks])
     # Consistency with the modular picture of the cocycle.
-    x = rn_cocycle(phi, g, tol_pos=tol_pos, verify=False)
-    root = density_power(phi, -0.5j, tol_pos)           # rho^{1/2}
-    flow = root @ x @ root_inv
+    flow = root @ table.entries[i] @ root_inv
     defect = (a @ a - flow).op_norm()
     if defect > tol_eq * max(1.0, flow.op_norm()):
         raise PreconditionError(f"a_g^2 deviates from the half-flowed cocycle by {defect:.3e}")
-    alpha = 1.0 / rn_cocycle(phi, inverse(g), tol_pos=tol_pos, verify=False).op_norm()
+    alpha = 1.0 / table.entries[an.group.inv[i]].op_norm()
     if (a @ a).min_eig() < alpha - tol_eq * max(1.0, alpha):
         raise PreconditionError("a_g^2 lost its uniform lower bound")
     return a
 
 
-def u_g(phi: State, g: Automorphism, tol_pos: float = TOL_POS,
-        tol_eq: float = TOL_EQ) -> L2Operator:
+def u_g(an, i: int) -> L2Operator:
     """The unitary xi |-> g^-1(xi rho^{-1/2}) rho^{1/2} a_g on Hilbert-Schmidt
-    coordinates."""
-    require_faithful(phi, tol_pos)
-    desc = phi.descriptor
-    root = density_power(phi, -0.5j, tol_pos)
-    root_inv = density_power(phi, 0.5j, tol_pos)
-    ag = a_g(phi, g, tol_pos=tol_pos, tol_eq=tol_eq)
-    ginv = inverse(g)
+    coordinates, for g the group element with index ``i``."""
+    desc = an.phi.descriptor
+    root, root_inv = an.roots
+    ag = an.a[i]
+    ginv = inverse(an.group.elements[i])
     n = desc.dim
     mat = np.empty((n, n), dtype=complex)
     for m in range(n):
@@ -88,66 +71,59 @@ def u_g(phi: State, g: Automorphism, tol_pos: float = TOL_POS,
         xi = unvec(desc, e)
         mat[:, m] = vec(apply(ginv, xi @ root_inv) @ root @ ag)
     res = float(np.linalg.norm(dagger(mat) @ mat - np.eye(n), 2))
-    if res > tol_eq * max(1.0, float(np.linalg.norm(mat, 2)) ** 2):
+    if res > an.tol_eq * max(1.0, float(np.linalg.norm(mat, 2)) ** 2):
         raise PreconditionError(f"implementing operator is not unitary: residual {res:.3e}")
     return L2Operator(desc, mat, unitarity_residual=res)
 
 
-def group_unitaries(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS,
-                    tol_eq: float = TOL_EQ):
-    return [u_g(phi, g, tol_pos=tol_pos, tol_eq=tol_eq) for g in group.elements]
+def group_unitaries(an):
+    return [u_g(an, i) for i in range(an.group.order)]
 
 
-def verify_covariance(phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
-                      tol_pos: float = TOL_POS, unitaries=None) -> Check:
+def verify_covariance(an) -> Check:
     """U_g* L_x U_g = L_{g(x)} over the whole group and a basis of the algebra."""
-    us = unitaries or group_unitaries(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
     worst = 0.0
-    basis = matrix_unit_basis(phi.descriptor)
-    for g, u in zip(group.elements, us):
+    basis = matrix_unit_basis(an.phi.descriptor)
+    for g, u in zip(an.group.elements, an.unitaries):
         for x in basis:
             lhs = dagger(u.matrix) @ left_mult_matrix(x) @ u.matrix
             rhs = left_mult_matrix(apply(g, x))
             worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-    return residual_check("covariance", "U_g* L_x U_g = L_{g(x)}", worst, tol_eq)
+    return residual_check("covariance", "U_g* L_x U_g = L_{g(x)}", worst, an.tol_eq)
 
 
-def verify_representation(phi: State, group: FiniteGroup, strong: bool,
-                          tol_eq: float = TOL_EQ, tol_pos: float = TOL_POS,
-                          unitaries=None) -> Check:
+def verify_representation(an) -> Check:
     """Product rule U_g U_h = U_{hg}; asserted only in the strong case,
     otherwise the deviation is recorded as a diagnostic."""
-    us = unitaries or group_unitaries(phi, group, tol_pos=tol_pos, tol_eq=tol_eq)
+    us, group, strong = an.unitaries, an.group, an.strong
     worst = 0.0
     for i in range(group.order):
         for j in range(group.order):
             lhs = us[i].matrix @ us[j].matrix
             rhs = us[group.mult[j, i]].matrix
             worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-    return residual_check("representation", "U_g U_h = U_{hg}", worst, tol_eq,
+    return residual_check("representation", "U_g U_h = U_{hg}", worst, an.tol_eq,
                           asserted=strong,
                           detail="" if strong else "recorded only: product rule unproven here")
 
 
-def gamma_factorization(phi: State, psi: State, tol_eq: float = TOL_EQ,
-                        tol_pos: float = TOL_POS, group: FiniteGroup = None):
-    """Invertible gamma with rho_psi^{1/2} = gamma rho^{1/2}.
+def gamma_factorization(an):
+    """Invertible gamma with rho_psi^{1/2} = gamma rho^{1/2}, for psi the
+    invariant state of the instance analysis ``an``.
 
     Verifies rho_psi = gamma rho gamma*, d* = gamma sigma_{-i}(gamma*)
-    for the linking element d = rho^-1 rho_psi, and (when a group is
-    supplied) x_g* = gamma_g sigma_{-i}(gamma_g*) with
-    gamma_g = g^-1(gamma^-1) gamma.  Returns (gamma, d, CheckSet).
+    for the linking element d = rho^-1 rho_psi, and
+    x_g* = gamma_g sigma_{-i}(gamma_g*) with gamma_g = g^-1(gamma^-1) gamma
+    over the group.  Returns (gamma, d, CheckSet).
     """
-    require_faithful(phi, tol_pos)
-    require_faithful(psi, tol_pos)
-    if phi.descriptor != psi.descriptor:
-        raise PreconditionError("states live on different algebras")
-    rho, rho_psi = phi.density, psi.density
-    root = density_power(phi, -0.5j, tol_pos)
-    root_inv = density_power(phi, 0.5j, tol_pos)
+    tol_eq, tol_pos = an.tol_eq, an.tol_pos
+    psi = an.certificate.psi
+    rho, rho_psi = an.phi.density, psi.density
+    root, root_inv = an.roots
+    rho_inv = rho.inv()
     psi_root = density_power(psi, -0.5j, tol_pos)
     gamma = psi_root @ root_inv
-    d = rho.inv() @ rho_psi
+    d = rho_inv @ rho_psi
     if d.min_sv() <= tol_pos * max(1.0, d.op_norm()):
         raise PreconditionError("linking element d = rho^-1 rho_psi is singular")
 
@@ -160,48 +136,43 @@ def gamma_factorization(phi: State, psi: State, tol_eq: float = TOL_EQ,
                               tol_eq, rho_psi.op_norm()))
 
     def sigma_minus_i(x):
-        return rho @ x @ rho.inv()
+        return rho @ x @ rho_inv
 
     lhs = d.adjoint()
     rhs = gamma @ sigma_minus_i(gamma.adjoint())
     checks.add(residual_check("d_factorization", "d* = gamma sigma_{-i}(gamma*)",
                               (lhs - rhs).op_norm(), tol_eq, d.op_norm()))
 
-    if group is not None:
-        gamma_inv = gamma.inv()
-        worst, scale = 0.0, 1.0
-        for g in group.elements:
-            gamma_g = apply(inverse(g), gamma_inv) @ gamma
-            x = rn_cocycle(phi, g, tol_pos=tol_pos, verify=False)
-            worst = max(worst, (x.adjoint()
-                                - gamma_g @ sigma_minus_i(gamma_g.adjoint())).op_norm())
-            scale = max(scale, x.op_norm())
-        checks.add(residual_check("cocycle_factorization",
-                                  "x_g* = gamma_g sigma_{-i}(gamma_g*)",
-                                  worst, tol_eq, scale))
+    gamma_inv = gamma.inv()
+    worst, scale = 0.0, 1.0
+    for g, x in zip(an.group.elements, an.table.entries):
+        gamma_g = apply(inverse(g), gamma_inv) @ gamma
+        worst = max(worst, (x.adjoint()
+                            - gamma_g @ sigma_minus_i(gamma_g.adjoint())).op_norm())
+        scale = max(scale, x.op_norm())
+    checks.add(residual_check("cocycle_factorization",
+                              "x_g* = gamma_g sigma_{-i}(gamma_g*)",
+                              worst, tol_eq, scale))
     return gamma, d, checks
 
 
-def lemma_chain_checks(phi: State, group: FiniteGroup, strong: bool = False,
-                       tol_eq: float = TOL_EQ, tol_pos: float = TOL_POS) -> CheckSet:
+def lemma_chain_checks(an) -> CheckSet:
     """Density identities tying the predual action, a_g and the cocycle:
     g^*(rho) = rho^{1/2} a_g^2 rho^{1/2} = x_g* rho = rho x_g; in the strong
     case additionally a_g = x_g^{1/2} and a_g rho^{1/2} = rho^{1/2} a_g."""
-    rho = phi.density
-    root = density_power(phi, -0.5j, tol_pos)
+    rho, strong, tol_eq, tol_pos = an.phi.density, an.strong, an.tol_eq, an.tol_pos
+    root = an.roots[0]
     checks = CheckSet()
     w_ag, w_xg, w_flip, w_root, w_comm = 0.0, 0.0, 0.0, 0.0, 0.0
     scale = 1.0
-    for g in group.elements:
+    for g, ag, x in zip(an.group.elements, an.a, an.table.entries):
         target = predual(g, rho)
-        ag = a_g(phi, g, tol_pos=tol_pos, tol_eq=tol_eq)
-        x = rn_cocycle(phi, g, tol_pos=tol_pos, verify=False)
         w_ag = max(w_ag, (target - root @ ag @ ag @ root).op_norm())
         w_xg = max(w_xg, (target - x.adjoint() @ rho).op_norm())
         w_flip = max(w_flip, (x.adjoint() @ rho - rho @ x).op_norm())
         scale = max(scale, x.op_norm())
         if strong:
-            xr = AlgebraElement(phi.descriptor,
+            xr = AlgebraElement(an.phi.descriptor,
                                 [matcore.psd_sqrt(0.5 * (b + dagger(b)), tol_pos=tol_pos)
                                  for b in x.blocks])
             w_root = max(w_root, (ag - xr).op_norm())

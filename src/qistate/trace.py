@@ -14,7 +14,6 @@ import numpy as np
 
 from .algebra import AlgebraElement, State, evaluate, matrix_unit_basis, require_faithful
 from .actions import FiniteGroup, apply
-from .cocycle import CocycleTable
 from .matcore import PreconditionError, TOL_EQ, TOL_POS
 from .reporting import Check, CheckSet, residual_check
 
@@ -28,9 +27,6 @@ class TraceFunctional:
 
     def __call__(self, a: AlgebraElement) -> complex:
         return complex(sum(w * np.trace(b) for w, b in zip(self.weights, a.blocks)))
-
-    def density_of(self, phi: State) -> AlgebraElement:
-        return trace_density(phi, self)
 
 
 def is_center_ergodic(group: FiniteGroup) -> bool:
@@ -65,10 +61,9 @@ def trace_density(phi: State, tau: TraceFunctional, tol_eq: float = TOL_EQ,
     return c
 
 
-def verify_density_relations(phi: State, table: CocycleTable, tau: TraceFunctional,
-                             tol_eq: float = TOL_EQ) -> CheckSet:
+def verify_density_relations(an) -> CheckSet:
     """Predual and intertwining relations of the trace density with the cocycle."""
-    c = trace_density(phi, tau, tol_eq=tol_eq)
+    c, table, tol_eq = an.c, an.table, an.tol_eq
     group = table.group
     checks = CheckSet()
     scale = max(1.0, table.lambda_bound * c.op_norm())
@@ -86,11 +81,10 @@ def verify_density_relations(phi: State, table: CocycleTable, tau: TraceFunction
     return checks
 
 
-def trace_invariance_check(tau: TraceFunctional, group: FiniteGroup, probes,
-                           tol_eq: float = TOL_EQ) -> Check:
-    worst = 0.0
+def trace_invariance_check(an, probes) -> Check:
+    tau, worst = an.tau, 0.0
     for a in probes:
         base = tau(a)
-        for g in group.elements:
+        for g in an.group.elements:
             worst = max(worst, abs(tau(apply(g, a)) - base))
-    return residual_check("trace_invariance", "tau(g(a)) = tau(a)", worst, tol_eq)
+    return residual_check("trace_invariance", "tau(g(a)) = tau(a)", worst, an.tol_eq)

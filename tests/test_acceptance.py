@@ -12,24 +12,24 @@ import pytest
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, evaluate,
                              matrix_unit_basis, state_from_density)
 from qistate.actions import apply, close_group
-from qistate.cocycle import (build_table, is_strongly_qi, random_psd_probe,
-                             sandwich_check, sz_domination,
+from qistate.analysis import Analysis
+from qistate.cocycle import (build_table, random_psd_probe, sandwich_check,
+                             sz_domination,
                              verify_adjoint_relation, verify_cocycle_identity,
                              verify_inverse_formula)
 from qistate.commutative import (AxBElement, symmetric_grid,
                                  unboundedness_witness, verify_axb,
                                  verify_translation_identities)
-from qistate.expectation import (commutant_f0, cond_expectation,
-                                 expectation_checks, verify_ks)
+from qistate.expectation import (cond_expectation, expectation_checks,
+                                 fixed_algebra, verify_ks)
 from qistate.instances import (c2_swap_instance, m2m2_swap_instance,
                                nonstrong_instance, permutation_generator,
                                qubit_instance, random_instance,
                                random_strong_instance)
 from qistate.invariant import (cocycle_from_d, fixed_density_d,
                                invariant_state, strong_case_check)
-from qistate.standard_form import (gamma_factorization, group_unitaries,
-                                   lemma_chain_checks, verify_covariance,
-                                   verify_representation)
+from qistate.standard_form import (gamma_factorization, lemma_chain_checks,
+                                   verify_covariance, verify_representation)
 from qistate.trace import (invariant_trace, is_center_ergodic, trace_density,
                            verify_density_relations)
 from test_trace import invariance_solution_space
@@ -104,8 +104,8 @@ def test_criterion_3_invariant_state_roundtrip(strong_family):
     instances, _ = strong_family
     worst = 0.0
     for inst in instances:
-        cert = invariant_state(inst.phi, inst.group)
-        table = build_table(inst.phi, inst.group)
+        an = Analysis(inst.phi, inst.group)
+        cert, table = an.certificate, an.table
         lam = table.lambda_bound
         # forward: Gamma-fixed d, invariant psi, faithfulness margin
         assert cert.residuals["gamma_fixed"] < TOL * max(1.0, cert.d.op_norm())
@@ -114,8 +114,8 @@ def test_criterion_3_invariant_state_roundtrip(strong_family):
         assert cert.psi.density.min_eig() >= margin_floor
         # converse: d reproduces the cocycle with the norm bound
         bound = cert.d.op_norm() * cert.d.inv().op_norm()
-        for i, g in enumerate(inst.group.elements):
-            x = cocycle_from_d(inst.phi, cert.d, g)
+        for i in range(inst.group.order):
+            x = cocycle_from_d(table, cert.d, i)
             diff = (x - table.entries[i]).op_norm()
             worst = max(worst, diff / max(1.0, lam))
             assert diff < TOL * max(1.0, lam)
@@ -128,9 +128,10 @@ def test_criterion_3_invariant_state_roundtrip(strong_family):
 def test_criterion_4_strong_structure(strong_family):
     instances, _ = strong_family
     for inst in instances:
-        table = build_table(inst.phi, inst.group)
+        an = Analysis(inst.phi, inst.group)
+        table = an.table
         lam = table.lambda_bound
-        d = fixed_density_d(inst.phi, inst.group, table=table)
+        d = fixed_density_d(table)
         for x in table.entries + [d]:
             for block in x.blocks:
                 spec = np.linalg.eigvalsh(block)
@@ -139,7 +140,7 @@ def test_criterion_4_strong_structure(strong_family):
         for g in inst.group.elements:
             gd = apply(g, d)
             assert (d @ gd - gd @ d).op_norm() < TOL * max(1.0, d.op_norm() ** 2)
-        assert strong_case_check(inst.phi, inst.group).passed
+        assert strong_case_check(an).passed
     report("criterion 4: strong case gives spectra inside [1/lambda, lambda] "
            "and a commuting orbit of d", True,
            f"{len(instances)} instances")
@@ -151,23 +152,21 @@ def test_criterion_5_spatial_implementation(strong_family):
     generic = [random_instance(rng) for _ in range(8)] + [nonstrong_instance()]
     worst = 0.0
     for inst in strong_instances + generic:
-        table = build_table(inst.phi, inst.group)
-        strong, _ = is_strongly_qi(table)
-        us = group_unitaries(inst.phi, inst.group)
+        an = Analysis(inst.phi, inst.group)
+        strong, us = an.strong, an.unitaries
         n = inst.descriptor.dim
         for u in us:
             worst = max(worst,
                         np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(n), 2),
                         np.linalg.norm(u.matrix @ u.matrix.conj().T - np.eye(n), 2))
-        cov = verify_covariance(inst.phi, inst.group, unitaries=us)
+        cov = verify_covariance(an)
         assert cov.passed
         worst = max(worst, cov.residual)
-        chain = lemma_chain_checks(inst.phi, inst.group, strong=strong)
+        chain = lemma_chain_checks(an)
         assert chain.passed, [(c.name, c.residual) for c in chain]
-        cert = invariant_state(inst.phi, inst.group)
-        _, _, gchecks = gamma_factorization(inst.phi, cert.psi, group=inst.group)
+        _, _, gchecks = gamma_factorization(an)
         assert gchecks.passed, [(c.name, c.residual) for c in gchecks]
-        rep = verify_representation(inst.phi, inst.group, strong, unitaries=us)
+        rep = verify_representation(an)
         if strong:
             assert rep.passed and rep.residual < TOL
             worst = max(worst, rep.residual)
@@ -189,15 +188,14 @@ def test_criterion_6_expectation_suite():
     assert all(i.descriptor.dim <= 64 for i in instances)
     worst = 0.0
     for inst in instances:
-        cert = invariant_state(inst.phi, inst.group)
-        Phi = cond_expectation(cert.psi, inst.group)
-        checks = expectation_checks(cert.psi, Phi, rng)
+        an = Analysis(inst.phi, inst.group)
+        checks = expectation_checks(an, rng)
         assert checks.passed, [(c.name, c.residual) for c in checks]
         worst = max(worst, checks.max_residual())
-        ks = verify_ks(inst.phi, inst.group)
+        ks = verify_ks(an)
         assert ks.passed, [(c.name, c.residual) for c in ks]
         worst = max(worst, ks.max_residual())
-        f0 = commutant_f0(inst.phi, inst.group)
+        f0 = an.f0
         assert f0.identity_residual < TOL, (inst.descriptor.block_dims,
                                             f0.identity_residual)
         worst = max(worst, f0.identity_residual)
@@ -224,10 +222,10 @@ def test_criterion_7_invariant_trace():
             diff = abs(evaluate(inst.phi, a) - tau(c @ a))
             worst = max(worst, diff)
             assert diff < TOL
-        table = build_table(inst.phi, inst.group)
-        rel = verify_density_relations(inst.phi, table, tau)
+        an = Analysis(inst.phi, inst.group)
+        rel = verify_density_relations(an)
         assert rel.passed, [(ch.name, ch.residual) for ch in rel]
-        worst = max(worst, rel.max_residual() / max(1.0, table.lambda_bound))
+        worst = max(worst, rel.max_residual() / max(1.0, an.table.lambda_bound))
     report("criterion 7: unique invariant trace and its density relations "
            "on center-ergodic instances", worst < TOL,
            f"{len(instances)} instances, worst {worst:.2e}")
@@ -291,11 +289,11 @@ def test_criterion_9_commutative_brute_force_oracle():
         table = build_table(phi, group)
         for i in range(group.order):
             worst = max(worst, np.max(np.abs(flat(table.entries[i]) - xs_oracle[i])))
-        cert = invariant_state(phi, group)
+        cert = invariant_state(table)
         worst = max(worst, np.max(np.abs(flat(cert.d) - d_oracle)))
         worst = max(worst, np.max(np.abs(flat(cert.psi.density) - psi_oracle)))
 
-        Phi = cond_expectation(cert.psi, group)
+        Phi = cond_expectation(cert.psi, group, fixed_algebra(group))
         probe_vec = rng.random(k)
         probe = AlgebraElement(desc, [np.array([[v]]) for v in probe_vec])
         phi_oracle = np.mean([probe_vec[list(pi)] for pi in perms], axis=0)

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -6,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from qistate import analysis, standard_form
 from qistate.cli import (EXIT_PASS, EXIT_PRECONDITION, EXIT_VALIDATION,
                          InstanceFormatError, instance_to_json, main,
-                         parse_instance)
+                         matrix_to_json, parse_instance)
 from qistate.instances import (m2m2_swap_instance, nonstrong_instance,
                                qubit_instance, write_bundled_instances)
 
@@ -214,3 +216,55 @@ def test_import_leaves_scipy_for_counterexample():
                           text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == EXIT_PASS, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
+
+
+INSTANCE_COMMANDS = ("check", "invariant", "implement", "expectation", "trace")
+
+
+def test_instance_tolerances_reach_every_command(tmp_path, capsys):
+    # A faithful qubit state with min eigenvalue 5e-11: above the file's
+    # tol_pos = 1e-12, below the default 1e-10.  Every command must use the
+    # file's tolerances and so stop where check stops.
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    rho = q @ np.diag([1 - 5e-11, 5e-11]) @ q.conj().T
+    shift, clock = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    data = {"algebra": {"block_dims": [2]},
+            "state": {"density": [matrix_to_json(0.5 * (rho + rho.conj().T))]},
+            "group": {"generators": [{"perm": [0], "unitaries": [matrix_to_json(u)]}
+                                     for u in (shift, clock)]},
+            "tolerances": {"tol_eq": 1e-5, "tol_pos": 1e-12}}
+    path = tmp_path / "ill.json"
+    path.write_text(json.dumps(data))
+    for command in INSTANCE_COMMANDS:
+        assert run_cli([command, "--input", str(path)]) == EXIT_PRECONDITION
+        assert "cocycle element is numerically singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--input", "x.json", "--grid-N", "5"],
+    ["implement", "--input", "x.json", "--seed", "1"],
+    ["counterexample", "--tol-eq", "1e-9"],
+])
+def test_flags_are_registered_only_where_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", INSTANCE_COMMANDS)
+def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
+    calls = collections.Counter()
+    for module, name in ((analysis, "build_table"), (analysis, "fixed_algebra"),
+                         (standard_form, "u_g")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    path = os.path.join(REPO_INSTANCES, "m2m2_swap.json")
+    assert run_cli([command, "--input", path]) == EXIT_PASS
+    capsys.readouterr()
+    assert calls["build_table"] == 1
+    assert calls["fixed_algebra"] == (command == "expectation")
+    assert calls["u_g"] == (2 if command in ("implement", "expectation") else 0)

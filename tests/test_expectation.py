@@ -4,13 +4,12 @@ import pytest
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power,
                              identity, state_from_density, vec)
 from qistate.actions import apply, close_group, identity_automorphism
+from qistate.analysis import Analysis
 from qistate.expectation import (commutant_f0, cond_expectation, e0_projection,
                                  expectation_checks, fixed_algebra,
                                  uniqueness_probe, verify_ks)
 from qistate.instances import (inner_generator, random_strong_instance)
-from qistate.invariant import fixed_density_d, invariant_state
 from qistate.matcore import PreconditionError, psd_sqrt
-from qistate.standard_form import group_unitaries
 
 
 def trivial_group(desc):
@@ -54,21 +53,20 @@ def test_fixed_algebra_basis_elements_are_fixed(rng):
 def test_cond_expectation_trivial_group_is_identity(rng):
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
-    Phi = cond_expectation(phi, trivial_group(desc))
+    grp = trivial_group(desc)
+    Phi = cond_expectation(phi, grp, fixed_algebra(grp))
     a = AlgebraElement(desc, [rng.standard_normal((2, 2))])
     assert (Phi(a) - a).op_norm() < 1e-12
 
 
 def test_cond_expectation_qubit_hand_value(qubit):
-    cert = invariant_state(qubit.phi, qubit.group)
-    Phi = cond_expectation(cert.psi, qubit.group)
+    Phi = Analysis(qubit.phi, qubit.group).Phi
     out = Phi(AlgebraElement(qubit.descriptor, [np.diag([1.0, 0.0])]))
     assert np.allclose(out.blocks[0], np.eye(2) / 2)
 
 
 def test_cond_expectation_swap_averages_blocks(m2m2_swap, rng):
-    cert = invariant_state(m2m2_swap.phi, m2m2_swap.group)
-    Phi = cond_expectation(cert.psi, m2m2_swap.group)
+    Phi = Analysis(m2m2_swap.phi, m2m2_swap.group).Phi
     a1 = rng.standard_normal((2, 2))
     a2 = rng.standard_normal((2, 2))
     out = Phi(AlgebraElement(m2m2_swap.descriptor, [a1, a2]))
@@ -78,21 +76,18 @@ def test_cond_expectation_swap_averages_blocks(m2m2_swap, rng):
 
 def test_cond_expectation_rejects_non_invariant_state(qubit):
     with pytest.raises(PreconditionError, match="not invariant"):
-        cond_expectation(qubit.phi, qubit.group)
+        cond_expectation(qubit.phi, qubit.group, fixed_algebra(qubit.group))
 
 
 def test_expectation_defining_properties(rng):
     inst = random_strong_instance(rng)
-    cert = invariant_state(inst.phi, inst.group)
-    Phi = cond_expectation(cert.psi, inst.group)
-    checks = expectation_checks(cert.psi, Phi, rng)
+    checks = expectation_checks(Analysis(inst.phi, inst.group), rng)
     assert checks.passed, [(c.name, c.residual) for c in checks]
 
 
 def test_expectation_contraction_and_group_invariance(rng):
     inst = random_strong_instance(rng)
-    cert = invariant_state(inst.phi, inst.group)
-    Phi = cond_expectation(cert.psi, inst.group)
+    Phi = Analysis(inst.phi, inst.group).Phi
     for _ in range(5):
         a = AlgebraElement(inst.descriptor,
                            [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -108,12 +103,12 @@ def test_expectation_contraction_and_group_invariance(rng):
 def test_e0_trivial_group():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
-    e0 = e0_projection(phi, trivial_group(desc))
+    e0 = Analysis(phi, trivial_group(desc)).e0
     assert np.allclose(e0.matrix, np.eye(desc.dim))
 
 
 def test_e0_is_projection(qubit):
-    e0 = e0_projection(qubit.phi, qubit.group)
+    e0 = e0_projection(Analysis(qubit.phi, qubit.group).unitaries)
     m = e0.matrix
     assert np.linalg.norm(m @ m - m, 2) < 1e-10
     assert np.linalg.norm(m - m.conj().T, 2) < 1e-10
@@ -123,20 +118,20 @@ def test_e0_contains_invariant_vector_strong(rng):
     # d^{1/2} rho^{1/2} is U_g-invariant in the strong case
     for _ in range(4):
         inst = random_strong_instance(rng)
-        d = fixed_density_d(inst.phi, inst.group)
+        an = Analysis(inst.phi, inst.group)
+        d = an.certificate.d
         droot = AlgebraElement(inst.descriptor, [psd_sqrt(b) for b in d.blocks])
         xi = vec(droot @ density_power(inst.phi, -0.5j))
-        us = group_unitaries(inst.phi, inst.group)
-        for u in us:
+        for u in an.unitaries:
             assert np.linalg.norm(u.matrix @ xi - xi) < 1e-9
-        e0 = e0_projection(inst.phi, inst.group, unitaries=us)
+        e0 = an.e0
         assert np.linalg.norm(e0.matrix @ xi - xi) < 1e-9
 
 
 def test_e0_rank_matches_averaging_oracle_strong(qubit):
     # strong case: {U_g} is a unitary group, so its average is exactly E0
-    us = group_unitaries(qubit.phi, qubit.group)
-    e0 = e0_projection(qubit.phi, qubit.group, unitaries=us)
+    an = Analysis(qubit.phi, qubit.group)
+    us, e0 = an.unitaries, an.e0
     avg = sum(u.matrix for u in us) / len(us)
     assert np.linalg.norm(avg - e0.matrix, 2) < 1e-10
     rank = int(round(np.trace(e0.matrix).real))
@@ -148,40 +143,40 @@ def test_verify_ks_invariant_case_reduces():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.eye(2) / 2]))
     grp = close_group([inner_generator(desc, 0, np.array([[0, 1.], [1., 0]]))], cap=4)
-    checks = verify_ks(phi, grp)
+    checks = verify_ks(Analysis(phi, grp))
     assert checks.passed and checks.max_residual() <= 1e-12
 
 
 def test_verify_ks_qubit(qubit):
-    checks = verify_ks(qubit.phi, qubit.group)
+    checks = verify_ks(Analysis(qubit.phi, qubit.group))
     assert checks.passed and checks.max_residual() < 1e-12
 
 
 def test_verify_ks_random_strong(rng):
     inst = random_strong_instance(rng)
-    checks = verify_ks(inst.phi, inst.group)
+    checks = verify_ks(Analysis(inst.phi, inst.group))
     assert checks.passed, [(c.name, c.residual) for c in checks]
 
 
 def test_verify_ks_rejects_non_strong(nonstrong):
     with pytest.raises(PreconditionError, match="not strongly"):
-        verify_ks(nonstrong.phi, nonstrong.group)
+        verify_ks(Analysis(nonstrong.phi, nonstrong.group))
 
 
 def test_uniqueness_probe(qubit):
-    assert uniqueness_probe(qubit.phi, qubit.group).passed
+    assert uniqueness_probe(Analysis(qubit.phi, qubit.group)).passed
 
 
 def test_commutant_f0_trivial_group():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
-    report = commutant_f0(phi, trivial_group(desc))
+    report = Analysis(phi, trivial_group(desc)).f0
     # B = A, E0 = 1, and B' (right multiplications) applied to L2 spans it
     assert report.is_identity and report.identity_residual < 1e-10
 
 
 def test_commutant_f0_qubit(qubit):
-    report = commutant_f0(qubit.phi, qubit.group)
+    report = Analysis(qubit.phi, qubit.group).f0
     assert report.is_identity and report.identity_residual < 1e-10
     assert report.commutation_residual < 1e-10
     # B = span{1, X} is abelian of dim 2; B' in M_4 has dimension 8
@@ -189,16 +184,17 @@ def test_commutant_f0_qubit(qubit):
 
 
 def test_commutant_f0_block_swap(m2m2_swap):
-    report = commutant_f0(m2m2_swap.phi, m2m2_swap.group)
+    report = Analysis(m2m2_swap.phi, m2m2_swap.group).f0
     assert report.is_identity and report.identity_residual < 1e-10
 
 
 def test_commutant_f0_random_strong(rng):
     inst = random_strong_instance(rng)
-    report = commutant_f0(inst.phi, inst.group)
+    report = Analysis(inst.phi, inst.group).f0
     assert report.is_identity, (inst.descriptor.block_dims, report.identity_residual)
 
 
 def test_commutant_f0_respects_cap(qubit):
+    an = Analysis(qubit.phi, qubit.group)
     with pytest.raises(PreconditionError, match="too large"):
-        commutant_f0(qubit.phi, qubit.group, n_cap=2)
+        commutant_f0(an.fixed, an.e0, n_cap=2)

@@ -4,6 +4,7 @@ import pytest
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, evaluate,
                              identity, state_from_density)
 from qistate.actions import apply, close_group
+from qistate.analysis import Analysis
 from qistate.cocycle import build_table, random_psd_probe
 from qistate.invariant import (cocycle_from_d, fixed_density_d, gamma_map,
                                gamma_properties_check, invariant_state,
@@ -22,7 +23,7 @@ def invariant_qubit():
 
 def test_gamma_identity_element(qubit):
     a = random_psd_probe(np.random.default_rng(0), qubit.descriptor)
-    out = gamma_map(qubit.phi, qubit.group.elements[0], a)
+    out = gamma_map(build_table(qubit.phi, qubit.group), 0, a)
     assert (out - a).op_norm() <= 1e-12
 
 
@@ -30,9 +31,9 @@ def test_gamma_permutes_cocycle_entries(qubit):
     # Gamma_g(x_h) = x_{h g^-1}, checked via the group table
     table = build_table(qubit.phi, qubit.group)
     grp = qubit.group
-    for i, g in enumerate(grp.elements):
+    for i in range(grp.order):
         for h in range(grp.order):
-            lhs = gamma_map(qubit.phi, g, table.entries[h])
+            lhs = gamma_map(table, i, table.entries[h])
             rhs = table.entries[grp.mult[h, grp.inv[i]]]
             assert (lhs - rhs).op_norm() < 1e-12
 
@@ -40,13 +41,12 @@ def test_gamma_permutes_cocycle_entries(qubit):
 def test_gamma_composition_random(rng):
     inst = random_instance(rng, AlgebraDescriptor((2, 2)))
     grp = inst.group
+    table = build_table(inst.phi, grp)
     a = random_psd_probe(rng, inst.descriptor)
     for i in range(grp.order):
         for j in range(grp.order):
-            gh = grp.elements[grp.mult[i, j]]
-            lhs = gamma_map(inst.phi, gh, a)
-            rhs = gamma_map(inst.phi, grp.elements[i],
-                            gamma_map(inst.phi, grp.elements[j], a))
+            lhs = gamma_map(table, grp.mult[i, j], a)
+            rhs = gamma_map(table, i, gamma_map(table, j, a))
             assert (lhs - rhs).op_norm() < 1e-10 * max(1.0, rhs.op_norm())
 
 
@@ -54,49 +54,50 @@ def test_gamma_properties_trivial_group():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([inner_generator(desc, 0, np.eye(2))], cap=2)
-    checks = gamma_properties_check(phi, grp)
+    checks = gamma_properties_check(Analysis(phi, grp))
     assert checks.passed and checks.max_residual() <= 1e-12
 
 
 def test_gamma_properties_qubit(qubit):
-    checks = gamma_properties_check(qubit.phi, qubit.group)
+    checks = gamma_properties_check(Analysis(qubit.phi, qubit.group))
     assert checks.passed and checks.max_residual() < 1e-12
 
 
 def test_gamma_properties_random(rng):
     inst = random_instance(rng)
-    assert gamma_properties_check(inst.phi, inst.group, rng).passed
+    assert gamma_properties_check(Analysis(inst.phi, inst.group), rng).passed
 
 
 def test_fixed_density_invariant_state():
     phi, grp = invariant_qubit()
-    d = fixed_density_d(phi, grp)
+    d = fixed_density_d(build_table(phi, grp))
     assert (d - identity(phi.descriptor)).op_norm() <= 1e-12
 
 
 def test_fixed_density_qubit_hand_value(qubit):
     # d = (1 + diag(2, 1/2)) / 2 = diag(3/2, 3/4)
-    d = fixed_density_d(qubit.phi, qubit.group)
+    d = fixed_density_d(build_table(qubit.phi, qubit.group))
     assert np.allclose(d.blocks[0], np.diag([1.5, 0.75]))
     assert evaluate(qubit.phi, d).real == pytest.approx(1.0)
 
 
 def test_fixed_density_c2_hand_value(c2_swap):
     # mean of (1,1) and (3, 1/3)
-    d = fixed_density_d(c2_swap.phi, c2_swap.group)
+    d = fixed_density_d(build_table(c2_swap.phi, c2_swap.group))
     assert d.blocks[0][0, 0].real == pytest.approx(2.0)
     assert d.blocks[1][0, 0].real == pytest.approx(2 / 3)
 
 
 def test_fixed_density_is_gamma_fixed(rng):
     inst = random_instance(rng)
-    d = fixed_density_d(inst.phi, inst.group)
-    for g in inst.group.elements:
-        assert (gamma_map(inst.phi, g, d) - d).op_norm() < 1e-9 * max(1.0, d.op_norm())
+    table = build_table(inst.phi, inst.group)
+    d = fixed_density_d(table)
+    for i in range(inst.group.order):
+        assert (gamma_map(table, i, d) - d).op_norm() < 1e-9 * max(1.0, d.op_norm())
 
 
 def test_invariant_state_qubit_is_tracial(qubit):
-    cert = invariant_state(qubit.phi, qubit.group)
+    cert = invariant_state(build_table(qubit.phi, qubit.group))
     assert np.allclose(cert.psi.density.blocks[0], np.eye(2) / 2)
     assert cert.lambda_used == pytest.approx(2.0)
     assert cert.residuals["asserts"]["invariance"]
@@ -105,13 +106,13 @@ def test_invariant_state_qubit_is_tracial(qubit):
 
 def test_invariant_state_fixed_point_case():
     phi, grp = invariant_qubit()
-    cert = invariant_state(phi, grp)
+    cert = invariant_state(build_table(phi, grp))
     assert (cert.d - identity(phi.descriptor)).op_norm() <= 1e-12
     assert (cert.psi.density - phi.density).op_norm() <= 1e-12
 
 
 def test_invariant_state_c2_uniform(c2_swap):
-    cert = invariant_state(c2_swap.phi, c2_swap.group)
+    cert = invariant_state(build_table(c2_swap.phi, c2_swap.group))
     assert cert.psi.density.blocks[0][0, 0].real == pytest.approx(0.5)
     assert cert.psi.density.blocks[1][0, 0].real == pytest.approx(0.5)
 
@@ -120,7 +121,7 @@ def test_invariant_state_invariance_and_margin(rng):
     from qistate.actions import predual
     for _ in range(6):
         inst = random_instance(rng)
-        cert = invariant_state(inst.phi, inst.group)
+        cert = invariant_state(build_table(inst.phi, inst.group))
         rho_psi = cert.psi.density
         for g in inst.group.elements:
             assert (predual(g, rho_psi) - rho_psi).op_norm() < 1e-9
@@ -136,25 +137,25 @@ def test_invariant_state_invariance_and_margin(rng):
 
 def test_cocycle_from_d_identity_case():
     phi, grp = invariant_qubit()
-    x = cocycle_from_d(phi, identity(phi.descriptor), grp.elements[1])
+    x = cocycle_from_d(build_table(phi, grp), identity(phi.descriptor), 1)
     assert (x - identity(phi.descriptor)).op_norm() <= 1e-12
 
 
 def test_cocycle_from_d_qubit_hand_value(qubit):
     # d X d^-1 X = diag(3/2 * 4/3, 3/4 * 2/3) = diag(2, 1/2)
-    d = fixed_density_d(qubit.phi, qubit.group)
-    x = cocycle_from_d(qubit.phi, d, qubit.group.elements[1])
+    table = build_table(qubit.phi, qubit.group)
+    x = cocycle_from_d(table, fixed_density_d(table), 1)
     assert np.allclose(x.blocks[0], np.diag([2.0, 0.5]))
 
 
 def test_cocycle_from_d_roundtrip_and_bound(rng):
     for _ in range(6):
         inst = random_strong_instance(rng)
-        cert = invariant_state(inst.phi, inst.group)
         table = build_table(inst.phi, inst.group)
+        cert = invariant_state(table)
         bound = cert.d.op_norm() * cert.d.inv().op_norm()
-        for i, g in enumerate(inst.group.elements):
-            x = cocycle_from_d(inst.phi, cert.d, g)
+        for i in range(inst.group.order):
+            x = cocycle_from_d(table, cert.d, i)
             assert (x - table.entries[i]).op_norm() < 1e-9 * max(1.0, bound)
             assert x.op_norm() <= bound + 1e-9
 
@@ -162,20 +163,21 @@ def test_cocycle_from_d_roundtrip_and_bound(rng):
 def test_cocycle_from_d_rejects_singular_d(qubit):
     d = AlgebraElement(qubit.descriptor, [np.diag([1.0, 0.0])])
     with pytest.raises(PreconditionError, match="singular"):
-        cocycle_from_d(qubit.phi, d, qubit.group.elements[1])
+        cocycle_from_d(build_table(qubit.phi, qubit.group), d, 1)
 
 
 def test_cocycle_from_d_rejects_non_invariant(qubit):
     # d = rho gives psi proportional to rho^2, not flip-invariant
     d = 1.0 / evaluate(qubit.phi, qubit.phi.density).real * qubit.phi.density
     with pytest.raises(PreconditionError, match="not invariant"):
-        cocycle_from_d(qubit.phi, d, qubit.group.elements[1])
+        cocycle_from_d(build_table(qubit.phi, qubit.group), d, 1)
 
 
 def test_strong_case_qubit(qubit):
-    checks = strong_case_check(qubit.phi, qubit.group)
+    an = Analysis(qubit.phi, qubit.group)
+    checks = strong_case_check(an)
     assert checks.passed
-    d = fixed_density_d(qubit.phi, qubit.group)
+    d = fixed_density_d(an.table)
     spec = np.linalg.eigvalsh(d.blocks[0])
     assert spec.min() >= 0.5 - 1e-12 and spec.max() <= 2.0 + 1e-12
     g = qubit.group.elements[1]
@@ -184,15 +186,15 @@ def test_strong_case_qubit(qubit):
 
 def test_strong_case_trivially_passes_for_invariant():
     phi, grp = invariant_qubit()
-    assert strong_case_check(phi, grp).passed
+    assert strong_case_check(Analysis(phi, grp)).passed
 
 
 def test_strong_case_random_generate_and_verify(rng):
     for _ in range(6):
         inst = random_strong_instance(rng)
-        assert strong_case_check(inst.phi, inst.group).passed
+        assert strong_case_check(Analysis(inst.phi, inst.group)).passed
 
 
 def test_strong_case_rejects_non_strong(nonstrong):
     with pytest.raises(PreconditionError, match="not strongly"):
-        strong_case_check(nonstrong.phi, nonstrong.group)
+        strong_case_check(Analysis(nonstrong.phi, nonstrong.group))

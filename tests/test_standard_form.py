@@ -4,9 +4,10 @@ import pytest
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power,
                              gns_embed, identity, l2_inner, state_from_density,
                              unvec, vec)
-from qistate.cocycle import build_table, is_strongly_qi, rn_cocycle
+from qistate.actions import close_group, identity_automorphism
+from qistate.analysis import Analysis
+from qistate.cocycle import rn_cocycle
 from qistate.instances import random_instance, random_strong_instance
-from qistate.invariant import invariant_state
 from qistate.matcore import PreconditionError
 from qistate.standard_form import (a_g, gamma_factorization, group_unitaries,
                                    lemma_chain_checks, u_g, verify_covariance,
@@ -20,13 +21,13 @@ def random_l2(rng, desc):
 
 
 def test_a_g_identity_element(qubit):
-    a = a_g(qubit.phi, qubit.group.elements[0])
+    a = a_g(Analysis(qubit.phi, qubit.group), 0)
     assert (a - identity(qubit.descriptor)).op_norm() <= 1e-12
 
 
 def test_a_g_qubit_strong_case(qubit):
     # strong case: a_g = x_g^{1/2} = diag(sqrt 2, 1/sqrt 2)
-    a = a_g(qubit.phi, qubit.group.elements[1])
+    a = a_g(Analysis(qubit.phi, qubit.group), 1)
     assert np.allclose(a.blocks[0], np.diag([np.sqrt(2.0), 1 / np.sqrt(2.0)]))
 
 
@@ -35,8 +36,9 @@ def test_a_g_squares_to_half_flowed_cocycle(rng):
     phi = inst.phi
     root = density_power(phi, -0.5j)
     root_inv = density_power(phi, 0.5j)
-    for g in inst.group.elements:
-        a = a_g(phi, g)
+    an = Analysis(phi, inst.group)
+    for i, g in enumerate(inst.group.elements):
+        a = a_g(an, i)
         x = rn_cocycle(phi, g)
         flow = root @ x @ root_inv
         assert (a @ a - flow).op_norm() < 1e-9 * max(1.0, flow.op_norm())
@@ -44,7 +46,7 @@ def test_a_g_squares_to_half_flowed_cocycle(rng):
 
 
 def test_u_g_identity(qubit):
-    u = u_g(qubit.phi, qubit.group.elements[0])
+    u = u_g(Analysis(qubit.phi, qubit.group), 0)
     assert np.allclose(u.matrix, np.eye(qubit.descriptor.dim))
 
 
@@ -53,17 +55,19 @@ def test_u_g_on_cyclic_vector(rng):
     inst = random_instance(rng)
     phi = inst.phi
     root = density_power(phi, -0.5j)
-    for g in inst.group.elements:
-        u = u_g(phi, g)
+    an = Analysis(phi, inst.group)
+    for i in range(inst.group.order):
+        u = u_g(an, i)
         lhs = unvec(inst.descriptor, u.matrix @ vec(root))
-        rhs = root @ a_g(phi, g)
+        rhs = root @ a_g(an, i)
         assert (lhs - rhs).hs_norm() < 1e-10 * max(1.0, rhs.hs_norm())
 
 
 def test_u_g_isometry_on_random_vectors(rng):
     inst = random_instance(rng, AlgebraDescriptor((2, 2)))
-    for g in inst.group.elements:
-        u = u_g(inst.phi, g)
+    an = Analysis(inst.phi, inst.group)
+    for i in range(inst.group.order):
+        u = u_g(an, i)
         for _ in range(4):
             xi, eta = random_l2(rng, inst.descriptor), random_l2(rng, inst.descriptor)
             lhs = np.vdot(u.matrix @ vec(xi), u.matrix @ vec(eta))
@@ -74,7 +78,7 @@ def test_u_g_isometry_on_random_vectors(rng):
 def test_u_g_unitary_both_sides(rng):
     inst = random_instance(rng)
     n = inst.descriptor.dim
-    for u in group_unitaries(inst.phi, inst.group):
+    for u in group_unitaries(Analysis(inst.phi, inst.group)):
         assert np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(n), 2) < 1e-9
         assert np.linalg.norm(u.matrix @ u.matrix.conj().T - np.eye(n), 2) < 1e-9
 
@@ -86,10 +90,11 @@ def test_u_g_intertwines_gns_embedding(rng):
     phi = inst.phi
     root = density_power(phi, -0.5j)
     x = random_l2(rng, inst.descriptor)
-    for g in inst.group.elements:
-        u = u_g(phi, g)
+    an = Analysis(phi, inst.group)
+    for i, g in enumerate(inst.group.elements):
+        u = u_g(an, i)
         lhs = unvec(inst.descriptor, u.matrix @ vec(gns_embed(phi, x)))
-        rhs = apply(inverse(g), x) @ root @ a_g(phi, g)
+        rhs = apply(inverse(g), x) @ root @ a_g(an, i)
         assert (lhs - rhs).hs_norm() < 1e-9 * max(1.0, rhs.hs_norm())
 
 
@@ -98,28 +103,29 @@ def test_covariance_trivial_group(rng):
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([identity_automorphism(desc)], cap=2)
-    assert verify_covariance(phi, grp).residual <= 1e-12
+    assert verify_covariance(Analysis(phi, grp)).residual <= 1e-12
 
 
 def test_covariance_qubit(qubit):
-    assert verify_covariance(qubit.phi, qubit.group).residual < 1e-12
+    assert verify_covariance(Analysis(qubit.phi, qubit.group)).residual < 1e-12
 
 
 def test_covariance_random(rng):
     inst = random_instance(rng)
-    assert verify_covariance(inst.phi, inst.group).passed
+    assert verify_covariance(Analysis(inst.phi, inst.group)).passed
 
 
 def test_representation_strong(qubit):
-    check = verify_representation(qubit.phi, qubit.group, strong=True)
+    an = Analysis(qubit.phi, qubit.group)
+    assert an.strong
+    check = verify_representation(an)
     assert check.asserted and check.passed and check.residual < 1e-12
 
 
 def test_representation_nonstrong_reported_not_asserted(nonstrong):
-    table = build_table(nonstrong.phi, nonstrong.group)
-    strong, _ = is_strongly_qi(table)
-    assert not strong
-    check = verify_representation(nonstrong.phi, nonstrong.group, strong)
+    an = Analysis(nonstrong.phi, nonstrong.group)
+    assert not an.strong
+    check = verify_representation(an)
     assert not check.asserted
     assert np.isfinite(check.residual)
     # and the deviation is visibly nonzero for this instance
@@ -128,21 +134,23 @@ def test_representation_nonstrong_reported_not_asserted(nonstrong):
 
 def test_representation_random_strong(rng):
     inst = random_strong_instance(rng)
-    assert verify_representation(inst.phi, inst.group, strong=True).passed
+    an = Analysis(inst.phi, inst.group)
+    assert an.strong
+    assert verify_representation(an).passed
 
 
 def test_gamma_factorization_trivial():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
-    gamma, d, checks = gamma_factorization(phi, phi)
+    grp = close_group([identity_automorphism(desc)], cap=2)
+    gamma, d, checks = gamma_factorization(Analysis(phi, grp))
     assert (gamma - identity(desc)).op_norm() < 1e-10
     assert (d - identity(desc)).op_norm() < 1e-10
     assert checks.passed
 
 
 def test_gamma_factorization_qubit_hand_values(qubit):
-    cert = invariant_state(qubit.phi, qubit.group)
-    gamma, d, checks = gamma_factorization(qubit.phi, cert.psi, group=qubit.group)
+    gamma, d, checks = gamma_factorization(Analysis(qubit.phi, qubit.group))
     assert np.allclose(gamma.blocks[0], np.diag([np.sqrt(1.5), np.sqrt(0.75)]))
     assert np.allclose(d.adjoint().blocks[0], np.diag([1.5, 0.75]))
     assert checks.passed and checks.max_residual() < 1e-12
@@ -151,19 +159,20 @@ def test_gamma_factorization_qubit_hand_values(qubit):
 def test_gamma_factorization_random(rng):
     for make in (random_strong_instance, random_instance):
         inst = make(rng)
-        cert = invariant_state(inst.phi, inst.group)
-        _, _, checks = gamma_factorization(inst.phi, cert.psi, group=inst.group)
+        _, _, checks = gamma_factorization(Analysis(inst.phi, inst.group))
         assert checks.passed, [(c.name, c.residual) for c in checks]
 
 
 def test_lemma_chain_random(rng):
     inst = random_instance(rng)
-    assert lemma_chain_checks(inst.phi, inst.group).passed
+    assert lemma_chain_checks(Analysis(inst.phi, inst.group)).passed
 
 
 def test_lemma_chain_strong_extras(rng):
     inst = random_strong_instance(rng)
-    checks = lemma_chain_checks(inst.phi, inst.group, strong=True)
+    an = Analysis(inst.phi, inst.group)
+    assert an.strong
+    checks = lemma_chain_checks(an)
     assert checks.passed
     names = {c.name for c in checks}
     assert "a_g_is_root" in names and "a_g_root_commute" in names
@@ -172,6 +181,6 @@ def test_lemma_chain_strong_extras(rng):
 def test_a_g_requires_faithful():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1.0, 0.0])]))
-    from qistate.actions import identity_automorphism
+    grp = close_group([identity_automorphism(desc)], cap=2)
     with pytest.raises(PreconditionError, match="not faithful"):
-        a_g(phi, identity_automorphism(desc))
+        a_g(Analysis(phi, grp), 0)

@@ -3,6 +3,7 @@ import pytest
 
 from qistate.algebra import AlgebraDescriptor, AlgebraElement, evaluate
 from qistate.actions import close_group
+from qistate.analysis import Analysis
 from qistate.cocycle import build_table, random_psd_probe
 from qistate.instances import (inner_generator, permutation_generator,
                                random_instance, random_strong_instance)
@@ -65,7 +66,8 @@ def test_invariant_trace_rejects_non_ergodic():
 def test_invariant_trace_is_invariant_and_tracial(rng, m2m2_swap):
     tau = invariant_trace(m2m2_swap.group)
     probes = [random_psd_probe(rng, m2m2_swap.descriptor) for _ in range(5)]
-    assert trace_invariance_check(tau, m2m2_swap.group, probes).passed
+    an = Analysis(m2m2_swap.phi, m2m2_swap.group)
+    assert trace_invariance_check(an, probes).passed
     for a in probes:
         for b in probes:
             assert abs(tau(a @ b) - tau(b @ a)) < 1e-10
@@ -89,9 +91,7 @@ def test_trace_density_reproduces_state(rng, m2m2_swap):
 
 
 def test_density_relations_identity_element(qubit):
-    table = build_table(qubit.phi, qubit.group)
-    tau = invariant_trace(qubit.group)
-    checks = verify_density_relations(qubit.phi, table, tau)
+    checks = verify_density_relations(Analysis(qubit.phi, qubit.group))
     assert checks.passed
 
 
@@ -106,7 +106,7 @@ def test_density_relations_qubit_hand_check(qubit):
     assert np.allclose(lhs.blocks[0], np.diag([2 / 3, 1 / 3]))
     rhs = c @ table.entries[1]
     assert np.allclose(rhs.blocks[0], np.diag([2 / 3, 1 / 3]))
-    assert verify_density_relations(qubit.phi, table, tau).passed
+    assert verify_density_relations(Analysis(qubit.phi, qubit.group)).passed
 
 
 def test_density_relations_random_ergodic(rng):
@@ -116,9 +116,7 @@ def test_density_relations_random_ergodic(rng):
         if not is_center_ergodic(inst.group):
             continue
         hits += 1
-        table = build_table(inst.phi, inst.group)
-        tau = invariant_trace(inst.group)
-        checks = verify_density_relations(inst.phi, table, tau)
+        checks = verify_density_relations(Analysis(inst.phi, inst.group))
         assert checks.passed, [(c.name, c.residual) for c in checks]
 
 
