@@ -278,15 +278,6 @@ def density_power(phi: State, z: complex, tol_pos: float = TOL_POS) -> AlgebraEl
     )
 
 
-def density_roots(phi: State, tol_pos: float = TOL_POS):
-    """(rho^{1/2}, rho^{-1/2}) blockwise from one eigendecomposition of rho;
-    requires a faithful state."""
-    require_faithful(phi, tol_pos)
-    eigs = [matcore.herm_eig(b) for b in phi.density.blocks]
-    return tuple(AlgebraElement(phi.descriptor, [(v * w ** p) @ dagger(v) for w, v in eigs])
-                 for p in (0.5, -0.5))
-
-
 def modular_flow(phi: State, a: AlgebraElement, z: complex,
                  tol_pos: float = TOL_POS) -> AlgebraElement:
     """The flow a |-> rho^{iz} a rho^{-iz}; algebraic at finite dimension.

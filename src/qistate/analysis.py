@@ -10,11 +10,10 @@ the upstream artifacts it consumes.  The check suites read them from here.
 from functools import cached_property
 
 from .actions import FiniteGroup
-from .algebra import State, density_roots
+from .algebra import State, density_power
 from .cocycle import build_table, is_strongly_qi
 from .expectation import commutant_f0, cond_expectation, e0_projection, fixed_algebra
 from .invariant import invariant_state
-from .matcore import TOL_EQ, TOL_POS
 from .standard_form import a_g, group_unitaries
 from .trace import invariant_trace, trace_density
 
@@ -23,14 +22,14 @@ class Analysis:
     """A faithful state, a finite group acting on its algebra, and the
     tolerances every artifact is built with."""
 
-    def __init__(self, phi: State, group: FiniteGroup, tol_eq: float = TOL_EQ,
-                 tol_pos: float = TOL_POS):
+    def __init__(self, phi: State, group: FiniteGroup, tol_eq: float, tol_pos: float):
         self.phi, self.group, self.tol_eq, self.tol_pos = phi, group, tol_eq, tol_pos
 
     @cached_property
     def roots(self):
-        """(rho^{1/2}, rho^{-1/2}) from one eigendecomposition of rho."""
-        return density_roots(self.phi, self.tol_pos)
+        """(rho^{1/2}, rho^{-1/2})."""
+        return (density_power(self.phi, -0.5j, self.tol_pos),
+                density_power(self.phi, 0.5j, self.tol_pos))
 
     @cached_property
     def table(self):
@@ -48,12 +47,14 @@ class Analysis:
     @cached_property
     def a(self):
         """a_g for each group element, in group order."""
-        return [a_g(self, i) for i in range(self.group.order)]
+        x, inv = self.table.entries, self.group.inv
+        return [a_g(self.phi, g, self.roots, x[i], x[inv[i]], self.tol_eq, self.tol_pos)
+                for i, g in enumerate(self.group.elements)]
 
     @cached_property
     def unitaries(self):
         """U_g for each group element, in group order."""
-        return group_unitaries(self)
+        return group_unitaries(self.phi, self.group, self.roots, self.a, self.tol_eq)
 
     @cached_property
     def certificate(self):

@@ -131,8 +131,7 @@ def verify_adjoint_relation(table: CocycleTable, tol_eq: float = TOL_EQ) -> Chec
                           worst, tol_eq, scale)
 
 
-def is_strongly_qi(table: CocycleTable, tol_eq: float = TOL_EQ,
-                   tol_pos: float = TOL_POS):
+def is_strongly_qi(table: CocycleTable, tol_eq: float, tol_pos: float):
     """Self-adjointness of every x_g, plus the consequences when it holds.
 
     Returns (strong?, CheckSet).  When strong, the checks assert positive

@@ -18,7 +18,7 @@ from .algebra import (AlgebraDescriptor, AlgebraElement, State, evaluate,
                       require_faithful, unvec, vec)
 from .actions import FiniteGroup, apply, predual
 from .cocycle import random_probe
-from .matcore import PreconditionError, TOL_EQ, TOL_POS, dagger
+from .matcore import PreconditionError, dagger
 from .reporting import Check, CheckSet, residual_check
 from .standard_form import L2Operator
 
@@ -69,8 +69,7 @@ class FixedAlgebra:
         return (a - self.project(a)).hs_norm()
 
 
-def fixed_algebra(group: FiniteGroup, tol_eq: float = TOL_EQ,
-                  tol_pos: float = TOL_POS) -> FixedAlgebra:
+def fixed_algebra(group: FiniteGroup, tol_eq: float, tol_pos: float) -> FixedAlgebra:
     """Joint kernel of (g - id) over the group, with closure verification."""
     desc = group.descriptor
     n = desc.dim
@@ -105,7 +104,7 @@ class ConditionalExpectation:
 
 
 def cond_expectation(psi: State, group: FiniteGroup, fixed: FixedAlgebra,
-                     tol_eq: float = TOL_EQ, tol_pos: float = TOL_POS) -> ConditionalExpectation:
+                     tol_eq: float, tol_pos: float) -> ConditionalExpectation:
     """The averaging expectation onto ``fixed``, admissible only for an invariant faithful psi."""
     require_faithful(psi, tol_pos)
     worst = max((predual(g, psi.density) - psi.density).op_norm()
@@ -153,7 +152,7 @@ def expectation_checks(an, rng=None, n_probes: int = 4) -> CheckSet:
     return checks
 
 
-def e0_projection(unitaries, tol_pos: float = TOL_POS) -> L2Operator:
+def e0_projection(unitaries, tol_pos: float) -> L2Operator:
     """Orthogonal projection onto the joint fixed vectors of all U_g; the
     first unitary is that of the identity element."""
     desc = unitaries[0].descriptor
@@ -233,8 +232,8 @@ class CommutantReport:
     commutation_residual: float
 
 
-def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float = TOL_EQ,
-                 tol_pos: float = TOL_POS, n_cap: int = 256) -> CommutantReport:
+def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float, tol_pos: float,
+                 n_cap: int = 256) -> CommutantReport:
     """Projection onto span(B' E0 L2) for B = ``fa`` the fixed-point algebra.
 
     B' inside all operators on the Hilbert-Schmidt space is solved from the

@@ -92,7 +92,7 @@ def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
     return checks
 
 
-def fixed_density_d(table: CocycleTable, tol_eq: float = TOL_EQ) -> AlgebraElement:
+def fixed_density_d(table: CocycleTable, tol_eq: float) -> AlgebraElement:
     """Gamma-fixed element d = average of all cocycle entries; phi(d) = 1.
 
     Exact for finite groups because Gamma_g permutes the x_h.
@@ -120,8 +120,7 @@ class InvariantCertificate:
     residuals: dict
 
 
-def invariant_state(table: CocycleTable, tol_eq: float = TOL_EQ,
-                    tol_pos: float = TOL_POS) -> InvariantCertificate:
+def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> InvariantCertificate:
     """Forward construction: d, then psi(a) = phi(d a) as an explicit state.
 
     The density of psi is the symmetrization of rho d, accepted only when

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .algebra import (AlgebraDescriptor, AlgebraElement, density_power,
+from .algebra import (AlgebraDescriptor, AlgebraElement, State, density_power,
                       left_mult_matrix, matrix_unit_basis, unvec, vec)
-from .actions import apply, inverse, predual
+from .actions import Automorphism, FiniteGroup, apply, inverse, predual
 from .matcore import PreconditionError, dagger
 from .reporting import Check, CheckSet, residual_check
 
@@ -32,37 +32,37 @@ class L2Operator:
     projection_residual: float = None
 
 
-def a_g(an, i: int) -> AlgebraElement:
+def a_g(phi: State, g: Automorphism, roots, x_g: AlgebraElement,
+        x_ginv: AlgebraElement, tol_eq: float, tol_pos: float) -> AlgebraElement:
     """Positive invertible a_g with rho^{1/2} a_g^2 rho^{1/2} = g^-1(rho),
-    for g the group element with index ``i`` of the instance analysis ``an``.
+    given ``roots`` = (rho^{1/2}, rho^{-1/2}) and the cocycle elements x_g
+    and x_{g^-1}.
 
     Also satisfies a_g^2 = rho^{1/2} x_g rho^{-1/2} and
     a_g^2 >= 1/||x_{g^-1}||.
     """
-    phi, table, tol_eq, tol_pos = an.phi, an.table, an.tol_eq, an.tol_pos
-    root, root_inv = an.roots
-    middle = root_inv @ predual(an.group.elements[i], phi.density) @ root_inv
+    root, root_inv = roots
+    middle = root_inv @ predual(g, phi.density) @ root_inv
     sym = 0.5 * (middle + middle.adjoint())
     a = AlgebraElement(phi.descriptor,
                        [matcore.psd_sqrt(b, tol_pos=tol_pos) for b in sym.blocks])
     # Consistency with the modular picture of the cocycle.
-    flow = root @ table.entries[i] @ root_inv
+    flow = root @ x_g @ root_inv
     defect = (a @ a - flow).op_norm()
     if defect > tol_eq * max(1.0, flow.op_norm()):
         raise PreconditionError(f"a_g^2 deviates from the half-flowed cocycle by {defect:.3e}")
-    alpha = 1.0 / table.entries[an.group.inv[i]].op_norm()
+    alpha = 1.0 / x_ginv.op_norm()
     if (a @ a).min_eig() < alpha - tol_eq * max(1.0, alpha):
         raise PreconditionError("a_g^2 lost its uniform lower bound")
     return a
 
 
-def u_g(an, i: int) -> L2Operator:
+def u_g(phi: State, g: Automorphism, roots, ag: AlgebraElement, tol_eq: float) -> L2Operator:
     """The unitary xi |-> g^-1(xi rho^{-1/2}) rho^{1/2} a_g on Hilbert-Schmidt
-    coordinates, for g the group element with index ``i``."""
-    desc = an.phi.descriptor
-    root, root_inv = an.roots
-    ag = an.a[i]
-    ginv = inverse(an.group.elements[i])
+    coordinates, given ``roots`` = (rho^{1/2}, rho^{-1/2}) and a_g."""
+    desc = phi.descriptor
+    root, root_inv = roots
+    ginv = inverse(g)
     n = desc.dim
     mat = np.empty((n, n), dtype=complex)
     for m in range(n):
@@ -71,13 +71,14 @@ def u_g(an, i: int) -> L2Operator:
         xi = unvec(desc, e)
         mat[:, m] = vec(apply(ginv, xi @ root_inv) @ root @ ag)
     res = float(np.linalg.norm(dagger(mat) @ mat - np.eye(n), 2))
-    if res > an.tol_eq * max(1.0, float(np.linalg.norm(mat, 2)) ** 2):
+    if res > tol_eq * max(1.0, float(np.linalg.norm(mat, 2)) ** 2):
         raise PreconditionError(f"implementing operator is not unitary: residual {res:.3e}")
     return L2Operator(desc, mat, unitarity_residual=res)
 
 
-def group_unitaries(an):
-    return [u_g(an, i) for i in range(an.group.order)]
+def group_unitaries(phi: State, group: FiniteGroup, roots, a, tol_eq: float):
+    """U_g for each group element, given a_g in group order."""
+    return [u_g(phi, g, roots, ag, tol_eq) for g, ag in zip(group.elements, a)]
 
 
 def verify_covariance(an) -> Check:

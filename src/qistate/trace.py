@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, State, evaluate, matrix_unit_basis, require_faithful
 from .actions import FiniteGroup, apply
-from .matcore import PreconditionError, TOL_EQ, TOL_POS
+from .matcore import PreconditionError
 from .reporting import Check, CheckSet, residual_check
 
 
@@ -49,8 +49,8 @@ def invariant_trace(group: FiniteGroup) -> TraceFunctional:
     return TraceFunctional(group.descriptor, np.ones(group.descriptor.num_blocks))
 
 
-def trace_density(phi: State, tau: TraceFunctional, tol_eq: float = TOL_EQ,
-                  tol_pos: float = TOL_POS) -> AlgebraElement:
+def trace_density(phi: State, tau: TraceFunctional, tol_eq: float,
+                  tol_pos: float) -> AlgebraElement:
     """c with phi(a) = tau(c a): c_i = rho_i / w_i, verified on a basis."""
     require_faithful(phi, tol_pos)
     c = AlgebraElement(phi.descriptor,

@@ -28,6 +28,7 @@ from qistate.instances import (c2_swap_instance, m2m2_swap_instance,
                                random_strong_instance)
 from qistate.invariant import (cocycle_from_d, fixed_density_d,
                                invariant_state, strong_case_check)
+from qistate.matcore import TOL_EQ, TOL_POS
 from qistate.standard_form import (gamma_factorization, lemma_chain_checks,
                                    verify_covariance, verify_representation)
 from qistate.trace import (invariant_trace, is_center_ergodic, trace_density,
@@ -104,7 +105,7 @@ def test_criterion_3_invariant_state_roundtrip(strong_family):
     instances, _ = strong_family
     worst = 0.0
     for inst in instances:
-        an = Analysis(inst.phi, inst.group)
+        an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
         cert, table = an.certificate, an.table
         lam = table.lambda_bound
         # forward: Gamma-fixed d, invariant psi, faithfulness margin
@@ -128,10 +129,10 @@ def test_criterion_3_invariant_state_roundtrip(strong_family):
 def test_criterion_4_strong_structure(strong_family):
     instances, _ = strong_family
     for inst in instances:
-        an = Analysis(inst.phi, inst.group)
+        an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
         table = an.table
         lam = table.lambda_bound
-        d = fixed_density_d(table)
+        d = fixed_density_d(table, TOL_EQ)
         for x in table.entries + [d]:
             for block in x.blocks:
                 spec = np.linalg.eigvalsh(block)
@@ -152,7 +153,7 @@ def test_criterion_5_spatial_implementation(strong_family):
     generic = [random_instance(rng) for _ in range(8)] + [nonstrong_instance()]
     worst = 0.0
     for inst in strong_instances + generic:
-        an = Analysis(inst.phi, inst.group)
+        an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
         strong, us = an.strong, an.unitaries
         n = inst.descriptor.dim
         for u in us:
@@ -188,7 +189,7 @@ def test_criterion_6_expectation_suite():
     assert all(i.descriptor.dim <= 64 for i in instances)
     worst = 0.0
     for inst in instances:
-        an = Analysis(inst.phi, inst.group)
+        an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
         checks = expectation_checks(an, rng)
         assert checks.passed, [(c.name, c.residual) for c in checks]
         worst = max(worst, checks.max_residual())
@@ -217,12 +218,12 @@ def test_criterion_7_invariant_trace():
         assert is_center_ergodic(inst.group)
         assert invariance_solution_space(inst.group).shape[1] == 1
         tau = invariant_trace(inst.group)
-        c = trace_density(inst.phi, tau)
+        c = trace_density(inst.phi, tau, TOL_EQ, TOL_POS)
         for a in matrix_unit_basis(inst.descriptor):
             diff = abs(evaluate(inst.phi, a) - tau(c @ a))
             worst = max(worst, diff)
             assert diff < TOL
-        an = Analysis(inst.phi, inst.group)
+        an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
         rel = verify_density_relations(an)
         assert rel.passed, [(ch.name, ch.residual) for ch in rel]
         worst = max(worst, rel.max_residual() / max(1.0, an.table.lambda_bound))
@@ -289,11 +290,12 @@ def test_criterion_9_commutative_brute_force_oracle():
         table = build_table(phi, group)
         for i in range(group.order):
             worst = max(worst, np.max(np.abs(flat(table.entries[i]) - xs_oracle[i])))
-        cert = invariant_state(table)
+        cert = invariant_state(table, TOL_EQ, TOL_POS)
         worst = max(worst, np.max(np.abs(flat(cert.d) - d_oracle)))
         worst = max(worst, np.max(np.abs(flat(cert.psi.density) - psi_oracle)))
 
-        Phi = cond_expectation(cert.psi, group, fixed_algebra(group))
+        Phi = cond_expectation(cert.psi, group, fixed_algebra(group, TOL_EQ, TOL_POS),
+                               TOL_EQ, TOL_POS)
         probe_vec = rng.random(k)
         probe = AlgebraElement(desc, [np.array([[v]]) for v in probe_vec])
         phi_oracle = np.mean([probe_vec[list(pi)] for pi in perms], axis=0)
@@ -302,7 +304,7 @@ def test_criterion_9_commutative_brute_force_oracle():
 
         tau = invariant_trace(group)
         worst = max(worst, np.max(np.abs(tau.weights - np.ones(k))))
-        c = trace_density(phi, tau)
+        c = trace_density(phi, tau, TOL_EQ, TOL_POS)
         worst = max(worst, np.max(np.abs(flat(c) - c_oracle)))
     report("criterion 9: commutative pipeline matches the elementwise "
            "probability-vector oracle within 1e-12", worst < 1e-12,

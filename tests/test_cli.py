@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qistate import analysis, standard_form
+from qistate import cocycle, expectation, standard_form
 from qistate.cli import (EXIT_PASS, EXIT_PRECONDITION, EXIT_VALIDATION,
                          InstanceFormatError, instance_to_json, main,
                          matrix_to_json, parse_instance)
@@ -255,13 +255,19 @@ def test_flags_are_registered_only_where_read(argv, capsys):
 
 @pytest.mark.parametrize("command", INSTANCE_COMMANDS)
 def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
+    # Every binding of a builder in every loaded qistate module is replaced,
+    # so a call by name from any module is counted.
     calls = collections.Counter()
-    for module, name in ((analysis, "build_table"), (analysis, "fixed_algebra"),
-                         (standard_form, "u_g")):
-        def counted(*args, _fn=getattr(module, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(module, name, counted)
+    modules = [m for key, m in list(sys.modules.items())
+               if key == "qistate" or key.startswith("qistate.")]
+    for fn in (cocycle.build_table, expectation.fixed_algebra, standard_form.u_g):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
     path = os.path.join(REPO_INSTANCES, "m2m2_swap.json")
     assert run_cli([command, "--input", path]) == EXIT_PASS
     capsys.readouterr()

@@ -11,7 +11,7 @@ from qistate.cocycle import (_cocycle_defect, build_table, is_strongly_qi,
                              verify_cocycle_identity, verify_inverse_formula)
 from qistate.instances import (hadamard2, inner_generator, random_instance,
                                random_strong_instance)
-from qistate.matcore import PreconditionError
+from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
 
 
 def test_rn_cocycle_identity_element(qubit):
@@ -138,7 +138,7 @@ def test_base_change_consistency(rng):
 
 def test_is_strongly_qi_qubit(qubit):
     table = build_table(qubit.phi, qubit.group)
-    strong, checks = is_strongly_qi(table)
+    strong, checks = is_strongly_qi(table, TOL_EQ, TOL_POS)
     assert strong and checks.passed
     # spectrum window [1/lambda, lambda] = [1/2, 2]
     spec = np.linalg.eigvalsh(table.entries[1].blocks[0])
@@ -151,7 +151,7 @@ def test_is_strongly_qi_detects_failure(rng):
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([inner_generator(desc, 0, hadamard2())], cap=4)
     table = build_table(phi, grp)
-    strong, _ = is_strongly_qi(table)
+    strong, _ = is_strongly_qi(table, TOL_EQ, TOL_POS)
     assert not strong
     # oracle: the commutator [rho, predual(rho)] is visibly nonzero
     comm = (phi.density @ predual(grp.elements[1], phi.density)
@@ -163,7 +163,7 @@ def test_is_strongly_qi_trivially_true_for_invariant():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.eye(2) / 2]))
     grp = close_group([inner_generator(desc, 0, np.array([[0, 1.], [1., 0]]))], cap=4)
-    strong, checks = is_strongly_qi(build_table(phi, grp))
+    strong, checks = is_strongly_qi(build_table(phi, grp), TOL_EQ, TOL_POS)
     assert strong and checks.passed
 
 
@@ -226,7 +226,7 @@ def test_sandwich_random_instances(rng):
 def test_strong_instances_are_strong(rng):
     for _ in range(8):
         inst = random_strong_instance(rng)
-        strong, checks = is_strongly_qi(build_table(inst.phi, inst.group))
+        strong, checks = is_strongly_qi(build_table(inst.phi, inst.group), TOL_EQ, TOL_POS)
         assert strong and checks.passed
 
 

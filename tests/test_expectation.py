@@ -9,7 +9,7 @@ from qistate.expectation import (commutant_f0, cond_expectation, e0_projection,
                                  expectation_checks, fixed_algebra,
                                  uniqueness_probe, verify_ks)
 from qistate.instances import (inner_generator, random_strong_instance)
-from qistate.matcore import PreconditionError, psd_sqrt
+from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS, psd_sqrt
 
 
 def trivial_group(desc):
@@ -18,13 +18,13 @@ def trivial_group(desc):
 
 def test_fixed_algebra_trivial_group_is_everything():
     desc = AlgebraDescriptor((2, 3))
-    fa = fixed_algebra(trivial_group(desc))
+    fa = fixed_algebra(trivial_group(desc), TOL_EQ, TOL_POS)
     assert fa.dimension == desc.dim
 
 
 def test_fixed_algebra_qubit(qubit):
     # solving X a X = a on M_2 leaves span{1, X}
-    fa = fixed_algebra(qubit.group)
+    fa = fixed_algebra(qubit.group, TOL_EQ, TOL_POS)
     assert fa.dimension == 2
     x_mat = AlgebraElement(qubit.descriptor, [np.array([[0.0, 1.0], [1.0, 0.0]])])
     assert fa.span_distance(x_mat) < 1e-10
@@ -33,7 +33,7 @@ def test_fixed_algebra_qubit(qubit):
 
 def test_fixed_algebra_block_swap(m2m2_swap):
     # fixed points of the swap are the pairs (a, a)
-    fa = fixed_algebra(m2m2_swap.group)
+    fa = fixed_algebra(m2m2_swap.group, TOL_EQ, TOL_POS)
     assert fa.dimension == 4
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     fixed = AlgebraElement(m2m2_swap.descriptor, [a, a])
@@ -44,7 +44,7 @@ def test_fixed_algebra_block_swap(m2m2_swap):
 
 def test_fixed_algebra_basis_elements_are_fixed(rng):
     inst = random_strong_instance(rng)
-    fa = fixed_algebra(inst.group)
+    fa = fixed_algebra(inst.group, TOL_EQ, TOL_POS)
     for b in fa.basis:
         for g in inst.group.elements:
             assert (apply(g, b) - b).op_norm() < 1e-9
@@ -54,19 +54,19 @@ def test_cond_expectation_trivial_group_is_identity(rng):
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = trivial_group(desc)
-    Phi = cond_expectation(phi, grp, fixed_algebra(grp))
+    Phi = cond_expectation(phi, grp, fixed_algebra(grp, TOL_EQ, TOL_POS), TOL_EQ, TOL_POS)
     a = AlgebraElement(desc, [rng.standard_normal((2, 2))])
     assert (Phi(a) - a).op_norm() < 1e-12
 
 
 def test_cond_expectation_qubit_hand_value(qubit):
-    Phi = Analysis(qubit.phi, qubit.group).Phi
+    Phi = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS).Phi
     out = Phi(AlgebraElement(qubit.descriptor, [np.diag([1.0, 0.0])]))
     assert np.allclose(out.blocks[0], np.eye(2) / 2)
 
 
 def test_cond_expectation_swap_averages_blocks(m2m2_swap, rng):
-    Phi = Analysis(m2m2_swap.phi, m2m2_swap.group).Phi
+    Phi = Analysis(m2m2_swap.phi, m2m2_swap.group, TOL_EQ, TOL_POS).Phi
     a1 = rng.standard_normal((2, 2))
     a2 = rng.standard_normal((2, 2))
     out = Phi(AlgebraElement(m2m2_swap.descriptor, [a1, a2]))
@@ -76,18 +76,19 @@ def test_cond_expectation_swap_averages_blocks(m2m2_swap, rng):
 
 def test_cond_expectation_rejects_non_invariant_state(qubit):
     with pytest.raises(PreconditionError, match="not invariant"):
-        cond_expectation(qubit.phi, qubit.group, fixed_algebra(qubit.group))
+        cond_expectation(qubit.phi, qubit.group, fixed_algebra(qubit.group, TOL_EQ, TOL_POS),
+                         TOL_EQ, TOL_POS)
 
 
 def test_expectation_defining_properties(rng):
     inst = random_strong_instance(rng)
-    checks = expectation_checks(Analysis(inst.phi, inst.group), rng)
+    checks = expectation_checks(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS), rng)
     assert checks.passed, [(c.name, c.residual) for c in checks]
 
 
 def test_expectation_contraction_and_group_invariance(rng):
     inst = random_strong_instance(rng)
-    Phi = Analysis(inst.phi, inst.group).Phi
+    Phi = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS).Phi
     for _ in range(5):
         a = AlgebraElement(inst.descriptor,
                            [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -103,12 +104,12 @@ def test_expectation_contraction_and_group_invariance(rng):
 def test_e0_trivial_group():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
-    e0 = Analysis(phi, trivial_group(desc)).e0
+    e0 = Analysis(phi, trivial_group(desc), TOL_EQ, TOL_POS).e0
     assert np.allclose(e0.matrix, np.eye(desc.dim))
 
 
 def test_e0_is_projection(qubit):
-    e0 = e0_projection(Analysis(qubit.phi, qubit.group).unitaries)
+    e0 = e0_projection(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS).unitaries, TOL_POS)
     m = e0.matrix
     assert np.linalg.norm(m @ m - m, 2) < 1e-10
     assert np.linalg.norm(m - m.conj().T, 2) < 1e-10
@@ -118,7 +119,7 @@ def test_e0_contains_invariant_vector_strong(rng):
     # d^{1/2} rho^{1/2} is U_g-invariant in the strong case
     for _ in range(4):
         inst = random_strong_instance(rng)
-        an = Analysis(inst.phi, inst.group)
+        an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
         d = an.certificate.d
         droot = AlgebraElement(inst.descriptor, [psd_sqrt(b) for b in d.blocks])
         xi = vec(droot @ density_power(inst.phi, -0.5j))
@@ -130,7 +131,7 @@ def test_e0_contains_invariant_vector_strong(rng):
 
 def test_e0_rank_matches_averaging_oracle_strong(qubit):
     # strong case: {U_g} is a unitary group, so its average is exactly E0
-    an = Analysis(qubit.phi, qubit.group)
+    an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
     us, e0 = an.unitaries, an.e0
     avg = sum(u.matrix for u in us) / len(us)
     assert np.linalg.norm(avg - e0.matrix, 2) < 1e-10
@@ -143,40 +144,40 @@ def test_verify_ks_invariant_case_reduces():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.eye(2) / 2]))
     grp = close_group([inner_generator(desc, 0, np.array([[0, 1.], [1., 0]]))], cap=4)
-    checks = verify_ks(Analysis(phi, grp))
+    checks = verify_ks(Analysis(phi, grp, TOL_EQ, TOL_POS))
     assert checks.passed and checks.max_residual() <= 1e-12
 
 
 def test_verify_ks_qubit(qubit):
-    checks = verify_ks(Analysis(qubit.phi, qubit.group))
+    checks = verify_ks(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS))
     assert checks.passed and checks.max_residual() < 1e-12
 
 
 def test_verify_ks_random_strong(rng):
     inst = random_strong_instance(rng)
-    checks = verify_ks(Analysis(inst.phi, inst.group))
+    checks = verify_ks(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS))
     assert checks.passed, [(c.name, c.residual) for c in checks]
 
 
 def test_verify_ks_rejects_non_strong(nonstrong):
     with pytest.raises(PreconditionError, match="not strongly"):
-        verify_ks(Analysis(nonstrong.phi, nonstrong.group))
+        verify_ks(Analysis(nonstrong.phi, nonstrong.group, TOL_EQ, TOL_POS))
 
 
 def test_uniqueness_probe(qubit):
-    assert uniqueness_probe(Analysis(qubit.phi, qubit.group)).passed
+    assert uniqueness_probe(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)).passed
 
 
 def test_commutant_f0_trivial_group():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
-    report = Analysis(phi, trivial_group(desc)).f0
+    report = Analysis(phi, trivial_group(desc), TOL_EQ, TOL_POS).f0
     # B = A, E0 = 1, and B' (right multiplications) applied to L2 spans it
     assert report.is_identity and report.identity_residual < 1e-10
 
 
 def test_commutant_f0_qubit(qubit):
-    report = Analysis(qubit.phi, qubit.group).f0
+    report = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS).f0
     assert report.is_identity and report.identity_residual < 1e-10
     assert report.commutation_residual < 1e-10
     # B = span{1, X} is abelian of dim 2; B' in M_4 has dimension 8
@@ -184,17 +185,17 @@ def test_commutant_f0_qubit(qubit):
 
 
 def test_commutant_f0_block_swap(m2m2_swap):
-    report = Analysis(m2m2_swap.phi, m2m2_swap.group).f0
+    report = Analysis(m2m2_swap.phi, m2m2_swap.group, TOL_EQ, TOL_POS).f0
     assert report.is_identity and report.identity_residual < 1e-10
 
 
 def test_commutant_f0_random_strong(rng):
     inst = random_strong_instance(rng)
-    report = Analysis(inst.phi, inst.group).f0
+    report = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS).f0
     assert report.is_identity, (inst.descriptor.block_dims, report.identity_residual)
 
 
 def test_commutant_f0_respects_cap(qubit):
-    an = Analysis(qubit.phi, qubit.group)
+    an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
     with pytest.raises(PreconditionError, match="too large"):
-        commutant_f0(an.fixed, an.e0, n_cap=2)
+        commutant_f0(an.fixed, an.e0, TOL_EQ, TOL_POS, n_cap=2)

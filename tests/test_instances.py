@@ -6,6 +6,7 @@ from qistate.cocycle import build_table, is_strongly_qi
 from qistate.instances import (clock_matrix, qubit_instance, random_descriptor,
                                random_group, random_instance,
                                random_strong_instance, shift_matrix)
+from qistate.matcore import TOL_EQ, TOL_POS
 
 
 def test_shift_and_clock_orders():
@@ -44,7 +45,7 @@ def test_random_instance_is_quasi_invariant(rng):
 def test_random_strong_instance_is_strong(rng):
     for _ in range(10):
         inst = random_strong_instance(rng)
-        strong, checks = is_strongly_qi(build_table(inst.phi, inst.group))
+        strong, checks = is_strongly_qi(build_table(inst.phi, inst.group), TOL_EQ, TOL_POS)
         assert strong and checks.passed
 
 
@@ -66,7 +67,7 @@ def test_generic_instance_is_rarely_strong(rng):
         inst = random_instance(rng)
         if inst.group.order == 1:
             continue
-        strong, _ = is_strongly_qi(build_table(inst.phi, inst.group))
+        strong, _ = is_strongly_qi(build_table(inst.phi, inst.group), TOL_EQ, TOL_POS)
         hits += bool(strong)
     assert hits <= 2
 

@@ -11,7 +11,7 @@ from qistate.invariant import (cocycle_from_d, fixed_density_d, gamma_map,
                                strong_case_check)
 from qistate.instances import (inner_generator, random_instance,
                                random_strong_instance)
-from qistate.matcore import PreconditionError
+from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
 
 
 def invariant_qubit():
@@ -54,36 +54,36 @@ def test_gamma_properties_trivial_group():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([inner_generator(desc, 0, np.eye(2))], cap=2)
-    checks = gamma_properties_check(Analysis(phi, grp))
+    checks = gamma_properties_check(Analysis(phi, grp, TOL_EQ, TOL_POS))
     assert checks.passed and checks.max_residual() <= 1e-12
 
 
 def test_gamma_properties_qubit(qubit):
-    checks = gamma_properties_check(Analysis(qubit.phi, qubit.group))
+    checks = gamma_properties_check(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS))
     assert checks.passed and checks.max_residual() < 1e-12
 
 
 def test_gamma_properties_random(rng):
     inst = random_instance(rng)
-    assert gamma_properties_check(Analysis(inst.phi, inst.group), rng).passed
+    assert gamma_properties_check(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS), rng).passed
 
 
 def test_fixed_density_invariant_state():
     phi, grp = invariant_qubit()
-    d = fixed_density_d(build_table(phi, grp))
+    d = fixed_density_d(build_table(phi, grp), TOL_EQ)
     assert (d - identity(phi.descriptor)).op_norm() <= 1e-12
 
 
 def test_fixed_density_qubit_hand_value(qubit):
     # d = (1 + diag(2, 1/2)) / 2 = diag(3/2, 3/4)
-    d = fixed_density_d(build_table(qubit.phi, qubit.group))
+    d = fixed_density_d(build_table(qubit.phi, qubit.group), TOL_EQ)
     assert np.allclose(d.blocks[0], np.diag([1.5, 0.75]))
     assert evaluate(qubit.phi, d).real == pytest.approx(1.0)
 
 
 def test_fixed_density_c2_hand_value(c2_swap):
     # mean of (1,1) and (3, 1/3)
-    d = fixed_density_d(build_table(c2_swap.phi, c2_swap.group))
+    d = fixed_density_d(build_table(c2_swap.phi, c2_swap.group), TOL_EQ)
     assert d.blocks[0][0, 0].real == pytest.approx(2.0)
     assert d.blocks[1][0, 0].real == pytest.approx(2 / 3)
 
@@ -91,13 +91,13 @@ def test_fixed_density_c2_hand_value(c2_swap):
 def test_fixed_density_is_gamma_fixed(rng):
     inst = random_instance(rng)
     table = build_table(inst.phi, inst.group)
-    d = fixed_density_d(table)
+    d = fixed_density_d(table, TOL_EQ)
     for i in range(inst.group.order):
         assert (gamma_map(table, i, d) - d).op_norm() < 1e-9 * max(1.0, d.op_norm())
 
 
 def test_invariant_state_qubit_is_tracial(qubit):
-    cert = invariant_state(build_table(qubit.phi, qubit.group))
+    cert = invariant_state(build_table(qubit.phi, qubit.group), TOL_EQ, TOL_POS)
     assert np.allclose(cert.psi.density.blocks[0], np.eye(2) / 2)
     assert cert.lambda_used == pytest.approx(2.0)
     assert cert.residuals["asserts"]["invariance"]
@@ -106,13 +106,13 @@ def test_invariant_state_qubit_is_tracial(qubit):
 
 def test_invariant_state_fixed_point_case():
     phi, grp = invariant_qubit()
-    cert = invariant_state(build_table(phi, grp))
+    cert = invariant_state(build_table(phi, grp), TOL_EQ, TOL_POS)
     assert (cert.d - identity(phi.descriptor)).op_norm() <= 1e-12
     assert (cert.psi.density - phi.density).op_norm() <= 1e-12
 
 
 def test_invariant_state_c2_uniform(c2_swap):
-    cert = invariant_state(build_table(c2_swap.phi, c2_swap.group))
+    cert = invariant_state(build_table(c2_swap.phi, c2_swap.group), TOL_EQ, TOL_POS)
     assert cert.psi.density.blocks[0][0, 0].real == pytest.approx(0.5)
     assert cert.psi.density.blocks[1][0, 0].real == pytest.approx(0.5)
 
@@ -121,7 +121,7 @@ def test_invariant_state_invariance_and_margin(rng):
     from qistate.actions import predual
     for _ in range(6):
         inst = random_instance(rng)
-        cert = invariant_state(build_table(inst.phi, inst.group))
+        cert = invariant_state(build_table(inst.phi, inst.group), TOL_EQ, TOL_POS)
         rho_psi = cert.psi.density
         for g in inst.group.elements:
             assert (predual(g, rho_psi) - rho_psi).op_norm() < 1e-9
@@ -144,7 +144,7 @@ def test_cocycle_from_d_identity_case():
 def test_cocycle_from_d_qubit_hand_value(qubit):
     # d X d^-1 X = diag(3/2 * 4/3, 3/4 * 2/3) = diag(2, 1/2)
     table = build_table(qubit.phi, qubit.group)
-    x = cocycle_from_d(table, fixed_density_d(table), 1)
+    x = cocycle_from_d(table, fixed_density_d(table, TOL_EQ), 1)
     assert np.allclose(x.blocks[0], np.diag([2.0, 0.5]))
 
 
@@ -152,7 +152,7 @@ def test_cocycle_from_d_roundtrip_and_bound(rng):
     for _ in range(6):
         inst = random_strong_instance(rng)
         table = build_table(inst.phi, inst.group)
-        cert = invariant_state(table)
+        cert = invariant_state(table, TOL_EQ, TOL_POS)
         bound = cert.d.op_norm() * cert.d.inv().op_norm()
         for i in range(inst.group.order):
             x = cocycle_from_d(table, cert.d, i)
@@ -174,10 +174,10 @@ def test_cocycle_from_d_rejects_non_invariant(qubit):
 
 
 def test_strong_case_qubit(qubit):
-    an = Analysis(qubit.phi, qubit.group)
+    an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
     checks = strong_case_check(an)
     assert checks.passed
-    d = fixed_density_d(an.table)
+    d = fixed_density_d(an.table, TOL_EQ)
     spec = np.linalg.eigvalsh(d.blocks[0])
     assert spec.min() >= 0.5 - 1e-12 and spec.max() <= 2.0 + 1e-12
     g = qubit.group.elements[1]
@@ -186,15 +186,15 @@ def test_strong_case_qubit(qubit):
 
 def test_strong_case_trivially_passes_for_invariant():
     phi, grp = invariant_qubit()
-    assert strong_case_check(Analysis(phi, grp)).passed
+    assert strong_case_check(Analysis(phi, grp, TOL_EQ, TOL_POS)).passed
 
 
 def test_strong_case_random_generate_and_verify(rng):
     for _ in range(6):
         inst = random_strong_instance(rng)
-        assert strong_case_check(Analysis(inst.phi, inst.group)).passed
+        assert strong_case_check(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)).passed
 
 
 def test_strong_case_rejects_non_strong(nonstrong):
     with pytest.raises(PreconditionError, match="not strongly"):
-        strong_case_check(Analysis(nonstrong.phi, nonstrong.group))
+        strong_case_check(Analysis(nonstrong.phi, nonstrong.group, TOL_EQ, TOL_POS))

@@ -8,10 +8,9 @@ from qistate.actions import close_group, identity_automorphism
 from qistate.analysis import Analysis
 from qistate.cocycle import rn_cocycle
 from qistate.instances import random_instance, random_strong_instance
-from qistate.matcore import PreconditionError
-from qistate.standard_form import (a_g, gamma_factorization, group_unitaries,
-                                   lemma_chain_checks, u_g, verify_covariance,
-                                   verify_representation)
+from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
+from qistate.standard_form import (a_g, gamma_factorization, lemma_chain_checks, u_g,
+                                   verify_covariance, verify_representation)
 
 
 def random_l2(rng, desc):
@@ -21,13 +20,15 @@ def random_l2(rng, desc):
 
 
 def test_a_g_identity_element(qubit):
-    a = a_g(Analysis(qubit.phi, qubit.group), 0)
+    an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
+    x = an.table.entries[0]
+    a = a_g(qubit.phi, qubit.group.elements[0], an.roots, x, x, TOL_EQ, TOL_POS)
     assert (a - identity(qubit.descriptor)).op_norm() <= 1e-12
 
 
 def test_a_g_qubit_strong_case(qubit):
     # strong case: a_g = x_g^{1/2} = diag(sqrt 2, 1/sqrt 2)
-    a = a_g(Analysis(qubit.phi, qubit.group), 1)
+    a = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS).a[1]
     assert np.allclose(a.blocks[0], np.diag([np.sqrt(2.0), 1 / np.sqrt(2.0)]))
 
 
@@ -36,9 +37,9 @@ def test_a_g_squares_to_half_flowed_cocycle(rng):
     phi = inst.phi
     root = density_power(phi, -0.5j)
     root_inv = density_power(phi, 0.5j)
-    an = Analysis(phi, inst.group)
+    an = Analysis(phi, inst.group, TOL_EQ, TOL_POS)
     for i, g in enumerate(inst.group.elements):
-        a = a_g(an, i)
+        a = an.a[i]
         x = rn_cocycle(phi, g)
         flow = root @ x @ root_inv
         assert (a @ a - flow).op_norm() < 1e-9 * max(1.0, flow.op_norm())
@@ -46,7 +47,8 @@ def test_a_g_squares_to_half_flowed_cocycle(rng):
 
 
 def test_u_g_identity(qubit):
-    u = u_g(Analysis(qubit.phi, qubit.group), 0)
+    an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
+    u = u_g(qubit.phi, qubit.group.elements[0], an.roots, an.a[0], TOL_EQ)
     assert np.allclose(u.matrix, np.eye(qubit.descriptor.dim))
 
 
@@ -55,19 +57,19 @@ def test_u_g_on_cyclic_vector(rng):
     inst = random_instance(rng)
     phi = inst.phi
     root = density_power(phi, -0.5j)
-    an = Analysis(phi, inst.group)
+    an = Analysis(phi, inst.group, TOL_EQ, TOL_POS)
     for i in range(inst.group.order):
-        u = u_g(an, i)
+        u = an.unitaries[i]
         lhs = unvec(inst.descriptor, u.matrix @ vec(root))
-        rhs = root @ a_g(an, i)
+        rhs = root @ an.a[i]
         assert (lhs - rhs).hs_norm() < 1e-10 * max(1.0, rhs.hs_norm())
 
 
 def test_u_g_isometry_on_random_vectors(rng):
     inst = random_instance(rng, AlgebraDescriptor((2, 2)))
-    an = Analysis(inst.phi, inst.group)
+    an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
     for i in range(inst.group.order):
-        u = u_g(an, i)
+        u = an.unitaries[i]
         for _ in range(4):
             xi, eta = random_l2(rng, inst.descriptor), random_l2(rng, inst.descriptor)
             lhs = np.vdot(u.matrix @ vec(xi), u.matrix @ vec(eta))
@@ -78,7 +80,7 @@ def test_u_g_isometry_on_random_vectors(rng):
 def test_u_g_unitary_both_sides(rng):
     inst = random_instance(rng)
     n = inst.descriptor.dim
-    for u in group_unitaries(Analysis(inst.phi, inst.group)):
+    for u in Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS).unitaries:
         assert np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(n), 2) < 1e-9
         assert np.linalg.norm(u.matrix @ u.matrix.conj().T - np.eye(n), 2) < 1e-9
 
@@ -90,11 +92,11 @@ def test_u_g_intertwines_gns_embedding(rng):
     phi = inst.phi
     root = density_power(phi, -0.5j)
     x = random_l2(rng, inst.descriptor)
-    an = Analysis(phi, inst.group)
+    an = Analysis(phi, inst.group, TOL_EQ, TOL_POS)
     for i, g in enumerate(inst.group.elements):
-        u = u_g(an, i)
+        u = an.unitaries[i]
         lhs = unvec(inst.descriptor, u.matrix @ vec(gns_embed(phi, x)))
-        rhs = apply(inverse(g), x) @ root @ a_g(an, i)
+        rhs = apply(inverse(g), x) @ root @ an.a[i]
         assert (lhs - rhs).hs_norm() < 1e-9 * max(1.0, rhs.hs_norm())
 
 
@@ -103,27 +105,27 @@ def test_covariance_trivial_group(rng):
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([identity_automorphism(desc)], cap=2)
-    assert verify_covariance(Analysis(phi, grp)).residual <= 1e-12
+    assert verify_covariance(Analysis(phi, grp, TOL_EQ, TOL_POS)).residual <= 1e-12
 
 
 def test_covariance_qubit(qubit):
-    assert verify_covariance(Analysis(qubit.phi, qubit.group)).residual < 1e-12
+    assert verify_covariance(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)).residual < 1e-12
 
 
 def test_covariance_random(rng):
     inst = random_instance(rng)
-    assert verify_covariance(Analysis(inst.phi, inst.group)).passed
+    assert verify_covariance(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)).passed
 
 
 def test_representation_strong(qubit):
-    an = Analysis(qubit.phi, qubit.group)
+    an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
     assert an.strong
     check = verify_representation(an)
     assert check.asserted and check.passed and check.residual < 1e-12
 
 
 def test_representation_nonstrong_reported_not_asserted(nonstrong):
-    an = Analysis(nonstrong.phi, nonstrong.group)
+    an = Analysis(nonstrong.phi, nonstrong.group, TOL_EQ, TOL_POS)
     assert not an.strong
     check = verify_representation(an)
     assert not check.asserted
@@ -134,7 +136,7 @@ def test_representation_nonstrong_reported_not_asserted(nonstrong):
 
 def test_representation_random_strong(rng):
     inst = random_strong_instance(rng)
-    an = Analysis(inst.phi, inst.group)
+    an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
     assert an.strong
     assert verify_representation(an).passed
 
@@ -143,14 +145,14 @@ def test_gamma_factorization_trivial():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([identity_automorphism(desc)], cap=2)
-    gamma, d, checks = gamma_factorization(Analysis(phi, grp))
+    gamma, d, checks = gamma_factorization(Analysis(phi, grp, TOL_EQ, TOL_POS))
     assert (gamma - identity(desc)).op_norm() < 1e-10
     assert (d - identity(desc)).op_norm() < 1e-10
     assert checks.passed
 
 
 def test_gamma_factorization_qubit_hand_values(qubit):
-    gamma, d, checks = gamma_factorization(Analysis(qubit.phi, qubit.group))
+    gamma, d, checks = gamma_factorization(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS))
     assert np.allclose(gamma.blocks[0], np.diag([np.sqrt(1.5), np.sqrt(0.75)]))
     assert np.allclose(d.adjoint().blocks[0], np.diag([1.5, 0.75]))
     assert checks.passed and checks.max_residual() < 1e-12
@@ -159,18 +161,18 @@ def test_gamma_factorization_qubit_hand_values(qubit):
 def test_gamma_factorization_random(rng):
     for make in (random_strong_instance, random_instance):
         inst = make(rng)
-        _, _, checks = gamma_factorization(Analysis(inst.phi, inst.group))
+        _, _, checks = gamma_factorization(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS))
         assert checks.passed, [(c.name, c.residual) for c in checks]
 
 
 def test_lemma_chain_random(rng):
     inst = random_instance(rng)
-    assert lemma_chain_checks(Analysis(inst.phi, inst.group)).passed
+    assert lemma_chain_checks(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)).passed
 
 
 def test_lemma_chain_strong_extras(rng):
     inst = random_strong_instance(rng)
-    an = Analysis(inst.phi, inst.group)
+    an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
     assert an.strong
     checks = lemma_chain_checks(an)
     assert checks.passed
@@ -183,4 +185,4 @@ def test_a_g_requires_faithful():
     phi = state_from_density(AlgebraElement(desc, [np.diag([1.0, 0.0])]))
     grp = close_group([identity_automorphism(desc)], cap=2)
     with pytest.raises(PreconditionError, match="not faithful"):
-        a_g(Analysis(phi, grp), 0)
+        Analysis(phi, grp, TOL_EQ, TOL_POS).a[0]

@@ -7,7 +7,7 @@ from qistate.analysis import Analysis
 from qistate.cocycle import build_table, random_psd_probe
 from qistate.instances import (inner_generator, permutation_generator,
                                random_instance, random_strong_instance)
-from qistate.matcore import PreconditionError
+from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
 from qistate.trace import (invariant_trace, is_center_ergodic, trace_density,
                            trace_invariance_check, verify_density_relations)
 
@@ -66,7 +66,7 @@ def test_invariant_trace_rejects_non_ergodic():
 def test_invariant_trace_is_invariant_and_tracial(rng, m2m2_swap):
     tau = invariant_trace(m2m2_swap.group)
     probes = [random_psd_probe(rng, m2m2_swap.descriptor) for _ in range(5)]
-    an = Analysis(m2m2_swap.phi, m2m2_swap.group)
+    an = Analysis(m2m2_swap.phi, m2m2_swap.group, TOL_EQ, TOL_POS)
     assert trace_invariance_check(an, probes).passed
     for a in probes:
         for b in probes:
@@ -75,14 +75,14 @@ def test_invariant_trace_is_invariant_and_tracial(rng, m2m2_swap):
 
 def test_trace_density_unit_weights_gives_density(qubit):
     tau = invariant_trace(qubit.group)
-    c = trace_density(qubit.phi, tau)
+    c = trace_density(qubit.phi, tau, TOL_EQ, TOL_POS)
     assert (c - qubit.phi.density).op_norm() <= 1e-12
     assert np.allclose(c.blocks[0], np.diag([1 / 3, 2 / 3]))
 
 
 def test_trace_density_reproduces_state(rng, m2m2_swap):
     tau = invariant_trace(m2m2_swap.group)
-    c = trace_density(m2m2_swap.phi, tau)
+    c = trace_density(m2m2_swap.phi, tau, TOL_EQ, TOL_POS)
     for _ in range(5):
         a = AlgebraElement(m2m2_swap.descriptor,
                            [rng.standard_normal((2, 2)) for _ in range(2)])
@@ -91,7 +91,7 @@ def test_trace_density_reproduces_state(rng, m2m2_swap):
 
 
 def test_density_relations_identity_element(qubit):
-    checks = verify_density_relations(Analysis(qubit.phi, qubit.group))
+    checks = verify_density_relations(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS))
     assert checks.passed
 
 
@@ -99,14 +99,14 @@ def test_density_relations_qubit_hand_check(qubit):
     # X c X = diag(2/3, 1/3) = c x_g with c = diag(1/3, 2/3), x_g = diag(2, 1/2)
     table = build_table(qubit.phi, qubit.group)
     tau = invariant_trace(qubit.group)
-    c = trace_density(qubit.phi, tau)
+    c = trace_density(qubit.phi, tau, TOL_EQ, TOL_POS)
     from qistate.actions import apply
     g = qubit.group.elements[1]
     lhs = apply(g, c)
     assert np.allclose(lhs.blocks[0], np.diag([2 / 3, 1 / 3]))
     rhs = c @ table.entries[1]
     assert np.allclose(rhs.blocks[0], np.diag([2 / 3, 1 / 3]))
-    assert verify_density_relations(Analysis(qubit.phi, qubit.group)).passed
+    assert verify_density_relations(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)).passed
 
 
 def test_density_relations_random_ergodic(rng):
@@ -116,7 +116,7 @@ def test_density_relations_random_ergodic(rng):
         if not is_center_ergodic(inst.group):
             continue
         hits += 1
-        checks = verify_density_relations(Analysis(inst.phi, inst.group))
+        checks = verify_density_relations(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS))
         assert checks.passed, [(c.name, c.residual) for c in checks]
 
 
