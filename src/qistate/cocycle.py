@@ -53,11 +53,13 @@ def _cocycle_defect(phi: State, g: Automorphism, x: AlgebraElement) -> float:
 
 @dataclass
 class CocycleTable:
-    """All cocycle elements of a group, indexed like the group elements."""
+    """All cocycle elements of a group and their inverses, indexed like the
+    group elements."""
 
     phi: State
     group: FiniteGroup
     entries: list
+    inverses: list
     lambda_bound: float
 
 
@@ -68,18 +70,20 @@ def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS,
     When ``user_lambda`` is given, raises if it fails to dominate the
     computed bound.
     """
-    entries, lam = [], 0.0
+    entries, inverses, lam = [], [], 0.0
     for g in group:
         x = rn_cocycle(phi, g, tol_pos=tol_pos, tol_eq=tol_eq)
         if x.min_sv() <= tol_pos * max(1.0, x.op_norm()):
             raise PreconditionError("cocycle element is numerically singular")
-        lam = max(lam, x.op_norm(), x.inv().op_norm())
+        x_inv = x.inv()
+        lam = max(lam, x.op_norm(), x_inv.op_norm())
         entries.append(x)
+        inverses.append(x_inv)
     if user_lambda is not None and user_lambda < lam - tol_eq:
         raise PreconditionError(
             f"supplied bound {user_lambda} is below the computed bound {lam:.6g}"
         )
-    return CocycleTable(phi, group, entries, float(lam))
+    return CocycleTable(phi, group, entries, inverses, float(lam))
 
 
 def verify_cocycle_identity(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check:
@@ -113,7 +117,7 @@ def verify_inverse_formula(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check
     """Matrix inverse of x_g against g^-1(x_{g^-1})."""
     grp, worst, scale = table.group, 0.0, 1.0
     for i, g in enumerate(grp.elements):
-        lhs = table.entries[i].inv()
+        lhs = table.inverses[i]
         rhs = apply(inverse(g), table.entries[grp.inv[i]])
         worst = max(worst, (lhs - rhs).op_norm())
         scale = max(scale, lhs.op_norm())
@@ -200,9 +204,9 @@ def sandwich_check(table: CocycleTable, probes, tol_eq: float = TOL_EQ) -> Check
     worst = 0.0
     for a in probes:
         base = evaluate(phi, a).real
-        for x in table.entries:
+        for x, x_inv in zip(table.entries, table.inverses):
             for val in (evaluate(phi, x @ a).real,
-                        evaluate(phi, a @ x.inv().adjoint()).real):
+                        evaluate(phi, a @ x_inv.adjoint()).real):
                 worst = max(worst, base / lam - val, val - lam * base)
     return residual_check("sandwich", "phi(a)/lambda <= phi(x_g a), phi(a (x_g^-1)*) <= lambda phi(a)",
                           max(0.0, worst), tol_eq, lam)

@@ -13,57 +13,57 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraDescriptor, AlgebraElement, State, evaluate,
-                      from_block, identity, left_mult_matrix, matrix_unit_basis,
-                      require_faithful, unvec, vec)
-from .actions import FiniteGroup, apply, predual
+from .algebra import (AlgebraDescriptor, AlgebraElement, State, evaluate, identity,
+                      left_mult_matrix, matrix_unit_basis, require_faithful, unvec, vec)
+from .actions import FiniteGroup, action_matrix, apply, predual
 from .cocycle import random_probe
 from .matcore import PreconditionError, dagger
 from .reporting import Check, CheckSet, residual_check
 from .standard_form import L2Operator
 
 
-def _action_matrix(g, descriptor) -> np.ndarray:
-    """Matrix of a |-> g(a) on Hilbert-Schmidt coordinates."""
-    n = descriptor.dim
-    out = np.zeros((n, n), dtype=complex)
-    offsets = np.cumsum([0] + [d * d for d in descriptor.block_dims])
-    for j, d in enumerate(descriptor.block_dims):
-        i = g.perm[j]
-        u = g.unitaries[i]
-        # column-major vec: vec(u a u*) = (conj(u) kron u) vec(a)
-        out[offsets[i]:offsets[i] + d * d, offsets[j]:offsets[j] + d * d] = \
-            np.kron(np.conj(u), u)
-    return out
-
-
-def _kernel_onb(stacked: np.ndarray, dim: int, cutoff: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of a stacked constraint map."""
-    if stacked.size == 0:
-        return np.eye(dim)
-    _, s, vh = np.linalg.svd(stacked)
-    tol = cutoff * max(1.0, s[0] if len(s) else 1.0)
-    rank = int(np.sum(s > tol))
+def _kernel_onb(stacked: np.ndarray, cutoff: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of a stacked constraint map
+    with at least as many rows as columns; singular values up to ``cutoff``
+    times max(1, the largest) count as zero."""
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    rank = int(np.sum(s > cutoff * s.max(initial=1.0)))
     return dagger(vh)[:, rank:]
+
+
+def _range_onb(m: np.ndarray, cutoff: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the column space of ``m``, with the
+    cutoff of ``_kernel_onb``."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, s > cutoff * s.max(initial=1.0)]
+
+
+def _joint_fixed_vectors(mats, n: int, cutoff: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the vectors that every n x n matrix in
+    ``mats`` fixes."""
+    if not mats:
+        return np.eye(n)
+    return _kernel_onb(np.vstack([m - np.eye(n) for m in mats]), cutoff)
 
 
 @dataclass
 class FixedAlgebra:
-    """Hilbert-Schmidt orthonormal basis of the fixed points of the action."""
+    """Fixed points of the action: the columns of ``q`` are a Hilbert-Schmidt
+    orthonormal basis of B in vec coordinates."""
 
     descriptor: AlgebraDescriptor
-    basis: list
-    closure_residual: float
+    q: np.ndarray
+
+    def __post_init__(self):
+        self.basis = [unvec(self.descriptor, col) for col in self.q.T]
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return self.q.shape[1]
 
     def project(self, a: AlgebraElement) -> AlgebraElement:
-        out = 0.0 * a
-        for b in self.basis:
-            out = out + complex(np.vdot(vec(b), vec(a))) * b
-        return out
+        """Orthogonal projection Q Q* onto B."""
+        return unvec(self.descriptor, self.q @ (dagger(self.q) @ vec(a)))
 
     def span_distance(self, a: AlgebraElement) -> float:
         return (a - self.project(a)).hs_norm()
@@ -72,20 +72,15 @@ class FixedAlgebra:
 def fixed_algebra(group: FiniteGroup, tol_eq: float, tol_pos: float) -> FixedAlgebra:
     """Joint kernel of (g - id) over the group, with closure verification."""
     desc = group.descriptor
-    n = desc.dim
-    rows = [_action_matrix(g, desc) - np.eye(n) for g in group.elements[1:]]
-    basis_mat = _kernel_onb(np.vstack(rows) if rows else np.empty((0, n)), n, tol_pos)
-    basis = [unvec(desc, basis_mat[:, j]) for j in range(basis_mat.shape[1])]
-
-    fa = FixedAlgebra(desc, basis, 0.0)
+    fa = FixedAlgebra(desc, _joint_fixed_vectors(
+        [action_matrix(g) for g in group.elements[1:]], desc.dim, tol_pos))
     worst = 0.0
-    for b in basis:
+    for b in fa.basis:
         worst = max(worst, fa.span_distance(b.adjoint()))
-        for c in basis:
+        for c in fa.basis:
             worst = max(worst, fa.span_distance(b @ c))
-    if worst > tol_eq * max(1.0, max((b.op_norm() for b in basis), default=1.0) ** 2):
+    if worst > tol_eq * max(1.0, max((b.op_norm() for b in fa.basis), default=1.0) ** 2):
         raise PreconditionError(f"fixed space is not closed under product/adjoint: {worst:.3e}")
-    fa.closure_residual = worst
     return fa
 
 
@@ -156,9 +151,7 @@ def e0_projection(unitaries, tol_pos: float) -> L2Operator:
     """Orthogonal projection onto the joint fixed vectors of all U_g; the
     first unitary is that of the identity element."""
     desc = unitaries[0].descriptor
-    n = desc.dim
-    rows = [u.matrix - np.eye(n) for u in unitaries[1:]]
-    q = _kernel_onb(np.vstack(rows) if rows else np.empty((0, n)), n, tol_pos)
+    q = _joint_fixed_vectors([u.matrix for u in unitaries[1:]], desc.dim, tol_pos)
     e0 = q @ dagger(q)
     res = float(np.linalg.norm(e0 @ e0 - e0, 2))
     return L2Operator(desc, e0, projection_residual=res)
@@ -215,10 +208,8 @@ def uniqueness_probe(an) -> Check:
     for b in basis:
         target = (e0.matrix @ left_mult_matrix(b) @ e0.matrix).ravel()
         coeff, *_ = np.linalg.lstsq(design, target, rcond=None)
-        m = 0.0 * b
-        for c, bb in zip(coeff, basis):
-            m = m + complex(c) * bb
-        worst = max(worst, (m - Phi(b)).op_norm())
+        # matrix units are in vec order, so sum_k coeff_k E_k is unvec(coeff)
+        worst = max(worst, (unvec(b.descriptor, coeff) - Phi(b)).op_norm())
     return residual_check("expectation_unique",
                           "the compression law determines Phi", worst, an.tol_eq)
 
@@ -232,85 +223,48 @@ class CommutantReport:
     commutation_residual: float
 
 
-def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float, tol_pos: float,
-                 n_cap: int = 256) -> CommutantReport:
-    """Projection onto span(B' E0 L2) for B = ``fa`` the fixed-point algebra.
+def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float,
+                 tol_pos: float) -> CommutantReport:
+    """Projection F0 onto span(B' E0 L2) for B = ``fa`` the fixed-point algebra.
 
-    B' inside all operators on the Hilbert-Schmidt space is solved from the
-    commutator constraints blockwise: an operator commuting with every left
-    multiplication from B is built from intertwiners between the B-actions
-    on the block column spaces, tensored with arbitrary column-index maps.
+    An operator commuting with every left multiplication from B maps block
+    j to block i by xi_j |-> Q xi_j P, with Q in homs(i, j), the
+    intertwiners b_i Q = Q b_j over B, and P any n_j x n_i matrix.  So in
+    block i the span is every matrix whose columns lie in
+    C_i = span of Q K_j over j and Q in homs(i, j), where K_j is the column
+    space of the block-j parts of ran E0, and F0 = L_P for P_i the
+    projection onto C_i.
     """
     desc = e0.descriptor
-    n = desc.dim
-    if n > n_cap:
-        raise PreconditionError(f"commutant computation too large: dim {n} > cap {n_cap}")
-
     dims = desc.block_dims
     k = len(dims)
-    # Intertwiner spaces between the row actions of the fixed algebra.
     homs = {}
     commutant_dim = 0
     for i in range(k):
         for j in range(k):
             ni, nj = dims[i], dims[j]
-            rows = []
-            for b in fa.basis:
-                rows.append(np.kron(np.eye(nj), b.blocks[i])
-                            - np.kron(b.blocks[j].T, np.eye(ni)))
-            basis_mat = _kernel_onb(np.vstack(rows), ni * nj, tol_pos)
-            qs = [basis_mat[:, t].reshape((ni, nj), order="F")
-                  for t in range(basis_mat.shape[1])]
-            homs[(i, j)] = qs
-            commutant_dim += ni * nj * len(qs)
+            rows = [np.kron(np.eye(nj), b.blocks[i]) - np.kron(b.blocks[j].T, np.eye(ni))
+                    for b in fa.basis]
+            basis_mat = _kernel_onb(np.vstack(rows), tol_pos)
+            homs[(i, j)] = [basis_mat[:, t].reshape((ni, nj), order="F")
+                            for t in range(basis_mat.shape[1])]
+            commutant_dim += ni * nj * len(homs[(i, j)])
 
-    # Accumulate span{T xi : T in B', xi in ran E0} by incremental
-    # orthonormalization; images of the structured basis of B' are
-    # Q xi_j P^T placed in block i.
-    w, v = np.linalg.eigh(e0.matrix)
-    range_vecs = [v[:, m] for m in range(n) if w[m] > 0.5]
-    onb = []
-
-    def absorb(vector):
-        u = vector.astype(complex)
-        for q in onb:
-            u = u - np.vdot(q, u) * q
-        nr = np.linalg.norm(u)
-        if nr > 1e-10:
-            onb.append(u / nr)
-        return len(onb)
-
-    done = False
-    for r in range_vecs:
-        xi = unvec(desc, r)
-        for i in range(k):
-            for j in range(k):
-                for q in homs[(i, j)]:
-                    img = q @ xi.blocks[j]              # columns span the reachable set
-                    for col in range(img.shape[1]):
-                        for pos in range(dims[i]):
-                            block = np.zeros((dims[i], dims[i]), dtype=complex)
-                            block[:, pos] = img[:, col]
-                            if absorb(vec(from_block(desc, i, block))) == n:
-                                done = True
-                                break
-                        if done:
-                            break
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    f0_mat = np.zeros((n, n), dtype=complex)
-    for q in onb:
-        f0_mat += np.outer(q, np.conj(q))
-    res = float(np.linalg.norm(f0_mat @ f0_mat - f0_mat, 2))
-    f0 = L2Operator(desc, f0_mat, projection_residual=res)
-    id_res = float(np.linalg.norm(f0_mat - np.eye(n), 2))
+    # The block-j rows of E0 reshaped to n_j x (n_j N): its columns are those
+    # of the block-j parts of E0's columns, which span ran E0.
+    offsets = np.cumsum([0] + [n * n for n in dims])
+    ks = [_range_onb(e0.matrix[offsets[j]:offsets[j + 1]].reshape((n, -1), order="F"),
+                     tol_pos)
+          for j, n in enumerate(dims)]
+    proj = []
+    for i in range(k):
+        c = _range_onb(np.hstack([q @ ks[j] for j in range(k) for q in homs[(i, j)]]),
+                       tol_pos)
+        proj.append(c @ dagger(c))
+    p = AlgebraElement(desc, proj)
+    res = (p @ p - p).op_norm()
+    id_res = (p - identity(desc)).op_norm()
+    f0 = L2Operator(desc, left_mult_matrix(p), projection_residual=res)
 
     # Spot-check that the structured commutant really commutes with L_B.
     comm_res = 0.0

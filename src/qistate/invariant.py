@@ -67,7 +67,7 @@ def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
     # (iv) Gamma_g(ab) = Gamma_g(a) (x_{g^-1})^-1 Gamma_g(b)
     worst = 0.0
     for i in range(group.order):
-        xinv = table.entries[group.inv[i]].inv()
+        xinv = table.inverses[group.inv[i]]
         for a in probes[:2]:
             for b in probes[2:]:
                 lhs = gamma_map(table, i, a @ b)
@@ -81,10 +81,10 @@ def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
     # (v) Gamma_g(a)* = (x_{g^-1})^-1 Gamma_g(a*) (x_{g^-1})*
     worst = 0.0
     for i in range(group.order):
-        x = table.entries[group.inv[i]]
+        x, xinv = table.entries[group.inv[i]], table.inverses[group.inv[i]]
         for a in probes:
             lhs = gamma_map(table, i, a).adjoint()
-            rhs = x.inv() @ gamma_map(table, i, a.adjoint()) @ x.adjoint()
+            rhs = xinv @ gamma_map(table, i, a.adjoint()) @ x.adjoint()
             worst = max(worst, (lhs - rhs).op_norm() / max(1.0, a.op_norm()))
     checks.add(residual_check("gamma_adjoint",
                               "Gamma_g(a)* = x_{g^-1}^-1 Gamma_g(a*) x_{g^-1}*",

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import matcore
 from .algebra import (AlgebraDescriptor, AlgebraElement, State, density_power,
-                      left_mult_matrix, matrix_unit_basis, unvec, vec)
-from .actions import Automorphism, FiniteGroup, apply, inverse, predual
+                      left_mult_matrix, matrix_unit_basis, right_mult_matrix)
+from .actions import Automorphism, FiniteGroup, action_matrix, apply, inverse, predual
 from .matcore import PreconditionError, dagger
 from .reporting import Check, CheckSet, residual_check
 
@@ -59,21 +59,17 @@ def a_g(phi: State, g: Automorphism, roots, x_g: AlgebraElement,
 
 def u_g(phi: State, g: Automorphism, roots, ag: AlgebraElement, tol_eq: float) -> L2Operator:
     """The unitary xi |-> g^-1(xi rho^{-1/2}) rho^{1/2} a_g on Hilbert-Schmidt
-    coordinates, given ``roots`` = (rho^{1/2}, rho^{-1/2}) and a_g."""
-    desc = phi.descriptor
+    coordinates, given ``roots`` = (rho^{1/2}, rho^{-1/2}) and a_g: the
+    product R(rho^{1/2} a_g) A(g^-1) R(rho^{-1/2}) of right multiplications
+    and the action matrix."""
     root, root_inv = roots
-    ginv = inverse(g)
-    n = desc.dim
-    mat = np.empty((n, n), dtype=complex)
-    for m in range(n):
-        e = np.zeros(n)
-        e[m] = 1.0
-        xi = unvec(desc, e)
-        mat[:, m] = vec(apply(ginv, xi @ root_inv) @ root @ ag)
+    mat = (right_mult_matrix(root @ ag) @ action_matrix(inverse(g))
+           @ right_mult_matrix(root_inv))
+    n = phi.descriptor.dim
     res = float(np.linalg.norm(dagger(mat) @ mat - np.eye(n), 2))
     if res > tol_eq * max(1.0, float(np.linalg.norm(mat, 2)) ** 2):
         raise PreconditionError(f"implementing operator is not unitary: residual {res:.3e}")
-    return L2Operator(desc, mat, unitarity_residual=res)
+    return L2Operator(phi.descriptor, mat, unitarity_residual=res)
 
 
 def group_unitaries(phi: State, group: FiniteGroup, roots, a, tol_eq: float):

@@ -42,10 +42,10 @@ def invariant_trace(group: FiniteGroup) -> TraceFunctional:
     is unique up to scale iff the action is transitive, and then every
     weight is 1.
     """
-    orbits = group.block_orbits()
-    if len(orbits) != 1:
+    if not is_center_ergodic(group):
         raise PreconditionError(
-            f"trace not unique: solution space has dimension {len(orbits)}")
+            "trace not unique: the action is not ergodic on the center, so the "
+            f"solution space has dimension {len(group.block_orbits())}")
     return TraceFunctional(group.descriptor, np.ones(group.descriptor.num_blocks))
 
 

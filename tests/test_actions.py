@@ -3,12 +3,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qistate import actions
-from qistate.actions import (Automorphism, apply, close_group, compose,
-                             equal_as_maps, identity_automorphism, inverse,
-                             predual)
-from qistate.algebra import AlgebraDescriptor, AlgebraElement, identity
+from qistate.actions import (Automorphism, action_matrix, apply, close_group,
+                             compose, equal_as_maps, identity_automorphism,
+                             inverse, predual)
+from qistate.algebra import AlgebraDescriptor, AlgebraElement, identity, vec
 from qistate.cli import parse_instance
 from qistate.instances import (clock_matrix, conjugate_generator,
                                inner_generator, permutation_generator,
@@ -103,6 +104,44 @@ def test_inverse(rng):
     a = random_element(rng, desc)
     assert (apply(compose(g, inverse(g)), a) - a).op_norm() < 1e-10
     assert (apply(compose(inverse(g), g), a) - a).op_norm() < 1e-10
+
+
+def dimension_preserving_automorphism(rng, desc):
+    # a random permutation within each class of equal block dimensions
+    dims = desc.block_dims
+    perm = list(range(len(dims)))
+    for n in set(dims):
+        same = [j for j, d in enumerate(dims) if d == n]
+        for j, p in zip(same, rng.permutation(same)):
+            perm[j] = int(p)
+    return Automorphism(desc, perm, [random_unitary(rng, n) for n in dims])
+
+
+block_dims = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_dims, seeds)
+def test_action_matrix_acts_as_the_automorphism_and_is_unitary(dims, seed):
+    rng = np.random.default_rng(seed)
+    desc = AlgebraDescriptor(dims)
+    g = dimension_preserving_automorphism(rng, desc)
+    a = action_matrix(g)
+    xi = random_element(rng, desc)
+    assert np.allclose(a @ vec(xi), vec(apply(g, xi)), atol=1e-12)
+    assert np.linalg.norm(a.conj().T @ a - np.eye(desc.dim), 2) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_dims, seeds)
+def test_action_matrix_is_multiplicative(dims, seed):
+    rng = np.random.default_rng(seed)
+    desc = AlgebraDescriptor(dims)
+    g = dimension_preserving_automorphism(rng, desc)
+    h = dimension_preserving_automorphism(rng, desc)
+    assert np.linalg.norm(action_matrix(compose(g, h))
+                          - action_matrix(g) @ action_matrix(h), 2) < 1e-12
 
 
 def test_equal_as_maps_phase_freedom(rng):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qistate.algebra import (EQUIVALENT, FIRST_IN_SECOND, INCOMPARABLE,
                              SECOND_IN_FIRST, AlgebraDescriptor,
                              AlgebraElement, State, center_basis, evaluate,
                              gns_embed, identity, is_faithful, l2_inner,
                              left_mult_matrix, matrix_unit_basis, modular_flow,
-                             state_from_density, support_comparison, unvec, vec)
+                             right_mult_matrix, state_from_density,
+                             support_comparison, unvec, vec)
 from qistate.matcore import InputError, PreconditionError, dagger
 
 
@@ -203,6 +205,31 @@ def test_left_mult_matrix(rng):
     desc = AlgebraDescriptor((2, 3))
     x, xi = random_element(rng, desc), random_element(rng, desc)
     assert np.allclose(left_mult_matrix(x) @ vec(xi), vec(x @ xi))
+
+
+# Block dimensions and a seed for the random entries of the operands.
+block_dims = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_dims, seeds)
+def test_mult_matrices_act_by_multiplication(dims, seed):
+    rng = np.random.default_rng(seed)
+    desc = AlgebraDescriptor(dims)
+    x, xi = random_element(rng, desc), random_element(rng, desc)
+    assert np.allclose(left_mult_matrix(x) @ vec(xi), vec(x @ xi), atol=1e-12)
+    assert np.allclose(right_mult_matrix(x) @ vec(xi), vec(xi @ x), atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_dims, seeds)
+def test_left_and_right_multiplications_commute(dims, seed):
+    rng = np.random.default_rng(seed)
+    desc = AlgebraDescriptor(dims)
+    lx = left_mult_matrix(random_element(rng, desc))
+    ry = right_mult_matrix(random_element(rng, desc))
+    assert np.linalg.norm(lx @ ry - ry @ lx, 2) < 1e-12 * max(1.0, np.linalg.norm(lx @ ry, 2))
 
 
 def test_matrix_unit_basis_is_orthonormal():

@@ -158,7 +158,8 @@ def test_cmd_trace_non_ergodic_exits_3(tmp_path, capsys):
     path = tmp_path / "ne.json"
     path.write_text(json.dumps(data))
     assert run_cli(["trace", "--input", str(path)]) == EXIT_PRECONDITION
-    assert "not unique" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not unique" in err and "ergodic" in err
 
 
 def test_cmd_counterexample(tmp_path):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power,
-                             identity, state_from_density, vec)
+                             identity, left_mult_matrix, state_from_density, vec)
 from qistate.actions import apply, close_group, identity_automorphism
 from qistate.analysis import Analysis
-from qistate.expectation import (commutant_f0, cond_expectation, e0_projection,
-                                 expectation_checks, fixed_algebra,
+from qistate.expectation import (FixedAlgebra, commutant_f0, cond_expectation,
+                                 e0_projection, expectation_checks, fixed_algebra,
                                  uniqueness_probe, verify_ks)
-from qistate.instances import (inner_generator, random_strong_instance)
+from qistate.instances import (inner_generator, permutation_generator,
+                               random_strong_instance)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS, psd_sqrt
+from qistate.standard_form import L2Operator
 
 
 def trivial_group(desc):
@@ -195,7 +197,71 @@ def test_commutant_f0_random_strong(rng):
     assert report.is_identity, (inst.descriptor.block_dims, report.identity_residual)
 
 
-def test_commutant_f0_respects_cap(qubit):
-    an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
-    with pytest.raises(PreconditionError, match="too large"):
-        commutant_f0(an.fixed, an.e0, TOL_EQ, TOL_POS, n_cap=2)
+def reference_f0(fa, e0):
+    """Dense oracle for F0 and dim B': solve T L_b = L_b T for all N x N
+    operators T, then project onto the span of T xi for xi in ran E0."""
+    n = e0.descriptor.dim
+    ident = np.eye(n)
+    rows = []
+    for b in fa.basis:
+        lb = left_mult_matrix(b)
+        rows.append(np.kron(lb.T, ident) - np.kron(ident, lb))   # vec(T L_b - L_b T)
+    _, s, vh = np.linalg.svd(np.vstack(rows))
+    rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
+    commutant = [vh[k].conj().reshape((n, n), order="F") for k in range(rank, n * n)]
+    w, v = np.linalg.eigh(e0.matrix)
+    images = np.hstack([np.zeros((n, 0))] + [t @ v[:, w > 0.5] for t in commutant])
+    u, s, _ = np.linalg.svd(images, full_matrices=False)
+    u = u[:, s > 1e-10 * max([1.0, *s])]
+    return u @ u.conj().T, len(commutant)
+
+
+@pytest.mark.parametrize("name", ["qubit", "c2_swap", "m2m2_swap", "nonstrong"])
+def test_commutant_f0_matches_dense_oracle(name, request):
+    inst = request.getfixturevalue(name)
+    an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
+    f0, dim = reference_f0(an.fixed, an.e0)
+    assert an.f0.commutant_dim == dim
+    assert np.linalg.norm(an.f0.f0.matrix - f0, 2) < 1e-10
+
+
+def vector_projection(desc, xi):
+    v = vec(xi)
+    return L2Operator(desc, np.outer(v, v.conj()) / np.vdot(v, v).real)
+
+
+FULL, RANK_ONE = np.eye(2) / np.sqrt(2), np.array([[0.0, 1.0], [0.0, 0.0]])
+P_RANK_ONE = np.diag([1.0, 0.0])
+
+
+@pytest.mark.parametrize("swap, xi, p", [
+    # B = A: B' xi keeps block 0, with columns in the column space of xi_0;
+    # an invertible xi_0 gives F0 = L_{z_0}
+    (False, [FULL, np.zeros((2, 2))], [np.eye(2), np.zeros((2, 2))]),
+    (False, [RANK_ONE, np.zeros((2, 2))], [P_RANK_ONE, np.zeros((2, 2))]),
+    # B = {(a, a)}: the swap intertwines the blocks, so B' carries a
+    # block-1 vector into block 0 as well
+    (True, [np.zeros((2, 2)), FULL], [np.eye(2), np.eye(2)]),
+    (True, [np.zeros((2, 2)), RANK_ONE], [P_RANK_ONE, P_RANK_ONE]),
+])
+def test_commutant_f0_on_one_vector(swap, xi, p):
+    desc = AlgebraDescriptor((2, 2))
+    gen = permutation_generator(desc, (1, 0) if swap else (0, 1))
+    fa = fixed_algebra(close_group([gen], cap=4), TOL_EQ, TOL_POS)
+    e0 = vector_projection(desc, AlgebraElement(desc, xi))
+    report = commutant_f0(fa, e0, TOL_EQ, TOL_POS)
+    expected = left_mult_matrix(AlgebraElement(desc, p))
+    assert np.linalg.norm(report.f0.matrix - expected, 2) < 1e-12
+    assert np.linalg.norm(reference_f0(fa, e0)[0] - expected, 2) < 1e-10
+    assert report.is_identity == (swap and xi[1] is FULL)
+
+
+def test_commutant_f0_on_m17_with_scalar_fixed_algebra():
+    # N = 289: B = C 1, so B' is every operator, dim 289^2, and a faithful
+    # vector is cyclic for it
+    desc = AlgebraDescriptor((17,))
+    fa = FixedAlgebra(desc, vec(identity(desc))[:, None] / np.sqrt(17))
+    root = AlgebraElement(desc, [np.diag(np.sqrt(np.arange(1.0, 18.0)))])
+    report = commutant_f0(fa, vector_projection(desc, root), TOL_EQ, TOL_POS)
+    assert report.commutant_dim == 289 ** 2
+    assert report.is_identity and report.identity_residual < 1e-12

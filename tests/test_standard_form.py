@@ -4,7 +4,7 @@ import pytest
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power,
                              gns_embed, identity, l2_inner, state_from_density,
                              unvec, vec)
-from qistate.actions import close_group, identity_automorphism
+from qistate.actions import apply, close_group, identity_automorphism, inverse
 from qistate.analysis import Analysis
 from qistate.cocycle import rn_cocycle
 from qistate.instances import random_instance, random_strong_instance
@@ -44,6 +44,25 @@ def test_a_g_squares_to_half_flowed_cocycle(rng):
         flow = root @ x @ root_inv
         assert (a @ a - flow).op_norm() < 1e-9 * max(1.0, flow.op_norm())
         assert a.min_eig() > 0
+
+
+def reference_u_g(phi, g, roots, ag):
+    # column by column: U_g e_m = vec(g^-1(e_m rho^{-1/2}) rho^{1/2} a_g)
+    root, root_inv = roots
+    n = phi.descriptor.dim
+    mat = np.empty((n, n), dtype=complex)
+    for m in range(n):
+        xi = unvec(phi.descriptor, np.eye(n)[:, m])
+        mat[:, m] = vec(apply(inverse(g), xi @ root_inv) @ root @ ag)
+    return mat
+
+
+def test_u_g_matches_column_oracle(qubit, nonstrong, rng):
+    for inst in (qubit, nonstrong, random_instance(rng), random_instance(rng)):
+        an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
+        for g, ag, u in zip(inst.group.elements, an.a, an.unitaries):
+            ref = reference_u_g(inst.phi, g, an.roots, ag)
+            assert np.linalg.norm(u.matrix - ref, 2) < 1e-12 * max(1.0, np.linalg.norm(ref, 2))
 
 
 def test_u_g_identity(qubit):
