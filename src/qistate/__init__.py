@@ -8,8 +8,9 @@ __version__ = "0.1.0"
 from .algebra import (AlgebraDescriptor, AlgebraElement, L2Vector, State,
                       center_basis, evaluate, gns_embed, identity, is_faithful,
                       l2_inner, modular_flow, support_comparison)
-from .actions import (Automorphism, FiniteGroup, apply, close_group, compose,
-                      equal_as_maps, identity_automorphism, inverse, predual)
+from .actions import (Automorphism, FiniteGroup, apply, apply_all, close_group,
+                      compose, equal_as_maps, identity_automorphism, inverse,
+                      predual)
 from .cocycle import (CocycleTable, build_table, is_strongly_qi, rn_cocycle,
                       sandwich_check, sz_domination, verify_adjoint_relation,
                       verify_cocycle_identity, verify_inverse_formula)

@@ -71,6 +71,26 @@ def apply(g: Automorphism, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.descriptor, blocks)
 
 
+def apply_all(group: "FiniteGroup", blocks) -> list:
+    """g(a) for every element g of ``group``, from the blocks of a.
+
+    Block i of the result is the (|G|, ..., n_i, n_i) stack of
+    u_i a_{perm^-1(i)} u_i* over the group, in element order.  The blocks
+    may carry leading batch axes (the same on every block); they follow the
+    group axis.
+    """
+    out = []
+    for u, src in zip(group.unitary_stacks, group.source_blocks):
+        a = blocks[src[0]]
+        u = u.reshape(u.shape[:1] + (1,) * (a.ndim - 2) + u.shape[1:])
+        res = np.empty(u.shape[:1] + a.shape, dtype=complex)
+        for j in set(src.tolist()):
+            sel = src == j
+            res[sel] = u[sel] @ blocks[j] @ dagger(u[sel])
+        out.append(res)
+    return out
+
+
 def compose(g: Automorphism, h: Automorphism) -> Automorphism:
     """The automorphism a |-> g(h(a))."""
     if g.descriptor != h.descriptor:
@@ -220,10 +240,14 @@ def _unit_probe(rng: random.Random, n: int) -> np.ndarray:
 class FiniteGroup:
     """Closed list of automorphisms with composition and inverse tables.
 
-    ``index`` is the closure's fingerprint index over ``elements``.
+    ``index`` is the closure's fingerprint index over ``elements``.  For
+    each block i, ``unitary_stacks[i]`` stacks every element's block-i
+    unitary as a (|G|, n_i, n_i) array and ``source_blocks[i]`` holds the
+    (|G|,) block indices inv_perm[i] that each element carries to block i.
     """
 
-    __slots__ = ("descriptor", "elements", "mult", "inv", "index")
+    __slots__ = ("descriptor", "elements", "mult", "inv", "index",
+                 "unitary_stacks", "source_blocks")
 
     def __init__(self, descriptor, elements, mult, inv, index: MapIndex):
         self.descriptor = descriptor
@@ -231,6 +255,9 @@ class FiniteGroup:
         self.mult = mult            # mult[i][j] = index of elements[i] o elements[j]
         self.inv = inv
         self.index = index
+        blocks = range(descriptor.num_blocks)
+        self.unitary_stacks = [np.stack([g.unitaries[i] for g in elements]) for i in blocks]
+        self.source_blocks = [np.array([g.inv_perm[i] for g in elements]) for i in blocks]
 
     @property
     def order(self) -> int:

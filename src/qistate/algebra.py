@@ -150,18 +150,37 @@ def matrix_unit_basis(descriptor: AlgebraDescriptor):
 
 def vec(x: AlgebraElement) -> np.ndarray:
     """Flatten to coordinates: block-major, column-major within a block."""
-    return np.concatenate([b.flatten(order="F") for b in x.blocks])
+    return vec_blocks(x.blocks)
+
+
+def vec_blocks(blocks) -> np.ndarray:
+    """Coordinates of ``vec`` along the last axis, from blocks that may carry
+    leading batch axes."""
+    return np.concatenate([np.swapaxes(b, -1, -2).reshape(b.shape[:-2] + (-1,))
+                           for b in blocks], axis=-1)
 
 
 def unvec(descriptor: AlgebraDescriptor, v: np.ndarray) -> AlgebraElement:
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != descriptor.dim:
         raise InputError(f"vector length {v.size} != descriptor dim {descriptor.dim}")
+    return AlgebraElement(descriptor, unvec_blocks(descriptor, v))
+
+
+def unvec_blocks(descriptor: AlgebraDescriptor, v: np.ndarray) -> list:
+    """Blocks from coordinates along the last axis of ``v``; its leading
+    axes become batch axes of every block."""
     blocks, ofs = [], 0
     for n in descriptor.block_dims:
-        blocks.append(v[ofs:ofs + n * n].reshape((n, n), order="F"))
+        seg = v[..., ofs:ofs + n * n].reshape(v.shape[:-1] + (n, n))
+        blocks.append(np.swapaxes(seg, -1, -2))
         ofs += n * n
-    return AlgebraElement(descriptor, blocks)
+    return blocks
+
+
+def stack_blocks(elements) -> list:
+    """Block i of every element, stacked as one (len(elements), n_i, n_i) array."""
+    return [np.stack(bs) for bs in zip(*(x.blocks for x in elements))]
 
 
 def l2_inner(xi: L2Vector, eta: L2Vector) -> complex:
@@ -228,7 +247,14 @@ def state_from_density(density: AlgebraElement, **kw) -> State:
 def evaluate(phi: State, a: AlgebraElement) -> complex:
     """phi(a) = sum_i tr(rho_i a_i)."""
     _same_descriptor(phi.density, a)
-    return complex(sum(np.trace(r @ b) for r, b in zip(phi.density.blocks, a.blocks)))
+    return complex(evaluate_blocks(phi, a.blocks))
+
+
+def evaluate_blocks(phi: State, blocks):
+    """phi on the blocks of an element, or on every element of a stack of
+    blocks with leading batch axes (an array of that batch shape)."""
+    return sum((r @ b).trace(axis1=-2, axis2=-1)
+               for r, b in zip(phi.density.blocks, blocks))
 
 
 def is_faithful(phi: State, tol_pos: float = TOL_POS):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .algebra import AlgebraElement, State, evaluate, require_faithful
+from .algebra import AlgebraElement, State, evaluate, require_faithful, stack_blocks
 from .actions import Automorphism, FiniteGroup, apply, inverse, predual
 from .matcore import PreconditionError, TOL_EQ, TOL_POS, dagger
 from .reporting import Check, CheckSet, residual_check
@@ -54,13 +54,16 @@ def _cocycle_defect(phi: State, g: Automorphism, x: AlgebraElement) -> float:
 @dataclass
 class CocycleTable:
     """All cocycle elements of a group and their inverses, indexed like the
-    group elements."""
+    group elements.  ``stacks[i]`` and ``inverse_stacks[i]`` hold block i of
+    every x_g and x_g^-1 as one (|G|, n_i, n_i) array."""
 
     phi: State
     group: FiniteGroup
     entries: list
     inverses: list
     lambda_bound: float
+    stacks: list
+    inverse_stacks: list
 
 
 def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS,
@@ -83,34 +86,27 @@ def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS,
         raise PreconditionError(
             f"supplied bound {user_lambda} is below the computed bound {lam:.6g}"
         )
-    return CocycleTable(phi, group, entries, inverses, float(lam))
+    return CocycleTable(phi, group, entries, inverses, float(lam),
+                        stack_blocks(entries), stack_blocks(inverses))
 
 
 def verify_cocycle_identity(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check:
     """Chain rule over all pairs: x_{g2 g1} = x_{g1} g1^-1(x_{g2}).
 
-    Each block of the table is stacked once as a (|G|, n, n) array; for
-    each g1, one stacked conjugation applies g1^-1 to every x_{g2} and one
-    batched norm gives all |G| residuals.
+    For each g1, one stacked conjugation applies g1^-1 to every x_{g2} of
+    the table's block stacks and one batched norm gives all |G| residuals.
     """
-    grp = table.group
-    k = grp.descriptor.num_blocks
-    stacks = [np.stack([x.blocks[i] for x in table.entries]) for i in range(k)]
-    scale = max(1.0, max(float(np.max(_op_norms(s))) for s in stacks))
+    grp, stacks = table.group, table.stacks
+    scale = max(1.0, max(float(np.max(matcore.op_norms(s))) for s in stacks))
     worst = 0.0
     for i1, x1 in enumerate(table.entries):
         g1inv = grp.elements[grp.inv[i1]]
         lhs_rows = grp.mult[:, i1]
-        for i, (u, j) in enumerate(zip(g1inv.unitaries, g1inv.inv_perm)):
-            rhs = x1.blocks[i] @ (u @ stacks[j] @ dagger(u))
-            worst = max(worst, float(np.max(_op_norms(stacks[i][lhs_rows] - rhs))))
+        rhs = [x1.blocks[i] @ (u @ stacks[j] @ dagger(u))
+               for i, (u, j) in enumerate(zip(g1inv.unitaries, g1inv.inv_perm))]
+        worst = max(worst, matcore.max_op_distance([s[lhs_rows] for s in stacks], rhs))
     return residual_check("cocycle_identity", "x_{hg} = x_g g^-1(x_h)",
                           worst, tol_eq, scale)
-
-
-def _op_norms(stack: np.ndarray) -> np.ndarray:
-    """Operator norm of each matrix in a (m, n, n) stack."""
-    return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
 def verify_inverse_formula(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check:

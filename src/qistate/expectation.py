@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraDescriptor, AlgebraElement, State, evaluate, identity,
-                      left_mult_matrix, matrix_unit_basis, require_faithful, unvec, vec)
-from .actions import FiniteGroup, action_matrix, apply, predual
+from .algebra import (AlgebraDescriptor, AlgebraElement, State, evaluate, evaluate_blocks,
+                      identity, left_mult_matrix, matrix_unit_basis, require_faithful,
+                      stack_blocks, unvec, unvec_blocks, vec_blocks)
+from .actions import FiniteGroup, action_matrix, apply_all, predual
 from .cocycle import random_probe
-from .matcore import PreconditionError, dagger
+from .matcore import PreconditionError, dagger, max_op_distance, op_norms
 from .reporting import Check, CheckSet, residual_check
 from .standard_form import L2Operator
 
@@ -49,24 +50,40 @@ def _joint_fixed_vectors(mats, n: int, cutoff: float) -> np.ndarray:
 @dataclass
 class FixedAlgebra:
     """Fixed points of the action: the columns of ``q`` are a Hilbert-Schmidt
-    orthonormal basis of B in vec coordinates."""
+    orthonormal basis of B in vec coordinates.  ``blocks`` holds that basis
+    as one (dim B, n_i, n_i) stack per block, ``basis`` as elements."""
 
     descriptor: AlgebraDescriptor
     q: np.ndarray
 
     def __post_init__(self):
+        self.blocks = unvec_blocks(self.descriptor, self.q.T)
         self.basis = [unvec(self.descriptor, col) for col in self.q.T]
 
     @property
     def dimension(self) -> int:
         return self.q.shape[1]
 
-    def project(self, a: AlgebraElement) -> AlgebraElement:
-        """Orthogonal projection Q Q* onto B."""
-        return unvec(self.descriptor, self.q @ (dagger(self.q) @ vec(a)))
+    def span_distances(self, blocks) -> np.ndarray:
+        """Hilbert-Schmidt distance to B, |a - Q Q* a|, of each element of a
+        stack of blocks with leading batch axes."""
+        v = vec_blocks(blocks)
+        return np.linalg.norm(v - (v @ np.conj(self.q)) @ self.q.T, axis=-1)
 
     def span_distance(self, a: AlgebraElement) -> float:
-        return (a - self.project(a)).hs_norm()
+        return float(self.span_distances(a.blocks))
+
+
+def closure_residual(fa: FixedAlgebra) -> float:
+    """Largest distance to B of b* and of b c over the basis elements b, c.
+
+    Takes every b* at once, then loops over b with every c at once, so no
+    intermediate holds a dim B^2 family.
+    """
+    worst = float(np.max(fa.span_distances([dagger(s) for s in fa.blocks]), initial=0.0))
+    for k in range(fa.dimension):
+        worst = max(worst, float(np.max(fa.span_distances([s[k] @ s for s in fa.blocks]))))
+    return worst
 
 
 def fixed_algebra(group: FiniteGroup, tol_eq: float, tol_pos: float) -> FixedAlgebra:
@@ -74,12 +91,9 @@ def fixed_algebra(group: FiniteGroup, tol_eq: float, tol_pos: float) -> FixedAlg
     desc = group.descriptor
     fa = FixedAlgebra(desc, _joint_fixed_vectors(
         [action_matrix(g) for g in group.elements[1:]], desc.dim, tol_pos))
-    worst = 0.0
-    for b in fa.basis:
-        worst = max(worst, fa.span_distance(b.adjoint()))
-        for c in fa.basis:
-            worst = max(worst, fa.span_distance(b @ c))
-    if worst > tol_eq * max(1.0, max((b.op_norm() for b in fa.basis), default=1.0) ** 2):
+    worst = closure_residual(fa)
+    norm = max(float(np.max(op_norms(s), initial=1.0)) for s in fa.blocks)
+    if worst > tol_eq * max(1.0, norm ** 2):
         raise PreconditionError(f"fixed space is not closed under product/adjoint: {worst:.3e}")
     return fa
 
@@ -91,11 +105,14 @@ class ConditionalExpectation:
     group: FiniteGroup
     fixed: FixedAlgebra
 
+    def average(self, blocks) -> list:
+        """(1/|G|) sum_g g(a) from the blocks of a, which may carry leading
+        batch axes."""
+        return [np.sum(s, axis=0) * (1.0 / self.group.order)
+                for s in apply_all(self.group, blocks)]
+
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
-        out = 0.0 * a
-        for g in self.group.elements:
-            out = out + apply(g, a)
-        return (1.0 / self.group.order) * out
+        return AlgebraElement(a.descriptor, self.average(a.blocks))
 
 
 def cond_expectation(psi: State, group: FiniteGroup, fixed: FixedAlgebra,
@@ -111,37 +128,45 @@ def cond_expectation(psi: State, group: FiniteGroup, fixed: FixedAlgebra,
 
 def expectation_checks(an, rng=None, n_probes: int = 4) -> CheckSet:
     """Defining properties: range, idempotence, unitality, positivity,
-    invariance of psi, bimodule law over the fixed basis."""
+    invariance of psi, bimodule law over the fixed basis.
+
+    The probes are averaged as one stack; the bimodule sweep loops over b
+    and takes every c at once, so no intermediate holds a dim B^2 family.
+    """
     rng = rng or np.random.default_rng(0)
     psi, Phi, tol_eq = an.certificate.psi, an.Phi, an.tol_eq
     desc = psi.descriptor
     checks = CheckSet()
     probes = [random_probe(rng, desc) for _ in range(n_probes)]
     ident = identity(desc)
+    stacked = stack_blocks(probes)
+    phi_probes = Phi.average(stacked)
 
     checks.add(residual_check("range", "Phi(a) is a fixed point",
-                              max(Phi.fixed.span_distance(Phi(a)) for a in probes),
-                              tol_eq))
+                              float(np.max(Phi.fixed.span_distances(phi_probes))), tol_eq))
     checks.add(residual_check("idempotent", "Phi(Phi(a)) = Phi(a)",
-                              max((Phi(Phi(a)) - Phi(a)).op_norm() for a in probes),
-                              tol_eq))
+                              max_op_distance(Phi.average(phi_probes), phi_probes), tol_eq))
     checks.add(residual_check("unital", "Phi(1) = 1",
                               (Phi(ident) - ident).op_norm(), tol_eq))
+    squares = [s @ dagger(s) for s in stacked]
     pos_defect = 0.0
-    for a in probes:
-        p = a @ a.adjoint()
-        pos_defect = max(pos_defect, max(0.0, -Phi(p).min_eig() / max(1.0, p.op_norm())))
+    for p, phi_p in zip(zip(*squares), zip(*Phi.average(squares))):
+        p, phi_p = AlgebraElement(desc, p), AlgebraElement(desc, phi_p)
+        pos_defect = max(pos_defect, max(0.0, -phi_p.min_eig() / max(1.0, p.op_norm())))
     checks.add(residual_check("positive", "Phi(a* a) >= 0", pos_defect, tol_eq))
     checks.add(residual_check(
         "state_invariance", "psi(Phi(a)) = psi(a)",
-        max(abs(evaluate(psi, Phi(a)) - evaluate(psi, a))
+        max(abs(evaluate_blocks(psi, Phi.average(a.blocks)) - evaluate(psi, a))
             for a in matrix_unit_basis(desc)), tol_eq))
     worst = 0.0
-    for b in Phi.fixed.basis:
-        for c in Phi.fixed.basis:
-            for a in probes[:2]:
-                worst = max(worst, (Phi(b @ a @ c) - b @ Phi(a) @ c).op_norm()
-                            / max(1.0, a.op_norm()))
+    basis = Phi.fixed.blocks
+    for p, a in enumerate(probes[:2]):
+        phi_a, scale = [s[p] for s in phi_probes], max(1.0, a.op_norm())
+        for k in range(Phi.fixed.dimension):
+            b = [s[k] for s in basis]
+            lhs = Phi.average([x @ y @ c for x, y, c in zip(b, a.blocks, basis)])
+            rhs = [x @ y @ c for x, y, c in zip(b, phi_a, basis)]
+            worst = max(worst, max_op_distance(lhs, rhs) / scale)
     checks.add(residual_check("bimodule", "Phi(b a c) = b Phi(a) c for fixed b, c",
                               worst, tol_eq))
     return checks
@@ -171,30 +196,44 @@ def verify_ks(an) -> CheckSet:
 
     checks = CheckSet()
     basis = matrix_unit_basis(phi.descriptor)
+    e0m = e0.matrix
 
-    worst = 0.0
-    for b in basis:
-        lhs = left_mult_matrix(Phi(b)) @ e0.matrix
-        rhs = e0.matrix @ left_mult_matrix(b) @ e0.matrix
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-    checks.add(residual_check("compression", "Phi(b) E0 = E0 b E0", worst, tol_eq))
+    # For the matrix unit b, M L_b N = M[:, rows] @ N[cols, :].
+    compression = mean_worst = 0.0
+    for b, (rows, cols) in zip(basis, _matrix_unit_coordinates(phi.descriptor)):
+        l_phi = left_mult_matrix(Phi(b))
+        compression = max(compression, float(np.linalg.norm(
+            l_phi @ e0m - e0m[:, rows] @ e0m[cols, :], 2)))
+        mean = np.zeros_like(l_phi)
+        for i in range(group.order):
+            mean += us[group.inv[i]].matrix[:, rows] @ us[i].matrix[cols, :]
+        mean /= group.order
+        mean_worst = max(mean_worst, float(np.linalg.norm(mean - l_phi, 2)))
+    checks.add(residual_check("compression", "Phi(b) E0 = E0 b E0", compression, tol_eq))
 
     d_inv = d.inv()
     worst = max(abs(evaluate(phi, a) - evaluate(psi, Phi(d_inv @ a))) for a in basis)
     checks.add(residual_check("state_decomposition",
                               "phi(a) = psi(Phi(d^-1 a))", worst, tol_eq))
 
-    worst = 0.0
-    for b in basis:
-        mean = np.zeros((phi.descriptor.dim,) * 2, dtype=complex)
-        for i in range(group.order):
-            mean += us[group.inv[i]].matrix @ left_mult_matrix(b) @ us[i].matrix
-        mean /= group.order
-        worst = max(worst, float(np.linalg.norm(mean - left_mult_matrix(Phi(b)), 2)))
     checks.add(residual_check("mean_formula",
                               "Phi(b) = mean_g U_{g^-1} b U_g on the Hilbert-Schmidt space",
-                              worst, tol_eq))
+                              mean_worst, tol_eq))
     return checks
+
+
+def _matrix_unit_coordinates(descriptor: AlgebraDescriptor):
+    """For each matrix unit E_rc, in ``matrix_unit_basis`` order, the
+    coordinate arrays (rows, cols): L_E = 1 kron E carries coordinate
+    cols[k] = off + c + n k of its block to rows[k] = off + r + n k, k < n,
+    and annihilates every other coordinate."""
+    ofs = 0
+    for n in descriptor.block_dims:
+        k = n * np.arange(n)
+        for c in range(n):
+            for r in range(n):
+                yield ofs + r + k, ofs + c + k
+        ofs += n * n
 
 
 def uniqueness_probe(an) -> Check:

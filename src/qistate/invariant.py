@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, State, evaluate, matrix_unit_basis,
-                      state_from_density)
-from .actions import apply, inverse, predual
+from .algebra import (AlgebraElement, State, evaluate, evaluate_blocks,
+                      matrix_unit_basis, state_from_density)
+from .actions import apply, apply_all, inverse, predual
 from .cocycle import CocycleTable, random_probe
-from .matcore import PreconditionError, TOL_EQ, TOL_POS
+from .matcore import PreconditionError, TOL_EQ, TOL_POS, dagger, max_op_distance
 from .reporting import CheckSet, residual_check
 
 
@@ -27,87 +27,104 @@ def gamma_map(table: CocycleTable, i: int, a: AlgebraElement) -> AlgebraElement:
     return table.entries[group.inv[i]] @ apply(group.elements[i], a)
 
 
+def _gamma_all(table: CocycleTable, blocks) -> list:
+    """Gamma_g(a) = x_{g^-1} g(a) for every g, from the blocks of a: one
+    (|G|, ..., n_i, n_i) stack per block, as ``apply_all`` lays it out."""
+    inv = table.group.inv
+    out = []
+    for x, ga in zip(table.stacks, apply_all(table.group, blocks)):
+        x = x[inv]
+        out.append(x.reshape(x.shape[:1] + (1,) * (ga.ndim - 3) + x.shape[1:]) @ ga)
+    return out
+
+
 def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
-    """The five algebraic properties of the Gamma maps, over the whole group."""
+    """The five algebraic properties of the Gamma maps, over the whole group.
+
+    Each law is evaluated for all g at once on stacked blocks; a sweep over
+    pairs loops over its second index, so that no intermediate holds a
+    |G|^2 family.
+    """
     rng = rng or np.random.default_rng(0)
     table, tol_eq = an.table, an.tol_eq
     phi, group = table.phi, table.group
     checks = CheckSet()
     probes = [random_probe(rng, phi.descriptor) for _ in range(n_probes)]
+    gammas = [_gamma_all(table, a.blocks) for a in probes]
+    inv = np.array(group.inv)
 
     # (i) Gamma_g(x_h) = x_{h g^-1}
     worst = 0.0
-    for i in range(group.order):
-        for h in range(group.order):
-            lhs = gamma_map(table, i, table.entries[h])
-            rhs = table.entries[group.mult[h, group.inv[i]]]
-            worst = max(worst, (lhs - rhs).op_norm())
+    for h in range(group.order):
+        lhs = _gamma_all(table, [s[h] for s in table.stacks])
+        rows = group.mult[h, inv]
+        worst = max(worst, max_op_distance(lhs, [s[rows] for s in table.stacks]))
     checks.add(residual_check("gamma_permutes_cocycle", "Gamma_g(x_h) = x_{h g^-1}",
                               worst, tol_eq, table.lambda_bound))
 
     # (ii) Gamma_{gh} = Gamma_g o Gamma_h
     worst = 0.0
-    for i in range(group.order):
-        for j in range(group.order):
-            for a in probes:
-                lhs = gamma_map(table, group.mult[i, j], a)
-                rhs = gamma_map(table, i, gamma_map(table, j, a))
-                worst = max(worst, (lhs - rhs).op_norm() / max(1.0, a.op_norm()))
+    for a, ga in zip(probes, gammas):
+        scale = max(1.0, a.op_norm())
+        for h in range(group.order):
+            lhs = [s[group.mult[:, h]] for s in ga]
+            rhs = _gamma_all(table, [s[h] for s in ga])
+            worst = max(worst, max_op_distance(lhs, rhs) / scale)
     checks.add(residual_check("gamma_multiplicative", "Gamma_{gh} = Gamma_g Gamma_h",
                               worst, tol_eq, table.lambda_bound ** 2))
 
     # (iii) phi o Gamma_g = phi
     worst = 0.0
-    for i in range(group.order):
-        for a in matrix_unit_basis(phi.descriptor):
-            worst = max(worst, abs(evaluate(phi, gamma_map(table, i, a)) - evaluate(phi, a)))
+    for a in matrix_unit_basis(phi.descriptor):
+        lhs = evaluate_blocks(phi, _gamma_all(table, a.blocks))
+        worst = max(worst, float(np.max(np.abs(lhs - evaluate(phi, a)))))
     checks.add(residual_check("gamma_preserves_state", "phi(Gamma_g(a)) = phi(a)",
                               worst, tol_eq))
 
     # (iv) Gamma_g(ab) = Gamma_g(a) (x_{g^-1})^-1 Gamma_g(b)
     worst = 0.0
-    for i in range(group.order):
-        xinv = table.inverses[group.inv[i]]
-        for a in probes[:2]:
-            for b in probes[2:]:
-                lhs = gamma_map(table, i, a @ b)
-                rhs = gamma_map(table, i, a) @ xinv @ gamma_map(table, i, b)
-                worst = max(worst, (lhs - rhs).op_norm()
-                            / max(1.0, a.op_norm() * b.op_norm()))
+    xinv = [s[inv] for s in table.inverse_stacks]
+    for a, ga in zip(probes[:2], gammas[:2]):
+        for b, gb in zip(probes[2:], gammas[2:]):
+            lhs = _gamma_all(table, (a @ b).blocks)
+            rhs = [p @ q @ r for p, q, r in zip(ga, xinv, gb)]
+            worst = max(worst, max_op_distance(lhs, rhs)
+                        / max(1.0, a.op_norm() * b.op_norm()))
     checks.add(residual_check("gamma_twisted_product",
                               "Gamma_g(ab) = Gamma_g(a) x_{g^-1}^-1 Gamma_g(b)",
                               worst, tol_eq, table.lambda_bound ** 2))
 
     # (v) Gamma_g(a)* = (x_{g^-1})^-1 Gamma_g(a*) (x_{g^-1})*
     worst = 0.0
-    for i in range(group.order):
-        x, xinv = table.entries[group.inv[i]], table.inverses[group.inv[i]]
-        for a in probes:
-            lhs = gamma_map(table, i, a).adjoint()
-            rhs = xinv @ gamma_map(table, i, a.adjoint()) @ x.adjoint()
-            worst = max(worst, (lhs - rhs).op_norm() / max(1.0, a.op_norm()))
+    x = [s[inv] for s in table.stacks]
+    for a, ga in zip(probes, gammas):
+        rhs = [p @ q @ dagger(r)
+               for p, q, r in zip(xinv, _gamma_all(table, a.adjoint().blocks), x)]
+        lhs = [dagger(s) for s in ga]
+        worst = max(worst, max_op_distance(lhs, rhs) / max(1.0, a.op_norm()))
     checks.add(residual_check("gamma_adjoint",
                               "Gamma_g(a)* = x_{g^-1}^-1 Gamma_g(a*) x_{g^-1}*",
                               worst, tol_eq, table.lambda_bound ** 2))
     return checks
 
 
-def fixed_density_d(table: CocycleTable, tol_eq: float) -> AlgebraElement:
+def fixed_density_d(table: CocycleTable, tol_eq: float) -> tuple:
     """Gamma-fixed element d = average of all cocycle entries; phi(d) = 1.
 
-    Exact for finite groups because Gamma_g permutes the x_h.
+    Exact for finite groups because Gamma_g permutes the x_h.  Returns d
+    and its Gamma-fixedness residual max_g ||Gamma_g(d) - d||.
     """
     d = table.entries[0]
     for x in table.entries[1:]:
         d = d + x
     d = (1.0 / table.group.order) * d
-    worst = max((gamma_map(table, i, d) - d).op_norm() for i in range(table.group.order))
+    worst = max_op_distance(_gamma_all(table, d.blocks), d.blocks)
     if worst > tol_eq * max(1.0, d.op_norm()):
         raise PreconditionError(f"averaged element is not Gamma-fixed: residual {worst:.3e}")
     defect = abs(evaluate(table.phi, d) - 1.0)
     if defect > tol_eq:
         raise PreconditionError(f"phi(d) = 1 fails by {defect:.3e}")
-    return d
+    return d, worst
 
 
 @dataclass
@@ -127,7 +144,7 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
     the anti-Hermitian part is at roundoff level and the result is PSD.
     """
     phi, group = table.phi, table.group
-    d = fixed_density_d(table, tol_eq=tol_eq)
+    d, gamma_res = fixed_density_d(table, tol_eq=tol_eq)
     rho = phi.density
     rho_d = rho @ d
     skew = (rho_d - rho_d.adjoint()).op_norm()
@@ -142,7 +159,6 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
     psi = state_from_density(rho_psi, tol_eq=max(tol_eq, 1e-9), tol_pos=tol_pos)
 
     inv_res = max((predual(g, rho_psi) - rho_psi).op_norm() for g in group.elements)
-    gamma_res = max((gamma_map(table, i, d) - d).op_norm() for i in range(group.order))
     # psi is sandwiched between phi/lambda and lambda*phi, hence faithful.
     margin = mn - (phi.density.min_eig() / table.lambda_bound)
     residuals = {

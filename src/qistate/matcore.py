@@ -34,7 +34,8 @@ def as_square(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(a.T)
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.swapaxes(-1, -2).conj()
 
 
 def op_norm(a) -> float:
@@ -43,6 +44,17 @@ def op_norm(a) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def op_norms(stack: np.ndarray) -> np.ndarray:
+    """Operator norm of each matrix in a stack of shape (..., n, n)."""
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
+
+
+def max_op_distance(lhs, rhs) -> float:
+    """Largest operator-norm distance between matching matrices of two
+    block lists, block i of one broadcasting against block i of the other."""
+    return max(float(np.max(op_norms(a - b))) for a, b in zip(lhs, rhs))
 
 
 def herm_residual(a: np.ndarray) -> float:

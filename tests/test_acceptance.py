@@ -132,7 +132,7 @@ def test_criterion_4_strong_structure(strong_family):
         an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
         table = an.table
         lam = table.lambda_bound
-        d = fixed_density_d(table, TOL_EQ)
+        d, _ = fixed_density_d(table, TOL_EQ)
         for x in table.entries + [d]:
             for block in x.blocks:
                 spec = np.linalg.eigvalsh(block)

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qistate import actions
-from qistate.actions import (Automorphism, action_matrix, apply, close_group,
+from qistate.actions import (Automorphism, action_matrix, apply, apply_all, close_group,
                              compose, equal_as_maps, identity_automorphism,
                              inverse, predual)
-from qistate.algebra import AlgebraDescriptor, AlgebraElement, identity, vec
+from qistate.algebra import (AlgebraDescriptor, AlgebraElement, identity, stack_blocks,
+                             vec)
 from qistate.cli import parse_instance
 from qistate.instances import (clock_matrix, conjugate_generator,
                                inner_generator, permutation_generator,
-                               random_unitary, shift_matrix)
+                               random_group, random_unitary, shift_matrix)
 from qistate.matcore import InputError, TOL_EQ
 
 REPO_INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -142,6 +143,28 @@ def test_action_matrix_is_multiplicative(dims, seed):
     h = dimension_preserving_automorphism(rng, desc)
     assert np.linalg.norm(action_matrix(compose(g, h))
                           - action_matrix(g) @ action_matrix(h), 2) < 1e-12
+
+
+# three equal blocks, so that the group may cycle them (perm != inv_perm)
+cyclable_dims = block_dims | st.integers(1, 3).map(lambda n: (n, n, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyclable_dims, seeds, st.integers(0, 3))
+def test_apply_all_matches_apply(dims, seed, batch):
+    # batch 0: the blocks of one element; otherwise a leading axis of that size
+    rng = np.random.default_rng(seed)
+    desc = AlgebraDescriptor(dims)
+    group = random_group(rng, desc)
+    elements = [random_element(rng, desc) for _ in range(max(batch, 1))]
+    out = apply_all(group, stack_blocks(elements) if batch else elements[0].blocks)
+    for k, g in enumerate(group.elements):
+        for b, a in enumerate(elements):
+            for s, expected in zip(out, apply(g, a).blocks):
+                got = s[k, b] if batch else s[k]
+                assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+    assert [s.shape for s in out] == [(group.order,) + ((batch,) if batch else ()) + (n, n)
+                                      for n in dims]
 
 
 def test_equal_as_maps_phase_freedom(rng):

@@ -70,20 +70,20 @@ def test_gamma_properties_random(rng):
 
 def test_fixed_density_invariant_state():
     phi, grp = invariant_qubit()
-    d = fixed_density_d(build_table(phi, grp), TOL_EQ)
+    d, _ = fixed_density_d(build_table(phi, grp), TOL_EQ)
     assert (d - identity(phi.descriptor)).op_norm() <= 1e-12
 
 
 def test_fixed_density_qubit_hand_value(qubit):
     # d = (1 + diag(2, 1/2)) / 2 = diag(3/2, 3/4)
-    d = fixed_density_d(build_table(qubit.phi, qubit.group), TOL_EQ)
+    d, _ = fixed_density_d(build_table(qubit.phi, qubit.group), TOL_EQ)
     assert np.allclose(d.blocks[0], np.diag([1.5, 0.75]))
     assert evaluate(qubit.phi, d).real == pytest.approx(1.0)
 
 
 def test_fixed_density_c2_hand_value(c2_swap):
     # mean of (1,1) and (3, 1/3)
-    d = fixed_density_d(build_table(c2_swap.phi, c2_swap.group), TOL_EQ)
+    d, _ = fixed_density_d(build_table(c2_swap.phi, c2_swap.group), TOL_EQ)
     assert d.blocks[0][0, 0].real == pytest.approx(2.0)
     assert d.blocks[1][0, 0].real == pytest.approx(2 / 3)
 
@@ -91,9 +91,12 @@ def test_fixed_density_c2_hand_value(c2_swap):
 def test_fixed_density_is_gamma_fixed(rng):
     inst = random_instance(rng)
     table = build_table(inst.phi, inst.group)
-    d = fixed_density_d(table, TOL_EQ)
+    d, residual = fixed_density_d(table, TOL_EQ)
     for i in range(inst.group.order):
         assert (gamma_map(table, i, d) - d).op_norm() < 1e-9 * max(1.0, d.op_norm())
+    # the stacked residual is the loop's max_g ||Gamma_g(d) - d||
+    loop = max((gamma_map(table, i, d) - d).op_norm() for i in range(inst.group.order))
+    assert abs(residual - loop) <= 1e-12
 
 
 def test_invariant_state_qubit_is_tracial(qubit):
@@ -144,7 +147,7 @@ def test_cocycle_from_d_identity_case():
 def test_cocycle_from_d_qubit_hand_value(qubit):
     # d X d^-1 X = diag(3/2 * 4/3, 3/4 * 2/3) = diag(2, 1/2)
     table = build_table(qubit.phi, qubit.group)
-    x = cocycle_from_d(table, fixed_density_d(table, TOL_EQ), 1)
+    x = cocycle_from_d(table, fixed_density_d(table, TOL_EQ)[0], 1)
     assert np.allclose(x.blocks[0], np.diag([2.0, 0.5]))
 
 
@@ -177,7 +180,7 @@ def test_strong_case_qubit(qubit):
     an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
     checks = strong_case_check(an)
     assert checks.passed
-    d = fixed_density_d(an.table, TOL_EQ)
+    d, _ = fixed_density_d(an.table, TOL_EQ)
     spec = np.linalg.eigvalsh(d.blocks[0])
     assert spec.min() >= 0.5 - 1e-12 and spec.max() <= 2.0 + 1e-12
     g = qubit.group.elements[1]

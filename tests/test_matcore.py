@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qistate.matcore import (InputError, PreconditionError, dagger, herm_eig,
-                             imag_power, min_sv, op_norm, psd_sqrt)
+                             imag_power, min_sv, op_norm, op_norms, psd_sqrt)
 
 
 def random_hermitian(rng, n):
@@ -130,3 +130,11 @@ def test_op_norm_submultiplicative(rng):
 
 def test_min_sv():
     assert min_sv(np.diag([3.0, 0.25])) == pytest.approx(0.25)
+
+
+def test_op_norms_match_op_norm_per_matrix(rng):
+    stack = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
+    norms = op_norms(stack)
+    assert norms.shape == (7,)
+    # equal to the last bit, so stacked sweeps report what per-matrix loops did
+    assert np.array_equal(norms, [op_norm(m) for m in stack])
