@@ -71,24 +71,22 @@ def apply(g: Automorphism, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.descriptor, blocks)
 
 
-def apply_all(group: "FiniteGroup", blocks) -> list:
-    """g(a) for every element g of ``group``, from the blocks of a.
+def apply_all(group: "FiniteGroup", a: AlgebraElement) -> AlgebraElement:
+    """g(a) for every element g of ``group``, with the group axis first.
 
-    Block i of the result is the (|G|, ..., n_i, n_i) stack of
-    u_i a_{perm^-1(i)} u_i* over the group, in element order.  The blocks
-    may carry leading batch axes (the same on every block); they follow the
-    group axis.
+    Block i is the stack of u_i a_{perm^-1(i)} u_i* over the group, in
+    element order; the batch axes of ``a`` follow the group axis.
     """
     out = []
     for u, src in zip(group.unitary_stacks, group.source_blocks):
-        a = blocks[src[0]]
-        u = u.reshape(u.shape[:1] + (1,) * (a.ndim - 2) + u.shape[1:])
-        res = np.empty(u.shape[:1] + a.shape, dtype=complex)
+        b = a.blocks[src[0]]
+        u = u.reshape(u.shape[:1] + (1,) * (b.ndim - 2) + u.shape[1:])
+        res = np.empty(u.shape[:1] + b.shape, dtype=complex)
         for j in set(src.tolist()):
             sel = src == j
-            res[sel] = u[sel] @ blocks[j] @ dagger(u[sel])
+            res[sel] = u[sel] @ a.blocks[j] @ dagger(u[sel])
         out.append(res)
-    return out
+    return AlgebraElement(a.descriptor, out)
 
 
 def compose(g: Automorphism, h: Automorphism) -> Automorphism:
@@ -110,10 +108,14 @@ def inverse(g: Automorphism) -> Automorphism:
 def predual(g: Automorphism, rho: AlgebraElement) -> AlgebraElement:
     """Predual action on densities: tr(predual(g, rho) a) = tr(rho g(a)).
 
-    Since block automorphisms preserve the total trace this is just
-    g^-1 applied to the density.
+    Since block automorphisms preserve the total trace this is just g^-1
+    applied to the density, read off g's own unitaries: block j is
+    u_p* rho_p u_p with p = perm(j).
     """
-    return apply(inverse(g), rho)
+    if g.descriptor != rho.descriptor:
+        raise InputError("automorphism and element live on different algebras")
+    return AlgebraElement(rho.descriptor, [dagger(g.unitaries[p]) @ rho.blocks[p]
+                                           @ g.unitaries[p] for p in g.perm])
 
 
 def action_matrix(g: Automorphism) -> np.ndarray:
@@ -265,9 +267,6 @@ class FiniteGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def identity_index(self) -> int:
-        return 0
 
     def element_index(self, g: Automorphism, tol: float = TOL_EQ) -> int:
         i = self.index.find(g, tol)

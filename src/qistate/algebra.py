@@ -1,11 +1,16 @@
 """Finite-dimensional von Neumann algebras as direct sums of matrix blocks.
 
 An algebra is described by its block dimensions (n_1, ..., n_k); its
-elements are lists of dense complex blocks.  Normal states are stored by
-their density matrix.  The Hilbert-Schmidt space of block matrices doubles
-as the GNS space: vectors use the same block layout as algebra elements,
-the algebra acts by left multiplication, and the cyclic vector of a
-faithful state is the positive root of its density.
+elements are lists of dense complex blocks.  An element may also stand for
+a stack of elements: every block then carries the same leading batch shape,
+arithmetic broadcasts over it, the reductions (``op_norm``,
+``herm_residual``, ``min_eig``, ``min_sv``) take the worst case over it,
+and ``x[k]`` indexes it.  So one expression states a law for one element
+or for every group element at once.  Normal states are stored by their
+density matrix.  The Hilbert-Schmidt space of block matrices doubles as
+the GNS space: vectors use the same block layout as algebra elements, the
+algebra acts by left multiplication, and the cyclic vector of a faithful
+state is the positive root of its density.
 
 Vectorization convention for linear operators on the Hilbert-Schmidt
 space: block-major, column-major within each block.
@@ -42,21 +47,38 @@ class AlgebraDescriptor:
 
 
 class AlgebraElement:
-    """One complex n_i x n_i block per summand of the algebra."""
+    """One complex n_i x n_i block per summand of the algebra; every block
+    may carry the same leading batch shape, making the element a stack."""
 
     __slots__ = ("descriptor", "blocks")
 
     def __init__(self, descriptor: AlgebraDescriptor, blocks):
         blocks = [matcore.as_square(b) for b in blocks]
-        dims = tuple(b.shape[0] for b in blocks)
+        dims = tuple(b.shape[-1] for b in blocks)
         if dims != descriptor.block_dims:
             raise InputError(
                 f"block shapes {dims} do not match descriptor {descriptor.block_dims}"
             )
+        batches = {b.shape[:-2] for b in blocks}
+        if len(batches) > 1:
+            raise InputError(f"blocks carry different batch shapes {sorted(batches)}")
         self.descriptor = descriptor
         self.blocks = blocks
 
-    # -- arithmetic ---------------------------------------------------------
+    @property
+    def batch(self) -> tuple:
+        """Leading batch shape; () for a single element."""
+        return self.blocks[0].shape[:-2]
+
+    def __getitem__(self, k):
+        """Index the batch axes."""
+        return AlgebraElement(self.descriptor, [b[k] for b in self.blocks])
+
+    def __iter__(self):
+        """The elements along the first batch axis."""
+        return (self[k] for k in range(self.batch[0]))
+
+    # -- arithmetic (broadcasts over batch axes) -----------------------------
     def __add__(self, other):
         _same_descriptor(self, other)
         return AlgebraElement(self.descriptor,
@@ -83,20 +105,25 @@ class AlgebraElement:
     def inv(self):
         return AlgebraElement(self.descriptor, [np.linalg.inv(b) for b in self.blocks])
 
-    def trace(self) -> complex:
-        return complex(sum(np.trace(b) for b in self.blocks))
+    def mean(self):
+        """Average over the first batch axis."""
+        scale = 1.0 / self.batch[0]
+        return AlgebraElement(self.descriptor, [np.sum(b, axis=0) * scale for b in self.blocks])
 
+    def trace(self):
+        """sum_i tr(a_i): a complex number, or an array over the batch."""
+        return sum(b.trace(axis1=-2, axis2=-1) for b in self.blocks)
+
+    # -- reductions: the worst case over the batch ---------------------------
     def op_norm(self) -> float:
         return max(matcore.op_norm(b) for b in self.blocks)
 
     def hs_norm(self) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in self.blocks)))
+        return float(np.max(np.sqrt(sum(np.linalg.norm(b, axis=(-2, -1)) ** 2
+                                        for b in self.blocks))))
 
     def herm_residual(self) -> float:
         return max(matcore.herm_residual(b) for b in self.blocks)
-
-    def is_hermitian(self, tol: float = TOL_EQ) -> bool:
-        return self.herm_residual() <= tol * max(1.0, self.op_norm())
 
     def min_eig(self, tol_herm: float = TOL_HERM) -> float:
         return min(matcore.min_eig(b, tol_herm=tol_herm) for b in self.blocks)
@@ -149,38 +176,43 @@ def matrix_unit_basis(descriptor: AlgebraDescriptor):
 # -- vectorization of the Hilbert-Schmidt space -----------------------------
 
 def vec(x: AlgebraElement) -> np.ndarray:
-    """Flatten to coordinates: block-major, column-major within a block."""
-    return vec_blocks(x.blocks)
-
-
-def vec_blocks(blocks) -> np.ndarray:
-    """Coordinates of ``vec`` along the last axis, from blocks that may carry
-    leading batch axes."""
+    """Coordinates along the last axis, block-major and column-major within
+    a block; the batch axes of ``x`` lead."""
     return np.concatenate([np.swapaxes(b, -1, -2).reshape(b.shape[:-2] + (-1,))
-                           for b in blocks], axis=-1)
+                           for b in x.blocks], axis=-1)
 
 
 def unvec(descriptor: AlgebraDescriptor, v: np.ndarray) -> AlgebraElement:
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != descriptor.dim:
-        raise InputError(f"vector length {v.size} != descriptor dim {descriptor.dim}")
-    return AlgebraElement(descriptor, unvec_blocks(descriptor, v))
-
-
-def unvec_blocks(descriptor: AlgebraDescriptor, v: np.ndarray) -> list:
-    """Blocks from coordinates along the last axis of ``v``; its leading
-    axes become batch axes of every block."""
+    """Element from coordinates along the last axis of ``v``; its leading
+    axes become batch axes."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape[-1:] != (descriptor.dim,):
+        raise InputError(f"vector shape {v.shape} does not end in descriptor dim {descriptor.dim}")
     blocks, ofs = [], 0
     for n in descriptor.block_dims:
         seg = v[..., ofs:ofs + n * n].reshape(v.shape[:-1] + (n, n))
         blocks.append(np.swapaxes(seg, -1, -2))
         ofs += n * n
-    return blocks
+    return AlgebraElement(descriptor, blocks)
 
 
-def stack_blocks(elements) -> list:
-    """Block i of every element, stacked as one (len(elements), n_i, n_i) array."""
-    return [np.stack(bs) for bs in zip(*(x.blocks for x in elements))]
+def stack(elements) -> AlgebraElement:
+    """The elements as one element with a new leading batch axis."""
+    elements = list(elements)
+    return AlgebraElement(elements[0].descriptor,
+                          [np.stack(bs) for bs in zip(*(x.blocks for x in elements))])
+
+
+# A sweep over pairs stacks at most this many elements at once.
+STACK_LIMIT = 1024
+
+
+def batch_slices(n: int, inner: int) -> list:
+    """Consecutive slices of range(n) for a sweep in which each index
+    stacks ``inner`` elements: each slice takes STACK_LIMIT // inner
+    indices, and at least one."""
+    width = max(1, STACK_LIMIT // inner)
+    return [slice(k, k + width) for k in range(0, n, width)]
 
 
 def l2_inner(xi: L2Vector, eta: L2Vector) -> complex:
@@ -244,17 +276,12 @@ def state_from_density(density: AlgebraElement, **kw) -> State:
     return State(density.descriptor, density, **kw)
 
 
-def evaluate(phi: State, a: AlgebraElement) -> complex:
-    """phi(a) = sum_i tr(rho_i a_i)."""
+def evaluate(phi: State, a: AlgebraElement):
+    """phi(a) = sum_i tr(rho_i a_i): a complex number, or an array over the
+    batch of a stack."""
     _same_descriptor(phi.density, a)
-    return complex(evaluate_blocks(phi, a.blocks))
-
-
-def evaluate_blocks(phi: State, blocks):
-    """phi on the blocks of an element, or on every element of a stack of
-    blocks with leading batch axes (an array of that batch shape)."""
     return sum((r @ b).trace(axis1=-2, axis2=-1)
-               for r, b in zip(phi.density.blocks, blocks))
+               for r, b in zip(phi.density.blocks, a.blocks))
 
 
 def is_faithful(phi: State, tol_pos: float = TOL_POS):

@@ -10,7 +10,7 @@ the upstream artifacts it consumes.  The check suites read them from here.
 from functools import cached_property
 
 from .actions import FiniteGroup
-from .algebra import State, density_power
+from .algebra import State, density_power, stack
 from .cocycle import build_table, is_strongly_qi
 from .expectation import commutant_f0, cond_expectation, e0_projection, fixed_algebra
 from .invariant import invariant_state
@@ -46,10 +46,10 @@ class Analysis:
 
     @cached_property
     def a(self):
-        """a_g for each group element, in group order."""
+        """a_g for each group element, stacked in group order."""
         x, inv = self.table.entries, self.group.inv
-        return [a_g(self.phi, g, self.roots, x[i], x[inv[i]], self.tol_eq, self.tol_pos)
-                for i, g in enumerate(self.group.elements)]
+        return stack(a_g(self.phi, g, self.roots, x[i], x[inv[i]], self.tol_eq, self.tol_pos)
+                     for i, g in enumerate(self.group.elements))
 
     @cached_property
     def unitaries(self):

@@ -49,7 +49,11 @@ def _complex_entry(value, path):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) for v in value)):
         raise InstanceFormatError(f"{path}: expected a [re, im] pair")
-    return complex(value[0], value[1])
+    z = complex(value[0], value[1])
+    # json accepts NaN and Infinity
+    if not np.isfinite(z):
+        raise InstanceFormatError(f"{path}: entry is not finite")
+    return z
 
 
 def _matrix(value, n, path):

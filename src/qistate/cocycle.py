@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .algebra import AlgebraElement, State, evaluate, require_faithful, stack_blocks
-from .actions import Automorphism, FiniteGroup, apply, inverse, predual
+from .algebra import AlgebraElement, State, evaluate, require_faithful, stack
+from .actions import Automorphism, FiniteGroup, apply, predual
 from .matcore import PreconditionError, TOL_EQ, TOL_POS, dagger
 from .reporting import Check, CheckSet, residual_check
 
@@ -53,17 +53,15 @@ def _cocycle_defect(phi: State, g: Automorphism, x: AlgebraElement) -> float:
 
 @dataclass
 class CocycleTable:
-    """All cocycle elements of a group and their inverses, indexed like the
-    group elements.  ``stacks[i]`` and ``inverse_stacks[i]`` hold block i of
-    every x_g and x_g^-1 as one (|G|, n_i, n_i) array."""
+    """All cocycle elements x_g of a group and their inverses, each as one
+    element stacked over the group: ``entries[k]`` is x_g for the group
+    element with index k."""
 
     phi: State
     group: FiniteGroup
-    entries: list
-    inverses: list
+    entries: AlgebraElement
+    inverses: AlgebraElement
     lambda_bound: float
-    stacks: list
-    inverse_stacks: list
 
 
 def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS,
@@ -73,62 +71,52 @@ def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS,
     When ``user_lambda`` is given, raises if it fails to dominate the
     computed bound.
     """
-    entries, inverses, lam = [], [], 0.0
+    entries = []
     for g in group:
         x = rn_cocycle(phi, g, tol_pos=tol_pos, tol_eq=tol_eq)
         if x.min_sv() <= tol_pos * max(1.0, x.op_norm()):
             raise PreconditionError("cocycle element is numerically singular")
-        x_inv = x.inv()
-        lam = max(lam, x.op_norm(), x_inv.op_norm())
         entries.append(x)
-        inverses.append(x_inv)
+    entries = stack(entries)
+    inverses = entries.inv()
+    lam = max(entries.op_norm(), inverses.op_norm())
     if user_lambda is not None and user_lambda < lam - tol_eq:
         raise PreconditionError(
             f"supplied bound {user_lambda} is below the computed bound {lam:.6g}"
         )
-    return CocycleTable(phi, group, entries, inverses, float(lam),
-                        stack_blocks(entries), stack_blocks(inverses))
+    return CocycleTable(phi, group, entries, inverses, float(lam))
 
 
 def verify_cocycle_identity(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check:
     """Chain rule over all pairs: x_{g2 g1} = x_{g1} g1^-1(x_{g2}).
 
-    For each g1, one stacked conjugation applies g1^-1 to every x_{g2} of
-    the table's block stacks and one batched norm gives all |G| residuals.
+    For each g1, one ``apply`` of g1^-1 to the whole table gives the law
+    for every g2 at once.
     """
-    grp, stacks = table.group, table.stacks
-    scale = max(1.0, max(float(np.max(matcore.op_norms(s))) for s in stacks))
+    grp, x = table.group, table.entries
     worst = 0.0
-    for i1, x1 in enumerate(table.entries):
-        g1inv = grp.elements[grp.inv[i1]]
-        lhs_rows = grp.mult[:, i1]
-        rhs = [x1.blocks[i] @ (u @ stacks[j] @ dagger(u))
-               for i, (u, j) in enumerate(zip(g1inv.unitaries, g1inv.inv_perm))]
-        worst = max(worst, matcore.max_op_distance([s[lhs_rows] for s in stacks], rhs))
+    for i1 in range(grp.order):
+        rhs = x[i1] @ apply(grp.elements[grp.inv[i1]], x)
+        worst = max(worst, (x[grp.mult[:, i1]] - rhs).op_norm())
     return residual_check("cocycle_identity", "x_{hg} = x_g g^-1(x_h)",
-                          worst, tol_eq, scale)
+                          worst, tol_eq, max(1.0, x.op_norm()))
 
 
 def verify_inverse_formula(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check:
     """Matrix inverse of x_g against g^-1(x_{g^-1})."""
-    grp, worst, scale = table.group, 0.0, 1.0
-    for i, g in enumerate(grp.elements):
-        lhs = table.inverses[i]
-        rhs = apply(inverse(g), table.entries[grp.inv[i]])
-        worst = max(worst, (lhs - rhs).op_norm())
-        scale = max(scale, lhs.op_norm())
+    grp, x = table.group, table.entries
+    worst = max((table.inverses[i] - predual(g, x[grp.inv[i]])).op_norm()
+                for i, g in enumerate(grp.elements))
     return residual_check("inverse_formula", "x_g^-1 = g^-1(x_{g^-1})",
-                          worst, tol_eq, scale)
+                          worst, tol_eq, max(1.0, table.inverses.op_norm()))
 
 
 def verify_adjoint_relation(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check:
     """rho x_g = x_g* rho, the density form of phi(x_g a) = phi(a x_g*)."""
-    rho, worst, scale = table.phi.density, 0.0, 1.0
-    for x in table.entries:
-        worst = max(worst, (rho @ x - x.adjoint() @ rho).op_norm())
-        scale = max(scale, x.op_norm())
+    rho, x = table.phi.density, table.entries
     return residual_check("adjoint_relation", "rho x_g = x_g* rho",
-                          worst, tol_eq, scale)
+                          (rho @ x - x.adjoint() @ rho).op_norm(), tol_eq,
+                          max(1.0, x.op_norm()))
 
 
 def is_strongly_qi(table: CocycleTable, tol_eq: float, tol_pos: float):
@@ -139,8 +127,8 @@ def is_strongly_qi(table: CocycleTable, tol_eq: float, tol_pos: float):
     [rho, x_g] = 0, and spectra inside [1/lambda, lambda].
     """
     checks = CheckSet()
-    herm = max(x.herm_residual() for x in table.entries)
-    scale = max(x.op_norm() for x in table.entries)
+    x = table.entries
+    herm, scale = x.herm_residual(), x.op_norm()
     strong = herm <= tol_eq * max(1.0, scale)
     checks.add(residual_check("self_adjoint", "x_g = x_g*", herm, tol_eq, scale,
                               asserted=False,
@@ -149,24 +137,22 @@ def is_strongly_qi(table: CocycleTable, tol_eq: float, tol_pos: float):
         return False, checks
 
     lam = table.lambda_bound
-    min_spec = min(x.min_eig() for x in table.entries)
-    max_spec = max(max(matcore.herm_eig(b)[0][-1] for b in x.blocks)
-                   for x in table.entries)
+    min_spec = x.min_eig()
+    max_spec = max(float(np.max(matcore.herm_eig(b)[0][..., -1])) for b in x.blocks)
     checks.add(residual_check("positive", "x_g > 0",
                               max(0.0, tol_pos - min_spec), tol_pos))
     checks.add(residual_check(
         "spectrum_window", "1/lambda <= x_g <= lambda",
         max(0.0, 1.0 / lam - min_spec, max_spec - lam), tol_eq, lam))
     comm = 0.0
-    for i, x in enumerate(table.entries):
-        for y in table.entries[i + 1:]:
-            comm = max(comm, (x @ y - y @ x).op_norm())
+    for k in range(table.group.order):    # x_g against every later x_h at once
+        xk, later = x[k], x[k + 1:]
+        comm = max(comm, (xk @ later - later @ xk).op_norm())
     checks.add(residual_check("pairwise_commuting", "[x_g, x_h] = 0",
                               comm, tol_eq, scale * scale))
     rho = table.phi.density
-    cent = max((rho @ x - x @ rho).op_norm() for x in table.entries)
     checks.add(residual_check("centralizer", "[rho, x_g] = 0",
-                              cent, tol_eq, scale))
+                              (rho @ x - x @ rho).op_norm(), tol_eq, scale))
     return checks.passed, checks
 
 
@@ -195,15 +181,15 @@ def sz_domination(phi: State, a: AlgebraElement, probes,
 
 
 def sandwich_check(table: CocycleTable, probes, tol_eq: float = TOL_EQ) -> Check:
-    """Two-sided bounds (1/lambda) phi(a) <= phi(x_g a), phi(a (x_g^-1)*) <= lambda phi(a)."""
-    phi, lam = table.phi, table.lambda_bound
+    """Two-sided bounds (1/lambda) phi(a) <= phi(x_g a), phi(a (x_g^-1)*) <= lambda phi(a),
+    for each probe a over the whole group at once."""
+    phi, lam, x = table.phi, table.lambda_bound, table.entries
+    x_inv_adj = table.inverses.adjoint()
     worst = 0.0
     for a in probes:
         base = evaluate(phi, a).real
-        for x, x_inv in zip(table.entries, table.inverses):
-            for val in (evaluate(phi, x @ a).real,
-                        evaluate(phi, a @ x_inv.adjoint()).real):
-                worst = max(worst, base / lam - val, val - lam * base)
+        for val in (evaluate(phi, x @ a).real, evaluate(phi, a @ x_inv_adj).real):
+            worst = max(worst, float(np.max(base / lam - val)), float(np.max(val - lam * base)))
     return residual_check("sandwich", "phi(a)/lambda <= phi(x_g a), phi(a (x_g^-1)*) <= lambda phi(a)",
                           max(0.0, worst), tol_eq, lam)
 

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraDescriptor, AlgebraElement, State, evaluate, evaluate_blocks,
+from .algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices, evaluate,
                       identity, left_mult_matrix, matrix_unit_basis, require_faithful,
-                      stack_blocks, unvec, unvec_blocks, vec_blocks)
-from .actions import FiniteGroup, action_matrix, apply_all, predual
+                      stack, unvec, vec)
+from .actions import FiniteGroup, action_matrix, apply_all
 from .cocycle import random_probe
-from .matcore import PreconditionError, dagger, max_op_distance, op_norms
+from .matcore import PreconditionError, dagger
 from .reporting import Check, CheckSet, residual_check
 from .standard_form import L2Operator
 
@@ -50,28 +50,23 @@ def _joint_fixed_vectors(mats, n: int, cutoff: float) -> np.ndarray:
 @dataclass
 class FixedAlgebra:
     """Fixed points of the action: the columns of ``q`` are a Hilbert-Schmidt
-    orthonormal basis of B in vec coordinates.  ``blocks`` holds that basis
-    as one (dim B, n_i, n_i) stack per block, ``basis`` as elements."""
+    orthonormal basis of B in vec coordinates, and ``basis`` is that basis
+    as one element stacked over its dim B members."""
 
     descriptor: AlgebraDescriptor
     q: np.ndarray
 
     def __post_init__(self):
-        self.blocks = unvec_blocks(self.descriptor, self.q.T)
-        self.basis = [unvec(self.descriptor, col) for col in self.q.T]
+        self.basis = unvec(self.descriptor, self.q.T)
 
     @property
     def dimension(self) -> int:
         return self.q.shape[1]
 
-    def span_distances(self, blocks) -> np.ndarray:
-        """Hilbert-Schmidt distance to B, |a - Q Q* a|, of each element of a
-        stack of blocks with leading batch axes."""
-        v = vec_blocks(blocks)
-        return np.linalg.norm(v - (v @ np.conj(self.q)) @ self.q.T, axis=-1)
-
     def span_distance(self, a: AlgebraElement) -> float:
-        return float(self.span_distances(a.blocks))
+        """Hilbert-Schmidt distance to B, |a - Q Q* a|; the largest over a stack."""
+        v = vec(a)
+        return float(np.max(np.linalg.norm(v - (v @ np.conj(self.q)) @ self.q.T, axis=-1)))
 
 
 def closure_residual(fa: FixedAlgebra) -> float:
@@ -80,10 +75,9 @@ def closure_residual(fa: FixedAlgebra) -> float:
     Takes every b* at once, then loops over b with every c at once, so no
     intermediate holds a dim B^2 family.
     """
-    worst = float(np.max(fa.span_distances([dagger(s) for s in fa.blocks]), initial=0.0))
-    for k in range(fa.dimension):
-        worst = max(worst, float(np.max(fa.span_distances([s[k] @ s for s in fa.blocks]))))
-    return worst
+    b = fa.basis
+    return max([fa.span_distance(b.adjoint())]
+               + [fa.span_distance(b[k] @ b) for k in range(fa.dimension)])
 
 
 def fixed_algebra(group: FiniteGroup, tol_eq: float, tol_pos: float) -> FixedAlgebra:
@@ -92,7 +86,7 @@ def fixed_algebra(group: FiniteGroup, tol_eq: float, tol_pos: float) -> FixedAlg
     fa = FixedAlgebra(desc, _joint_fixed_vectors(
         [action_matrix(g) for g in group.elements[1:]], desc.dim, tol_pos))
     worst = closure_residual(fa)
-    norm = max(float(np.max(op_norms(s), initial=1.0)) for s in fa.blocks)
+    norm = max(1.0, fa.basis.op_norm())
     if worst > tol_eq * max(1.0, norm ** 2):
         raise PreconditionError(f"fixed space is not closed under product/adjoint: {worst:.3e}")
     return fa
@@ -105,22 +99,16 @@ class ConditionalExpectation:
     group: FiniteGroup
     fixed: FixedAlgebra
 
-    def average(self, blocks) -> list:
-        """(1/|G|) sum_g g(a) from the blocks of a, which may carry leading
-        batch axes."""
-        return [np.sum(s, axis=0) * (1.0 / self.group.order)
-                for s in apply_all(self.group, blocks)]
-
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(a.descriptor, self.average(a.blocks))
+        """(1/|G|) sum_g g(a), for one element or each element of a stack."""
+        return apply_all(self.group, a).mean()
 
 
 def cond_expectation(psi: State, group: FiniteGroup, fixed: FixedAlgebra,
                      tol_eq: float, tol_pos: float) -> ConditionalExpectation:
     """The averaging expectation onto ``fixed``, admissible only for an invariant faithful psi."""
     require_faithful(psi, tol_pos)
-    worst = max((predual(g, psi.density) - psi.density).op_norm()
-                for g in group.elements)
+    worst = (apply_all(group, psi.density) - psi.density).op_norm()
     if worst > tol_eq * max(1.0, psi.density.op_norm()):
         raise PreconditionError(f"state is not invariant: residual {worst:.3e}")
     return ConditionalExpectation(group, fixed)
@@ -130,43 +118,41 @@ def expectation_checks(an, rng=None, n_probes: int = 4) -> CheckSet:
     """Defining properties: range, idempotence, unitality, positivity,
     invariance of psi, bimodule law over the fixed basis.
 
-    The probes are averaged as one stack; the bimodule sweep loops over b
-    and takes every c at once, so no intermediate holds a dim B^2 family.
+    The probes and the matrix units are each averaged as one stack; the
+    bimodule law takes every c and as many b at once as ``batch_slices``
+    allows, probe by probe.
     """
     rng = rng or np.random.default_rng(0)
     psi, Phi, tol_eq = an.certificate.psi, an.Phi, an.tol_eq
-    desc = psi.descriptor
+    desc, order = psi.descriptor, Phi.group.order
     checks = CheckSet()
-    probes = [random_probe(rng, desc) for _ in range(n_probes)]
+    probes = stack(random_probe(rng, desc) for _ in range(n_probes))
     ident = identity(desc)
-    stacked = stack_blocks(probes)
-    phi_probes = Phi.average(stacked)
+    phi_probes = Phi(probes)
 
     checks.add(residual_check("range", "Phi(a) is a fixed point",
-                              float(np.max(Phi.fixed.span_distances(phi_probes))), tol_eq))
+                              Phi.fixed.span_distance(phi_probes), tol_eq))
     checks.add(residual_check("idempotent", "Phi(Phi(a)) = Phi(a)",
-                              max_op_distance(Phi.average(phi_probes), phi_probes), tol_eq))
+                              (Phi(phi_probes) - phi_probes).op_norm(), tol_eq))
     checks.add(residual_check("unital", "Phi(1) = 1",
                               (Phi(ident) - ident).op_norm(), tol_eq))
-    squares = [s @ dagger(s) for s in stacked]
-    pos_defect = 0.0
-    for p, phi_p in zip(zip(*squares), zip(*Phi.average(squares))):
-        p, phi_p = AlgebraElement(desc, p), AlgebraElement(desc, phi_p)
-        pos_defect = max(pos_defect, max(0.0, -phi_p.min_eig() / max(1.0, p.op_norm())))
+    squares = probes @ probes.adjoint()
+    phi_squares = Phi(squares)
+    pos_defect = max(max(0.0, -phi_squares[p].min_eig() / max(1.0, squares[p].op_norm()))
+                     for p in range(n_probes))
     checks.add(residual_check("positive", "Phi(a* a) >= 0", pos_defect, tol_eq))
+    units = unvec(desc, np.eye(desc.dim))
     checks.add(residual_check(
         "state_invariance", "psi(Phi(a)) = psi(a)",
-        max(abs(evaluate_blocks(psi, Phi.average(a.blocks)) - evaluate(psi, a))
-            for a in matrix_unit_basis(desc)), tol_eq))
+        max(float(np.max(np.abs(evaluate(psi, Phi(units[us])) - evaluate(psi, units[us]))))
+            for us in batch_slices(desc.dim, order)), tol_eq))
     worst = 0.0
-    basis = Phi.fixed.blocks
-    for p, a in enumerate(probes[:2]):
-        phi_a, scale = [s[p] for s in phi_probes], max(1.0, a.op_norm())
-        for k in range(Phi.fixed.dimension):
-            b = [s[k] for s in basis]
-            lhs = Phi.average([x @ y @ c for x, y, c in zip(b, a.blocks, basis)])
-            rhs = [x @ y @ c for x, y, c in zip(b, phi_a, basis)]
-            worst = max(worst, max_op_distance(lhs, rhs) / scale)
+    c = Phi.fixed.basis
+    for p in range(2):
+        a, phi_a, scale = probes[p], phi_probes[p], max(1.0, probes[p].op_norm())
+        for bs in batch_slices(Phi.fixed.dimension, order * Phi.fixed.dimension):
+            b = c[bs, None]
+            worst = max(worst, (Phi(b @ a @ c) - b @ phi_a @ c).op_norm() / scale)
     checks.add(residual_check("bimodule", "Phi(b a c) = b Phi(a) c for fixed b, c",
                               worst, tol_eq))
     return checks
@@ -282,8 +268,8 @@ def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float,
     for i in range(k):
         for j in range(k):
             ni, nj = dims[i], dims[j]
-            rows = [np.kron(np.eye(nj), b.blocks[i]) - np.kron(b.blocks[j].T, np.eye(ni))
-                    for b in fa.basis]
+            rows = [np.kron(np.eye(nj), bi) - np.kron(bj.T, np.eye(ni))
+                    for bi, bj in zip(fa.basis.blocks[i], fa.basis.blocks[j])]
             basis_mat = _kernel_onb(np.vstack(rows), tol_pos)
             homs[(i, j)] = [basis_mat[:, t].reshape((ni, nj), order="F")
                             for t in range(basis_mat.shape[1])]
@@ -309,7 +295,6 @@ def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float,
     comm_res = 0.0
     for (i, j), qs in homs.items():
         for q in qs[:2]:
-            for b in fa.basis:
-                comm_res = max(comm_res, float(np.linalg.norm(
-                    b.blocks[i] @ q - q @ b.blocks[j])))
+            for bi, bj in zip(fa.basis.blocks[i], fa.basis.blocks[j]):
+                comm_res = max(comm_res, float(np.linalg.norm(bi @ q - q @ bj)))
     return CommutantReport(f0, commutant_dim, id_res <= tol_eq * 1.0, id_res, comm_res)

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, State, evaluate, evaluate_blocks,
-                      matrix_unit_basis, state_from_density)
-from .actions import apply, apply_all, inverse, predual
+from .algebra import (AlgebraElement, State, batch_slices, evaluate, stack,
+                      state_from_density, unvec)
+from .actions import apply, apply_all, predual
 from .cocycle import CocycleTable, random_probe
-from .matcore import PreconditionError, TOL_EQ, TOL_POS, dagger, max_op_distance
+from .matcore import PreconditionError, TOL_EQ, TOL_POS
 from .reporting import CheckSet, residual_check
 
 
@@ -27,81 +27,71 @@ def gamma_map(table: CocycleTable, i: int, a: AlgebraElement) -> AlgebraElement:
     return table.entries[group.inv[i]] @ apply(group.elements[i], a)
 
 
-def _gamma_all(table: CocycleTable, blocks) -> list:
-    """Gamma_g(a) = x_{g^-1} g(a) for every g, from the blocks of a: one
-    (|G|, ..., n_i, n_i) stack per block, as ``apply_all`` lays it out."""
-    inv = table.group.inv
-    out = []
-    for x, ga in zip(table.stacks, apply_all(table.group, blocks)):
-        x = x[inv]
-        out.append(x.reshape(x.shape[:1] + (1,) * (ga.ndim - 3) + x.shape[1:]) @ ga)
-    return out
+def _gamma_all(xi: AlgebraElement, group, a: AlgebraElement) -> AlgebraElement:
+    """Gamma_g(a) = x_{g^-1} g(a) for every g, with the group axis first and
+    the batch axes of ``a`` after it; ``xi`` is the table's entries
+    gathered at ``group.inv``, so that ``xi[k]`` is x_{g^-1} for the
+    element g with index k."""
+    return xi[(slice(None),) + (None,) * len(a.batch)] @ apply_all(group, a)
 
 
 def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
     """The five algebraic properties of the Gamma maps, over the whole group.
 
-    Each law is evaluated for all g at once on stacked blocks; a sweep over
-    pairs loops over its second index, so that no intermediate holds a
-    |G|^2 family.
+    Each law is one expression on group-stacked elements.  A law over
+    pairs (g, h) takes every g and as many h at once as ``batch_slices``
+    allows: all of them on groups of order up to 32.
     """
     rng = rng or np.random.default_rng(0)
     table, tol_eq = an.table, an.tol_eq
-    phi, group = table.phi, table.group
+    phi, group, x = table.phi, table.group, table.entries
+    xi, xi_inv = x[group.inv], table.inverses[group.inv]    # x_{g^-1}, its inverse
     checks = CheckSet()
-    probes = [random_probe(rng, phi.descriptor) for _ in range(n_probes)]
-    gammas = [_gamma_all(table, a.blocks) for a in probes]
-    inv = np.array(group.inv)
+    probes = stack(random_probe(rng, phi.descriptor) for _ in range(n_probes))
+    norms = [a.op_norm() for a in probes]
+    gammas = _gamma_all(xi, group, probes)    # [g, p] = Gamma_g(a_p)
+    pairs = batch_slices(group.order, group.order)
 
-    # (i) Gamma_g(x_h) = x_{h g^-1}
-    worst = 0.0
-    for h in range(group.order):
-        lhs = _gamma_all(table, [s[h] for s in table.stacks])
-        rows = group.mult[h, inv]
-        worst = max(worst, max_op_distance(lhs, [s[rows] for s in table.stacks]))
+    # (i) Gamma_g(x_h) = x_{h g^-1}; rows[g, h] is the index of h g^-1
+    rows = group.mult[:, group.inv].T
+    worst = max((_gamma_all(xi, group, x[hs]) - x[rows[:, hs]]).op_norm()
+                for hs in pairs)
     checks.add(residual_check("gamma_permutes_cocycle", "Gamma_g(x_h) = x_{h g^-1}",
                               worst, tol_eq, table.lambda_bound))
 
-    # (ii) Gamma_{gh} = Gamma_g o Gamma_h
+    # (ii) Gamma_{gh} = Gamma_g o Gamma_h; ga[group.mult][g, h] is Gamma_{gh}(a)
     worst = 0.0
-    for a, ga in zip(probes, gammas):
-        scale = max(1.0, a.op_norm())
-        for h in range(group.order):
-            lhs = [s[group.mult[:, h]] for s in ga]
-            rhs = _gamma_all(table, [s[h] for s in ga])
-            worst = max(worst, max_op_distance(lhs, rhs) / scale)
+    for p in range(n_probes):
+        ga = gammas[:, p]
+        for hs in pairs:
+            lhs = ga[group.mult[:, hs]]
+            worst = max(worst, (lhs - _gamma_all(xi, group, ga[hs])).op_norm()
+                        / max(1.0, norms[p]))
     checks.add(residual_check("gamma_multiplicative", "Gamma_{gh} = Gamma_g Gamma_h",
                               worst, tol_eq, table.lambda_bound ** 2))
 
-    # (iii) phi o Gamma_g = phi
-    worst = 0.0
-    for a in matrix_unit_basis(phi.descriptor):
-        lhs = evaluate_blocks(phi, _gamma_all(table, a.blocks))
-        worst = max(worst, float(np.max(np.abs(lhs - evaluate(phi, a)))))
+    # (iii) phi o Gamma_g = phi, on the matrix units
+    units = unvec(phi.descriptor, np.eye(phi.descriptor.dim))
+    worst = max(float(np.max(np.abs(evaluate(phi, _gamma_all(xi, group, units[us]))
+                                    - evaluate(phi, units[us]))))
+                for us in batch_slices(phi.descriptor.dim, group.order))
     checks.add(residual_check("gamma_preserves_state", "phi(Gamma_g(a)) = phi(a)",
                               worst, tol_eq))
 
-    # (iv) Gamma_g(ab) = Gamma_g(a) (x_{g^-1})^-1 Gamma_g(b)
-    worst = 0.0
-    xinv = [s[inv] for s in table.inverse_stacks]
-    for a, ga in zip(probes[:2], gammas[:2]):
-        for b, gb in zip(probes[2:], gammas[2:]):
-            lhs = _gamma_all(table, (a @ b).blocks)
-            rhs = [p @ q @ r for p, q, r in zip(ga, xinv, gb)]
-            worst = max(worst, max_op_distance(lhs, rhs)
-                        / max(1.0, a.op_norm() * b.op_norm()))
+    # (iv) Gamma_g(ab) = Gamma_g(a) (x_{g^-1})^-1 Gamma_g(b), with a among the
+    # first two probes and b among the others
+    lhs = _gamma_all(xi, group, probes[:2, None] @ probes[None, 2:])
+    diff = lhs - gammas[:, :2, None] @ xi_inv[:, None, None] @ gammas[:, None, 2:]
+    worst = max(diff[:, i, j].op_norm() / max(1.0, norms[i] * norms[2 + j])
+                for i in range(2) for j in range(n_probes - 2))
     checks.add(residual_check("gamma_twisted_product",
                               "Gamma_g(ab) = Gamma_g(a) x_{g^-1}^-1 Gamma_g(b)",
                               worst, tol_eq, table.lambda_bound ** 2))
 
     # (v) Gamma_g(a)* = (x_{g^-1})^-1 Gamma_g(a*) (x_{g^-1})*
-    worst = 0.0
-    x = [s[inv] for s in table.stacks]
-    for a, ga in zip(probes, gammas):
-        rhs = [p @ q @ dagger(r)
-               for p, q, r in zip(xinv, _gamma_all(table, a.adjoint().blocks), x)]
-        lhs = [dagger(s) for s in ga]
-        worst = max(worst, max_op_distance(lhs, rhs) / max(1.0, a.op_norm()))
+    rhs = xi_inv[:, None] @ _gamma_all(xi, group, probes.adjoint()) @ xi.adjoint()[:, None]
+    diff = gammas.adjoint() - rhs
+    worst = max(diff[:, p].op_norm() / max(1.0, norms[p]) for p in range(n_probes))
     checks.add(residual_check("gamma_adjoint",
                               "Gamma_g(a)* = x_{g^-1}^-1 Gamma_g(a*) x_{g^-1}*",
                               worst, tol_eq, table.lambda_bound ** 2))
@@ -114,11 +104,8 @@ def fixed_density_d(table: CocycleTable, tol_eq: float) -> tuple:
     Exact for finite groups because Gamma_g permutes the x_h.  Returns d
     and its Gamma-fixedness residual max_g ||Gamma_g(d) - d||.
     """
-    d = table.entries[0]
-    for x in table.entries[1:]:
-        d = d + x
-    d = (1.0 / table.group.order) * d
-    worst = max_op_distance(_gamma_all(table, d.blocks), d.blocks)
+    d = table.entries.mean()
+    worst = (_gamma_all(table.entries[table.group.inv], table.group, d) - d).op_norm()
     if worst > tol_eq * max(1.0, d.op_norm()):
         raise PreconditionError(f"averaged element is not Gamma-fixed: residual {worst:.3e}")
     defect = abs(evaluate(table.phi, d) - 1.0)
@@ -158,7 +145,7 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
         raise PreconditionError(f"rho d is not PSD: min eigenvalue {mn:.3e}")
     psi = state_from_density(rho_psi, tol_eq=max(tol_eq, 1e-9), tol_pos=tol_pos)
 
-    inv_res = max((predual(g, rho_psi) - rho_psi).op_norm() for g in group.elements)
+    inv_res = (apply_all(group, rho_psi) - rho_psi).op_norm()
     # psi is sandwiched between phi/lambda and lambda*phi, hence faithful.
     margin = mn - (phi.density.min_eig() / table.lambda_bound)
     residuals = {
@@ -188,13 +175,13 @@ def cocycle_from_d(table: CocycleTable, d: AlgebraElement, i: int,
     d_inv = d.inv()
     rho_d = phi.density @ d
     rho_psi = 0.5 * (rho_d + rho_d.adjoint())
-    worst = max((predual(h, rho_psi) - rho_psi).op_norm()
-                for h in (g, inverse(g)))
+    worst = max((apply(g, rho_psi) - rho_psi).op_norm(),
+                (predual(g, rho_psi) - rho_psi).op_norm())
     if worst > tol_eq * max(1.0, rho_psi.op_norm()):
         raise PreconditionError(
             f"phi(d .) is not invariant under g: residual {worst:.3e}"
         )
-    x = d @ apply(inverse(g), d_inv)
+    x = d @ predual(g, d_inv)
     direct = table.entries[i]
     defect = (x - direct).op_norm()
     if defect > tol_eq * max(1.0, direct.op_norm()):
@@ -219,7 +206,8 @@ def strong_case_check(an) -> CheckSet:
     lo, hi = d.min_eig(), max(np.linalg.eigvalsh(b)[-1] for b in d.blocks)
     checks.add(residual_check("d_spectrum_window", "1/lambda <= d <= lambda",
                               max(0.0, 1.0 / lam - lo, hi - lam), tol_eq, lam))
-    worst = max((d @ apply(g, d) - apply(g, d) @ d).op_norm() for g in an.group.elements)
+    orbit = apply_all(an.group, d)
+    worst = (d @ orbit - orbit @ d).op_norm()
     checks.add(residual_check("d_orbit_commutes", "[d, g(d)] = 0",
                               worst, tol_eq, d.op_norm() ** 2))
     return checks

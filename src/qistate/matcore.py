@@ -24,9 +24,10 @@ class PreconditionError(ValueError):
 
 
 def as_square(a) -> np.ndarray:
-    """Validate and return ``a`` as a finite square complex matrix."""
+    """Validate and return ``a`` as a finite square complex matrix, or a
+    stack of them with leading batch axes."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise InputError("matrix has non-finite entries")
@@ -39,11 +40,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Operator norm (largest singular value)."""
+    """Operator norm (largest singular value); the largest over a stack."""
     m = as_square(a)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.max(op_norms(m)))
 
 
 def op_norms(stack: np.ndarray) -> np.ndarray:
@@ -51,50 +52,49 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
-def max_op_distance(lhs, rhs) -> float:
-    """Largest operator-norm distance between matching matrices of two
-    block lists, block i of one broadcasting against block i of the other."""
-    return max(float(np.max(op_norms(a - b))) for a, b in zip(lhs, rhs))
-
-
 def herm_residual(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - dagger(a), 2))
+    """||a - a*||; the largest over a stack."""
+    return float(np.max(op_norms(a - dagger(a)), initial=0.0))
 
 
 def herm_eig(a, tol_herm: float = TOL_HERM):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack.
 
-    Returns (eigenvalues ascending, unitary eigenvector matrix V) with
-    a = V diag(w) V*.  Raises if ``a`` is not Hermitian within
-    ``tol_herm`` relative to its norm.
+    Returns (eigenvalues ascending, unitary eigenvector matrices V) with
+    a = V diag(w) V*.  Raises if a matrix is not Hermitian within
+    ``tol_herm`` relative to its own norm.
     """
     m = as_square(a)
-    scale = max(op_norm(m), 1e-300)
-    res = herm_residual(m)
+    scale = np.maximum(op_norms(m), 1e-300)
+    res = op_norms(m - dagger(m))
     # relative criterion, with an absolute floor so that matrices that are
     # zero up to roundoff still count as Hermitian
-    if res > tol_herm * scale + 100 * np.finfo(float).eps:
+    bad = res > tol_herm * scale + 100 * np.finfo(float).eps
+    if np.any(bad):
+        k = np.argmax(bad)
         raise InputError(
-            f"matrix is not Hermitian: residual {res:.3e} exceeds "
-            f"{tol_herm:.1e} * norm {scale:.3e}"
+            f"matrix is not Hermitian: residual {res.flat[k]:.3e} exceeds "
+            f"{tol_herm:.1e} * norm {scale.flat[k]:.3e}"
         )
     w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
     return w, v
 
 
 def psd_sqrt(a, tol_pos: float = TOL_POS, tol_herm: float = TOL_HERM) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix.
+    """Principal square root of a positive semidefinite matrix, or of each
+    matrix in a stack.
 
     Eigenvalues in [-tol_pos, 0] are clipped to zero; anything below
     -tol_pos is an error.
     """
     w, v = herm_eig(a, tol_herm=tol_herm)
-    if w[0] < -tol_pos:
+    mn = np.min(w[..., 0])
+    if mn < -tol_pos:
         raise PreconditionError(
-            f"not positive semidefinite: min eigenvalue {w[0]:.3e} < -{tol_pos:.1e}"
+            f"not positive semidefinite: min eigenvalue {mn:.3e} < -{tol_pos:.1e}"
         )
     root = np.sqrt(np.clip(w, 0.0, None))
-    return (v * root) @ dagger(v)
+    return (v * root[..., None, :]) @ dagger(v)
 
 
 def imag_power(a, z: complex, tol_pos: float = TOL_POS,
@@ -114,14 +114,15 @@ def imag_power(a, z: complex, tol_pos: float = TOL_POS,
 
 
 def min_eig(a, tol_herm: float = TOL_HERM) -> float:
+    """Smallest eigenvalue of a Hermitian matrix; the smallest over a stack."""
     w, _ = herm_eig(a, tol_herm=tol_herm)
-    return float(w[0])
+    return float(np.min(w[..., 0]))
 
 
 def min_sv(a) -> float:
-    """Smallest singular value."""
+    """Smallest singular value; the smallest over a stack."""
     m = as_square(a)
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+    return float(np.min(np.linalg.svd(m, compute_uv=False)[..., -1]))
 
 
 def is_unitary(u, tol: float = TOL_EQ) -> bool:

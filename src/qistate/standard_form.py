@@ -16,7 +16,7 @@ import numpy as np
 from . import matcore
 from .algebra import (AlgebraDescriptor, AlgebraElement, State, density_power,
                       left_mult_matrix, matrix_unit_basis, right_mult_matrix)
-from .actions import Automorphism, FiniteGroup, action_matrix, apply, inverse, predual
+from .actions import Automorphism, FiniteGroup, action_matrix, apply, apply_all, inverse, predual
 from .matcore import PreconditionError, dagger
 from .reporting import Check, CheckSet, residual_check
 
@@ -140,13 +140,10 @@ def gamma_factorization(an):
     checks.add(residual_check("d_factorization", "d* = gamma sigma_{-i}(gamma*)",
                               (lhs - rhs).op_norm(), tol_eq, d.op_norm()))
 
-    gamma_inv = gamma.inv()
-    worst, scale = 0.0, 1.0
-    for g, x in zip(an.group.elements, an.table.entries):
-        gamma_g = apply(inverse(g), gamma_inv) @ gamma
-        worst = max(worst, (x.adjoint()
-                            - gamma_g @ sigma_minus_i(gamma_g.adjoint())).op_norm())
-        scale = max(scale, x.op_norm())
+    group, x = an.group, an.table.entries
+    gamma_g = apply_all(group, gamma.inv())[group.inv] @ gamma
+    worst = (x.adjoint() - gamma_g @ sigma_minus_i(gamma_g.adjoint())).op_norm()
+    scale = max(1.0, x.op_norm())
     checks.add(residual_check("cocycle_factorization",
                               "x_g* = gamma_g sigma_{-i}(gamma_g*)",
                               worst, tol_eq, scale))
@@ -158,31 +155,22 @@ def lemma_chain_checks(an) -> CheckSet:
     g^*(rho) = rho^{1/2} a_g^2 rho^{1/2} = x_g* rho = rho x_g; in the strong
     case additionally a_g = x_g^{1/2} and a_g rho^{1/2} = rho^{1/2} a_g."""
     rho, strong, tol_eq, tol_pos = an.phi.density, an.strong, an.tol_eq, an.tol_pos
-    root = an.roots[0]
+    root, a, x, group = an.roots[0], an.a, an.table.entries, an.group
+    target = apply_all(group, rho)[group.inv]
+    scale = max(1.0, x.op_norm())
     checks = CheckSet()
-    w_ag, w_xg, w_flip, w_root, w_comm = 0.0, 0.0, 0.0, 0.0, 0.0
-    scale = 1.0
-    for g, ag, x in zip(an.group.elements, an.a, an.table.entries):
-        target = predual(g, rho)
-        w_ag = max(w_ag, (target - root @ ag @ ag @ root).op_norm())
-        w_xg = max(w_xg, (target - x.adjoint() @ rho).op_norm())
-        w_flip = max(w_flip, (x.adjoint() @ rho - rho @ x).op_norm())
-        scale = max(scale, x.op_norm())
-        if strong:
-            xr = AlgebraElement(an.phi.descriptor,
-                                [matcore.psd_sqrt(0.5 * (b + dagger(b)), tol_pos=tol_pos)
-                                 for b in x.blocks])
-            w_root = max(w_root, (ag - xr).op_norm())
-            w_comm = max(w_comm, (ag @ root - root @ ag).op_norm())
     checks.add(residual_check("predual_via_a_g", "g^*(rho) = rho^{1/2} a_g^2 rho^{1/2}",
-                              w_ag, tol_eq, scale))
+                              (target - root @ a @ a @ root).op_norm(), tol_eq, scale))
     checks.add(residual_check("predual_via_x_g", "g^*(rho) = x_g* rho",
-                              w_xg, tol_eq, scale))
+                              (target - x.adjoint() @ rho).op_norm(), tol_eq, scale))
     checks.add(residual_check("density_intertwine", "x_g* rho = rho x_g",
-                              w_flip, tol_eq, scale))
+                              (x.adjoint() @ rho - rho @ x).op_norm(), tol_eq, scale))
     if strong:
+        xr = AlgebraElement(an.phi.descriptor,
+                            [matcore.psd_sqrt(0.5 * (b + dagger(b)), tol_pos=tol_pos)
+                             for b in x.blocks])
         checks.add(residual_check("a_g_is_root", "a_g = x_g^{1/2}",
-                                  w_root, tol_eq, scale))
+                                  (a - xr).op_norm(), tol_eq, scale))
         checks.add(residual_check("a_g_root_commute", "a_g rho^{1/2} = rho^{1/2} a_g",
-                                  w_comm, tol_eq, scale))
+                                  (a @ root - root @ a).op_norm(), tol_eq, scale))
     return checks

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, State, evaluate, matrix_unit_basis, require_faithful
-from .actions import FiniteGroup, apply
+from .actions import FiniteGroup, apply_all
 from .matcore import PreconditionError
 from .reporting import Check, CheckSet, residual_check
 
@@ -25,8 +25,9 @@ class TraceFunctional:
     descriptor: object
     weights: np.ndarray
 
-    def __call__(self, a: AlgebraElement) -> complex:
-        return complex(sum(w * np.trace(b) for w, b in zip(self.weights, a.blocks)))
+    def __call__(self, a: AlgebraElement):
+        """tau(a): a complex number, or an array over the batch of a stack."""
+        return sum(w * b.trace(axis1=-2, axis2=-1) for w, b in zip(self.weights, a.blocks))
 
 
 def is_center_ergodic(group: FiniteGroup) -> bool:
@@ -64,27 +65,20 @@ def trace_density(phi: State, tau: TraceFunctional, tol_eq: float,
 def verify_density_relations(an) -> CheckSet:
     """Predual and intertwining relations of the trace density with the cocycle."""
     c, table, tol_eq = an.c, an.table, an.tol_eq
-    group = table.group
-    checks = CheckSet()
+    group, x = table.group, table.entries
     scale = max(1.0, table.lambda_bound * c.op_norm())
-    w_pred, w_int = 0.0, 0.0
-    for i, g in enumerate(group.elements):
-        x_inv_g = table.entries[group.inv[i]]
-        # predual of g^-1 acting on densities is g itself
-        w_pred = max(w_pred, (apply(g, c) - c @ x_inv_g).op_norm())
-        x = table.entries[i]
-        w_int = max(w_int, (x.adjoint() @ c - c @ x).op_norm())
+    checks = CheckSet()
+    # predual of g^-1 acting on densities is g itself
     checks.add(residual_check("trace_density_predual", "(g^-1)^*(c) = c x_{g^-1}",
-                              w_pred, tol_eq, scale))
+                              (apply_all(group, c) - c @ x[group.inv]).op_norm(),
+                              tol_eq, scale))
     checks.add(residual_check("trace_density_intertwine", "x_g* c = c x_g",
-                              w_int, tol_eq, scale))
+                              (x.adjoint() @ c - c @ x).op_norm(), tol_eq, scale))
     return checks
 
 
 def trace_invariance_check(an, probes) -> Check:
-    tau, worst = an.tau, 0.0
-    for a in probes:
-        base = tau(a)
-        for g in an.group.elements:
-            worst = max(worst, abs(tau(apply(g, a)) - base))
+    """tau(g(a)) = tau(a) for each probe a over the whole group at once."""
+    tau = an.tau
+    worst = max(float(np.max(np.abs(tau(apply_all(an.group, a)) - tau(a)))) for a in probes)
     return residual_check("trace_invariance", "tau(g(a)) = tau(a)", worst, an.tol_eq)

@@ -133,7 +133,7 @@ def test_criterion_4_strong_structure(strong_family):
         table = an.table
         lam = table.lambda_bound
         d, _ = fixed_density_d(table, TOL_EQ)
-        for x in table.entries + [d]:
+        for x in list(table.entries) + [d]:
             for block in x.blocks:
                 spec = np.linalg.eigvalsh(block)
                 assert spec.min() >= 1.0 / lam - TOL

@@ -9,7 +9,7 @@ from qistate import actions
 from qistate.actions import (Automorphism, action_matrix, apply, apply_all, close_group,
                              compose, equal_as_maps, identity_automorphism,
                              inverse, predual)
-from qistate.algebra import (AlgebraDescriptor, AlgebraElement, identity, stack_blocks,
+from qistate.algebra import (AlgebraDescriptor, AlgebraElement, identity, stack,
                              vec)
 from qistate.cli import parse_instance
 from qistate.instances import (clock_matrix, conjugate_generator,
@@ -157,14 +157,12 @@ def test_apply_all_matches_apply(dims, seed, batch):
     desc = AlgebraDescriptor(dims)
     group = random_group(rng, desc)
     elements = [random_element(rng, desc) for _ in range(max(batch, 1))]
-    out = apply_all(group, stack_blocks(elements) if batch else elements[0].blocks)
+    out = apply_all(group, stack(elements) if batch else elements[0])
     for k, g in enumerate(group.elements):
         for b, a in enumerate(elements):
-            for s, expected in zip(out, apply(g, a).blocks):
-                got = s[k, b] if batch else s[k]
-                assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
-    assert [s.shape for s in out] == [(group.order,) + ((batch,) if batch else ()) + (n, n)
-                                      for n in dims]
+            got = out[k, b] if batch else out[k]
+            assert (got - apply(g, a)).op_norm() <= 1e-12
+    assert out.batch == (group.order,) + ((batch,) if batch else ())
 
 
 def test_equal_as_maps_phase_freedom(rng):

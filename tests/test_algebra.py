@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qistate import algebra
 from qistate.algebra import (EQUIVALENT, FIRST_IN_SECOND, INCOMPARABLE,
                              SECOND_IN_FIRST, AlgebraDescriptor,
-                             AlgebraElement, State, center_basis, evaluate,
+                             AlgebraElement, State, batch_slices, center_basis, evaluate,
                              gns_embed, identity, is_faithful, l2_inner,
                              left_mult_matrix, matrix_unit_basis, modular_flow,
-                             right_mult_matrix, state_from_density,
+                             right_mult_matrix, stack, state_from_density,
                              support_comparison, unvec, vec)
 from qistate.matcore import InputError, PreconditionError, dagger
 
@@ -248,3 +249,104 @@ def test_state_validation():
         State(desc, AlgebraElement(desc, [np.array([[0.5, 0.5], [0.0, 0.5]])]))
     with pytest.raises(InputError, match="PSD"):
         State(desc, AlgebraElement(desc, [np.diag([1.5, -0.5])]))
+
+
+# -- elements with a batch axis ----------------------------------------------------
+
+def random_stack(rng, desc, size):
+    return stack(random_element(rng, desc) for _ in range(size))
+
+
+def same(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_dims, seeds, st.integers(1, 4))
+def test_batched_arithmetic_matches_each_index(dims, seed, size):
+    rng = np.random.default_rng(seed)
+    desc = AlgebraDescriptor(dims)
+    x, y = random_stack(rng, desc, size), random_stack(rng, desc, size)
+    single = random_element(rng, desc)
+    assert x.batch == (size,) and single.batch == ()
+    for k in range(size):
+        assert same((x + y)[k], x[k] + y[k])
+        assert same((x - y)[k], x[k] - y[k])
+        assert same((x @ y)[k], x[k] @ y[k])
+        assert same((x @ single)[k], x[k] @ single)
+        assert same((single @ x)[k], single @ x[k])
+        assert same(((0.5 - 2j) * x)[k], (0.5 - 2j) * x[k])
+        assert same(x.adjoint()[k], x[k].adjoint())
+        assert same(x.inv()[k], x[k].inv())
+        assert same(list(x)[k], x[k])
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_dims, seeds, st.integers(1, 4))
+def test_batched_trace_evaluate_and_vec_match_each_index(dims, seed, size):
+    rng = np.random.default_rng(seed)
+    desc = AlgebraDescriptor(dims)
+    phi = random_faithful(rng, desc)
+    x = random_stack(rng, desc, size)
+    tr, val, v = x.trace(), evaluate(phi, x), vec(x)
+    assert tr.shape == val.shape == (size,)
+    assert v.shape == (size, desc.dim)
+    for k in range(size):
+        # trace sums the diagonal of each matrix: the last two axes
+        assert tr[k] == x[k].trace()
+        assert tr[k] == sum(np.trace(b[k]) for b in x.blocks)
+        assert val[k] == evaluate(phi, x[k])
+        assert np.array_equal(v[k], vec(x[k]))
+    assert same(unvec(desc, v), x)
+    # numpy sums 1 x 1 blocks pairwise, so the mean matches the running sum
+    # only up to roundoff
+    running = (1.0 / size) * sum(list(x)[1:], x[0])
+    assert (x.mean() - running).op_norm() <= 1e-15 * max(1.0, x.op_norm())
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_dims, seeds, st.integers(1, 4))
+def test_batched_reductions_take_the_worst_index(dims, seed, size):
+    rng = np.random.default_rng(seed)
+    desc = AlgebraDescriptor(dims)
+    x = random_stack(rng, desc, size)
+    h = x @ x.adjoint()
+    assert x.op_norm() == max(x[k].op_norm() for k in range(size))
+    assert x.herm_residual() == max(x[k].herm_residual() for k in range(size))
+    assert x.min_sv() == min(x[k].min_sv() for k in range(size))
+    assert h.min_eig() == min(h[k].min_eig() for k in range(size))
+    assert x.hs_norm() == pytest.approx(max(x[k].hs_norm() for k in range(size)), rel=1e-14)
+
+
+def test_constructor_rejects_bad_stacks():
+    desc = AlgebraDescriptor((2, 3))
+    with pytest.raises(InputError, match="square"):
+        AlgebraElement(desc, [np.zeros((4, 2, 3)), np.zeros((4, 3, 3))])
+    with pytest.raises(InputError, match="non-finite"):
+        bad = np.zeros((4, 3, 3))
+        bad[2, 1, 0] = np.inf
+        AlgebraElement(desc, [np.zeros((4, 2, 2)), bad])
+    with pytest.raises(InputError, match="batch shapes"):
+        AlgebraElement(desc, [np.zeros((4, 2, 2)), np.zeros((3, 3, 3))])
+    with pytest.raises(InputError, match="batch shapes"):
+        AlgebraElement(desc, [np.zeros((2, 2)), np.zeros((1, 3, 3))])
+    with pytest.raises(InputError, match="do not match"):
+        AlgebraElement(desc, [np.zeros((4, 3, 3)), np.zeros((4, 2, 2))])
+
+
+def test_unvec_rejects_wrong_length():
+    desc = AlgebraDescriptor((2, 3))
+    with pytest.raises(InputError, match="descriptor dim"):
+        unvec(desc, np.zeros((4, desc.dim + 1)))
+
+
+@given(st.integers(0, 40), st.integers(1, 40), st.integers(1, 30))
+def test_batch_slices_partition_the_range(n, inner, limit):
+    old, algebra.STACK_LIMIT = algebra.STACK_LIMIT, limit
+    try:
+        slices = batch_slices(n, inner)
+    finally:
+        algebra.STACK_LIMIT = old
+    covered = [k for s in slices for k in range(n)[s]]
+    assert covered == list(range(n))
+    assert all(len(range(n)[s]) <= max(1, limit // inner) for s in slices)

@@ -1,29 +1,38 @@
-"""The stacked group sweeps against the per-element loops they replaced.
+"""The batched group sweeps against the per-element loops they replaced.
 
-The reference functions below are the loop versions of the Gamma suite,
-the expectation checks, the fixed-algebra closure check and ``verify_ks``:
-one checked element and one ``apply`` at a time.  The stacked versions must
-reproduce every residual to 1e-12 and must not do quadratic work.
+The reference functions below are the loop versions of the cocycle laws,
+the Gamma suite, the invariant state, the lemma chain and the Gamma
+factorization, the trace laws, the expectation checks, the fixed-algebra
+closure check and ``verify_ks``: one unbatched element and one ``apply``
+at a time.  The batched versions must reproduce every residual to 1e-12
+and must not do quadratic work.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
-from qistate import actions
-from qistate.actions import apply, close_group
-from qistate.algebra import (AlgebraDescriptor, AlgebraElement, evaluate, identity,
-                             left_mult_matrix, matrix_unit_basis, state_from_density,
-                             unvec, vec)
+from qistate import actions, algebra, matcore
+from qistate.actions import apply, close_group, inverse
+from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power, evaluate,
+                             identity, left_mult_matrix, matrix_unit_basis,
+                             state_from_density, unvec, vec)
 from qistate.analysis import Analysis
-from qistate.cocycle import random_probe
-from qistate.expectation import closure_residual, expectation_checks, verify_ks
+from qistate.cocycle import (is_strongly_qi, random_probe, random_psd_probe,
+                             sandwich_check, verify_adjoint_relation,
+                             verify_cocycle_identity, verify_inverse_formula)
+from qistate.expectation import (ConditionalExpectation, FixedAlgebra, closure_residual,
+                                 expectation_checks, verify_ks)
 from qistate.instances import (clock_matrix, inner_generator, permutation_generator,
                                random_faithful_density, random_instance,
                                random_strong_instance, shift_matrix)
-from qistate.invariant import gamma_map, gamma_properties_check
+from qistate.invariant import (fixed_density_d, gamma_map, gamma_properties_check,
+                               strong_case_check)
 from qistate.matcore import TOL_EQ, TOL_POS, dagger
+from qistate.standard_form import gamma_factorization, lemma_chain_checks
+from qistate.trace import trace_invariance_check, verify_density_relations
 
 
 # -- the loops the stacked sweeps replaced -------------------------------------
@@ -37,6 +46,125 @@ def reference_phi(group, a):
 
 def reference_span_distance(fa, a):
     return (a - unvec(fa.descriptor, fa.q @ (dagger(fa.q) @ vec(a)))).hs_norm()
+
+
+def reference_predual(g, a):
+    return apply(inverse(g), a)
+
+
+def reference_cocycle_laws(table, probes):
+    """Chain rule, inverse formula, adjoint relation and sandwich bounds."""
+    grp, rho, lam = table.group, table.phi.density, table.lambda_bound
+    xs, x_invs = list(table.entries), list(table.inverses)
+    chain = 0.0
+    for i1, x1 in enumerate(xs):
+        g1inv = grp.elements[grp.inv[i1]]
+        for i2, x2 in enumerate(xs):
+            chain = max(chain, (xs[grp.mult[i2, i1]] - x1 @ apply(g1inv, x2)).op_norm())
+    inverse_formula = max((x_invs[i] - reference_predual(g, xs[grp.inv[i]])).op_norm()
+                          for i, g in enumerate(grp.elements))
+    adjoint = max((rho @ x - x.adjoint() @ rho).op_norm() for x in xs)
+    sandwich = 0.0
+    for a in probes:
+        base = evaluate(table.phi, a).real
+        for x, x_inv in zip(xs, x_invs):
+            for val in (evaluate(table.phi, x @ a).real,
+                        evaluate(table.phi, a @ x_inv.adjoint()).real):
+                sandwich = max(sandwich, base / lam - val, val - lam * base)
+    return {"cocycle_identity": chain, "inverse_formula": inverse_formula,
+            "adjoint_relation": adjoint, "sandwich": max(0.0, sandwich)}
+
+
+def reference_strong_qi(table, tol_eq, tol_pos):
+    xs, rho, lam = list(table.entries), table.phi.density, table.lambda_bound
+    out = {"self_adjoint": max(x.herm_residual() for x in xs)}
+    if out["self_adjoint"] > tol_eq * max(1.0, max(x.op_norm() for x in xs)):
+        return out
+    min_spec = min(x.min_eig() for x in xs)
+    max_spec = max(max(matcore.herm_eig(b)[0][-1] for b in x.blocks) for x in xs)
+    out["positive"] = max(0.0, tol_pos - min_spec)
+    out["spectrum_window"] = max(0.0, 1.0 / lam - min_spec, max_spec - lam)
+    comm = 0.0
+    for i, x in enumerate(xs):
+        for y in xs[i + 1:]:
+            comm = max(comm, (x @ y - y @ x).op_norm())
+    out["pairwise_commuting"] = comm
+    out["centralizer"] = max((rho @ x - x @ rho).op_norm() for x in xs)
+    return out
+
+
+def reference_d(table):
+    xs = list(table.entries)
+    d = xs[0]
+    for x in xs[1:]:
+        d = d + x
+    d = (1.0 / table.group.order) * d
+    worst = max((gamma_map(table, i, d) - d).op_norm() for i in range(table.group.order))
+    return d, worst
+
+
+def reference_invariance(group, rho_psi):
+    return max((reference_predual(g, rho_psi) - rho_psi).op_norm() for g in group.elements)
+
+
+def reference_strong_case(an):
+    d = an.certificate.d
+    return {"d_orbit_commutes": max((d @ apply(g, d) - apply(g, d) @ d).op_norm()
+                                    for g in an.group.elements)}
+
+
+def reference_lemma_chain(an):
+    rho, root = an.phi.density, an.roots[0]
+    out = dict.fromkeys(("predual_via_a_g", "predual_via_x_g", "density_intertwine"), 0.0)
+    if an.strong:
+        out.update(a_g_is_root=0.0, a_g_root_commute=0.0)
+    for g, ag, x in zip(an.group.elements, an.a, an.table.entries):
+        target = reference_predual(g, rho)
+        out["predual_via_a_g"] = max(out["predual_via_a_g"],
+                                     (target - root @ ag @ ag @ root).op_norm())
+        out["predual_via_x_g"] = max(out["predual_via_x_g"],
+                                     (target - x.adjoint() @ rho).op_norm())
+        out["density_intertwine"] = max(out["density_intertwine"],
+                                        (x.adjoint() @ rho - rho @ x).op_norm())
+        if an.strong:
+            xr = AlgebraElement(an.phi.descriptor,
+                                [matcore.psd_sqrt(0.5 * (b + dagger(b)), tol_pos=an.tol_pos)
+                                 for b in x.blocks])
+            out["a_g_is_root"] = max(out["a_g_is_root"], (ag - xr).op_norm())
+            out["a_g_root_commute"] = max(out["a_g_root_commute"],
+                                          (ag @ root - root @ ag).op_norm())
+    return out
+
+
+def reference_cocycle_factorization(an):
+    rho, root_inv = an.phi.density, an.roots[1]
+    rho_inv = rho.inv()
+    gamma = density_power(an.certificate.psi, -0.5j, an.tol_pos) @ root_inv
+    gamma_inv = gamma.inv()
+    worst = 0.0
+    for g, x in zip(an.group.elements, an.table.entries):
+        gamma_g = reference_predual(g, gamma_inv) @ gamma
+        worst = max(worst, (x.adjoint()
+                            - gamma_g @ (rho @ gamma_g.adjoint() @ rho_inv)).op_norm())
+    return {"cocycle_factorization": worst}
+
+
+def reference_trace_laws(an, probes):
+    c, table, tau = an.c, an.table, an.tau
+    group = table.group
+    out = {"trace_density_predual": 0.0, "trace_density_intertwine": 0.0,
+           "trace_invariance": 0.0}
+    for i, g in enumerate(group.elements):
+        x_inv_g, x = table.entries[group.inv[i]], table.entries[i]
+        out["trace_density_predual"] = max(out["trace_density_predual"],
+                                           (apply(g, c) - c @ x_inv_g).op_norm())
+        out["trace_density_intertwine"] = max(out["trace_density_intertwine"],
+                                              (x.adjoint() @ c - c @ x).op_norm())
+    for a in probes:
+        for g in group.elements:
+            out["trace_invariance"] = max(out["trace_invariance"],
+                                          abs(tau(apply(g, a)) - tau(a)))
+    return out
 
 
 def reference_gamma_properties(an, rng, n_probes=4):
@@ -199,16 +327,113 @@ def test_random_instances_move_blocks_and_do_not_commute():
     assert any(g.perm != g.inv_perm for g in _random((2, 2, 2), 0).group.elements)
 
 
+def check_probes(desc, seed=11, n=8):
+    rng = np.random.default_rng(seed)
+    return [random_psd_probe(rng, desc) for _ in range(n)] + [identity(desc)]
+
+
+def test_cocycle_laws_match_loops(analysis):
+    table = analysis.table
+    probes = check_probes(analysis.phi.descriptor)
+    checks = [verify_cocycle_identity(table), verify_inverse_formula(table),
+              verify_adjoint_relation(table), sandwich_check(table, probes)]
+    assert_residuals_match(checks, reference_cocycle_laws(table, probes))
+
+
+def test_violated_sandwich_matches_loops(analysis):
+    # below the true bound the sandwich fails, so its residual is not clipped to 0
+    table = dataclasses.replace(analysis.table, lambda_bound=1.0)
+    probes = check_probes(analysis.phi.descriptor)
+    check = sandwich_check(table, probes)
+    reference = reference_cocycle_laws(table, probes)["sandwich"]
+    assert (check.residual > 0.0) == (analysis.table.lambda_bound > 1.0 + 1e-9)
+    assert abs(check.residual - reference) <= 1e-12
+
+
+def test_strong_qi_matches_loops(analysis):
+    strong, checks = is_strongly_qi(analysis.table, TOL_EQ, TOL_POS)
+    reference = reference_strong_qi(analysis.table, TOL_EQ, TOL_POS)
+    assert [c.name for c in checks] == list(reference)
+    assert strong == (len(reference) > 1)
+    assert_residuals_match(checks, reference)
+
+
+def test_d_and_invariance_match_loops(analysis):
+    d, worst = fixed_density_d(analysis.table, TOL_EQ)
+    ref_d, ref_worst = reference_d(analysis.table)
+    # numpy sums the |G| x_g in order, as the loop does
+    assert all(np.array_equal(a, b) for a, b in zip(d.blocks, ref_d.blocks))
+    assert abs(worst - ref_worst) <= 1e-12
+    cert = analysis.certificate
+    assert abs(cert.residuals["invariance"]
+               - reference_invariance(analysis.group, cert.psi.density)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", STRONG)
+def test_strong_case_matches_loops(name, request):
+    an = make_analysis(name, request)
+    assert an.strong
+    assert_residuals_match(strong_case_check(an), reference_strong_case(an))
+
+
+def test_lemma_chain_and_factorization_match_loops(analysis):
+    assert_residuals_match(lemma_chain_checks(analysis), reference_lemma_chain(analysis))
+    assert_residuals_match(gamma_factorization(analysis)[2],
+                           reference_cocycle_factorization(analysis))
+
+
+def test_trace_laws_match_loops(analysis):
+    probes = check_probes(analysis.phi.descriptor, n=6)[:6]
+    checks = list(verify_density_relations(analysis)) + [trace_invariance_check(analysis, probes)]
+    assert_residuals_match(checks, reference_trace_laws(analysis, probes))
+
+
 def test_gamma_properties_match_loops(analysis):
     checks = gamma_properties_check(analysis, np.random.default_rng(7))
     reference = reference_gamma_properties(analysis, np.random.default_rng(7))
     assert_residuals_match(checks, reference)
 
 
-def test_expectation_checks_match_loops(analysis):
-    checks = expectation_checks(analysis, np.random.default_rng(7))
+def test_expectation_checks_match_loops(analysis, monkeypatch):
     reference = reference_expectation_checks(analysis, np.random.default_rng(7))
+    # the bundled and random groups fit one slice per sweep; a limit of 5
+    # makes the sweeps run in several
+    for limit in (algebra.STACK_LIMIT, 5):
+        monkeypatch.setattr(algebra, "STACK_LIMIT", limit)
+        assert_residuals_match(expectation_checks(analysis, np.random.default_rng(7)),
+                               reference)
+
+
+# With the laws violated the residuals are O(1) and differ from pair to
+# pair, so a sweep that skips pairs no longer matches the loops.  The
+# limits give slices of three indices each.
+def test_violated_gamma_laws_match_loops(analysis, monkeypatch):
+    monkeypatch.setattr(algebra, "STACK_LIMIT", 3 * analysis.group.order)
+    table = analysis.table
+    skew = identity(table.phi.descriptor) + 0.3 * random_probe(
+        np.random.default_rng(11), table.phi.descriptor)
+    entries = table.entries @ skew
+    an = Analysis(analysis.phi, analysis.group, TOL_EQ, TOL_POS)
+    an.table = dataclasses.replace(table, entries=entries, inverses=entries.inv())
+    checks = gamma_properties_check(an, np.random.default_rng(7))
+    reference = reference_gamma_properties(an, np.random.default_rng(7))
     assert_residuals_match(checks, reference)
+    assert {c.name for c in checks if c.residual > 1e-3} >= {
+        "gamma_permutes_cocycle", "gamma_preserves_state"}
+
+
+def test_violated_bimodule_matches_loops(analysis, monkeypatch):
+    an = Analysis(analysis.phi, analysis.group, TOL_EQ, TOL_POS)
+    an.certificate
+    # every matrix unit in place of the fixed-point basis
+    dim = an.phi.descriptor.dim
+    monkeypatch.setattr(algebra, "STACK_LIMIT", 3 * an.group.order * dim)
+    an.fixed = FixedAlgebra(an.phi.descriptor, np.eye(dim))
+    an.Phi = ConditionalExpectation(an.group, an.fixed)
+    checks = expectation_checks(an, np.random.default_rng(7))
+    reference = reference_expectation_checks(an, np.random.default_rng(7))
+    assert_residuals_match(checks, reference)
+    assert (an.group.order == 1) == (checks["bimodule"].residual < 1e-3)
 
 
 def test_closure_residual_matches_loops(analysis):
@@ -227,7 +452,8 @@ def test_verify_ks_matches_loops(name, request):
 
 def count_work(monkeypatch, run):
     """Calls of ``actions.apply`` (through every binding in a loaded qistate
-    module) and ``AlgebraElement`` constructions made by ``run()``."""
+    module and in this one) and ``AlgebraElement`` constructions made by
+    ``run()``."""
     counts = {"apply": 0, "element": 0}
     original_apply, original_init = actions.apply, AlgebraElement.__init__
 
@@ -240,7 +466,7 @@ def count_work(monkeypatch, run):
         original_init(self, *args, **kwargs)
 
     for key, module in list(sys.modules.items()):
-        if key == "qistate" or key.startswith("qistate."):
+        if key == "qistate" or key.startswith("qistate.") or key == __name__:
             for attr, value in list(vars(module).items()):
                 if value is original_apply:
                     monkeypatch.setattr(module, attr, counted_apply)
@@ -250,23 +476,36 @@ def count_work(monkeypatch, run):
     return counts
 
 
-# Allowed work per sweep, in units of |G| + dim B + N.  Before the sweeps
-# were stacked, the Gamma suite on Weyl(5) made about 9000 apply calls
-# (|G|^2 pairs times probes), and fixed_algebra plus expectation_checks on
-# 2 x M_5 made one projection per pair of basis elements.
-WORK_FACTOR = 2
+# Allowed work per sweep: apply calls plus element constructions, per unit
+# of a size linear in |G|, the probes, dim B and N.  The per-element loops
+# the sweeps replaced do work per pair (|G|^2 pairs, |G| x probes,
+# dim B^2 x probes): the Gamma suite on Weyl(5) made about 9000 apply
+# calls.  Each guard also counts its reference loops on the same instance
+# and requires them to exceed its bound, so that the bound tells the two
+# apart.
+def assert_linear(monkeypatch, run, reference, bound):
+    counts = count_work(monkeypatch, run)
+    assert sum(counts.values()) <= bound, counts
+    loops = count_work(monkeypatch, reference)
+    assert sum(loops.values()) > bound, loops
 
 
-def test_gamma_suite_work_is_linear(monkeypatch):
+def weyl5_analysis(density=None):
     desc = AlgebraDescriptor((5,))
     group = close_group([inner_generator(desc, 0, shift_matrix(5)),
                          inner_generator(desc, 0, clock_matrix(5))])
-    phi = state_from_density(random_faithful_density(np.random.default_rng(3), desc))
-    an = Analysis(phi, group, TOL_EQ, TOL_POS)
+    if density is None:
+        density = random_faithful_density(np.random.default_rng(3), desc)
+    an = Analysis(state_from_density(density), group, TOL_EQ, TOL_POS)
     an.table
-    counts = count_work(monkeypatch, lambda: gamma_properties_check(an))
-    size = group.order + 1 + desc.dim
-    assert counts["apply"] + counts["element"] <= WORK_FACTOR * size, counts
+    return an
+
+
+def test_gamma_suite_work_is_linear(monkeypatch):
+    an = weyl5_analysis()
+    size = an.group.order + 1 + an.phi.descriptor.dim
+    assert_linear(monkeypatch, lambda: gamma_properties_check(an),
+                  lambda: reference_gamma_properties(an, np.random.default_rng(0)), 2 * size)
 
 
 def test_expectation_work_is_linear(monkeypatch):
@@ -280,7 +519,42 @@ def test_expectation_work_is_linear(monkeypatch):
         an.fixed
         expectation_checks(an)
 
-    counts = count_work(monkeypatch, run)
-    size = group.order + an.fixed.dimension + desc.dim
     assert an.fixed.dimension == 25
-    assert counts["apply"] + counts["element"] <= WORK_FACTOR * size, counts
+    size = group.order + an.fixed.dimension + desc.dim
+    assert_linear(monkeypatch, run,
+                  lambda: reference_expectation_checks(an, np.random.default_rng(0)), 2 * size)
+
+
+def test_check_cocycle_laws_work_is_linear(monkeypatch):
+    # the tracial state: strongly quasi-invariant, so every sweep runs
+    an = weyl5_analysis(AlgebraElement(AlgebraDescriptor((5,)), [np.eye(5) / 5]))
+    table, probes = an.table, check_probes(an.phi.descriptor)
+    assert an.strong
+
+    def run():
+        verify_cocycle_identity(table)
+        verify_inverse_formula(table)
+        verify_adjoint_relation(table)
+        sandwich_check(table, probes)
+        is_strongly_qi(table, TOL_EQ, TOL_POS)
+
+    def reference():
+        reference_cocycle_laws(table, probes)
+        reference_strong_qi(table, TOL_EQ, TOL_POS)
+
+    # the chain rule, the inverse formula and the commuting sweep each loop
+    # over the group with a few element operations per step
+    assert_linear(monkeypatch, run, reference, 12 * (an.group.order + len(probes)))
+
+
+def test_trace_laws_work_is_linear(monkeypatch):
+    an = weyl5_analysis()
+    an.c
+    probes = check_probes(an.phi.descriptor, n=24)[:24]
+
+    def run():
+        verify_density_relations(an)
+        trace_invariance_check(an, probes)
+
+    assert_linear(monkeypatch, run, lambda: reference_trace_laws(an, probes),
+                  an.group.order + len(probes))

@@ -94,6 +94,24 @@ def test_cmd_check_validation_error(tmp_path, capsys):
     assert "state.density" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, keys, value", [
+    ("state.density[0][1][1]", ("state", "density", 0, 1, 1), [float("nan"), 0.0]),
+    ("group.generators[0].unitaries[0][0][1]",
+     ("group", "generators", 0, "unitaries", 0, 0, 1), [0.0, float("inf")]),
+])
+def test_cmd_check_rejects_non_finite_entries(tmp_path, capsys, path, keys, value):
+    # json writes and reads NaN and Infinity
+    data = instance_to_json(qubit_instance().phi, qubit_instance().generators)
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run_cli(["check", "--input", str(bad)]) == EXIT_VALIDATION
+    assert f"{path}: entry is not finite" in capsys.readouterr().err
+
+
 def test_cmd_check_precondition_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     data = instance_to_json(qubit_instance().phi, qubit_instance().generators)

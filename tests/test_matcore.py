@@ -138,3 +138,26 @@ def test_op_norms_match_op_norm_per_matrix(rng):
     assert norms.shape == (7,)
     # equal to the last bit, so stacked sweeps report what per-matrix loops did
     assert np.array_equal(norms, [op_norm(m) for m in stack])
+
+
+def test_herm_eig_judges_each_matrix_of_a_stack_by_its_own_norm():
+    big = np.diag([1e6, -1e6])
+    # residual 1e-6: roundoff next to the big matrix, far from Hermitian alone
+    small = np.array([[1.0, 1e-6], [0.0, 1.0]])
+    w, _ = herm_eig(big[None] + np.zeros((2, 2, 2)))
+    assert np.array_equal(w[1], [-1e6, 1e6])
+    with pytest.raises(InputError, match="residual 1.000e-06"):
+        herm_eig(np.stack([big, small]))
+    with pytest.raises(InputError, match="residual"):
+        herm_eig(small)
+
+
+def test_stack_reductions_match_each_matrix(rng):
+    stack = np.stack([random_pd(rng, 3) for _ in range(5)])
+    w, v = herm_eig(stack)
+    for k, m in enumerate(stack):
+        wk, vk = herm_eig(m)
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        assert np.array_equal(psd_sqrt(stack)[k], psd_sqrt(m))
+    assert op_norm(stack) == max(op_norm(m) for m in stack)
+    assert min_sv(stack) == min(min_sv(m) for m in stack)
