@@ -199,6 +199,17 @@ def test_lemma_chain_strong_extras(rng):
     assert "a_g_is_root" in names and "a_g_root_commute" in names
 
 
+@pytest.mark.parametrize("name", ["nonstrong", "m2m2_swap"])
+def test_non_unitary_implementation_is_refused(name, request):
+    # a_g scaled by 1.01 makes U_g* U_g = 1.01^2 R(y_g): residual 0.0201
+    inst = request.getfixturevalue(name)
+    an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
+    an.a = 1.01 * an.a
+    with pytest.raises(PreconditionError,
+                       match=r"implementing operator is not unitary: residual 2\.010e-02"):
+        an.unitaries
+
+
 def test_a_g_requires_faithful():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1.0, 0.0])]))
