@@ -118,20 +118,6 @@ def predual(g: Automorphism, rho: AlgebraElement) -> AlgebraElement:
                                            @ g.unitaries[p] for p in g.perm])
 
 
-def action_matrix(g: Automorphism) -> np.ndarray:
-    """Matrix of a |-> g(a) on Hilbert-Schmidt coordinates: block j goes to
-    block perm(j) by conj(u) kron u, since vec(u a u*) = (conj(u) kron u) vec(a)."""
-    dims = g.descriptor.block_dims
-    n = g.descriptor.dim
-    out = np.zeros((n, n), dtype=complex)
-    offsets = np.cumsum([0] + [d * d for d in dims])
-    for j, d in enumerate(dims):
-        i = g.perm[j]
-        u = g.unitaries[i]
-        out[offsets[i]:offsets[i] + d * d, offsets[j]:offsets[j] + d * d] = np.kron(np.conj(u), u)
-    return out
-
-
 def equal_as_maps(g: Automorphism, h: Automorphism, tol: float = TOL_EQ) -> bool:
     """True when g and h act identically; unitaries may differ by phases."""
     if g.descriptor != h.descriptor:

@@ -12,8 +12,9 @@ the GNS space: vectors use the same block layout as algebra elements, the
 algebra acts by left multiplication, and the cyclic vector of a faithful
 state is the positive root of its density.
 
-Vectorization convention for linear operators on the Hilbert-Schmidt
-space: block-major, column-major within each block.
+``vec`` and ``unvec`` alone fix the Hilbert-Schmidt coordinates
+(block-major, column-major within a block); a dense operator is
+``hs_matrix`` of a map, column m being vec of its value on matrix unit m.
 """
 
 from dataclasses import dataclass
@@ -161,16 +162,10 @@ def from_block(descriptor: AlgebraDescriptor, index: int, block) -> AlgebraEleme
     return AlgebraElement(descriptor, blocks)
 
 
-def matrix_unit_basis(descriptor: AlgebraDescriptor):
-    """Hilbert-Schmidt orthonormal basis of matrix units, block by block."""
-    basis = []
-    for i, n in enumerate(descriptor.block_dims):
-        for c in range(n):
-            for r in range(n):
-                e = np.zeros((n, n), dtype=complex)
-                e[r, c] = 1.0
-                basis.append(from_block(descriptor, i, e))
-    return basis
+def matrix_unit_basis(descriptor: AlgebraDescriptor) -> AlgebraElement:
+    """Hilbert-Schmidt orthonormal basis of matrix units, stacked in vec
+    order: element m is unvec of the m-th coordinate vector."""
+    return unvec(descriptor, np.eye(descriptor.dim))
 
 
 # -- vectorization of the Hilbert-Schmidt space -----------------------------
@@ -221,28 +216,16 @@ def l2_inner(xi: L2Vector, eta: L2Vector) -> complex:
     return complex(sum(np.trace(dagger(a) @ b) for a, b in zip(xi.blocks, eta.blocks)))
 
 
+def hs_matrix(descriptor: AlgebraDescriptor, f) -> np.ndarray:
+    """Matrix of a linear map on the Hilbert-Schmidt space: column m is
+    vec(f(e_m)) for the m-th matrix unit e_m.  ``f`` takes the stacked
+    matrix units; batch axes it puts in front of theirs lead the result."""
+    return np.swapaxes(vec(f(matrix_unit_basis(descriptor))), -1, -2)
+
+
 def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
-    """Matrix of xi |-> x xi on Hilbert-Schmidt coordinates: blockwise 1 kron x_i."""
-    return _block_diagonal(x.descriptor,
-                           [np.kron(np.eye(b.shape[0]), b) for b in x.blocks])
-
-
-def right_mult_matrix(x: AlgebraElement) -> np.ndarray:
-    """Matrix of xi |-> xi x on Hilbert-Schmidt coordinates: blockwise x_i^T kron 1."""
-    return _block_diagonal(x.descriptor,
-                           [np.kron(b.T, np.eye(b.shape[0])) for b in x.blocks])
-
-
-def _block_diagonal(descriptor: AlgebraDescriptor, mats) -> np.ndarray:
-    """Operator acting on Hilbert-Schmidt block i by ``mats[i]``."""
-    n = descriptor.dim
-    out = np.zeros((n, n), dtype=complex)
-    ofs = 0
-    for m in mats:
-        k = m.shape[0]
-        out[ofs:ofs + k, ofs:ofs + k] = m
-        ofs += k
-    return out
+    """Matrix of xi |-> x xi on Hilbert-Schmidt coordinates."""
+    return hs_matrix(x.descriptor, lambda units: x @ units)
 
 
 # -- states -----------------------------------------------------------------

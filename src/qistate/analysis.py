@@ -1,10 +1,11 @@
 """One analysis per instance: each artifact of the paper's chain, built once.
 
 The cocycle table x_g and its bound lambda give d and the invariant state
-psi; with rho^{1/2} they give a_g and U_g, then B, Phi, E0 and F0; the
-invariant trace tau gives the density c of phi.  Each artifact is a cached
-property that calls its builder once, with the instance's tolerances, on
-the upstream artifacts it consumes.  The check suites read them from here.
+psi; with rho^{1/2} they give a_g and the block factors of U_g, then B,
+Phi, E0 and F0; the invariant trace tau gives the density c of phi.  Each
+artifact is a cached property that calls its builder once, with the
+instance's tolerances, on the upstream artifacts it consumes.  The check
+suites read them from here.
 """
 
 from functools import cached_property
@@ -14,7 +15,7 @@ from .algebra import State, density_power, stack
 from .cocycle import build_table, is_strongly_qi
 from .expectation import commutant_f0, cond_expectation, e0_projection, fixed_algebra
 from .invariant import invariant_state
-from .standard_form import a_g, group_unitaries
+from .standard_form import a_g, group_unitaries, spatial_factors
 from .trace import invariant_trace, trace_density
 
 
@@ -52,9 +53,14 @@ class Analysis:
                      for i, g in enumerate(self.group.elements))
 
     @cached_property
+    def factors(self):
+        """(w_g, v_g) of U_g stacked in group order; refuses a non-unitary U_g."""
+        return spatial_factors(self.group, self.roots, self.a, self.tol_eq)
+
+    @cached_property
     def unitaries(self):
-        """U_g for each group element, in group order."""
-        return group_unitaries(self.phi, self.group, self.roots, self.a, self.tol_eq)
+        """Dense U_g for each group element, in group order."""
+        return group_unitaries(self.group, self.roots[1], self.factors[0])
 
     @cached_property
     def certificate(self):

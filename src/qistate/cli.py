@@ -27,8 +27,8 @@ from .expectation import expectation_checks, verify_ks
 from .invariant import gamma_properties_check, strong_case_check
 from .matcore import InputError, PreconditionError, TOL_EQ, TOL_POS
 from .reporting import Check, CheckSet, residual_check
-from .standard_form import (gamma_factorization, lemma_chain_checks,
-                            verify_covariance, verify_representation)
+from .standard_form import (gamma_factorization, lemma_chain_checks, verify_covariance,
+                            verify_representation, verify_unitarity)
 from .trace import trace_invariance_check, verify_density_relations
 
 log = logging.getLogger("qistate")
@@ -244,14 +244,8 @@ def cmd_invariant(args):
 
 def cmd_implement(args):
     an, digest = _analysis(args)
-    tol_eq, strong, us = an.tol_eq, an.strong, an.unitaries
-    n = an.phi.descriptor.dim
-    worst_sur = max(float(np.linalg.norm(u.matrix @ np.conj(u.matrix.T) - np.eye(n), 2))
-                    for u in us)
     checks = CheckSet()
-    checks.add(residual_check("unitary_isometry", "U_g* U_g = 1",
-                              max(u.unitarity_residual for u in us), tol_eq))
-    checks.add(residual_check("unitary_surjective", "U_g U_g* = 1", worst_sur, tol_eq))
+    checks.extend(verify_unitarity(an).checks)
     checks.add(verify_covariance(an))
     checks.add(verify_representation(an))
     checks.extend(lemma_chain_checks(an).checks)
@@ -259,8 +253,8 @@ def cmd_implement(args):
     summary = {
         "lambda": an.table.lambda_bound,
         "group_order": an.group.order,
-        "strong_qi": bool(strong),
-        "l2_dimension": n,
+        "strong_qi": bool(an.strong),
+        "l2_dimension": an.phi.descriptor.dim,
         "representation_deviation": checks["representation"].residual,
     }
     return checks, summary, digest

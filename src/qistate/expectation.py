@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices, evaluate,
-                      identity, left_mult_matrix, matrix_unit_basis, require_faithful,
-                      stack, unvec, vec)
-from .actions import FiniteGroup, action_matrix, apply_all
+                      hs_matrix, identity, left_mult_matrix, matrix_unit_basis,
+                      require_faithful, stack, unvec, vec)
+from .actions import FiniteGroup, apply_all
 from .cocycle import random_probe
 from .matcore import PreconditionError, dagger
 from .reporting import Check, CheckSet, residual_check
@@ -41,8 +41,8 @@ def _range_onb(m: np.ndarray, cutoff: float) -> np.ndarray:
 
 def _joint_fixed_vectors(mats, n: int, cutoff: float) -> np.ndarray:
     """Orthonormal basis (columns) of the vectors that every n x n matrix in
-    ``mats`` fixes."""
-    if not mats:
+    the sequence or stack ``mats`` fixes."""
+    if len(mats) == 0:
         return np.eye(n)
     return _kernel_onb(np.vstack([m - np.eye(n) for m in mats]), cutoff)
 
@@ -81,10 +81,11 @@ def closure_residual(fa: FixedAlgebra) -> float:
 
 
 def fixed_algebra(group: FiniteGroup, tol_eq: float, tol_pos: float) -> FixedAlgebra:
-    """Joint kernel of (g - id) over the group, with closure verification."""
+    """Joint kernel of (A(g) - 1) over the group, with closure verification;
+    A(g) is the matrix of a |-> g(a), the first element the identity."""
     desc = group.descriptor
-    fa = FixedAlgebra(desc, _joint_fixed_vectors(
-        [action_matrix(g) for g in group.elements[1:]], desc.dim, tol_pos))
+    actions = hs_matrix(desc, lambda units: apply_all(group, units))
+    fa = FixedAlgebra(desc, _joint_fixed_vectors(actions[1:], desc.dim, tol_pos))
     worst = closure_residual(fa)
     norm = max(1.0, fa.basis.op_norm())
     if worst > tol_eq * max(1.0, norm ** 2):
@@ -141,7 +142,7 @@ def expectation_checks(an, rng=None, n_probes: int = 4) -> CheckSet:
     pos_defect = max(max(0.0, -phi_squares[p].min_eig() / max(1.0, squares[p].op_norm()))
                      for p in range(n_probes))
     checks.add(residual_check("positive", "Phi(a* a) >= 0", pos_defect, tol_eq))
-    units = unvec(desc, np.eye(desc.dim))
+    units = matrix_unit_basis(desc)
     checks.add(residual_check(
         "state_invariance", "psi(Phi(a)) = psi(a)",
         max(float(np.max(np.abs(evaluate(psi, Phi(units[us])) - evaluate(psi, units[us]))))
@@ -184,9 +185,10 @@ def verify_ks(an) -> CheckSet:
     basis = matrix_unit_basis(phi.descriptor)
     e0m = e0.matrix
 
-    # For the matrix unit b, M L_b N = M[:, rows] @ N[cols, :].
+    # L_b has ones at (rows, cols) for a matrix unit b: M L_b N = M[:, rows] @ N[cols, :]
     compression = mean_worst = 0.0
-    for b, (rows, cols) in zip(basis, _matrix_unit_coordinates(phi.descriptor)):
+    for b in basis:
+        rows, cols = np.nonzero(left_mult_matrix(b))
         l_phi = left_mult_matrix(Phi(b))
         compression = max(compression, float(np.linalg.norm(
             l_phi @ e0m - e0m[:, rows] @ e0m[cols, :], 2)))
@@ -198,7 +200,9 @@ def verify_ks(an) -> CheckSet:
     checks.add(residual_check("compression", "Phi(b) E0 = E0 b E0", compression, tol_eq))
 
     d_inv = d.inv()
-    worst = max(abs(evaluate(phi, a) - evaluate(psi, Phi(d_inv @ a))) for a in basis)
+    worst = max(float(np.max(np.abs(evaluate(phi, basis[us])
+                                    - evaluate(psi, Phi(d_inv @ basis[us])))))
+                for us in batch_slices(phi.descriptor.dim, group.order))
     checks.add(residual_check("state_decomposition",
                               "phi(a) = psi(Phi(d^-1 a))", worst, tol_eq))
 
@@ -206,20 +210,6 @@ def verify_ks(an) -> CheckSet:
                               "Phi(b) = mean_g U_{g^-1} b U_g on the Hilbert-Schmidt space",
                               mean_worst, tol_eq))
     return checks
-
-
-def _matrix_unit_coordinates(descriptor: AlgebraDescriptor):
-    """For each matrix unit E_rc, in ``matrix_unit_basis`` order, the
-    coordinate arrays (rows, cols): L_E = 1 kron E carries coordinate
-    cols[k] = off + c + n k of its block to rows[k] = off + r + n k, k < n,
-    and annihilates every other coordinate."""
-    ofs = 0
-    for n in descriptor.block_dims:
-        k = n * np.arange(n)
-        for c in range(n):
-            for r in range(n):
-                yield ofs + r + k, ofs + c + k
-        ofs += n * n
 
 
 def uniqueness_probe(an) -> Check:
@@ -275,12 +265,8 @@ def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float,
                             for t in range(basis_mat.shape[1])]
             commutant_dim += ni * nj * len(homs[(i, j)])
 
-    # The block-j rows of E0 reshaped to n_j x (n_j N): its columns are those
-    # of the block-j parts of E0's columns, which span ran E0.
-    offsets = np.cumsum([0] + [n * n for n in dims])
-    ks = [_range_onb(e0.matrix[offsets[j]:offsets[j + 1]].reshape((n, -1), order="F"),
-                     tol_pos)
-          for j, n in enumerate(dims)]
+    # K_j is spanned by the columns of block j of E0's columns, which span ran E0
+    ks = [_range_onb(np.hstack(b), tol_pos) for b in unvec(desc, e0.matrix.T).blocks]
     proj = []
     for i in range(k):
         c = _range_onb(np.hstack([q @ ks[j] for j in range(k) for q in homs[(i, j)]]),

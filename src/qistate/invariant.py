@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, State, batch_slices, evaluate, stack,
-                      state_from_density, unvec)
+from .algebra import (AlgebraElement, State, batch_slices, evaluate, matrix_unit_basis,
+                      stack, state_from_density)
 from .actions import apply, apply_all, predual
 from .cocycle import CocycleTable, random_probe
 from .matcore import PreconditionError, TOL_EQ, TOL_POS
@@ -71,7 +71,7 @@ def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
                               worst, tol_eq, table.lambda_bound ** 2))
 
     # (iii) phi o Gamma_g = phi, on the matrix units
-    units = unvec(phi.descriptor, np.eye(phi.descriptor.dim))
+    units = matrix_unit_basis(phi.descriptor)
     worst = max(float(np.max(np.abs(evaluate(phi, _gamma_all(xi, group, units[us]))
                                     - evaluate(phi, units[us]))))
                 for us in batch_slices(phi.descriptor.dim, group.order))

@@ -7,6 +7,11 @@ U_g* L_x U_g = L_{g(x)}.  In the strongly quasi-invariant case
 a_g = x_g^{1/2} and U_g U_h = U_{hg}, so g |-> U_g* is a unitary
 representation; otherwise the deviation from the product rule is only
 measured, never asserted.
+
+U_g = R(w_g) A(g^-1) R(rho^{-1/2}) is kept as its block factors
+w_g = rho^{1/2} a_g and v_g = U_g 1 = g^-1(rho^{-1/2}) w_g, with L, R left
+and right multiplication and A(g) xi = g(xi) unitary: each law of U_g is
+a norm of blocks.  Only E0 and ``verify_ks`` read U_g's dense matrix.
 """
 
 from dataclasses import dataclass
@@ -14,21 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .algebra import (AlgebraDescriptor, AlgebraElement, State, density_power,
-                      left_mult_matrix, matrix_unit_basis, right_mult_matrix)
-from .actions import Automorphism, FiniteGroup, action_matrix, apply, apply_all, inverse, predual
+from .algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices, density_power,
+                      hs_matrix, identity)
+from .actions import Automorphism, FiniteGroup, apply_all, predual
 from .matcore import PreconditionError, dagger
 from .reporting import Check, CheckSet, residual_check
 
 
 @dataclass
 class L2Operator:
-    """Dense matrix acting on Hilbert-Schmidt coordinates (block-major,
-    column-major within a block)."""
+    """Dense matrix acting on Hilbert-Schmidt coordinates (see ``algebra.vec``)."""
 
     descriptor: AlgebraDescriptor
     matrix: np.ndarray
-    unitarity_residual: float = None
     projection_residual: float = None
 
 
@@ -57,48 +60,87 @@ def a_g(phi: State, g: Automorphism, roots, x_g: AlgebraElement,
     return a
 
 
-def u_g(phi: State, g: Automorphism, roots, ag: AlgebraElement, tol_eq: float) -> L2Operator:
-    """The unitary xi |-> g^-1(xi rho^{-1/2}) rho^{1/2} a_g on Hilbert-Schmidt
-    coordinates, given ``roots`` = (rho^{1/2}, rho^{-1/2}) and a_g: the
-    product R(rho^{1/2} a_g) A(g^-1) R(rho^{-1/2}) of right multiplications
-    and the action matrix."""
+def spatial_factors(group: FiniteGroup, roots, a: AlgebraElement, tol_eq: float):
+    """(w_g, v_g) stacked in group order, from ``roots`` = (rho^{1/2},
+    rho^{-1/2}) and a_g.  Refuses U_g when ||v_g v_g* - 1|| > tol_eq
+    max(1, ||v_g||^2), since U_g* U_g = R(g(v_g v_g*)) (see
+    ``verify_unitarity``) and ||U_g||^2 = ||v_g v_g*|| = ||v_g||^2."""
     root, root_inv = roots
-    mat = (right_mult_matrix(root @ ag) @ action_matrix(inverse(g))
-           @ right_mult_matrix(root_inv))
-    n = phi.descriptor.dim
-    res = float(np.linalg.norm(dagger(mat) @ mat - np.eye(n), 2))
-    if res > tol_eq * max(1.0, float(np.linalg.norm(mat, 2)) ** 2):
-        raise PreconditionError(f"implementing operator is not unitary: residual {res:.3e}")
-    return L2Operator(phi.descriptor, mat, unitarity_residual=res)
+    w = root @ a
+    v = apply_all(group, root_inv)[group.inv] @ w
+    vv = v @ v.adjoint()
+    res, sq = (np.max([matcore.op_norms(b) for b in x.blocks], axis=0)    # over blocks, per g
+               for x in (vv - identity(a.descriptor), vv))
+    bad = res > tol_eq * np.maximum(1.0, sq)
+    if np.any(bad):
+        raise PreconditionError(
+            f"implementing operator is not unitary: residual {res[np.argmax(bad)]:.3e}")
+    return w, v
 
 
-def group_unitaries(phi: State, group: FiniteGroup, roots, a, tol_eq: float):
-    """U_g for each group element, given a_g in group order."""
-    return [u_g(phi, g, roots, ag, tol_eq) for g, ag in zip(group.elements, a)]
+def u_g(g: Automorphism, root_inv: AlgebraElement, wg: AlgebraElement) -> L2Operator:
+    """Dense matrix of U_g xi = g^-1(xi rho^{-1/2}) w_g, given rho^{-1/2}
+    and w_g = rho^{1/2} a_g."""
+    return L2Operator(wg.descriptor,
+                      hs_matrix(wg.descriptor, lambda units: predual(g, units @ root_inv) @ wg))
+
+
+def group_unitaries(group: FiniteGroup, root_inv: AlgebraElement, w: AlgebraElement):
+    """U_g for each group element, given w_g stacked in group order."""
+    return [u_g(g, root_inv, wg) for g, wg in zip(group.elements, w)]
+
+
+def verify_unitarity(an) -> CheckSet:
+    """U_g* U_g = 1 and U_g U_g* = 1 over the whole group.
+
+    By R(y) R(z) = R(zy) and A(g) R(z) A(g^-1) = R(g(z)),
+    U_g* U_g = R(rho^{-1/2}) A(g) R(w_g w_g*) A(g^-1) R(rho^{-1/2}) = R(y_g)
+    with y_g = rho^{-1/2} g(w_g w_g*) rho^{-1/2} = g(v_g v_g*), and
+    U_g U_g* = R(w_g) R(g^-1(rho^-1)) R(w_g*) = R(v_g* v_g).  As
+    ||R(z)|| = ||z|| and g is isometric, the residuals are
+    ||v_g v_g* - 1|| and ||v_g* v_g - 1||.
+    """
+    v, ident = an.factors[1], identity(an.phi.descriptor)
+    checks = CheckSet()
+    checks.add(residual_check("unitary_isometry", "U_g* U_g = 1",
+                              (v @ v.adjoint() - ident).op_norm(), an.tol_eq))
+    checks.add(residual_check("unitary_surjective", "U_g U_g* = 1",
+                              (v.adjoint() @ v - ident).op_norm(), an.tol_eq))
+    return checks
 
 
 def verify_covariance(an) -> Check:
-    """U_g* L_x U_g = L_{g(x)} over the whole group and a basis of the algebra."""
-    worst = 0.0
-    basis = matrix_unit_basis(an.phi.descriptor)
-    for g, u in zip(an.group.elements, an.unitaries):
-        for x in basis:
-            lhs = dagger(u.matrix) @ left_mult_matrix(x) @ u.matrix
-            rhs = left_mult_matrix(apply(g, x))
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-    return residual_check("covariance", "U_g* L_x U_g = L_{g(x)}", worst, an.tol_eq)
+    """U_g* L_x U_g = L_{g(x)} over the whole group and the matrix units x.
+
+    L_x commutes with R and A(g) L_x A(g^-1) = L_{g(x)}, so as in
+    ``verify_unitarity`` U_g* L_x U_g = L_{g(x)} R(y_g), y_g = g(v_g v_g*).
+    By ||L_a R_b|| = max_i ||a_i|| ||b_i||, the residual is
+    max_i ||g(x)_i|| ||(y_g - 1)_i||.  g carries a matrix unit to a norm-one
+    unit of one block, every block is reached and g is isometric, so the
+    worst case over x is ||v_g v_g* - 1||.
+    """
+    v = an.factors[1]
+    return residual_check("covariance", "U_g* L_x U_g = L_{g(x)}",
+                          (v @ v.adjoint() - identity(an.phi.descriptor)).op_norm(), an.tol_eq)
 
 
 def verify_representation(an) -> Check:
     """Product rule U_g U_h = U_{hg}; asserted only in the strong case,
-    otherwise the deviation is recorded as a diagnostic."""
-    us, group, strong = an.unitaries, an.group, an.strong
-    worst = 0.0
-    for i in range(group.order):
-        for j in range(group.order):
-            lhs = us[i].matrix @ us[j].matrix
-            rhs = us[group.mult[j, i]].matrix
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
+    otherwise the deviation is recorded as a diagnostic.
+
+    Moving R(w_h rho^{-1/2}) through A(g^-1) gives U_g U_h =
+    R(g^-1(w_h rho^{-1/2}) w_g) A((hg)^-1) R(rho^{-1/2}), so U_g U_h - U_{hg}
+    = R(D) A((hg)^-1) R(rho^{-1/2}) = R((hg)^-1(rho^{-1/2}) D) A((hg)^-1),
+    D = g^-1(w_h rho^{-1/2}) w_g - w_{hg}.  A is unitary, so the residual
+    is ||g^-1(v_h rho^{-1/2}) w_g - v_{hg}||, taken for every g and as many
+    h at once as ``batch_slices`` allows.
+    """
+    group, strong, (w, v) = an.group, an.strong, an.factors
+    z = v @ an.roots[1]
+    # entry [g, h] against v at mult[h, g], the index of hg
+    worst = max((apply_all(group, z[hs])[group.inv] @ w[:, None]
+                 - v[group.mult[hs].T]).op_norm()
+                for hs in batch_slices(group.order, group.order))
     return residual_check("representation", "U_g U_h = U_{hg}", worst, an.tol_eq,
                           asserted=strong,
                           detail="" if strong else "recorded only: product rule unproven here")

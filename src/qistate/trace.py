@@ -56,7 +56,8 @@ def trace_density(phi: State, tau: TraceFunctional, tol_eq: float,
     require_faithful(phi, tol_pos)
     c = AlgebraElement(phi.descriptor,
                        [b / w for b, w in zip(phi.density.blocks, tau.weights)])
-    worst = max(abs(evaluate(phi, a) - tau(c @ a)) for a in matrix_unit_basis(phi.descriptor))
+    units = matrix_unit_basis(phi.descriptor)
+    worst = float(np.max(np.abs(evaluate(phi, units) - tau(c @ units))))
     if worst > tol_eq:
         raise PreconditionError(f"density defect {worst:.3e} against the trace pairing")
     return c

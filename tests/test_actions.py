@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qistate import actions
-from qistate.actions import (Automorphism, action_matrix, apply, apply_all, close_group,
-                             compose, equal_as_maps, identity_automorphism,
-                             inverse, predual)
-from qistate.algebra import (AlgebraDescriptor, AlgebraElement, identity, stack,
+from qistate.actions import (Automorphism, apply, apply_all, close_group, compose,
+                             equal_as_maps, identity_automorphism, inverse, predual)
+from qistate.algebra import (AlgebraDescriptor, AlgebraElement, hs_matrix, identity, stack,
                              vec)
 from qistate.cli import parse_instance
 from qistate.instances import (clock_matrix, conjugate_generator,
@@ -122,21 +121,40 @@ block_dims = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
 seeds = st.integers(0, 2 ** 32 - 1)
 
 
+def action_matrix(g):
+    """A(g), the matrix of a |-> g(a) on Hilbert-Schmidt coordinates."""
+    return hs_matrix(g.descriptor, lambda units: apply(g, units))
+
+
+def reference_action_matrix(g):
+    # block j goes to block perm(j) by conj(u) kron u, since
+    # vec(u a u*) = (conj(u) kron u) vec(a) for column-major vec
+    dims = g.descriptor.block_dims
+    out = np.zeros((g.descriptor.dim,) * 2, dtype=complex)
+    offsets = np.cumsum([0] + [d * d for d in dims])
+    for j, d in enumerate(dims):
+        i = g.perm[j]
+        u = g.unitaries[i]
+        out[offsets[i]:offsets[i] + d * d, offsets[j]:offsets[j] + d * d] = np.kron(np.conj(u), u)
+    return out
+
+
 @settings(max_examples=30, deadline=None)
 @given(block_dims, seeds)
-def test_action_matrix_acts_as_the_automorphism_and_is_unitary(dims, seed):
+def test_hs_matrix_of_an_automorphism_acts_as_it_and_is_unitary(dims, seed):
     rng = np.random.default_rng(seed)
     desc = AlgebraDescriptor(dims)
     g = dimension_preserving_automorphism(rng, desc)
     a = action_matrix(g)
     xi = random_element(rng, desc)
+    assert np.linalg.norm(a - reference_action_matrix(g), 2) < 1e-14
     assert np.allclose(a @ vec(xi), vec(apply(g, xi)), atol=1e-12)
     assert np.linalg.norm(a.conj().T @ a - np.eye(desc.dim), 2) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(block_dims, seeds)
-def test_action_matrix_is_multiplicative(dims, seed):
+def test_hs_matrix_of_automorphisms_is_multiplicative(dims, seed):
     rng = np.random.default_rng(seed)
     desc = AlgebraDescriptor(dims)
     g = dimension_preserving_automorphism(rng, desc)

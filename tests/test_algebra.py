@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from qistate import algebra
 from qistate.algebra import (EQUIVALENT, FIRST_IN_SECOND, INCOMPARABLE,
                              SECOND_IN_FIRST, AlgebraDescriptor,
                              AlgebraElement, State, batch_slices, center_basis, evaluate,
-                             gns_embed, identity, is_faithful, l2_inner,
+                             gns_embed, hs_matrix, identity, is_faithful, l2_inner,
                              left_mult_matrix, matrix_unit_basis, modular_flow,
-                             right_mult_matrix, stack, state_from_density,
+                             stack, state_from_density,
                              support_comparison, unvec, vec)
 from qistate.matcore import InputError, PreconditionError, dagger
 
@@ -220,7 +221,9 @@ def test_mult_matrices_act_by_multiplication(dims, seed):
     desc = AlgebraDescriptor(dims)
     x, xi = random_element(rng, desc), random_element(rng, desc)
     assert np.allclose(left_mult_matrix(x) @ vec(xi), vec(x @ xi), atol=1e-12)
-    assert np.allclose(right_mult_matrix(x) @ vec(xi), vec(xi @ x), atol=1e-12)
+    # blockwise 1 kron x_i for column-major vec
+    kron = block_diag(*(np.kron(np.eye(len(b)), b) for b in x.blocks))
+    assert np.linalg.norm(left_mult_matrix(x) - kron, 2) < 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -228,15 +231,17 @@ def test_mult_matrices_act_by_multiplication(dims, seed):
 def test_left_and_right_multiplications_commute(dims, seed):
     rng = np.random.default_rng(seed)
     desc = AlgebraDescriptor(dims)
+    y = random_element(rng, desc)
     lx = left_mult_matrix(random_element(rng, desc))
-    ry = right_mult_matrix(random_element(rng, desc))
+    ry = hs_matrix(desc, lambda units: units @ y)
     assert np.linalg.norm(lx @ ry - ry @ lx, 2) < 1e-12 * max(1.0, np.linalg.norm(lx @ ry, 2))
 
 
 def test_matrix_unit_basis_is_orthonormal():
     desc = AlgebraDescriptor((2, 2))
     basis = matrix_unit_basis(desc)
-    assert len(basis) == desc.dim
+    assert basis.batch == (desc.dim,)
+    assert np.array_equal(vec(basis), np.eye(desc.dim))
     gram = np.array([[l2_inner(a, b) for b in basis] for a in basis])
     assert np.allclose(gram, np.eye(desc.dim))
 

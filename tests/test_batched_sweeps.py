@@ -4,7 +4,9 @@ The reference functions below are the loop versions of the cocycle laws,
 the Gamma suite, the invariant state, the lemma chain and the Gamma
 factorization, the trace laws, the expectation checks, the fixed-algebra
 closure check and ``verify_ks``: one unbatched element and one ``apply``
-at a time.  The batched versions must reproduce every residual to 1e-12
+at a time.  The laws of the spatial implementation U_g are checked
+against dense N x N matrices assembled from kron products.  The batched
+versions must reproduce every residual to 1e-12 (the U_g laws to 1e-14)
 and must not do quadratic work.
 """
 
@@ -13,6 +15,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from qistate import actions, algebra, matcore
 from qistate.actions import apply, close_group, inverse
@@ -31,8 +34,11 @@ from qistate.instances import (clock_matrix, inner_generator, permutation_genera
 from qistate.invariant import (fixed_density_d, gamma_map, gamma_properties_check,
                                strong_case_check)
 from qistate.matcore import TOL_EQ, TOL_POS, dagger
-from qistate.standard_form import gamma_factorization, lemma_chain_checks
+from qistate.standard_form import (gamma_factorization, lemma_chain_checks, verify_covariance,
+                                   verify_representation, verify_unitarity)
 from qistate.trace import trace_invariance_check, verify_density_relations
+
+from test_actions import reference_action_matrix
 
 
 # -- the loops the stacked sweeps replaced -------------------------------------
@@ -277,6 +283,40 @@ def reference_verify_ks(an):
             "mean_formula": mean_worst}
 
 
+def reference_left_mult(x):
+    return block_diag(*(np.kron(np.eye(len(b)), b) for b in x.blocks))
+
+
+def reference_right_mult(x):
+    return block_diag(*(np.kron(b.T, np.eye(len(b))) for b in x.blocks))
+
+
+def reference_unitaries(an):
+    """U_g = R(rho^{1/2} a_g) A(g^-1) R(rho^{-1/2}) as dense kron products."""
+    root, root_inv = an.roots
+    return [reference_right_mult(root @ ag) @ reference_action_matrix(inverse(g))
+            @ reference_right_mult(root_inv) for g, ag in zip(an.group.elements, an.a)]
+
+
+def reference_implement_laws(an):
+    """Unitarity on both sides, covariance over the matrix units and the
+    product rule over all pairs, each as a dense spectral norm."""
+    group, n = an.group, an.phi.descriptor.dim
+    us = reference_unitaries(an)
+    out = {"unitary_isometry": max(np.linalg.norm(dagger(u) @ u - np.eye(n), 2) for u in us),
+           "unitary_surjective": max(np.linalg.norm(u @ dagger(u) - np.eye(n), 2) for u in us)}
+    covariance = 0.0
+    for g, u in zip(group.elements, us):
+        for x in matrix_unit_basis(an.phi.descriptor):
+            lhs = dagger(u) @ reference_left_mult(x) @ u
+            covariance = max(covariance,
+                             np.linalg.norm(lhs - reference_left_mult(apply(g, x)), 2))
+    out["covariance"] = covariance
+    out["representation"] = max(np.linalg.norm(us[i] @ us[j] - us[group.mult[j, i]], 2)
+                                for i in range(group.order) for j in range(group.order))
+    return out
+
+
 # -- instances -------------------------------------------------------------------
 
 def _random(dims, seed, strong=False):
@@ -310,11 +350,11 @@ def analysis(request):
     return make_analysis(request.param, request)
 
 
-def assert_residuals_match(checks, reference):
+def assert_residuals_match(checks, reference, tol=1e-12):
     got = {c.name: c.residual for c in checks}
     assert set(reference) <= set(got)
     for name, value in reference.items():
-        assert abs(got[name] - value) <= 1e-12, (name, got[name], value)
+        assert abs(got[name] - value) <= tol, (name, got[name], value)
 
 
 def test_random_instances_move_blocks_and_do_not_commute():
@@ -441,6 +481,25 @@ def test_closure_residual_matches_loops(analysis):
     assert abs(closure_residual(fa) - reference_closure_residual(fa)) <= 1e-12
 
 
+def test_dense_unitaries_match_kron_products(analysis):
+    for u, ref in zip(analysis.unitaries, reference_unitaries(analysis)):
+        assert np.linalg.norm(u.matrix - ref, 2) <= 1e-14 * max(1.0, np.linalg.norm(ref, 2))
+
+
+def implement_laws(an):
+    return list(verify_unitarity(an)) + [verify_covariance(an), verify_representation(an)]
+
+
+def test_implement_laws_match_dense_loops(analysis):
+    checks = implement_laws(analysis)
+    assert [c.name for c in checks] == ["unitary_isometry", "unitary_surjective",
+                                        "covariance", "representation"]
+    assert_residuals_match(checks, reference_implement_laws(analysis), tol=1e-14)
+    # the product rule fails off the strong case, by a margin that
+    # differs from pair to pair
+    assert (checks[-1].residual > 1e-6) == (not analysis.strong)
+
+
 @pytest.mark.parametrize("name", STRONG)
 def test_verify_ks_matches_loops(name, request):
     an = make_analysis(name, request)
@@ -545,6 +604,20 @@ def test_check_cocycle_laws_work_is_linear(monkeypatch):
     # the chain rule, the inverse formula and the commuting sweep each loop
     # over the group with a few element operations per step
     assert_linear(monkeypatch, run, reference, 12 * (an.group.order + len(probes)))
+
+
+def test_implement_laws_work_is_linear(monkeypatch):
+    an = weyl5_analysis()
+    an.strong, an.a
+
+    def run():
+        an.__dict__.pop("factors", None)
+        implement_laws(an)
+
+    # the factors and each law take a few stacked elements, the product
+    # rule a few per slice of pairs: 27 on Weyl(5), in one slice; the
+    # dense loops make an apply call per group element and matrix unit
+    assert_linear(monkeypatch, run, lambda: reference_implement_laws(an), 30)
 
 
 def test_trace_laws_work_is_linear(monkeypatch):

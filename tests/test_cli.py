@@ -279,7 +279,8 @@ def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
     calls = collections.Counter()
     modules = [m for key, m in list(sys.modules.items())
                if key == "qistate" or key.startswith("qistate.")]
-    for fn in (cocycle.build_table, expectation.fixed_algebra, standard_form.u_g):
+    for fn in (cocycle.build_table, expectation.fixed_algebra, standard_form.u_g,
+               standard_form.group_unitaries):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -292,4 +293,7 @@ def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
     capsys.readouterr()
     assert calls["build_table"] == 1
     assert calls["fixed_algebra"] == (command == "expectation")
-    assert calls["u_g"] == (2 if command in ("implement", "expectation") else 0)
+    # implement checks U_g's laws on its block factors; only E0 and
+    # verify_ks read the dense U_g, one per element of the order-2 group
+    assert calls["group_unitaries"] == (command == "expectation")
+    assert calls["u_g"] == (2 if command == "expectation" else 0)

@@ -10,7 +10,7 @@ from qistate.cocycle import rn_cocycle
 from qistate.instances import random_instance, random_strong_instance
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
 from qistate.standard_form import (a_g, gamma_factorization, lemma_chain_checks, u_g,
-                                   verify_covariance, verify_representation)
+                                   verify_covariance, verify_representation, verify_unitarity)
 
 
 def random_l2(rng, desc):
@@ -67,7 +67,7 @@ def test_u_g_matches_column_oracle(qubit, nonstrong, rng):
 
 def test_u_g_identity(qubit):
     an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
-    u = u_g(qubit.phi, qubit.group.elements[0], an.roots, an.a[0], TOL_EQ)
+    u = u_g(qubit.group.elements[0], an.roots[1], an.factors[0][0])
     assert np.allclose(u.matrix, np.eye(qubit.descriptor.dim))
 
 
@@ -205,9 +205,12 @@ def test_non_unitary_implementation_is_refused(name, request):
     inst = request.getfixturevalue(name)
     an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
     an.a = 1.01 * an.a
-    with pytest.raises(PreconditionError,
-                       match=r"implementing operator is not unitary: residual 2\.010e-02"):
-        an.unitaries
+    # the implement laws and the dense unitaries share one refusal
+    for build in (verify_unitarity, verify_covariance, verify_representation,
+                  lambda an: an.unitaries):
+        with pytest.raises(PreconditionError,
+                           match=r"implementing operator is not unitary: residual 2\.010e-02"):
+            build(an)
 
 
 def test_a_g_requires_faithful():
