@@ -490,13 +490,17 @@ def implement_laws(an):
     return list(verify_unitarity(an)) + [verify_covariance(an), verify_representation(an)]
 
 
-def test_implement_laws_match_dense_loops(analysis):
-    checks = implement_laws(analysis)
-    assert [c.name for c in checks] == ["unitary_isometry", "unitary_surjective",
-                                        "covariance", "representation"]
-    assert_residuals_match(checks, reference_implement_laws(analysis), tol=1e-14)
-    # the product rule fails off the strong case, by a margin that
-    # differs from pair to pair
+def test_implement_laws_match_dense_loops(analysis, monkeypatch):
+    reference = reference_implement_laws(analysis)
+    # the second limit runs the product rule in slices of one index h, the
+    # first of which (the identity) has no deviation
+    for limit in (algebra.STACK_LIMIT, analysis.group.order):
+        monkeypatch.setattr(algebra, "STACK_LIMIT", limit)
+        checks = implement_laws(analysis)
+        assert [c.name for c in checks] == ["unitary_isometry", "unitary_surjective",
+                                            "covariance", "representation"]
+        assert_residuals_match(checks, reference, tol=1e-14)
+    # the product rule fails off the strong case
     assert (checks[-1].residual > 1e-6) == (not analysis.strong)
 
 
