@@ -232,6 +232,16 @@ def test_close_group_hits_cap_for_infinite_order():
         close_group([inner_generator(desc, 0, u)], cap=40)
 
 
+@pytest.mark.parametrize("gens", [("shift",), ("shift", "clock")])
+def test_close_group_refuses_products_that_drift_from_unitary(gens):
+    # each generator is unitary to 8e-10 < TOL_EQ, its square only to 1.6e-9
+    desc = AlgebraDescriptor((3,))
+    mats = {"shift": shift_matrix(3), "clock": clock_matrix(3)}
+    scaled = [inner_generator(desc, 0, (1.0 + 4e-10) * mats[name]) for name in gens]
+    with pytest.raises(InputError, match="matrix for block 0 is not unitary"):
+        close_group(scaled)
+
+
 def test_predual_identity(rng):
     desc = AlgebraDescriptor((2, 2))
     rho = random_element(rng, desc)
