@@ -53,6 +53,14 @@ class Automorphism:
         self.unitaries = unitaries
         self.inv_perm = tuple(inv_perm)
 
+    @classmethod
+    def _unchecked(cls, descriptor, perm, unitaries, inv_perm):
+        """An automorphism from parts known to be valid, such as products of
+        checked automorphisms: no permutation or unitarity test."""
+        g = object.__new__(cls)
+        g.descriptor, g.perm, g.unitaries, g.inv_perm = descriptor, perm, unitaries, inv_perm
+        return g
+
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         return apply(self, a)
 
@@ -90,32 +98,48 @@ def apply_all(group: "FiniteGroup", a: AlgebraElement) -> AlgebraElement:
 
 
 def compose(g: Automorphism, h: Automorphism) -> Automorphism:
-    """The automorphism a |-> g(h(a))."""
+    """The automorphism a |-> g(h(a)).  Its unitaries are products of
+    checked ones and are not tested again (``close_group`` tests the
+    elements it keeps)."""
     if g.descriptor != h.descriptor:
         raise InputError("cannot compose automorphisms of different algebras")
     perm = tuple(g.perm[p] for p in h.perm)
     unitaries = [g.unitaries[i] @ h.unitaries[g.inv_perm[i]]
                  for i in range(g.descriptor.num_blocks)]
-    return Automorphism(g.descriptor, perm, unitaries)
+    inv_perm = tuple(h.inv_perm[q] for q in g.inv_perm)
+    return Automorphism._unchecked(g.descriptor, perm, unitaries, inv_perm)
 
 
 def inverse(g: Automorphism) -> Automorphism:
     unitaries = [dagger(g.unitaries[g.perm[j]])
                  for j in range(g.descriptor.num_blocks)]
-    return Automorphism(g.descriptor, g.inv_perm, unitaries)
+    return Automorphism._unchecked(g.descriptor, g.inv_perm, unitaries, g.perm)
 
 
-def predual(g: Automorphism, rho: AlgebraElement) -> AlgebraElement:
+def predual(g, a: AlgebraElement) -> AlgebraElement:
     """Predual action on densities: tr(predual(g, rho) a) = tr(rho g(a)).
 
     Since block automorphisms preserve the total trace this is just g^-1
     applied to the density, read off g's own unitaries: block j is
-    u_p* rho_p u_p with p = perm(j).
+    u_p* a_p u_p with p = perm(j).  For ``g`` a ``FiniteGroup`` it is
+    g^-1(a) for every element g, with the group axis first; ``a`` is then
+    one element, or a stack over the group in element order whose entry k
+    goes to the k-th element's inverse.
     """
-    if g.descriptor != rho.descriptor:
+    if g.descriptor != a.descriptor:
         raise InputError("automorphism and element live on different algebras")
-    return AlgebraElement(rho.descriptor, [dagger(g.unitaries[p]) @ rho.blocks[p]
-                                           @ g.unitaries[p] for p in g.perm])
+    if isinstance(g, Automorphism):
+        return AlgebraElement(a.descriptor, [dagger(g.unitaries[p]) @ a.blocks[p]
+                                             @ g.unitaries[p] for p in g.perm])
+    out = []
+    for j, targets in enumerate(g.target_blocks):
+        res = np.empty((g.order,) + a.blocks[j].shape[-2:], dtype=complex)
+        for p in set(targets.tolist()):
+            sel = targets == p
+            u = g.unitary_stacks[p][sel]
+            res[sel] = dagger(u) @ (a.blocks[p][sel] if a.batch else a.blocks[p]) @ u
+        out.append(res)
+    return AlgebraElement(a.descriptor, out)
 
 
 def equal_as_maps(g: Automorphism, h: Automorphism, tol: float = TOL_EQ) -> bool:
@@ -230,12 +254,13 @@ class FiniteGroup:
 
     ``index`` is the closure's fingerprint index over ``elements``.  For
     each block i, ``unitary_stacks[i]`` stacks every element's block-i
-    unitary as a (|G|, n_i, n_i) array and ``source_blocks[i]`` holds the
-    (|G|,) block indices inv_perm[i] that each element carries to block i.
+    unitary as a (|G|, n_i, n_i) array, ``source_blocks[i]`` holds the
+    (|G|,) block indices inv_perm[i] that each element carries to block i,
+    and ``target_blocks[i]`` the block indices perm[i] it carries block i to.
     """
 
     __slots__ = ("descriptor", "elements", "mult", "inv", "index",
-                 "unitary_stacks", "source_blocks")
+                 "unitary_stacks", "source_blocks", "target_blocks")
 
     def __init__(self, descriptor, elements, mult, inv, index: MapIndex):
         self.descriptor = descriptor
@@ -246,6 +271,7 @@ class FiniteGroup:
         blocks = range(descriptor.num_blocks)
         self.unitary_stacks = [np.stack([g.unitaries[i] for g in elements]) for i in blocks]
         self.source_blocks = [np.array([g.inv_perm[i] for g in elements]) for i in blocks]
+        self.target_blocks = [np.array([g.perm[i] for g in elements]) for i in blocks]
 
     @property
     def order(self) -> int:
@@ -295,6 +321,10 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
     elements[c] = elements[parent(c)] o generators[s(c)] gives
     mult[:, c] = right[mult[:, parent(c)], s(c)].  Raises once the closure
     exceeds ``cap`` elements (generators of infinite order).
+
+    ``compose`` does not test its products for unitarity; instead the
+    elements each layer of the search adds are tested at once, by
+    ``Automorphism``'s default test, before the next layer grows from them.
     """
     if not generators:
         raise InputError("need at least one generator")
@@ -330,6 +360,8 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
         for k in layer:
             for s, gen in enumerate(generators):
                 visit(k, s, compose(elements[k], gen), check_cap=True)
+        if frontier:
+            _require_unitary(elements[frontier[0]:])
 
     n = len(elements)
     right = np.array(right, dtype=int)
@@ -342,6 +374,16 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
         raise InputError("closure is inconsistent: no unique inverse")
     inv = [int(i) for i in np.argmax(is_identity, axis=1)]
     return FiniteGroup(desc, elements, mult, inv, index)
+
+
+def _require_unitary(elements) -> None:
+    """Raise for the first of ``elements`` with a block that fails
+    ``matcore.is_unitary`` at TOL_EQ, naming the block."""
+    bad = np.array([~matcore.is_unitary(np.stack([g.unitaries[i] for g in elements]))
+                    for i in range(elements[0].descriptor.num_blocks)])
+    if np.any(bad):
+        i = int(np.argmax(bad[:, np.argmax(np.any(bad, axis=0))]))
+        raise InputError(f"matrix for block {i} is not unitary")
 
 
 def trivial_group(descriptor: AlgebraDescriptor) -> FiniteGroup:

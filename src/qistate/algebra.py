@@ -5,7 +5,8 @@ elements are lists of dense complex blocks.  An element may also stand for
 a stack of elements: every block then carries the same leading batch shape,
 arithmetic broadcasts over it, the reductions (``op_norm``,
 ``herm_residual``, ``min_eig``, ``min_sv``) take the worst case over it,
-and ``x[k]`` indexes it.  So one expression states a law for one element
+``op_norms`` and ``min_eigs`` give one value per element, and ``x[k]``
+indexes it.  So one expression states a law for one element
 or for every group element at once.  Normal states are stored by their
 density matrix.  The Hilbert-Schmidt space of block matrices doubles as
 the GNS space: vectors use the same block layout as algebra elements, the
@@ -117,20 +118,34 @@ class AlgebraElement:
 
     # -- reductions: the worst case over the batch ---------------------------
     def op_norm(self) -> float:
-        return max(matcore.op_norm(b) for b in self.blocks)
+        return matcore.max_op_norm(self.blocks)
+
+    def op_norms(self) -> np.ndarray:
+        """||x|| of each element, an array of the batch shape."""
+        return np.max([matcore.op_norms(b) for b in self.blocks], axis=0)
 
     def hs_norm(self) -> float:
         return float(np.max(np.sqrt(sum(np.linalg.norm(b, axis=(-2, -1)) ** 2
                                         for b in self.blocks))))
 
     def herm_residual(self) -> float:
-        return max(matcore.herm_residual(b) for b in self.blocks)
+        return matcore.max_op_norm(b - dagger(b) for b in self.blocks)
 
     def min_eig(self, tol_herm: float = TOL_HERM) -> float:
         return min(matcore.min_eig(b, tol_herm=tol_herm) for b in self.blocks)
 
+    def min_eigs(self) -> np.ndarray:
+        """Smallest eigenvalue of each (Hermitian) element, an array of the
+        batch shape."""
+        return np.min([matcore.herm_eig(b)[0][..., 0] for b in self.blocks], axis=0)
+
     def min_sv(self) -> float:
-        return min(matcore.min_sv(b) for b in self.blocks)
+        return float(np.min(self.min_svs()))
+
+    def min_svs(self) -> np.ndarray:
+        """Smallest singular value of each element, an array of the batch shape."""
+        return np.min([np.linalg.svd(b, compute_uv=False)[..., -1] for b in self.blocks],
+                      axis=0)
 
     def copy(self):
         return AlgebraElement(self.descriptor, [b.copy() for b in self.blocks])
@@ -196,6 +211,13 @@ def stack(elements) -> AlgebraElement:
     elements = list(elements)
     return AlgebraElement(elements[0].descriptor,
                           [np.stack(bs) for bs in zip(*(x.blocks for x in elements))])
+
+
+def worst_op_norm(elements) -> float:
+    """Largest operator norm over an iterable of elements or stacks: every
+    block of every element in one ``matcore.max_op_norm`` pool, so a later
+    slice of a sweep takes SVDs only where it can beat the earlier ones."""
+    return matcore.max_op_norm(b for x in elements for b in x.blocks)
 
 
 # A sweep over pairs stacks at most this many elements at once.

@@ -11,7 +11,7 @@ suites read them from here.
 from functools import cached_property
 
 from .actions import FiniteGroup
-from .algebra import State, density_power, stack
+from .algebra import State, density_power
 from .cocycle import build_table, is_strongly_qi
 from .expectation import commutant_f0, cond_expectation, e0_projection, fixed_algebra
 from .invariant import invariant_state
@@ -48,9 +48,9 @@ class Analysis:
     @cached_property
     def a(self):
         """a_g for each group element, stacked in group order."""
-        x, inv = self.table.entries, self.group.inv
-        return stack(a_g(self.phi, g, self.roots, x[i], x[inv[i]], self.tol_eq, self.tol_pos)
-                     for i, g in enumerate(self.group.elements))
+        x = self.table.entries
+        return a_g(self.phi, self.group, self.roots, x, x[self.group.inv],
+                   self.tol_eq, self.tol_pos)
 
     @cached_property
     def factors(self):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .algebra import AlgebraElement, State, evaluate, require_faithful, stack
+from .algebra import AlgebraElement, State, evaluate, require_faithful, worst_op_norm
 from .actions import Automorphism, FiniteGroup, apply, predual
 from .matcore import PreconditionError, TOL_EQ, TOL_POS, dagger
 from .reporting import Check, CheckSet, residual_check
@@ -27,28 +27,46 @@ def rn_cocycle(phi: State, g: Automorphism, tol_pos: float = TOL_POS,
     require_faithful(phi, tol_pos)
     rho = phi.density
     x = rho.inv() @ predual(g, rho)
-    worst = _cocycle_defect(phi, g, x)
-    if worst > tol_eq * max(1.0, x.op_norm()):
-        raise PreconditionError(
-            f"cocycle defect {worst:.3e}: state/automorphism pair is inconsistent"
-        )
+    _require_cocycles(x, _cocycle_defect(phi, g, x), tol_eq)
     return x
 
 
-def _cocycle_defect(phi: State, g: Automorphism, x: AlgebraElement) -> float:
-    """max |phi(g(E)) - phi(x E)| over the matrix units E.
+def _cocycle_defect(phi: State, g: Automorphism, x: AlgebraElement):
+    """max |phi(g(E)) - phi(x E)| over the matrix units E; one value per
+    element when ``g`` is the group and ``x`` a stack over it.
 
     For E = E_rc in block j, g(E) is u E u* in block perm(j) with
-    u = u_{perm(j)}, so phi(g(E)) = (u* rho_{perm(j)} u)_{cr} and
-    phi(x E) = (rho_j x_j)_{cr}: one entrywise comparison per block.
+    u = u_{perm(j)}, so phi(g(E)) = (u* rho_{perm(j)} u)_{cr} = g^-1(rho)_{cr}
+    and phi(x E) = (rho_j x_j)_{cr}: one entrywise comparison per block.
     """
-    rho = phi.density.blocks
-    worst = 0.0
-    for j, (r, xb) in enumerate(zip(rho, x.blocks)):
-        p = g.perm[j]
-        u = g.unitaries[p]
-        worst = max(worst, float(np.max(np.abs(dagger(u) @ rho[p] @ u - r @ xb))))
-    return worst
+    rho = phi.density
+    if isinstance(g, FiniteGroup):
+        target = predual(g, rho).blocks
+    else:    # g's own unitaries, whatever x was computed from
+        target = [dagger(g.unitaries[p]) @ rho.blocks[p] @ g.unitaries[p] for p in g.perm]
+    return np.max([np.max(np.abs(t - r @ xb), axis=(-2, -1))
+                   for t, r, xb in zip(target, rho.blocks, x.blocks)], axis=0)
+
+
+def _require_cocycles(x: AlgebraElement, defect, tol_eq: float, tol_pos: float = None):
+    """The operator norms of x, one element or a stack, after raising for
+    the first element whose defect exceeds tol_eq max(1, ||x_g||) or, when
+    ``tol_pos`` is given, whose smallest singular value is at most
+    tol_pos max(1, ||x_g||)."""
+    norms = x.op_norms()
+    scale = np.maximum(1.0, norms)
+    inconsistent = defect > tol_eq * scale
+    singular = np.zeros_like(inconsistent)
+    if tol_pos is not None:
+        singular = x.min_svs() <= tol_pos * scale
+    bad = inconsistent | singular
+    if np.any(bad):
+        k = np.argmax(bad)
+        if inconsistent.flat[k]:
+            raise PreconditionError(f"cocycle defect {defect.flat[k]:.3e}: "
+                                    "state/automorphism pair is inconsistent")
+        raise PreconditionError("cocycle element is numerically singular")
+    return norms
 
 
 @dataclass
@@ -66,20 +84,18 @@ class CocycleTable:
 
 def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS,
                 tol_eq: float = TOL_EQ, user_lambda: float = None) -> CocycleTable:
-    """Compute every x_g and the uniform bound lambda.
+    """Compute every x_g and the uniform bound lambda, as stacks over the
+    group: the checks of ``rn_cocycle`` and the singularity test, each
+    raising for the first failing element.
 
     When ``user_lambda`` is given, raises if it fails to dominate the
     computed bound.
     """
-    entries = []
-    for g in group:
-        x = rn_cocycle(phi, g, tol_pos=tol_pos, tol_eq=tol_eq)
-        if x.min_sv() <= tol_pos * max(1.0, x.op_norm()):
-            raise PreconditionError("cocycle element is numerically singular")
-        entries.append(x)
-    entries = stack(entries)
+    require_faithful(phi, tol_pos)
+    entries = phi.density.inv() @ predual(group, phi.density)
+    norms = _require_cocycles(entries, _cocycle_defect(phi, group, entries), tol_eq, tol_pos)
     inverses = entries.inv()
-    lam = max(entries.op_norm(), inverses.op_norm())
+    lam = max(float(np.max(norms)), inverses.op_norm())
     if user_lambda is not None and user_lambda < lam - tol_eq:
         raise PreconditionError(
             f"supplied bound {user_lambda} is below the computed bound {lam:.6g}"
@@ -91,22 +107,20 @@ def verify_cocycle_identity(table: CocycleTable, tol_eq: float = TOL_EQ) -> Chec
     """Chain rule over all pairs: x_{g2 g1} = x_{g1} g1^-1(x_{g2}).
 
     For each g1, one ``apply`` of g1^-1 to the whole table gives the law
-    for every g2 at once.
+    for every g2 at once; the norms of all steps share one
+    ``worst_op_norm`` pool.
     """
     grp, x = table.group, table.entries
-    worst = 0.0
-    for i1 in range(grp.order):
-        rhs = x[i1] @ apply(grp.elements[grp.inv[i1]], x)
-        worst = max(worst, (x[grp.mult[:, i1]] - rhs).op_norm())
+    worst = worst_op_norm(x[grp.mult[:, i1]] - x[i1] @ apply(grp.elements[grp.inv[i1]], x)
+                          for i1 in range(grp.order))
     return residual_check("cocycle_identity", "x_{hg} = x_g g^-1(x_h)",
                           worst, tol_eq, max(1.0, x.op_norm()))
 
 
 def verify_inverse_formula(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check:
-    """Matrix inverse of x_g against g^-1(x_{g^-1})."""
+    """Matrix inverse of x_g against g^-1(x_{g^-1}), for every g at once."""
     grp, x = table.group, table.entries
-    worst = max((table.inverses[i] - predual(g, x[grp.inv[i]])).op_norm()
-                for i, g in enumerate(grp.elements))
+    worst = (table.inverses - predual(grp, x[grp.inv])).op_norm()
     return residual_check("inverse_formula", "x_g^-1 = g^-1(x_{g^-1})",
                           worst, tol_eq, max(1.0, table.inverses.op_norm()))
 
@@ -144,10 +158,8 @@ def is_strongly_qi(table: CocycleTable, tol_eq: float, tol_pos: float):
     checks.add(residual_check(
         "spectrum_window", "1/lambda <= x_g <= lambda",
         max(0.0, 1.0 / lam - min_spec, max_spec - lam), tol_eq, lam))
-    comm = 0.0
-    for k in range(table.group.order):    # x_g against every later x_h at once
-        xk, later = x[k], x[k + 1:]
-        comm = max(comm, (xk @ later - later @ xk).op_norm())
+    # x_g against every later x_h at once
+    comm = worst_op_norm(x[k] @ x[k + 1:] - x[k + 1:] @ x[k] for k in range(table.group.order))
     checks.add(residual_check("pairwise_commuting", "[x_g, x_h] = 0",
                               comm, tol_eq, scale * scale))
     rho = table.phi.density
@@ -161,23 +173,32 @@ def sz_domination(phi: State, a: AlgebraElement, probes,
     """Domination of a positive form: phi(a x) <= ||a|| phi(x) for x >= 0.
 
     Requires the form x |-> phi(a x) to be positive, i.e. rho a Hermitian
-    PSD; ``probes`` is an iterable of PSD elements.
+    PSD; ``probes`` is an iterable of PSD elements.  For a stack ``a`` the
+    requirement is tested for every element, raising for the first that
+    fails, and the check reported is that of the element with the largest
+    residual (the first of equals).
     """
+    a = a if a.batch else a[None]
     rho = phi.density
     m = rho @ a
-    herm = m.herm_residual()
-    if herm > tol_eq * max(1.0, m.op_norm()):
-        raise PreconditionError(f"L_a phi not positive: rho a Hermiticity {herm:.3e}")
-    sym = 0.5 * (m + m.adjoint())
-    mn = sym.min_eig()
-    if mn < -tol_pos * max(1.0, m.op_norm()):
-        raise PreconditionError(f"L_a phi not positive: min eigenvalue {mn:.3e}")
-    bound = a.op_norm()
-    worst = 0.0
+    herm = np.max([matcore.op_norms(b - dagger(b)) for b in m.blocks], axis=0)
+    scale = np.maximum(1.0, m.op_norms())
+    not_herm = herm > tol_eq * scale
+    mn = (0.5 * (m + m.adjoint())).min_eigs()
+    bad = not_herm | (mn < -tol_pos * scale)
+    if np.any(bad):
+        k = np.argmax(bad)
+        if not_herm[k]:
+            raise PreconditionError(
+                f"L_a phi not positive: rho a Hermiticity {herm[k]:.3e}")
+        raise PreconditionError(f"L_a phi not positive: min eigenvalue {mn[k]:.3e}")
+    bound = a.op_norms()
+    worst = np.zeros(len(bound))
     for x in probes:
-        worst = max(worst, (evaluate(phi, a @ x) - bound * evaluate(phi, x)).real)
+        worst = np.maximum(worst, (evaluate(phi, a @ x) - bound * evaluate(phi, x)).real)
+    k = np.argmax(worst)
     return residual_check("sz_domination", "phi(a x) <= ||a|| phi(x) for x >= 0",
-                          max(0.0, worst), tol_eq, bound)
+                          float(worst[k]), tol_eq, float(bound[k]))
 
 
 def sandwich_check(table: CocycleTable, probes, tol_eq: float = TOL_EQ) -> Check:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices, evaluate,
                       hs_matrix, identity, left_mult_matrix, matrix_unit_basis,
-                      require_faithful, stack, unvec, vec)
+                      require_faithful, stack, unvec, vec, worst_op_norm)
 from .actions import FiniteGroup, apply_all
 from .cocycle import random_probe
 from .matcore import PreconditionError, dagger
@@ -149,11 +149,11 @@ def expectation_checks(an, rng=None, n_probes: int = 4) -> CheckSet:
             for us in batch_slices(desc.dim, order)), tol_eq))
     worst = 0.0
     c = Phi.fixed.basis
-    for p in range(2):
-        a, phi_a, scale = probes[p], phi_probes[p], max(1.0, probes[p].op_norm())
-        for bs in batch_slices(Phi.fixed.dimension, order * Phi.fixed.dimension):
-            b = c[bs, None]
-            worst = max(worst, (Phi(b @ a @ c) - b @ phi_a @ c).op_norm() / scale)
+    slices = batch_slices(Phi.fixed.dimension, order * Phi.fixed.dimension)
+    for a, phi_a in zip(probes[:2], phi_probes[:2]):
+        sweep = worst_op_norm(Phi(c[bs, None] @ a @ c) - c[bs, None] @ phi_a @ c
+                              for bs in slices)
+        worst = max(worst, sweep / max(1.0, a.op_norm()))
     checks.add(residual_check("bimodule", "Phi(b a c) = b Phi(a) c for fixed b, c",
                               worst, tol_eq))
     return checks

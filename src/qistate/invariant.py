@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, State, batch_slices, evaluate, matrix_unit_basis,
-                      stack, state_from_density)
+                      stack, state_from_density, worst_op_norm)
 from .actions import apply, apply_all, predual
 from .cocycle import CocycleTable, random_probe
 from .matcore import PreconditionError, TOL_EQ, TOL_POS
@@ -54,8 +54,7 @@ def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
 
     # (i) Gamma_g(x_h) = x_{h g^-1}; rows[g, h] is the index of h g^-1
     rows = group.mult[:, group.inv].T
-    worst = max((_gamma_all(xi, group, x[hs]) - x[rows[:, hs]]).op_norm()
-                for hs in pairs)
+    worst = worst_op_norm(_gamma_all(xi, group, x[hs]) - x[rows[:, hs]] for hs in pairs)
     checks.add(residual_check("gamma_permutes_cocycle", "Gamma_g(x_h) = x_{h g^-1}",
                               worst, tol_eq, table.lambda_bound))
 
@@ -63,10 +62,9 @@ def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
     worst = 0.0
     for p in range(n_probes):
         ga = gammas[:, p]
-        for hs in pairs:
-            lhs = ga[group.mult[:, hs]]
-            worst = max(worst, (lhs - _gamma_all(xi, group, ga[hs])).op_norm()
-                        / max(1.0, norms[p]))
+        sweep = worst_op_norm(ga[group.mult[:, hs]] - _gamma_all(xi, group, ga[hs])
+                              for hs in pairs)
+        worst = max(worst, sweep / max(1.0, norms[p]))
     checks.add(residual_check("gamma_multiplicative", "Gamma_{gh} = Gamma_g Gamma_h",
                               worst, tol_eq, table.lambda_bound ** 2))
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matcore
 from .algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices, density_power,
-                      hs_matrix, identity)
+                      hs_matrix, identity, worst_op_norm)
 from .actions import Automorphism, FiniteGroup, apply_all, predual
 from .matcore import PreconditionError, dagger
 from .reporting import Check, CheckSet, residual_check
@@ -35,11 +35,12 @@ class L2Operator:
     projection_residual: float = None
 
 
-def a_g(phi: State, g: Automorphism, roots, x_g: AlgebraElement,
+def a_g(phi: State, g, roots, x_g: AlgebraElement,
         x_ginv: AlgebraElement, tol_eq: float, tol_pos: float) -> AlgebraElement:
     """Positive invertible a_g with rho^{1/2} a_g^2 rho^{1/2} = g^-1(rho),
     given ``roots`` = (rho^{1/2}, rho^{-1/2}) and the cocycle elements x_g
-    and x_{g^-1}.
+    and x_{g^-1}.  For ``g`` the group, x_g and x_{g^-1} are stacks over it
+    and so is a_g; each test then raises for the first failing element.
 
     Also satisfies a_g^2 = rho^{1/2} x_g rho^{-1/2} and
     a_g^2 >= 1/||x_{g^-1}||.
@@ -51,11 +52,16 @@ def a_g(phi: State, g: Automorphism, roots, x_g: AlgebraElement,
                        [matcore.psd_sqrt(b, tol_pos=tol_pos) for b in sym.blocks])
     # Consistency with the modular picture of the cocycle.
     flow = root @ x_g @ root_inv
-    defect = (a @ a - flow).op_norm()
-    if defect > tol_eq * max(1.0, flow.op_norm()):
-        raise PreconditionError(f"a_g^2 deviates from the half-flowed cocycle by {defect:.3e}")
-    alpha = 1.0 / x_ginv.op_norm()
-    if (a @ a).min_eig() < alpha - tol_eq * max(1.0, alpha):
+    square = a @ a
+    defect = (square - flow).op_norms()
+    deviates = defect > tol_eq * np.maximum(1.0, flow.op_norms())
+    alpha = 1.0 / x_ginv.op_norms()
+    bad = deviates | (square.min_eigs() < alpha - tol_eq * np.maximum(1.0, alpha))
+    if np.any(bad):
+        k = np.argmax(bad)
+        if deviates.flat[k]:
+            raise PreconditionError(
+                f"a_g^2 deviates from the half-flowed cocycle by {defect.flat[k]:.3e}")
         raise PreconditionError("a_g^2 lost its uniform lower bound")
     return a
 
@@ -69,8 +75,7 @@ def spatial_factors(group: FiniteGroup, roots, a: AlgebraElement, tol_eq: float)
     w = root @ a
     v = apply_all(group, root_inv)[group.inv] @ w
     vv = v @ v.adjoint()
-    res, sq = (np.max([matcore.op_norms(b) for b in x.blocks], axis=0)    # over blocks, per g
-               for x in (vv - identity(a.descriptor), vv))
+    res, sq = (vv - identity(a.descriptor)).op_norms(), vv.op_norms()
     bad = res > tol_eq * np.maximum(1.0, sq)
     if np.any(bad):
         raise PreconditionError(
@@ -138,9 +143,9 @@ def verify_representation(an) -> Check:
     group, strong, (w, v) = an.group, an.strong, an.factors
     z = v @ an.roots[1]
     # entry [g, h] against v at mult[h, g], the index of hg
-    worst = max((apply_all(group, z[hs])[group.inv] @ w[:, None]
-                 - v[group.mult[hs].T]).op_norm()
-                for hs in batch_slices(group.order, group.order))
+    worst = worst_op_norm(apply_all(group, z[hs])[group.inv] @ w[:, None]
+                          - v[group.mult[hs].T]
+                          for hs in batch_slices(group.order, group.order))
     return residual_check("representation", "U_g U_h = U_{hg}", worst, an.tol_eq,
                           asserted=strong,
                           detail="" if strong else "recorded only: product rule unproven here")

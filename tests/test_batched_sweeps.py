@@ -1,13 +1,15 @@
 """The batched group sweeps against the per-element loops they replaced.
 
-The reference functions below are the loop versions of the cocycle laws,
-the Gamma suite, the invariant state, the lemma chain and the Gamma
-factorization, the trace laws, the expectation checks, the fixed-algebra
-closure check and ``verify_ks``: one unbatched element and one ``apply``
-at a time.  The laws of the spatial implementation U_g are checked
+The reference functions below are the loop versions of the cocycle
+table, ``a_g``, the cocycle laws, positive-form domination, the Gamma
+suite, the invariant state, the lemma chain and the Gamma factorization,
+the trace laws, the expectation checks, the fixed-algebra closure check
+and ``verify_ks``: one unbatched element and one ``apply`` at a time.  The laws of the spatial implementation U_g are checked
 against dense N x N matrices assembled from kron products.  The batched
 versions must reproduce every residual to 1e-12 (the U_g laws to 1e-14)
-and must not do quadratic work.
+and must not do quadratic work; the table, ``a_g``, the inverse formula and
+positive-form domination must match their loops bit for bit and raise
+their errors in the loops' order.
 """
 
 import dataclasses
@@ -20,12 +22,14 @@ from scipy.linalg import block_diag
 from qistate import actions, algebra, matcore
 from qistate.actions import apply, close_group, inverse
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power, evaluate,
-                             identity, left_mult_matrix, matrix_unit_basis,
+                             identity, left_mult_matrix, matrix_unit_basis, stack,
                              state_from_density, unvec, vec)
 from qistate.analysis import Analysis
-from qistate.cocycle import (is_strongly_qi, random_probe, random_psd_probe,
-                             sandwich_check, verify_adjoint_relation,
-                             verify_cocycle_identity, verify_inverse_formula)
+from qistate import cocycle
+from qistate.cocycle import (build_table, is_strongly_qi, random_probe, random_psd_probe,
+                             rn_cocycle, sandwich_check, sz_domination,
+                             verify_adjoint_relation, verify_cocycle_identity,
+                             verify_inverse_formula)
 from qistate.expectation import (ConditionalExpectation, FixedAlgebra, closure_residual,
                                  expectation_checks, verify_ks)
 from qistate.instances import (clock_matrix, inner_generator, permutation_generator,
@@ -33,9 +37,10 @@ from qistate.instances import (clock_matrix, inner_generator, permutation_genera
                                random_strong_instance, shift_matrix)
 from qistate.invariant import (fixed_density_d, gamma_map, gamma_properties_check,
                                strong_case_check)
-from qistate.matcore import TOL_EQ, TOL_POS, dagger
-from qistate.standard_form import (gamma_factorization, lemma_chain_checks, verify_covariance,
-                                   verify_representation, verify_unitarity)
+from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS, dagger
+from qistate.reporting import residual_check
+from qistate.standard_form import (a_g, gamma_factorization, lemma_chain_checks,
+                                   verify_covariance, verify_representation, verify_unitarity)
 from qistate.trace import trace_invariance_check, verify_density_relations
 
 from test_actions import reference_action_matrix
@@ -56,6 +61,49 @@ def reference_span_distance(fa, a):
 
 def reference_predual(g, a):
     return apply(inverse(g), a)
+
+
+def reference_table(phi, group, tol_pos=TOL_POS):
+    """Entries, inverses and lambda of the cocycle table, one rn_cocycle
+    call and one singularity test per group element."""
+    entries = []
+    for g in group.elements:
+        x = rn_cocycle(phi, g, tol_pos=tol_pos)
+        if x.min_sv() <= tol_pos * max(1.0, x.op_norm()):
+            raise PreconditionError("cocycle element is numerically singular")
+        entries.append(x)
+    entries = stack(entries)
+    inverses = entries.inv()
+    return entries, inverses, max(entries.op_norm(), inverses.op_norm())
+
+
+def reference_a(an, x, x_inv):
+    """a_g stacked from one a_g call per group element."""
+    return stack(a_g(an.phi, g, an.roots, x[i], x_inv[i], TOL_EQ, TOL_POS)
+                 for i, g in enumerate(an.group.elements))
+
+
+def reference_sz_domination(phi, a, probes):
+    """Positive-form domination for one element a."""
+    m = phi.density @ a
+    herm = m.herm_residual()
+    if herm > TOL_EQ * max(1.0, m.op_norm()):
+        raise PreconditionError(f"L_a phi not positive: rho a Hermiticity {herm:.3e}")
+    mn = (0.5 * (m + m.adjoint())).min_eig()
+    if mn < -TOL_POS * max(1.0, m.op_norm()):
+        raise PreconditionError(f"L_a phi not positive: min eigenvalue {mn:.3e}")
+    bound = a.op_norm()
+    worst = 0.0
+    for x in probes:
+        worst = max(worst, (evaluate(phi, a @ x) - bound * evaluate(phi, x)).real)
+    return residual_check("sz_domination", "phi(a x) <= ||a|| phi(x) for x >= 0",
+                          max(0.0, worst), TOL_EQ, bound)
+
+
+def reference_domination(phi, stacked, probes):
+    """The check of the element with the largest residual, the first of equals."""
+    return max((reference_sz_domination(phi, a, probes) for a in stacked),
+               key=lambda c: c.residual)
 
 
 def reference_cocycle_laws(table, probes):
@@ -380,6 +428,118 @@ def test_cocycle_laws_match_loops(analysis):
     assert_residuals_match(checks, reference_cocycle_laws(table, probes))
 
 
+def blocks_equal(x, y):
+    return all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
+
+
+def test_table_and_a_g_match_loops_bit_for_bit(analysis):
+    table, group = analysis.table, analysis.group
+    entries, inverses, lam = reference_table(analysis.phi, group)
+    assert blocks_equal(table.entries, entries) and blocks_equal(table.inverses, inverses)
+    assert table.lambda_bound == lam
+    x = table.entries
+    assert blocks_equal(analysis.a, reference_a(analysis, x, x[group.inv]))
+
+
+def test_inverse_formula_and_domination_match_loops_bit_for_bit(analysis):
+    table = analysis.table
+    probes = check_probes(analysis.phi.descriptor)
+    reference = reference_cocycle_laws(table, probes)["inverse_formula"]
+    assert verify_inverse_formula(table).residual == reference
+    for stacked in (table.entries, table.inverses.adjoint() @ analysis.phi.density):
+        if stacked is not table.entries and not analysis.strong:
+            continue    # rho x_g^-1* is Hermitian PSD only in the strong case
+        got = sz_domination(analysis.phi, stacked, probes)
+        assert got == reference_domination(analysis.phi, stacked, probes)
+
+
+def error_text(run):
+    with pytest.raises(PreconditionError) as info:
+        run()
+    return str(info.value)
+
+
+def test_table_errors_come_in_loop_order(monkeypatch):
+    # Weyl(3) with clock first, on a diagonal density: the clock fixes rho,
+    # every other element moves its diagonal, and x_g = rho^-1 g^-1(rho)
+    # then has min_sv / max(1, ||x_g||) = (0.1 / 0.7)^2 < tol_pos
+    desc = AlgebraDescriptor((3,))
+    phi = state_from_density(AlgebraElement(desc, [np.diag([0.7, 0.2, 0.1])]))
+    group = close_group([inner_generator(desc, 0, clock_matrix(3)),
+                         inner_generator(desc, 0, shift_matrix(3))])
+    tol_pos = 0.05
+    x = build_table(phi, group).entries
+    ratio = np.array([x[k].min_sv() / max(1.0, x[k].op_norm()) for k in range(group.order)])
+    first = int(np.flatnonzero(ratio <= tol_pos)[0])
+    assert 0 < first < group.order - 1 and phi.density.min_eig() > tol_pos
+    original = cocycle._cocycle_defect
+
+    def inconsistent_at(j):
+        def defect(phi_, g, xs):
+            d = np.array(original(phi_, g, xs), dtype=float)
+            if d.ndim:
+                d[j] = 1.0
+            elif g is group.elements[j]:
+                d = np.array(1.0)
+            return d
+        return defect
+
+    texts = set()
+    for j in (first - 1, first, first + 1, None):
+        if j is not None:
+            monkeypatch.setattr(cocycle, "_cocycle_defect", inconsistent_at(j))
+        text = error_text(lambda: build_table(phi, group, tol_pos=tol_pos))
+        assert text == error_text(lambda: reference_table(phi, group, tol_pos=tol_pos))
+        texts.add(text)
+        monkeypatch.undo()
+    assert texts == {"cocycle defect 1.000e+00: state/automorphism pair is inconsistent",
+                     "cocycle element is numerically singular"}
+
+
+def test_domination_raises_for_the_first_failing_element(qubit):
+    desc, phi = qubit.descriptor, qubit.phi
+    one = identity(desc)
+
+    def element(m):
+        return AlgebraElement(desc, [np.array(m, dtype=complex)])
+
+    not_positive = [element(np.diag([1.0, -1.0])), element(np.diag([1.0, -3.0]))]
+    not_hermitian = element([[1.0, 1.0], [0.0, 1.0]])
+    for seq in ([one, 2.0 * one] + not_positive,
+                [one, not_hermitian] + not_positive,
+                [one, 2.0 * one, not_positive[0], not_hermitian]):
+        text = error_text(lambda: sz_domination(phi, stack(seq), [one]))
+        assert text == error_text(lambda: reference_domination(phi, seq, [one]))
+    # the third element's eigenvalue, not the worst one
+    text = error_text(lambda: sz_domination(phi, stack([one, 2.0 * one] + not_positive), [one]))
+    assert text == "L_a phi not positive: min eigenvalue -6.667e-01"
+
+
+def test_a_g_errors_come_in_loop_order(analysis):
+    group, x = analysis.group, analysis.table.entries
+    if group.order < 3:
+        return
+    x_inv = x[group.inv]
+
+    def scaled(y, k, factor):
+        blocks = [b.copy() for b in y.blocks]
+        for b in blocks:
+            b[k] *= factor
+        return AlgebraElement(y.descriptor, blocks)
+
+    texts = set()
+    # a wrong x_g leaves a_g^2 off the half-flowed cocycle; a shrunken
+    # x_{g^-1} raises the lower bound 1/||x_{g^-1}|| above a_g^2
+    for deviates, lost in ((1, 2), (2, 1)):
+        bad_x, bad_inv = scaled(x, deviates, 1.5), scaled(x_inv, lost, 0.1)
+        text = error_text(lambda: a_g(analysis.phi, group, analysis.roots, bad_x, bad_inv,
+                                      TOL_EQ, TOL_POS))
+        assert text == error_text(lambda: reference_a(analysis, bad_x, bad_inv))
+        texts.add(text.split(" by ")[0])
+    assert texts == {"a_g^2 deviates from the half-flowed cocycle",
+                     "a_g^2 lost its uniform lower bound"}
+
+
 def test_violated_sandwich_matches_loops(analysis):
     # below the true bound the sandwich fails, so its residual is not clipped to 0
     table = dataclasses.replace(analysis.table, lambda_bound=1.0)
@@ -635,3 +795,47 @@ def test_trace_laws_work_is_linear(monkeypatch):
 
     assert_linear(monkeypatch, run, lambda: reference_trace_laws(an, probes),
                   an.group.order + len(probes))
+
+
+def count_svd_matrices(monkeypatch, run):
+    """The number of matrices that reach np.linalg.svd in ``run()``."""
+    count = [0]
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    run()
+    monkeypatch.undo()
+    return count[0]
+
+
+def test_check_laws_take_linearly_many_svds(monkeypatch):
+    # the generic Weyl(5) instance: not strongly quasi-invariant, so the
+    # worst cases are roundoff that differs from pair to pair
+    an = weyl5_analysis()
+    phi, group, probes = an.phi, an.group, check_probes(an.phi.descriptor)
+
+    def run():
+        table = build_table(phi, group)
+        verify_cocycle_identity(table)
+        verify_inverse_formula(table)
+        verify_adjoint_relation(table)
+        sandwich_check(table, probes)
+        is_strongly_qi(table, TOL_EQ, TOL_POS)
+        sz_domination(phi, table.entries, probes)
+
+    def reference():
+        reference_table(phi, group)
+        reference_cocycle_laws(an.table, probes)
+        reference_strong_qi(an.table, TOL_EQ, TOL_POS)
+        reference_domination(phi, an.table.entries, probes)
+
+    # about 8 matrices per unit: per-element norms and spectra for the
+    # table and the domination test, pruned sweeps for the rest; the loops
+    # take one SVD per pair in the chain rule alone (|G|^2 = 625)
+    bound = 9 * (group.order + len(probes))
+    assert count_svd_matrices(monkeypatch, run) <= bound
+    assert count_svd_matrices(monkeypatch, reference) > bound

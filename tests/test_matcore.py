@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qistate.matcore import (InputError, PreconditionError, dagger, herm_eig,
-                             imag_power, min_sv, op_norm, op_norms, psd_sqrt)
+                             imag_power, is_unitary, max_op_norm, min_sv, op_norm, op_norms,
+                             psd_sqrt)
 
 
 def random_hermitian(rng, n):
@@ -161,3 +163,126 @@ def test_stack_reductions_match_each_matrix(rng):
         assert np.array_equal(psd_sqrt(stack)[k], psd_sqrt(m))
     assert op_norm(stack) == max(op_norm(m) for m in stack)
     assert min_sv(stack) == min(min_sv(m) for m in stack)
+
+
+def test_is_unitary_judges_each_matrix_of_a_stack(rng):
+    u = random_unitaries(rng, 3, 4)
+    u[1] *= 1.0 + 1e-6
+    assert list(is_unitary(u)) == [True, False, True]
+    assert [bool(is_unitary(m)) for m in u] == [True, False, True]
+    # the tolerance is relative to max(1, ||u||^2)
+    assert is_unitary(2.0 * u[0], tol=3.0) and not is_unitary(2.0 * u[0], tol=0.7)
+
+
+# -- max_op_norm against one SVD per matrix -------------------------------------
+
+def full_sweep(stacks):
+    """The largest SVD norm over the stacks, one SVD per matrix."""
+    return max((float(np.max(np.linalg.norm(s, 2, axis=(-2, -1)))) for s in stacks if s.size),
+               default=0.0)
+
+
+def count_svds(monkeypatch):
+    """Count the matrices that reach np.linalg.svd."""
+    count = [0]
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return count
+
+
+def random_unitaries(rng, size, n):
+    m = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+    return np.linalg.qr(m)[0]
+
+
+def wide_range_stack(rng, size, n):
+    """U diag(s) V with singular values spread over twelve decades, so that
+    ||A|| / ||A||_F runs from about 1/sqrt(n) to 1."""
+    s = 10.0 ** rng.uniform(-6.0, 6.0, (size, n))
+    return (random_unitaries(rng, size, n) * s[:, None, :]) @ random_unitaries(rng, size, n)
+
+
+def rank_one_stack(rng, size, n):
+    """Phase-rotated copies of one rank-1 matrix: equal norms in exact
+    arithmetic, ||A|| = ||A||_F, so ties come down to the last bits."""
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    phases = np.exp(2j * np.pi * rng.uniform(size=size))
+    return phases[:, None, None] * np.outer(u, v)
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+sizes = st.integers(1, 40)
+dims = st.integers(1, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, sizes, dims)
+def test_max_op_norm_is_the_full_sweep_on_a_wide_range(seed, size, n):
+    rng = np.random.default_rng(seed)
+    stack = wide_range_stack(rng, size, n)
+    assert max_op_norm([stack]) == full_sweep([stack])
+    # the same matrices one at a time, and a stack of stacks
+    assert max_op_norm(list(stack)) == full_sweep([stack])
+    assert max_op_norm([stack.reshape((1, size, n, n))]) == full_sweep([stack])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, sizes, dims)
+def test_max_op_norm_is_the_full_sweep_on_rank_one_ties(seed, size, n):
+    rng = np.random.default_rng(seed)
+    stack = rank_one_stack(rng, size, n)
+    assert max_op_norm([stack]) == full_sweep([stack])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.lists(st.tuples(sizes, dims), min_size=1, max_size=5))
+def test_max_op_norm_pools_blocks_of_different_size(seed, shapes):
+    rng = np.random.default_rng(seed)
+    pool = [(wide_range_stack if k % 2 else rank_one_stack)(rng, size, n)
+            * 10.0 ** rng.uniform(-3.0, 3.0) for k, (size, n) in enumerate(shapes)]
+    assert max_op_norm(pool) == full_sweep(pool)
+    assert max_op_norm(reversed(pool)) == full_sweep(pool)
+
+
+def test_max_op_norm_takes_no_svd_of_zero_or_empty_stacks(monkeypatch):
+    count = count_svds(monkeypatch)
+    assert max_op_norm([np.zeros((5, 3, 3)), np.zeros((0, 4, 4)), np.zeros((2, 0, 0))]) == 0.0
+    assert max_op_norm([]) == 0.0
+    assert op_norm(np.zeros((7, 2, 2))) == 0.0
+    assert count[0] == 0
+
+
+def test_max_op_norm_stops_at_a_dominant_matrix(monkeypatch, rng):
+    # the identity times 10 beats the Frobenius bound of every other matrix
+    stack = rng.standard_normal((30, 4, 4)) / 8
+    stack[17] = 10.0 * np.eye(4)
+    count = count_svds(monkeypatch)
+    assert max_op_norm([stack]) == 10.0
+    assert count[0] == 1
+
+
+def test_max_op_norm_finds_a_rank_one_matrix_behind_flat_ones(rng):
+    # ten matrices with ||A||_F = 2 ||A|| come first in Frobenius order; the
+    # largest norm belongs to the rank-1 matrix in the last chunk
+    stack = np.stack([np.eye(4)] * 10 + [np.diag([1.9, 0.0, 0.0, 0.0])])
+    assert max_op_norm([stack]) == full_sweep([stack]) == 1.9
+
+
+@pytest.mark.parametrize("scale", [1e153, 1e154])
+def test_max_op_norm_falls_back_when_frobenius_overflows(monkeypatch, rng, scale):
+    # entries in [scale, 2 scale): at 1e154 the sum of squares overflows,
+    # although every operator norm is finite
+    stack = scale * (1.0 + rng.uniform(size=(6, 3, 3))) * np.exp(1j * rng.uniform(size=(6, 3, 3)))
+    with np.errstate(over="ignore"):
+        overflows = not np.all(np.isfinite(np.linalg.norm(stack, axis=(-2, -1))))
+    assert overflows == (scale == 1e154)
+    count = count_svds(monkeypatch)
+    assert max_op_norm([stack]) == full_sweep([stack]) < np.inf
+    if overflows:
+        assert count[0] == 6
