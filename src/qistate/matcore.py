@@ -56,18 +56,20 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
 FRO_SLACK = 64.0
 
 
-def max_op_norm(stacks) -> float:
+def max_op_norm(stacks, best: float = 0.0) -> float:
     """Largest operator norm over an iterable of matrices or stacks of
-    them (0.0 if there is none), as one SVD per matrix would give it.
+    them and a maximum ``best`` found before, as one SVD per matrix would
+    give it.
 
     ||A||_2 <= ||A||_F (Golub & Van Loan, Matrix Computations, 2.3), so
     each stack gets its Frobenius norms in one pass, and a matrix takes an
     SVD only while its bound f (1 + c n^2 u) exceeds the running maximum:
     in descending order of f, in chunks of widths 1, 2, 4, ...  The bound
     holds for the computed values, with u the unit roundoff.  The computed
-    f is ||A||_F (1 + t) with |t| <= (n^2 + 2) u: each |a_ij|^2 costs two
-    roundings, the sum of n^2 nonnegative terms n^2 - 1 in any order, and
-    the root halves what is left.  LAPACK's gesdd bidiagonalizes A + E
+    f is ||A||_F (1 + t) with |t| <= (n^2 + 2) u: the squares of the real
+    and of the imaginary parts are two sums of n^2 rounded products each,
+    in any order (gamma_{n^2}), their sum one rounding more, and the root
+    halves what is left and adds one.  LAPACK's gesdd bidiagonalizes A + E
     with Householder reflections, ||E||_F <= c_1 n^2 u ||A||_F (Higham,
     Accuracy and Stability of Numerical Algorithms, 2002, 19.3), and then
     finds the bidiagonal's singular values to relative accuracy c_2 n u;
@@ -79,14 +81,14 @@ def max_op_norm(stacks) -> float:
     result is the float that the full sweep returns.  A stack whose
     Frobenius norms overflow takes the full SVD.
     """
-    best = 0.0
     for stack in stacks:
         if stack.size == 0:
             continue
         n = stack.shape[-1]
         mats = stack.reshape((-1, n, n))
-        with np.errstate(over="ignore"):
-            fro = np.linalg.norm(mats, axis=(-2, -1))
+        parts = (mats.real, mats.imag) if np.iscomplexobj(mats) else (mats,)
+        with np.errstate(over="ignore"):    # no temporary the size of the stack
+            fro = np.sqrt(sum(np.einsum("kij,kij->k", p, p) for p in parts))
         if not np.all(np.isfinite(fro)):
             best = max(best, float(np.max(op_norms(mats))))
             continue
