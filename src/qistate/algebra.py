@@ -214,14 +214,10 @@ def stack(elements) -> AlgebraElement:
 
 
 def worst_op_norm(elements) -> float:
-    """Largest operator norm over an iterable of elements or stacks, with
-    one running ``matcore.max_op_norm`` maximum, so a later slice of a sweep
-    takes SVDs only where it can beat the earlier ones."""
-    best = 0.0
-    for x in elements:
-        best = matcore.max_op_norm(x.blocks, best)
-        del x    # not held while the next slice is built
-    return best
+    """Largest operator norm over an iterable of elements or stacks: every
+    block of every element in one ``matcore.max_op_norm`` pool, so a later
+    slice of a sweep takes SVDs only where it can beat the earlier ones."""
+    return matcore.max_op_norm(b for x in elements for b in x.blocks)
 
 
 # A sweep over pairs stacks at most this many elements at once.

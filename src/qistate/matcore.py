@@ -56,10 +56,9 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
 FRO_SLACK = 64.0
 
 
-def max_op_norm(stacks, best: float = 0.0) -> float:
+def max_op_norm(stacks) -> float:
     """Largest operator norm over an iterable of matrices or stacks of
-    them and a maximum ``best`` found before, as one SVD per matrix would
-    give it.
+    them (0.0 if there is none), as one SVD per matrix would give it.
 
     ||A||_2 <= ||A||_F (Golub & Van Loan, Matrix Computations, 2.3), so
     each stack gets its Frobenius norms in one pass, and a matrix takes an
@@ -81,13 +80,15 @@ def max_op_norm(stacks, best: float = 0.0) -> float:
     result is the float that the full sweep returns.  A stack whose
     Frobenius norms overflow takes the full SVD.
     """
+    best = 0.0
     for stack in stacks:
         if stack.size == 0:
             continue
         n = stack.shape[-1]
         mats = stack.reshape((-1, n, n))
+        # einsum makes no temporary the size of the stack
         parts = (mats.real, mats.imag) if np.iscomplexobj(mats) else (mats,)
-        with np.errstate(over="ignore"):    # no temporary the size of the stack
+        with np.errstate(over="ignore"):
             fro = np.sqrt(sum(np.einsum("kij,kij->k", p, p) for p in parts))
         if not np.all(np.isfinite(fro)):
             best = max(best, float(np.max(op_norms(mats))))
