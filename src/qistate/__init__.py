@@ -5,9 +5,7 @@ points, and invariant traces, all verified at machine precision."""
 
 __version__ = "0.1.0"
 
-from .algebra import (AlgebraDescriptor, AlgebraElement, L2Vector, State,
-                      center_basis, evaluate, gns_embed, identity, is_faithful,
-                      l2_inner, modular_flow, support_comparison)
+from .algebra import AlgebraDescriptor, AlgebraElement, State, evaluate, identity
 from .actions import (Automorphism, FiniteGroup, apply, apply_all, close_group,
                       compose, equal_as_maps, identity_automorphism, inverse,
                       predual)

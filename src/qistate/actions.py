@@ -26,8 +26,7 @@ class Automorphism:
 
     __slots__ = ("descriptor", "perm", "unitaries", "inv_perm")
 
-    def __init__(self, descriptor: AlgebraDescriptor, perm, unitaries,
-                 tol_eq: float = TOL_EQ):
+    def __init__(self, descriptor: AlgebraDescriptor, perm, unitaries):
         perm = tuple(int(p) for p in perm)
         k = descriptor.num_blocks
         if sorted(perm) != list(range(k)):
@@ -43,7 +42,7 @@ class Automorphism:
         if tuple(u.shape[0] for u in unitaries) != dims:
             raise InputError("unitary shapes do not match block dims")
         for i, u in enumerate(unitaries):
-            if not matcore.is_unitary(u, tol_eq):
+            if not matcore.is_unitary(u):
                 raise InputError(f"matrix for block {i} is not unitary")
         inv_perm = [0] * k
         for j, p in enumerate(perm):
@@ -60,9 +59,6 @@ class Automorphism:
         g = object.__new__(cls)
         g.descriptor, g.perm, g.unitaries, g.inv_perm = descriptor, perm, unitaries, inv_perm
         return g
-
-    def __call__(self, a: AlgebraElement) -> AlgebraElement:
-        return apply(self, a)
 
 
 def identity_automorphism(descriptor: AlgebraDescriptor) -> Automorphism:
@@ -194,7 +190,7 @@ class MapIndex:
         """Bound on |f(g) - f(h)| over pairs with equal_as_maps(g, h, tol).
 
         Blocks are unitary to within t = TOL_EQ (what ``Automorphism``
-        checks by default), and equal_as_maps bounds ||u_h* u_g - phase||
+        checks), and equal_as_maps bounds ||u_h* u_g - phase||
         by tol max(1, n).  So u_g = u_h (phase + E) with
         ||E|| <= e = (tol max(1, n) + t) / (1 - t), and
         ||g(R)_i - h(R)_i||_F <= (1 + t)(2e + e^2) ||R_i||_F, which bounds
@@ -217,22 +213,15 @@ class MapIndex:
         return (g.perm, math.floor(f.real / self.width),
                 math.floor(f.imag / self.width))
 
-    def find(self, g: Automorphism, tol: float = None, key: tuple = None) -> int:
-        """Lowest index of an element equal to g as a map (at ``tol``,
-        default the index's own), or -1."""
+    def find(self, g: Automorphism, key: tuple = None) -> int:
+        """Lowest index of an element equal to g as a map, or -1."""
         if g.descriptor != self.descriptor:
             return -1
-        tol = self.tol if tol is None else tol
         perm, re, im = key or self.key(g)
-        reach = math.ceil(self.cell_width(tol) / self.width)
-        if reach == 1:
-            keys = [(perm, re + a, im + b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-        else:  # a looser tolerance than the grid was built for
-            keys = [k for k in self.cells if k[0] == perm
-                    and abs(k[1] - re) <= reach and abs(k[2] - im) <= reach]
-        candidates = sorted(i for k in keys for i in self.cells.get(k, ()))
+        candidates = sorted(i for a in (-1, 0, 1) for b in (-1, 0, 1)
+                            for i in self.cells.get((perm, re + a, im + b), ()))
         for i in candidates:
-            if equal_as_maps(self.elements[i], g, tol):
+            if equal_as_maps(self.elements[i], g, self.tol):
                 return i
         return -1
 
@@ -276,15 +265,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def element_index(self, g: Automorphism, tol: float = TOL_EQ) -> int:
-        i = self.index.find(g, tol)
-        if i < 0:
-            raise InputError("automorphism is not an element of the group")
-        return i
 
     def block_orbits(self):
         """Orbits of the block-permutation action on block indices."""
@@ -385,6 +365,3 @@ def _require_unitary(elements) -> None:
         i = int(np.argmax(bad[:, np.argmax(np.any(bad, axis=0))]))
         raise InputError(f"matrix for block {i} is not unitary")
 
-
-def trivial_group(descriptor: AlgebraDescriptor) -> FiniteGroup:
-    return close_group([identity_automorphism(descriptor)], cap=2)

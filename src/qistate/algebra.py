@@ -124,15 +124,11 @@ class AlgebraElement:
         """||x|| of each element, an array of the batch shape."""
         return np.max([matcore.op_norms(b) for b in self.blocks], axis=0)
 
-    def hs_norm(self) -> float:
-        return float(np.max(np.sqrt(sum(np.linalg.norm(b, axis=(-2, -1)) ** 2
-                                        for b in self.blocks))))
-
     def herm_residual(self) -> float:
         return matcore.max_op_norm(b - dagger(b) for b in self.blocks)
 
-    def min_eig(self, tol_herm: float = TOL_HERM) -> float:
-        return min(matcore.min_eig(b, tol_herm=tol_herm) for b in self.blocks)
+    def min_eig(self) -> float:
+        return float(np.min(self.min_eigs()))
 
     def min_eigs(self) -> np.ndarray:
         """Smallest eigenvalue of each (Hermitian) element, an array of the
@@ -147,13 +143,6 @@ class AlgebraElement:
         return np.min([np.linalg.svd(b, compute_uv=False)[..., -1] for b in self.blocks],
                       axis=0)
 
-    def copy(self):
-        return AlgebraElement(self.descriptor, [b.copy() for b in self.blocks])
-
-
-# The Hilbert-Schmidt space reuses the block-matrix layout.
-L2Vector = AlgebraElement
-
 
 def _same_descriptor(a, b):
     if a.descriptor != b.descriptor:
@@ -164,17 +153,6 @@ def _same_descriptor(a, b):
 
 def identity(descriptor: AlgebraDescriptor) -> AlgebraElement:
     return AlgebraElement(descriptor, [np.eye(n) for n in descriptor.block_dims])
-
-
-def zero(descriptor: AlgebraDescriptor) -> AlgebraElement:
-    return AlgebraElement(descriptor, [np.zeros((n, n)) for n in descriptor.block_dims])
-
-
-def from_block(descriptor: AlgebraDescriptor, index: int, block) -> AlgebraElement:
-    """Element supported on a single block."""
-    blocks = [np.zeros((n, n), dtype=complex) for n in descriptor.block_dims]
-    blocks[index] = matcore.as_square(block)
-    return AlgebraElement(descriptor, blocks)
 
 
 def matrix_unit_basis(descriptor: AlgebraDescriptor) -> AlgebraElement:
@@ -232,12 +210,6 @@ def batch_slices(n: int, inner: int) -> list:
     return [slice(k, k + width) for k in range(0, n, width)]
 
 
-def l2_inner(xi: L2Vector, eta: L2Vector) -> complex:
-    """<xi, eta> = sum_i tr(xi_i* eta_i), conjugate-linear in the first slot."""
-    _same_descriptor(xi, eta)
-    return complex(sum(np.trace(dagger(a) @ b) for a, b in zip(xi.blocks, eta.blocks)))
-
-
 def hs_matrix(descriptor: AlgebraDescriptor, f) -> np.ndarray:
     """Matrix of a linear map on the Hilbert-Schmidt space: column m is
     vec(f(e_m)) for the m-th matrix unit e_m.  ``f`` takes the stacked
@@ -273,13 +245,6 @@ class State:
         self.descriptor = descriptor
         self.density = density
 
-    def __call__(self, a: AlgebraElement) -> complex:
-        return evaluate(self, a)
-
-
-def state_from_density(density: AlgebraElement, **kw) -> State:
-    return State(density.descriptor, density, **kw)
-
 
 def evaluate(phi: State, a: AlgebraElement):
     """phi(a) = sum_i tr(rho_i a_i): a complex number, or an array over the
@@ -289,53 +254,13 @@ def evaluate(phi: State, a: AlgebraElement):
                for r, b in zip(phi.density.blocks, a.blocks))
 
 
-def is_faithful(phi: State, tol_pos: float = TOL_POS):
-    """(faithful?, minimum eigenvalue across blocks)."""
-    mn = phi.density.min_eig()
-    return mn > tol_pos, mn
-
-
 def require_faithful(phi: State, tol_pos: float = TOL_POS) -> None:
-    ok, mn = is_faithful(phi, tol_pos)
-    if not ok:
+    """Raise unless every eigenvalue of the density exceeds ``tol_pos``."""
+    mn = phi.density.min_eig()
+    if mn <= tol_pos:
         raise PreconditionError(
             f"state is not faithful: min density eigenvalue {mn:.3e} <= {tol_pos:.1e}"
         )
-
-
-def support_projection(x: AlgebraElement, tol_pos: float = TOL_POS) -> AlgebraElement:
-    """Spectral projection of a Hermitian PSD element onto eigenvalues > tol_pos."""
-    blocks = []
-    for b in x.blocks:
-        w, v = matcore.herm_eig(b)
-        keep = (w > tol_pos).astype(float)
-        blocks.append((v * keep) @ dagger(v))
-    return AlgebraElement(x.descriptor, blocks)
-
-
-EQUIVALENT = "equivalent"
-FIRST_IN_SECOND = "first<<second"
-SECOND_IN_FIRST = "second<<first"
-INCOMPARABLE = "incomparable"
-
-
-def support_comparison(phi: State, psi: State, tol_pos: float = TOL_POS,
-                       tol_eq: float = TOL_EQ) -> str:
-    """Compare supports: absolute continuity of one state w.r.t. the other."""
-    if phi.descriptor != psi.descriptor:
-        raise InputError("states live on different algebras")
-    sp = support_projection(phi.density, tol_pos)
-    sq = support_projection(psi.density, tol_pos)
-    # s <= t for projections iff s t s = s.
-    phi_in_psi = (sp - sp @ sq @ sp).op_norm() <= tol_eq
-    psi_in_phi = (sq - sq @ sp @ sq).op_norm() <= tol_eq
-    if phi_in_psi and psi_in_phi:
-        return EQUIVALENT
-    if phi_in_psi:
-        return FIRST_IN_SECOND
-    if psi_in_phi:
-        return SECOND_IN_FIRST
-    return INCOMPARABLE
 
 
 def density_power(phi: State, z: complex, tol_pos: float = TOL_POS) -> AlgebraElement:
@@ -345,32 +270,3 @@ def density_power(phi: State, z: complex, tol_pos: float = TOL_POS) -> AlgebraEl
         phi.descriptor,
         [matcore.imag_power(b, z, tol_pos=tol_pos) for b in phi.density.blocks],
     )
-
-
-def modular_flow(phi: State, a: AlgebraElement, z: complex,
-                 tol_pos: float = TOL_POS) -> AlgebraElement:
-    """The flow a |-> rho^{iz} a rho^{-iz}; algebraic at finite dimension.
-
-    z real is the usual one-parameter group; z = -i/2 and z = -i are its
-    analytic extensions rho^{1/2} a rho^{-1/2} and rho a rho^{-1}.
-    """
-    require_faithful(phi, tol_pos)
-    _same_descriptor(phi.density, a)
-    left = density_power(phi, z, tol_pos)
-    right = density_power(phi, -z, tol_pos)
-    return left @ a @ right
-
-
-def gns_embed(phi: State, x: AlgebraElement, tol_pos: float = TOL_POS) -> L2Vector:
-    """x |-> x rho^{1/2}: the cyclic embedding of the algebra into its
-    Hilbert-Schmidt space; <gns(x), gns(y)> = phi(x* y)."""
-    require_faithful(phi, tol_pos)
-    _same_descriptor(phi.density, x)
-    root = density_power(phi, -0.5j, tol_pos)
-    return x @ root
-
-
-def center_basis(descriptor: AlgebraDescriptor):
-    """Minimal central projections z_j (identity on block j, zero elsewhere)."""
-    return [from_block(descriptor, j, np.eye(n))
-            for j, n in enumerate(descriptor.block_dims)]

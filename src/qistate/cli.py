@@ -40,7 +40,8 @@ EXIT_PRECONDITION = 3
 
 
 class InstanceFormatError(ValueError):
-    """Instance file failed validation; message carries the field path."""
+    """An instance field or a command-line value failed validation; the
+    message starts with its path."""
 
 
 # -- instance (de)serialization ----------------------------------------------
@@ -68,6 +69,26 @@ def _matrix(value, n, path):
     return out
 
 
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise InstanceFormatError(f"{path}: expected a JSON object")
+    return value
+
+
+def _tolerance(value, path) -> float:
+    # the comparison is False for NaN and bounds big integers before float()
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value <= sys.float_info.max):
+        raise InstanceFormatError(f"{path}: expected a finite non-negative number")
+    return float(value)
+
+
+def _closure_cap(value, path) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InstanceFormatError(f"{path}: expected an integer of at least 1")
+    return value
+
+
 def matrix_to_json(m) -> list:
     return [[[float(np.real(v)), float(np.imag(v))] for v in row] for row in np.asarray(m)]
 
@@ -89,12 +110,12 @@ def parse_instance(data: dict):
         raise InstanceFormatError("algebra.block_dims: need a list of positive integers")
     desc = AlgebraDescriptor(tuple(dims))
 
-    tols = data.get("tolerances", {}) or {}
-    tol_eq = float(tols.get("tol_eq", TOL_EQ))
-    tol_pos = float(tols.get("tol_pos", TOL_POS))
-    cap = int(data.get("closure_cap", 10000))
+    tols = _object(data.get("tolerances") or {}, "tolerances")
+    tol_eq = _tolerance(tols.get("tol_eq", TOL_EQ), "tolerances.tol_eq")
+    tol_pos = _tolerance(tols.get("tol_pos", TOL_POS), "tolerances.tol_pos")
+    cap = _closure_cap(data.get("closure_cap", 10000), "closure_cap")
 
-    density_json = data.get("state", {}).get("density")
+    density_json = _object(data.get("state", {}), "state").get("density")
     if not isinstance(density_json, list) or len(density_json) != desc.num_blocks:
         raise InstanceFormatError(
             f"state.density: expected {desc.num_blocks} blocks")
@@ -106,13 +127,13 @@ def parse_instance(data: dict):
     except InputError as exc:
         raise InstanceFormatError(f"state.density: {exc}")
 
-    gens_json = data.get("group", {}).get("generators")
+    gens_json = _object(data.get("group", {}), "group").get("generators")
     if not isinstance(gens_json, list) or not gens_json:
         raise InstanceFormatError("group.generators: need at least one generator")
     gens = []
     for gi, gen in enumerate(gens_json):
         path = f"group.generators[{gi}]"
-        perm = gen.get("perm")
+        perm = _object(gen, path).get("perm")
         if not isinstance(perm, list) or len(perm) != desc.num_blocks:
             raise InstanceFormatError(f"{path}.perm: expected {desc.num_blocks} indices")
         us_json = gen.get("unitaries")
@@ -125,20 +146,6 @@ def parse_instance(data: dict):
         except InputError as exc:
             raise InstanceFormatError(f"{path}: {exc}")
     return desc, phi, gens, {"tol_eq": tol_eq, "tol_pos": tol_pos}, cap
-
-
-def instance_to_json(phi: State, generators, tol_eq: float = TOL_EQ,
-                     tol_pos: float = TOL_POS, closure_cap: int = 10000) -> dict:
-    return {
-        "algebra": {"block_dims": list(phi.descriptor.block_dims)},
-        "state": {"density": element_to_json(phi.density)},
-        "group": {"generators": [
-            {"perm": list(g.perm),
-             "unitaries": [matrix_to_json(u) for u in g.unitaries]}
-            for g in generators]},
-        "tolerances": {"tol_eq": tol_eq, "tol_pos": tol_pos},
-        "closure_cap": closure_cap,
-    }
 
 
 def load_instance(path: str):
@@ -154,8 +161,7 @@ def load_instance(path: str):
 
 # -- report assembly ----------------------------------------------------------
 
-def emit_report(command: str, checks, summary: dict, digest: str = None,
-                out_path: str = None) -> None:
+def emit_report(command: str, checks, summary: dict, digest, out_path) -> None:
     entries = [c.to_dict() for c in checks]
     report = {
         "tool": "qistate",
@@ -179,10 +185,12 @@ def emit_report(command: str, checks, summary: dict, digest: str = None,
 def _analysis(args):
     (desc, phi, gens, tols, cap), digest = load_instance(args.input)
     if args.tol_eq is not None:
-        tols["tol_eq"] = args.tol_eq
+        tols["tol_eq"] = _tolerance(args.tol_eq, "--tol-eq")
     if args.tol_pos is not None:
-        tols["tol_pos"] = args.tol_pos
-    group = close_group(gens, cap=args.closure_cap or cap, tol=tols["tol_eq"])
+        tols["tol_pos"] = _tolerance(args.tol_pos, "--tol-pos")
+    if args.closure_cap is not None:
+        cap = _closure_cap(args.closure_cap, "--closure-cap")
+    group = close_group(gens, cap=cap, tol=tols["tol_eq"])
     log.info("closed group of order %d on blocks %s", group.order, desc.block_dims)
     return Analysis(phi, group, **tols), digest
 

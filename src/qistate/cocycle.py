@@ -83,23 +83,15 @@ class CocycleTable:
 
 
 def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS,
-                tol_eq: float = TOL_EQ, user_lambda: float = None) -> CocycleTable:
+                tol_eq: float = TOL_EQ) -> CocycleTable:
     """Compute every x_g and the uniform bound lambda, as stacks over the
     group: the checks of ``rn_cocycle`` and the singularity test, each
-    raising for the first failing element.
-
-    When ``user_lambda`` is given, raises if it fails to dominate the
-    computed bound.
-    """
+    raising for the first failing element."""
     require_faithful(phi, tol_pos)
     entries = phi.density.inv() @ predual(group, phi.density)
     norms = _require_cocycles(entries, _cocycle_defect(phi, group, entries), tol_eq, tol_pos)
     inverses = entries.inv()
     lam = max(float(np.max(norms)), inverses.op_norm())
-    if user_lambda is not None and user_lambda < lam - tol_eq:
-        raise PreconditionError(
-            f"supplied bound {user_lambda} is below the computed bound {lam:.6g}"
-        )
     return CocycleTable(phi, group, entries, inverses, float(lam))
 
 
@@ -151,8 +143,9 @@ def is_strongly_qi(table: CocycleTable, tol_eq: float, tol_pos: float):
         return False, checks
 
     lam = table.lambda_bound
-    min_spec = x.min_eig()
-    max_spec = max(float(np.max(matcore.herm_eig(b)[0][..., -1])) for b in x.blocks)
+    spectra = [matcore.herm_eig(b)[0] for b in x.blocks]
+    min_spec = min(float(np.min(w[..., 0])) for w in spectra)
+    max_spec = max(float(np.max(w[..., -1])) for w in spectra)
     checks.add(residual_check("positive", "x_g > 0",
                               max(0.0, tol_pos - min_spec), tol_pos))
     checks.add(residual_check(
@@ -223,8 +216,8 @@ def random_probe(rng, descriptor) -> AlgebraElement:
                                        for n in descriptor.block_dims])
 
 
-def random_psd_probe(rng, descriptor, scale: float = 1.0) -> AlgebraElement:
-    """Random PSD element m m*, normalized to operator norm ``scale``."""
+def random_psd_probe(rng, descriptor) -> AlgebraElement:
+    """Random PSD element m m*, normalized to operator norm 1."""
     m = random_probe(rng, descriptor)
     x = m @ m.adjoint()
-    return (scale / max(x.op_norm(), 1e-300)) * x
+    return (1.0 / max(x.op_norm(), 1e-300)) * x

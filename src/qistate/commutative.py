@@ -20,6 +20,9 @@ from scipy import integrate
 from .matcore import InputError, PreconditionError
 from .reporting import Check, CheckSet, residual_check
 
+# Threshold of the pointwise chain rules, relative to the largest cocycle value.
+TOL_POINTWISE = 1e-12
+
 
 @dataclass(frozen=True)
 class QuadConfig:
@@ -92,8 +95,7 @@ def symmetric_grid(radius: float, n: int, extra=()) -> np.ndarray:
 
 def verify_translation_identities(t1: float, t2: float, samples,
                                   f=None, f_sup: float = None,
-                                  quad: QuadConfig = QuadConfig(),
-                                  tol_pointwise: float = 1e-12) -> CheckSet:
+                                  quad: QuadConfig = QuadConfig()) -> CheckSet:
     """Pointwise chain rule x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1) on the
     sample set, and quadrature quasi-invariance phi(tau_t f) = phi(x_t f)
     when a bounded f is supplied."""
@@ -103,7 +105,7 @@ def verify_translation_identities(t1: float, t2: float, samples,
     checks = CheckSet()
     checks.add(residual_check("translation_chain_rule",
                               "x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1)",
-                              float(np.max(np.abs(lhs - rhs))), tol_pointwise,
+                              float(np.max(np.abs(lhs - rhs))), TOL_POINTWISE,
                               float(np.max(np.abs(lhs)))))
     if f is not None:
         x1 = translation_cocycle(t1)
@@ -136,24 +138,6 @@ def unboundedness_witness(t: float, radius: float = 100.0, n: int = 4001,
         "sup_x_inv": sup_inv,
         "passed": sup_x >= witness - tol and sup_inv >= witness - tol,
     }
-
-
-def mass_escape_illustration(width: float = 1.0, shifts=(0.0, 10.0, 100.0, 1000.0),
-                             quad: QuadConfig = QuadConfig(radius=5000.0)) -> list:
-    """Cesaro averages of translated bump truncations lose their state mass;
-    illustration only, no invariant integrable function exists."""
-    def bump(s):
-        s = np.asarray(s, dtype=float)
-        return np.where(np.abs(s) <= width, 1.0, 0.0)
-
-    values = []
-    for i in range(1, len(shifts) + 1):
-        used = shifts[:i]
-        def avg(s, used=used):
-            return sum(bump(np.asarray(s) - t) for t in used) / len(used)
-        pts = sorted({float(t + e) for t in used for e in (-width, width)})
-        values.append(cauchy_state(avg, quad, sup_norm=1.0, points=pts).value)
-    return values
 
 
 # -- the affine (ax+b) family ------------------------------------------------
@@ -205,8 +189,7 @@ def axb_cocycle(e: AxBElement):
 
 
 def verify_axb(e1: AxBElement, e2: AxBElement, samples,
-               f=None, f_sup: float = None, quad: QuadConfig = QuadConfig(),
-               tol_pointwise: float = 1e-12) -> CheckSet:
+               f=None, f_sup: float = None, quad: QuadConfig = QuadConfig()) -> CheckSet:
     """Cocycle chain rule under the group law, quadrature quasi-invariance,
     and the empty-fixed-set illustration for a non-constant function."""
     s = np.asarray(samples, dtype=float)
@@ -217,7 +200,7 @@ def verify_axb(e1: AxBElement, e2: AxBElement, samples,
     checks = CheckSet()
     checks.add(residual_check("axb_chain_rule",
                               "x_{e2 e1}(t) = x_{e1}(t) x_{e2}(t/a1 - b1/a1)",
-                              float(np.max(np.abs(lhs - rhs))), tol_pointwise,
+                              float(np.max(np.abs(lhs - rhs))), TOL_POINTWISE,
                               float(np.max(np.abs(lhs)))))
     if f is not None:
         x1 = axb_cocycle(e1)

@@ -115,7 +115,11 @@ def cond_expectation(psi: State, group: FiniteGroup, fixed: FixedAlgebra,
     return ConditionalExpectation(group, fixed)
 
 
-def expectation_checks(an, rng=None, n_probes: int = 4) -> CheckSet:
+# Random probes of the expectation's laws; the bimodule law takes the first two.
+N_PROBES = 4
+
+
+def expectation_checks(an, rng) -> CheckSet:
     """Defining properties: range, idempotence, unitality, positivity,
     invariance of psi, bimodule law over the fixed basis.
 
@@ -123,11 +127,10 @@ def expectation_checks(an, rng=None, n_probes: int = 4) -> CheckSet:
     bimodule law takes every c and as many b at once as ``batch_slices``
     allows, probe by probe.
     """
-    rng = rng or np.random.default_rng(0)
     psi, Phi, tol_eq = an.certificate.psi, an.Phi, an.tol_eq
     desc, order = psi.descriptor, Phi.group.order
     checks = CheckSet()
-    probes = stack(random_probe(rng, desc) for _ in range(n_probes))
+    probes = stack(random_probe(rng, desc) for _ in range(N_PROBES))
     ident = identity(desc)
     phi_probes = Phi(probes)
 
@@ -140,7 +143,7 @@ def expectation_checks(an, rng=None, n_probes: int = 4) -> CheckSet:
     squares = probes @ probes.adjoint()
     phi_squares = Phi(squares)
     pos_defect = max(max(0.0, -phi_squares[p].min_eig() / max(1.0, squares[p].op_norm()))
-                     for p in range(n_probes))
+                     for p in range(N_PROBES))
     checks.add(residual_check("positive", "Phi(a* a) >= 0", pos_defect, tol_eq))
     units = matrix_unit_basis(desc)
     checks.add(residual_check(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, State, batch_slices, evaluate, matrix_unit_basis,
-                      stack, state_from_density, worst_op_norm)
+                      stack, worst_op_norm)
 from .actions import apply, apply_all, predual
 from .cocycle import CocycleTable, random_probe
 from .matcore import PreconditionError, TOL_EQ, TOL_POS
@@ -35,19 +35,22 @@ def _gamma_all(xi: AlgebraElement, group, a: AlgebraElement) -> AlgebraElement:
     return xi[(slice(None),) + (None,) * len(a.batch)] @ apply_all(group, a)
 
 
-def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
+# Random probes a, b of the Gamma laws; (iv) pairs the first two with the rest.
+N_PROBES = 4
+
+
+def gamma_properties_check(an, rng) -> CheckSet:
     """The five algebraic properties of the Gamma maps, over the whole group.
 
     Each law is one expression on group-stacked elements.  A law over
     pairs (g, h) takes every g and as many h at once as ``batch_slices``
     allows: all of them on groups of order up to 32.
     """
-    rng = rng or np.random.default_rng(0)
     table, tol_eq = an.table, an.tol_eq
     phi, group, x = table.phi, table.group, table.entries
     xi, xi_inv = x[group.inv], table.inverses[group.inv]    # x_{g^-1}, its inverse
     checks = CheckSet()
-    probes = stack(random_probe(rng, phi.descriptor) for _ in range(n_probes))
+    probes = stack(random_probe(rng, phi.descriptor) for _ in range(N_PROBES))
     norms = [a.op_norm() for a in probes]
     gammas = _gamma_all(xi, group, probes)    # [g, p] = Gamma_g(a_p)
     pairs = batch_slices(group.order, group.order)
@@ -60,7 +63,7 @@ def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
 
     # (ii) Gamma_{gh} = Gamma_g o Gamma_h; ga[group.mult][g, h] is Gamma_{gh}(a)
     worst = 0.0
-    for p in range(n_probes):
+    for p in range(N_PROBES):
         ga = gammas[:, p]
         sweep = worst_op_norm(ga[group.mult[:, hs]] - _gamma_all(xi, group, ga[hs])
                               for hs in pairs)
@@ -81,7 +84,7 @@ def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
     lhs = _gamma_all(xi, group, probes[:2, None] @ probes[None, 2:])
     diff = lhs - gammas[:, :2, None] @ xi_inv[:, None, None] @ gammas[:, None, 2:]
     worst = max(diff[:, i, j].op_norm() / max(1.0, norms[i] * norms[2 + j])
-                for i in range(2) for j in range(n_probes - 2))
+                for i in range(2) for j in range(N_PROBES - 2))
     checks.add(residual_check("gamma_twisted_product",
                               "Gamma_g(ab) = Gamma_g(a) x_{g^-1}^-1 Gamma_g(b)",
                               worst, tol_eq, table.lambda_bound ** 2))
@@ -89,7 +92,7 @@ def gamma_properties_check(an, rng=None, n_probes: int = 4) -> CheckSet:
     # (v) Gamma_g(a)* = (x_{g^-1})^-1 Gamma_g(a*) (x_{g^-1})*
     rhs = xi_inv[:, None] @ _gamma_all(xi, group, probes.adjoint()) @ xi.adjoint()[:, None]
     diff = gammas.adjoint() - rhs
-    worst = max(diff[:, p].op_norm() / max(1.0, norms[p]) for p in range(n_probes))
+    worst = max(diff[:, p].op_norm() / max(1.0, norms[p]) for p in range(N_PROBES))
     checks.add(residual_check("gamma_adjoint",
                               "Gamma_g(a)* = x_{g^-1}^-1 Gamma_g(a*) x_{g^-1}*",
                               worst, tol_eq, table.lambda_bound ** 2))
@@ -141,7 +144,7 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
     mn = rho_psi.min_eig()
     if mn < -tol_pos:
         raise PreconditionError(f"rho d is not PSD: min eigenvalue {mn:.3e}")
-    psi = state_from_density(rho_psi, tol_eq=max(tol_eq, 1e-9), tol_pos=tol_pos)
+    psi = State(rho_psi.descriptor, rho_psi, tol_eq=max(tol_eq, 1e-9), tol_pos=tol_pos)
 
     inv_res = (apply_all(group, rho_psi) - rho_psi).op_norm()
     # psi is sandwiched between phi/lambda and lambda*phi, hence faithful.

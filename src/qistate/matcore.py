@@ -1,8 +1,8 @@
 """Dense complex matrix primitives: norms, Hermitian spectra, matrix powers.
 
 Everything downstream works with square complex matrices in double
-precision.  Tolerance defaults live here and are shared by the whole
-package; callers can override them per call.  Every worst-case operator
+precision.  Tolerances live here and are shared by the whole package;
+callers can override TOL_POS and TOL_EQ per call.  Every worst-case operator
 norm goes through ``max_op_norm``, which skips the SVD of each matrix whose
 Frobenius norm cannot beat the running maximum and returns the same float
 as one SVD per matrix.
@@ -106,37 +106,37 @@ def max_op_norm(stacks) -> float:
     return best
 
 
-def herm_eig(a, tol_herm: float = TOL_HERM):
+def herm_eig(a):
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack.
 
     Returns (eigenvalues ascending, unitary eigenvector matrices V) with
     a = V diag(w) V*.  Raises if a matrix is not Hermitian within
-    ``tol_herm`` relative to its own norm.
+    TOL_HERM relative to its own norm.
     """
     m = as_square(a)
     scale = np.maximum(op_norms(m), 1e-300)
     res = op_norms(m - dagger(m))
     # relative criterion, with an absolute floor so that matrices that are
     # zero up to roundoff still count as Hermitian
-    bad = res > tol_herm * scale + 100 * np.finfo(float).eps
+    bad = res > TOL_HERM * scale + 100 * np.finfo(float).eps
     if np.any(bad):
         k = np.argmax(bad)
         raise InputError(
             f"matrix is not Hermitian: residual {res.flat[k]:.3e} exceeds "
-            f"{tol_herm:.1e} * norm {scale.flat[k]:.3e}"
+            f"{TOL_HERM:.1e} * norm {scale.flat[k]:.3e}"
         )
     w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
     return w, v
 
 
-def psd_sqrt(a, tol_pos: float = TOL_POS, tol_herm: float = TOL_HERM) -> np.ndarray:
+def psd_sqrt(a, tol_pos: float = TOL_POS) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix, or of each
     matrix in a stack.
 
     Eigenvalues in [-tol_pos, 0] are clipped to zero; anything below
     -tol_pos is an error.
     """
-    w, v = herm_eig(a, tol_herm=tol_herm)
+    w, v = herm_eig(a)
     bad = w[..., 0] < -tol_pos
     if np.any(bad):    # the first failing matrix of a stack
         mn = w[..., 0].flat[np.argmax(bad)]
@@ -147,32 +147,19 @@ def psd_sqrt(a, tol_pos: float = TOL_POS, tol_herm: float = TOL_HERM) -> np.ndar
     return (v * root[..., None, :]) @ dagger(v)
 
 
-def imag_power(a, z: complex, tol_pos: float = TOL_POS,
-               tol_herm: float = TOL_HERM) -> np.ndarray:
+def imag_power(a, z: complex, tol_pos: float = TOL_POS) -> np.ndarray:
     """a^{iz} for Hermitian positive definite ``a``, via the spectral calculus.
 
     z = 0 gives the identity, z = -i the matrix itself, z = -i/2 the
     principal positive root.
     """
-    w, v = herm_eig(a, tol_herm=tol_herm)
+    w, v = herm_eig(a)
     if w[0] <= tol_pos:
         raise PreconditionError(
             f"not positive definite: min eigenvalue {w[0]:.3e} <= {tol_pos:.1e}"
         )
     phases = np.exp(1j * complex(z) * np.log(w))
     return (v * phases) @ dagger(v)
-
-
-def min_eig(a, tol_herm: float = TOL_HERM) -> float:
-    """Smallest eigenvalue of a Hermitian matrix; the smallest over a stack."""
-    w, _ = herm_eig(a, tol_herm=tol_herm)
-    return float(np.min(w[..., 0]))
-
-
-def min_sv(a) -> float:
-    """Smallest singular value; the smallest over a stack."""
-    m = as_square(a)
-    return float(np.min(np.linalg.svd(m, compute_uv=False)[..., -1]))
 
 
 def is_unitary(u, tol: float = TOL_EQ):

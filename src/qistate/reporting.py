@@ -56,9 +56,6 @@ class CheckSet:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if c.asserted)
 
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
     def __iter__(self):
         return iter(self.checks)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qistate.instances import (c2_swap_instance, m2m2_swap_instance,
-                               nonstrong_instance, qubit_instance)
+from generators import (c2_swap_instance, m2m2_swap_instance,
+                        nonstrong_instance, qubit_instance)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""Instance generators: states and finite automorphism groups to test on.
+"""Test fixtures: states and finite automorphism groups to test on, the
+four reference instances and the writer of their instance files.
 
 Finite closures are guaranteed by construction: model generators are
 monomial matrices (permutation times roots of unity) or block
@@ -9,13 +10,25 @@ converse construction: a diagonal invariant density, a commuting diagonal
 positive element, and the induced state, all pushed through the frame.
 """
 
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement, State, state_from_density
-from .actions import Automorphism, FiniteGroup, close_group, identity_automorphism, predual
-from .matcore import InputError, dagger
+from qistate.algebra import AlgebraDescriptor, AlgebraElement, State
+from qistate.actions import (Automorphism, FiniteGroup, close_group, identity_automorphism,
+                             predual)
+from qistate.cli import element_to_json, matrix_to_json
+from qistate.matcore import InputError, TOL_EQ, TOL_POS, dagger
+
+
+def state_from_density(density: AlgebraElement) -> State:
+    return State(density.descriptor, density)
+
+
+def trivial_group(descriptor: AlgebraDescriptor) -> FiniteGroup:
+    return close_group([identity_automorphism(descriptor)], cap=2)
 
 
 def shift_matrix(n: int) -> np.ndarray:
@@ -135,7 +148,7 @@ def random_group(rng, desc: AlgebraDescriptor, max_order: int = 24,
             return close_group(gens, cap=max_order)
         except InputError:
             continue
-    return close_group([identity_automorphism(desc)], cap=2)
+    return trivial_group(desc)
 
 
 @dataclass
@@ -228,13 +241,22 @@ def m2m2_swap_instance() -> Instance:
     return Instance(desc, phi, group, strong=True, generators=gens)
 
 
+def instance_to_json(phi: State, generators) -> dict:
+    """Instance file data, as ``cli.parse_instance`` reads it."""
+    return {
+        "algebra": {"block_dims": list(phi.descriptor.block_dims)},
+        "state": {"density": element_to_json(phi.density)},
+        "group": {"generators": [
+            {"perm": list(g.perm),
+             "unitaries": [matrix_to_json(u) for u in g.unitaries]}
+            for g in generators]},
+        "tolerances": {"tol_eq": TOL_EQ, "tol_pos": TOL_POS},
+        "closure_cap": 10000,
+    }
+
+
 def write_bundled_instances(directory: str) -> list:
-    """Write the reference instance files used by the command-line tool."""
-    import json
-    import os
-
-    from .cli import instance_to_json
-
+    """Write the reference instance files that ship in ``instances/``."""
     os.makedirs(directory, exist_ok=True)
     bundle = {
         "qubit.json": qubit_instance(),

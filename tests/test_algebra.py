@@ -4,14 +4,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from qistate import algebra
-from qistate.algebra import (EQUIVALENT, FIRST_IN_SECOND, INCOMPARABLE,
-                             SECOND_IN_FIRST, AlgebraDescriptor,
-                             AlgebraElement, State, batch_slices, center_basis, evaluate,
-                             gns_embed, hs_matrix, identity, is_faithful, l2_inner,
-                             left_mult_matrix, matrix_unit_basis, modular_flow,
-                             stack, state_from_density,
-                             support_comparison, unvec, vec)
+from qistate.algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices,
+                             density_power, evaluate, hs_matrix, identity, left_mult_matrix,
+                             matrix_unit_basis, require_faithful, stack, unvec, vec)
 from qistate.matcore import InputError, PreconditionError, dagger
+from generators import state_from_density
 
 
 def random_element(rng, desc):
@@ -28,6 +25,16 @@ def random_faithful(rng, desc):
         blocks.append(m @ dagger(m) + 0.2 * np.eye(n))
     x = AlgebraElement(desc, blocks)
     return state_from_density((1.0 / x.trace().real) * x)
+
+
+def modular_flow(phi, a, z):
+    """rho^{iz} a rho^{-iz}, from ``density_power``."""
+    return density_power(phi, z) @ a @ density_power(phi, -z)
+
+
+def hs_inner(a, b):
+    """sum_i tr(a_i* b_i), the Hilbert-Schmidt inner product."""
+    return sum(np.trace(dagger(x) @ y) for x, y in zip(a.blocks, b.blocks))
 
 
 def test_descriptor_validation():
@@ -68,38 +75,20 @@ def test_evaluate_descriptor_mismatch(rng):
 
 def test_is_faithful():
     desc = AlgebraDescriptor((2,))
-    ok, mn = is_faithful(state_from_density(
-        AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])])))
-    assert ok and mn == pytest.approx(1 / 3)
-    bad, mn = is_faithful(state_from_density(
-        AlgebraElement(desc, [np.diag([1.0, 0.0])])))
-    assert not bad and mn == pytest.approx(0.0)
+    require_faithful(state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])])))
+    with pytest.raises(PreconditionError, match="faithful: min density eigenvalue -?0.000e"):
+        require_faithful(state_from_density(AlgebraElement(desc, [np.diag([1.0, 0.0])])))
 
 
 def test_is_faithful_matches_eigen_oracle(rng):
     desc = AlgebraDescriptor((3,))
     phi = random_faithful(rng, desc)
-    ok, mn = is_faithful(phi)
-    assert ok
-    assert mn == pytest.approx(np.min(np.linalg.eigvalsh(phi.density.blocks[0])))
-
-
-def test_support_comparison():
-    desc = AlgebraDescriptor((2,))
-    faithful = state_from_density(AlgebraElement(desc, [np.diag([0.5, 0.5])]))
-    other = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
-    rank1 = state_from_density(AlgebraElement(desc, [np.diag([1.0, 0.0])]))
-    assert support_comparison(faithful, other) == EQUIVALENT
-    assert support_comparison(rank1, faithful) == FIRST_IN_SECOND
-    assert support_comparison(faithful, rank1) == SECOND_IN_FIRST
-    assert support_comparison(rank1, rank1) == EQUIVALENT
-
-
-def test_support_comparison_incomparable():
-    desc = AlgebraDescriptor((2,))
-    top = state_from_density(AlgebraElement(desc, [np.diag([1.0, 0.0])]))
-    bottom = state_from_density(AlgebraElement(desc, [np.diag([0.0, 1.0])]))
-    assert support_comparison(top, bottom) == INCOMPARABLE
+    mn = np.min(np.linalg.eigvalsh(phi.density.blocks[0]))
+    require_faithful(phi, tol_pos=0.99 * mn)
+    with pytest.raises(PreconditionError) as exc:
+        require_faithful(phi, tol_pos=1.01 * mn)
+    reported = float(str(exc.value).split("eigenvalue ")[1].split(" <=")[0])
+    assert reported == pytest.approx(mn, rel=1e-3)
 
 
 def test_modular_flow_at_zero(rng):
@@ -151,22 +140,23 @@ def test_modular_flow_requires_faithful():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1.0, 0.0])]))
     with pytest.raises(PreconditionError, match="not faithful"):
-        modular_flow(phi, identity(desc), 1.0)
+        density_power(phi, 1.0)
 
 
 def test_gns_embed_identity_gives_density_root(rng):
     desc = AlgebraDescriptor((2,))
     phi = random_faithful(rng, desc)
-    xi = gns_embed(phi, identity(desc))
+    xi = identity(desc) @ density_power(phi, -0.5j)
     assert np.allclose(xi.blocks[0] @ xi.blocks[0], phi.density.blocks[0])
-    assert l2_inner(xi, xi) == pytest.approx(1.0)
+    assert np.vdot(vec(xi), vec(xi)) == pytest.approx(1.0)
 
 
 def test_gns_reproduces_state(rng):
     desc = AlgebraDescriptor((2, 3))
     phi = random_faithful(rng, desc)
     x, y = random_element(rng, desc), random_element(rng, desc)
-    lhs = l2_inner(gns_embed(phi, x), gns_embed(phi, y))
+    root = density_power(phi, -0.5j)
+    lhs = np.vdot(vec(x @ root), vec(y @ root))
     rhs = evaluate(phi, x.adjoint() @ y)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
@@ -175,32 +165,21 @@ def test_gns_isometry(rng):
     desc = AlgebraDescriptor((2, 2))
     phi = random_faithful(rng, desc)
     x = random_element(rng, desc)
-    assert abs(gns_embed(phi, x).hs_norm() ** 2
-               - evaluate(phi, x.adjoint() @ x).real) < 1e-10
-
-
-def test_center_basis():
-    desc = AlgebraDescriptor((2, 2))
-    zs = center_basis(desc)
-    assert len(zs) == 2
-    assert (zs[0] @ zs[1]).op_norm() == 0.0
-    total = zs[0] + zs[1]
-    assert (total - identity(desc)).op_norm() == 0.0
-    assert (center_basis(AlgebraDescriptor((3,)))[0]
-            - identity(AlgebraDescriptor((3,)))).op_norm() == 0.0
+    xi = x @ density_power(phi, -0.5j)
+    assert abs(np.linalg.norm(vec(xi)) ** 2 - evaluate(phi, x.adjoint() @ x).real) < 1e-10
 
 
 def test_vec_unvec_roundtrip(rng):
     desc = AlgebraDescriptor((2, 3))
     a = random_element(rng, desc)
-    assert (unvec(desc, vec(a)) - a).hs_norm() == 0.0
+    assert same(unvec(desc, vec(a)), a)
     assert len(vec(a)) == desc.dim
 
 
 def test_vec_is_hs_isometry(rng):
     desc = AlgebraDescriptor((2, 2))
     a, b = random_element(rng, desc), random_element(rng, desc)
-    assert abs(np.vdot(vec(a), vec(b)) - l2_inner(a, b)) < 1e-12
+    assert abs(np.vdot(vec(a), vec(b)) - hs_inner(a, b)) < 1e-12
 
 
 def test_left_mult_matrix(rng):
@@ -242,7 +221,7 @@ def test_matrix_unit_basis_is_orthonormal():
     basis = matrix_unit_basis(desc)
     assert basis.batch == (desc.dim,)
     assert np.array_equal(vec(basis), np.eye(desc.dim))
-    gram = np.array([[l2_inner(a, b) for b in basis] for a in basis])
+    gram = np.array([[hs_inner(a, b) for b in basis] for a in basis])
     assert np.allclose(gram, np.eye(desc.dim))
 
 
@@ -320,7 +299,6 @@ def test_batched_reductions_take_the_worst_index(dims, seed, size):
     assert x.herm_residual() == max(x[k].herm_residual() for k in range(size))
     assert x.min_sv() == min(x[k].min_sv() for k in range(size))
     assert h.min_eig() == min(h[k].min_eig() for k in range(size))
-    assert x.hs_norm() == pytest.approx(max(x[k].hs_norm() for k in range(size)), rel=1e-14)
 
 
 def test_constructor_rejects_bad_stacks():

@@ -9,10 +9,9 @@ import pytest
 
 from qistate import cocycle, expectation, standard_form
 from qistate.cli import (EXIT_PASS, EXIT_PRECONDITION, EXIT_VALIDATION,
-                         InstanceFormatError, instance_to_json, main,
-                         matrix_to_json, parse_instance)
-from qistate.instances import (m2m2_swap_instance, nonstrong_instance,
-                               qubit_instance, write_bundled_instances)
+                         InstanceFormatError, main, matrix_to_json, parse_instance)
+from generators import (instance_to_json, m2m2_swap_instance, nonstrong_instance,
+                        qubit_instance, write_bundled_instances)
 
 REPO_INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -112,6 +111,45 @@ def test_cmd_check_rejects_non_finite_entries(tmp_path, capsys, path, keys, valu
     assert f"{path}: entry is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys, value, flags, path", [
+    (("state",), [1.0], [], "state"),
+    (("group",), "swap", [], "group"),
+    (("group", "generators", 0), 5, [], "group.generators[0]"),
+    (("tolerances",), [1e-9], [], "tolerances"),
+    (("tolerances", "tol_eq"), "tight", [], "tolerances.tol_eq"),
+    (("tolerances", "tol_eq"), float("nan"), [], "tolerances.tol_eq"),
+    (("tolerances", "tol_eq"), 10 ** 400, [], "tolerances.tol_eq"),
+    (("tolerances", "tol_pos"), -1e-10, [], "tolerances.tol_pos"),
+    (("tolerances", "tol_pos"), float("inf"), [], "tolerances.tol_pos"),
+    (("closure_cap",), "many", [], "closure_cap"),
+    (("closure_cap",), 2.5, [], "closure_cap"),
+    (("closure_cap",), 0, [], "closure_cap"),
+    ((), None, ["--tol-eq", "nan"], "--tol-eq"),
+    ((), None, ["--tol-eq", "-1"], "--tol-eq"),
+    ((), None, ["--tol-pos", "inf"], "--tol-pos"),
+    ((), None, ["--closure-cap", "0"], "--closure-cap"),
+], ids=[
+    "state-list", "group-string", "generator-number", "tolerances-list", "tol_eq-string",
+    "tol_eq-nan", "tol_eq-huge-int", "tol_pos-negative", "tol_pos-inf", "closure_cap-string",
+    "closure_cap-float", "closure_cap-zero", "flag-tol-eq-nan", "flag-tol-eq-negative",
+    "flag-tol-pos-inf", "flag-closure-cap-zero",
+])
+def test_malformed_fields_and_flags_are_validation_errors(tmp_path, capsys, keys, value,
+                                                          flags, path):
+    # exit 2 naming the field, not a traceback (exit 1) or a closure that
+    # never matches an element (negative tol_eq) or an ignored cap of 0
+    data = instance_to_json(qubit_instance().phi, qubit_instance().generators)
+    if keys:
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run_cli(["check", "--input", str(bad)] + flags) == EXIT_VALIDATION
+    assert f"validation error at {path}: expected" in capsys.readouterr().err
+
+
 def test_cmd_check_precondition_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     data = instance_to_json(qubit_instance().phi, qubit_instance().generators)
@@ -201,6 +239,9 @@ def test_bundled_instances_pass_check(tmp_path):
     paths = write_bundled_instances(str(tmp_path / "bundle"))
     assert len(paths) == 4
     for p in paths:
+        # the generators reproduce the files the repo ships
+        with open(p) as made, open(os.path.join(REPO_INSTANCES, os.path.basename(p))) as shipped:
+            assert made.read() == shipped.read()
         assert run_cli(["check", "--input", p]) == EXIT_PASS
 
 

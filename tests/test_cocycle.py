@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from qistate import cocycle
-from qistate.algebra import (AlgebraDescriptor, AlgebraElement, evaluate,
-                             identity, matrix_unit_basis, state_from_density)
+from qistate.algebra import (AlgebraDescriptor, AlgebraElement, evaluate, identity,
+                             matrix_unit_basis)
 from qistate.actions import apply, close_group, inverse, predual
 from qistate.cocycle import (_cocycle_defect, build_table, is_strongly_qi,
                              random_psd_probe, rn_cocycle, sandwich_check,
                              sz_domination, verify_adjoint_relation,
                              verify_cocycle_identity, verify_inverse_formula)
-from qistate.instances import (hadamard2, inner_generator, random_instance,
-                               random_strong_instance)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
+from generators import (hadamard2, inner_generator, random_instance,
+                        random_strong_instance, state_from_density)
 
 
 def test_rn_cocycle_identity_element(qubit):
@@ -60,12 +60,6 @@ def test_lambda_one_for_invariant_state():
     assert all((x - identity(desc)).op_norm() <= 1e-12 for x in table.entries)
 
 
-def test_user_lambda_must_dominate(qubit):
-    with pytest.raises(PreconditionError, match="below the computed bound"):
-        build_table(qubit.phi, qubit.group, user_lambda=1.5)
-    build_table(qubit.phi, qubit.group, user_lambda=2.5)
-
-
 def test_cocycle_identity_qubit(qubit):
     table = build_table(qubit.phi, qubit.group)
     assert verify_cocycle_identity(table).residual < 1e-12
@@ -110,7 +104,7 @@ def test_commutative_oracle(rng):
     phi = state_from_density(AlgebraElement(
         desc, [np.array([[pi]]) for pi in p]))
     perm = tuple(np.roll(np.arange(k), 1))
-    from qistate.instances import permutation_generator
+    from generators import permutation_generator
     g = permutation_generator(desc, perm)
     x = rn_cocycle(phi, g)
     got = np.array([x.blocks[i][0, 0].real for i in range(k)])

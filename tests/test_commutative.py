@@ -6,7 +6,7 @@ import pytest
 from qistate.commutative import (AXB_IDENTITY, AxBElement, QuadConfig,
                                  axb_apply, axb_cocycle, axb_compose,
                                  axb_inverse, cauchy_state, cauchy_tail_bound,
-                                 mass_escape_illustration, symmetric_grid,
+                                 symmetric_grid,
                                  translate, translation_cocycle,
                                  unboundedness_witness,
                                  verify_translation_identities, verify_axb)
@@ -106,11 +106,6 @@ def test_unboundedness_witness_values():
 def test_witness_grows_without_bound():
     values = [unboundedness_witness(t)["witness"] for t in (1.0, 3.0, 10.0)]
     assert values == pytest.approx([2.0, 10.0, 101.0])
-
-
-def test_mass_escape_decreases():
-    vals = mass_escape_illustration()
-    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_axb_identity_element():

@@ -3,10 +3,9 @@ import numpy as np
 from qistate.actions import equal_as_maps, identity_automorphism, predual
 from qistate.algebra import evaluate
 from qistate.cocycle import build_table, is_strongly_qi
-from qistate.instances import (clock_matrix, qubit_instance, random_descriptor,
-                               random_group, random_instance,
-                               random_strong_instance, shift_matrix)
 from qistate.matcore import TOL_EQ, TOL_POS
+from generators import (clock_matrix, qubit_instance, random_descriptor, random_group,
+                        random_instance, random_strong_instance, shift_matrix)
 
 
 def test_shift_and_clock_orders():

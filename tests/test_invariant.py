@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from qistate.algebra import (AlgebraDescriptor, AlgebraElement, evaluate,
-                             identity, state_from_density)
+from qistate.algebra import AlgebraDescriptor, AlgebraElement, evaluate, identity
 from qistate.actions import apply, close_group
 from qistate.analysis import Analysis
 from qistate.cocycle import build_table, random_psd_probe
 from qistate.invariant import (cocycle_from_d, fixed_density_d, gamma_map,
                                gamma_properties_check, invariant_state,
                                strong_case_check)
-from qistate.instances import (inner_generator, random_instance,
-                               random_strong_instance)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
+from generators import (inner_generator, random_instance, random_strong_instance,
+                        state_from_density)
 
 
 def invariant_qubit():
@@ -50,17 +49,17 @@ def test_gamma_composition_random(rng):
             assert (lhs - rhs).op_norm() < 1e-10 * max(1.0, rhs.op_norm())
 
 
-def test_gamma_properties_trivial_group():
+def test_gamma_properties_trivial_group(rng):
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([inner_generator(desc, 0, np.eye(2))], cap=2)
-    checks = gamma_properties_check(Analysis(phi, grp, TOL_EQ, TOL_POS))
-    assert checks.passed and checks.max_residual() <= 1e-12
+    checks = gamma_properties_check(Analysis(phi, grp, TOL_EQ, TOL_POS), rng)
+    assert checks.passed and max(c.residual for c in checks) <= 1e-12
 
 
-def test_gamma_properties_qubit(qubit):
-    checks = gamma_properties_check(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS))
-    assert checks.passed and checks.max_residual() < 1e-12
+def test_gamma_properties_qubit(qubit, rng):
+    checks = gamma_properties_check(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS), rng)
+    assert checks.passed and max(c.residual for c in checks) < 1e-12
 
 
 def test_gamma_properties_random(rng):

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qistate.matcore import (InputError, PreconditionError, dagger, herm_eig,
-                             imag_power, is_unitary, max_op_norm, min_sv, op_norm, op_norms,
-                             psd_sqrt)
+                             imag_power, is_unitary, max_op_norm, op_norm, op_norms, psd_sqrt)
 
 
 def random_hermitian(rng, n):
@@ -130,10 +129,6 @@ def test_op_norm_submultiplicative(rng):
         assert op_norm(a @ b) <= op_norm(a) * op_norm(b) + 1e-10
 
 
-def test_min_sv():
-    assert min_sv(np.diag([3.0, 0.25])) == pytest.approx(0.25)
-
-
 def test_op_norms_match_op_norm_per_matrix(rng):
     stack = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
     norms = op_norms(stack)
@@ -162,7 +157,6 @@ def test_stack_reductions_match_each_matrix(rng):
         assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
         assert np.array_equal(psd_sqrt(stack)[k], psd_sqrt(m))
     assert op_norm(stack) == max(op_norm(m) for m in stack)
-    assert min_sv(stack) == min(min_sv(m) for m in stack)
 
 
 def test_is_unitary_judges_each_matrix_of_a_stack(rng):

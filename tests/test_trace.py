@@ -5,11 +5,11 @@ from qistate.algebra import AlgebraDescriptor, AlgebraElement, evaluate
 from qistate.actions import close_group
 from qistate.analysis import Analysis
 from qistate.cocycle import build_table, random_psd_probe
-from qistate.instances import (inner_generator, permutation_generator,
-                               random_instance, random_strong_instance)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
 from qistate.trace import (invariant_trace, is_center_ergodic, trace_density,
                            trace_invariance_check, verify_density_relations)
+from generators import (inner_generator, permutation_generator, random_instance,
+                        random_strong_instance)
 
 
 def invariance_solution_space(group):
