@@ -72,7 +72,7 @@ def apply(g: Automorphism, a: AlgebraElement) -> AlgebraElement:
         raise InputError("automorphism and element live on different algebras")
     blocks = [u @ a.blocks[j] @ dagger(u)
               for u, j in zip(g.unitaries, g.inv_perm)]
-    return AlgebraElement(a.descriptor, blocks)
+    return AlgebraElement._unchecked(a.descriptor, blocks)
 
 
 def apply_all(group: "FiniteGroup", a: AlgebraElement) -> AlgebraElement:
@@ -90,7 +90,7 @@ def apply_all(group: "FiniteGroup", a: AlgebraElement) -> AlgebraElement:
             sel = src == j
             res[sel] = u[sel] @ a.blocks[j] @ dagger(u[sel])
         out.append(res)
-    return AlgebraElement(a.descriptor, out)
+    return AlgebraElement._unchecked(a.descriptor, out)
 
 
 def compose(g: Automorphism, h: Automorphism) -> Automorphism:
@@ -125,8 +125,8 @@ def predual(g, a: AlgebraElement) -> AlgebraElement:
     if g.descriptor != a.descriptor:
         raise InputError("automorphism and element live on different algebras")
     if isinstance(g, Automorphism):
-        return AlgebraElement(a.descriptor, [dagger(g.unitaries[p]) @ a.blocks[p]
-                                             @ g.unitaries[p] for p in g.perm])
+        return AlgebraElement._unchecked(a.descriptor, [dagger(g.unitaries[p]) @ a.blocks[p]
+                                                        @ g.unitaries[p] for p in g.perm])
     out = []
     for j, targets in enumerate(g.target_blocks):
         res = np.empty((g.order,) + a.blocks[j].shape[-2:], dtype=complex)
@@ -135,7 +135,7 @@ def predual(g, a: AlgebraElement) -> AlgebraElement:
             u = g.unitary_stacks[p][sel]
             res[sel] = dagger(u) @ (a.blocks[p][sel] if a.batch else a.blocks[p]) @ u
         out.append(res)
-    return AlgebraElement(a.descriptor, out)
+    return AlgebraElement._unchecked(a.descriptor, out)
 
 
 def equal_as_maps(g: Automorphism, h: Automorphism, tol: float = TOL_EQ) -> bool:
@@ -165,11 +165,11 @@ class MapIndex:
     = sum_i tr(S_i* u_i R_{perm^-1(i)} u_i*) for fixed, seeded probe blocks
     R and S of unit Frobenius norm.  It is blind to the per-block phases of
     the unitaries, and it moves by at most ``cell_width(tol)`` between two
-    maps that ``equal_as_maps`` accepts at ``tol``.  The key of g is its
-    block permutation plus the real and imaginary parts of f(g) rounded down
-    to a grid of that width, so two such maps have keys at most one cell
-    apart: a lookup probes the 3 x 3 neighbouring cells and confirms every
-    candidate with ``equal_as_maps``.
+    maps that ``equal_as_maps`` accepts at ``tol``, floored at its own roundoff.
+    The key of g is its block permutation plus the real and imaginary parts
+    of f(g) rounded down to a grid of that width, so two such maps have keys
+    at most one cell apart: a lookup probes the 3 x 3 neighbouring cells and
+    confirms every candidate with ``equal_as_maps``.
     """
 
     _PROBE_SEED = 20241204
@@ -179,10 +179,10 @@ class MapIndex:
         # of several milliseconds) out of every closure.
         rng = random.Random(self._PROBE_SEED)
         self.descriptor = descriptor
-        self.tol = tol
+        self.tol = max(tol, 32.0 * max(descriptor.block_dims) * np.finfo(float).eps)
         self.probes_r = [_unit_probe(rng, n) for n in descriptor.block_dims]
         self.probes_s = [_unit_probe(rng, n) for n in descriptor.block_dims]
-        self.width = self.cell_width(tol)
+        self.width = self.cell_width(self.tol)
         self.elements = []
         self.cells = {}
 
@@ -196,6 +196,13 @@ class MapIndex:
         ||g(R)_i - h(R)_i||_F <= (1 + t)(2e + e^2) ||R_i||_F, which bounds
         block i's share of the gap since ||S_i||_F = 1.  The term
         8 n^2 eps per block covers the roundoff of both fingerprints.
+
+        The index compares at tol >= 32 n eps, n the largest block: below,
+        equal_as_maps cannot confirm equal maps and the closure grows to its
+        cap.  The computed u_h* u_g is off by up to n gamma_n, about n^2 eps
+        (Higham, Accuracy and Stability, 3.5, with ||u||_F = sqrt(n)), the
+        phase test adds a few eps, and its threshold is tol max(1, n); 32
+        covers the constants and the roundoff of the search paths' products.
         """
         t, eps = TOL_EQ, np.finfo(float).eps
         width = 0.0

@@ -13,6 +13,9 @@ the GNS space: vectors use the same block layout as algebra elements, the
 algebra acts by left multiplication, and the cyclic vector of a faithful
 state is the positive root of its density.
 
+The public ``AlgebraElement`` constructor and ``State`` validate their
+input; elements derived from checked ones are built by ``_unchecked``.
+
 ``vec`` and ``unvec`` alone fix the Hilbert-Schmidt coordinates
 (block-major, column-major within a block); a dense operator is
 ``hs_matrix`` of a map, column m being vec of its value on matrix unit m.
@@ -67,6 +70,13 @@ class AlgebraElement:
         self.descriptor = descriptor
         self.blocks = blocks
 
+    @classmethod
+    def _unchecked(cls, descriptor: AlgebraDescriptor, blocks: list):
+        """An element from blocks derived from checked ones: no test."""
+        x = object.__new__(cls)
+        x.descriptor, x.blocks = descriptor, blocks
+        return x
+
     @property
     def batch(self) -> tuple:
         """Leading batch shape; () for a single element."""
@@ -74,7 +84,7 @@ class AlgebraElement:
 
     def __getitem__(self, k):
         """Index the batch axes."""
-        return AlgebraElement(self.descriptor, [b[k] for b in self.blocks])
+        return self._unchecked(self.descriptor, [b[k] for b in self.blocks])
 
     def __iter__(self):
         """The elements along the first batch axis."""
@@ -83,34 +93,31 @@ class AlgebraElement:
     # -- arithmetic (broadcasts over batch axes) -----------------------------
     def __add__(self, other):
         _same_descriptor(self, other)
-        return AlgebraElement(self.descriptor,
-                              [a + b for a, b in zip(self.blocks, other.blocks)])
+        return self._unchecked(self.descriptor, [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other):
         _same_descriptor(self, other)
-        return AlgebraElement(self.descriptor,
-                              [a - b for a, b in zip(self.blocks, other.blocks)])
+        return self._unchecked(self.descriptor, [a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __mul__(self, scalar):
-        return AlgebraElement(self.descriptor, [complex(scalar) * b for b in self.blocks])
+        return self._unchecked(self.descriptor, [complex(scalar) * b for b in self.blocks])
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         _same_descriptor(self, other)
-        return AlgebraElement(self.descriptor,
-                              [a @ b for a, b in zip(self.blocks, other.blocks)])
+        return self._unchecked(self.descriptor, [a @ b for a, b in zip(self.blocks, other.blocks)])
 
     def adjoint(self):
-        return AlgebraElement(self.descriptor, [dagger(b) for b in self.blocks])
+        return self._unchecked(self.descriptor, [dagger(b) for b in self.blocks])
 
     def inv(self):
-        return AlgebraElement(self.descriptor, [np.linalg.inv(b) for b in self.blocks])
+        return self._unchecked(self.descriptor, [np.linalg.inv(b) for b in self.blocks])
 
     def mean(self):
         """Average over the first batch axis."""
         scale = 1.0 / self.batch[0]
-        return AlgebraElement(self.descriptor, [np.sum(b, axis=0) * scale for b in self.blocks])
+        return self._unchecked(self.descriptor, [np.sum(b, axis=0) * scale for b in self.blocks])
 
     def trace(self):
         """sum_i tr(a_i): a complex number, or an array over the batch."""
@@ -140,8 +147,7 @@ class AlgebraElement:
 
     def min_svs(self) -> np.ndarray:
         """Smallest singular value of each element, an array of the batch shape."""
-        return np.min([np.linalg.svd(b, compute_uv=False)[..., -1] for b in self.blocks],
-                      axis=0)
+        return np.min([matcore.singular_values(b)[..., -1] for b in self.blocks], axis=0)
 
 
 def _same_descriptor(a, b):
@@ -181,14 +187,14 @@ def unvec(descriptor: AlgebraDescriptor, v: np.ndarray) -> AlgebraElement:
         seg = v[..., ofs:ofs + n * n].reshape(v.shape[:-1] + (n, n))
         blocks.append(np.swapaxes(seg, -1, -2))
         ofs += n * n
-    return AlgebraElement(descriptor, blocks)
+    return AlgebraElement._unchecked(descriptor, blocks)
 
 
 def stack(elements) -> AlgebraElement:
     """The elements as one element with a new leading batch axis."""
     elements = list(elements)
-    return AlgebraElement(elements[0].descriptor,
-                          [np.stack(bs) for bs in zip(*(x.blocks for x in elements))])
+    return AlgebraElement._unchecked(elements[0].descriptor,
+                                     [np.stack(bs) for bs in zip(*(x.blocks for x in elements))])
 
 
 def worst_op_norm(elements) -> float:
@@ -227,7 +233,7 @@ def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
 class State:
     """Normal state given by its density: Hermitian PSD blocks, total trace 1."""
 
-    __slots__ = ("descriptor", "density")
+    __slots__ = ("descriptor", "density", "min_eig")    # min_eig of the density
 
     def __init__(self, descriptor: AlgebraDescriptor, density: AlgebraElement,
                  tol_eq: float = TOL_EQ, tol_pos: float = TOL_POS):
@@ -244,6 +250,7 @@ class State:
             raise InputError(f"density trace {tr.real:.12g} != 1")
         self.descriptor = descriptor
         self.density = density
+        self.min_eig = mn
 
 
 def evaluate(phi: State, a: AlgebraElement):
@@ -256,17 +263,16 @@ def evaluate(phi: State, a: AlgebraElement):
 
 def require_faithful(phi: State, tol_pos: float = TOL_POS) -> None:
     """Raise unless every eigenvalue of the density exceeds ``tol_pos``."""
-    mn = phi.density.min_eig()
-    if mn <= tol_pos:
+    if phi.min_eig <= tol_pos:
         raise PreconditionError(
-            f"state is not faithful: min density eigenvalue {mn:.3e} <= {tol_pos:.1e}"
+            f"state is not faithful: min density eigenvalue {phi.min_eig:.3e} <= {tol_pos:.1e}"
         )
 
 
 def density_power(phi: State, z: complex, tol_pos: float = TOL_POS) -> AlgebraElement:
     """rho^{iz} blockwise; requires a faithful state."""
     require_faithful(phi, tol_pos)
-    return AlgebraElement(
+    return AlgebraElement._unchecked(
         phi.descriptor,
         [matcore.imag_power(b, z, tol_pos=tol_pos) for b in phi.density.blocks],
     )

@@ -177,7 +177,7 @@ def sz_domination(phi: State, a: AlgebraElement, probes,
     herm = np.max([matcore.op_norms(b - dagger(b)) for b in m.blocks], axis=0)
     scale = np.maximum(1.0, m.op_norms())
     not_herm = herm > tol_eq * scale
-    mn = (0.5 * (m + m.adjoint())).min_eigs()
+    mn = m.min_eigs()
     bad = not_herm | (mn < -tol_pos * scale)
     if np.any(bad):
         k = np.argmax(bad)

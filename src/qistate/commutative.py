@@ -24,14 +24,10 @@ from .reporting import Check, CheckSet, residual_check
 TOL_POINTWISE = 1e-12
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Truncation radius and quadrature tolerances for state evaluation."""
-
-    radius: float = 100.0
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-11
-    limit: int = 400
+# Tolerances and subinterval limit of the adaptive quadrature of the state.
+QUAD_ABS_TOL = 1e-11
+QUAD_REL_TOL = 1e-11
+QUAD_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -52,9 +48,9 @@ def cauchy_tail_bound(sup_norm: float, radius: float) -> float:
     return sup_norm * (1.0 - (2.0 / math.pi) * math.atan(radius))
 
 
-def cauchy_state(f, quad: QuadConfig = QuadConfig(), sup_norm: float = None,
+def cauchy_state(f, radius: float = 100.0, sup_norm: float = None,
                  points=None) -> StateValue:
-    """(1/pi) integral of f(s)/(1+s^2) over [-R, R] plus an analytic tail bar.
+    """(1/pi) integral of f(s)/(1+s^2) over [-radius, radius] plus an analytic tail bar.
 
     ``sup_norm`` bounds |f| outside the truncation (default: sampled sup
     over the window); ``points`` flags known breakpoints of f.
@@ -62,15 +58,14 @@ def cauchy_state(f, quad: QuadConfig = QuadConfig(), sup_norm: float = None,
     def integrand(s):
         return f(np.asarray(s)) / (math.pi * (1.0 + s * s))
 
-    sample = f(np.linspace(-quad.radius, quad.radius, 2001))
+    sample = f(np.linspace(-radius, radius, 2001))
     if not np.all(np.isfinite(sample)):
         raise InputError("function diverges on the quadrature window")
     if sup_norm is None:
         sup_norm = float(np.max(np.abs(sample)))
-    value, err = integrate.quad(integrand, -quad.radius, quad.radius,
-                                epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                                limit=quad.limit, points=points)
-    return StateValue(float(value), float(err), cauchy_tail_bound(sup_norm, quad.radius))
+    value, err = integrate.quad(integrand, -radius, radius, epsabs=QUAD_ABS_TOL,
+                                epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT, points=points)
+    return StateValue(float(value), float(err), cauchy_tail_bound(sup_norm, radius))
 
 
 def translation_cocycle(t: float):
@@ -95,7 +90,7 @@ def symmetric_grid(radius: float, n: int, extra=()) -> np.ndarray:
 
 def verify_translation_identities(t1: float, t2: float, samples,
                                   f=None, f_sup: float = None,
-                                  quad: QuadConfig = QuadConfig()) -> CheckSet:
+                                  radius: float = 100.0) -> CheckSet:
     """Pointwise chain rule x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1) on the
     sample set, and quadrature quasi-invariance phi(tau_t f) = phi(x_t f)
     when a bounded f is supplied."""
@@ -111,9 +106,9 @@ def verify_translation_identities(t1: float, t2: float, samples,
         x1 = translation_cocycle(t1)
         if f_sup is None:
             f_sup = float(np.max(np.abs(f(s))))
-        lhs_v = cauchy_state(translate(f, t1), quad, sup_norm=f_sup)
+        lhs_v = cauchy_state(translate(f, t1), radius, sup_norm=f_sup)
         # Global bound sup_s x_t(s) <= 2(1 + t^2) keeps the tail bar honest.
-        rhs_v = cauchy_state(lambda u: x1(u) * f(u), quad,
+        rhs_v = cauchy_state(lambda u: x1(u) * f(u), radius,
                              sup_norm=f_sup * 2.0 * (1.0 + t1 * t1))
         budget = lhs_v.budget + rhs_v.budget + 1e-12
         checks.add(Check("translation_quasi_invariance",
@@ -189,7 +184,7 @@ def axb_cocycle(e: AxBElement):
 
 
 def verify_axb(e1: AxBElement, e2: AxBElement, samples,
-               f=None, f_sup: float = None, quad: QuadConfig = QuadConfig()) -> CheckSet:
+               f=None, f_sup: float = None, radius: float = 100.0) -> CheckSet:
     """Cocycle chain rule under the group law, quadrature quasi-invariance,
     and the empty-fixed-set illustration for a non-constant function."""
     s = np.asarray(samples, dtype=float)
@@ -206,12 +201,12 @@ def verify_axb(e1: AxBElement, e2: AxBElement, samples,
         x1 = axb_cocycle(e1)
         if f_sup is None:
             f_sup = float(np.max(np.abs(f(np.linspace(
-                -quad.radius * abs(e1.a) - abs(e1.b),
-                quad.radius * abs(e1.a) + abs(e1.b), 2001)))))
-        lhs_v = cauchy_state(axb_apply(e1, f), quad, sup_norm=f_sup)
+                -radius * abs(e1.a) - abs(e1.b),
+                radius * abs(e1.a) + abs(e1.b), 2001)))))
+        lhs_v = cauchy_state(axb_apply(e1, f), radius, sup_norm=f_sup)
         # Global bound sup_t x_{(a,b)}(t) <= (1+2b^2)/a + 2a.
         x_sup = (1.0 + 2.0 * e1.b ** 2) / e1.a + 2.0 * e1.a
-        rhs_v = cauchy_state(lambda u: x1(u) * f(u), quad, sup_norm=f_sup * x_sup)
+        rhs_v = cauchy_state(lambda u: x1(u) * f(u), radius, sup_norm=f_sup * x_sup)
         budget = lhs_v.budget + rhs_v.budget + 1e-12
         checks.add(Check("axb_quasi_invariance", "phi(pi_e f) = phi(x_e f)",
                          abs(lhs_v.value - rhs_v.value), budget,

@@ -234,7 +234,7 @@ def uniqueness_probe(an) -> Check:
 
 @dataclass
 class CommutantReport:
-    f0: L2Operator
+    p: AlgebraElement    # F0 = L_p
     commutant_dim: int
     is_identity: bool
     identity_residual: float
@@ -275,10 +275,8 @@ def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float,
         c = _range_onb(np.hstack([q @ ks[j] for j in range(k) for q in homs[(i, j)]]),
                        tol_pos)
         proj.append(c @ dagger(c))
-    p = AlgebraElement(desc, proj)
-    res = (p @ p - p).op_norm()
+    p = AlgebraElement._unchecked(desc, proj)
     id_res = (p - identity(desc)).op_norm()
-    f0 = L2Operator(desc, left_mult_matrix(p), projection_residual=res)
 
     # Spot-check that the structured commutant really commutes with L_B.
     comm_res = 0.0
@@ -286,4 +284,4 @@ def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float,
         for q in qs[:2]:
             for bi, bj in zip(fa.basis.blocks[i], fa.basis.blocks[j]):
                 comm_res = max(comm_res, float(np.linalg.norm(bi @ q - q @ bj)))
-    return CommutantReport(f0, commutant_dim, id_res <= tol_eq * 1.0, id_res, comm_res)
+    return CommutantReport(p, commutant_dim, id_res <= tol_eq * 1.0, id_res, comm_res)

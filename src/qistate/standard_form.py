@@ -22,7 +22,7 @@ from . import matcore
 from .algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices, density_power,
                       hs_matrix, identity, worst_op_norm)
 from .actions import Automorphism, FiniteGroup, apply_all, predual
-from .matcore import PreconditionError, dagger
+from .matcore import PreconditionError
 from .reporting import Check, CheckSet, residual_check
 
 
@@ -47,9 +47,8 @@ def a_g(phi: State, g, roots, x_g: AlgebraElement,
     """
     root, root_inv = roots
     middle = root_inv @ predual(g, phi.density) @ root_inv
-    sym = 0.5 * (middle + middle.adjoint())
-    a = AlgebraElement(phi.descriptor,
-                       [matcore.psd_sqrt(b, tol_pos=tol_pos) for b in sym.blocks])
+    a = AlgebraElement._unchecked(
+        phi.descriptor, [matcore.psd_sqrt(b, tol_pos=tol_pos) for b in middle.blocks])
     # Consistency with the modular picture of the cocycle.
     flow = root @ x_g @ root_inv
     square = a @ a
@@ -213,9 +212,8 @@ def lemma_chain_checks(an) -> CheckSet:
     checks.add(residual_check("density_intertwine", "x_g* rho = rho x_g",
                               (x.adjoint() @ rho - rho @ x).op_norm(), tol_eq, scale))
     if strong:
-        xr = AlgebraElement(an.phi.descriptor,
-                            [matcore.psd_sqrt(0.5 * (b + dagger(b)), tol_pos=tol_pos)
-                             for b in x.blocks])
+        xr = AlgebraElement._unchecked(
+            an.phi.descriptor, [matcore.psd_sqrt(b, tol_pos=tol_pos) for b in x.blocks])
         checks.add(residual_check("a_g_is_root", "a_g = x_g^{1/2}",
                                   (a - xr).op_norm(), tol_eq, scale))
         checks.add(residual_check("a_g_root_commute", "a_g rho^{1/2} = rho^{1/2} a_g",

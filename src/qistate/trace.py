@@ -54,8 +54,8 @@ def trace_density(phi: State, tau: TraceFunctional, tol_eq: float,
                   tol_pos: float) -> AlgebraElement:
     """c with phi(a) = tau(c a): c_i = rho_i / w_i, verified on a basis."""
     require_faithful(phi, tol_pos)
-    c = AlgebraElement(phi.descriptor,
-                       [b / w for b, w in zip(phi.density.blocks, tau.weights)])
+    c = AlgebraElement._unchecked(phi.descriptor,
+                                  [b / w for b, w in zip(phi.density.blocks, tau.weights)])
     units = matrix_unit_basis(phi.descriptor)
     worst = float(np.max(np.abs(evaluate(phi, units) - tau(c @ units))))
     if worst > tol_eq:

@@ -231,6 +231,15 @@ def test_close_group_hits_cap_for_infinite_order():
         close_group([inner_generator(desc, 0, u)], cap=40)
 
 
+def test_close_group_at_tol_zero_compares_at_the_roundoff_floor():
+    # clock^3 = 1 only up to roundoff: at tol 0 the closure must still
+    # recognise it, by comparing at the floor derived in MapIndex.cell_width
+    data = json.load(open(os.path.join(REPO_INSTANCES, "nonstrong_weyl3.json")))
+    group = close_group(parse_instance(data)[2], cap=50, tol=0.0)
+    assert group.order == 9
+    assert group.index.tol == 32 * 3 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("gens", [("shift",), ("shift", "clock")])
 def test_close_group_refuses_products_that_drift_from_unitary(gens):
     # each generator is unitary to 8e-10 < TOL_EQ, its square only to 1.6e-9

@@ -317,6 +317,20 @@ def test_constructor_rejects_bad_stacks():
         AlgebraElement(desc, [np.zeros((4, 3, 3)), np.zeros((4, 2, 2))])
 
 
+def test_overflowing_product_raises_when_its_norm_is_read():
+    # derived elements are built unchecked, so the overflow to inf (and the
+    # inf - inf = nan of the complex product) surfaces where a norm or a
+    # spectrum is read, as the constructor's InputError
+    desc = AlgebraDescriptor((2, 1))
+    x = AlgebraElement(desc, [np.full((2, 2), 1e200), np.ones((1, 1))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x @ x
+        assert not np.all(np.isfinite(y.blocks[0]))
+        for read in (y.op_norm, y.op_norms, y.min_svs, y.min_eigs, y.herm_residual):
+            with pytest.raises(InputError, match="non-finite"):
+                read()
+
+
 def test_unvec_rejects_wrong_length():
     desc = AlgebraDescriptor((2, 3))
     with pytest.raises(InputError, match="descriptor dim"):

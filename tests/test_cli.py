@@ -338,3 +338,37 @@ def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
     # verify_ks read the dense U_g, one per element of the order-2 group
     assert calls["group_unitaries"] == (command == "expectation")
     assert calls["u_g"] == (2 if command == "expectation" else 0)
+
+
+def test_strong_state_self_adjoint_to_roundoff_passes_every_command(tmp_path):
+    # M_2 + M_2 with the block swap: x_g is self-adjoint to 3.8e-10, within
+    # tol_eq, so the state is strongly quasi-invariant; no eigendecomposition
+    # may then refuse x_g, a_g or d for a Hermiticity residual above 1e-10.
+    data = json.load(open(os.path.join(REPO_INSTANCES, "m2m2_swap.json")))
+    data["state"]["density"] = [matrix_to_json([[0.3, 1e-10], [1e-10, 0.2]]),
+                                matrix_to_json(np.diag([0.15, 0.35]))]
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps(data))
+    for command in INSTANCE_COMMANDS:
+        out = tmp_path / f"{command}.json"
+        assert run_cli([command, "--input", str(path), "--out", str(out)]) == EXIT_PASS
+        report = json.load(open(out))
+        if command == "check":
+            checks = {c["name"]: c for c in report["checks"]}
+            assert checks["self_adjoint"]["residual"] > 1e-10
+        if command != "trace":    # the trace report has no strong flag
+            assert report["summary"]["strong_qi"] is True
+
+
+@pytest.mark.parametrize("command", INSTANCE_COMMANDS)
+def test_non_finite_intermediate_is_a_precondition_violation(tmp_path, capsys, command):
+    # tol_pos = 0 admits a density eigenvalue of 1e-320, whose inverse
+    # overflows: the cocycle entries are not finite, and the first norm
+    # taken of them must refuse, not fail inside LAPACK.
+    data = json.load(open(os.path.join(REPO_INSTANCES, "qubit.json")))
+    data["state"]["density"] = [matrix_to_json(np.diag([1.0, 1e-320]))]
+    data["tolerances"]["tol_pos"] = 0.0
+    path = tmp_path / "denormal.json"
+    path.write_text(json.dumps(data))
+    assert run_cli([command, "--input", str(path)]) == EXIT_PRECONDITION
+    assert "matrix has non-finite entries" in capsys.readouterr().err

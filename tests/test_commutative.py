@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qistate.commutative import (AXB_IDENTITY, AxBElement, QuadConfig,
+from qistate.commutative import (AXB_IDENTITY, AxBElement,
                                  axb_apply, axb_cocycle, axb_compose,
                                  axb_inverse, cauchy_state, cauchy_tail_bound,
                                  symmetric_grid,
@@ -87,7 +87,7 @@ def test_quasi_invariance_budget_shrinks_with_radius():
     budgets = []
     for radius in (25.0, 100.0, 400.0):
         checks = verify_translation_identities(
-            1.0, 0.0, grid, f=gauss_bump, f_sup=1.0, quad=QuadConfig(radius=radius))
+            1.0, 0.0, grid, f=gauss_bump, f_sup=1.0, radius=radius)
         budgets.append(checks["translation_quasi_invariance"].threshold)
     assert budgets[0] > budgets[1] > budgets[2]
 

@@ -56,11 +56,6 @@ def test_herm_eig_reconstruction(rng):
     assert np.linalg.norm((v * w) @ dagger(v) - a) < 1e-10
 
 
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(InputError, match="residual"):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_psd_sqrt_identity():
     assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
 
@@ -137,16 +132,17 @@ def test_op_norms_match_op_norm_per_matrix(rng):
     assert np.array_equal(norms, [op_norm(m) for m in stack])
 
 
-def test_herm_eig_judges_each_matrix_of_a_stack_by_its_own_norm():
-    big = np.diag([1e6, -1e6])
-    # residual 1e-6: roundoff next to the big matrix, far from Hermitian alone
-    small = np.array([[1.0, 1e-6], [0.0, 1.0]])
-    w, _ = herm_eig(big[None] + np.zeros((2, 2, 2)))
-    assert np.array_equal(w[1], [-1e6, 1e6])
-    with pytest.raises(InputError, match="residual 1.000e-06"):
-        herm_eig(np.stack([big, small]))
-    with pytest.raises(InputError, match="residual"):
-        herm_eig(small)
+def test_herm_eig_of_a_stack_is_each_hermitian_part(rng):
+    # herm_eig tests nothing: a non-Hermitian matrix gives the eigensystem
+    # of its Hermitian part, matrix by matrix
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    stack[1] *= 1e6
+    w, v = herm_eig(stack)
+    for k, m in enumerate(stack):
+        part = (m + dagger(m)) / 2
+        wk, vk = herm_eig(part)
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        assert np.linalg.norm((v[k] * w[k]) @ dagger(v[k]) - part, 2) < 1e-12 * op_norm(part)
 
 
 def test_stack_reductions_match_each_matrix(rng):
