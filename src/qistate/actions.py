@@ -93,17 +93,28 @@ def apply_all(group: "FiniteGroup", a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._unchecked(a.descriptor, out)
 
 
-def compose(g: Automorphism, h: Automorphism) -> Automorphism:
+def compose(g, h: Automorphism):
     """The automorphism a |-> g(h(a)).  Its unitaries are products of
     checked ones and are not tested again (``close_group`` tests the
-    elements it keeps)."""
-    if g.descriptor != h.descriptor:
+    elements it keeps).  For ``g`` a list of automorphisms, the list of the
+    g_k o h, each block's unitaries multiplied as one stack per source block
+    (the same bits as one product at a time)."""
+    gs = g if isinstance(g, list) else [g]
+    if any(a.descriptor != h.descriptor for a in gs):
         raise InputError("cannot compose automorphisms of different algebras")
-    perm = tuple(g.perm[p] for p in h.perm)
-    unitaries = [g.unitaries[i] @ h.unitaries[g.inv_perm[i]]
-                 for i in range(g.descriptor.num_blocks)]
-    inv_perm = tuple(h.inv_perm[q] for q in g.inv_perm)
-    return Automorphism._unchecked(g.descriptor, perm, unitaries, inv_perm)
+    products = []
+    for i in range(h.descriptor.num_blocks):
+        us = np.array([a.unitaries[i] for a in gs])
+        src = np.array([a.inv_perm[i] for a in gs])
+        for j in set(src.tolist()):
+            sel = src == j
+            us[sel] = us[sel] @ h.unitaries[j]
+        products.append(us)
+    out = [Automorphism._unchecked(h.descriptor, tuple(a.perm[p] for p in h.perm),
+                                   [us[k] for us in products],
+                                   tuple(h.inv_perm[q] for q in a.inv_perm))
+           for k, a in enumerate(gs)]
+    return out if isinstance(g, list) else out[0]
 
 
 def inverse(g: Automorphism) -> Automorphism:
@@ -138,24 +149,45 @@ def predual(g, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._unchecked(a.descriptor, out)
 
 
-def equal_as_maps(g: Automorphism, h: Automorphism, tol: float = TOL_EQ) -> bool:
-    """True when g and h act identically; unitaries may differ by phases."""
-    if g.descriptor != h.descriptor:
-        return False
-    if g.perm != h.perm:
-        # Maps with different block permutations differ on some matrix unit.
-        return False
-    for ug, uh in zip(g.unitaries, h.unitaries):
+def equal_as_maps(g, h, tol: float = TOL_EQ):
+    """True when g and h act identically; unitaries may differ by phases.
+
+    For g and h equal-length lists of automorphisms of one algebra, a bool
+    array with one entry per pair (g_k, h_k): each block's products u_h* u_g,
+    traces and norm tests are taken as one stack, with the bits and the
+    decision of one pair at a time.
+    """
+    if isinstance(g, Automorphism):
+        return bool(equal_as_maps([g], [h], tol)[0])
+    # Maps with different block permutations differ on some matrix unit.
+    same = np.array([a.descriptor == b.descriptor and a.perm == b.perm
+                     for a, b in zip(g, h)], dtype=bool)
+    for i in range(g[0].descriptor.num_blocks if g else 0):
+        live = np.flatnonzero(same)
+        if live.size == 0:
+            break
         # uh* ug must be a scalar phase for the conjugations to agree.
-        w = dagger(uh) @ ug
-        n = w.shape[0]
-        t = np.trace(w) / n
-        if abs(t) < 0.5:  # far from any phase: cheap reject
-            return False
-        phase = t / abs(t)
-        if matcore.op_norm(w - phase * np.eye(n)) > tol * max(1.0, float(n)):
-            return False
-    return True
+        w = (dagger(np.array([h[k].unitaries[i] for k in live]))
+             @ np.array([g[k].unitaries[i] for k in live]))
+        n = w.shape[-1]
+        t = np.trace(w, axis1=-2, axis2=-1) / n
+        near = np.abs(t) >= 0.5    # far from any phase: cheap reject
+        phase = t[near] / np.abs(t[near])
+        agree = np.zeros(live.size, dtype=bool)
+        agree[near] = matcore.op_norms_within(w[near] - phase[:, None, None] * np.eye(n),
+                                              tol * max(1.0, float(n)))
+        same[live] = agree
+    return same
+
+
+def _near(cells: dict, key: tuple) -> list:
+    """Sorted entries of ``cells`` in the 3 x 3 cells around ``key``, with
+    the same block permutation."""
+    perm, re, im = key
+    found = [i for a in (-1, 0, 1) for b in (-1, 0, 1)
+             for i in cells.get((perm, re + a, im + b), ())]
+    found.sort()
+    return found
 
 
 class MapIndex:
@@ -168,15 +200,13 @@ class MapIndex:
     maps that ``equal_as_maps`` accepts at ``tol``, floored at its own roundoff.
     The key of g is its block permutation plus the real and imaginary parts
     of f(g) rounded down to a grid of that width, so two such maps have keys
-    at most one cell apart: a lookup probes the 3 x 3 neighbouring cells and
+    at most one cell apart: ``insert`` probes the 3 x 3 neighbouring cells and
     confirms every candidate with ``equal_as_maps``.
     """
 
     _PROBE_SEED = 20241204
 
     def __init__(self, descriptor: AlgebraDescriptor, tol: float = TOL_EQ):
-        # The standard-library generator keeps numpy.random (a lazy import
-        # of several milliseconds) out of every closure.
         rng = random.Random(self._PROBE_SEED)
         self.descriptor = descriptor
         self.tol = max(tol, 32.0 * max(descriptor.block_dims) * np.finfo(float).eps)
@@ -211,37 +241,68 @@ class MapIndex:
             width += (1.0 + t) * (2.0 * e + e * e) + 8.0 * n * n * eps
         return width
 
-    def fingerprint(self, g: Automorphism) -> complex:
-        return complex(sum(np.vdot(s, u @ self.probes_r[j] @ dagger(u))
-                           for s, u, j in zip(self.probes_s, g.unitaries, g.inv_perm)))
+    def fingerprints(self, gs) -> np.ndarray:
+        """f(g) for each automorphism of the list ``gs``, from one stacked
+        product per block and source block."""
+        f = np.zeros(len(gs), dtype=complex)
+        for i, s in enumerate(self.probes_s):
+            us = np.array([g.unitaries[i] for g in gs])
+            src = np.array([g.inv_perm[i] for g in gs])
+            for j in set(src.tolist()):
+                sel = src == j
+                u = us[sel]
+                f[sel] += np.einsum("kab,ab->k", u @ self.probes_r[j] @ dagger(u), s.conj())
+        return f
 
-    def key(self, g: Automorphism) -> tuple:
-        f = self.fingerprint(g)
-        return (g.perm, math.floor(f.real / self.width),
-                math.floor(f.imag / self.width))
+    def keys(self, gs) -> list:
+        """The key of each automorphism of the list ``gs``."""
+        return [(g.perm, math.floor(z.real / self.width), math.floor(z.imag / self.width))
+                for g, z in zip(gs, self.fingerprints(gs).tolist())]
 
-    def find(self, g: Automorphism, key: tuple = None) -> int:
-        """Lowest index of an element equal to g as a map, or -1."""
-        if g.descriptor != self.descriptor:
-            return -1
-        perm, re, im = key or self.key(g)
-        candidates = sorted(i for a in (-1, 0, 1) for b in (-1, 0, 1)
-                            for i in self.cells.get((perm, re + a, im + b), ()))
-        for i in candidates:
-            if equal_as_maps(self.elements[i], g, self.tol):
-                return i
-        return -1
+    def near(self, key: tuple) -> list:
+        """Indices of the elements whose keys are at most one cell from ``key``."""
+        return _near(self.cells, key)
 
-    def add(self, g: Automorphism, key: tuple = None) -> int:
+    def insert(self, gs, keys: list) -> list:
+        """The index of each of ``gs`` in turn: the lowest index of an element
+        equal to it as a map among those held and those appended for earlier
+        entries of ``gs``, else the index at which it is appended.
+
+        Candidates come from the neighbouring cells, and every candidate
+        pair is confirmed by one stacked ``equal_as_maps``.
+        """
+        pairs, cells = [], {}
+        for q, key in enumerate(keys):
+            pairs += [(q, i, False) for i in self.near(key)]
+            pairs += [(q, p, True) for p in _near(cells, key)]
+            cells.setdefault(key, []).append(q)
+        equal = equal_as_maps([gs[p] if own else self.elements[p] for _, p, own in pairs],
+                              [gs[q] for q, _, _ in pairs], self.tol)
+        hits = [[] for _ in gs]
+        for (q, p, own), hit in zip(pairs, equal):
+            if hit:
+                hits[q].append((p, own))
+        out, appended = [], set()
+        for q, g in enumerate(gs):
+            # held elements come first and earlier entries in order, so the
+            # first hit that is an element has the lowest index
+            j = next((out[p] if own else p for p, own in hits[q]
+                      if not own or p in appended), -1)
+            if j < 0:
+                j = self.add(g, keys[q])
+                appended.add(q)
+            out.append(j)
+        return out
+
+    def add(self, g: Automorphism, key: tuple) -> int:
         """Append g (assumed absent) and return its index."""
         self.elements.append(g)
-        self.cells.setdefault(key or self.key(g), []).append(len(self.elements) - 1)
+        self.cells.setdefault(key, []).append(len(self.elements) - 1)
         return len(self.elements) - 1
 
 
 def _unit_probe(rng: random.Random, n: int) -> np.ndarray:
-    m = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-                  for _ in range(n * n)]).reshape(n, n)
+    m = matcore.gaussian_block(rng, n)
     return m / np.linalg.norm(m)
 
 
@@ -265,7 +326,7 @@ class FiniteGroup:
         self.inv = inv
         self.index = index
         blocks = range(descriptor.num_blocks)
-        self.unitary_stacks = [np.stack([g.unitaries[i] for g in elements]) for i in blocks]
+        self.unitary_stacks = [np.array([g.unitaries[i] for g in elements]) for i in blocks]
         self.source_blocks = [np.array([g.inv_perm[i] for g in elements]) for i in blocks]
         self.target_blocks = [np.array([g.perm[i] for g in elements]) for i in blocks]
 
@@ -298,16 +359,19 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
 
     Elements are listed in breadth-first order from the identity: the
     distinct generators, then each frontier element composed with each
-    generator in turn.  Every candidate is looked up in a ``MapIndex``
-    (phase-invariant fingerprint on a grid derived from ``tol``, confirmed
-    by ``equal_as_maps``), so the search makes (|G| - 1) |S| ``compose``
-    calls for |S| generators.  It records the right Cayley graph
-    right[k, s] = index of elements[k] o generators[s], and each element's
-    parent and generator in the search tree.  The multiplication table then
-    follows from integer lookups alone, column by column in search order:
-    elements[c] = elements[parent(c)] o generators[s(c)] gives
-    mult[:, c] = right[mult[:, parent(c)], s(c)].  Raises once the closure
-    exceeds ``cap`` elements (generators of infinite order).
+    generator in turn.  The search takes a whole layer at a time: it
+    composes the layer with each generator as stacks (``compose``), and
+    ``MapIndex.insert`` looks every product up at once (phase-invariant
+    fingerprint on a grid derived from ``tol``, confirmed by one stacked
+    ``equal_as_maps``), in the order of one product at a time.  So it makes
+    (|G| - 1) |S| products for |S| generators.  It records the right Cayley
+    graph right[k, s] = index of elements[k] o generators[s], and each
+    element's parent and generator in the search tree.  The multiplication
+    table then follows from integer lookups alone, one layer at a time in
+    search order: elements[c] = elements[parent(c)] o generators[s(c)]
+    gives mult[:, c] = right[mult[:, parent(c)], s(c)], and parents lie in
+    earlier layers.  Raises once the closure exceeds ``cap`` elements
+    (generators of infinite order).
 
     ``compose`` does not test its products for unitarity; instead the
     elements each layer of the search adds are tested at once, by
@@ -321,40 +385,39 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
             raise InputError("generators live on different algebras")
 
     index = MapIndex(desc, tol)
-    index.add(identity_automorphism(desc))
+    ident = identity_automorphism(desc)
+    index.add(ident, index.keys([ident])[0])
     elements = index.elements
-    right = [[0] * len(generators)]
-    parent, via = [0], [0]
-    frontier = []
-
-    def visit(k, s, g, check_cap):
-        key = index.key(g)
-        j = index.find(g, key=key)
-        if j < 0:
-            if check_cap and len(elements) >= cap:
-                raise InputError(f"group not finite at cap {cap}")
-            j = index.add(g, key)
-            right.append([0] * len(generators))
-            parent.append(k)
-            via.append(s)
-            frontier.append(j)
-        right[k][s] = j
-
-    for s, g in enumerate(generators):
-        visit(0, s, g, check_cap=False)
-    while frontier:
-        layer, frontier = frontier, []
-        for k in layer:
-            for s, gen in enumerate(generators):
-                visit(k, s, compose(elements[k], gen), check_cap=True)
-        if frontier:
-            _require_unitary(elements[frontier[0]:])
+    right, parent, via = [[0] * len(generators)], [0], [0]
+    layers = [1]    # index of the first element of each layer, and the end
+    products, sources = list(generators), [(0, s) for s in range(len(generators))]
+    while products:
+        found = index.insert(products, index.keys(products))
+        # the generators themselves are not held to the cap
+        if len(layers) > 1 and len(elements) > max(cap, layers[-1]):
+            raise InputError(f"group not finite at cap {cap}")
+        for (k, s), j in zip(sources, found):
+            if j == len(parent):    # the product that added element j
+                right.append([0] * len(generators))
+                parent.append(k)
+                via.append(s)
+            right[k][s] = j
+        layer = elements[layers[-1]:]
+        layers.append(len(elements))
+        if not layer:
+            break
+        if len(layers) > 2:
+            _require_unitary(layer)
+        products = [p for ps in zip(*(compose(layer, gen) for gen in generators)) for p in ps]
+        sources = [(k, s) for k in range(layers[-2], layers[-1])
+                   for s in range(len(generators))]
 
     n = len(elements)
-    right = np.array(right, dtype=int)
+    right, parent, via = np.array(right, dtype=int), np.array(parent), np.array(via)
     mult = np.empty((n, n), dtype=int)
     mult[:, 0] = np.arange(n)
-    for c in range(1, n):
+    for lo, hi in zip(layers, layers[1:]):
+        c = np.arange(lo, hi)
         mult[:, c] = right[mult[:, parent[c]], via[c]]
     is_identity = mult == 0
     if np.any(np.count_nonzero(is_identity, axis=1) != 1):
@@ -366,7 +429,7 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
 def _require_unitary(elements) -> None:
     """Raise for the first of ``elements`` with a block that fails
     ``matcore.is_unitary`` at TOL_EQ, naming the block."""
-    bad = np.array([~matcore.is_unitary(np.stack([g.unitaries[i] for g in elements]))
+    bad = np.array([~matcore.is_unitary(np.array([g.unitaries[i] for g in elements]))
                     for i in range(elements[0].descriptor.num_blocks)])
     if np.any(bad):
         i = int(np.argmax(bad[:, np.argmax(np.any(bad, axis=0))]))

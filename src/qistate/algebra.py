@@ -252,6 +252,15 @@ class State:
         self.density = density
         self.min_eig = mn
 
+    @classmethod
+    def _unchecked(cls, descriptor: AlgebraDescriptor, density: AlgebraElement,
+                   min_eig: float):
+        """A state from a density derived from checked ones and known to be
+        Hermitian with unit trace, given its smallest eigenvalue: no test."""
+        phi = object.__new__(cls)
+        phi.descriptor, phi.density, phi.min_eig = descriptor, density, min_eig
+        return phi
+
 
 def evaluate(phi: State, a: AlgebraElement):
     """phi(a) = sum_i tr(rho_i a_i): a complex number, or an array over the

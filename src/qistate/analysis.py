@@ -54,7 +54,8 @@ class Analysis:
 
     @cached_property
     def factors(self):
-        """(w_g, v_g) of U_g stacked in group order; refuses a non-unitary U_g."""
+        """(w_g, v_g) of U_g stacked in group order, and max_g ||v_g v_g* - 1||;
+        refuses a non-unitary U_g."""
         return spatial_factors(self.group, self.roots, self.a, self.tol_eq)
 
     @cached_property
@@ -73,8 +74,7 @@ class Analysis:
 
     @cached_property
     def Phi(self):
-        return cond_expectation(self.certificate.psi, self.group, self.fixed,
-                                self.tol_eq, self.tol_pos)
+        return cond_expectation(self.certificate, self.group, self.fixed, self.tol_pos)
 
     @cached_property
     def e0(self):

@@ -9,8 +9,8 @@ timestamps).  Exit codes: 0 pass, 1 check failure, 2 validation error,
 import argparse
 import hashlib
 import json
-import logging
 import os
+import random
 import sys
 
 import numpy as np
@@ -30,8 +30,6 @@ from .reporting import Check, CheckSet, residual_check
 from .standard_form import (gamma_factorization, lemma_chain_checks, verify_covariance,
                             verify_representation, verify_unitarity)
 from .trace import trace_invariance_check, verify_density_relations
-
-log = logging.getLogger("qistate")
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -87,6 +85,14 @@ def _closure_cap(value, path) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise InstanceFormatError(f"{path}: expected an integer of at least 1")
     return value
+
+
+def _probe_rng(args) -> random.Random:
+    """The generator of a command's random draws, seeded from ``--seed``.
+    random.Random would take a negative seed as its absolute value."""
+    if args.seed < 0:
+        raise InstanceFormatError("--seed: expected an integer of at least 0")
+    return random.Random(args.seed)
 
 
 def matrix_to_json(m) -> list:
@@ -191,14 +197,17 @@ def _analysis(args):
     if args.closure_cap is not None:
         cap = _closure_cap(args.closure_cap, "--closure-cap")
     group = close_group(gens, cap=cap, tol=tols["tol_eq"])
-    log.info("closed group of order %d on blocks %s", group.order, desc.block_dims)
+    logging = sys.modules.get("logging")    # loaded by main under QISTATE_LOG, or by a host
+    if logging is not None:
+        logging.getLogger("qistate").info("closed group of order %d on blocks %s",
+                                          group.order, desc.block_dims)
     return Analysis(phi, group, **tols), digest
 
 
 def cmd_check(args):
+    rng = _probe_rng(args)
     an, digest = _analysis(args)
     desc, table, tol_eq = an.phi.descriptor, an.table, an.tol_eq
-    rng = np.random.default_rng(args.seed)
     checks = CheckSet()
     checks.add(verify_cocycle_identity(table, tol_eq))
     checks.add(verify_inverse_formula(table, tol_eq))
@@ -220,9 +229,9 @@ def cmd_check(args):
 
 
 def cmd_invariant(args):
+    rng = _probe_rng(args)
     an, digest = _analysis(args)
     tol_eq = an.tol_eq
-    rng = np.random.default_rng(args.seed)
     checks = CheckSet()
     checks.extend(gamma_properties_check(an, rng).checks)
     cert = an.certificate
@@ -268,9 +277,9 @@ def cmd_implement(args):
 
 
 def cmd_expectation(args):
+    rng = _probe_rng(args)
     an, digest = _analysis(args)
     tol_eq, strong = an.tol_eq, an.strong
-    rng = np.random.default_rng(args.seed)
     checks = CheckSet()
     checks.extend(expectation_checks(an, rng).checks)
     e0 = an.e0
@@ -295,8 +304,8 @@ def cmd_expectation(args):
 
 
 def cmd_trace(args):
+    rng = _probe_rng(args)
     an, digest = _analysis(args)
-    rng = np.random.default_rng(args.seed)
     # an.tau refuses an action that is not ergodic on the center
     tau, table, c = an.tau, an.table, an.c
     checks = CheckSet()
@@ -326,7 +335,7 @@ def cmd_counterexample(args):
                               unboundedness_witness, verify_axb,
                               verify_translation_identities)
 
-    rng = np.random.default_rng(args.seed)
+    rng = _probe_rng(args)
     grid = symmetric_grid(args.grid_r, args.grid_n)
     checks = CheckSet()
 
@@ -336,8 +345,8 @@ def cmd_counterexample(args):
 
     worst_chain = 0.0
     for _ in range(5):
-        t1, t2 = rng.uniform(-4.0, 4.0, size=2)
-        cs = verify_translation_identities(float(t1), float(t2), grid)
+        t1, t2 = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
+        cs = verify_translation_identities(t1, t2, grid)
         worst_chain = max(worst_chain, cs["translation_chain_rule"].residual)
     checks.add(residual_check("translation_chain_rule",
                               "x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1)",
@@ -354,8 +363,8 @@ def cmd_counterexample(args):
 
     worst_chain = 0.0
     for _ in range(5):
-        e1 = AxBElement(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2.0, 2.0)))
-        e2 = AxBElement(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2.0, 2.0)))
+        e1 = AxBElement(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
+        e2 = AxBElement(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
         cs = verify_axb(e1, e2, grid)
         worst_chain = max(worst_chain, cs["axb_chain_rule"].residual)
     checks.add(residual_check("axb_chain_rule", "affine cocycle chain rule",
@@ -371,20 +380,29 @@ def cmd_counterexample(args):
 
 # -- entry point ----------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {
+    "check": cmd_check,
+    "invariant": cmd_invariant,
+    "implement": cmd_implement,
+    "expectation": cmd_expectation,
+    "trace": cmd_trace,
+    "counterexample": cmd_counterexample,
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv`` (default: the process arguments).  Only the
+    subparser of the command that ``argv`` names is built; with no command
+    or an unknown one, all of them, so that help and errors list each."""
+    argv = sys.argv[1:] if argv is None else argv
+    names = [name for name in argv[:1] if name in COMMANDS] or list(COMMANDS)
     parser = argparse.ArgumentParser(
         prog="qistate",
         description="Check quasi-invariant state identities on block algebras.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "check": cmd_check,
-        "invariant": cmd_invariant,
-        "implement": cmd_implement,
-        "expectation": cmd_expectation,
-        "trace": cmd_trace,
-        "counterexample": cmd_counterexample,
-    }
-    for name, fn in commands.items():
+    # with one subparser built, usage lines still show every command
+    every = "{" + ",".join(COMMANDS) + "}" if len(names) < len(COMMANDS) else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
         p = sub.add_parser(name)
         if name == "counterexample":
             p.add_argument("--grid-R", dest="grid_r", type=float, default=100.0)
@@ -397,15 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "implement":
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the report here as well")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=COMMANDS[name])
     return parser
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("QISTATE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        stream=sys.stderr, format="%(name)s %(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
+    level = os.environ.get("QISTATE_LOG")
+    if level:
+        import logging    # only on request: it costs every other run 4 ms
+        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING),
+                            stream=sys.stderr, format="%(name)s %(levelname)s %(message)s")
+    args = build_parser(argv).parse_args(argv)
     try:
         checks, summary, digest = args.func(args)
     except InstanceFormatError as exc:

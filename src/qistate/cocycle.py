@@ -10,6 +10,7 @@ self-adjoint; then the x_g are positive, commute pairwise, lie in the
 centralizer of phi, and their spectra sit in [1/lambda, lambda].
 """
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,15 +209,14 @@ def sandwich_check(table: CocycleTable, probes, tol_eq: float = TOL_EQ) -> Check
                           max(0.0, worst), tol_eq, lam)
 
 
-def random_probe(rng, descriptor) -> AlgebraElement:
+def random_probe(rng: random.Random, descriptor) -> AlgebraElement:
     """Random element with independent standard complex Gaussian entries,
-    drawn block by block, real part before imaginary part."""
-    return AlgebraElement(descriptor, [rng.standard_normal((n, n))
-                                       + 1j * rng.standard_normal((n, n))
+    drawn block by block (``matcore.gaussian_block``)."""
+    return AlgebraElement(descriptor, [matcore.gaussian_block(rng, n)
                                        for n in descriptor.block_dims])
 
 
-def random_psd_probe(rng, descriptor) -> AlgebraElement:
+def random_psd_probe(rng: random.Random, descriptor) -> AlgebraElement:
     """Random PSD element m m*, normalized to operator norm 1."""
     m = random_probe(rng, descriptor)
     x = m @ m.adjoint()

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices, evaluate,
+from .algebra import (AlgebraDescriptor, AlgebraElement, batch_slices, evaluate,
                       hs_matrix, identity, left_mult_matrix, matrix_unit_basis,
                       require_faithful, stack, unvec, vec, worst_op_norm)
 from .actions import FiniteGroup, apply_all
 from .cocycle import random_probe
-from .matcore import PreconditionError, dagger
+from .invariant import InvariantCertificate
+from .matcore import PreconditionError, dagger, op_norm
 from .reporting import Check, CheckSet, residual_check
 from .standard_form import L2Operator
 
@@ -105,13 +106,15 @@ class ConditionalExpectation:
         return apply_all(self.group, a).mean()
 
 
-def cond_expectation(psi: State, group: FiniteGroup, fixed: FixedAlgebra,
-                     tol_eq: float, tol_pos: float) -> ConditionalExpectation:
-    """The averaging expectation onto ``fixed``, admissible only for an invariant faithful psi."""
-    require_faithful(psi, tol_pos)
-    worst = (apply_all(group, psi.density) - psi.density).op_norm()
-    if worst > tol_eq * max(1.0, psi.density.op_norm()):
-        raise PreconditionError(f"state is not invariant: residual {worst:.3e}")
+def cond_expectation(cert: InvariantCertificate, group: FiniteGroup, fixed: FixedAlgebra,
+                     tol_pos: float) -> ConditionalExpectation:
+    """The averaging expectation onto ``fixed``, admissible only for a
+    faithful psi whose invariance the certificate ``cert`` of
+    ``invariant_state`` asserts."""
+    require_faithful(cert.psi, tol_pos)
+    if not cert.residuals["asserts"]["invariance"]:
+        raise PreconditionError(
+            f"state is not invariant: residual {cert.residuals['invariance']:.3e}")
     return ConditionalExpectation(group, fixed)
 
 
@@ -168,7 +171,7 @@ def e0_projection(unitaries, tol_pos: float) -> L2Operator:
     desc = unitaries[0].descriptor
     q = _joint_fixed_vectors([u.matrix for u in unitaries[1:]], desc.dim, tol_pos)
     e0 = q @ dagger(q)
-    res = float(np.linalg.norm(e0 @ e0 - e0, 2))
+    res = op_norm(e0 @ e0 - e0)
     return L2Operator(desc, e0, projection_residual=res)
 
 

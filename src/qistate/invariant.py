@@ -131,6 +131,9 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
 
     The density of psi is the symmetrization of rho d, accepted only when
     the anti-Hermitian part is at roundoff level and the result is PSD.
+    It is Hermitian by construction, and its trace is the real part of
+    phi(d) = 1, which ``fixed_density_d`` checks; so psi is not validated
+    again.
     """
     phi, group = table.phi, table.group
     d, gamma_res = fixed_density_d(table, tol_eq=tol_eq)
@@ -145,7 +148,7 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
     mn = rho_psi.min_eig()
     if mn < -tol_pos:
         raise PreconditionError(f"rho d is not PSD: min eigenvalue {mn:.3e}")
-    psi = State(rho_psi.descriptor, rho_psi, tol_eq=max(tol_eq, 1e-9), tol_pos=tol_pos)
+    psi = State._unchecked(rho_psi.descriptor, rho_psi, mn)
 
     inv_res = (apply_all(group, rho_psi) - rho_psi).op_norm()
     # psi is sandwiched between phi/lambda and lambda*phi, hence faithful.

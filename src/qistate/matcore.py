@@ -7,7 +7,8 @@ refuse a non-finite entry that arithmetic produced.  TOL_HERM is read by
 which the commands replace by the instance's.  Every worst-case operator
 norm goes through ``max_op_norm``, which skips the SVD of each matrix whose
 Frobenius norm cannot beat the running maximum and returns the same float
-as one SVD per matrix.
+as one SVD per matrix; ``op_norms_within`` decides ||A|| <= limit per
+matrix from the same bound, with the decision of one SVD per matrix.
 """
 
 import numpy as np
@@ -37,6 +38,15 @@ def as_square(a) -> np.ndarray:
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise InputError("matrix has non-finite entries")
     return m
+
+
+def gaussian_block(rng, n: int) -> np.ndarray:
+    """n x n matrix of independent standard complex Gaussian entries, drawn
+    row by row from a ``random.Random``, real part before imaginary part.
+    The standard library generator keeps numpy.random (a lazy import of
+    several milliseconds) out of every command."""
+    return np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                     for _ in range(n * n)]).reshape(n, n)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -96,14 +106,10 @@ def max_op_norm(stacks) -> float:
             continue
         n = stack.shape[-1]
         mats = stack.reshape((-1, n, n))
-        # einsum makes no temporary the size of the stack
-        parts = (mats.real, mats.imag) if np.iscomplexobj(mats) else (mats,)
-        with np.errstate(over="ignore"):
-            fro = np.sqrt(sum(np.einsum("kij,kij->k", p, p) for p in parts))
-        if not np.all(np.isfinite(fro)):
+        bound = frobenius_bounds(mats)
+        if not np.all(np.isfinite(bound)):
             best = max(best, float(np.max(op_norms(mats))))
             continue
-        bound = fro * (1.0 + FRO_SLACK * n * n * np.finfo(float).eps)
         order = np.argsort(-bound, kind="stable")
         start, width = 0, 1
         while start < len(order):
@@ -114,6 +120,29 @@ def max_op_norm(stacks) -> float:
             best = max(best, float(np.max(op_norms(mats[chunk]))))
             start, width = start + width, 2 * width
     return best
+
+
+def frobenius_bounds(mats: np.ndarray) -> np.ndarray:
+    """f (1 + c n^2 u) for each matrix of a stack (k, n, n), f its computed
+    Frobenius norm: at least the computed largest singular value (see
+    ``max_op_norm``); inf or nan where f overflows or an entry is not finite."""
+    n = mats.shape[-1]
+    # einsum makes no temporary the size of the stack
+    parts = (mats.real, mats.imag) if np.iscomplexobj(mats) else (mats,)
+    with np.errstate(over="ignore"):
+        fro = np.sqrt(sum(np.einsum("kij,kij->k", p, p) for p in parts))
+    return fro * (1.0 + FRO_SLACK * n * n * np.finfo(float).eps)
+
+
+def op_norms_within(mats: np.ndarray, limit: float) -> np.ndarray:
+    """||A|| <= limit for each matrix of a stack (k, n, n), as one SVD per
+    matrix decides it; a matrix whose ``frobenius_bounds`` entry is within
+    the limit takes no SVD."""
+    within = frobenius_bounds(mats) <= limit
+    rest = ~within
+    if np.any(rest):
+        within[rest] = op_norms(mats[rest]) <= limit
+    return within
 
 
 def herm_eig(a):
@@ -158,7 +187,15 @@ def imag_power(a, z: complex, tol_pos: float = TOL_POS) -> np.ndarray:
 
 
 def is_unitary(u, tol: float = TOL_EQ):
-    """||u u* - 1|| <= tol max(1, ||u||^2): a bool, or one per matrix of a stack."""
+    """||u u* - 1|| <= tol max(1, ||u||^2): a bool, or one per matrix of a
+    stack.  A matrix whose ``frobenius_bounds`` entry for u u* - 1 is within
+    tol passes without an SVD."""
     m = as_square(u)
-    res = op_norms(m @ dagger(m) - np.eye(m.shape[-1]))
-    return res <= tol * np.maximum(1.0, op_norms(m) ** 2)
+    n = m.shape[-1]
+    mats = m.reshape((-1, n, n))
+    res = mats @ dagger(mats) - np.eye(n)
+    ok = frobenius_bounds(res) <= tol
+    rest = ~ok
+    if np.any(rest):
+        ok[rest] = op_norms(res[rest]) <= tol * np.maximum(1.0, op_norms(mats[rest]) ** 2)
+    return ok.reshape(m.shape[:-2])[()]

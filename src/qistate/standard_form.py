@@ -67,9 +67,11 @@ def a_g(phi: State, g, roots, x_g: AlgebraElement,
 
 def spatial_factors(group: FiniteGroup, roots, a: AlgebraElement, tol_eq: float):
     """(w_g, v_g) stacked in group order, from ``roots`` = (rho^{1/2},
-    rho^{-1/2}) and a_g.  Refuses U_g when ||v_g v_g* - 1|| > tol_eq
-    max(1, ||v_g||^2), since U_g* U_g = R(g(v_g v_g*)) (see
-    ``verify_unitarity``) and ||U_g||^2 = ||v_g v_g*|| = ||v_g||^2."""
+    rho^{-1/2}) and a_g, and max_g ||v_g v_g* - 1||, the residual of
+    ``verify_unitarity``'s isometry law and of ``verify_covariance``.
+    Refuses U_g when ||v_g v_g* - 1|| > tol_eq max(1, ||v_g||^2), since
+    U_g* U_g = R(g(v_g v_g*)) (see ``verify_unitarity``) and
+    ||U_g||^2 = ||v_g v_g*|| = ||v_g||^2."""
     root, root_inv = roots
     w = root @ a
     v = apply_all(group, root_inv)[group.inv] @ w
@@ -79,7 +81,7 @@ def spatial_factors(group: FiniteGroup, roots, a: AlgebraElement, tol_eq: float)
     if np.any(bad):
         raise PreconditionError(
             f"implementing operator is not unitary: residual {res[np.argmax(bad)]:.3e}")
-    return w, v
+    return w, v, float(np.max(res))
 
 
 def u_g(g: Automorphism, root_inv: AlgebraElement, wg: AlgebraElement) -> L2Operator:
@@ -102,14 +104,14 @@ def verify_unitarity(an) -> CheckSet:
     with y_g = rho^{-1/2} g(w_g w_g*) rho^{-1/2} = g(v_g v_g*), and
     U_g U_g* = R(w_g) R(g^-1(rho^-1)) R(w_g*) = R(v_g* v_g).  As
     ||R(z)|| = ||z|| and g is isometric, the residuals are
-    ||v_g v_g* - 1|| and ||v_g* v_g - 1||.
+    ||v_g v_g* - 1|| and ||v_g* v_g - 1||; ``spatial_factors`` took the first.
     """
-    v, ident = an.factors[1], identity(an.phi.descriptor)
+    _, v, isometry = an.factors
     checks = CheckSet()
-    checks.add(residual_check("unitary_isometry", "U_g* U_g = 1",
-                              (v @ v.adjoint() - ident).op_norm(), an.tol_eq))
+    checks.add(residual_check("unitary_isometry", "U_g* U_g = 1", isometry, an.tol_eq))
     checks.add(residual_check("unitary_surjective", "U_g U_g* = 1",
-                              (v.adjoint() @ v - ident).op_norm(), an.tol_eq))
+                              (v.adjoint() @ v - identity(an.phi.descriptor)).op_norm(),
+                              an.tol_eq))
     return checks
 
 
@@ -121,11 +123,9 @@ def verify_covariance(an) -> Check:
     By ||L_a R_b|| = max_i ||a_i|| ||b_i||, the residual is
     max_i ||g(x)_i|| ||(y_g - 1)_i||.  g carries a matrix unit to a norm-one
     unit of one block, every block is reached and g is isometric, so the
-    worst case over x is ||v_g v_g* - 1||.
+    worst case over x is ||v_g v_g* - 1||, which ``spatial_factors`` took.
     """
-    v = an.factors[1]
-    return residual_check("covariance", "U_g* L_x U_g = L_{g(x)}",
-                          (v @ v.adjoint() - identity(an.phi.descriptor)).op_norm(), an.tol_eq)
+    return residual_check("covariance", "U_g* L_x U_g = L_{g(x)}", an.factors[2], an.tol_eq)
 
 
 def verify_representation(an) -> Check:
@@ -139,7 +139,7 @@ def verify_representation(an) -> Check:
     is ||g^-1(v_h rho^{-1/2}) w_g - v_{hg}||, taken for every g and as many
     h at once as ``batch_slices`` allows.
     """
-    group, strong, (w, v) = an.group, an.strong, an.factors
+    group, strong, (w, v, _) = an.group, an.strong, an.factors
     z = v @ an.roots[1]
     # entry [g, h] against v at mult[h, g], the index of hg
     worst = worst_op_norm(apply_all(group, z[hs])[group.inv] @ w[:, None]

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,12 @@ from generators import (c2_swap_instance, m2m2_swap_instance,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240229)
+
+
+@pytest.fixture
+def probe_rng():
+    """The standard-library generator that qistate's random probes take."""
+    return random.Random(20240229)
 
 
 @pytest.fixture(scope="session")

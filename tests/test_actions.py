@@ -197,6 +197,46 @@ def test_equal_as_maps_distinguishes():
                              inner_generator(desc, 0, Z))
 
 
+def pair_is_equal_as_maps(g, h, tol):
+    """One SVD per block, on u_h* u_g minus its phase."""
+    for ug, uh in zip(g.unitaries, h.unitaries):
+        w = uh.conj().T @ ug
+        n = len(w)
+        t = np.trace(w) / n
+        if abs(t) < 0.5 or np.linalg.svd(w - t / abs(t) * np.eye(n),
+                                         compute_uv=False)[0] > tol * max(1.0, n):
+            return False
+    return g.perm == h.perm
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_equal_as_maps_of_lists_decides_each_pair(rng, tol):
+    # two blocks of each dimension, so that pairs differ in permutation or
+    # in blocks; each turned copy has one block turned near the tolerance
+    desc = AlgebraDescriptor((2, 2, 3, 3))
+    grp = random_group(rng, desc)
+    turned = []
+    for g in grp.elements:
+        us = list(g.unitaries)
+        b = rng.integers(len(us))
+        us[b] = us[b] @ random_unitary_near_one(rng, len(us[b]), tol)
+        turned.append(Automorphism(desc, g.perm, us))
+    pairs = [(a, b) for a in grp.elements for b in grp.elements + turned]
+    got = equal_as_maps([a for a, _ in pairs], [b for _, b in pairs], tol)
+    assert got.tolist() == [pair_is_equal_as_maps(a, b, tol) for a, b in pairs]
+    own_copy = equal_as_maps(grp.elements, turned, tol)
+    assert 0 < np.count_nonzero(own_copy) < grp.order
+
+
+def random_unitary_near_one(rng, n, tol):
+    """exp(iH) for a random Hermitian H of spectral radius n tol times a
+    random factor in [0.3, 3]."""
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    angles = n * tol * rng.uniform(0.3, 3.0) * w / np.max(np.abs(w))
+    return (v * np.exp(1j * angles)) @ v.conj().T
+
+
 def test_close_group_trivial():
     desc = AlgebraDescriptor((2,))
     grp = close_group([identity_automorphism(desc)], cap=4)
@@ -417,13 +457,23 @@ def test_closure_composes_once_per_element_and_generator(monkeypatch):
     calls = []
 
     def counting(g, h):
-        calls.append(1)
+        # one entry per product: the closure composes a whole layer per call
+        calls.extend(g if isinstance(g, list) else [g])
         return compose(g, h)
 
     monkeypatch.setattr(actions, "compose", counting)
     gens = weyl_generators(5)
     grp = close_group(gens)
     assert len(calls) == (grp.order - 1) * len(gens)
+
+
+def find(index, g):
+    """Lowest index of an element of ``index`` equal to g as a map, or -1:
+    a lookup without insertion, in the neighbouring cells."""
+    if g.descriptor != index.descriptor:
+        return -1
+    return next((i for i in index.near(index.keys([g])[0])
+                 if equal_as_maps(index.elements[i], g, index.tol)), -1)
 
 
 def edge_perturbation(rng, index, g, tol):
@@ -459,10 +509,10 @@ def test_maps_perturbed_within_tol_deduplicate(rng, tol):
     for i, g in enumerate(grp.elements):
         for _ in range(4):
             h = edge_perturbation(rng, index, g, tol)
-            gap = index.fingerprint(g) - index.fingerprint(h)
+            gap = np.subtract(*index.fingerprints([g, h]))
             widest = max(widest, abs(gap.real), abs(gap.imag))
-            crossed += index.key(g) != index.key(h)
-            assert index.find(h) == i
+            crossed += index.keys([g]) != index.keys([h])
+            assert find(index, h) == i
     # the derived cell width bounds the gap, and is not loose by much
     assert 0.25 * index.width < widest <= index.width
     # the neighbouring cells, not only the own cell, find the perturbed maps
@@ -473,11 +523,11 @@ def test_element_index_member(rng):
     grp = close_group(weyl_generators(4))
     for i, j in [(0, 0), (3, 7), (15, 2)]:
         g = with_block_phases(rng, compose(grp.elements[i], grp.elements[j]))
-        assert grp.index.find(g) == grp.mult[i, j]
+        assert find(grp.index, g) == grp.mult[i, j]
 
 
 def test_element_index_non_member_is_absent(rng):
     grp = close_group(weyl_generators(4))
     stranger = inner_generator(grp.descriptor, 0, random_unitary(rng, 4))
-    assert grp.index.find(stranger) == -1
-    assert grp.index.find(identity_automorphism(AlgebraDescriptor((2, 2)))) == -1
+    assert find(grp.index, stranger) == -1
+    assert find(grp.index, identity_automorphism(AlgebraDescriptor((2, 2)))) == -1

@@ -1,0 +1,165 @@
+"""The layer-batched closure against the per-visit closure it replaced.
+
+``per_visit_closure`` is ``close_group`` as it was before it took whole
+breadth-first layers: each product composed, keyed, looked up and added
+alone, with the same index, cap and unitarity test.  The batched closure
+must list the same elements in the same order and give the same
+multiplication and inverse tables, and refuse with the same messages.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from qistate import actions
+from qistate.actions import (Automorphism, MapIndex, close_group, compose, equal_as_maps,
+                             identity_automorphism)
+from qistate.algebra import AlgebraDescriptor
+from qistate.cli import parse_instance
+from qistate.matcore import InputError, TOL_EQ
+from generators import (clock_matrix, conjugate_generator, inner_generator,
+                        permutation_generator, random_unitary, shift_matrix)
+
+REPO_INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
+BUNDLED = ["qubit.json", "c2_swap.json", "m2m2_swap.json", "nonstrong_weyl3.json"]
+
+
+def per_visit_closure(generators, cap=10000, tol=TOL_EQ):
+    """Breadth-first closure one product at a time; returns (elements, mult, inv)."""
+    desc = generators[0].descriptor
+    index = MapIndex(desc, tol)
+    ident = identity_automorphism(desc)
+    index.add(ident, index.keys([ident])[0])
+    elements = index.elements
+    right, parent, via, frontier = [[0] * len(generators)], [0], [0], []
+
+    def visit(k, s, g, check_cap):
+        key = index.keys([g])[0]
+        j = next((i for i in index.near(key) if equal_as_maps(elements[i], g, index.tol)), -1)
+        if j < 0:
+            if check_cap and len(elements) >= cap:
+                raise InputError(f"group not finite at cap {cap}")
+            j = index.add(g, key)
+            right.append([0] * len(generators))
+            parent.append(k)
+            via.append(s)
+            frontier.append(j)
+        right[k][s] = j
+
+    for s, g in enumerate(generators):
+        visit(0, s, g, check_cap=False)
+    while frontier:
+        layer, frontier = frontier, []
+        for k in layer:
+            for s, gen in enumerate(generators):
+                visit(k, s, compose(elements[k], gen), check_cap=True)
+        if frontier:
+            actions._require_unitary(elements[frontier[0]:])
+
+    n = len(elements)
+    right = np.array(right, dtype=int)
+    mult = np.empty((n, n), dtype=int)
+    mult[:, 0] = np.arange(n)
+    for c in range(1, n):
+        mult[:, c] = right[mult[:, parent[c]], via[c]]
+    is_identity = mult == 0
+    if np.any(np.count_nonzero(is_identity, axis=1) != 1):
+        raise InputError("closure is inconsistent: no unique inverse")
+    inv = [int(i) for i in np.argmax(is_identity, axis=1)]
+    return elements, mult, inv
+
+
+def assert_same_closure(generators, **kwargs):
+    grp = close_group(generators, **kwargs)
+    elements, mult, inv = per_visit_closure(generators, **kwargs)
+    assert grp.order == len(elements)
+    assert all(e.perm == r.perm and equal_as_maps(e, r) for e, r in zip(grp.elements, elements))
+    assert np.array_equal(grp.mult, mult)
+    assert grp.inv == inv
+    return grp
+
+
+def weyl_generators(n):
+    desc = AlgebraDescriptor((n,))
+    return [inner_generator(desc, 0, shift_matrix(n)),
+            inner_generator(desc, 0, clock_matrix(n))]
+
+
+def bundled_generators(name):
+    with open(os.path.join(REPO_INSTANCES, name)) as fh:
+        _, _, gens, tols, _ = parse_instance(json.load(fh))
+    return gens, tols["tol_eq"]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_instances(name):
+    gens, tol = bundled_generators(name)
+    assert_same_closure(gens, tol=tol)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_weyl(n):
+    assert assert_same_closure(weyl_generators(n)).order == n * n
+
+
+@pytest.mark.parametrize("k,d", [(2, 1), (3, 2), (4, 2), (5, 3)])
+def test_cyclic_blocks(rng, k, d):
+    desc = AlgebraDescriptor((d,) * k)
+    cycle = permutation_generator(desc, [(j + 1) % k for j in range(k)])
+    assert assert_same_closure([cycle]).order == k
+    # the same cycle and a shift on every block, in a random frame
+    frame = [random_unitary(rng, d) for _ in range(k)]
+    shift = Automorphism(desc, range(k), [shift_matrix(d)] * k)
+    gens = [conjugate_generator(cycle, frame), conjugate_generator(shift, frame)]
+    assert assert_same_closure(gens).order == k * d
+
+
+@pytest.mark.parametrize("angles, tol", [((2.95, 5.4), 0.207), ((4.75, 1.86), 0.273),
+                                         ((1.78, 6.04), 0.059)])
+def test_product_equal_to_two_elements_takes_the_lower_index(angles, tol):
+    # At a coarse tolerance a product can be equal as maps to two elements
+    # that are not equal to each other.
+    desc = AlgebraDescriptor((2,))
+    gens = [inner_generator(desc, 0, np.diag([1.0, np.exp(1j * t)])) for t in angles]
+    assert_same_closure(gens, tol=tol)
+
+
+def test_tolerance_zero_closes_at_the_floor():
+    gens, _ = bundled_generators("nonstrong_weyl3.json")
+    assert assert_same_closure(gens, cap=50, tol=0.0).order == 9
+
+
+def refusal(closure, generators, **kwargs):
+    with pytest.raises(InputError) as exc:
+        closure(generators, **kwargs)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("gens, cap", [
+    # an irrational rotation generates an infinite group
+    ([inner_generator(AlgebraDescriptor((2,)), 0, np.diag([1.0, np.exp(1j)]))], 50),
+    (weyl_generators(5), 10),
+    # the generators themselves are not held to the cap
+    (weyl_generators(3), 1),
+])
+def test_cap_refusal(gens, cap):
+    message = refusal(close_group, gens, cap=cap)
+    assert message == refusal(per_visit_closure, gens, cap=cap)
+    assert message == f"group not finite at cap {cap}"
+
+
+def test_cap_equal_to_the_order_closes():
+    assert assert_same_closure(weyl_generators(5), cap=25).order == 25
+
+
+def test_non_unitary_block_refusal():
+    # each generator passes the unitarity test at TOL_EQ, but the square of
+    # the scaled shift on block 1 does not
+    desc = AlgebraDescriptor((2, 3))
+    scaled = Automorphism(desc, (0, 1), [np.eye(2), (1.0 + 4e-10) * shift_matrix(3)])
+    gens = [scaled, inner_generator(desc, 0, shift_matrix(2))]
+    message = refusal(close_group, gens)
+    assert message == refusal(per_visit_closure, gens)
+    assert message == "matrix for block 1 is not unitary"

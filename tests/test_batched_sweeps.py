@@ -13,6 +13,7 @@ their errors in the loops' order.
 """
 
 import dataclasses
+import random
 import sys
 
 import numpy as np
@@ -417,7 +418,7 @@ def test_random_instances_move_blocks_and_do_not_commute():
 
 
 def check_probes(desc, seed=11, n=8):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     return [random_psd_probe(rng, desc) for _ in range(n)] + [identity(desc)]
 
 
@@ -590,18 +591,18 @@ def test_trace_laws_match_loops(analysis):
 
 
 def test_gamma_properties_match_loops(analysis):
-    checks = gamma_properties_check(analysis, np.random.default_rng(7))
-    reference = reference_gamma_properties(analysis, np.random.default_rng(7))
+    checks = gamma_properties_check(analysis, random.Random(7))
+    reference = reference_gamma_properties(analysis, random.Random(7))
     assert_residuals_match(checks, reference)
 
 
 def test_expectation_checks_match_loops(analysis, monkeypatch):
-    reference = reference_expectation_checks(analysis, np.random.default_rng(7))
+    reference = reference_expectation_checks(analysis, random.Random(7))
     # the bundled and random groups fit one slice per sweep; a limit of 5
     # makes the sweeps run in several
     for limit in (algebra.STACK_LIMIT, 5):
         monkeypatch.setattr(algebra, "STACK_LIMIT", limit)
-        assert_residuals_match(expectation_checks(analysis, np.random.default_rng(7)),
+        assert_residuals_match(expectation_checks(analysis, random.Random(7)),
                                reference)
 
 
@@ -612,12 +613,12 @@ def test_violated_gamma_laws_match_loops(analysis, monkeypatch):
     monkeypatch.setattr(algebra, "STACK_LIMIT", 3 * analysis.group.order)
     table = analysis.table
     skew = identity(table.phi.descriptor) + 0.3 * random_probe(
-        np.random.default_rng(11), table.phi.descriptor)
+        random.Random(11), table.phi.descriptor)
     entries = table.entries @ skew
     an = Analysis(analysis.phi, analysis.group, TOL_EQ, TOL_POS)
     an.table = dataclasses.replace(table, entries=entries, inverses=entries.inv())
-    checks = gamma_properties_check(an, np.random.default_rng(7))
-    reference = reference_gamma_properties(an, np.random.default_rng(7))
+    checks = gamma_properties_check(an, random.Random(7))
+    reference = reference_gamma_properties(an, random.Random(7))
     assert_residuals_match(checks, reference)
     assert {c.name for c in checks if c.residual > 1e-3} >= {
         "gamma_permutes_cocycle", "gamma_preserves_state"}
@@ -631,8 +632,8 @@ def test_violated_bimodule_matches_loops(analysis, monkeypatch):
     monkeypatch.setattr(algebra, "STACK_LIMIT", 3 * an.group.order * dim)
     an.fixed = FixedAlgebra(an.phi.descriptor, np.eye(dim))
     an.Phi = ConditionalExpectation(an.group, an.fixed)
-    checks = expectation_checks(an, np.random.default_rng(7))
-    reference = reference_expectation_checks(an, np.random.default_rng(7))
+    checks = expectation_checks(an, random.Random(7))
+    reference = reference_expectation_checks(an, random.Random(7))
     assert_residuals_match(checks, reference)
     assert (an.group.order == 1) == (checks["bimodule"].residual < 1e-3)
 
@@ -728,8 +729,8 @@ def weyl5_analysis(density=None):
 def test_gamma_suite_work_is_linear(monkeypatch):
     an = weyl5_analysis()
     size = an.group.order + 1 + an.phi.descriptor.dim
-    assert_linear(monkeypatch, lambda: gamma_properties_check(an, np.random.default_rng(0)),
-                  lambda: reference_gamma_properties(an, np.random.default_rng(0)), 2 * size)
+    assert_linear(monkeypatch, lambda: gamma_properties_check(an, random.Random(0)),
+                  lambda: reference_gamma_properties(an, random.Random(0)), 2 * size)
 
 
 def test_expectation_work_is_linear(monkeypatch):
@@ -741,12 +742,12 @@ def test_expectation_work_is_linear(monkeypatch):
 
     def run():
         an.fixed
-        expectation_checks(an, np.random.default_rng(0))
+        expectation_checks(an, random.Random(0))
 
     assert an.fixed.dimension == 25
     size = group.order + an.fixed.dimension + desc.dim
     assert_linear(monkeypatch, run,
-                  lambda: reference_expectation_checks(an, np.random.default_rng(0)), 2 * size)
+                  lambda: reference_expectation_checks(an, random.Random(0)), 2 * size)
 
 
 def test_check_cocycle_laws_work_is_linear(monkeypatch):

@@ -128,16 +128,18 @@ def test_cmd_check_rejects_non_finite_entries(tmp_path, capsys, path, keys, valu
     ((), None, ["--tol-eq", "-1"], "--tol-eq"),
     ((), None, ["--tol-pos", "inf"], "--tol-pos"),
     ((), None, ["--closure-cap", "0"], "--closure-cap"),
+    ((), None, ["--seed", "-1"], "--seed"),
 ], ids=[
     "state-list", "group-string", "generator-number", "tolerances-list", "tol_eq-string",
     "tol_eq-nan", "tol_eq-huge-int", "tol_pos-negative", "tol_pos-inf", "closure_cap-string",
     "closure_cap-float", "closure_cap-zero", "flag-tol-eq-nan", "flag-tol-eq-negative",
-    "flag-tol-pos-inf", "flag-closure-cap-zero",
+    "flag-tol-pos-inf", "flag-closure-cap-zero", "flag-seed-negative",
 ])
 def test_malformed_fields_and_flags_are_validation_errors(tmp_path, capsys, keys, value,
                                                           flags, path):
     # exit 2 naming the field, not a traceback (exit 1) or a closure that
-    # never matches an element (negative tol_eq) or an ignored cap of 0
+    # never matches an element (negative tol_eq) or an ignored cap of 0, or
+    # a negative seed that the generator would take for its absolute value
     data = instance_to_json(qubit_instance().phi, qubit_instance().generators)
     if keys:
         node = data
@@ -276,6 +278,47 @@ def test_import_leaves_scipy_for_counterexample():
                           text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == EXIT_PASS, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_start_up_loads_neither_numpy_random_nor_logging():
+    # probes come from the standard library, and logging is loaded only
+    # under QISTATE_LOG
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items() if k != "QISTATE_LOG"}
+    instances = [os.path.join(REPO_INSTANCES, name)
+                 for name in ("m2m2_swap.json", "nonstrong_weyl3.json")]
+    script = (
+        "import contextlib, io, sys, qistate.cli\n"
+        f"for path in {instances!r}:\n"
+        "    for command in ('check', 'invariant', 'expectation', 'trace'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert qistate.cli.main([command, '--input', path]) == 0, command\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random loaded'\n"
+        "assert 'logging' not in sys.modules, 'logging loaded'\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(env, PYTHONPATH=path))
+    assert proc.returncode == EXIT_PASS, proc.stderr
+
+
+EVERY_COMMAND = "{check,invariant,implement,expectation,trace,counterexample}"
+
+
+@pytest.mark.parametrize("argv, code, listed", [
+    (["-h"], EXIT_PASS, EVERY_COMMAND),
+    ([], EXIT_VALIDATION, EVERY_COMMAND),
+    (["frobnicate"], EXIT_VALIDATION, "(choose from 'check', 'invariant', 'implement', "
+                                      "'expectation', 'trace', 'counterexample')"),
+    # only the named command's subparser is built; the usage line still
+    # names every command
+    (["implement", "--input", "x.json", "--seed", "1"], EXIT_VALIDATION, EVERY_COMMAND),
+])
+def test_help_and_errors_name_every_command(argv, code, listed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == code
+    out = capsys.readouterr()
+    assert listed in out.out + out.err
 
 
 INSTANCE_COMMANDS = ("check", "invariant", "implement", "expectation", "trace")

@@ -161,23 +161,23 @@ def test_is_strongly_qi_trivially_true_for_invariant():
     assert strong and checks.passed
 
 
-def test_sz_domination_identity_is_equality(qubit, rng):
-    probes = [random_psd_probe(rng, qubit.descriptor) for _ in range(5)]
+def test_sz_domination_identity_is_equality(qubit, probe_rng):
+    probes = [random_psd_probe(probe_rng, qubit.descriptor) for _ in range(5)]
     check = sz_domination(qubit.phi, identity(qubit.descriptor), probes)
     assert check.passed and check.residual <= 1e-12
 
 
-def test_sz_domination_scalar(qubit, rng):
-    probes = [random_psd_probe(rng, qubit.descriptor) for _ in range(5)]
+def test_sz_domination_scalar(qubit, probe_rng):
+    probes = [random_psd_probe(probe_rng, qubit.descriptor) for _ in range(5)]
     check = sz_domination(qubit.phi, 2.0 * identity(qubit.descriptor), probes)
     assert check.passed and check.residual <= 1e-12
 
 
-def test_sz_domination_on_cocycle_elements(rng):
+def test_sz_domination_on_cocycle_elements(rng, probe_rng):
     for _ in range(5):
         inst = random_instance(rng)
         table = build_table(inst.phi, inst.group)
-        probes = [random_psd_probe(rng, inst.descriptor) for _ in range(5)]
+        probes = [random_psd_probe(probe_rng, inst.descriptor) for _ in range(5)]
         for x in table.entries:
             assert sz_domination(inst.phi, x, probes).passed
 
@@ -199,21 +199,21 @@ def test_sandwich_qubit_hand_value(qubit, rng):
     assert evaluate(qubit.phi, table.entries[1] @ a).real == pytest.approx(2 / 3)
 
 
-def test_sandwich_equalities_for_invariant(rng):
+def test_sandwich_equalities_for_invariant(probe_rng):
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.eye(2) / 2]))
     grp = close_group([inner_generator(desc, 0, np.array([[0, 1.], [1., 0]]))], cap=4)
     table = build_table(phi, grp)
-    probes = [random_psd_probe(rng, desc) for _ in range(5)]
+    probes = [random_psd_probe(probe_rng, desc) for _ in range(5)]
     check = sandwich_check(table, probes)
     assert check.passed and check.residual <= 1e-12
 
 
-def test_sandwich_random_instances(rng):
+def test_sandwich_random_instances(rng, probe_rng):
     for _ in range(5):
         inst = random_instance(rng)
         table = build_table(inst.phi, inst.group)
-        probes = [random_psd_probe(rng, inst.descriptor) for _ in range(5)]
+        probes = [random_psd_probe(probe_rng, inst.descriptor) for _ in range(5)]
         assert sandwich_check(table, probes).passed
 
 

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power, identity,
                              left_mult_matrix, vec)
-from qistate.actions import apply, close_group
+from qistate.actions import apply, apply_all, close_group
 from qistate.analysis import Analysis
 from qistate.expectation import (FixedAlgebra, commutant_f0, cond_expectation,
                                  e0_projection, expectation_checks, fixed_algebra,
@@ -52,7 +54,8 @@ def test_cond_expectation_trivial_group_is_identity(rng):
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = trivial_group(desc)
-    Phi = cond_expectation(phi, grp, fixed_algebra(grp, TOL_EQ, TOL_POS), TOL_EQ, TOL_POS)
+    cert = Analysis(phi, grp, TOL_EQ, TOL_POS).certificate
+    Phi = cond_expectation(cert, grp, fixed_algebra(grp, TOL_EQ, TOL_POS), TOL_POS)
     a = AlgebraElement(desc, [rng.standard_normal((2, 2))])
     assert (Phi(a) - a).op_norm() < 1e-12
 
@@ -73,14 +76,22 @@ def test_cond_expectation_swap_averages_blocks(m2m2_swap, rng):
 
 
 def test_cond_expectation_rejects_non_invariant_state(qubit):
+    # the certificate as invariant_state would make it for phi itself, which
+    # the qubit group does not leave invariant
+    cert = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS).certificate
+    rho = qubit.phi.density
+    res = (apply_all(qubit.group, rho) - rho).op_norm()
+    asserts = dict(cert.residuals["asserts"], invariance=res <= TOL_EQ * max(1.0, rho.op_norm()))
+    cert = dataclasses.replace(cert, psi=qubit.phi,
+                               residuals=dict(cert.residuals, invariance=res, asserts=asserts))
     with pytest.raises(PreconditionError, match="not invariant"):
-        cond_expectation(qubit.phi, qubit.group, fixed_algebra(qubit.group, TOL_EQ, TOL_POS),
-                         TOL_EQ, TOL_POS)
+        cond_expectation(cert, qubit.group, fixed_algebra(qubit.group, TOL_EQ, TOL_POS),
+                         TOL_POS)
 
 
-def test_expectation_defining_properties(rng):
+def test_expectation_defining_properties(rng, probe_rng):
     inst = random_strong_instance(rng)
-    checks = expectation_checks(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS), rng)
+    checks = expectation_checks(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS), probe_rng)
     assert checks.passed, [(c.name, c.residual) for c in checks]
 
 

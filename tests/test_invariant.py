@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ def invariant_qubit():
 
 
 def test_gamma_identity_element(qubit):
-    a = random_psd_probe(np.random.default_rng(0), qubit.descriptor)
+    a = random_psd_probe(random.Random(0), qubit.descriptor)
     out = gamma_map(build_table(qubit.phi, qubit.group), 0, a)
     assert (out - a).op_norm() <= 1e-12
 
@@ -37,11 +39,11 @@ def test_gamma_permutes_cocycle_entries(qubit):
             assert (lhs - rhs).op_norm() < 1e-12
 
 
-def test_gamma_composition_random(rng):
+def test_gamma_composition_random(rng, probe_rng):
     inst = random_instance(rng, AlgebraDescriptor((2, 2)))
     grp = inst.group
     table = build_table(inst.phi, grp)
-    a = random_psd_probe(rng, inst.descriptor)
+    a = random_psd_probe(probe_rng, inst.descriptor)
     for i in range(grp.order):
         for j in range(grp.order):
             lhs = gamma_map(table, grp.mult[i, j], a)
@@ -49,22 +51,24 @@ def test_gamma_composition_random(rng):
             assert (lhs - rhs).op_norm() < 1e-10 * max(1.0, rhs.op_norm())
 
 
-def test_gamma_properties_trivial_group(rng):
+def test_gamma_properties_trivial_group(probe_rng):
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([inner_generator(desc, 0, np.eye(2))], cap=2)
-    checks = gamma_properties_check(Analysis(phi, grp, TOL_EQ, TOL_POS), rng)
+    checks = gamma_properties_check(Analysis(phi, grp, TOL_EQ, TOL_POS), probe_rng)
     assert checks.passed and max(c.residual for c in checks) <= 1e-12
 
 
-def test_gamma_properties_qubit(qubit, rng):
-    checks = gamma_properties_check(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS), rng)
+def test_gamma_properties_qubit(qubit, probe_rng):
+    checks = gamma_properties_check(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS),
+                                    probe_rng)
     assert checks.passed and max(c.residual for c in checks) < 1e-12
 
 
-def test_gamma_properties_random(rng):
+def test_gamma_properties_random(rng, probe_rng):
     inst = random_instance(rng)
-    assert gamma_properties_check(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS), rng).passed
+    assert gamma_properties_check(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS),
+                                  probe_rng).passed
 
 
 def test_fixed_density_invariant_state():

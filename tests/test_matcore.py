@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qistate.matcore import (InputError, PreconditionError, dagger, herm_eig,
-                             imag_power, is_unitary, max_op_norm, op_norm, op_norms, psd_sqrt)
+                             imag_power, is_unitary, max_op_norm, op_norm, op_norms,
+                             op_norms_within, psd_sqrt)
 
 
 def random_hermitian(rng, n):
@@ -238,6 +239,17 @@ def test_max_op_norm_pools_blocks_of_different_size(seed, shapes):
             * 10.0 ** rng.uniform(-3.0, 3.0) for k, (size, n) in enumerate(shapes)]
     assert max_op_norm(pool) == full_sweep(pool)
     assert max_op_norm(reversed(pool)) == full_sweep(pool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, sizes, dims)
+def test_op_norms_within_decides_as_one_svd_per_matrix(seed, size, n):
+    rng = np.random.default_rng(seed)
+    stack = (wide_range_stack if seed % 2 else rank_one_stack)(rng, size, n)
+    norms = op_norms(stack)
+    # limits at the computed norms themselves, between them and beyond
+    for limit in [0.0, *norms[:4], *np.quantile(norms, [0.25, 0.75]), 2.0 * np.max(norms)]:
+        assert np.array_equal(op_norms_within(stack, limit), norms <= limit)
 
 
 def test_max_op_norm_takes_no_svd_of_zero_or_empty_stacks(monkeypatch):

@@ -63,9 +63,9 @@ def test_invariant_trace_rejects_non_ergodic():
         invariant_trace(grp)
 
 
-def test_invariant_trace_is_invariant_and_tracial(rng, m2m2_swap):
+def test_invariant_trace_is_invariant_and_tracial(probe_rng, m2m2_swap):
     tau = invariant_trace(m2m2_swap.group)
-    probes = [random_psd_probe(rng, m2m2_swap.descriptor) for _ in range(5)]
+    probes = [random_psd_probe(probe_rng, m2m2_swap.descriptor) for _ in range(5)]
     an = Analysis(m2m2_swap.phi, m2m2_swap.group, TOL_EQ, TOL_POS)
     assert trace_invariance_check(an, probes).passed
     for a in probes:
