@@ -15,7 +15,7 @@ from .cocycle import (CocycleTable, build_table, is_strongly_qi, rn_cocycle,
 from .invariant import (InvariantCertificate, cocycle_from_d, fixed_density_d,
                         gamma_map, gamma_properties_check, invariant_state,
                         strong_case_check)
-from .standard_form import (L2Operator, a_g, gamma_factorization, u_g,
+from .standard_form import (a_g, gamma_factorization, u_g,
                             verify_covariance, verify_representation, verify_unitarity)
 from .expectation import (ConditionalExpectation, FixedAlgebra, commutant_f0,
                           cond_expectation, e0_projection, fixed_algebra,

@@ -309,22 +309,25 @@ def _unit_probe(rng: random.Random, n: int) -> np.ndarray:
 class FiniteGroup:
     """Closed list of automorphisms with composition and inverse tables.
 
-    ``index`` is the closure's fingerprint index over ``elements``.  For
-    each block i, ``unitary_stacks[i]`` stacks every element's block-i
-    unitary as a (|G|, n_i, n_i) array, ``source_blocks[i]`` holds the
-    (|G|,) block indices inv_perm[i] that each element carries to block i,
-    and ``target_blocks[i]`` the block indices perm[i] it carries block i to.
+    ``index`` is the closure's fingerprint index over ``elements``, and
+    ``first_layer`` the indices of its first search layer: the distinct
+    non-identity generators.  For each block i, ``unitary_stacks[i]`` stacks
+    every element's block-i unitary as a (|G|, n_i, n_i) array,
+    ``source_blocks[i]`` holds the (|G|,) block indices inv_perm[i] that each
+    element carries to block i, and ``target_blocks[i]`` the block indices
+    perm[i] it carries block i to.
     """
 
-    __slots__ = ("descriptor", "elements", "mult", "inv", "index",
+    __slots__ = ("descriptor", "elements", "mult", "inv", "index", "first_layer",
                  "unitary_stacks", "source_blocks", "target_blocks")
 
-    def __init__(self, descriptor, elements, mult, inv, index: MapIndex):
+    def __init__(self, descriptor, elements, mult, inv, index: MapIndex, first_layer: range):
         self.descriptor = descriptor
         self.elements = elements
         self.mult = mult            # mult[i][j] = index of elements[i] o elements[j]
         self.inv = inv
         self.index = index
+        self.first_layer = first_layer
         blocks = range(descriptor.num_blocks)
         self.unitary_stacks = [np.array([g.unitaries[i] for g in elements]) for i in blocks]
         self.source_blocks = [np.array([g.inv_perm[i] for g in elements]) for i in blocks]
@@ -420,10 +423,13 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
         c = np.arange(lo, hi)
         mult[:, c] = right[mult[:, parent[c]], via[c]]
     is_identity = mult == 0
-    if np.any(np.count_nonzero(is_identity, axis=1) != 1):
-        raise InputError("closure is inconsistent: no unique inverse")
+    counts = np.count_nonzero(is_identity, axis=1)
+    if np.any(counts != 1):    # at a coarse tol equality as maps is not transitive
+        k = int(np.argmax(counts != 1))
+        raise InputError(f"closure is inconsistent at tol_eq {tol:.3g}: element {k} has "
+                         f"{counts[k]} inverses, not one; try a smaller --tol-eq")
     inv = [int(i) for i in np.argmax(is_identity, axis=1)]
-    return FiniteGroup(desc, elements, mult, inv, index)
+    return FiniteGroup(desc, elements, mult, inv, index, range(1, layers[1]))
 
 
 def _require_unitary(elements) -> None:

@@ -17,8 +17,8 @@ The public ``AlgebraElement`` constructor and ``State`` validate their
 input; elements derived from checked ones are built by ``_unchecked``.
 
 ``vec`` and ``unvec`` alone fix the Hilbert-Schmidt coordinates
-(block-major, column-major within a block); a dense operator is
-``hs_matrix`` of a map, column m being vec of its value on matrix unit m.
+(block-major, column-major within a block); operators on that space stay
+maps of elements, and a basis of a subspace is a matrix of coordinate columns.
 """
 
 from dataclasses import dataclass
@@ -172,7 +172,7 @@ def matrix_unit_basis(descriptor: AlgebraDescriptor) -> AlgebraElement:
 def vec(x: AlgebraElement) -> np.ndarray:
     """Coordinates along the last axis, block-major and column-major within
     a block; the batch axes of ``x`` lead."""
-    return np.concatenate([np.swapaxes(b, -1, -2).reshape(b.shape[:-2] + (-1,))
+    return np.concatenate([np.swapaxes(b, -1, -2).reshape(b.shape[:-2] + (b.shape[-1] ** 2,))
                            for b in x.blocks], axis=-1)
 
 
@@ -214,18 +214,6 @@ def batch_slices(n: int, inner: int) -> list:
     indices, and at least one."""
     width = max(1, STACK_LIMIT // inner)
     return [slice(k, k + width) for k in range(0, n, width)]
-
-
-def hs_matrix(descriptor: AlgebraDescriptor, f) -> np.ndarray:
-    """Matrix of a linear map on the Hilbert-Schmidt space: column m is
-    vec(f(e_m)) for the m-th matrix unit e_m.  ``f`` takes the stacked
-    matrix units; batch axes it puts in front of theirs lead the result."""
-    return np.swapaxes(vec(f(matrix_unit_basis(descriptor))), -1, -2)
-
-
-def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
-    """Matrix of xi |-> x xi on Hilbert-Schmidt coordinates."""
-    return hs_matrix(x.descriptor, lambda units: x @ units)
 
 
 # -- states -----------------------------------------------------------------

@@ -15,7 +15,7 @@ from .algebra import State, density_power
 from .cocycle import build_table, is_strongly_qi
 from .expectation import commutant_f0, cond_expectation, e0_projection, fixed_algebra
 from .invariant import invariant_state
-from .standard_form import a_g, group_unitaries, spatial_factors
+from .standard_form import a_g, spatial_factors
 from .trace import invariant_trace, trace_density
 
 
@@ -34,7 +34,7 @@ class Analysis:
 
     @cached_property
     def table(self):
-        return build_table(self.phi, self.group, self.tol_pos, self.tol_eq)
+        return build_table(self.phi, self.group, self.tol_pos)
 
     @cached_property
     def strong_qi(self):
@@ -59,11 +59,6 @@ class Analysis:
         return spatial_factors(self.group, self.roots, self.a, self.tol_eq)
 
     @cached_property
-    def unitaries(self):
-        """Dense U_g for each group element, in group order."""
-        return group_unitaries(self.group, self.roots[1], self.factors[0])
-
-    @cached_property
     def certificate(self):
         """d and the invariant state psi, with their residuals."""
         return invariant_state(self.table, self.tol_eq, self.tol_pos)
@@ -78,7 +73,8 @@ class Analysis:
 
     @cached_property
     def e0(self):
-        return e0_projection(self.unitaries, self.tol_pos)
+        """Orthonormal basis Q of the vectors every U_g fixes; E0 = Q Q*."""
+        return e0_projection(self.group, self.roots[1], self.factors[0], self.tol_pos)
 
     @cached_property
     def f0(self):

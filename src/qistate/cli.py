@@ -23,7 +23,7 @@ from .analysis import Analysis
 from .cocycle import (build_table, random_psd_probe, sandwich_check,  # noqa: F401
                       sz_domination, verify_adjoint_relation,
                       verify_cocycle_identity, verify_inverse_formula)
-from .expectation import expectation_checks, verify_ks
+from .expectation import expectation_checks, projection_residual, verify_ks
 from .invariant import gamma_properties_check, strong_case_check
 from .matcore import InputError, PreconditionError, TOL_EQ, TOL_POS
 from .reporting import Check, CheckSet, residual_check
@@ -284,7 +284,7 @@ def cmd_expectation(args):
     checks.extend(expectation_checks(an, rng).checks)
     e0 = an.e0
     checks.add(residual_check("e0_projection", "E0 = E0* = E0^2",
-                              e0.projection_residual, tol_eq))
+                              projection_residual(e0), tol_eq))
     f0_report = an.f0
     # recorded but always passing outside the strong bounded case
     checks.add(Check("f0_identity", "F0 = [B' E0] = 1", f0_report.identity_residual,
@@ -297,7 +297,7 @@ def cmd_expectation(args):
         "group_order": an.group.order,
         "strong_qi": bool(strong),
         "fixed_algebra_dim": an.fixed.dimension,
-        "e0_rank": int(round(float(np.real(np.trace(e0.matrix))))),
+        "e0_rank": e0.shape[1],
         "commutant_dim": f0_report.commutant_dim,
     }
     return checks, summary, digest

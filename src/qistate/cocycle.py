@@ -22,52 +22,13 @@ from .matcore import PreconditionError, TOL_EQ, TOL_POS, dagger
 from .reporting import Check, CheckSet, residual_check
 
 
-def rn_cocycle(phi: State, g: Automorphism, tol_pos: float = TOL_POS,
-               tol_eq: float = TOL_EQ) -> AlgebraElement:
-    """x_g = rho^-1 g^-1(rho), checked against phi(g(a)) = phi(x_g a)."""
+def rn_cocycle(phi: State, g: Automorphism, tol_pos: float = TOL_POS) -> AlgebraElement:
+    """x_g = rho^-1 g^-1(rho), for a faithful phi.  phi(g(a)) = phi(x_g a)
+    holds by construction, tr(rho g(a)) = tr(g^-1(rho) a), so testing it
+    against the g^-1(rho) that x_g is built from could only measure roundoff."""
     require_faithful(phi, tol_pos)
     rho = phi.density
-    x = rho.inv() @ predual(g, rho)
-    _require_cocycles(x, _cocycle_defect(phi, g, x), tol_eq)
-    return x
-
-
-def _cocycle_defect(phi: State, g: Automorphism, x: AlgebraElement):
-    """max |phi(g(E)) - phi(x E)| over the matrix units E; one value per
-    element when ``g`` is the group and ``x`` a stack over it.
-
-    For E = E_rc in block j, g(E) is u E u* in block perm(j) with
-    u = u_{perm(j)}, so phi(g(E)) = (u* rho_{perm(j)} u)_{cr} = g^-1(rho)_{cr}
-    and phi(x E) = (rho_j x_j)_{cr}: one entrywise comparison per block.
-    """
-    rho = phi.density
-    if isinstance(g, FiniteGroup):
-        target = predual(g, rho).blocks
-    else:    # g's own unitaries, whatever x was computed from
-        target = [dagger(g.unitaries[p]) @ rho.blocks[p] @ g.unitaries[p] for p in g.perm]
-    return np.max([np.max(np.abs(t - r @ xb), axis=(-2, -1))
-                   for t, r, xb in zip(target, rho.blocks, x.blocks)], axis=0)
-
-
-def _require_cocycles(x: AlgebraElement, defect, tol_eq: float, tol_pos: float = None):
-    """The operator norms of x, one element or a stack, after raising for
-    the first element whose defect exceeds tol_eq max(1, ||x_g||) or, when
-    ``tol_pos`` is given, whose smallest singular value is at most
-    tol_pos max(1, ||x_g||)."""
-    norms = x.op_norms()
-    scale = np.maximum(1.0, norms)
-    inconsistent = defect > tol_eq * scale
-    singular = np.zeros_like(inconsistent)
-    if tol_pos is not None:
-        singular = x.min_svs() <= tol_pos * scale
-    bad = inconsistent | singular
-    if np.any(bad):
-        k = np.argmax(bad)
-        if inconsistent.flat[k]:
-            raise PreconditionError(f"cocycle defect {defect.flat[k]:.3e}: "
-                                    "state/automorphism pair is inconsistent")
-        raise PreconditionError("cocycle element is numerically singular")
-    return norms
+    return rho.inv() @ predual(g, rho)
 
 
 @dataclass
@@ -83,14 +44,14 @@ class CocycleTable:
     lambda_bound: float
 
 
-def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS,
-                tol_eq: float = TOL_EQ) -> CocycleTable:
+def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS) -> CocycleTable:
     """Compute every x_g and the uniform bound lambda, as stacks over the
-    group: the checks of ``rn_cocycle`` and the singularity test, each
-    raising for the first failing element."""
+    group; refuses when some x_g has min_sv(x_g) <= tol_pos max(1, ||x_g||)."""
     require_faithful(phi, tol_pos)
     entries = phi.density.inv() @ predual(group, phi.density)
-    norms = _require_cocycles(entries, _cocycle_defect(phi, group, entries), tol_eq, tol_pos)
+    norms = entries.op_norms()
+    if np.any(entries.min_svs() <= tol_pos * np.maximum(1.0, norms)):
+        raise PreconditionError("cocycle element is numerically singular")
     inverses = entries.inv()
     lam = max(float(np.max(norms)), inverses.op_norm())
     return CocycleTable(phi, group, entries, inverses, float(lam))

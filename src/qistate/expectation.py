@@ -6,29 +6,33 @@ the conditional expectation is the uniform group average, which is the
 unique invariant mean for a finite group.  E0 projects onto the vectors
 fixed by every implementing unitary U_g, and F0 projects onto the span of
 B' E0; for a strongly quasi-invariant state with bounded cocycle F0 is
-the identity.
+the identity.  B and E0 are each held as an orthonormal basis of their
+range in vec coordinates, found by ``_fixed_vectors``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraDescriptor, AlgebraElement, batch_slices, evaluate,
-                      hs_matrix, identity, left_mult_matrix, matrix_unit_basis,
-                      require_faithful, stack, unvec, vec, worst_op_norm)
-from .actions import FiniteGroup, apply_all
+from . import matcore
+from .algebra import (AlgebraDescriptor, AlgebraElement, batch_slices, evaluate, identity,
+                      matrix_unit_basis, require_faithful, stack, unvec, vec, worst_op_norm)
+from .actions import FiniteGroup, apply, apply_all, predual
 from .cocycle import random_probe
 from .invariant import InvariantCertificate
 from .matcore import PreconditionError, dagger, op_norm
 from .reporting import Check, CheckSet, residual_check
-from .standard_form import L2Operator
 
 
 def _kernel_onb(stacked: np.ndarray, cutoff: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of a stacked constraint map
-    with at least as many rows as columns; singular values up to ``cutoff``
-    times max(1, the largest) count as zero."""
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    """Orthonormal basis (columns) of the kernel of a stacked constraint map;
+    singular values up to ``cutoff`` times max(1, the largest) count as
+    zero.  A tall map is first reduced to the triangular factor of its QR
+    decomposition, which has the same singular values and right singular
+    vectors."""
+    if len(stacked) > stacked.shape[1]:
+        stacked = np.linalg.qr(stacked, mode="r")
+    _, s, vh = np.linalg.svd(stacked)
     rank = int(np.sum(s > cutoff * s.max(initial=1.0)))
     return dagger(vh)[:, rank:]
 
@@ -40,12 +44,23 @@ def _range_onb(m: np.ndarray, cutoff: float) -> np.ndarray:
     return u[:, s > cutoff * s.max(initial=1.0)]
 
 
-def _joint_fixed_vectors(mats, n: int, cutoff: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the vectors that every n x n matrix in
-    the sequence or stack ``mats`` fixes."""
-    if len(mats) == 0:
-        return np.eye(n)
-    return _kernel_onb(np.vstack([m - np.eye(n) for m in mats]), cutoff)
+def _fixed_vectors(q: np.ndarray, images, cutoff: float) -> np.ndarray:
+    """Q K: orthonormal columns spanning the vectors of ran Q that a set of
+    maps T fixes, for Q = ``q`` with orthonormal columns (vec coordinates).
+    ``images`` lists stacks of T(xi_j) over the columns xi_j of Q as
+    elements, column axis last and any maps stacked in front.  Q c is fixed
+    exactly when (T Q - Q) c = 0 for every T, so K is ``_kernel_onb`` of
+    the T Q - Q stacked.
+
+    It runs first over the generators from the whole space, then over every
+    element on the basis that is left; that basis is small, and where T is
+    not a representation the second pass is needed.
+    """
+    r = q.shape[1]
+    if r == 0:
+        return q
+    moved = [(np.swapaxes(vec(t), -1, -2) - q).reshape(-1, r) for t in images]
+    return q @ _kernel_onb(np.concatenate([np.empty((0, r))] + moved), cutoff)
 
 
 @dataclass
@@ -83,10 +98,14 @@ def closure_residual(fa: FixedAlgebra) -> float:
 
 def fixed_algebra(group: FiniteGroup, tol_eq: float, tol_pos: float) -> FixedAlgebra:
     """Joint kernel of (A(g) - 1) over the group, with closure verification;
-    A(g) is the matrix of a |-> g(a), the first element the identity."""
+    A(g) is the map a |-> g(a), a representation, so the second pass of
+    ``_fixed_vectors`` only confirms the first."""
     desc = group.descriptor
-    actions = hs_matrix(desc, lambda units: apply_all(group, units))
-    fa = FixedAlgebra(desc, _joint_fixed_vectors(actions[1:], desc.dim, tol_pos))
+    units = matrix_unit_basis(desc)
+    q = _fixed_vectors(np.eye(desc.dim),
+                       [apply(group.elements[k], units) for k in group.first_layer], tol_pos)
+    fa = FixedAlgebra(desc, _fixed_vectors(q, [apply_all(group, unvec(desc, q.T))[1:]],
+                                           tol_pos))
     worst = closure_residual(fa)
     norm = max(1.0, fa.basis.op_norm())
     if worst > tol_eq * max(1.0, norm ** 2):
@@ -165,53 +184,85 @@ def expectation_checks(an, rng) -> CheckSet:
     return checks
 
 
-def e0_projection(unitaries, tol_pos: float) -> L2Operator:
-    """Orthogonal projection onto the joint fixed vectors of all U_g; the
-    first unitary is that of the identity element."""
-    desc = unitaries[0].descriptor
-    q = _joint_fixed_vectors([u.matrix for u in unitaries[1:]], desc.dim, tol_pos)
-    e0 = q @ dagger(q)
-    res = op_norm(e0 @ e0 - e0)
-    return L2Operator(desc, e0, projection_residual=res)
+def e0_projection(group: FiniteGroup, root_inv: AlgebraElement, w: AlgebraElement,
+                  tol_pos: float) -> np.ndarray:
+    """Orthonormal basis Q (columns, vec coordinates) of the vectors that
+    every U_g fixes, so that E0 = Q Q*; given rho^{-1/2} and w_g stacked in
+    group order.  U_g xi = g^-1(xi rho^{-1/2}) w_g is applied to the basis
+    on its factors, per generator and then over the group (``_fixed_vectors``)."""
+    desc = group.descriptor
+    units = matrix_unit_basis(desc)
+    q = _fixed_vectors(np.eye(desc.dim), [predual(group.elements[k], units @ root_inv) @ w[k]
+                                          for k in group.first_layer], tol_pos)
+    xi = unvec(desc, q.T) @ root_inv
+    return _fixed_vectors(q, [(apply_all(group, xi)[group.inv] @ w[:, None])[1:]], tol_pos)
+
+
+def projection_residual(q: np.ndarray) -> float:
+    """||E0^2 - E0|| for E0 = Q Q* (Hermitian by construction).  With
+    G = Q* Q, E0^2 - E0 = Q (G - 1) Q*, and ||Q M Q*|| = ||G^{1/2} M G^{1/2}||,
+    which for M = G - 1 is ||G^2 - G||, an r x r norm."""
+    g = dagger(q) @ q
+    return op_norm(g @ g - g)
+
+
+def _on_basis(a: AlgebraElement, xi: AlgebraElement) -> np.ndarray:
+    """L_a Q for each element of the stack ``a``, with xi the columns of Q
+    as elements: an (len(a), N, r) array."""
+    return np.swapaxes(vec(a[:, None] @ xi), -1, -2)
 
 
 def verify_ks(an) -> CheckSet:
     """Characterizations of the expectation in the strong bounded case:
     the compression law Phi(b) E0 = E0 L_b E0, the state decomposition
-    phi(a) = psi(Phi(d^-1 a)), and the group-mean formula."""
+    phi(a) = psi(Phi(d^-1 a)), and the group-mean formula, each over the
+    matrix units b and as many at once as ``batch_slices`` allows.
+
+    Compression.  E0 = Q Q* with Q* Q = 1, so
+    L_{Phi(b)} E0 - E0 L_b E0 = (L_{Phi(b)} Q - Q (Q* L_b Q)) Q*, and
+    ||M Q*|| = ||M Q* Q M*||^{1/2} = ||M||: the residual is the norm of an
+    N x r matrix.
+
+    Mean formula.  U_g = R(w_g) A(g^-1) R(rho^{-1/2}), with R right
+    multiplication, so U_{g^-1} L_b U_g xi
+    = g(b g^-1(xi rho^{-1/2}) w_g rho^{-1/2}) w_{g^-1} = g(b) xi m_g, with
+    m_g = rho^{-1/2} g(w_g rho^{-1/2}) w_{g^-1} = g(v_g) v_{g^-1}, as
+    w_g = g^-1(rho^{1/2}) v_g.  Phi(b) = mean_g g(b), so
+    mean_g U_{g^-1} L_b U_g - L_{Phi(b)} = mean_g L_{g(b)} R(m_g - 1).  It
+    acts on each block i on its own, by mean_g kron((m_g - 1)_i^T, g(b)_i)
+    in column-major coordinates, so its norm is the largest over the
+    blocks of these n_i^2 x n_i^2 norms.
+    """
     if not an.strong:
         raise PreconditionError("state is not strongly quasi-invariant")
     phi, group, tol_eq = an.phi, an.group, an.tol_eq
     psi, d = an.certificate.psi, an.certificate.d
     if d.min_sv() <= an.tol_pos * max(1.0, d.op_norm()):
         raise PreconditionError("invariant-state element d is singular")
-    Phi, us, e0 = an.Phi, an.unitaries, an.e0
+    Phi, q, desc = an.Phi, an.e0, phi.descriptor
 
     checks = CheckSet()
-    basis = matrix_unit_basis(phi.descriptor)
-    e0m = e0.matrix
-
-    # L_b has ones at (rows, cols) for a matrix unit b: M L_b N = M[:, rows] @ N[cols, :]
-    compression = mean_worst = 0.0
-    for b in basis:
-        rows, cols = np.nonzero(left_mult_matrix(b))
-        l_phi = left_mult_matrix(Phi(b))
-        compression = max(compression, float(np.linalg.norm(
-            l_phi @ e0m - e0m[:, rows] @ e0m[cols, :], 2)))
-        mean = np.zeros_like(l_phi)
-        for i in range(group.order):
-            mean += us[group.inv[i]].matrix[:, rows] @ us[i].matrix[cols, :]
-        mean /= group.order
-        mean_worst = max(mean_worst, float(np.linalg.norm(mean - l_phi, 2)))
+    basis = matrix_unit_basis(desc)
+    xi = unvec(desc, q.T)
+    compression = matcore.max_op_norm(
+        _on_basis(Phi(basis[us]), xi) - q @ (dagger(q) @ _on_basis(basis[us], xi))
+        for us in batch_slices(desc.dim, max(1, q.shape[1])))
     checks.add(residual_check("compression", "Phi(b) E0 = E0 b E0", compression, tol_eq))
 
     d_inv = d.inv()
     worst = max(float(np.max(np.abs(evaluate(phi, basis[us])
                                     - evaluate(psi, Phi(d_inv @ basis[us])))))
-                for us in batch_slices(phi.descriptor.dim, group.order))
+                for us in batch_slices(desc.dim, group.order))
     checks.add(residual_check("state_decomposition",
                               "phi(a) = psi(Phi(d^-1 a))", worst, tol_eq))
 
+    v = an.factors[1][group.inv]
+    m = predual(group, v)[group.inv] @ v - identity(desc)     # m_g - 1, in group order
+    # per block, unit and index pair (a, b), (c, d): mean_g (m_g - 1)[c, a] g(unit)[b, d]
+    mean_worst = matcore.max_op_norm(
+        (np.einsum("gca,gubd->uabcd", mb, gb) / group.order).reshape(-1, mb[0].size, mb[0].size)
+        for us in batch_slices(desc.dim, max(group.order, max(desc.block_dims) ** 2))
+        for mb, gb in zip(m.blocks, apply_all(group, basis[us]).blocks))
     checks.add(residual_check("mean_formula",
                               "Phi(b) = mean_g U_{g^-1} b U_g on the Hilbert-Schmidt space",
                               mean_worst, tol_eq))
@@ -219,18 +270,22 @@ def verify_ks(an) -> CheckSet:
 
 
 def uniqueness_probe(an) -> Check:
-    """Solve the compression law for each basis element and compare with the
-    averaging expectation; unique solution within the linear class."""
-    Phi, e0 = an.Phi, an.e0
-    basis = matrix_unit_basis(an.phi.descriptor)
-    design = np.column_stack([(left_mult_matrix(b) @ e0.matrix).ravel()
-                              for b in basis])
-    worst = 0.0
-    for b in basis:
-        target = (e0.matrix @ left_mult_matrix(b) @ e0.matrix).ravel()
-        coeff, *_ = np.linalg.lstsq(design, target, rcond=None)
-        # matrix units are in vec order, so sum_k coeff_k E_k is unvec(coeff)
-        worst = max(worst, (unvec(b.descriptor, coeff) - Phi(b)).op_norm())
+    """Solve the compression law for each matrix unit b and compare with the
+    averaging expectation; unique solution within the linear class.
+
+    With E0 = Q Q*, L_a E0 = E0 L_b E0 holds exactly when it holds
+    right-multiplied by Q: L_a Q = Q (Q* L_b Q), N r equations for the
+    coefficients of a = sum_k c_k E_k.  One least-squares solve takes every
+    b as a right-hand side.
+    """
+    Phi, q, desc = an.Phi, an.e0, an.phi.descriptor
+    basis = matrix_unit_basis(desc)
+    on_q = _on_basis(basis, unvec(desc, q.T))
+    design = on_q.reshape(desc.dim, -1).T
+    targets = (q @ (dagger(q) @ on_q)).reshape(desc.dim, -1).T
+    coeff, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    # matrix units are in vec order, so sum_k coeff_k E_k is unvec(coeff)
+    worst = (unvec(desc, coeff.T) - Phi(basis)).op_norm()
     return residual_check("expectation_unique",
                           "the compression law determines Phi", worst, an.tol_eq)
 
@@ -244,9 +299,10 @@ class CommutantReport:
     commutation_residual: float
 
 
-def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float,
+def commutant_f0(fa: FixedAlgebra, e0: np.ndarray, tol_eq: float,
                  tol_pos: float) -> CommutantReport:
-    """Projection F0 onto span(B' E0 L2) for B = ``fa`` the fixed-point algebra.
+    """Projection F0 onto span(B' E0 L2) for B = ``fa`` the fixed-point algebra
+    and E0 = Q Q*, Q = ``e0`` with orthonormal columns.
 
     An operator commuting with every left multiplication from B maps block
     j to block i by xi_j |-> Q xi_j P, with Q in homs(i, j), the
@@ -256,7 +312,7 @@ def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float,
     space of the block-j parts of ran E0, and F0 = L_P for P_i the
     projection onto C_i.
     """
-    desc = e0.descriptor
+    desc = fa.descriptor
     dims = desc.block_dims
     k = len(dims)
     homs = {}
@@ -271,8 +327,9 @@ def commutant_f0(fa: FixedAlgebra, e0: L2Operator, tol_eq: float,
                             for t in range(basis_mat.shape[1])]
             commutant_dim += ni * nj * len(homs[(i, j)])
 
-    # K_j is spanned by the columns of block j of E0's columns, which span ran E0
-    ks = [_range_onb(np.hstack(b), tol_pos) for b in unvec(desc, e0.matrix.T).blocks]
+    # K_j is spanned by the columns of block j of Q's columns, which span ran E0
+    ks = [_range_onb(np.moveaxis(b, 0, 1).reshape(b.shape[1], -1), tol_pos)
+          for b in unvec(desc, e0.T).blocks]
     proj = []
     for i in range(k):
         c = _range_onb(np.hstack([q @ ks[j] for j in range(k) for q in homs[(i, j)]]),

@@ -60,7 +60,7 @@ def op_norm(a) -> float:
 
 
 def singular_values(stack: np.ndarray) -> np.ndarray:
-    """Descending singular values of each matrix in a stack (..., n, n);
+    """Descending singular values of each matrix in a stack (..., m, n);
     raises for a non-finite entry, on which LAPACK fails or returns NaN."""
     if not np.all(np.isfinite(stack)):
         raise InputError("matrix has non-finite entries")
@@ -78,7 +78,8 @@ FRO_SLACK = 64.0
 
 def max_op_norm(stacks) -> float:
     """Largest operator norm over an iterable of matrices or stacks of
-    them (0.0 if there is none), as one SVD per matrix would give it.
+    them (0.0 if there is none), as one SVD per matrix would give it.  A
+    matrix need not be square; n below is then its larger dimension.
 
     ||A||_2 <= ||A||_F (Golub & Van Loan, Matrix Computations, 2.3), so
     each stack gets its Frobenius norms in one pass, and a matrix takes an
@@ -104,8 +105,7 @@ def max_op_norm(stacks) -> float:
     for stack in stacks:
         if stack.size == 0:
             continue
-        n = stack.shape[-1]
-        mats = stack.reshape((-1, n, n))
+        mats = stack.reshape((-1,) + stack.shape[-2:])
         bound = frobenius_bounds(mats)
         if not np.all(np.isfinite(bound)):
             best = max(best, float(np.max(op_norms(mats))))
@@ -123,10 +123,11 @@ def max_op_norm(stacks) -> float:
 
 
 def frobenius_bounds(mats: np.ndarray) -> np.ndarray:
-    """f (1 + c n^2 u) for each matrix of a stack (k, n, n), f its computed
-    Frobenius norm: at least the computed largest singular value (see
-    ``max_op_norm``); inf or nan where f overflows or an entry is not finite."""
-    n = mats.shape[-1]
+    """f (1 + c n^2 u) for each matrix of a stack (k, m, n), f its computed
+    Frobenius norm and n here the larger dimension: at least the computed
+    largest singular value (see ``max_op_norm``); inf or nan where f
+    overflows or an entry is not finite."""
+    n = max(mats.shape[-2:])
     # einsum makes no temporary the size of the stack
     parts = (mats.real, mats.imag) if np.iscomplexobj(mats) else (mats,)
     with np.errstate(over="ignore"):

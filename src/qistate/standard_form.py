@@ -11,28 +11,18 @@ measured, never asserted.
 U_g = R(w_g) A(g^-1) R(rho^{-1/2}) is kept as its block factors
 w_g = rho^{1/2} a_g and v_g = U_g 1 = g^-1(rho^{-1/2}) w_g, with L, R left
 and right multiplication and A(g) xi = g(xi) unitary: each law of U_g is
-a norm of blocks.  Only E0 and ``verify_ks`` read U_g's dense matrix.
+a norm of blocks.  No command builds U_g's dense matrix (``u_g``); E0 and
+``verify_ks`` in ``expectation`` also work on these factors.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
-from .algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices, density_power,
-                      hs_matrix, identity, worst_op_norm)
+from .algebra import (AlgebraElement, State, batch_slices, density_power, identity,
+                      matrix_unit_basis, vec, worst_op_norm)
 from .actions import Automorphism, FiniteGroup, apply_all, predual
 from .matcore import PreconditionError
 from .reporting import Check, CheckSet, residual_check
-
-
-@dataclass
-class L2Operator:
-    """Dense matrix acting on Hilbert-Schmidt coordinates (see ``algebra.vec``)."""
-
-    descriptor: AlgebraDescriptor
-    matrix: np.ndarray
-    projection_residual: float = None
 
 
 def a_g(phi: State, g, roots, x_g: AlgebraElement,
@@ -84,11 +74,11 @@ def spatial_factors(group: FiniteGroup, roots, a: AlgebraElement, tol_eq: float)
     return w, v, float(np.max(res))
 
 
-def u_g(g: Automorphism, root_inv: AlgebraElement, wg: AlgebraElement) -> L2Operator:
+def u_g(g: Automorphism, root_inv: AlgebraElement, wg: AlgebraElement) -> np.ndarray:
     """Dense matrix of U_g xi = g^-1(xi rho^{-1/2}) w_g, given rho^{-1/2}
-    and w_g = rho^{1/2} a_g."""
-    return L2Operator(wg.descriptor,
-                      hs_matrix(wg.descriptor, lambda units: predual(g, units @ root_inv) @ wg))
+    and w_g = rho^{1/2} a_g: column m is vec of U_g on the m-th matrix unit."""
+    units = matrix_unit_basis(wg.descriptor)
+    return np.swapaxes(vec(predual(g, units @ root_inv) @ wg), -1, -2)
 
 
 def group_unitaries(group: FiniteGroup, root_inv: AlgebraElement, w: AlgebraElement):

@@ -1,5 +1,6 @@
 """Test fixtures: states and finite automorphism groups to test on, the
-four reference instances and the writer of their instance files.
+four reference instances and the writer of their instance files, and the
+dense Hilbert-Schmidt matrices that tests use as oracles.
 
 Finite closures are guaranteed by construction: model generators are
 monomial matrices (permutation times roots of unity) or block
@@ -16,11 +17,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qistate.algebra import AlgebraDescriptor, AlgebraElement, State
+from qistate.algebra import AlgebraDescriptor, AlgebraElement, State, matrix_unit_basis, vec
 from qistate.actions import (Automorphism, FiniteGroup, close_group, identity_automorphism,
                              predual)
 from qistate.cli import element_to_json, matrix_to_json
 from qistate.matcore import InputError, TOL_EQ, TOL_POS, dagger
+from qistate.standard_form import group_unitaries
+
+
+def hs_matrix(descriptor: AlgebraDescriptor, f) -> np.ndarray:
+    """Matrix of a linear map on the Hilbert-Schmidt space: column m is
+    vec(f(e_m)) for the m-th matrix unit e_m.  ``f`` takes the stacked
+    matrix units; batch axes it puts in front of theirs lead the result."""
+    return np.swapaxes(vec(f(matrix_unit_basis(descriptor))), -1, -2)
+
+
+def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
+    """Matrix of xi |-> x xi on Hilbert-Schmidt coordinates."""
+    return hs_matrix(x.descriptor, lambda units: x @ units)
+
+
+def dense_unitaries(an) -> list:
+    """Dense U_g for each group element of the analysis ``an``, in group order."""
+    return group_unitaries(an.group, an.roots[1], an.factors[0])
 
 
 def state_from_density(density: AlgebraElement) -> State:

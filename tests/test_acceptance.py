@@ -29,7 +29,7 @@ from qistate.standard_form import (gamma_factorization, lemma_chain_checks,
                                    verify_covariance, verify_representation)
 from qistate.trace import (invariant_trace, is_center_ergodic, trace_density,
                            verify_density_relations)
-from generators import (c2_swap_instance, m2m2_swap_instance, nonstrong_instance,
+from generators import (c2_swap_instance, dense_unitaries, m2m2_swap_instance, nonstrong_instance,
                         permutation_generator, qubit_instance, random_instance,
                         random_strong_instance, state_from_density)
 from test_trace import invariance_solution_space
@@ -154,12 +154,12 @@ def test_criterion_5_spatial_implementation(strong_family):
     worst = 0.0
     for inst in strong_instances + generic:
         an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
-        strong, us = an.strong, an.unitaries
+        strong, us = an.strong, dense_unitaries(an)
         n = inst.descriptor.dim
         for u in us:
             worst = max(worst,
-                        np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(n), 2),
-                        np.linalg.norm(u.matrix @ u.matrix.conj().T - np.eye(n), 2))
+                        np.linalg.norm(u.conj().T @ u - np.eye(n), 2),
+                        np.linalg.norm(u @ u.conj().T - np.eye(n), 2))
         cov = verify_covariance(an)
         assert cov.passed
         worst = max(worst, cov.residual)

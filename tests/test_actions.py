@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from qistate import actions
 from qistate.actions import (Automorphism, apply, apply_all, close_group, compose,
                              equal_as_maps, identity_automorphism, inverse, predual)
-from qistate.algebra import (AlgebraDescriptor, AlgebraElement, hs_matrix, identity, stack,
-                             vec)
+from qistate.algebra import AlgebraDescriptor, AlgebraElement, identity, stack, vec
 from qistate.cli import parse_instance
 from qistate.matcore import InputError, TOL_EQ
-from generators import (clock_matrix, conjugate_generator, inner_generator,
+from generators import (clock_matrix, conjugate_generator, hs_matrix, inner_generator,
                         permutation_generator, random_group, random_unitary, shift_matrix)
 
 REPO_INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")

@@ -5,10 +5,10 @@ from scipy.linalg import block_diag
 
 from qistate import algebra
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices,
-                             density_power, evaluate, hs_matrix, identity, left_mult_matrix,
-                             matrix_unit_basis, require_faithful, stack, unvec, vec)
+                             density_power, evaluate, identity, matrix_unit_basis,
+                             require_faithful, stack, unvec, vec)
 from qistate.matcore import InputError, PreconditionError, dagger
-from generators import state_from_density
+from generators import hs_matrix, left_mult_matrix, state_from_density
 
 
 def random_element(rng, desc):

@@ -65,8 +65,11 @@ def per_visit_closure(generators, cap=10000, tol=TOL_EQ):
     for c in range(1, n):
         mult[:, c] = right[mult[:, parent[c]], via[c]]
     is_identity = mult == 0
-    if np.any(np.count_nonzero(is_identity, axis=1) != 1):
-        raise InputError("closure is inconsistent: no unique inverse")
+    counts = np.count_nonzero(is_identity, axis=1)
+    if np.any(counts != 1):
+        k = int(np.argmax(counts != 1))
+        raise InputError(f"closure is inconsistent at tol_eq {tol:.3g}: element {k} has "
+                         f"{counts[k]} inverses, not one; try a smaller --tol-eq")
     inv = [int(i) for i in np.argmax(is_identity, axis=1)]
     return elements, mult, inv
 
@@ -148,6 +151,20 @@ def test_cap_refusal(gens, cap):
     message = refusal(close_group, gens, cap=cap)
     assert message == refusal(per_visit_closure, gens, cap=cap)
     assert message == f"group not finite at cap {cap}"
+
+
+def test_inconsistent_closure_names_the_tolerance_and_the_element():
+    # Two diagonal M_2 rotations by random angles: at tol_eq 0.2 equality as
+    # maps is not transitive, and element 1 ends up with two inverses.
+    desc = AlgebraDescriptor((2,))
+    angles = np.random.default_rng(6).uniform(0.0, 2.0 * np.pi, 2)
+    gens = [inner_generator(desc, 0, np.diag([1.0, np.exp(1j * t)])) for t in angles]
+    message = refusal(close_group, gens, cap=1000, tol=0.2)
+    assert message == refusal(per_visit_closure, gens, cap=1000, tol=0.2)
+    assert message == ("closure is inconsistent at tol_eq 0.2: element 1 has 2 inverses, "
+                       "not one; try a smaller --tol-eq")
+    # at the default tolerance the rotations generate an infinite group
+    assert refusal(close_group, gens, cap=50) == "group not finite at cap 50"
 
 
 def test_cap_equal_to_the_order_closes():

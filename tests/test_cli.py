@@ -344,6 +344,27 @@ def test_instance_tolerances_reach_every_command(tmp_path, capsys):
         assert "cocycle element is numerically singular" in capsys.readouterr().err
 
 
+def test_nearly_singular_state_is_refused_as_singular(tmp_path, capsys):
+    # M_3 under Weyl(3), a faithful state with min eigenvalue 1e-9 in a
+    # seed-5 eigenbasis: every x_g = rho^-1 g^-1(rho) is then ill-conditioned
+    # (cond(rho) = 6e8), and the refusal names that, not an inconsistency.
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    rho = q @ np.diag([1e-9, 0.4, 0.6 - 1e-9]) @ q.conj().T
+    shift = np.roll(np.eye(3), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    data = {"algebra": {"block_dims": [3]},
+            "state": {"density": [matrix_to_json(0.5 * (rho + rho.conj().T))]},
+            "group": {"generators": [{"perm": [0], "unitaries": [matrix_to_json(u)]}
+                                     for u in (shift, clock)]}}
+    path = tmp_path / "nearly_singular.json"
+    path.write_text(json.dumps(data))
+    for command in INSTANCE_COMMANDS:
+        assert run_cli([command, "--input", str(path)]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err.strip() == (
+            "precondition violation: cocycle element is numerically singular")
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--input", "x.json", "--grid-N", "5"],
     ["implement", "--input", "x.json", "--seed", "1"],
@@ -363,8 +384,8 @@ def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
     calls = collections.Counter()
     modules = [m for key, m in list(sys.modules.items())
                if key == "qistate" or key.startswith("qistate.")]
-    for fn in (cocycle.build_table, expectation.fixed_algebra, standard_form.u_g,
-               standard_form.group_unitaries):
+    for fn in (cocycle.build_table, expectation.fixed_algebra, expectation.e0_projection,
+               standard_form.u_g, standard_form.group_unitaries):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -376,11 +397,9 @@ def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
     assert run_cli([command, "--input", path]) == EXIT_PASS
     capsys.readouterr()
     assert calls["build_table"] == 1
-    assert calls["fixed_algebra"] == (command == "expectation")
-    # implement checks U_g's laws on its block factors; only E0 and
-    # verify_ks read the dense U_g, one per element of the order-2 group
-    assert calls["group_unitaries"] == (command == "expectation")
-    assert calls["u_g"] == (2 if command == "expectation" else 0)
+    assert calls["fixed_algebra"] == calls["e0_projection"] == (command == "expectation")
+    # every law of U_g is taken on its block factors: no command builds it dense
+    assert calls["group_unitaries"] == calls["u_g"] == 0
 
 
 def test_strong_state_self_adjoint_to_roundoff_passes_every_command(tmp_path):

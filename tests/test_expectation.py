@@ -2,18 +2,95 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power, identity,
-                             left_mult_matrix, vec)
+from qistate.algebra import AlgebraDescriptor, AlgebraElement, density_power, identity, vec
 from qistate.actions import apply, apply_all, close_group
 from qistate.analysis import Analysis
 from qistate.expectation import (FixedAlgebra, commutant_f0, cond_expectation,
                                  e0_projection, expectation_checks, fixed_algebra,
-                                 uniqueness_probe, verify_ks)
-from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS, psd_sqrt
-from qistate.standard_form import L2Operator
-from generators import (inner_generator, permutation_generator, random_strong_instance,
-                        state_from_density, trivial_group)
+                                 projection_residual, uniqueness_probe, verify_ks)
+from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS, dagger, psd_sqrt
+from generators import (conjugate_generator, dense_unitaries, hs_matrix, inner_generator,
+                        left_mult_matrix, permutation_generator, random_faithful_density,
+                        random_instance, random_strong_instance, random_unitary,
+                        shift_matrix, state_from_density, trivial_group)
+
+
+# -- the stacked kernels that the two-pass routine replaced --------------------
+
+def reference_fixed_vectors(mats, n: int, cutoff: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the vectors that every n x n matrix in
+    ``mats`` fixes: the kernel of the (len(mats) N) x N stack of M - 1, with
+    the rank cutoff of ``expectation._kernel_onb``."""
+    if len(mats) == 0:
+        return np.eye(n)
+    _, s, vh = np.linalg.svd(np.vstack([m - np.eye(n) for m in mats]), full_matrices=False)
+    rank = int(np.sum(s > cutoff * s.max(initial=1.0)))
+    return dagger(vh)[:, rank:]
+
+
+def reference_projections(an):
+    """Projections onto B and onto ran E0, each from one stacked kernel over
+    every element but the identity: of A(g) - 1, and of the dense U_g - 1."""
+    desc, group = an.phi.descriptor, an.group
+    actions = hs_matrix(desc, lambda units: apply_all(group, units))
+    b = reference_fixed_vectors(actions[1:], desc.dim, an.tol_pos)
+    e0 = reference_fixed_vectors(dense_unitaries(an)[1:], desc.dim, an.tol_pos)
+    return b @ dagger(b), e0 @ dagger(e0)
+
+
+def swap_with_inner_instance(rng, n: int):
+    """M_n + M_n with the block swap and the shift on block 0, in a random
+    frame, and a generic state: a non-abelian group of order 2 n^2."""
+    desc = AlgebraDescriptor((n, n))
+    frame = [random_unitary(rng, n) for _ in range(2)]
+    gens = [conjugate_generator(g, frame) for g in
+            (permutation_generator(desc, (1, 0)), inner_generator(desc, 0, shift_matrix(n)))]
+    phi = state_from_density(random_faithful_density(rng, desc))
+    return phi, close_group(gens, cap=2 * n * n)
+
+
+def drawn_instance(kind: str, seed: int):
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        inst = random_instance(rng)
+    elif kind == "strong":
+        inst = random_strong_instance(rng)
+    elif kind == "swap_with_inner":
+        return swap_with_inner_instance(rng, int(rng.integers(2, 4)))
+    else:
+        desc = AlgebraDescriptor((1, 2))
+        return state_from_density(random_faithful_density(rng, desc)), trivial_group(desc)
+    return inst.phi, inst.group
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["generic", "strong", "swap_with_inner", "trivial"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fixed_vectors_match_stacked_kernels(kind, seed):
+    phi, group = drawn_instance(kind, seed)
+    an = Analysis(phi, group, TOL_EQ, TOL_POS)
+    b_ref, e0_ref = reference_projections(an)
+    q, fa = an.e0, an.fixed
+    assert fa.dimension == round(np.trace(b_ref).real)
+    assert q.shape[1] == round(np.trace(e0_ref).real)
+    assert np.linalg.norm(fa.q @ dagger(fa.q) - b_ref, 2) <= 1e-12
+    assert np.linalg.norm(q @ dagger(q) - e0_ref, 2) <= 1e-12
+
+
+def test_swap_with_inner_group_is_non_abelian_and_not_strong(rng):
+    phi, group = swap_with_inner_instance(rng, 3)
+    assert group.order == 18 and np.any(group.mult != group.mult.T)
+    assert not Analysis(phi, group, TOL_EQ, TOL_POS).strong
+
+
+def test_first_layer_is_the_distinct_non_identity_generators():
+    desc = AlgebraDescriptor((2, 2))
+    swap, shift = permutation_generator(desc, (1, 0)), inner_generator(desc, 0, shift_matrix(2))
+    ident = inner_generator(desc, 0, np.eye(2))
+    assert close_group([ident, swap, shift, swap]).first_layer == range(1, 3)
+    assert close_group([ident]).first_layer == range(1, 1)
 
 
 def test_fixed_algebra_trivial_group_is_everything():
@@ -113,15 +190,26 @@ def test_expectation_contraction_and_group_invariance(rng):
 def test_e0_trivial_group():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
-    e0 = Analysis(phi, trivial_group(desc), TOL_EQ, TOL_POS).e0
-    assert np.allclose(e0.matrix, np.eye(desc.dim))
+    q = Analysis(phi, trivial_group(desc), TOL_EQ, TOL_POS).e0
+    assert np.allclose(q @ dagger(q), np.eye(desc.dim))
 
 
 def test_e0_is_projection(qubit):
-    e0 = e0_projection(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS).unitaries, TOL_POS)
-    m = e0.matrix
+    an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
+    q = e0_projection(an.group, an.roots[1], an.factors[0], TOL_POS)
+    m = q @ dagger(q)
     assert np.linalg.norm(m @ m - m, 2) < 1e-10
     assert np.linalg.norm(m - m.conj().T, 2) < 1e-10
+    assert abs(projection_residual(q) - np.linalg.norm(m @ m - m, 2)) < 1e-15
+
+
+def test_projection_residual_is_that_of_q_q_star(rng):
+    # columns that are not orthonormal: Q Q* is then no projection
+    for r in (0, 1, 3):
+        q = (rng.standard_normal((6, r)) + 1j * rng.standard_normal((6, r))) / 2
+        m = q @ dagger(q)
+        expected = np.linalg.norm(m @ m - m, 2)
+        assert abs(projection_residual(q) - expected) <= 1e-12 * max(1.0, expected)
 
 
 def test_e0_contains_invariant_vector_strong(rng):
@@ -132,19 +220,19 @@ def test_e0_contains_invariant_vector_strong(rng):
         d = an.certificate.d
         droot = AlgebraElement(inst.descriptor, [psd_sqrt(b) for b in d.blocks])
         xi = vec(droot @ density_power(inst.phi, -0.5j))
-        for u in an.unitaries:
-            assert np.linalg.norm(u.matrix @ xi - xi) < 1e-9
-        e0 = an.e0
-        assert np.linalg.norm(e0.matrix @ xi - xi) < 1e-9
+        for u in dense_unitaries(an):
+            assert np.linalg.norm(u @ xi - xi) < 1e-9
+        q = an.e0
+        assert np.linalg.norm(q @ (dagger(q) @ xi) - xi) < 1e-9
 
 
 def test_e0_rank_matches_averaging_oracle_strong(qubit):
     # strong case: {U_g} is a unitary group, so its average is exactly E0
     an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
-    us, e0 = an.unitaries, an.e0
-    avg = sum(u.matrix for u in us) / len(us)
-    assert np.linalg.norm(avg - e0.matrix, 2) < 1e-10
-    rank = int(round(np.trace(e0.matrix).real))
+    us, q = dense_unitaries(an), an.e0
+    avg = sum(us) / len(us)
+    assert np.linalg.norm(avg - q @ dagger(q), 2) < 1e-10
+    rank = q.shape[1]
     eigs = np.linalg.eigvalsh((avg + avg.conj().T) / 2)
     assert int(np.sum(eigs > 1 - 1e-9)) == rank
 
@@ -206,8 +294,9 @@ def test_commutant_f0_random_strong(rng):
 
 def reference_f0(fa, e0):
     """Dense oracle for F0 and dim B': solve T L_b = L_b T for all N x N
-    operators T, then project onto the span of T xi for xi in ran E0."""
-    n = e0.descriptor.dim
+    operators T, then project onto the span of T xi for xi in ran E0, given
+    as the dense projection ``e0``."""
+    n = len(e0)
     ident = np.eye(n)
     rows = []
     for b in fa.basis:
@@ -216,7 +305,7 @@ def reference_f0(fa, e0):
     _, s, vh = np.linalg.svd(np.vstack(rows))
     rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
     commutant = [vh[k].conj().reshape((n, n), order="F") for k in range(rank, n * n)]
-    w, v = np.linalg.eigh(e0.matrix)
+    w, v = np.linalg.eigh(e0)
     images = np.hstack([np.zeros((n, 0))] + [t @ v[:, w > 0.5] for t in commutant])
     u, s, _ = np.linalg.svd(images, full_matrices=False)
     u = u[:, s > 1e-10 * max([1.0, *s])]
@@ -227,14 +316,15 @@ def reference_f0(fa, e0):
 def test_commutant_f0_matches_dense_oracle(name, request):
     inst = request.getfixturevalue(name)
     an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
-    f0, dim = reference_f0(an.fixed, an.e0)
+    f0, dim = reference_f0(an.fixed, an.e0 @ dagger(an.e0))
     assert an.f0.commutant_dim == dim
     assert np.linalg.norm(left_mult_matrix(an.f0.p) - f0, 2) < 1e-10
 
 
-def vector_projection(desc, xi):
+def vector_basis(xi):
+    """E0 onto the line of xi, as its basis: one normalized column."""
     v = vec(xi)
-    return L2Operator(desc, np.outer(v, v.conj()) / np.vdot(v, v).real)
+    return (v / np.linalg.norm(v))[:, None]
 
 
 FULL, RANK_ONE = np.eye(2) / np.sqrt(2), np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -255,11 +345,11 @@ def test_commutant_f0_on_one_vector(swap, xi, p):
     desc = AlgebraDescriptor((2, 2))
     gen = permutation_generator(desc, (1, 0) if swap else (0, 1))
     fa = fixed_algebra(close_group([gen], cap=4), TOL_EQ, TOL_POS)
-    e0 = vector_projection(desc, AlgebraElement(desc, xi))
-    report = commutant_f0(fa, e0, TOL_EQ, TOL_POS)
+    q = vector_basis(AlgebraElement(desc, xi))
+    report = commutant_f0(fa, q, TOL_EQ, TOL_POS)
     expected = left_mult_matrix(AlgebraElement(desc, p))
     assert np.linalg.norm(left_mult_matrix(report.p) - expected, 2) < 1e-12
-    assert np.linalg.norm(reference_f0(fa, e0)[0] - expected, 2) < 1e-10
+    assert np.linalg.norm(reference_f0(fa, q @ dagger(q))[0] - expected, 2) < 1e-10
     assert report.is_identity == (swap and xi[1] is FULL)
 
 
@@ -269,6 +359,6 @@ def test_commutant_f0_on_m17_with_scalar_fixed_algebra():
     desc = AlgebraDescriptor((17,))
     fa = FixedAlgebra(desc, vec(identity(desc))[:, None] / np.sqrt(17))
     root = AlgebraElement(desc, [np.diag(np.sqrt(np.arange(1.0, 18.0)))])
-    report = commutant_f0(fa, vector_projection(desc, root), TOL_EQ, TOL_POS)
+    report = commutant_f0(fa, vector_basis(root), TOL_EQ, TOL_POS)
     assert report.commutant_dim == 289 ** 2
     assert report.is_identity and report.identity_residual < 1e-12

@@ -30,6 +30,8 @@ UNREACHED = {
     "invariant.gamma_map": "one element's Gamma_g; the suites take the whole group at once",
     "invariant.cocycle_from_d": "the converse x_g = d g^-1(d^-1), which no report checks yet",
     "expectation.uniqueness_probe": "the uniqueness of Phi, which no report checks yet",
+    "standard_form.u_g": "spanned by perfbench's tracer; dense test oracle",
+    "standard_form.group_unitaries": "spanned by perfbench's tracer; dense test oracle",
 }
 
 

@@ -9,7 +9,8 @@ from qistate.cocycle import rn_cocycle
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
 from qistate.standard_form import (a_g, gamma_factorization, lemma_chain_checks, u_g,
                                    verify_covariance, verify_representation, verify_unitarity)
-from generators import random_instance, random_strong_instance, state_from_density
+from generators import (dense_unitaries, random_instance, random_strong_instance,
+                        state_from_density)
 
 
 def random_l2(rng, desc):
@@ -63,15 +64,15 @@ def reference_u_g(phi, g, roots, ag):
 def test_u_g_matches_column_oracle(qubit, nonstrong, rng):
     for inst in (qubit, nonstrong, random_instance(rng), random_instance(rng)):
         an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
-        for g, ag, u in zip(inst.group.elements, an.a, an.unitaries):
+        for g, ag, u in zip(inst.group.elements, an.a, dense_unitaries(an)):
             ref = reference_u_g(inst.phi, g, an.roots, ag)
-            assert np.linalg.norm(u.matrix - ref, 2) < 1e-12 * max(1.0, np.linalg.norm(ref, 2))
+            assert np.linalg.norm(u - ref, 2) < 1e-12 * max(1.0, np.linalg.norm(ref, 2))
 
 
 def test_u_g_identity(qubit):
     an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
     u = u_g(qubit.group.elements[0], an.roots[1], an.factors[0][0])
-    assert np.allclose(u.matrix, np.eye(qubit.descriptor.dim))
+    assert np.allclose(u, np.eye(qubit.descriptor.dim))
 
 
 def test_u_g_on_cyclic_vector(rng):
@@ -80,9 +81,8 @@ def test_u_g_on_cyclic_vector(rng):
     phi = inst.phi
     root = density_power(phi, -0.5j)
     an = Analysis(phi, inst.group, TOL_EQ, TOL_POS)
-    for i in range(inst.group.order):
-        u = an.unitaries[i]
-        lhs = unvec(inst.descriptor, u.matrix @ vec(root))
+    for i, u in enumerate(dense_unitaries(an)):
+        lhs = unvec(inst.descriptor, u @ vec(root))
         rhs = root @ an.a[i]
         assert hs_norm(lhs - rhs) < 1e-10 * max(1.0, hs_norm(rhs))
 
@@ -90,11 +90,10 @@ def test_u_g_on_cyclic_vector(rng):
 def test_u_g_isometry_on_random_vectors(rng):
     inst = random_instance(rng, AlgebraDescriptor((2, 2)))
     an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
-    for i in range(inst.group.order):
-        u = an.unitaries[i]
+    for u in dense_unitaries(an):
         for _ in range(4):
             xi, eta = random_l2(rng, inst.descriptor), random_l2(rng, inst.descriptor)
-            lhs = np.vdot(u.matrix @ vec(xi), u.matrix @ vec(eta))
+            lhs = np.vdot(u @ vec(xi), u @ vec(eta))
             rhs = np.vdot(vec(xi), vec(eta))
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
@@ -102,9 +101,9 @@ def test_u_g_isometry_on_random_vectors(rng):
 def test_u_g_unitary_both_sides(rng):
     inst = random_instance(rng)
     n = inst.descriptor.dim
-    for u in Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS).unitaries:
-        assert np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(n), 2) < 1e-9
-        assert np.linalg.norm(u.matrix @ u.matrix.conj().T - np.eye(n), 2) < 1e-9
+    for u in dense_unitaries(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)):
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n), 2) < 1e-9
+        assert np.linalg.norm(u @ u.conj().T - np.eye(n), 2) < 1e-9
 
 
 def test_u_g_intertwines_gns_embedding(rng):
@@ -115,9 +114,8 @@ def test_u_g_intertwines_gns_embedding(rng):
     root = density_power(phi, -0.5j)
     x = random_l2(rng, inst.descriptor)
     an = Analysis(phi, inst.group, TOL_EQ, TOL_POS)
-    for i, g in enumerate(inst.group.elements):
-        u = an.unitaries[i]
-        lhs = unvec(inst.descriptor, u.matrix @ vec(x @ root))
+    for i, (g, u) in enumerate(zip(inst.group.elements, dense_unitaries(an))):
+        lhs = unvec(inst.descriptor, u @ vec(x @ root))
         rhs = apply(inverse(g), x) @ root @ an.a[i]
         assert hs_norm(lhs - rhs) < 1e-9 * max(1.0, hs_norm(rhs))
 
@@ -208,9 +206,9 @@ def test_non_unitary_implementation_is_refused(name, request):
     inst = request.getfixturevalue(name)
     an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
     an.a = 1.01 * an.a
-    # the implement laws and the dense unitaries share one refusal
+    # the implement laws, E0 and the dense unitaries share one refusal
     for build in (verify_unitarity, verify_covariance, verify_representation,
-                  lambda an: an.unitaries):
+                  lambda an: an.e0, dense_unitaries):
         with pytest.raises(PreconditionError,
                            match=r"implementing operator is not unitary: residual 2\.010e-02"):
             build(an)
