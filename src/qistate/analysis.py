@@ -78,7 +78,7 @@ class Analysis:
 
     @cached_property
     def f0(self):
-        return commutant_f0(self.fixed, self.e0, self.tol_eq, self.tol_pos)
+        return commutant_f0(self.fixed, self.e0, self.tol_pos)
 
     @cached_property
     def tau(self):
@@ -86,4 +86,4 @@ class Analysis:
 
     @cached_property
     def c(self):
-        return trace_density(self.phi, self.tau, self.tol_eq, self.tol_pos)
+        return trace_density(self.phi, self.tau, self.tol_pos)

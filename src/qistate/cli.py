@@ -23,13 +23,12 @@ from .analysis import Analysis
 from .cocycle import (build_table, random_psd_probe, sandwich_check,  # noqa: F401
                       sz_domination, verify_adjoint_relation,
                       verify_cocycle_identity, verify_inverse_formula)
-from .expectation import expectation_checks, projection_residual, verify_ks
+from .expectation import expectation_checks, projection_checks, verify_ks
 from .invariant import gamma_properties_check, strong_case_check
 from .matcore import InputError, PreconditionError, TOL_EQ, TOL_POS
-from .reporting import Check, CheckSet, residual_check
 from .standard_form import (gamma_factorization, lemma_chain_checks, verify_covariance,
                             verify_representation, verify_unitarity)
-from .trace import trace_invariance_check, verify_density_relations
+from .trace import trace_invariance_check, trace_property_check, verify_density_relations
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -167,7 +166,9 @@ def load_instance(path: str):
 
 # -- report assembly ----------------------------------------------------------
 
-def emit_report(command: str, checks, summary: dict, digest, out_path) -> None:
+def emit_report(command: str, checks, summary: dict, digest, out_path) -> bool:
+    """Print the report, and write it to ``out_path`` if given; returns its
+    pass flag, that every asserted check passes."""
     entries = [c.to_dict() for c in checks]
     report = {
         "tool": "qistate",
@@ -183,6 +184,7 @@ def emit_report(command: str, checks, summary: dict, digest, out_path) -> None:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     print(text)
+    return report["pass"]
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -208,20 +210,16 @@ def cmd_check(args):
     rng = _probe_rng(args)
     an, digest = _analysis(args)
     desc, table, tol_eq = an.phi.descriptor, an.table, an.tol_eq
-    checks = CheckSet()
-    checks.add(verify_cocycle_identity(table, tol_eq))
-    checks.add(verify_inverse_formula(table, tol_eq))
-    checks.add(verify_adjoint_relation(table, tol_eq))
     probes = [random_psd_probe(rng, desc) for _ in range(8)] + [identity(desc)]
-    checks.add(sandwich_check(table, probes, tol_eq))
-    strong, strong_checks = an.strong_qi
-    checks.extend(strong_checks.checks)
-    # positive-form domination, probed with each cocycle element
-    checks.add(sz_domination(an.phi, table.entries, probes, tol_eq, an.tol_pos))
+    checks = [verify_cocycle_identity(table, tol_eq), verify_inverse_formula(table, tol_eq),
+              verify_adjoint_relation(table, tol_eq), sandwich_check(table, probes, tol_eq),
+              *an.strong_qi[1],
+              # positive-form domination, probed with each cocycle element
+              sz_domination(an.phi, table.entries, probes, tol_eq, an.tol_pos)]
     summary = {
         "lambda": table.lambda_bound,
         "group_order": an.group.order,
-        "strong_qi": bool(strong),
+        "strong_qi": bool(an.strong),
         "fixed_algebra_dim": None,
         "trace_weights": None,
     }
@@ -231,47 +229,32 @@ def cmd_check(args):
 def cmd_invariant(args):
     rng = _probe_rng(args)
     an, digest = _analysis(args)
-    tol_eq = an.tol_eq
-    checks = CheckSet()
-    checks.extend(gamma_properties_check(an, rng).checks)
-    cert = an.certificate
-    res = cert.residuals
-    checks.add(residual_check("gamma_fixed_d", "Gamma_g(d) = d", res["gamma_fixed"],
-                              tol_eq, cert.d.op_norm()))
-    # pass flags from the certificate, which tests other thresholds
-    checks.add(Check("psi_invariant", "psi o g = psi", res["invariance"],
-                     tol_eq, res["asserts"]["invariance"]))
-    checks.add(Check("psi_faithful", "psi >= phi/lambda stays faithful",
-                     max(0.0, -res["faithfulness_margin"]), tol_eq,
-                     res["asserts"]["faithful"]
-                     and -res["faithfulness_margin"] <= tol_eq))
+    checks = [*gamma_properties_check(an, rng), *an.certificate.checks]
     if an.strong:
-        checks.extend(strong_case_check(an).checks)
+        checks.extend(strong_case_check(an))
+    cert = an.certificate
     summary = {
-        "lambda": cert.lambda_used,
+        "lambda": an.table.lambda_bound,
         "group_order": an.group.order,
         "strong_qi": bool(an.strong),
         "d": element_to_json(cert.d),
         "psi_density": element_to_json(cert.psi.density),
-        "min_singular_value_d": res["min_singular_value_d"],
+        "min_singular_value_d": cert.d.min_sv(),
     }
     return checks, summary, digest
 
 
 def cmd_implement(args):
     an, digest = _analysis(args)
-    checks = CheckSet()
-    checks.extend(verify_unitarity(an).checks)
-    checks.add(verify_covariance(an))
-    checks.add(verify_representation(an))
-    checks.extend(lemma_chain_checks(an).checks)
-    checks.extend(gamma_factorization(an)[2].checks)
+    checks = [*verify_unitarity(an), verify_covariance(an),
+              representation := verify_representation(an),
+              *lemma_chain_checks(an), *gamma_factorization(an)[2]]
     summary = {
         "lambda": an.table.lambda_bound,
         "group_order": an.group.order,
         "strong_qi": bool(an.strong),
         "l2_dimension": an.phi.descriptor.dim,
-        "representation_deviation": checks["representation"].residual,
+        "representation_deviation": representation.residual,
     }
     return checks, summary, digest
 
@@ -279,26 +262,16 @@ def cmd_implement(args):
 def cmd_expectation(args):
     rng = _probe_rng(args)
     an, digest = _analysis(args)
-    tol_eq, strong = an.tol_eq, an.strong
-    checks = CheckSet()
-    checks.extend(expectation_checks(an, rng).checks)
-    e0 = an.e0
-    checks.add(residual_check("e0_projection", "E0 = E0* = E0^2",
-                              projection_residual(e0), tol_eq))
-    f0_report = an.f0
-    # recorded but always passing outside the strong bounded case
-    checks.add(Check("f0_identity", "F0 = [B' E0] = 1", f0_report.identity_residual,
-                     tol_eq, f0_report.is_identity or not strong, asserted=strong,
-                     detail="asserted only in the strong bounded case"))
-    if strong:
-        checks.extend(verify_ks(an).checks)
+    checks = [*expectation_checks(an, rng), *projection_checks(an)]
+    if an.strong:
+        checks.extend(verify_ks(an))
     summary = {
         "lambda": an.table.lambda_bound,
         "group_order": an.group.order,
-        "strong_qi": bool(strong),
+        "strong_qi": bool(an.strong),
         "fixed_algebra_dim": an.fixed.dimension,
-        "e0_rank": e0.shape[1],
-        "commutant_dim": f0_report.commutant_dim,
+        "e0_rank": an.e0.shape[1],
+        "commutant_dim": an.f0.commutant_dim,
     }
     return checks, summary, digest
 
@@ -307,72 +280,24 @@ def cmd_trace(args):
     rng = _probe_rng(args)
     an, digest = _analysis(args)
     # an.tau refuses an action that is not ergodic on the center
-    tau, table, c = an.tau, an.table, an.c
-    checks = CheckSet()
-    checks.add(residual_check("center_ergodic", "fixed central elements are scalars",
-                              0.0, 0.5))
+    tau = an.tau
     probes = [random_psd_probe(rng, an.phi.descriptor) for _ in range(6)]
-    checks.add(trace_invariance_check(an, probes))
-    checks.extend(verify_density_relations(an).checks)
-    pair_worst = 0.0
-    for a in probes:
-        for b in probes[:3]:
-            pair_worst = max(pair_worst, abs(tau(a @ b) - tau(b @ a)))
-    checks.add(residual_check("trace_property", "tau(ab) = tau(ba)", pair_worst,
-                              an.tol_eq))
+    checks = [trace_invariance_check(an, probes), *verify_density_relations(an),
+              trace_property_check(an, probes)]
     summary = {
-        "lambda": table.lambda_bound,
+        "lambda": an.table.lambda_bound,
         "group_order": an.group.order,
         "trace_weights": [float(w) for w in tau.weights],
-        "density": element_to_json(c),
+        "density": element_to_json(an.c),
     }
     return checks, summary, digest
 
 
 def cmd_counterexample(args):
     # Imported here: it loads scipy.integrate, which no other command needs.
-    from .commutative import (AxBElement, symmetric_grid,
-                              unboundedness_witness, verify_axb,
-                              verify_translation_identities)
+    from .commutative import counterexample_checks
 
-    rng = _probe_rng(args)
-    grid = symmetric_grid(args.grid_r, args.grid_n)
-    checks = CheckSet()
-
-    def bump(s):
-        s = np.asarray(s, dtype=float)
-        return np.exp(-0.5 * s * s)
-
-    worst_chain = 0.0
-    for _ in range(5):
-        t1, t2 = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
-        cs = verify_translation_identities(t1, t2, grid)
-        worst_chain = max(worst_chain, cs["translation_chain_rule"].residual)
-    checks.add(residual_check("translation_chain_rule",
-                              "x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1)",
-                              worst_chain, 1e-12))
-    qi = verify_translation_identities(1.0, 0.5, grid, f=bump, f_sup=1.0, radius=args.grid_r)
-    checks.add(qi["translation_quasi_invariance"])
-
-    for t in (1.0, 3.0, 10.0):
-        w = unboundedness_witness(t, radius=args.grid_r, n=args.grid_n)
-        checks.add(Check(f"unbounded_witness_t{t:g}",
-                         "sup x_t and sup 1/x_t reach 1 + t^2",
-                         w["witness"] - min(w["sup_x"], w["sup_x_inv"]),
-                         1e-9, w["passed"]))
-
-    worst_chain = 0.0
-    for _ in range(5):
-        e1 = AxBElement(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
-        e2 = AxBElement(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
-        cs = verify_axb(e1, e2, grid)
-        worst_chain = max(worst_chain, cs["axb_chain_rule"].residual)
-    checks.add(residual_check("axb_chain_rule", "affine cocycle chain rule",
-                              worst_chain, 1e-12))
-    axb_qi = verify_axb(AxBElement(2.0, 0.0), AxBElement(0.5, 1.0), grid,
-                        f=bump, f_sup=1.0, radius=args.grid_r)
-    checks.add(axb_qi["axb_quasi_invariance"])
-
+    checks = counterexample_checks(_probe_rng(args), args.grid_r, args.grid_n)
     summary = {"grid_radius": args.grid_r, "grid_points": args.grid_n,
                "seed": args.seed}
     return checks, summary, None
@@ -434,8 +359,8 @@ def main(argv=None) -> int:
     except (PreconditionError, InputError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    emit_report(args.command, checks, summary, digest, args.out)
-    return EXIT_PASS if checks.passed else EXIT_CHECK_FAILURE
+    passed = emit_report(args.command, checks, summary, digest, args.out)
+    return EXIT_PASS if passed else EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

@@ -18,10 +18,12 @@ import numpy as np
 from scipy import integrate
 
 from .matcore import InputError, PreconditionError
-from .reporting import Check, CheckSet, residual_check
+from .reporting import Check, residual_check
 
-# Threshold of the pointwise chain rules, relative to the largest cocycle value.
+# Threshold of the pointwise chain rules.
 TOL_POINTWISE = 1e-12
+# Threshold of the unboundedness witnesses: sup x_t and sup 1/x_t against 1 + t^2.
+TOL_WITNESS = 1e-9
 
 
 # Tolerances and subinterval limit of the adaptive quadrature of the state.
@@ -48,23 +50,16 @@ def cauchy_tail_bound(sup_norm: float, radius: float) -> float:
     return sup_norm * (1.0 - (2.0 / math.pi) * math.atan(radius))
 
 
-def cauchy_state(f, radius: float = 100.0, sup_norm: float = None,
-                 points=None) -> StateValue:
-    """(1/pi) integral of f(s)/(1+s^2) over [-radius, radius] plus an analytic tail bar.
-
-    ``sup_norm`` bounds |f| outside the truncation (default: sampled sup
-    over the window); ``points`` flags known breakpoints of f.
-    """
+def cauchy_state(f, sup_norm: float, radius: float = 100.0) -> StateValue:
+    """(1/pi) integral of f(s)/(1+s^2) over [-radius, radius] plus an analytic
+    tail bar, with ``sup_norm`` a bound on |f| outside the window."""
     def integrand(s):
         return f(np.asarray(s)) / (math.pi * (1.0 + s * s))
 
-    sample = f(np.linspace(-radius, radius, 2001))
-    if not np.all(np.isfinite(sample)):
+    if not np.all(np.isfinite(f(np.linspace(-radius, radius, 2001)))):
         raise InputError("function diverges on the quadrature window")
-    if sup_norm is None:
-        sup_norm = float(np.max(np.abs(sample)))
     value, err = integrate.quad(integrand, -radius, radius, epsabs=QUAD_ABS_TOL,
-                                epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT, points=points)
+                                epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
     return StateValue(float(value), float(err), cauchy_tail_bound(sup_norm, radius))
 
 
@@ -88,51 +83,47 @@ def symmetric_grid(radius: float, n: int, extra=()) -> np.ndarray:
     return g
 
 
-def verify_translation_identities(t1: float, t2: float, samples,
-                                  f=None, f_sup: float = None,
-                                  radius: float = 100.0) -> CheckSet:
-    """Pointwise chain rule x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1) on the
-    sample set, and quadrature quasi-invariance phi(tau_t f) = phi(x_t f)
-    when a bounded f is supplied."""
+def translation_chain_rule(shifts, samples) -> Check:
+    """x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1) on the samples, worst over the
+    pairs (t1, t2) of ``shifts``."""
     s = np.asarray(samples, dtype=float)
-    lhs = translation_cocycle(t1 + t2)(s)
-    rhs = translation_cocycle(t1)(s) * translation_cocycle(t2)(s + t1)
-    checks = CheckSet()
-    checks.add(residual_check("translation_chain_rule",
-                              "x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1)",
-                              float(np.max(np.abs(lhs - rhs))), TOL_POINTWISE,
-                              float(np.max(np.abs(lhs)))))
-    if f is not None:
-        x1 = translation_cocycle(t1)
-        if f_sup is None:
-            f_sup = float(np.max(np.abs(f(s))))
-        lhs_v = cauchy_state(translate(f, t1), radius, sup_norm=f_sup)
-        # Global bound sup_s x_t(s) <= 2(1 + t^2) keeps the tail bar honest.
-        rhs_v = cauchy_state(lambda u: x1(u) * f(u), radius,
-                             sup_norm=f_sup * 2.0 * (1.0 + t1 * t1))
-        budget = lhs_v.budget + rhs_v.budget + 1e-12
-        checks.add(Check("translation_quasi_invariance",
-                         "phi(tau_t f) = phi(x_t f)",
-                         abs(lhs_v.value - rhs_v.value), budget,
-                         abs(lhs_v.value - rhs_v.value) <= budget))
-    return checks
+    worst = 0.0
+    for t1, t2 in shifts:
+        lhs = translation_cocycle(t1 + t2)(s)
+        rhs = translation_cocycle(t1)(s) * translation_cocycle(t2)(s + t1)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return residual_check("translation_chain_rule", "x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1)",
+                          worst, TOL_POINTWISE)
 
 
-def unboundedness_witness(t: float, radius: float = 100.0, n: int = 4001,
-                          tol: float = 1e-9) -> dict:
-    """sup x_t and sup 1/x_t both reach 1 + t^2 (at s = -t and s = 0)."""
+def _quasi_invariance(name: str, law: str, moved, weighted, weight_sup: float,
+                      radius: float) -> Check:
+    """phi(moved) = phi(weighted) by quadrature, within the error budgets of
+    both sides, for f with |f| <= 1 moved by a map and weighted by its
+    cocycle, whose sup is ``weight_sup``."""
+    lhs = cauchy_state(moved, 1.0, radius)
+    rhs = cauchy_state(weighted, weight_sup, radius)
+    return residual_check(name, law, abs(lhs.value - rhs.value),
+                          lhs.budget + rhs.budget + 1e-12)
+
+
+def translation_quasi_invariance(t: float, f, radius: float = 100.0) -> Check:
+    """phi(tau_t f) = phi(x_t f) for f with |f| <= 1."""
+    x = translation_cocycle(t)
+    # Global bound sup_s x_t(s) <= 2(1 + t^2) keeps the tail bar honest.
+    return _quasi_invariance("translation_quasi_invariance", "phi(tau_t f) = phi(x_t f)",
+                             translate(f, t), lambda u: x(u) * f(u), 2.0 * (1.0 + t * t),
+                             radius)
+
+
+def unboundedness_witness(t: float, radius: float = 100.0, n: int = 4001) -> Check:
+    """sup x_t and sup 1/x_t both reach 1 + t^2 (at s = -t and s = 0), on a
+    grid of n points of [-radius, radius] with -t, 0 and t added."""
     grid = symmetric_grid(radius, n, extra=(-t, 0.0, t))
     x = translation_cocycle(t)(grid)
-    witness = 1.0 + t * t
-    sup_x = float(np.max(x))
-    sup_inv = float(np.max(1.0 / x))
-    return {
-        "witness": witness,
-        "peak_value": float(translation_cocycle(t)(np.array([-t]))[0]),
-        "sup_x": sup_x,
-        "sup_x_inv": sup_inv,
-        "passed": sup_x >= witness - tol and sup_inv >= witness - tol,
-    }
+    reach = min(float(np.max(x)), float(np.max(1.0 / x)))
+    return residual_check(f"unbounded_witness_t{t:g}", "sup x_t and sup 1/x_t reach 1 + t^2",
+                          1.0 + t * t - reach, TOL_WITNESS)
 
 
 # -- the affine (ax+b) family ------------------------------------------------
@@ -183,44 +174,43 @@ def axb_cocycle(e: AxBElement):
     return x
 
 
-def verify_axb(e1: AxBElement, e2: AxBElement, samples,
-               f=None, f_sup: float = None, radius: float = 100.0) -> CheckSet:
-    """Cocycle chain rule under the group law, quadrature quasi-invariance,
-    and the empty-fixed-set illustration for a non-constant function."""
+def axb_chain_rule(pairs, samples) -> Check:
+    """x_{e2 e1}(t) = x_{e1}(t) x_{e2}(t/a1 - b1/a1) on the samples, worst
+    over the pairs (e1, e2) of ``pairs``; e2 e1 acts as pi_{e2} after
+    pi_{e1}."""
     s = np.asarray(samples, dtype=float)
-    prod = axb_compose(e2, e1)               # acts as pi_{e2} after pi_{e1}
-    lhs = axb_cocycle(prod)(s)
-    inv1 = axb_inverse(e1)
-    rhs = axb_cocycle(e1)(s) * axb_apply(inv1, axb_cocycle(e2))(s)
-    checks = CheckSet()
-    checks.add(residual_check("axb_chain_rule",
-                              "x_{e2 e1}(t) = x_{e1}(t) x_{e2}(t/a1 - b1/a1)",
-                              float(np.max(np.abs(lhs - rhs))), TOL_POINTWISE,
-                              float(np.max(np.abs(lhs)))))
-    if f is not None:
-        x1 = axb_cocycle(e1)
-        if f_sup is None:
-            f_sup = float(np.max(np.abs(f(np.linspace(
-                -radius * abs(e1.a) - abs(e1.b),
-                radius * abs(e1.a) + abs(e1.b), 2001)))))
-        lhs_v = cauchy_state(axb_apply(e1, f), radius, sup_norm=f_sup)
-        # Global bound sup_t x_{(a,b)}(t) <= (1+2b^2)/a + 2a.
-        x_sup = (1.0 + 2.0 * e1.b ** 2) / e1.a + 2.0 * e1.a
-        rhs_v = cauchy_state(lambda u: x1(u) * f(u), radius, sup_norm=f_sup * x_sup)
-        budget = lhs_v.budget + rhs_v.budget + 1e-12
-        checks.add(Check("axb_quasi_invariance", "phi(pi_e f) = phi(x_e f)",
-                         abs(lhs_v.value - rhs_v.value), budget,
-                         abs(lhs_v.value - rhs_v.value) <= budget))
-        # Illustration: a strictly varying bounded function is moved by the
-        # orbit at every grid point except (at most) the single fixed point
-        # of each affine map, and those do not coincide generically.
-        probe = np.arctan
-        fixed = ((np.abs(axb_apply(e1, probe)(s) - probe(s)) <= 1e-12)
-                 & (np.abs(axb_apply(e2, probe)(s) - probe(s)) <= 1e-12))
-        fixed_fraction = float(np.mean(fixed))
-        checks.add(Check("axb_no_fixed_function",
-                         "orbit of a non-constant function fixes no grid point",
-                         fixed_fraction, 1e-12, fixed_fraction <= 1e-12,
-                         asserted=False,
-                         detail="illustration of the trivial fixed algebra"))
-    return checks
+    worst = 0.0
+    for e1, e2 in pairs:
+        lhs = axb_cocycle(axb_compose(e2, e1))(s)
+        rhs = axb_cocycle(e1)(s) * axb_apply(axb_inverse(e1), axb_cocycle(e2))(s)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return residual_check("axb_chain_rule", "affine cocycle chain rule", worst, TOL_POINTWISE)
+
+
+def axb_quasi_invariance(e: AxBElement, f, radius: float = 100.0) -> Check:
+    """phi(pi_e f) = phi(x_e f) for f with |f| <= 1."""
+    x = axb_cocycle(e)
+    # Global bound sup_t x_{(a,b)}(t) <= (1+2b^2)/a + 2a.
+    return _quasi_invariance("axb_quasi_invariance", "phi(pi_e f) = phi(x_e f)",
+                             axb_apply(e, f), lambda u: x(u) * f(u),
+                             (1.0 + 2.0 * e.b ** 2) / e.a + 2.0 * e.a, radius)
+
+
+def counterexample_checks(rng, radius: float, n: int) -> list:
+    """Both chain rules at five random draws of ``rng`` on the symmetric
+    n-point grid of [-radius, radius], quasi-invariance of a Gaussian bump,
+    and the unboundedness witnesses at t = 1, 3 and 10."""
+    grid = symmetric_grid(radius, n)
+    shifts = [(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(5)]
+    pairs = [(AxBElement(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0)),
+              AxBElement(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))) for _ in range(5)]
+
+    def bump(s):
+        s = np.asarray(s, dtype=float)
+        return np.exp(-0.5 * s * s)
+
+    return [translation_chain_rule(shifts, grid),
+            translation_quasi_invariance(1.0, bump, radius),
+            *(unboundedness_witness(t, radius, n) for t in (1.0, 3.0, 10.0)),
+            axb_chain_rule(pairs, grid),
+            axb_quasi_invariance(AxBElement(2.0, 0.0), bump, radius)]

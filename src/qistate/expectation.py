@@ -131,9 +131,8 @@ def cond_expectation(cert: InvariantCertificate, group: FiniteGroup, fixed: Fixe
     faithful psi whose invariance the certificate ``cert`` of
     ``invariant_state`` asserts."""
     require_faithful(cert.psi, tol_pos)
-    if not cert.residuals["asserts"]["invariance"]:
-        raise PreconditionError(
-            f"state is not invariant: residual {cert.residuals['invariance']:.3e}")
+    if not cert.invariance.passed:
+        raise PreconditionError(f"state is not invariant: residual {cert.invariance.residual:.3e}")
     return ConditionalExpectation(group, fixed)
 
 
@@ -204,6 +203,19 @@ def projection_residual(q: np.ndarray) -> float:
     which for M = G - 1 is ||G^2 - G||, an r x r norm."""
     g = dagger(q) @ q
     return op_norm(g @ g - g)
+
+
+def projection_checks(an) -> CheckSet:
+    """E0 is a projection, and F0 = 1, which is asserted only in the strong
+    bounded case and passes, recorded, outside it."""
+    checks = CheckSet()
+    checks.add(residual_check("e0_projection", "E0 = E0* = E0^2",
+                              projection_residual(an.e0), an.tol_eq))
+    f0 = checks.add(residual_check("f0_identity", "F0 = [B' E0] = 1",
+                                   an.f0.identity_residual, an.tol_eq, asserted=an.strong,
+                                   detail="asserted only in the strong bounded case"))
+    f0.passed = f0.passed or not an.strong
+    return checks
 
 
 def _on_basis(a: AlgebraElement, xi: AlgebraElement) -> np.ndarray:
@@ -294,13 +306,11 @@ def uniqueness_probe(an) -> Check:
 class CommutantReport:
     p: AlgebraElement    # F0 = L_p
     commutant_dim: int
-    is_identity: bool
     identity_residual: float
     commutation_residual: float
 
 
-def commutant_f0(fa: FixedAlgebra, e0: np.ndarray, tol_eq: float,
-                 tol_pos: float) -> CommutantReport:
+def commutant_f0(fa: FixedAlgebra, e0: np.ndarray, tol_pos: float) -> CommutantReport:
     """Projection F0 onto span(B' E0 L2) for B = ``fa`` the fixed-point algebra
     and E0 = Q Q*, Q = ``e0`` with orthonormal columns.
 
@@ -344,4 +354,4 @@ def commutant_f0(fa: FixedAlgebra, e0: np.ndarray, tol_eq: float,
         for q in qs[:2]:
             for bi, bj in zip(fa.basis.blocks[i], fa.basis.blocks[j]):
                 comm_res = max(comm_res, float(np.linalg.norm(bi @ q - q @ bj)))
-    return CommutantReport(p, commutant_dim, id_res <= tol_eq * 1.0, id_res, comm_res)
+    return CommutantReport(p, commutant_dim, id_res, comm_res)

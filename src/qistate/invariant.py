@@ -17,9 +17,9 @@ from . import matcore
 from .algebra import (AlgebraElement, State, batch_slices, evaluate, matrix_unit_basis,
                       stack, worst_op_norm)
 from .actions import apply, apply_all, predual
-from .cocycle import CocycleTable, random_probe
+from .cocycle import CocycleTable, random_probe, verify_cocycle_identity
 from .matcore import PreconditionError, TOL_EQ, TOL_POS
-from .reporting import CheckSet, residual_check
+from .reporting import Check, CheckSet, residual_check
 
 
 def gamma_map(table: CocycleTable, i: int, a: AlgebraElement) -> AlgebraElement:
@@ -56,11 +56,11 @@ def gamma_properties_check(an, rng) -> CheckSet:
     gammas = _gamma_all(xi, group, probes)    # [g, p] = Gamma_g(a_p)
     pairs = batch_slices(group.order, group.order)
 
-    # (i) Gamma_g(x_h) = x_{h g^-1}; rows[g, h] is the index of h g^-1
-    rows = group.mult[:, group.inv].T
-    worst = worst_op_norm(_gamma_all(xi, group, x[hs]) - x[rows[:, hs]] for hs in pairs)
+    # (i) Gamma_g(x_h) = x_{g^-1} g(x_h) = x_{h g^-1} is the chain rule at
+    # g1 = g^-1, g2 = h, so its residual is that of the chain-rule sweep
     checks.add(residual_check("gamma_permutes_cocycle", "Gamma_g(x_h) = x_{h g^-1}",
-                              worst, tol_eq, table.lambda_bound))
+                              verify_cocycle_identity(table, tol_eq).residual, tol_eq,
+                              table.lambda_bound))
 
     # (ii) Gamma_{gh} = Gamma_g o Gamma_h; ga[group.mult][g, h] is Gamma_{gh}(a)
     worst = 0.0
@@ -118,12 +118,17 @@ def fixed_density_d(table: CocycleTable, tol_eq: float) -> tuple:
 
 @dataclass
 class InvariantCertificate:
-    """Invariant state psi = phi(d .) together with its verification residuals."""
+    """Invariant state psi = phi(d .) with the checks of its construction."""
 
     d: AlgebraElement
     psi: State
-    lambda_used: float
-    residuals: dict
+    gamma_fixed: Check    # Gamma_g(d) = d
+    invariance: Check     # psi o g = psi
+    faithful: Check       # psi >= phi/lambda, and psi faithful
+
+    @property
+    def checks(self) -> list:
+        return [self.gamma_fixed, self.invariance, self.faithful]
 
 
 def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> InvariantCertificate:
@@ -151,19 +156,15 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
     psi = State._unchecked(rho_psi.descriptor, rho_psi, mn)
 
     inv_res = (apply_all(group, rho_psi) - rho_psi).op_norm()
-    # psi is sandwiched between phi/lambda and lambda*phi, hence faithful.
-    margin = mn - (phi.min_eig / table.lambda_bound)
-    residuals = {
-        "gamma_fixed": gamma_res,
-        "invariance": inv_res,
-        "faithfulness_margin": margin,
-        "min_singular_value_d": d.min_sv(),
-        "asserts": {
-            "invariance": inv_res <= tol_eq * max(1.0, rho_psi.op_norm()),
-            "faithful": mn > tol_pos,
-        },
-    }
-    return InvariantCertificate(d, psi, table.lambda_bound, residuals)
+    # psi is sandwiched between phi/lambda and lambda*phi, hence faithful;
+    # the check also asks that its min eigenvalue clear tol_pos
+    shortfall = max(0.0, phi.min_eig / table.lambda_bound - mn)
+    return InvariantCertificate(
+        d, psi,
+        residual_check("gamma_fixed_d", "Gamma_g(d) = d", gamma_res, tol_eq, d.op_norm()),
+        residual_check("psi_invariant", "psi o g = psi", inv_res, tol_eq, rho_psi.op_norm()),
+        Check("psi_faithful", "psi >= phi/lambda stays faithful", shortfall, tol_eq,
+              shortfall <= tol_eq and mn > tol_pos))
 
 
 def cocycle_from_d(table: CocycleTable, d: AlgebraElement, i: int,

@@ -49,18 +49,9 @@ class CheckSet:
         self.checks.append(check)
         return check
 
-    def extend(self, checks):
-        self.checks.extend(checks)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if c.asserted)
 
     def __iter__(self):
         return iter(self.checks)
-
-    def __getitem__(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)

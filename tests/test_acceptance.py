@@ -17,9 +17,9 @@ from qistate.cocycle import (build_table, random_psd_probe, sandwich_check,
                              sz_domination,
                              verify_adjoint_relation, verify_cocycle_identity,
                              verify_inverse_formula)
-from qistate.commutative import (AxBElement, symmetric_grid,
-                                 unboundedness_witness, verify_axb,
-                                 verify_translation_identities)
+from qistate.commutative import (AxBElement, axb_chain_rule, axb_quasi_invariance,
+                                 symmetric_grid, translation_chain_rule,
+                                 translation_quasi_invariance, unboundedness_witness)
 from qistate.expectation import (cond_expectation, expectation_checks,
                                  fixed_algebra, verify_ks)
 from qistate.invariant import (cocycle_from_d, fixed_density_d,
@@ -109,8 +109,8 @@ def test_criterion_3_invariant_state_roundtrip(strong_family):
         cert, table = an.certificate, an.table
         lam = table.lambda_bound
         # forward: Gamma-fixed d, invariant psi, faithfulness margin
-        assert cert.residuals["gamma_fixed"] < TOL * max(1.0, cert.d.op_norm())
-        assert cert.residuals["invariance"] < TOL
+        assert cert.gamma_fixed.residual < TOL * max(1.0, cert.d.op_norm())
+        assert cert.invariance.residual < TOL
         margin_floor = inst.phi.density.min_eig() / lam - TOL
         assert cert.psi.density.min_eig() >= margin_floor
         # converse: d reproduces the cocycle with the norm bound
@@ -219,7 +219,7 @@ def test_criterion_7_invariant_trace():
         assert is_center_ergodic(inst.group)
         assert invariance_solution_space(inst.group).shape[1] == 1
         tau = invariant_trace(inst.group)
-        c = trace_density(inst.phi, tau, TOL_EQ, TOL_POS)
+        c = trace_density(inst.phi, tau, TOL_POS)
         for a in matrix_unit_basis(inst.descriptor):
             diff = abs(evaluate(inst.phi, a) - tau(c @ a))
             worst = max(worst, diff)
@@ -239,27 +239,23 @@ def test_criterion_8_commutative_suite():
     worst_pointwise = 0.0
     for _ in range(20):
         t1, t2 = rng.uniform(-5.0, 5.0, size=2)
-        cs = verify_translation_identities(float(t1), float(t2), grid)
-        assert cs["translation_chain_rule"].passed
-        worst_pointwise = max(worst_pointwise, cs["translation_chain_rule"].residual)
+        cs = translation_chain_rule([(float(t1), float(t2))], grid)
+        assert cs.passed
+        worst_pointwise = max(worst_pointwise, cs.residual)
         e1 = AxBElement(float(rng.uniform(0.3, 4.0)), float(rng.uniform(-3.0, 3.0)))
         e2 = AxBElement(float(rng.uniform(0.3, 4.0)), float(rng.uniform(-3.0, 3.0)))
-        ca = verify_axb(e1, e2, grid)
-        assert ca["axb_chain_rule"].passed
-        worst_pointwise = max(worst_pointwise, ca["axb_chain_rule"].residual)
+        ca = axb_chain_rule([(e1, e2)], grid)
+        assert ca.passed
+        worst_pointwise = max(worst_pointwise, ca.residual)
     assert worst_pointwise < 1e-12
 
     bump = lambda s: np.exp(-0.5 * np.asarray(s, dtype=float) ** 2)
-    qi = verify_translation_identities(1.0, -0.5, grid, f=bump, f_sup=1.0)
-    assert qi["translation_quasi_invariance"].passed
-    qa = verify_axb(AxBElement(2.0, 1.0), AxBElement(0.5, -1.0), grid,
-                    f=bump, f_sup=1.0)
-    assert qa["axb_quasi_invariance"].passed
+    assert translation_quasi_invariance(1.0, bump).passed
+    assert axb_quasi_invariance(AxBElement(2.0, 1.0), bump).passed
 
     witness_ok = True
-    for t, expected in ((1.0, 2.0), (3.0, 10.0), (10.0, 101.0)):
-        w = unboundedness_witness(t)
-        witness_ok &= abs(w["witness"] - expected) < TOL and w["passed"]
+    for t in (1.0, 3.0, 10.0):
+        witness_ok &= unboundedness_witness(t).passed
     report("criterion 8: pointwise cocycle identities < 1e-12 on 1001-point "
            "grids, quadrature quasi-invariance within budget, witnesses 1+t^2",
            witness_ok, f"worst pointwise {worst_pointwise:.2e}")
@@ -304,7 +300,7 @@ def test_criterion_9_commutative_brute_force_oracle():
 
         tau = invariant_trace(group)
         worst = max(worst, np.max(np.abs(tau.weights - np.ones(k))))
-        c = trace_density(phi, tau, TOL_EQ, TOL_POS)
+        c = trace_density(phi, tau, TOL_POS)
         worst = max(worst, np.max(np.abs(flat(c) - c_oracle)))
     report("criterion 9: commutative pipeline matches the elementwise "
            "probability-vector oracle within 1e-12", worst < 1e-12,

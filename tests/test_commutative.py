@@ -1,15 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from qistate.commutative import (AXB_IDENTITY, AxBElement,
-                                 axb_apply, axb_cocycle, axb_compose,
-                                 axb_inverse, cauchy_state, cauchy_tail_bound,
-                                 symmetric_grid,
-                                 translate, translation_cocycle,
-                                 unboundedness_witness,
-                                 verify_translation_identities, verify_axb)
+from qistate.commutative import (AXB_IDENTITY, AxBElement, axb_apply, axb_chain_rule,
+                                 axb_cocycle, axb_compose, axb_inverse,
+                                 axb_quasi_invariance, cauchy_state, cauchy_tail_bound,
+                                 counterexample_checks, symmetric_grid, translate,
+                                 translation_chain_rule, translation_cocycle,
+                                 translation_quasi_invariance, unboundedness_witness)
 from qistate.matcore import InputError, PreconditionError
 
 
@@ -24,10 +24,11 @@ def test_cauchy_state_normalization():
 
 
 def test_cauchy_state_indicator_vs_arctan_oracle():
-    # exact oracle: phi(1_[a,b]) = (arctan b - arctan a)/pi
+    # exact oracle: phi(1_[a,b]) = (arctan b - arctan a)/pi; the quadrature
+    # finds the jumps without being told where they are
     a, b = -1.5, 2.0
     ind = lambda s: np.where((np.asarray(s) >= a) & (np.asarray(s) <= b), 1.0, 0.0)
-    v = cauchy_state(ind, sup_norm=1.0, points=[a, b])
+    v = cauchy_state(ind, sup_norm=1.0)
     oracle = (math.atan(b) - math.atan(a)) / math.pi
     assert abs(v.value - oracle) <= v.budget + 1e-12
 
@@ -47,7 +48,7 @@ def test_cauchy_state_linearity():
 def test_cauchy_state_rejects_divergent():
     with np.errstate(divide="ignore"):
         with pytest.raises(InputError, match="diverges"):
-            cauchy_state(lambda s: 1.0 / np.asarray(s, dtype=float))
+            cauchy_state(lambda s: 1.0 / np.asarray(s, dtype=float), sup_norm=1.0)
 
 
 def test_tail_bound_matches_arctan():
@@ -65,47 +66,46 @@ def test_translation_cocycle_values():
 
 def test_translation_chain_rule_zero():
     grid = symmetric_grid(50.0, 101)
-    checks = verify_translation_identities(0.0, 0.0, grid)
-    assert checks["translation_chain_rule"].residual == 0.0
+    assert translation_chain_rule([(0.0, 0.0)], grid).residual == 0.0
 
 
 def test_translation_chain_rule_grid():
     grid = symmetric_grid(100.0, 1001)
-    checks = verify_translation_identities(1.0, 2.0, grid)
-    assert checks["translation_chain_rule"].residual < 1e-12
+    check = translation_chain_rule([(1.0, 2.0), (-3.5, 0.25)], grid)
+    assert check.passed and check.residual < 1e-12
 
 
 def test_translation_quasi_invariance_bump():
     grid = symmetric_grid(100.0, 1001)
-    checks = verify_translation_identities(1.0, 2.0, grid, f=gauss_bump, f_sup=1.0)
-    c = checks["translation_quasi_invariance"]
+    c = translation_quasi_invariance(1.0, gauss_bump)
     assert c.passed, (c.residual, c.threshold)
 
 
 def test_quasi_invariance_budget_shrinks_with_radius():
-    grid = symmetric_grid(20.0, 201)
-    budgets = []
-    for radius in (25.0, 100.0, 400.0):
-        checks = verify_translation_identities(
-            1.0, 0.0, grid, f=gauss_bump, f_sup=1.0, radius=radius)
-        budgets.append(checks["translation_quasi_invariance"].threshold)
+    budgets = [translation_quasi_invariance(1.0, gauss_bump, radius).threshold
+               for radius in (25.0, 100.0, 400.0)]
     assert budgets[0] > budgets[1] > budgets[2]
 
 
 def test_unboundedness_witness_values():
-    assert unboundedness_witness(0.0)["witness"] == pytest.approx(1.0)
-    w3 = unboundedness_witness(3.0)
-    assert w3["witness"] == pytest.approx(10.0)
-    assert w3["peak_value"] == pytest.approx(10.0)
-    assert w3["passed"]
-    w10 = unboundedness_witness(10.0)
-    assert w10["witness"] == pytest.approx(101.0)
-    assert w10["sup_x"] >= 101.0 - 1e-9 and w10["sup_x_inv"] >= 101.0 - 1e-9
+    # at t = 0 both sups are 1 = 1 + t^2 exactly
+    w0 = unboundedness_witness(0.0)
+    assert w0.passed and w0.residual == 0.0 and w0.name == "unbounded_witness_t0"
+    # the residual is 1 + t^2 less the smaller of the two sups on the grid
+    for t in (3.0, 10.0):
+        grid = symmetric_grid(100.0, 4001, extra=(-t, 0.0, t))
+        x = translation_cocycle(t)(grid)
+        w = unboundedness_witness(t)
+        assert w.passed and w.threshold == 1e-9
+        assert w.residual == 1.0 + t * t - min(np.max(x), np.max(1.0 / x))
 
 
 def test_witness_grows_without_bound():
-    values = [unboundedness_witness(t)["witness"] for t in (1.0, 3.0, 10.0)]
-    assert values == pytest.approx([2.0, 10.0, 101.0])
+    # x_t(-t) = 1 + t^2, and a window that stops short of s = -t still has
+    # -t and 0 added to its grid, so the witness is reached at every radius
+    peaks = [translation_cocycle(t)(np.array([-t]))[0] for t in (1.0, 3.0, 10.0)]
+    assert peaks == [2.0, 10.0, 101.0]
+    assert all(unboundedness_witness(t, radius=1.0, n=3).passed for t in (1.0, 3.0, 10.0))
 
 
 def test_axb_identity_element():
@@ -144,23 +144,18 @@ def test_axb_rejects_nonpositive_a():
 
 def test_axb_chain_rule_identity_pair():
     grid = symmetric_grid(50.0, 101)
-    checks = verify_axb(AXB_IDENTITY, AXB_IDENTITY, grid)
-    assert checks["axb_chain_rule"].residual == 0.0
+    assert axb_chain_rule([(AXB_IDENTITY, AXB_IDENTITY)], grid).residual == 0.0
 
 
 def test_axb_chain_rule_grid():
     grid = symmetric_grid(100.0, 1001)
-    checks = verify_axb(AxBElement(2.0, 1.0), AxBElement(3.0, 4.0), grid)
-    assert checks["axb_chain_rule"].residual < 1e-12
+    check = axb_chain_rule([(AxBElement(2.0, 1.0), AxBElement(3.0, 4.0)),
+                            (AxBElement(0.5, -2.0), AxBElement(1.5, 0.0))], grid)
+    assert check.passed and check.residual < 1e-12
 
 
-def test_axb_quasi_invariance_and_fixed_set():
-    grid = symmetric_grid(100.0, 1001)
-    checks = verify_axb(AxBElement(2.0, 0.0), AxBElement(3.0, 4.0), grid,
-                        f=gauss_bump, f_sup=1.0)
-    assert checks["axb_quasi_invariance"].passed
-    # e1 fixes t=0, e2 fixes t=-2: no common grid fixed point
-    assert checks["axb_no_fixed_function"].residual == 0.0
+def test_axb_quasi_invariance():
+    assert axb_quasi_invariance(AxBElement(2.0, 0.0), gauss_bump).passed
 
 
 def test_translation_embeds_in_axb():
@@ -168,3 +163,12 @@ def test_translation_embeds_in_axb():
     t, s = 1.7, np.linspace(-5, 5, 11)
     f = np.cos
     assert np.allclose(axb_apply(AxBElement(1.0, -t), f)(s), translate(f, t)(s))
+
+
+def test_counterexample_checks_in_report_order():
+    checks = counterexample_checks(random.Random(0), 100.0, 301)
+    assert [c.name for c in checks] == [
+        "translation_chain_rule", "translation_quasi_invariance", "unbounded_witness_t1",
+        "unbounded_witness_t3", "unbounded_witness_t10", "axb_chain_rule",
+        "axb_quasi_invariance"]
+    assert all(c.passed and c.asserted for c in checks)

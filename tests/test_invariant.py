@@ -103,11 +103,11 @@ def test_fixed_density_is_gamma_fixed(rng):
 
 
 def test_invariant_state_qubit_is_tracial(qubit):
-    cert = invariant_state(build_table(qubit.phi, qubit.group), TOL_EQ, TOL_POS)
+    table = build_table(qubit.phi, qubit.group)
+    cert = invariant_state(table, TOL_EQ, TOL_POS)
     assert np.allclose(cert.psi.density.blocks[0], np.eye(2) / 2)
-    assert cert.lambda_used == pytest.approx(2.0)
-    assert cert.residuals["asserts"]["invariance"]
-    assert cert.residuals["asserts"]["faithful"]
+    assert table.lambda_bound == pytest.approx(2.0)
+    assert [c.passed for c in cert.checks] == [True, True, True]
 
 
 def test_invariant_state_fixed_point_case():
@@ -127,12 +127,13 @@ def test_invariant_state_invariance_and_margin(rng):
     from qistate.actions import predual
     for _ in range(6):
         inst = random_instance(rng)
-        cert = invariant_state(build_table(inst.phi, inst.group), TOL_EQ, TOL_POS)
+        table = build_table(inst.phi, inst.group)
+        cert = invariant_state(table, TOL_EQ, TOL_POS)
         rho_psi = cert.psi.density
         for g in inst.group.elements:
             assert (predual(g, rho_psi) - rho_psi).op_norm() < 1e-9
         # faithfulness margin from the sandwich bound
-        assert rho_psi.min_eig() >= inst.phi.density.min_eig() / cert.lambda_used - 1e-9
+        assert rho_psi.min_eig() >= inst.phi.density.min_eig() / table.lambda_bound - 1e-9
         # psi o g = psi as functionals
         from qistate.algebra import matrix_unit_basis
         for a in matrix_unit_basis(inst.descriptor):

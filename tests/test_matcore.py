@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qistate.matcore import (InputError, PreconditionError, dagger, herm_eig,
+from qistate.matcore import (TOL_EQ, InputError, PreconditionError, dagger, herm_eig,
                              imag_power, is_unitary, max_op_norm, op_norm, op_norms,
                              op_norms_within, psd_sqrt)
 
@@ -161,8 +161,8 @@ def test_is_unitary_judges_each_matrix_of_a_stack(rng):
     u[1] *= 1.0 + 1e-6
     assert list(is_unitary(u)) == [True, False, True]
     assert [bool(is_unitary(m)) for m in u] == [True, False, True]
-    # the tolerance is relative to max(1, ||u||^2)
-    assert is_unitary(2.0 * u[0], tol=3.0) and not is_unitary(2.0 * u[0], tol=0.7)
+    # judged at TOL_EQ: ||u u* - 1|| is about 2 delta for u scaled by 1 + delta
+    assert is_unitary((1.0 + TOL_EQ / 4) * u[0]) and not is_unitary((1.0 + TOL_EQ) * u[0])
 
 
 # -- max_op_norm against one SVD per matrix -------------------------------------

@@ -75,14 +75,14 @@ def test_invariant_trace_is_invariant_and_tracial(probe_rng, m2m2_swap):
 
 def test_trace_density_unit_weights_gives_density(qubit):
     tau = invariant_trace(qubit.group)
-    c = trace_density(qubit.phi, tau, TOL_EQ, TOL_POS)
+    c = trace_density(qubit.phi, tau, TOL_POS)
     assert (c - qubit.phi.density).op_norm() <= 1e-12
     assert np.allclose(c.blocks[0], np.diag([1 / 3, 2 / 3]))
 
 
 def test_trace_density_reproduces_state(rng, m2m2_swap):
     tau = invariant_trace(m2m2_swap.group)
-    c = trace_density(m2m2_swap.phi, tau, TOL_EQ, TOL_POS)
+    c = trace_density(m2m2_swap.phi, tau, TOL_POS)
     for _ in range(5):
         a = AlgebraElement(m2m2_swap.descriptor,
                            [rng.standard_normal((2, 2)) for _ in range(2)])
@@ -99,7 +99,7 @@ def test_density_relations_qubit_hand_check(qubit):
     # X c X = diag(2/3, 1/3) = c x_g with c = diag(1/3, 2/3), x_g = diag(2, 1/2)
     table = build_table(qubit.phi, qubit.group)
     tau = invariant_trace(qubit.group)
-    c = trace_density(qubit.phi, tau, TOL_EQ, TOL_POS)
+    c = trace_density(qubit.phi, tau, TOL_POS)
     from qistate.actions import apply
     g = qubit.group.elements[1]
     lhs = apply(g, c)
