@@ -6,9 +6,8 @@ points, and invariant traces, all verified at machine precision."""
 __version__ = "0.1.0"
 
 from .algebra import AlgebraDescriptor, AlgebraElement, State, evaluate, identity
-from .actions import (Automorphism, FiniteGroup, apply, apply_all, close_group,
-                      compose, equal_as_maps, identity_automorphism, inverse,
-                      predual)
+from .actions import (Automorphism, FiniteGroup, apply, close_group, compose,
+                      equal_as_maps, identity_automorphism, inverse, predual)
 from .cocycle import (CocycleTable, build_table, is_strongly_qi, rn_cocycle,
                       sandwich_check, sz_domination, verify_adjoint_relation,
                       verify_cocycle_identity, verify_inverse_formula)

@@ -5,6 +5,12 @@ dimension-preserving permutation of the blocks composed with one unitary
 conjugation per block: g(a)_i = u_i a_{perm^-1(i)} u_i*.  Unitaries are
 only determined up to a phase per block, so map equality is tested by
 action, not by comparing unitaries.
+
+An ``Automorphism`` may stand for a stack of maps, as an
+``AlgebraElement`` may stand for a stack of elements: ``apply``,
+``predual``, ``compose`` and ``equal_as_maps`` take one map or a stack
+alike, one map being the stack of batch shape ().  So the elements of a
+finite group are one stack, and one expression acts by all of them.
 """
 
 import math
@@ -18,10 +24,14 @@ from .matcore import InputError, TOL_EQ, dagger
 
 
 class Automorphism:
-    """Block permutation plus per-block unitary conjugation.
+    """Block permutation plus per-block unitary conjugation, or a stack of them.
 
-    ``perm[j]`` is the block index that input block j is carried to;
-    ``unitaries[i]`` conjugates on the target block i.
+    ``perm[j]`` is the block index that input block j is carried to,
+    ``inv_perm`` the inverse permutation, and ``unitaries[i]`` conjugates on
+    the target block i.  A stack of m maps carries a leading batch axis:
+    ``perm`` and ``inv_perm`` are (m, k) int arrays and ``unitaries[i]`` is
+    an (m, n_i, n_i) stack; ``g[k]`` indexes it.  The public constructor
+    validates one map; ``_unchecked`` builds either.
     """
 
     __slots__ = ("descriptor", "perm", "unitaries", "inv_perm")
@@ -39,26 +49,36 @@ class Automorphism:
                     f"block {p} (dim {dims[p]})"
                 )
         unitaries = [matcore.as_square(u) for u in unitaries]
-        if tuple(u.shape[0] for u in unitaries) != dims:
+        if tuple(u.shape for u in unitaries) != tuple((n, n) for n in dims):
             raise InputError("unitary shapes do not match block dims")
         for i, u in enumerate(unitaries):
             if not matcore.is_unitary(u):
                 raise InputError(f"matrix for block {i} is not unitary")
-        inv_perm = [0] * k
-        for j, p in enumerate(perm):
-            inv_perm[p] = j
         self.descriptor = descriptor
-        self.perm = perm
+        self.perm = np.array(perm, dtype=int)
         self.unitaries = unitaries
-        self.inv_perm = tuple(inv_perm)
+        self.inv_perm = np.argsort(self.perm)
 
     @classmethod
     def _unchecked(cls, descriptor, perm, unitaries, inv_perm):
-        """An automorphism from parts known to be valid, such as products of
-        checked automorphisms: no permutation or unitarity test."""
+        """An automorphism or a stack from parts known to be valid, such as
+        products of checked automorphisms: no permutation or unitarity test."""
         g = object.__new__(cls)
         g.descriptor, g.perm, g.unitaries, g.inv_perm = descriptor, perm, unitaries, inv_perm
         return g
+
+    @property
+    def batch(self) -> tuple:
+        """Leading batch shape: () for one map, (m,) for a stack of m."""
+        return self.perm.shape[:-1]
+
+    def __len__(self) -> int:
+        return self.batch[0]
+
+    def __getitem__(self, k):
+        """Index the batch axis: one map for an integer, else a stack."""
+        return self._unchecked(self.descriptor, self.perm[k], [u[k] for u in self.unitaries],
+                               self.inv_perm[k])
 
 
 def identity_automorphism(descriptor: AlgebraDescriptor) -> Automorphism:
@@ -66,110 +86,121 @@ def identity_automorphism(descriptor: AlgebraDescriptor) -> Automorphism:
                         [np.eye(n) for n in descriptor.block_dims])
 
 
+def stack_maps(maps) -> Automorphism:
+    """Automorphisms of one algebra as one stack, in order."""
+    maps = list(maps)
+    return Automorphism._unchecked(maps[0].descriptor, np.array([g.perm for g in maps]),
+                                   [np.array(us) for us in zip(*(g.unitaries for g in maps))],
+                                   np.array([g.inv_perm for g in maps]))
+
+
+def _by_block(blocks: np.ndarray, shape: tuple, f) -> np.ndarray:
+    """An array of ``shape`` whose rows at sel = (blocks == j) are f(sel, j),
+    for each block index j in ``blocks``: the maps of a stack that read or
+    write the same block are taken as one stack (sel a full slice when
+    they all do)."""
+    found = set(blocks.tolist())
+    if len(found) == 1:
+        return f(slice(None), found.pop())
+    out = np.empty(shape, dtype=complex)
+    for j in found:
+        sel = blocks == j
+        out[sel] = f(sel, j)
+    return out
+
+
 def apply(g: Automorphism, a: AlgebraElement) -> AlgebraElement:
-    """g(a)_i = u_i a_{perm^-1(i)} u_i*."""
+    """g(a)_i = u_i a_{perm^-1(i)} u_i*, for each map of g and each element
+    of a: the batch axis of g comes first, then the batch axes of a."""
     if g.descriptor != a.descriptor:
         raise InputError("automorphism and element live on different algebras")
-    blocks = [u @ a.blocks[j] @ dagger(u)
-              for u, j in zip(g.unitaries, g.inv_perm)]
-    return AlgebraElement._unchecked(a.descriptor, blocks)
-
-
-def apply_all(group: "FiniteGroup", a: AlgebraElement) -> AlgebraElement:
-    """g(a) for every element g of ``group``, with the group axis first.
-
-    Block i is the stack of u_i a_{perm^-1(i)} u_i* over the group, in
-    element order; the batch axes of ``a`` follow the group axis.
-    """
     out = []
-    for u, src in zip(group.unitary_stacks, group.source_blocks):
-        b = a.blocks[src[0]]
-        u = u.reshape(u.shape[:1] + (1,) * (b.ndim - 2) + u.shape[1:])
-        res = np.empty(u.shape[:1] + b.shape, dtype=complex)
-        for j in set(src.tolist()):
-            sel = src == j
-            res[sel] = u[sel] @ a.blocks[j] @ dagger(u[sel])
-        out.append(res)
+    for u, src in zip(g.unitaries, g.inv_perm.reshape(-1, g.descriptor.num_blocks).T):
+        n = u.shape[-1]
+        u = u.reshape((-1,) + (1,) * len(a.batch) + (n, n))
+        res = _by_block(src, (len(src),) + a.batch + (n, n),
+                        lambda sel, j: u[sel] @ a.blocks[j] @ dagger(u[sel]))
+        out.append(res.reshape(g.batch + a.batch + (n, n)))
     return AlgebraElement._unchecked(a.descriptor, out)
 
 
-def compose(g, h: Automorphism):
-    """The automorphism a |-> g(h(a)).  Its unitaries are products of
-    checked ones and are not tested again (``close_group`` tests the
-    elements it keeps).  For ``g`` a list of automorphisms, the list of the
-    g_k o h, each block's unitaries multiplied as one stack per source block
-    (the same bits as one product at a time)."""
-    gs = g if isinstance(g, list) else [g]
-    if any(a.descriptor != h.descriptor for a in gs):
+def compose(g: Automorphism, h: Automorphism) -> Automorphism:
+    """The maps a |-> g_k(h_s(a)) for every map g_k of g and h_s of h,
+    k-major: one map for two, else a stack of len(g) len(h).  Block i's
+    unitary is u^g_i u^h_{perm_g^-1(i)}, a product of checked ones, and is
+    not tested again (``close_group`` tests the elements it keeps)."""
+    if g.descriptor != h.descriptor:
         raise InputError("cannot compose automorphisms of different algebras")
-    products = []
-    for i in range(h.descriptor.num_blocks):
-        us = np.array([a.unitaries[i] for a in gs])
-        src = np.array([a.inv_perm[i] for a in gs])
-        for j in set(src.tolist()):
-            sel = src == j
-            us[sel] = us[sel] @ h.unitaries[j]
-        products.append(us)
-    out = [Automorphism._unchecked(h.descriptor, tuple(a.perm[p] for p in h.perm),
-                                   [us[k] for us in products],
-                                   tuple(h.inv_perm[q] for q in a.inv_perm))
-           for k, a in enumerate(gs)]
-    return out if isinstance(g, list) else out[0]
+    k = g.descriptor.num_blocks
+    gp, gi = g.perm.reshape(-1, k), g.inv_perm.reshape(-1, k)
+    hp, hi = h.perm.reshape(-1, k), h.inv_perm.reshape(-1, k)
+    batch = (len(gp) * len(hp),) if g.batch or h.batch else ()
+    unitaries = []
+    for u, src in zip(g.unitaries, gi.T):
+        n = u.shape[-1]
+        u = u.reshape(-1, 1, n, n)
+        unitaries.append(_by_block(src, (len(gp), len(hp), n, n),
+                                   lambda sel, j: u[sel] @ h.unitaries[j].reshape(-1, n, n))
+                         .reshape(batch + (n, n)))
+    # perm(j) = perm_g(perm_h(j)) and perm^-1(i) = perm_h^-1(perm_g^-1(i))
+    perm = gp[np.arange(len(gp))[:, None, None], hp[None]]
+    inv_perm = hi[np.arange(len(hp))[None, :, None], gi[:, None]]
+    return Automorphism._unchecked(g.descriptor, perm.reshape(batch + (k,)), unitaries,
+                                   inv_perm.reshape(batch + (k,)))
 
 
 def inverse(g: Automorphism) -> Automorphism:
-    unitaries = [dagger(g.unitaries[g.perm[j]])
-                 for j in range(g.descriptor.num_blocks)]
+    """g^-1 for one map g."""
+    unitaries = [dagger(g.unitaries[p]) for p in g.perm]
     return Automorphism._unchecked(g.descriptor, g.inv_perm, unitaries, g.perm)
 
 
-def predual(g, a: AlgebraElement) -> AlgebraElement:
+def predual(g: Automorphism, a: AlgebraElement) -> AlgebraElement:
     """Predual action on densities: tr(predual(g, rho) a) = tr(rho g(a)).
 
     Since block automorphisms preserve the total trace this is just g^-1
     applied to the density, read off g's own unitaries: block j is
-    u_p* a_p u_p with p = perm(j).  For ``g`` a ``FiniteGroup`` it is
-    g^-1(a) for every element g, with the group axis first; ``a`` is then
-    one element, or a stack over the group in element order whose entry k
-    goes to the k-th element's inverse.
+    u_p* a_p u_p with p = perm(j).  One map passes the batch axes of ``a``
+    through.  For a stack, ``a`` is one element, or a stack whose first
+    axis pairs with the maps (or has length 1): entry k goes to the k-th
+    map's inverse.
     """
     if g.descriptor != a.descriptor:
         raise InputError("automorphism and element live on different algebras")
-    if isinstance(g, Automorphism):
-        return AlgebraElement._unchecked(a.descriptor, [dagger(g.unitaries[p]) @ a.blocks[p]
-                                                        @ g.unitaries[p] for p in g.perm])
+    targets = g.perm.reshape(-1, g.descriptor.num_blocks)
+    # a with one leading axis, paired with the maps or of length 1
+    lead = a if g.batch and a.batch else a[None]
+    rest = lead.batch[1:]    # the batch axes of a that pass through
     out = []
-    for j, targets in enumerate(g.target_blocks):
-        res = np.empty((g.order,) + a.blocks[j].shape[-2:], dtype=complex)
-        for p in set(targets.tolist()):
-            sel = targets == p
-            u = g.unitary_stacks[p][sel]
-            res[sel] = dagger(u) @ (a.blocks[p][sel] if a.batch else a.blocks[p]) @ u
-        out.append(res)
+    for j, tgt in enumerate(targets.T):
+        n = a.blocks[j].shape[-1]
+
+        def conjugate(sel, p):
+            u = g.unitaries[p].reshape((-1,) + (1,) * len(rest) + (n, n))[sel]
+            b = lead.blocks[p]
+            return dagger(u) @ np.broadcast_to(b, (len(tgt),) + b.shape[1:])[sel] @ u
+
+        res = _by_block(tgt, (len(tgt),) + rest + (n, n), conjugate)
+        out.append(res.reshape(g.batch + rest + (n, n)))
     return AlgebraElement._unchecked(a.descriptor, out)
 
 
-def equal_as_maps(g, h, tol: float = TOL_EQ):
-    """True when g and h act identically; unitaries may differ by phases.
-
-    For g and h equal-length lists of automorphisms of one algebra, a bool
-    array with one entry per pair (g_k, h_k): each block's products u_h* u_g,
-    traces and norm tests are taken as one stack, with the bits and the
-    decision of one pair at a time.
-    """
-    if isinstance(g, Automorphism):
-        return bool(equal_as_maps([g], [h], tol)[0])
+def equal_as_maps(g: Automorphism, h: Automorphism, tol: float = TOL_EQ):
+    """Whether g_k and h_k act identically, entry by entry of two stacks of
+    one batch shape (a bool for two maps); unitaries may differ by phases.
+    Each block's products u_h* u_g, traces and norm tests are taken as one
+    stack, with the bits and the decision of one pair at a time."""
+    if g.descriptor != h.descriptor:
+        raise InputError("cannot compare automorphisms of different algebras")
     # Maps with different block permutations differ on some matrix unit.
-    same = np.array([a.descriptor == b.descriptor and a.perm == b.perm
-                     for a, b in zip(g, h)], dtype=bool)
-    for i in range(g[0].descriptor.num_blocks if g else 0):
+    same = np.all(g.perm == h.perm, axis=-1).reshape(-1)
+    for ug, uh in zip(g.unitaries, h.unitaries):
         live = np.flatnonzero(same)
         if live.size == 0:
             break
+        n = ug.shape[-1]
         # uh* ug must be a scalar phase for the conjugations to agree.
-        w = (dagger(np.array([h[k].unitaries[i] for k in live]))
-             @ np.array([g[k].unitaries[i] for k in live]))
-        n = w.shape[-1]
+        w = dagger(uh.reshape(-1, n, n)[live]) @ ug.reshape(-1, n, n)[live]
         t = np.trace(w, axis1=-2, axis2=-1) / n
         near = np.abs(t) >= 0.5    # far from any phase: cheap reject
         phase = t[near] / np.abs(t[near])
@@ -177,15 +208,19 @@ def equal_as_maps(g, h, tol: float = TOL_EQ):
         agree[near] = matcore.op_norms_within(w[near] - phase[:, None, None] * np.eye(n),
                                               tol * max(1.0, float(n)))
         same[live] = agree
-    return same
+    return same.reshape(g.batch)[()]
 
 
 def _near(cells: dict, key: tuple) -> list:
-    """Sorted entries of ``cells`` in the 3 x 3 cells around ``key``, with
-    the same block permutation."""
+    """Sorted entries of the 3 x 3 cells around ``key`` with the same block
+    permutation; ``cells`` holds each grid row (perm, re) as a dict by im."""
     perm, re, im = key
-    found = [i for a in (-1, 0, 1) for b in (-1, 0, 1)
-             for i in cells.get((perm, re + a, im + b), ())]
+    found = []
+    for a in (-1, 0, 1):
+        row = cells.get((perm, re + a))
+        if row:
+            for b in (-1, 0, 1):
+                found += row.get(im + b, ())
     found.sort()
     return found
 
@@ -202,6 +237,8 @@ class MapIndex:
     of f(g) rounded down to a grid of that width, so two such maps have keys
     at most one cell apart: ``insert`` probes the 3 x 3 neighbouring cells and
     confirms every candidate with ``equal_as_maps``.
+
+    The held maps are one stack, ``elements``, in arrays with spare rows.
     """
 
     _PROBE_SEED = 20241204
@@ -213,7 +250,11 @@ class MapIndex:
         self.probes_r = [_unit_probe(rng, n) for n in descriptor.block_dims]
         self.probes_s = [_unit_probe(rng, n) for n in descriptor.block_dims]
         self.width = self.cell_width(self.tol)
-        self.elements = []
+        self.size = 0
+        k = descriptor.num_blocks
+        # perm, inv_perm and each block's unitaries, with spare rows
+        self._rows = [np.empty((0, k), dtype=int), np.empty((0, k), dtype=int)] + [
+            np.empty((0, n, n), dtype=complex) for n in descriptor.block_dims]
         self.cells = {}
 
     def cell_width(self, tol: float) -> float:
@@ -241,64 +282,85 @@ class MapIndex:
             width += (1.0 + t) * (2.0 * e + e * e) + 8.0 * n * n * eps
         return width
 
-    def fingerprints(self, gs) -> np.ndarray:
-        """f(g) for each automorphism of the list ``gs``, from one stacked
-        product per block and source block."""
-        f = np.zeros(len(gs), dtype=complex)
-        for i, s in enumerate(self.probes_s):
-            us = np.array([g.unitaries[i] for g in gs])
-            src = np.array([g.inv_perm[i] for g in gs])
-            for j in set(src.tolist()):
-                sel = src == j
-                u = us[sel]
-                f[sel] += np.einsum("kab,ab->k", u @ self.probes_r[j] @ dagger(u), s.conj())
-        return f
+    def _rows_of(self, idx) -> Automorphism:
+        """Rows ``idx`` of the arrays, held or spare, as maps."""
+        perm, inv_perm, *unitaries = (a[idx] for a in self._rows)
+        return Automorphism._unchecked(self.descriptor, perm, unitaries, inv_perm)
 
-    def keys(self, gs) -> list:
-        """The key of each automorphism of the list ``gs``."""
-        return [(g.perm, math.floor(z.real / self.width), math.floor(z.imag / self.width))
-                for g, z in zip(gs, self.fingerprints(gs).tolist())]
+    @property
+    def elements(self) -> Automorphism:
+        """The held maps as one stack, in index order."""
+        return self._rows_of(slice(0, self.size))
+
+    def fingerprints(self, gs: Automorphism) -> np.ndarray:
+        """f(g) for each map of the stack ``gs``: one ``apply`` of the stack
+        to R, paired with S block by block."""
+        moved = apply(gs, AlgebraElement._unchecked(self.descriptor, self.probes_r))
+        return sum(np.einsum("kab,ab->k", b, s.conj())
+                   for b, s in zip(moved.blocks, self.probes_s))
+
+    def keys(self, gs: Automorphism) -> list:
+        """The key of each map of the stack ``gs``."""
+        return [(tuple(p), math.floor(z.real / self.width), math.floor(z.imag / self.width))
+                for p, z in zip(gs.perm.tolist(), self.fingerprints(gs).tolist())]
 
     def near(self, key: tuple) -> list:
         """Indices of the elements whose keys are at most one cell from ``key``."""
         return _near(self.cells, key)
 
-    def insert(self, gs, keys: list) -> list:
-        """The index of each of ``gs`` in turn: the lowest index of an element
-        equal to it as a map among those held and those appended for earlier
-        entries of ``gs``, else the index at which it is appended.
+    def insert(self, gs: Automorphism, keys: list) -> list:
+        """The index of each map of the stack ``gs`` in turn: the lowest index
+        of an element equal to it as a map among those held and those
+        appended for earlier entries of ``gs``, else the index at which it is
+        appended.
 
-        Candidates come from the neighbouring cells, and every candidate
-        pair is confirmed by one stacked ``equal_as_maps``.
+        Candidates come from the neighbouring cells.  While they are
+        confirmed, ``gs`` fills the rows after the held elements, so entry q
+        is candidate size + q, and one stacked ``equal_as_maps`` confirms
+        every candidate pair.
         """
-        pairs, cells = [], {}
+        n, pairs, cells = self.size, [], {}
         for q, key in enumerate(keys):
-            pairs += [(q, i, False) for i in self.near(key)]
-            pairs += [(q, p, True) for p in _near(cells, key)]
-            cells.setdefault(key, []).append(q)
-        equal = equal_as_maps([gs[p] if own else self.elements[p] for _, p, own in pairs],
-                              [gs[q] for q, _, _ in pairs], self.tol)
-        hits = [[] for _ in gs]
-        for (q, p, own), hit in zip(pairs, equal):
-            if hit:
-                hits[q].append((p, own))
-        out, appended = [], set()
-        for q, g in enumerate(gs):
+            pairs += [(q, i) for i in self.near(key)]
+            pairs += [(q, n + p) for p in _near(cells, key)]
+            cells.setdefault(key[:2], {}).setdefault(key[2], []).append(q)
+        pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+        self._put(gs)
+        hits = [[] for _ in keys]
+        for q, p in pairs[equal_as_maps(self._rows_of(pairs[:, 1]), gs[pairs[:, 0]],
+                                        self.tol)].tolist():
+            hits[q].append(p)
+        out, appended = [], {}
+        for q in range(len(keys)):
             # held elements come first and earlier entries in order, so the
             # first hit that is an element has the lowest index
-            j = next((out[p] if own else p for p, own in hits[q]
-                      if not own or p in appended), -1)
+            j = next((out[p - n] if p >= n else p for p in hits[q]
+                      if p < n or p - n in appended), -1)
             if j < 0:
-                j = self.add(g, keys[q])
-                appended.add(q)
+                j = appended[q] = n + len(appended)
             out.append(j)
+        self.add(self._rows_of(n + np.array(list(appended), dtype=int)),
+                 [keys[q] for q in appended])
         return out
 
-    def add(self, g: Automorphism, key: tuple) -> int:
-        """Append g (assumed absent) and return its index."""
-        self.elements.append(g)
-        self.cells.setdefault(key, []).append(len(self.elements) - 1)
-        return len(self.elements) - 1
+    def _put(self, gs: Automorphism) -> None:
+        """Write the stack gs into the rows after the held elements; the
+        capacity at least doubles when it grows, so that appending copies
+        O(|G|) maps in all."""
+        n, m = self.size, len(gs)
+        if n + m > len(self._rows[0]):
+            self._rows = [np.concatenate([a[:n], np.empty((max(n, m),) + a.shape[1:], a.dtype)])
+                          for a in self._rows]
+        for a, b in zip(self._rows, [gs.perm, gs.inv_perm, *gs.unitaries]):
+            a[n:n + m] = b
+
+    def add(self, gs: Automorphism, keys: list) -> None:
+        """Append the stack gs, whose maps are assumed absent and whose keys
+        are ``keys``."""
+        self._put(gs)
+        for q, key in enumerate(keys):
+            self.cells.setdefault(key[:2], {}).setdefault(key[2], []).append(self.size + q)
+        self.size += len(keys)
 
 
 def _unit_probe(rng: random.Random, n: int) -> np.ndarray:
@@ -307,72 +369,54 @@ def _unit_probe(rng: random.Random, n: int) -> np.ndarray:
 
 
 class FiniteGroup:
-    """Closed list of automorphisms with composition and inverse tables.
+    """A finite group of automorphisms: its elements as one stack, with
+    composition and inverse tables.
 
     ``index`` is the closure's fingerprint index over ``elements``, and
     ``first_layer`` the indices of its first search layer: the distinct
-    non-identity generators.  For each block i, ``unitary_stacks[i]`` stacks
-    every element's block-i unitary as a (|G|, n_i, n_i) array,
-    ``source_blocks[i]`` holds the (|G|,) block indices inv_perm[i] that each
-    element carries to block i, and ``target_blocks[i]`` the block indices
-    perm[i] it carries block i to.
+    non-identity generators.
     """
 
-    __slots__ = ("descriptor", "elements", "mult", "inv", "index", "first_layer",
-                 "unitary_stacks", "source_blocks", "target_blocks")
+    __slots__ = ("descriptor", "elements", "mult", "inv", "index", "first_layer")
 
-    def __init__(self, descriptor, elements, mult, inv, index: MapIndex, first_layer: range):
+    def __init__(self, descriptor, elements: Automorphism, mult, inv, index: MapIndex,
+                 first_layer: range):
         self.descriptor = descriptor
         self.elements = elements
         self.mult = mult            # mult[i][j] = index of elements[i] o elements[j]
         self.inv = inv
         self.index = index
         self.first_layer = first_layer
-        blocks = range(descriptor.num_blocks)
-        self.unitary_stacks = [np.array([g.unitaries[i] for g in elements]) for i in blocks]
-        self.source_blocks = [np.array([g.inv_perm[i] for g in elements]) for i in blocks]
-        self.target_blocks = [np.array([g.perm[i] for g in elements]) for i in blocks]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def block_orbits(self):
-        """Orbits of the block-permutation action on block indices."""
-        k = self.descriptor.num_blocks
-        seen, orbits = set(), []
-        for start in range(k):
-            if start in seen:
-                continue
-            orbit, frontier = {start}, [start]
-            while frontier:
-                j = frontier.pop()
-                for g in self.elements:
-                    p = g.perm[j]
-                    if p not in orbit:
-                        orbit.add(p)
-                        frontier.append(p)
-            seen |= orbit
-            orbits.append(sorted(orbit))
-        return orbits
+        """Orbits of the block-permutation action on block indices, each
+        sorted, in order of their least block: as the elements form a group,
+        the orbit of block j is the set of its images perm(j)."""
+        return [list(o) for o in sorted({tuple(sorted(set(col)))
+                                         for col in self.elements.perm.T.tolist()})]
 
 
 def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGroup:
     """Breadth-first closure of a generator set under composition.
 
+    ``generators`` is an iterable of automorphisms (a list, or a stack).
     Elements are listed in breadth-first order from the identity: the
     distinct generators, then each frontier element composed with each
-    generator in turn.  The search takes a whole layer at a time: it
-    composes the layer with each generator as stacks (``compose``), and
-    ``MapIndex.insert`` looks every product up at once (phase-invariant
-    fingerprint on a grid derived from ``tol``, confirmed by one stacked
-    ``equal_as_maps``), in the order of one product at a time.  So it makes
-    (|G| - 1) |S| products for |S| generators.  It records the right Cayley
-    graph right[k, s] = index of elements[k] o generators[s], and each
-    element's parent and generator in the search tree.  The multiplication
-    table then follows from integer lookups alone, one layer at a time in
-    search order: elements[c] = elements[parent(c)] o generators[s(c)]
-    gives mult[:, c] = right[mult[:, parent(c)], s(c)], and parents lie in
+    generator in turn.  The search takes a whole layer at a time: one
+    ``compose`` of the layer with the generators, and ``MapIndex.insert``
+    looks every product up at once (phase-invariant fingerprint on a grid
+    derived from ``tol``, confirmed by stacked ``equal_as_maps``), in the
+    order of one product at a time.  So it makes (|G| - 1) |S| products for
+    |S| generators.  It records the right Cayley graph right[k, s] = index
+    of elements[k] o generators[s], and each element's parent and generator
+    in the search tree.  The multiplication table then follows from integer
+    lookups alone, one layer at a time in search order:
+    elements[c] = elements[parent(c)] o generators[s(c)] gives
+    mult[:, c] = right[mult[:, parent(c)], s(c)], and parents lie in
     earlier layers.  Raises once the closure exceeds ``cap`` elements
     (generators of infinite order).
 
@@ -380,42 +424,42 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
     elements each layer of the search adds are tested at once, by
     ``Automorphism``'s default test, before the next layer grows from them.
     """
+    generators = list(generators)
     if not generators:
         raise InputError("need at least one generator")
     desc = generators[0].descriptor
     for g in generators:
         if g.descriptor != desc:
             raise InputError("generators live on different algebras")
+    gens = stack_maps(generators)
 
     index = MapIndex(desc, tol)
-    ident = identity_automorphism(desc)
-    index.add(ident, index.keys([ident])[0])
-    elements = index.elements
-    right, parent, via = [[0] * len(generators)], [0], [0]
+    ident = identity_automorphism(desc)[None]
+    index.add(ident, index.keys(ident))
+    right, parent, via = [[0] * len(gens)], [0], [0]
     layers = [1]    # index of the first element of each layer, and the end
-    products, sources = list(generators), [(0, s) for s in range(len(generators))]
-    while products:
+    products, sources = gens, [(0, s) for s in range(len(gens))]
+    while True:
         found = index.insert(products, index.keys(products))
         # the generators themselves are not held to the cap
-        if len(layers) > 1 and len(elements) > max(cap, layers[-1]):
+        if len(layers) > 1 and index.size > max(cap, layers[-1]):
             raise InputError(f"group not finite at cap {cap}")
         for (k, s), j in zip(sources, found):
             if j == len(parent):    # the product that added element j
-                right.append([0] * len(generators))
+                right.append([0] * len(gens))
                 parent.append(k)
                 via.append(s)
             right[k][s] = j
-        layer = elements[layers[-1]:]
-        layers.append(len(elements))
-        if not layer:
+        layer = index.elements[layers[-1]:]
+        layers.append(index.size)
+        if not len(layer):
             break
         if len(layers) > 2:
             _require_unitary(layer)
-        products = [p for ps in zip(*(compose(layer, gen) for gen in generators)) for p in ps]
-        sources = [(k, s) for k in range(layers[-2], layers[-1])
-                   for s in range(len(generators))]
+        products = compose(layer, gens)
+        sources = [(k, s) for k in range(layers[-2], layers[-1]) for s in range(len(gens))]
 
-    n = len(elements)
+    n = index.size
     right, parent, via = np.array(right, dtype=int), np.array(parent), np.array(via)
     mult = np.empty((n, n), dtype=int)
     mult[:, 0] = np.arange(n)
@@ -429,15 +473,13 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
         raise InputError(f"closure is inconsistent at tol_eq {tol:.3g}: element {k} has "
                          f"{counts[k]} inverses, not one; try a smaller --tol-eq")
     inv = [int(i) for i in np.argmax(is_identity, axis=1)]
-    return FiniteGroup(desc, elements, mult, inv, index, range(1, layers[1]))
+    return FiniteGroup(desc, index.elements, mult, inv, index, range(1, layers[1]))
 
 
-def _require_unitary(elements) -> None:
-    """Raise for the first of ``elements`` with a block that fails
+def _require_unitary(g: Automorphism) -> None:
+    """Raise for the first map of the stack g with a block that fails
     ``matcore.is_unitary`` at TOL_EQ, naming the block."""
-    bad = np.array([~matcore.is_unitary(np.array([g.unitaries[i] for g in elements]))
-                    for i in range(elements[0].descriptor.num_blocks)])
+    bad = np.array([~matcore.is_unitary(u) for u in g.unitaries])
     if np.any(bad):
         i = int(np.argmax(bad[:, np.argmax(np.any(bad, axis=0))]))
         raise InputError(f"matrix for block {i} is not unitary")
-

@@ -38,7 +38,7 @@ class Analysis:
 
     @cached_property
     def strong_qi(self):
-        """(strong?, CheckSet) of ``is_strongly_qi``."""
+        """(strong?, checks) of ``is_strongly_qi``."""
         return is_strongly_qi(self.table, self.tol_eq, self.tol_pos)
 
     @property
@@ -49,7 +49,7 @@ class Analysis:
     def a(self):
         """a_g for each group element, stacked in group order."""
         x = self.table.entries
-        return a_g(self.phi, self.group, self.roots, x, x[self.group.inv],
+        return a_g(self.phi, self.group.elements, self.roots, x, x[self.group.inv],
                    self.tol_eq, self.tol_pos)
 
     @cached_property

@@ -16,10 +16,10 @@ import numpy as np
 from . import matcore
 from .algebra import (AlgebraElement, State, batch_slices, evaluate, matrix_unit_basis,
                       stack, worst_op_norm)
-from .actions import apply, apply_all, predual
+from .actions import apply, predual
 from .cocycle import CocycleTable, random_probe, verify_cocycle_identity
 from .matcore import PreconditionError, TOL_EQ, TOL_POS
-from .reporting import Check, CheckSet, residual_check
+from .reporting import Check, residual_check
 
 
 def gamma_map(table: CocycleTable, i: int, a: AlgebraElement) -> AlgebraElement:
@@ -33,14 +33,14 @@ def _gamma_all(xi: AlgebraElement, group, a: AlgebraElement) -> AlgebraElement:
     the batch axes of ``a`` after it; ``xi`` is the table's entries
     gathered at ``group.inv``, so that ``xi[k]`` is x_{g^-1} for the
     element g with index k."""
-    return xi[(slice(None),) + (None,) * len(a.batch)] @ apply_all(group, a)
+    return xi[(slice(None),) + (None,) * len(a.batch)] @ apply(group.elements, a)
 
 
 # Random probes a, b of the Gamma laws; (iv) pairs the first two with the rest.
 N_PROBES = 4
 
 
-def gamma_properties_check(an, rng) -> CheckSet:
+def gamma_properties_check(an, rng) -> list:
     """The five algebraic properties of the Gamma maps, over the whole group.
 
     Each law is one expression on group-stacked elements.  A law over
@@ -50,7 +50,6 @@ def gamma_properties_check(an, rng) -> CheckSet:
     table, tol_eq = an.table, an.tol_eq
     phi, group, x = table.phi, table.group, table.entries
     xi, xi_inv = x[group.inv], table.inverses[group.inv]    # x_{g^-1}, its inverse
-    checks = CheckSet()
     probes = stack(random_probe(rng, phi.descriptor) for _ in range(N_PROBES))
     norms = [a.op_norm() for a in probes]
     gammas = _gamma_all(xi, group, probes)    # [g, p] = Gamma_g(a_p)
@@ -58,9 +57,9 @@ def gamma_properties_check(an, rng) -> CheckSet:
 
     # (i) Gamma_g(x_h) = x_{g^-1} g(x_h) = x_{h g^-1} is the chain rule at
     # g1 = g^-1, g2 = h, so its residual is that of the chain-rule sweep
-    checks.add(residual_check("gamma_permutes_cocycle", "Gamma_g(x_h) = x_{h g^-1}",
-                              verify_cocycle_identity(table, tol_eq).residual, tol_eq,
-                              table.lambda_bound))
+    checks = [residual_check("gamma_permutes_cocycle", "Gamma_g(x_h) = x_{h g^-1}",
+                             verify_cocycle_identity(table, tol_eq).residual, tol_eq,
+                             table.lambda_bound)]
 
     # (ii) Gamma_{gh} = Gamma_g o Gamma_h; ga[group.mult][g, h] is Gamma_{gh}(a)
     worst = 0.0
@@ -69,16 +68,16 @@ def gamma_properties_check(an, rng) -> CheckSet:
         sweep = worst_op_norm(ga[group.mult[:, hs]] - _gamma_all(xi, group, ga[hs])
                               for hs in pairs)
         worst = max(worst, sweep / max(1.0, norms[p]))
-    checks.add(residual_check("gamma_multiplicative", "Gamma_{gh} = Gamma_g Gamma_h",
-                              worst, tol_eq, table.lambda_bound ** 2))
+    checks.append(residual_check("gamma_multiplicative", "Gamma_{gh} = Gamma_g Gamma_h",
+                                 worst, tol_eq, table.lambda_bound ** 2))
 
     # (iii) phi o Gamma_g = phi, on the matrix units
     units = matrix_unit_basis(phi.descriptor)
     worst = max(float(np.max(np.abs(evaluate(phi, _gamma_all(xi, group, units[us]))
                                     - evaluate(phi, units[us]))))
                 for us in batch_slices(phi.descriptor.dim, group.order))
-    checks.add(residual_check("gamma_preserves_state", "phi(Gamma_g(a)) = phi(a)",
-                              worst, tol_eq))
+    checks.append(residual_check("gamma_preserves_state", "phi(Gamma_g(a)) = phi(a)",
+                                 worst, tol_eq))
 
     # (iv) Gamma_g(ab) = Gamma_g(a) (x_{g^-1})^-1 Gamma_g(b), with a among the
     # first two probes and b among the others
@@ -86,17 +85,17 @@ def gamma_properties_check(an, rng) -> CheckSet:
     diff = lhs - gammas[:, :2, None] @ xi_inv[:, None, None] @ gammas[:, None, 2:]
     worst = max(diff[:, i, j].op_norm() / max(1.0, norms[i] * norms[2 + j])
                 for i in range(2) for j in range(N_PROBES - 2))
-    checks.add(residual_check("gamma_twisted_product",
-                              "Gamma_g(ab) = Gamma_g(a) x_{g^-1}^-1 Gamma_g(b)",
-                              worst, tol_eq, table.lambda_bound ** 2))
+    checks.append(residual_check("gamma_twisted_product",
+                                 "Gamma_g(ab) = Gamma_g(a) x_{g^-1}^-1 Gamma_g(b)",
+                                 worst, tol_eq, table.lambda_bound ** 2))
 
     # (v) Gamma_g(a)* = (x_{g^-1})^-1 Gamma_g(a*) (x_{g^-1})*
     rhs = xi_inv[:, None] @ _gamma_all(xi, group, probes.adjoint()) @ xi.adjoint()[:, None]
     diff = gammas.adjoint() - rhs
     worst = max(diff[:, p].op_norm() / max(1.0, norms[p]) for p in range(N_PROBES))
-    checks.add(residual_check("gamma_adjoint",
-                              "Gamma_g(a)* = x_{g^-1}^-1 Gamma_g(a*) x_{g^-1}*",
-                              worst, tol_eq, table.lambda_bound ** 2))
+    checks.append(residual_check("gamma_adjoint",
+                                 "Gamma_g(a)* = x_{g^-1}^-1 Gamma_g(a*) x_{g^-1}*",
+                                 worst, tol_eq, table.lambda_bound ** 2))
     return checks
 
 
@@ -155,7 +154,7 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
         raise PreconditionError(f"rho d is not PSD: min eigenvalue {mn:.3e}")
     psi = State._unchecked(rho_psi.descriptor, rho_psi, mn)
 
-    inv_res = (apply_all(group, rho_psi) - rho_psi).op_norm()
+    inv_res = (apply(group.elements, rho_psi) - rho_psi).op_norm()
     # psi is sandwiched between phi/lambda and lambda*phi, hence faithful;
     # the check also asks that its min eigenvalue clear tol_pos
     shortfall = max(0.0, phi.min_eig / table.lambda_bound - mn)
@@ -198,21 +197,17 @@ def cocycle_from_d(table: CocycleTable, d: AlgebraElement, i: int,
     return x
 
 
-def strong_case_check(an) -> CheckSet:
+def strong_case_check(an) -> list:
     """Extra structure in the strongly quasi-invariant case: d is positive
     with spectrum in [1/lambda, lambda] and commutes with its orbit."""
     if not an.strong:
         raise PreconditionError("state is not strongly quasi-invariant")
     d, lam, tol_eq = an.certificate.d, an.table.lambda_bound, an.tol_eq
-    checks = CheckSet()
-    checks.add(residual_check("d_self_adjoint", "d = d*", d.herm_residual(),
-                              tol_eq, d.op_norm()))
     spectra = [matcore.herm_eig(b)[0] for b in d.blocks]
     lo, hi = min(float(w[0]) for w in spectra), max(float(w[-1]) for w in spectra)
-    checks.add(residual_check("d_spectrum_window", "1/lambda <= d <= lambda",
-                              max(0.0, 1.0 / lam - lo, hi - lam), tol_eq, lam))
-    orbit = apply_all(an.group, d)
-    worst = (d @ orbit - orbit @ d).op_norm()
-    checks.add(residual_check("d_orbit_commutes", "[d, g(d)] = 0",
-                              worst, tol_eq, d.op_norm() ** 2))
-    return checks
+    orbit = apply(an.group.elements, d)
+    return [residual_check("d_self_adjoint", "d = d*", d.herm_residual(), tol_eq, d.op_norm()),
+            residual_check("d_spectrum_window", "1/lambda <= d <= lambda",
+                           max(0.0, 1.0 / lam - lo, hi - lam), tol_eq, lam),
+            residual_check("d_orbit_commutes", "[d, g(d)] = 0",
+                           (d @ orbit - orbit @ d).op_norm(), tol_eq, d.op_norm() ** 2)]

@@ -1,6 +1,6 @@
 """Residual-check bookkeeping shared by the verification suites."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -38,20 +38,3 @@ def residual_check(name: str, law: str, residual: float, tol: float,
     return Check(name, law, float(residual), float(threshold),
                  float(residual) <= threshold, asserted, detail)
 
-
-@dataclass
-class CheckSet:
-    """A named bundle of checks; passes when every asserted check passes."""
-
-    checks: list = field(default_factory=list)
-
-    def add(self, check: Check):
-        self.checks.append(check)
-        return check
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.asserted)
-
-    def __iter__(self):
-        return iter(self.checks)

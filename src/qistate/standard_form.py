@@ -20,17 +20,18 @@ import numpy as np
 from . import matcore
 from .algebra import (AlgebraElement, State, batch_slices, density_power, identity,
                       matrix_unit_basis, vec, worst_op_norm)
-from .actions import Automorphism, FiniteGroup, apply_all, predual
+from .actions import Automorphism, FiniteGroup, apply, predual
 from .matcore import PreconditionError
-from .reporting import Check, CheckSet, residual_check
+from .reporting import Check, residual_check
 
 
-def a_g(phi: State, g, roots, x_g: AlgebraElement,
+def a_g(phi: State, g: Automorphism, roots, x_g: AlgebraElement,
         x_ginv: AlgebraElement, tol_eq: float, tol_pos: float) -> AlgebraElement:
     """Positive invertible a_g with rho^{1/2} a_g^2 rho^{1/2} = g^-1(rho),
     given ``roots`` = (rho^{1/2}, rho^{-1/2}) and the cocycle elements x_g
-    and x_{g^-1}.  For ``g`` the group, x_g and x_{g^-1} are stacks over it
-    and so is a_g; each test then raises for the first failing element.
+    and x_{g^-1}.  For ``g`` a stack of maps, such as the group's elements,
+    x_g, x_{g^-1} and a_g are stacks over it; each test then raises for the
+    first failing element.
 
     Also satisfies a_g^2 = rho^{1/2} x_g rho^{-1/2} and
     a_g^2 >= 1/||x_{g^-1}||.
@@ -64,7 +65,7 @@ def spatial_factors(group: FiniteGroup, roots, a: AlgebraElement, tol_eq: float)
     ||U_g||^2 = ||v_g v_g*|| = ||v_g||^2."""
     root, root_inv = roots
     w = root @ a
-    v = apply_all(group, root_inv)[group.inv] @ w
+    v = apply(group.elements, root_inv)[group.inv] @ w
     vv = v @ v.adjoint()
     res, sq = (vv - identity(a.descriptor)).op_norms(), vv.op_norms()
     bad = res > tol_eq * np.maximum(1.0, sq)
@@ -86,7 +87,7 @@ def group_unitaries(group: FiniteGroup, root_inv: AlgebraElement, w: AlgebraElem
     return [u_g(g, root_inv, wg) for g, wg in zip(group.elements, w)]
 
 
-def verify_unitarity(an) -> CheckSet:
+def verify_unitarity(an) -> list:
     """U_g* U_g = 1 and U_g U_g* = 1 over the whole group.
 
     By R(y) R(z) = R(zy) and A(g) R(z) A(g^-1) = R(g(z)),
@@ -97,12 +98,9 @@ def verify_unitarity(an) -> CheckSet:
     ||v_g v_g* - 1|| and ||v_g* v_g - 1||; ``spatial_factors`` took the first.
     """
     _, v, isometry = an.factors
-    checks = CheckSet()
-    checks.add(residual_check("unitary_isometry", "U_g* U_g = 1", isometry, an.tol_eq))
-    checks.add(residual_check("unitary_surjective", "U_g U_g* = 1",
-                              (v.adjoint() @ v - identity(an.phi.descriptor)).op_norm(),
-                              an.tol_eq))
-    return checks
+    return [residual_check("unitary_isometry", "U_g* U_g = 1", isometry, an.tol_eq),
+            residual_check("unitary_surjective", "U_g U_g* = 1",
+                           (v.adjoint() @ v - identity(an.phi.descriptor)).op_norm(), an.tol_eq)]
 
 
 def verify_covariance(an) -> Check:
@@ -132,7 +130,7 @@ def verify_representation(an) -> Check:
     group, strong, (w, v, _) = an.group, an.strong, an.factors
     z = v @ an.roots[1]
     # entry [g, h] against v at mult[h, g], the index of hg
-    worst = worst_op_norm(apply_all(group, z[hs])[group.inv] @ w[:, None]
+    worst = worst_op_norm(apply(group.elements, z[hs])[group.inv] @ w[:, None]
                           - v[group.mult[hs].T]
                           for hs in batch_slices(group.order, group.order))
     return residual_check("representation", "U_g U_h = U_{hg}", worst, an.tol_eq,
@@ -147,7 +145,7 @@ def gamma_factorization(an):
     Verifies rho_psi = gamma rho gamma*, d* = gamma sigma_{-i}(gamma*)
     for the linking element d = rho^-1 rho_psi, and
     x_g* = gamma_g sigma_{-i}(gamma_g*) with gamma_g = g^-1(gamma^-1) gamma
-    over the group.  Returns (gamma, d, CheckSet).
+    over the group.  Returns (gamma, d, checks).
     """
     tol_eq, tol_pos = an.tol_eq, an.tol_pos
     psi = an.certificate.psi
@@ -160,52 +158,44 @@ def gamma_factorization(an):
     if d.min_sv() <= tol_pos * max(1.0, d.op_norm()):
         raise PreconditionError("linking element d = rho^-1 rho_psi is singular")
 
-    checks = CheckSet()
-    checks.add(residual_check("gamma_root_link", "rho_psi^{1/2} = gamma rho^{1/2}",
-                              (psi_root - gamma @ root).op_norm(), tol_eq,
-                              psi_root.op_norm()))
-    checks.add(residual_check("gamma_density_link", "rho_psi = gamma rho gamma*",
-                              (rho_psi - gamma @ rho @ gamma.adjoint()).op_norm(),
-                              tol_eq, rho_psi.op_norm()))
-
     def sigma_minus_i(x):
         return rho @ x @ rho_inv
 
-    lhs = d.adjoint()
-    rhs = gamma @ sigma_minus_i(gamma.adjoint())
-    checks.add(residual_check("d_factorization", "d* = gamma sigma_{-i}(gamma*)",
-                              (lhs - rhs).op_norm(), tol_eq, d.op_norm()))
-
     group, x = an.group, an.table.entries
-    gamma_g = apply_all(group, gamma.inv())[group.inv] @ gamma
-    worst = (x.adjoint() - gamma_g @ sigma_minus_i(gamma_g.adjoint())).op_norm()
-    scale = max(1.0, x.op_norm())
-    checks.add(residual_check("cocycle_factorization",
-                              "x_g* = gamma_g sigma_{-i}(gamma_g*)",
-                              worst, tol_eq, scale))
-    return gamma, d, checks
+    gamma_g = apply(group.elements, gamma.inv())[group.inv] @ gamma
+    return gamma, d, [
+        residual_check("gamma_root_link", "rho_psi^{1/2} = gamma rho^{1/2}",
+                       (psi_root - gamma @ root).op_norm(), tol_eq, psi_root.op_norm()),
+        residual_check("gamma_density_link", "rho_psi = gamma rho gamma*",
+                       (rho_psi - gamma @ rho @ gamma.adjoint()).op_norm(), tol_eq,
+                       rho_psi.op_norm()),
+        residual_check("d_factorization", "d* = gamma sigma_{-i}(gamma*)",
+                       (d.adjoint() - gamma @ sigma_minus_i(gamma.adjoint())).op_norm(), tol_eq,
+                       d.op_norm()),
+        residual_check("cocycle_factorization", "x_g* = gamma_g sigma_{-i}(gamma_g*)",
+                       (x.adjoint() - gamma_g @ sigma_minus_i(gamma_g.adjoint())).op_norm(),
+                       tol_eq, max(1.0, an.table.entry_norm))]
 
 
-def lemma_chain_checks(an) -> CheckSet:
+def lemma_chain_checks(an) -> list:
     """Density identities tying the predual action, a_g and the cocycle:
     g^*(rho) = rho^{1/2} a_g^2 rho^{1/2} = x_g* rho = rho x_g; in the strong
     case additionally a_g = x_g^{1/2} and a_g rho^{1/2} = rho^{1/2} a_g."""
     rho, strong, tol_eq, tol_pos = an.phi.density, an.strong, an.tol_eq, an.tol_pos
     root, a, x, group = an.roots[0], an.a, an.table.entries, an.group
-    target = apply_all(group, rho)[group.inv]
-    scale = max(1.0, x.op_norm())
-    checks = CheckSet()
-    checks.add(residual_check("predual_via_a_g", "g^*(rho) = rho^{1/2} a_g^2 rho^{1/2}",
-                              (target - root @ a @ a @ root).op_norm(), tol_eq, scale))
-    checks.add(residual_check("predual_via_x_g", "g^*(rho) = x_g* rho",
-                              (target - x.adjoint() @ rho).op_norm(), tol_eq, scale))
-    checks.add(residual_check("density_intertwine", "x_g* rho = rho x_g",
-                              (x.adjoint() @ rho - rho @ x).op_norm(), tol_eq, scale))
+    target = apply(group.elements, rho)[group.inv]
+    scale = max(1.0, an.table.entry_norm)
+    checks = [residual_check("predual_via_a_g", "g^*(rho) = rho^{1/2} a_g^2 rho^{1/2}",
+                             (target - root @ a @ a @ root).op_norm(), tol_eq, scale),
+              residual_check("predual_via_x_g", "g^*(rho) = x_g* rho",
+                             (target - x.adjoint() @ rho).op_norm(), tol_eq, scale),
+              residual_check("density_intertwine", "x_g* rho = rho x_g",
+                             (x.adjoint() @ rho - rho @ x).op_norm(), tol_eq, scale)]
     if strong:
         xr = AlgebraElement._unchecked(
             an.phi.descriptor, [matcore.psd_sqrt(b, tol_pos=tol_pos) for b in x.blocks])
-        checks.add(residual_check("a_g_is_root", "a_g = x_g^{1/2}",
-                                  (a - xr).op_norm(), tol_eq, scale))
-        checks.add(residual_check("a_g_root_commute", "a_g rho^{1/2} = rho^{1/2} a_g",
-                                  (a @ root - root @ a).op_norm(), tol_eq, scale))
+        checks.append(residual_check("a_g_is_root", "a_g = x_g^{1/2}",
+                                     (a - xr).op_norm(), tol_eq, scale))
+        checks.append(residual_check("a_g_root_commute", "a_g rho^{1/2} = rho^{1/2} a_g",
+                                     (a @ root - root @ a).op_norm(), tol_eq, scale))
     return checks

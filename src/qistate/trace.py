@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, State, require_faithful
-from .actions import FiniteGroup, apply_all
+from .actions import FiniteGroup, apply
 from .matcore import PreconditionError
-from .reporting import Check, CheckSet, residual_check
+from .reporting import Check, residual_check
 
 
 @dataclass
@@ -57,25 +57,22 @@ def trace_density(phi: State, tau: TraceFunctional, tol_pos: float) -> AlgebraEl
                                      [b / w for b, w in zip(phi.density.blocks, tau.weights)])
 
 
-def verify_density_relations(an) -> CheckSet:
+def verify_density_relations(an) -> list:
     """Predual and intertwining relations of the trace density with the cocycle."""
     c, table, tol_eq = an.c, an.table, an.tol_eq
     group, x = table.group, table.entries
     scale = max(1.0, table.lambda_bound * c.op_norm())
-    checks = CheckSet()
     # predual of g^-1 acting on densities is g itself
-    checks.add(residual_check("trace_density_predual", "(g^-1)^*(c) = c x_{g^-1}",
-                              (apply_all(group, c) - c @ x[group.inv]).op_norm(),
-                              tol_eq, scale))
-    checks.add(residual_check("trace_density_intertwine", "x_g* c = c x_g",
-                              (x.adjoint() @ c - c @ x).op_norm(), tol_eq, scale))
-    return checks
+    return [residual_check("trace_density_predual", "(g^-1)^*(c) = c x_{g^-1}",
+                           (apply(group.elements, c) - c @ x[group.inv]).op_norm(), tol_eq, scale),
+            residual_check("trace_density_intertwine", "x_g* c = c x_g",
+                           (x.adjoint() @ c - c @ x).op_norm(), tol_eq, scale)]
 
 
 def trace_invariance_check(an, probes) -> Check:
     """tau(g(a)) = tau(a) for each probe a over the whole group at once."""
     tau = an.tau
-    worst = max(float(np.max(np.abs(tau(apply_all(an.group, a)) - tau(a)))) for a in probes)
+    worst = max(float(np.max(np.abs(tau(apply(an.group.elements, a)) - tau(a)))) for a in probes)
     return residual_check("trace_invariance", "tau(g(a)) = tau(a)", worst, an.tol_eq)
 
 

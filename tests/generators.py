@@ -42,6 +42,11 @@ def dense_unitaries(an) -> list:
     return group_unitaries(an.group, an.roots[1], an.factors[0])
 
 
+def all_passed(checks) -> bool:
+    """Every asserted check of a suite's list passes."""
+    return all(c.passed for c in checks if c.asserted)
+
+
 def state_from_density(density: AlgebraElement) -> State:
     return State(density.descriptor, density)
 
@@ -266,7 +271,7 @@ def instance_to_json(phi: State, generators) -> dict:
         "algebra": {"block_dims": list(phi.descriptor.block_dims)},
         "state": {"density": element_to_json(phi.density)},
         "group": {"generators": [
-            {"perm": list(g.perm),
+            {"perm": g.perm.tolist(),
              "unitaries": [matrix_to_json(u) for u in g.unitaries]}
             for g in generators]},
         "tolerances": {"tol_eq": TOL_EQ, "tol_pos": TOL_POS},

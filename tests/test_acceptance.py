@@ -29,8 +29,8 @@ from qistate.standard_form import (gamma_factorization, lemma_chain_checks,
                                    verify_covariance, verify_representation)
 from qistate.trace import (invariant_trace, is_center_ergodic, trace_density,
                            verify_density_relations)
-from generators import (c2_swap_instance, dense_unitaries, m2m2_swap_instance, nonstrong_instance,
-                        permutation_generator, qubit_instance, random_instance,
+from generators import (all_passed, c2_swap_instance, dense_unitaries, m2m2_swap_instance,
+                        nonstrong_instance, permutation_generator, qubit_instance, random_instance,
                         random_strong_instance, state_from_density)
 from test_trace import invariance_solution_space
 
@@ -141,7 +141,7 @@ def test_criterion_4_strong_structure(strong_family):
         for g in inst.group.elements:
             gd = apply(g, d)
             assert (d @ gd - gd @ d).op_norm() < TOL * max(1.0, d.op_norm() ** 2)
-        assert strong_case_check(an).passed
+        assert all_passed(strong_case_check(an))
     report("criterion 4: strong case gives spectra inside [1/lambda, lambda] "
            "and a commuting orbit of d", True,
            f"{len(instances)} instances")
@@ -164,9 +164,9 @@ def test_criterion_5_spatial_implementation(strong_family):
         assert cov.passed
         worst = max(worst, cov.residual)
         chain = lemma_chain_checks(an)
-        assert chain.passed, [(c.name, c.residual) for c in chain]
+        assert all_passed(chain), [(c.name, c.residual) for c in chain]
         _, _, gchecks = gamma_factorization(an)
-        assert gchecks.passed, [(c.name, c.residual) for c in gchecks]
+        assert all_passed(gchecks), [(c.name, c.residual) for c in gchecks]
         rep = verify_representation(an)
         if strong:
             assert rep.passed and rep.residual < TOL
@@ -192,10 +192,10 @@ def test_criterion_6_expectation_suite():
     for inst in instances:
         an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
         checks = expectation_checks(an, probe_rng)
-        assert checks.passed, [(c.name, c.residual) for c in checks]
+        assert all_passed(checks), [(c.name, c.residual) for c in checks]
         worst = max(worst, max(c.residual for c in checks))
         ks = verify_ks(an)
-        assert ks.passed, [(c.name, c.residual) for c in ks]
+        assert all_passed(ks), [(c.name, c.residual) for c in ks]
         worst = max(worst, max(c.residual for c in ks))
         f0 = an.f0
         assert f0.identity_residual < TOL, (inst.descriptor.block_dims,
@@ -226,7 +226,7 @@ def test_criterion_7_invariant_trace():
             assert diff < TOL
         an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
         rel = verify_density_relations(an)
-        assert rel.passed, [(ch.name, ch.residual) for ch in rel]
+        assert all_passed(rel), [(ch.name, ch.residual) for ch in rel]
         worst = max(worst, max(c.residual for c in rel) / max(1.0, an.table.lambda_bound))
     report("criterion 7: unique invariant trace and its density relations "
            "on center-ergodic instances", worst < TOL,

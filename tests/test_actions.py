@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qistate import actions
-from qistate.actions import (Automorphism, apply, apply_all, close_group, compose,
-                             equal_as_maps, identity_automorphism, inverse, predual)
+from qistate.actions import (Automorphism, apply, close_group, compose, equal_as_maps,
+                             identity_automorphism, inverse, predual, stack_maps)
 from qistate.algebra import AlgebraDescriptor, AlgebraElement, identity, stack, vec
 from qistate.cli import parse_instance
 from qistate.matcore import InputError, TOL_EQ
@@ -165,20 +165,47 @@ def test_hs_matrix_of_automorphisms_is_multiplicative(dims, seed):
 cyclable_dims = block_dims | st.integers(1, 3).map(lambda n: (n, n, n))
 
 
+def same_bits(x, y) -> bool:
+    """Equal arrays, or elements or automorphisms with equal arrays."""
+    if isinstance(x, AlgebraElement):
+        return all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
+    return (np.array_equal(x.perm, y.perm) and np.array_equal(x.inv_perm, y.inv_perm)
+            and all(np.array_equal(a, b) for a, b in zip(x.unitaries, y.unitaries)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(cyclable_dims, seeds, st.integers(0, 3))
-def test_apply_all_matches_apply(dims, seed, batch):
-    # batch 0: the blocks of one element; otherwise a leading axis of that size
+def test_stack_gives_the_bits_of_one_map_at_a_time(dims, seed, batch):
+    # batch 0: one element; otherwise a stack of that many
     rng = np.random.default_rng(seed)
     desc = AlgebraDescriptor(dims)
-    group = random_group(rng, desc)
+    gs = random_group(rng, desc).elements
     elements = [random_element(rng, desc) for _ in range(max(batch, 1))]
-    out = apply_all(group, stack(elements) if batch else elements[0])
-    for k, g in enumerate(group.elements):
-        for b, a in enumerate(elements):
-            got = out[k, b] if batch else out[k]
-            assert (got - apply(g, a)).op_norm() <= 1e-12
-    assert out.batch == (group.order,) + ((batch,) if batch else ())
+    a = stack(elements) if batch else elements[0]
+    # apply: the axis of the maps first, then the batch axes of a
+    out = apply(gs, a)
+    assert out.batch == (len(gs),) + a.batch
+    assert all(same_bits(out[k], apply(g, a)) for k, g in enumerate(gs))
+    # predual: a passed to every map, or a stack paired with the maps
+    out = predual(gs, a[None])
+    assert out.batch == (len(gs),) + a.batch
+    assert all(same_bits(out[k], predual(g, a)) for k, g in enumerate(gs))
+    paired = stack(random_element(rng, desc) for _ in gs)
+    assert all(same_bits(predual(gs, paired)[k], predual(g, paired[k]))
+               for k, g in enumerate(gs))
+    # compose: every g_k o h_s, k-major
+    hs = gs[rng.permutation(len(gs))[:3]]
+    prod = compose(gs, hs)
+    assert prod.batch == (len(gs) * len(hs),)
+    assert all(same_bits(prod[k * len(hs) + s], compose(g, h))
+               for k, g in enumerate(gs) for s, h in enumerate(hs))
+    assert all(same_bits(compose(g, hs)[s], compose(g, h))
+               for g in gs for s, h in enumerate(hs))
+    # equal_as_maps: entry by entry
+    shuffled = gs[rng.permutation(len(gs))]
+    got = equal_as_maps(gs, shuffled)
+    assert got.shape == (len(gs),)
+    assert got.tolist() == [bool(equal_as_maps(g, h)) for g, h in zip(gs, shuffled)]
 
 
 def test_equal_as_maps_phase_freedom(rng):
@@ -205,11 +232,11 @@ def pair_is_equal_as_maps(g, h, tol):
         if abs(t) < 0.5 or np.linalg.svd(w - t / abs(t) * np.eye(n),
                                          compute_uv=False)[0] > tol * max(1.0, n):
             return False
-    return g.perm == h.perm
+    return np.array_equal(g.perm, h.perm)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])
-def test_equal_as_maps_of_lists_decides_each_pair(rng, tol):
+def test_equal_as_maps_of_stacks_decides_each_pair(rng, tol):
     # two blocks of each dimension, so that pairs differ in permutation or
     # in blocks; each turned copy has one block turned near the tolerance
     desc = AlgebraDescriptor((2, 2, 3, 3))
@@ -220,10 +247,12 @@ def test_equal_as_maps_of_lists_decides_each_pair(rng, tol):
         b = rng.integers(len(us))
         us[b] = us[b] @ random_unitary_near_one(rng, len(us[b]), tol)
         turned.append(Automorphism(desc, g.perm, us))
-    pairs = [(a, b) for a in grp.elements for b in grp.elements + turned]
-    got = equal_as_maps([a for a, _ in pairs], [b for _, b in pairs], tol)
-    assert got.tolist() == [pair_is_equal_as_maps(a, b, tol) for a, b in pairs]
-    own_copy = equal_as_maps(grp.elements, turned, tol)
+    both = stack_maps(list(grp.elements) + turned)
+    a, b = np.divmod(np.arange(2 * grp.order ** 2), 2 * grp.order)
+    got = equal_as_maps(grp.elements[a], both[b], tol)
+    assert got.tolist() == [pair_is_equal_as_maps(grp.elements[i], both[j], tol)
+                            for i, j in zip(a, b)]
+    own_copy = equal_as_maps(grp.elements, stack_maps(turned), tol)
     assert 0 < np.count_nonzero(own_copy) < grp.order
 
 
@@ -384,7 +413,7 @@ def assert_matches_reference(generators, tol=TOL_EQ):
     elements, mult, inv = reference_closure(generators, tol=tol)
     assert grp.order == len(elements)
     for e, r in zip(grp.elements, elements):
-        assert e.perm == r.perm
+        assert np.array_equal(e.perm, r.perm)
         for ue, ur in zip(e.unitaries, r.unitaries):
             assert np.array_equal(ue, ur)
     assert grp.mult.dtype == mult.dtype
@@ -456,14 +485,14 @@ def test_closure_composes_once_per_element_and_generator(monkeypatch):
     calls = []
 
     def counting(g, h):
-        # one entry per product: the closure composes a whole layer per call
-        calls.extend(g if isinstance(g, list) else [g])
+        # the closure composes a whole layer with every generator per call
+        calls.append(len(g) * len(h))
         return compose(g, h)
 
     monkeypatch.setattr(actions, "compose", counting)
     gens = weyl_generators(5)
     grp = close_group(gens)
-    assert len(calls) == (grp.order - 1) * len(gens)
+    assert sum(calls) == (grp.order - 1) * len(gens)
 
 
 def find(index, g):
@@ -471,7 +500,7 @@ def find(index, g):
     a lookup without insertion, in the neighbouring cells."""
     if g.descriptor != index.descriptor:
         return -1
-    return next((i for i in index.near(index.keys([g])[0])
+    return next((i for i in index.near(index.keys(g[None])[0])
                  if equal_as_maps(index.elements[i], g, index.tol)), -1)
 
 
@@ -508,9 +537,9 @@ def test_maps_perturbed_within_tol_deduplicate(rng, tol):
     for i, g in enumerate(grp.elements):
         for _ in range(4):
             h = edge_perturbation(rng, index, g, tol)
-            gap = np.subtract(*index.fingerprints([g, h]))
+            gap = np.subtract(*index.fingerprints(stack_maps([g, h])))
             widest = max(widest, abs(gap.real), abs(gap.imag))
-            crossed += index.keys([g]) != index.keys([h])
+            crossed += index.keys(g[None]) != index.keys(h[None])
             assert find(index, h) == i
     # the derived cell width bounds the gap, and is not loose by much
     assert 0.25 * index.width < widest <= index.width

@@ -30,18 +30,19 @@ def per_visit_closure(generators, cap=10000, tol=TOL_EQ):
     """Breadth-first closure one product at a time; returns (elements, mult, inv)."""
     desc = generators[0].descriptor
     index = MapIndex(desc, tol)
-    ident = identity_automorphism(desc)
-    index.add(ident, index.keys([ident])[0])
-    elements = index.elements
+    ident = identity_automorphism(desc)[None]
+    index.add(ident, index.keys(ident))
     right, parent, via, frontier = [[0] * len(generators)], [0], [0], []
 
     def visit(k, s, g, check_cap):
-        key = index.keys([g])[0]
-        j = next((i for i in index.near(key) if equal_as_maps(elements[i], g, index.tol)), -1)
+        key = index.keys(g[None])[0]
+        j = next((i for i in index.near(key)
+                  if equal_as_maps(index.elements[i], g, index.tol)), -1)
         if j < 0:
-            if check_cap and len(elements) >= cap:
+            if check_cap and index.size >= cap:
                 raise InputError(f"group not finite at cap {cap}")
-            j = index.add(g, key)
+            j = index.size
+            index.add(g[None], [key])
             right.append([0] * len(generators))
             parent.append(k)
             via.append(s)
@@ -54,11 +55,11 @@ def per_visit_closure(generators, cap=10000, tol=TOL_EQ):
         layer, frontier = frontier, []
         for k in layer:
             for s, gen in enumerate(generators):
-                visit(k, s, compose(elements[k], gen), check_cap=True)
+                visit(k, s, compose(index.elements[k], gen), check_cap=True)
         if frontier:
-            actions._require_unitary(elements[frontier[0]:])
+            actions._require_unitary(index.elements[frontier[0]:])
 
-    n = len(elements)
+    n = index.size
     right = np.array(right, dtype=int)
     mult = np.empty((n, n), dtype=int)
     mult[:, 0] = np.arange(n)
@@ -71,14 +72,15 @@ def per_visit_closure(generators, cap=10000, tol=TOL_EQ):
         raise InputError(f"closure is inconsistent at tol_eq {tol:.3g}: element {k} has "
                          f"{counts[k]} inverses, not one; try a smaller --tol-eq")
     inv = [int(i) for i in np.argmax(is_identity, axis=1)]
-    return elements, mult, inv
+    return index.elements, mult, inv
 
 
 def assert_same_closure(generators, **kwargs):
     grp = close_group(generators, **kwargs)
     elements, mult, inv = per_visit_closure(generators, **kwargs)
     assert grp.order == len(elements)
-    assert all(e.perm == r.perm and equal_as_maps(e, r) for e, r in zip(grp.elements, elements))
+    assert np.array_equal(grp.elements.perm, elements.perm)
+    assert np.all(equal_as_maps(grp.elements, elements))
     assert np.array_equal(grp.mult, mult)
     assert grp.inv == inv
     return grp

@@ -412,10 +412,11 @@ def test_random_instances_move_blocks_and_do_not_commute():
     for dims in ((2, 2, 2), (3, 3)):
         group = _random(dims, 0).group
         assert np.any(group.mult != group.mult.T)
-        assert any(g.perm != tuple(range(len(dims))) for g in group.elements)
+        assert np.any(group.elements.perm != np.arange(len(dims)))
         assert any(np.linalg.norm(u - np.eye(len(u))) > 1e-3
                    for g in group.elements for u in g.unitaries)
-    assert any(g.perm != g.inv_perm for g in _random((2, 2, 2), 0).group.elements)
+    elements = _random((2, 2, 2), 0).group.elements
+    assert np.any(elements.perm != elements.inv_perm)
 
 
 def check_probes(desc, seed=11, n=8):
@@ -516,8 +517,8 @@ def test_a_g_errors_come_in_loop_order(analysis):
     # x_{g^-1} raises the lower bound 1/||x_{g^-1}|| above a_g^2
     for deviates, lost in ((1, 2), (2, 1)):
         bad_x, bad_inv = scaled(x, deviates, 1.5), scaled(x_inv, lost, 0.1)
-        text = error_text(lambda: a_g(analysis.phi, group, analysis.roots, bad_x, bad_inv,
-                                      TOL_EQ, TOL_POS))
+        text = error_text(lambda: a_g(analysis.phi, group.elements, analysis.roots, bad_x,
+                                      bad_inv, TOL_EQ, TOL_POS))
         assert text == error_text(lambda: reference_a(analysis, bad_x, bad_inv))
         texts.add(text.split(" by ")[0])
     assert texts == {"a_g^2 deviates from the half-flowed cocycle",
@@ -669,7 +670,7 @@ def test_mean_formula_reduction_matches_dense_products(analysis):
     rng = random.Random(3)
     w = an.factors[0] @ stack(identity(desc) + 0.05 * random_probe(rng, desc)
                               for _ in range(group.order))
-    v = actions.apply_all(group, an.roots[1])[group.inv] @ w
+    v = actions.apply(group.elements, an.roots[1])[group.inv] @ w
     an.factors = (w, v, an.factors[2])
     an.strong_qi = (True, an.strong_qi[1])
     reference = reference_verify_ks(an)

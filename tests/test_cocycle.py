@@ -9,7 +9,7 @@ from qistate.cocycle import (build_table, is_strongly_qi,
                              sz_domination, verify_adjoint_relation,
                              verify_cocycle_identity, verify_inverse_formula)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
-from generators import (hadamard2, inner_generator, random_instance,
+from generators import (all_passed, hadamard2, inner_generator, random_instance,
                         random_strong_instance, state_from_density)
 
 
@@ -132,7 +132,7 @@ def test_base_change_consistency(rng):
 def test_is_strongly_qi_qubit(qubit):
     table = build_table(qubit.phi, qubit.group)
     strong, checks = is_strongly_qi(table, TOL_EQ, TOL_POS)
-    assert strong and checks.passed
+    assert strong and all_passed(checks)
     # spectrum window [1/lambda, lambda] = [1/2, 2]
     spec = np.linalg.eigvalsh(table.entries[1].blocks[0])
     assert spec.min() >= 0.5 - 1e-12 and spec.max() <= 2.0 + 1e-12
@@ -157,7 +157,7 @@ def test_is_strongly_qi_trivially_true_for_invariant():
     phi = state_from_density(AlgebraElement(desc, [np.eye(2) / 2]))
     grp = close_group([inner_generator(desc, 0, np.array([[0, 1.], [1., 0]]))], cap=4)
     strong, checks = is_strongly_qi(build_table(phi, grp), TOL_EQ, TOL_POS)
-    assert strong and checks.passed
+    assert strong and all_passed(checks)
 
 
 def test_sz_domination_identity_is_equality(qubit, probe_rng):
@@ -220,7 +220,7 @@ def test_strong_instances_are_strong(rng):
     for _ in range(8):
         inst = random_strong_instance(rng)
         strong, checks = is_strongly_qi(build_table(inst.phi, inst.group), TOL_EQ, TOL_POS)
-        assert strong and checks.passed
+        assert strong and all_passed(checks)
 
 
 def matrix_unit_defect(phi, g, x):

@@ -91,13 +91,16 @@ def test_unboundedness_witness_values():
     # at t = 0 both sups are 1 = 1 + t^2 exactly
     w0 = unboundedness_witness(0.0)
     assert w0.passed and w0.residual == 0.0 and w0.name == "unbounded_witness_t0"
-    # the residual is 1 + t^2 less the smaller of the two sups on the grid
+    # the residual is how far the smaller of the two sups on the grid falls
+    # short of 1 + t^2: a defect, 0 where the grid sups exceed 1 + t^2
     for t in (3.0, 10.0):
         grid = symmetric_grid(100.0, 4001, extra=(-t, 0.0, t))
         x = translation_cocycle(t)(grid)
         w = unboundedness_witness(t)
         assert w.passed and w.threshold == 1e-9
-        assert w.residual == 1.0 + t * t - min(np.max(x), np.max(1.0 / x))
+        assert w.residual == max(0.0, 1.0 + t * t - min(np.max(x), np.max(1.0 / x)))
+    # on the default grid the sups of x_3 exceed 1 + 3^2
+    assert unboundedness_witness(3.0).residual == 0.0
 
 
 def test_witness_grows_without_bound():

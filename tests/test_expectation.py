@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qistate.algebra import AlgebraDescriptor, AlgebraElement, density_power, identity, vec
-from qistate.actions import apply, apply_all, close_group
+from qistate.actions import apply, close_group
 from qistate.analysis import Analysis
 from qistate.expectation import (FixedAlgebra, commutant_f0, cond_expectation,
                                  e0_projection, expectation_checks, fixed_algebra,
                                  projection_residual, uniqueness_probe, verify_ks)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS, dagger, psd_sqrt
-from generators import (conjugate_generator, dense_unitaries, hs_matrix, inner_generator,
-                        left_mult_matrix, permutation_generator, random_faithful_density,
-                        random_instance, random_strong_instance, random_unitary,
-                        shift_matrix, state_from_density, trivial_group)
+from generators import (all_passed, conjugate_generator, dense_unitaries, hs_matrix,
+                        inner_generator, left_mult_matrix, permutation_generator,
+                        random_faithful_density, random_instance, random_strong_instance,
+                        random_unitary, shift_matrix, state_from_density, trivial_group)
 
 
 # -- the stacked kernels that the two-pass routine replaced --------------------
@@ -34,7 +34,7 @@ def reference_projections(an):
     """Projections onto B and onto ran E0, each from one stacked kernel over
     every element but the identity: of A(g) - 1, and of the dense U_g - 1."""
     desc, group = an.phi.descriptor, an.group
-    actions = hs_matrix(desc, lambda units: apply_all(group, units))
+    actions = hs_matrix(desc, lambda units: apply(group.elements, units))
     b = reference_fixed_vectors(actions[1:], desc.dim, an.tol_pos)
     e0 = reference_fixed_vectors(dense_unitaries(an)[1:], desc.dim, an.tol_pos)
     return b @ dagger(b), e0 @ dagger(e0)
@@ -157,7 +157,7 @@ def test_cond_expectation_rejects_non_invariant_state(qubit):
     # the qubit group does not leave invariant
     cert = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS).certificate
     rho = qubit.phi.density
-    res = (apply_all(qubit.group, rho) - rho).op_norm()
+    res = (apply(qubit.group.elements, rho) - rho).op_norm()
     invariance = dataclasses.replace(cert.invariance, residual=res,
                                      passed=res <= TOL_EQ * max(1.0, rho.op_norm()))
     cert = dataclasses.replace(cert, psi=qubit.phi, invariance=invariance)
@@ -169,7 +169,7 @@ def test_cond_expectation_rejects_non_invariant_state(qubit):
 def test_expectation_defining_properties(rng, probe_rng):
     inst = random_strong_instance(rng)
     checks = expectation_checks(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS), probe_rng)
-    assert checks.passed, [(c.name, c.residual) for c in checks]
+    assert all_passed(checks), [(c.name, c.residual) for c in checks]
 
 
 def test_expectation_contraction_and_group_invariance(rng):
@@ -242,18 +242,18 @@ def test_verify_ks_invariant_case_reduces():
     phi = state_from_density(AlgebraElement(desc, [np.eye(2) / 2]))
     grp = close_group([inner_generator(desc, 0, np.array([[0, 1.], [1., 0]]))], cap=4)
     checks = verify_ks(Analysis(phi, grp, TOL_EQ, TOL_POS))
-    assert checks.passed and max(c.residual for c in checks) <= 1e-12
+    assert all_passed(checks) and max(c.residual for c in checks) <= 1e-12
 
 
 def test_verify_ks_qubit(qubit):
     checks = verify_ks(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS))
-    assert checks.passed and max(c.residual for c in checks) < 1e-12
+    assert all_passed(checks) and max(c.residual for c in checks) < 1e-12
 
 
 def test_verify_ks_random_strong(rng):
     inst = random_strong_instance(rng)
     checks = verify_ks(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS))
-    assert checks.passed, [(c.name, c.residual) for c in checks]
+    assert all_passed(checks), [(c.name, c.residual) for c in checks]
 
 
 def test_verify_ks_rejects_non_strong(nonstrong):
@@ -276,7 +276,6 @@ def test_commutant_f0_trivial_group():
 def test_commutant_f0_qubit(qubit):
     report = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS).f0
     assert report.identity_residual < 1e-10
-    assert report.commutation_residual < 1e-10
     # B = span{1, X} is abelian of dim 2; B' in M_4 has dimension 8
     assert report.commutant_dim == 8
 

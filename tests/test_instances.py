@@ -4,7 +4,7 @@ from qistate.actions import equal_as_maps, identity_automorphism, predual
 from qistate.algebra import evaluate
 from qistate.cocycle import build_table, is_strongly_qi
 from qistate.matcore import TOL_EQ, TOL_POS
-from generators import (clock_matrix, qubit_instance, random_descriptor, random_group,
+from generators import (all_passed, clock_matrix, qubit_instance, random_descriptor, random_group,
                         random_instance, random_strong_instance, shift_matrix)
 
 
@@ -45,7 +45,7 @@ def test_random_strong_instance_is_strong(rng):
     for _ in range(10):
         inst = random_strong_instance(rng)
         strong, checks = is_strongly_qi(build_table(inst.phi, inst.group), TOL_EQ, TOL_POS)
-        assert strong and checks.passed
+        assert strong and all_passed(checks)
 
 
 def test_strong_instance_model_data_consistent(rng):

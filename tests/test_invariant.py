@@ -11,7 +11,7 @@ from qistate.invariant import (cocycle_from_d, fixed_density_d, gamma_map,
                                gamma_properties_check, invariant_state,
                                strong_case_check)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
-from generators import (inner_generator, random_instance, random_strong_instance,
+from generators import (all_passed, inner_generator, random_instance, random_strong_instance,
                         state_from_density)
 
 
@@ -56,19 +56,19 @@ def test_gamma_properties_trivial_group(probe_rng):
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([inner_generator(desc, 0, np.eye(2))], cap=2)
     checks = gamma_properties_check(Analysis(phi, grp, TOL_EQ, TOL_POS), probe_rng)
-    assert checks.passed and max(c.residual for c in checks) <= 1e-12
+    assert all_passed(checks) and max(c.residual for c in checks) <= 1e-12
 
 
 def test_gamma_properties_qubit(qubit, probe_rng):
     checks = gamma_properties_check(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS),
                                     probe_rng)
-    assert checks.passed and max(c.residual for c in checks) < 1e-12
+    assert all_passed(checks) and max(c.residual for c in checks) < 1e-12
 
 
 def test_gamma_properties_random(rng, probe_rng):
     inst = random_instance(rng)
-    assert gamma_properties_check(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS),
-                                  probe_rng).passed
+    assert all_passed(gamma_properties_check(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS),
+                                             probe_rng))
 
 
 def test_fixed_density_invariant_state():
@@ -183,7 +183,7 @@ def test_cocycle_from_d_rejects_non_invariant(qubit):
 def test_strong_case_qubit(qubit):
     an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
     checks = strong_case_check(an)
-    assert checks.passed
+    assert all_passed(checks)
     d, _ = fixed_density_d(an.table, TOL_EQ)
     spec = np.linalg.eigvalsh(d.blocks[0])
     assert spec.min() >= 0.5 - 1e-12 and spec.max() <= 2.0 + 1e-12
@@ -193,13 +193,13 @@ def test_strong_case_qubit(qubit):
 
 def test_strong_case_trivially_passes_for_invariant():
     phi, grp = invariant_qubit()
-    assert strong_case_check(Analysis(phi, grp, TOL_EQ, TOL_POS)).passed
+    assert all_passed(strong_case_check(Analysis(phi, grp, TOL_EQ, TOL_POS)))
 
 
 def test_strong_case_random_generate_and_verify(rng):
     for _ in range(6):
         inst = random_strong_instance(rng)
-        assert strong_case_check(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)).passed
+        assert all_passed(strong_case_check(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)))
 
 
 def test_strong_case_rejects_non_strong(nonstrong):

@@ -137,6 +137,8 @@ PASS_RULE_EXCEPTIONS = {
 def test_each_check_passes_by_its_threshold(argv, capsys):
     assert main(argv) == 0
     for check in json.loads(capsys.readouterr().out)["checks"]:
+        # a residual is a defect, never a signed margin
+        assert check["residual"] >= 0, check
         rule = PASS_RULE_EXCEPTIONS.get(
             check["name"], lambda c: c["pass"] == (c["residual"] <= c["threshold"]))
         assert rule(check), check

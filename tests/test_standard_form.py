@@ -9,7 +9,7 @@ from qistate.cocycle import rn_cocycle
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
 from qistate.standard_form import (a_g, gamma_factorization, lemma_chain_checks, u_g,
                                    verify_covariance, verify_representation, verify_unitarity)
-from generators import (dense_unitaries, random_instance, random_strong_instance,
+from generators import (all_passed, dense_unitaries, random_instance, random_strong_instance,
                         state_from_density)
 
 
@@ -168,26 +168,26 @@ def test_gamma_factorization_trivial():
     gamma, d, checks = gamma_factorization(Analysis(phi, grp, TOL_EQ, TOL_POS))
     assert (gamma - identity(desc)).op_norm() < 1e-10
     assert (d - identity(desc)).op_norm() < 1e-10
-    assert checks.passed
+    assert all_passed(checks)
 
 
 def test_gamma_factorization_qubit_hand_values(qubit):
     gamma, d, checks = gamma_factorization(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS))
     assert np.allclose(gamma.blocks[0], np.diag([np.sqrt(1.5), np.sqrt(0.75)]))
     assert np.allclose(d.adjoint().blocks[0], np.diag([1.5, 0.75]))
-    assert checks.passed and max(c.residual for c in checks) < 1e-12
+    assert all_passed(checks) and max(c.residual for c in checks) < 1e-12
 
 
 def test_gamma_factorization_random(rng):
     for make in (random_strong_instance, random_instance):
         inst = make(rng)
         _, _, checks = gamma_factorization(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS))
-        assert checks.passed, [(c.name, c.residual) for c in checks]
+        assert all_passed(checks), [(c.name, c.residual) for c in checks]
 
 
 def test_lemma_chain_random(rng):
     inst = random_instance(rng)
-    assert lemma_chain_checks(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)).passed
+    assert all_passed(lemma_chain_checks(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)))
 
 
 def test_lemma_chain_strong_extras(rng):
@@ -195,7 +195,7 @@ def test_lemma_chain_strong_extras(rng):
     an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
     assert an.strong
     checks = lemma_chain_checks(an)
-    assert checks.passed
+    assert all_passed(checks)
     names = {c.name for c in checks}
     assert "a_g_is_root" in names and "a_g_root_commute" in names
 

@@ -8,7 +8,7 @@ from qistate.cocycle import build_table, random_psd_probe
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
 from qistate.trace import (invariant_trace, is_center_ergodic, trace_density,
                            trace_invariance_check, verify_density_relations)
-from generators import (inner_generator, permutation_generator, random_instance,
+from generators import (all_passed, inner_generator, permutation_generator, random_instance,
                         random_strong_instance)
 
 
@@ -92,7 +92,7 @@ def test_trace_density_reproduces_state(rng, m2m2_swap):
 
 def test_density_relations_identity_element(qubit):
     checks = verify_density_relations(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS))
-    assert checks.passed
+    assert all_passed(checks)
 
 
 def test_density_relations_qubit_hand_check(qubit):
@@ -106,7 +106,7 @@ def test_density_relations_qubit_hand_check(qubit):
     assert np.allclose(lhs.blocks[0], np.diag([2 / 3, 1 / 3]))
     rhs = c @ table.entries[1]
     assert np.allclose(rhs.blocks[0], np.diag([2 / 3, 1 / 3]))
-    assert verify_density_relations(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)).passed
+    assert all_passed(verify_density_relations(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)))
 
 
 def test_density_relations_random_ergodic(rng):
@@ -117,7 +117,7 @@ def test_density_relations_random_ergodic(rng):
             continue
         hits += 1
         checks = verify_density_relations(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS))
-        assert checks.passed, [(c.name, c.residual) for c in checks]
+        assert all_passed(checks), [(c.name, c.residual) for c in checks]
 
 
 def test_uniqueness_dimension_is_one_when_ergodic(rng):
