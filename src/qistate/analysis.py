@@ -48,9 +48,8 @@ class Analysis:
     @cached_property
     def a(self):
         """a_g for each group element, stacked in group order."""
-        x = self.table.entries
-        return a_g(self.phi, self.group.elements, self.roots, x, x[self.group.inv],
-                   self.tol_eq, self.tol_pos)
+        self.table    # a singular x_g is refused as such before a_g and U_g are built
+        return a_g(self.phi, self.group.elements, self.roots[1], self.tol_pos)
 
     @cached_property
     def factors(self):

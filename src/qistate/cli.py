@@ -215,7 +215,7 @@ def cmd_check(args):
               verify_adjoint_relation(table, tol_eq), sandwich_check(table, probes, tol_eq),
               *an.strong_qi[1],
               # positive-form domination, probed with each cocycle element
-              sz_domination(an.phi, table.entries, probes, tol_eq, an.tol_pos)]
+              sz_domination(table, probes, tol_eq)]
     summary = {
         "lambda": table.lambda_bound,
         "group_order": an.group.order,

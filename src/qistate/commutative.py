@@ -1,11 +1,12 @@
 """Commutative checks on the real line: the Cauchy state, translation
 cocycles, and the affine group, where the uniform cocycle bound fails.
 
-The state is phi(f) = (1/pi) integral f(s)/(1+s^2) ds.  Translations give
-the closed-form cocycle x_t(s) = (1+s^2)/(1+(s+t)^2), the affine maps
-f |-> f(at+b) (a > 0) give x_{(a,b)}(t) = a(1+t^2)/(a^2+(t-b)^2).  Both
-satisfy their cocycle laws as exact rational identities; neither family
-is uniformly bounded, witnessed by sup x_t >= 1 + t^2.
+The state is phi(f) = (1/pi) integral f(s)/(1+s^2) ds.  The affine maps
+f |-> f(at+b) (a > 0) give x_{(a,b)}(t) = a(1+t^2)/(a^2+(t-b)^2); the
+translations f |-> f(s - t) are the maps (1, -t), with the cocycle
+x_t(s) = (1+s^2)/(1+(s+t)^2).  Both families satisfy their cocycle laws
+as exact rational identities; neither is uniformly bounded, witnessed by
+sup x_t >= 1 + t^2.
 
 Functions are plain vectorized callables; grids are probe sets only,
 since translations by arbitrary reals do not preserve a grid.
@@ -63,68 +64,11 @@ def cauchy_state(f, sup_norm: float, radius: float = 100.0) -> StateValue:
     return StateValue(float(value), float(err), cauchy_tail_bound(sup_norm, radius))
 
 
-def translation_cocycle(t: float):
-    """x_t(s) = (1+s^2)/(1+(s+t)^2): the density ratio under s |-> s - t."""
-    def x(s):
-        s = np.asarray(s, dtype=float)
-        return (1.0 + s * s) / (1.0 + (s + t) ** 2)
-    return x
-
-
-def translate(f, t: float):
-    """(tau_t f)(s) = f(s - t)."""
-    return lambda s: f(np.asarray(s, dtype=float) - t)
-
-
 def symmetric_grid(radius: float, n: int, extra=()) -> np.ndarray:
     g = np.linspace(-radius, radius, int(n))
     if extra:
         g = np.union1d(g, np.asarray(extra, dtype=float))
     return g
-
-
-def translation_chain_rule(shifts, samples) -> Check:
-    """x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1) on the samples, worst over the
-    pairs (t1, t2) of ``shifts``."""
-    s = np.asarray(samples, dtype=float)
-    worst = 0.0
-    for t1, t2 in shifts:
-        lhs = translation_cocycle(t1 + t2)(s)
-        rhs = translation_cocycle(t1)(s) * translation_cocycle(t2)(s + t1)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return residual_check("translation_chain_rule", "x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1)",
-                          worst, TOL_POINTWISE)
-
-
-def _quasi_invariance(name: str, law: str, moved, weighted, weight_sup: float,
-                      radius: float) -> Check:
-    """phi(moved) = phi(weighted) by quadrature, within the error budgets of
-    both sides, for f with |f| <= 1 moved by a map and weighted by its
-    cocycle, whose sup is ``weight_sup``."""
-    lhs = cauchy_state(moved, 1.0, radius)
-    rhs = cauchy_state(weighted, weight_sup, radius)
-    return residual_check(name, law, abs(lhs.value - rhs.value),
-                          lhs.budget + rhs.budget + 1e-12)
-
-
-def translation_quasi_invariance(t: float, f, radius: float = 100.0) -> Check:
-    """phi(tau_t f) = phi(x_t f) for f with |f| <= 1."""
-    x = translation_cocycle(t)
-    # Global bound sup_s x_t(s) <= 2(1 + t^2) keeps the tail bar honest.
-    return _quasi_invariance("translation_quasi_invariance", "phi(tau_t f) = phi(x_t f)",
-                             translate(f, t), lambda u: x(u) * f(u), 2.0 * (1.0 + t * t),
-                             radius)
-
-
-def unboundedness_witness(t: float, radius: float = 100.0, n: int = 4001) -> Check:
-    """sup x_t and sup 1/x_t both reach 1 + t^2 (at s = -t and s = 0), on a
-    grid of n points of [-radius, radius] with -t, 0 and t added; the
-    residual is how far the smaller grid sup falls short of 1 + t^2."""
-    grid = symmetric_grid(radius, n, extra=(-t, 0.0, t))
-    x = translation_cocycle(t)(grid)
-    reach = min(float(np.max(x)), float(np.max(1.0 / x)))
-    return residual_check(f"unbounded_witness_t{t:g}", "sup x_t and sup 1/x_t reach 1 + t^2",
-                          max(0.0, 1.0 + t * t - reach), TOL_WITNESS)
 
 
 # -- the affine (ax+b) family ------------------------------------------------
@@ -175,7 +119,7 @@ def axb_cocycle(e: AxBElement):
     return x
 
 
-def axb_chain_rule(pairs, samples) -> Check:
+def _chain_rule(name: str, law: str, pairs, samples) -> Check:
     """x_{e2 e1}(t) = x_{e1}(t) x_{e2}(t/a1 - b1/a1) on the samples, worst
     over the pairs (e1, e2) of ``pairs``; e2 e1 acts as pi_{e2} after
     pi_{e1}."""
@@ -185,16 +129,60 @@ def axb_chain_rule(pairs, samples) -> Check:
         lhs = axb_cocycle(axb_compose(e2, e1))(s)
         rhs = axb_cocycle(e1)(s) * axb_apply(axb_inverse(e1), axb_cocycle(e2))(s)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return residual_check("axb_chain_rule", "affine cocycle chain rule", worst, TOL_POINTWISE)
+    return residual_check(name, law, worst, TOL_POINTWISE)
+
+
+def _quasi_invariance(name: str, law: str, e: AxBElement, f, weight_sup: float,
+                      radius: float) -> Check:
+    """phi(pi_e f) = phi(x_e f) by quadrature, within the error budgets of
+    both sides, for f with |f| <= 1; ``weight_sup`` bounds x_e."""
+    x = axb_cocycle(e)
+    lhs = cauchy_state(axb_apply(e, f), 1.0, radius)
+    rhs = cauchy_state(lambda u: x(u) * f(u), weight_sup, radius)
+    return residual_check(name, law, abs(lhs.value - rhs.value),
+                          lhs.budget + rhs.budget + 1e-12)
+
+
+def axb_chain_rule(pairs, samples) -> Check:
+    """The affine chain rule over the pairs (e1, e2) of ``pairs``."""
+    return _chain_rule("axb_chain_rule", "affine cocycle chain rule", pairs, samples)
 
 
 def axb_quasi_invariance(e: AxBElement, f, radius: float = 100.0) -> Check:
     """phi(pi_e f) = phi(x_e f) for f with |f| <= 1."""
-    x = axb_cocycle(e)
     # Global bound sup_t x_{(a,b)}(t) <= (1+2b^2)/a + 2a.
-    return _quasi_invariance("axb_quasi_invariance", "phi(pi_e f) = phi(x_e f)",
-                             axb_apply(e, f), lambda u: x(u) * f(u),
+    return _quasi_invariance("axb_quasi_invariance", "phi(pi_e f) = phi(x_e f)", e, f,
                              (1.0 + 2.0 * e.b ** 2) / e.a + 2.0 * e.a, radius)
+
+
+# -- translations --------------------------------------------------------------
+# tau_t f(s) = f(s - t) is pi_e for e = (1, -t), with the cocycle
+# x_t(s) = x_{(1,-t)}(s) = (1+s^2)/(1+(s+t)^2), bit for bit.
+
+def translation_chain_rule(shifts, samples) -> Check:
+    """x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1) on the samples, worst over the
+    pairs (t1, t2) of ``shifts``: the affine chain rule at (1, -t1), (1, -t2)."""
+    pairs = [(AxBElement(1.0, -t1), AxBElement(1.0, -t2)) for t1, t2 in shifts]
+    return _chain_rule("translation_chain_rule", "x_{t1+t2}(s) = x_{t1}(s) x_{t2}(s+t1)",
+                       pairs, samples)
+
+
+def translation_quasi_invariance(t: float, f, radius: float = 100.0) -> Check:
+    """phi(tau_t f) = phi(x_t f) for f with |f| <= 1."""
+    # Global bound sup_s x_t(s) <= 2(1 + t^2) keeps the tail bar honest.
+    return _quasi_invariance("translation_quasi_invariance", "phi(tau_t f) = phi(x_t f)",
+                             AxBElement(1.0, -t), f, 2.0 * (1.0 + t * t), radius)
+
+
+def unboundedness_witness(t: float, radius: float = 100.0, n: int = 4001) -> Check:
+    """sup x_t and sup 1/x_t both reach 1 + t^2 (at s = -t and s = 0), on a
+    grid of n points of [-radius, radius] with -t, 0 and t added; the
+    residual is how far the smaller grid sup falls short of 1 + t^2."""
+    grid = symmetric_grid(radius, n, extra=(-t, 0.0, t))
+    x = axb_cocycle(AxBElement(1.0, -t))(grid)
+    reach = min(float(np.max(x)), float(np.max(1.0 / x)))
+    return residual_check(f"unbounded_witness_t{t:g}", "sup x_t and sup 1/x_t reach 1 + t^2",
+                          max(0.0, 1.0 + t * t - reach), TOL_WITNESS)
 
 
 def counterexample_checks(rng, radius: float, n: int) -> list:

@@ -103,12 +103,13 @@ def fixed_density_d(table: CocycleTable, tol_eq: float) -> tuple:
     """Gamma-fixed element d = average of all cocycle entries; phi(d) = 1.
 
     Exact for finite groups because Gamma_g permutes the x_h.  Returns d
-    and its Gamma-fixedness residual max_g ||Gamma_g(d) - d||.
+    and its Gamma-fixedness residual max_g ||Gamma_g(d) - d||, which is not
+    refused here: ``invariant_state`` reports it as ``gamma_fixed_d``, at
+    the threshold a refusal would use.  phi(d) = 1 is refused, since
+    ``invariant_state`` takes it as the trace of psi.
     """
     d = table.entries.mean()
     worst = (_gamma_all(table.entries[table.group.inv], table.group, d) - d).op_norm()
-    if worst > tol_eq * max(1.0, d.op_norm()):
-        raise PreconditionError(f"averaged element is not Gamma-fixed: residual {worst:.3e}")
     defect = abs(evaluate(table.phi, d) - 1.0)
     if defect > tol_eq:
         raise PreconditionError(f"phi(d) = 1 fails by {defect:.3e}")
@@ -134,10 +135,13 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
     """Forward construction: d, then psi(a) = phi(d a) as an explicit state.
 
     The density of psi is the symmetrization of rho d, accepted only when
-    the anti-Hermitian part is at roundoff level and the result is PSD.
-    It is Hermitian by construction, and its trace is the real part of
-    phi(d) = 1, which ``fixed_density_d`` checks; so psi is not validated
-    again.
+    the anti-Hermitian part is at roundoff level.  It is Hermitian by
+    construction, and its trace is the real part of phi(d) = 1, which
+    ``fixed_density_d`` checks; so psi is not validated again.  It is not
+    refused for a negative eigenvalue: rho d = mean_g g^-1(rho) is a mean
+    of PSD matrices, ``psi_faithful`` asserts the stronger min eig > tol_pos,
+    and the builders that use psi (``density_power``, ``cond_expectation``)
+    refuse a non-faithful one.
     """
     phi, group = table.phi, table.group
     d, gamma_res = fixed_density_d(table, tol_eq=tol_eq)
@@ -150,8 +154,6 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
         )
     rho_psi = 0.5 * (rho_d + rho_d.adjoint())
     mn = rho_psi.min_eig()
-    if mn < -tol_pos:
-        raise PreconditionError(f"rho d is not PSD: min eigenvalue {mn:.3e}")
     psi = State._unchecked(rho_psi.descriptor, rho_psi, mn)
 
     inv_res = (apply(group.elements, rho_psi) - rho_psi).op_norm()

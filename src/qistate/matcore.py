@@ -187,16 +187,16 @@ def imag_power(a, z: complex, tol_pos: float = TOL_POS) -> np.ndarray:
     return (v * phases) @ dagger(v)
 
 
-def is_unitary(u):
+def is_unitary(u: np.ndarray):
     """||u u* - 1|| <= TOL_EQ max(1, ||u||^2): a bool, or one per matrix of a
-    stack.  A matrix whose ``frobenius_bounds`` entry for u u* - 1 is within
-    TOL_EQ passes without an SVD."""
-    m = as_square(u)
-    n = m.shape[-1]
-    mats = m.reshape((-1, n, n))
+    stack.  ``u`` is a square matrix or stack that ``as_square`` has already
+    passed, or a product of such.  A matrix whose ``frobenius_bounds`` entry
+    for u u* - 1 is within TOL_EQ passes without an SVD."""
+    n = u.shape[-1]
+    mats = u.reshape((-1, n, n))
     res = mats @ dagger(mats) - np.eye(n)
     ok = frobenius_bounds(res) <= TOL_EQ
     rest = ~ok
     if np.any(rest):
         ok[rest] = op_norms(res[rest]) <= TOL_EQ * np.maximum(1.0, op_norms(mats[rest]) ** 2)
-    return ok.reshape(m.shape[:-2])[()]
+    return ok.reshape(u.shape[:-2])[()]

@@ -25,35 +25,24 @@ from .matcore import PreconditionError
 from .reporting import Check, residual_check
 
 
-def a_g(phi: State, g: Automorphism, roots, x_g: AlgebraElement,
-        x_ginv: AlgebraElement, tol_eq: float, tol_pos: float) -> AlgebraElement:
-    """Positive invertible a_g with rho^{1/2} a_g^2 rho^{1/2} = g^-1(rho),
-    given ``roots`` = (rho^{1/2}, rho^{-1/2}) and the cocycle elements x_g
-    and x_{g^-1}.  For ``g`` a stack of maps, such as the group's elements,
-    x_g, x_{g^-1} and a_g are stacks over it; each test then raises for the
-    first failing element.
+def a_g(phi: State, g: Automorphism, root_inv: AlgebraElement, tol_pos: float) -> AlgebraElement:
+    """Positive a_g with rho^{1/2} a_g^2 rho^{1/2} = g^-1(rho): the root of
+    rho^{-1/2} g^-1(rho) rho^{-1/2}, given rho^{-1/2}.  For ``g`` a stack of
+    maps, such as the group's elements, a_g is a stack over it;
+    ``psd_sqrt`` refuses the first element that is not PSD.
 
-    Also satisfies a_g^2 = rho^{1/2} x_g rho^{-1/2} and
-    a_g^2 >= 1/||x_{g^-1}||.
+    Two laws of a_g^2 hold by construction and are not re-tested here.
+    a_g^2 = rho^{1/2} x_g rho^{-1/2}, because x_g = rho^-1 g^-1(rho) makes
+    the right side the very matrix a_g is the root of; ``implement``
+    reports it as ``predual_via_a_g``.  And a_g^2 >= 1/||x_{g^-1}||: a_g^2
+    is similar to x_g, so its least eigenvalue is
+    1/spectral_radius(x_g^-1) >= 1/||x_g^-1||, and
+    ||x_g^-1|| = ||g^-1(x_{g^-1})|| = ||x_{g^-1}|| by the inverse formula,
+    which ``check`` reports.
     """
-    root, root_inv = roots
     middle = root_inv @ predual(g, phi.density) @ root_inv
-    a = AlgebraElement._unchecked(
+    return AlgebraElement._unchecked(
         phi.descriptor, [matcore.psd_sqrt(b, tol_pos=tol_pos) for b in middle.blocks])
-    # Consistency with the modular picture of the cocycle.
-    flow = root @ x_g @ root_inv
-    square = a @ a
-    defect = (square - flow).op_norms()
-    deviates = defect > tol_eq * np.maximum(1.0, flow.op_norms())
-    alpha = 1.0 / x_ginv.op_norms()
-    bad = deviates | (square.min_eigs() < alpha - tol_eq * np.maximum(1.0, alpha))
-    if np.any(bad):
-        k = np.argmax(bad)
-        if deviates.flat[k]:
-            raise PreconditionError(
-                f"a_g^2 deviates from the half-flowed cocycle by {defect.flat[k]:.3e}")
-        raise PreconditionError("a_g^2 lost its uniform lower bound")
-    return a
 
 
 def spatial_factors(group: FiniteGroup, roots, a: AlgebraElement, tol_eq: float):

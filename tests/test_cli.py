@@ -344,13 +344,33 @@ def test_instance_tolerances_reach_every_command(tmp_path, capsys):
         assert "cocycle element is numerically singular" in capsys.readouterr().err
 
 
-def test_nearly_singular_state_is_refused_as_singular(tmp_path, capsys):
-    # M_3 under Weyl(3), a faithful state with min eigenvalue 1e-9 in a
-    # seed-5 eigenbasis: every x_g = rho^-1 g^-1(rho) is then ill-conditioned
-    # (cond(rho) = 6e8), and the refusal names that, not an inconsistency.
+# The graded conditioning family: M_3 under the Weyl(3) shift and clock, with
+# a faithful state of eigenvalues (m, 0.4, 0.6 - m) in a seed-5 eigenbasis, so
+# that cond(rho) grows like 1/m.  Every command must pass, or refuse with an
+# error that names the conditioning.  At m = 1e-5 ... 1e-4 three commands do
+# neither; those cases are strict xfails, kept until the thresholds are derived.
+GRADED_M = (1e-2, 1e-3, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8, 1e-9)
+GRADED_DEFECTS = {"check": "inverse_formula fails its threshold",
+                  "implement": "U_g is refused as not unitary",
+                  "expectation": "U_g is refused as not unitary"}
+
+
+def graded_cases():
+    for m in GRADED_M:
+        for command in INSTANCE_COMMANDS:
+            defect = GRADED_DEFECTS.get(command) if 1e-5 <= m <= 1e-4 else None
+            marks = pytest.mark.xfail(strict=True, reason=defect) if defect else ()
+            yield pytest.param(m, command, marks=marks, id=f"{m:g}-{command}")
+
+
+@pytest.mark.parametrize("m, command", graded_cases())
+def test_nearly_singular_state_is_refused_as_singular(m, command, tmp_path, capsys):
+    # Below m = 1e-5 some x_g = rho^-1 g^-1(rho) is ill-conditioned (at
+    # m = 1e-9, cond(rho) = 6e8), and the refusal names that, not an
+    # inconsistency, in every command and before any later artifact is built.
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    rho = q @ np.diag([1e-9, 0.4, 0.6 - 1e-9]) @ q.conj().T
+    rho = q @ np.diag([m, 0.4, 0.6 - m]) @ q.conj().T
     shift = np.roll(np.eye(3), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
     data = {"algebra": {"block_dims": [3]},
@@ -359,10 +379,13 @@ def test_nearly_singular_state_is_refused_as_singular(tmp_path, capsys):
                                      for u in (shift, clock)]}}
     path = tmp_path / "nearly_singular.json"
     path.write_text(json.dumps(data))
-    for command in INSTANCE_COMMANDS:
-        assert run_cli([command, "--input", str(path)]) == EXIT_PRECONDITION
-        assert capsys.readouterr().err.strip() == (
-            "precondition violation: cocycle element is numerically singular")
+    code = run_cli([command, "--input", str(path)])
+    err = capsys.readouterr().err.strip()
+    if m >= 1e-5:
+        assert (code, err) == (EXIT_PASS, "")
+    else:
+        assert (code, err) == (EXIT_PRECONDITION,
+                               "precondition violation: cocycle element is numerically singular")
 
 
 @pytest.mark.parametrize("argv", [

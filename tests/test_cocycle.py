@@ -160,32 +160,21 @@ def test_is_strongly_qi_trivially_true_for_invariant():
     assert strong and all_passed(checks)
 
 
-def test_sz_domination_identity_is_equality(qubit, probe_rng):
-    probes = [random_psd_probe(probe_rng, qubit.descriptor) for _ in range(5)]
-    check = sz_domination(qubit.phi, identity(qubit.descriptor), probes)
-    assert check.passed and check.residual <= 1e-12
-
-
-def test_sz_domination_scalar(qubit, probe_rng):
-    probes = [random_psd_probe(probe_rng, qubit.descriptor) for _ in range(5)]
-    check = sz_domination(qubit.phi, 2.0 * identity(qubit.descriptor), probes)
+def test_sz_domination_identity_is_equality(probe_rng):
+    # an invariant state: every x_g is the identity, so phi(x_g a) = ||x_g|| phi(a)
+    desc = AlgebraDescriptor((2,))
+    phi = state_from_density(AlgebraElement(desc, [np.eye(2) / 2]))
+    grp = close_group([inner_generator(desc, 0, np.array([[0, 1.], [1., 0]]))], cap=4)
+    probes = [random_psd_probe(probe_rng, desc) for _ in range(5)]
+    check = sz_domination(build_table(phi, grp), probes)
     assert check.passed and check.residual <= 1e-12
 
 
 def test_sz_domination_on_cocycle_elements(rng, probe_rng):
     for _ in range(5):
         inst = random_instance(rng)
-        table = build_table(inst.phi, inst.group)
         probes = [random_psd_probe(probe_rng, inst.descriptor) for _ in range(5)]
-        for x in table.entries:
-            assert sz_domination(inst.phi, x, probes).passed
-
-
-def test_sz_domination_rejects_non_positive_form(qubit, rng):
-    # rho a is not PSD for a = diag(1, -1)
-    a = AlgebraElement(qubit.descriptor, [np.diag([1.0, -1.0])])
-    with pytest.raises(PreconditionError, match="not positive"):
-        sz_domination(qubit.phi, a, [identity(qubit.descriptor)])
+        assert sz_domination(build_table(inst.phi, inst.group), probes).passed
 
 
 def test_sandwich_qubit_hand_value(qubit, rng):

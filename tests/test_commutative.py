@@ -7,9 +7,9 @@ import pytest
 from qistate.commutative import (AXB_IDENTITY, AxBElement, axb_apply, axb_chain_rule,
                                  axb_cocycle, axb_compose, axb_inverse,
                                  axb_quasi_invariance, cauchy_state, cauchy_tail_bound,
-                                 counterexample_checks, symmetric_grid, translate,
-                                 translation_chain_rule, translation_cocycle,
-                                 translation_quasi_invariance, unboundedness_witness)
+                                 counterexample_checks, symmetric_grid,
+                                 translation_chain_rule, translation_quasi_invariance,
+                                 unboundedness_witness)
 from qistate.matcore import InputError, PreconditionError
 
 
@@ -54,6 +54,11 @@ def test_cauchy_state_rejects_divergent():
 def test_tail_bound_matches_arctan():
     assert cauchy_tail_bound(1.0, 100.0) == pytest.approx(
         1.0 - 2.0 * math.atan(100.0) / math.pi)
+
+
+def translation_cocycle(t):
+    """x_t, the cocycle of the translation tau_t = (1, -t)."""
+    return axb_cocycle(AxBElement(1.0, -t))
 
 
 def test_translation_cocycle_values():
@@ -162,10 +167,11 @@ def test_axb_quasi_invariance():
 
 
 def test_translation_embeds_in_axb():
-    # tau_t corresponds to (1, -t)
+    # tau_t f(s) = f(s - t) is (1, -t), and x_t(s) = (1+s^2)/(1+(s+t)^2), bit for bit
     t, s = 1.7, np.linspace(-5, 5, 11)
     f = np.cos
-    assert np.allclose(axb_apply(AxBElement(1.0, -t), f)(s), translate(f, t)(s))
+    assert np.array_equal(axb_apply(AxBElement(1.0, -t), f)(s), f(s - t))
+    assert np.array_equal(translation_cocycle(t)(s), (1.0 + s * s) / (1.0 + (s + t) ** 2))
 
 
 def test_counterexample_checks_in_report_order():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -140,6 +141,27 @@ def test_invariant_state_invariance_and_margin(rng):
             for g in inst.group.elements:
                 assert abs(evaluate(cert.psi, apply(g, a))
                            - evaluate(cert.psi, a)) < 1e-9
+
+
+def test_perturbed_table_fails_the_gamma_fixed_d_check(nonstrong):
+    # x_k + delta rho^-1 h with h Hermitian and traceless keeps phi(d) = 1
+    # and rho d Hermitian, so no refusal fires; but the average is no longer
+    # Gamma-fixed, and the reported check must say so
+    table = build_table(nonstrong.phi, nonstrong.group)
+    desc, k = nonstrong.descriptor, 1
+    rng = np.random.default_rng(3)
+    m = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+         for n in desc.block_dims]
+    h = AlgebraElement(desc, [b + b.conj().T for b in m])
+    h = h - (sum(np.trace(b).real for b in h.blocks) / sum(desc.block_dims)) * identity(desc)
+    blocks = [b.copy() for b in table.entries.blocks]
+    for b, y in zip(blocks, (1e-3 * nonstrong.phi.density.inv() @ h).blocks):
+        b[k] += y
+    bad = dataclasses.replace(table, entries=AlgebraElement(desc, blocks))
+    cert = invariant_state(bad, TOL_EQ, TOL_POS)
+    assert not cert.gamma_fixed.passed
+    assert cert.gamma_fixed.residual > 1e3 * cert.gamma_fixed.threshold
+    assert abs(evaluate(nonstrong.phi, cert.d) - 1.0) <= TOL_EQ
 
 
 def test_cocycle_from_d_identity_case():
