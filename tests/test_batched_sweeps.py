@@ -785,8 +785,8 @@ def test_check_laws_take_linearly_many_svds(monkeypatch):
         reference_strong_qi(an.table, TOL_EQ, TOL_POS)
         reference_domination(an.table, probes)
 
-    # about 8 matrices per unit: per-element norms and spectra for the
-    # table and the domination test, pruned sweeps for the rest; the loops
+    # at most 9 matrices per unit: per-element norms for the table and the
+    # domination test, pruned sweeps for the rest; the loops
     # take one SVD per pair in the chain rule alone (|G|^2 = 625)
     bound = 9 * (group.order + len(probes))
     assert count_svd_matrices(monkeypatch, run) <= bound
