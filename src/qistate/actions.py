@@ -15,6 +15,7 @@ finite group are one stack, and one expression acts by all of them.
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,9 +151,13 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
 
 
 def inverse(g: Automorphism) -> Automorphism:
-    """g^-1 for one map g."""
-    unitaries = [dagger(g.unitaries[p]) for p in g.perm]
-    return Automorphism._unchecked(g.descriptor, g.inv_perm, unitaries, g.perm)
+    """g^-1 for each map of g: block j's unitary is u_p* with p = perm(j)."""
+    out = []
+    for tgt, n in zip(g.perm.reshape(-1, g.descriptor.num_blocks).T, g.descriptor.block_dims):
+        res = _by_block(tgt, (len(tgt), n, n),
+                        lambda sel, p: dagger(g.unitaries[p].reshape(-1, n, n)[sel]))
+        out.append(res.reshape(g.batch + (n, n)))
+    return Automorphism._unchecked(g.descriptor, g.inv_perm, out, g.perm)
 
 
 def predual(g: Automorphism, a: AlgebraElement) -> AlgebraElement:
@@ -324,12 +329,8 @@ class MapIndex:
             pairs += [(q, i) for i in self.near(key)]
             pairs += [(q, n + p) for p in _near(cells, key)]
             cells.setdefault(key[:2], {}).setdefault(key[2], []).append(q)
-        pairs = np.array(pairs, dtype=int).reshape(-1, 2)
         self._put(gs)
-        hits = [[] for _ in keys]
-        for q, p in pairs[equal_as_maps(self._rows_of(pairs[:, 1]), gs[pairs[:, 0]],
-                                        self.tol)].tolist():
-            hits[q].append(p)
+        hits = self._confirm(gs, pairs)
         out, appended = [], {}
         for q in range(len(keys)):
             # held elements come first and earlier entries in order, so the
@@ -342,6 +343,21 @@ class MapIndex:
         self.add(self._rows_of(n + np.array(list(appended), dtype=int)),
                  [keys[q] for q in appended])
         return out
+
+    def lookup(self, gs: Automorphism) -> list:
+        """The indices of the held elements equal as maps to each map of gs."""
+        return self._confirm(gs, [(q, i) for q, key in enumerate(self.keys(gs))
+                                  for i in self.near(key)])
+
+    def _confirm(self, gs: Automorphism, pairs: list) -> list:
+        """For each map q of gs, the rows p of the candidate pairs (q, p)
+        equal to it as maps, in pair order: one stacked ``equal_as_maps``."""
+        pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+        hits = [[] for _ in range(len(gs))]
+        for q, p in pairs[equal_as_maps(self._rows_of(pairs[:, 1]), gs[pairs[:, 0]],
+                                        self.tol)].tolist():
+            hits[q].append(p)
+        return hits
 
     def _put(self, gs: Automorphism) -> None:
         """Write the stack gs into the rows after the held elements; the
@@ -368,25 +384,23 @@ def _unit_probe(rng: random.Random, n: int) -> np.ndarray:
     return m / np.linalg.norm(m)
 
 
+@dataclass(eq=False, slots=True)
 class FiniteGroup:
-    """A finite group of automorphisms: its elements as one stack, with
-    composition and inverse tables.
+    """A finite group of automorphisms: its elements as one stack, the
+    closure's fingerprint ``index`` over them, and integer tables.
 
-    ``index`` is the closure's fingerprint index over ``elements``, and
-    ``first_layer`` the indices of its first search layer: the distinct
-    non-identity generators.
+    ``first_layer`` holds the indices of the distinct non-identity
+    generators, ``right[k, s]`` the index of elements[k] o
+    elements[first_layer[s]] (the right Cayley graph, |G| x |S|), and
+    ``inv[k]`` the index of elements[k]^-1.
     """
 
-    __slots__ = ("descriptor", "elements", "mult", "inv", "index", "first_layer")
-
-    def __init__(self, descriptor, elements: Automorphism, mult, inv, index: MapIndex,
-                 first_layer: range):
-        self.descriptor = descriptor
-        self.elements = elements
-        self.mult = mult            # mult[i][j] = index of elements[i] o elements[j]
-        self.inv = inv
-        self.index = index
-        self.first_layer = first_layer
+    descriptor: AlgebraDescriptor
+    elements: Automorphism
+    right: np.ndarray
+    inv: list
+    index: MapIndex
+    first_layer: range
 
     @property
     def order(self) -> int:
@@ -405,20 +419,15 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
 
     ``generators`` is an iterable of automorphisms (a list, or a stack).
     Elements are listed in breadth-first order from the identity: the
-    distinct generators, then each frontier element composed with each
-    generator in turn.  The search takes a whole layer at a time: one
-    ``compose`` of the layer with the generators, and ``MapIndex.insert``
-    looks every product up at once (phase-invariant fingerprint on a grid
-    derived from ``tol``, confirmed by stacked ``equal_as_maps``), in the
-    order of one product at a time.  So it makes (|G| - 1) |S| products for
-    |S| generators.  It records the right Cayley graph right[k, s] = index
-    of elements[k] o generators[s], and each element's parent and generator
-    in the search tree.  The multiplication table then follows from integer
-    lookups alone, one layer at a time in search order:
-    elements[c] = elements[parent(c)] o generators[s(c)] gives
-    mult[:, c] = right[mult[:, parent(c)], s(c)], and parents lie in
-    earlier layers.  Raises once the closure exceeds ``cap`` elements
-    (generators of infinite order).
+    distinct non-identity generators (the first layer), then each frontier
+    element composed with each of them in turn.  The search takes a whole
+    layer at a time: one ``compose`` of the layer with the first layer, and
+    ``MapIndex.insert`` looks every product up at once (phase-invariant
+    fingerprint on a grid derived from ``tol``, confirmed by stacked
+    ``equal_as_maps``), in the order of one product at a time: (|G| - 1) |S|
+    products for |S| distinct non-identity generators, the Cayley graph
+    ``right``.  Raises once the closure exceeds ``cap`` elements, or when an
+    inverse(g), all looked up at once, does not equal exactly one element.
 
     ``compose`` does not test its products for unitarity; instead the
     elements each layer of the search adds are tested at once, by
@@ -436,44 +445,29 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
     index = MapIndex(desc, tol)
     ident = identity_automorphism(desc)[None]
     index.add(ident, index.keys(ident))
-    right, parent, via = [[0] * len(gens)], [0], [0]
-    layers = [1]    # index of the first element of each layer, and the end
-    products, sources = gens, [(0, s) for s in range(len(gens))]
-    while True:
-        found = index.insert(products, index.keys(products))
-        # the generators themselves are not held to the cap
-        if len(layers) > 1 and index.size > max(cap, layers[-1]):
-            raise InputError(f"group not finite at cap {cap}")
-        for (k, s), j in zip(sources, found):
-            if j == len(parent):    # the product that added element j
-                right.append([0] * len(gens))
-                parent.append(k)
-                via.append(s)
-            right[k][s] = j
-        layer = index.elements[layers[-1]:]
-        layers.append(index.size)
-        if not len(layer):
-            break
-        if len(layers) > 2:
+    index.insert(gens, index.keys(gens))
+    first = range(1, index.size)
+    right = [list(first)]    # the identity's row
+    lo = 1    # the first element of the layer the search grows from
+    while lo < index.size:
+        layer, hi = index.elements[lo:], index.size
+        if lo > 1:
             _require_unitary(layer)
-        products = compose(layer, gens)
-        sources = [(k, s) for k in range(layers[-2], layers[-1]) for s in range(len(gens))]
+        products = compose(layer, index.elements[first])
+        found = index.insert(products, index.keys(products))
+        if index.size > max(cap, hi):
+            raise InputError(f"group not finite at cap {cap}")
+        right += [found[k:k + len(first)] for k in range(0, len(found), len(first))]
+        lo = hi
 
-    n = index.size
-    right, parent, via = np.array(right, dtype=int), np.array(parent), np.array(via)
-    mult = np.empty((n, n), dtype=int)
-    mult[:, 0] = np.arange(n)
-    for lo, hi in zip(layers, layers[1:]):
-        c = np.arange(lo, hi)
-        mult[:, c] = right[mult[:, parent[c]], via[c]]
-    is_identity = mult == 0
-    counts = np.count_nonzero(is_identity, axis=1)
-    if np.any(counts != 1):    # at a coarse tol equality as maps is not transitive
-        k = int(np.argmax(counts != 1))
-        raise InputError(f"closure is inconsistent at tol_eq {tol:.3g}: element {k} has "
-                         f"{counts[k]} inverses, not one; try a smaller --tol-eq")
-    inv = [int(i) for i in np.argmax(is_identity, axis=1)]
-    return FiniteGroup(desc, index.elements, mult, inv, index, range(1, layers[1]))
+    elements = index.elements
+    hits = index.lookup(inverse(elements))
+    for k, h in enumerate(hits):
+        if len(h) != 1:
+            raise InputError(f"closure is inconsistent at tol_eq {tol:.3g}: element {k} has "
+                             f"{len(h)} inverses, not one; try a smaller --tol-eq")
+    return FiniteGroup(desc, elements, np.array(right, dtype=int),
+                       [h[0] for h in hits], index, first)
 
 
 def _require_unitary(g: Automorphism) -> None:

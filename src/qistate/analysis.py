@@ -48,8 +48,7 @@ class Analysis:
     @cached_property
     def a(self):
         """a_g for each group element, stacked in group order."""
-        self.table    # a singular x_g is refused as such before a_g and U_g are built
-        return a_g(self.phi, self.group.elements, self.roots[1], self.tol_pos)
+        return a_g(self.table.predual_rho, self.roots[1], self.tol_pos)
 
     @cached_property
     def factors(self):

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import matcore
 from .algebra import AlgebraElement, State, evaluate, require_faithful, worst_op_norm
-from .actions import Automorphism, FiniteGroup, apply, predual
+from .actions import Automorphism, FiniteGroup, predual
 from .matcore import PreconditionError, TOL_EQ, TOL_POS
-from .reporting import Check, residual_check
+from .reporting import EDGES, Check, residual_check
 
 
 def rn_cocycle(phi: State, g: Automorphism, tol_pos: float = TOL_POS) -> AlgebraElement:
@@ -35,13 +35,15 @@ def rn_cocycle(phi: State, g: Automorphism, tol_pos: float = TOL_POS) -> Algebra
 class CocycleTable:
     """All cocycle elements x_g of a group and their inverses, each as one
     element stacked over the group: ``entries[k]`` is x_g for the group
-    element with index k.  ``entry_norm`` is max_g ||x_g||, ``inverse_norm``
-    max_g ||x_g^-1||, and lambda the larger of the two."""
+    element with index k, built from ``predual_rho``, g^-1(rho) = rho x_g.
+    ``entry_norm`` is max_g ||x_g||, ``inverse_norm`` max_g ||x_g^-1||, and
+    lambda the larger of the two."""
 
     phi: State
     group: FiniteGroup
     entries: AlgebraElement
     inverses: AlgebraElement
+    predual_rho: AlgebraElement
     entry_norm: float
     inverse_norm: float
     lambda_bound: float
@@ -51,29 +53,30 @@ def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS) -> Coc
     """Compute every x_g and the uniform bound lambda, as stacks over the
     group; refuses when some x_g has min_sv(x_g) <= tol_pos max(1, ||x_g||)."""
     require_faithful(phi, tol_pos)
-    entries = phi.density.inv() @ predual(group.elements, phi.density)
+    predual_rho = predual(group.elements, phi.density)
+    entries = phi.density.inv() @ predual_rho
     svs = [matcore.singular_values(b) for b in entries.blocks]
     norms = np.max([s[..., 0] for s in svs], axis=0)
     if np.any(np.min([s[..., -1] for s in svs], axis=0) <= tol_pos * np.maximum(1.0, norms)):
         raise PreconditionError("cocycle element is numerically singular")
     inverses = entries.inv()
     entry_norm, inverse_norm = float(np.max(norms)), inverses.op_norm()
-    return CocycleTable(phi, group, entries, inverses, entry_norm, inverse_norm,
+    return CocycleTable(phi, group, entries, inverses, predual_rho, entry_norm, inverse_norm,
                         max(entry_norm, inverse_norm))
 
 
 def verify_cocycle_identity(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check:
-    """Chain rule over all pairs: x_{g2 g1} = x_{g1} g1^-1(x_{g2}).
-
-    For each g1, one ``apply`` of g1^-1 to the whole table gives the law
-    for every g2 at once; the norms of all steps share one
-    ``worst_op_norm`` pool.
+    """Chain rule x_{hg} = x_g g^-1(x_h) on the Cayley edges (``EDGES``):
+    for each generator s, x_{hs} - x_s s^-1(x_h) for every h at once, with
+    x_{hs} read at ``right[:, s]``, in one ``worst_op_norm`` pool.  With
+    E(g, h) = x_{hg} - x_g g^-1(x_h), exactly E(1, h) = 0 as x_1 = 1, and
+    E(g's, h) = x_s s^-1(E(g', h)) - E(s, g') (g's)^-1(x_h) + E(s, hg').
     """
     grp, x = table.group, table.entries
-    worst = worst_op_norm(x[grp.mult[:, i1]] - x[i1] @ apply(grp.elements[grp.inv[i1]], x)
-                          for i1 in range(grp.order))
+    worst = worst_op_norm(x[grp.right[:, s]] - x[g] @ predual(grp.elements[g], x)
+                          for s, g in enumerate(grp.first_layer))
     return residual_check("cocycle_identity", "x_{hg} = x_g g^-1(x_h)",
-                          worst, tol_eq, max(1.0, table.entry_norm))
+                          worst, tol_eq, max(1.0, table.entry_norm), detail=EDGES)
 
 
 def verify_inverse_formula(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check:

@@ -192,7 +192,7 @@ def e0_projection(group: FiniteGroup, root_inv: AlgebraElement, w: AlgebraElemen
     q = _fixed_vectors(np.eye(desc.dim), predual(group.elements[first], (units @ root_inv)[None])
                        @ w[first, None], tol_pos)
     xi = unvec(desc, q.T) @ root_inv
-    return _fixed_vectors(q, (apply(group.elements, xi)[group.inv] @ w[:, None])[1:], tol_pos)
+    return _fixed_vectors(q, (predual(group.elements, xi[None]) @ w[:, None])[1:], tol_pos)
 
 
 def projection_residual(q: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from .algebra import (AlgebraElement, State, batch_slices, evaluate, matrix_unit
 from .actions import apply, predual
 from .cocycle import CocycleTable, random_probe, verify_cocycle_identity
 from .matcore import PreconditionError, TOL_EQ, TOL_POS
-from .reporting import Check, residual_check
+from .reporting import EDGES, Check, residual_check
 
 
 def gamma_map(table: CocycleTable, i: int, a: AlgebraElement) -> AlgebraElement:
@@ -43,9 +43,11 @@ N_PROBES = 4
 def gamma_properties_check(an, rng) -> list:
     """The five algebraic properties of the Gamma maps, over the whole group.
 
-    Each law is one expression on group-stacked elements.  A law over
-    pairs (g, h) takes every g and as many h at once as ``batch_slices``
-    allows: all of them on groups of order up to 32.
+    Each law is one expression on group-stacked elements.  The pair laws
+    take the Cayley edges (``EDGES``): (i) reads the chain rule, and (ii)
+    takes h = s a generator and every g, one expression per s.  With
+    D(g, h) = Gamma_{gh} - Gamma_g Gamma_h, exactly D(g, 1) = 0 as
+    Gamma_1 = 1, and D(g, h's) = D(gh', s) + D(g, h') Gamma_s - Gamma_g D(h', s).
     """
     table, tol_eq = an.table, an.tol_eq
     phi, group, x = table.phi, table.group, table.entries
@@ -53,23 +55,19 @@ def gamma_properties_check(an, rng) -> list:
     probes = stack(random_probe(rng, phi.descriptor) for _ in range(N_PROBES))
     norms = [a.op_norm() for a in probes]
     gammas = _gamma_all(xi, group, probes)    # [g, p] = Gamma_g(a_p)
-    pairs = batch_slices(group.order, group.order)
 
     # (i) Gamma_g(x_h) = x_{g^-1} g(x_h) = x_{h g^-1} is the chain rule at
     # g1 = g^-1, g2 = h, so its residual is that of the chain-rule sweep
     checks = [residual_check("gamma_permutes_cocycle", "Gamma_g(x_h) = x_{h g^-1}",
                              verify_cocycle_identity(table, tol_eq).residual, tol_eq,
-                             table.lambda_bound)]
+                             table.lambda_bound, detail=EDGES)]
 
-    # (ii) Gamma_{gh} = Gamma_g o Gamma_h; ga[group.mult][g, h] is Gamma_{gh}(a)
-    worst = 0.0
-    for p in range(N_PROBES):
-        ga = gammas[:, p]
-        sweep = worst_op_norm(ga[group.mult[:, hs]] - _gamma_all(xi, group, ga[hs])
-                              for hs in pairs)
-        worst = max(worst, sweep / max(1.0, norms[p]))
+    # (ii) Gamma_{gs} = Gamma_g o Gamma_s; gammas[group.right[:, s], p] is Gamma_{gs}(a_p)
+    worst = max(worst_op_norm(gammas[group.right[:, s], p] - _gamma_all(xi, group, gammas[h, p])
+                              for s, h in enumerate(group.first_layer)) / max(1.0, norms[p])
+                for p in range(N_PROBES))
     checks.append(residual_check("gamma_multiplicative", "Gamma_{gh} = Gamma_g Gamma_h",
-                                 worst, tol_eq, table.lambda_bound ** 2))
+                                 worst, tol_eq, table.lambda_bound ** 2, detail=EDGES))
 
     # (iii) phi o Gamma_g = phi, on the matrix units
     units = matrix_unit_basis(phi.descriptor)

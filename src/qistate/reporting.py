@@ -2,6 +2,12 @@
 
 from dataclasses import dataclass
 
+# A pair law of homomorphism type holds on every pair once it holds on the
+# edges, s in ``first_layer``: by induction on the length of a word, through
+# the exact recursion its check's docstring states.  That recursion grows
+# the error at each step of a word, so no bound on all pairs is claimed.
+EDGES = "over the Cayley edges (s, h), s a generator"
+
 
 @dataclass
 class Check:

@@ -18,18 +18,17 @@ a norm of blocks.  No command builds U_g's dense matrix (``u_g``); E0 and
 import numpy as np
 
 from . import matcore
-from .algebra import (AlgebraElement, State, batch_slices, density_power, identity,
-                      matrix_unit_basis, vec, worst_op_norm)
-from .actions import Automorphism, FiniteGroup, apply, predual
+from .algebra import AlgebraElement, density_power, identity, matrix_unit_basis, vec, worst_op_norm
+from .actions import Automorphism, FiniteGroup, predual
 from .matcore import PreconditionError
-from .reporting import Check, residual_check
+from .reporting import EDGES, Check, residual_check
 
 
-def a_g(phi: State, g: Automorphism, root_inv: AlgebraElement, tol_pos: float) -> AlgebraElement:
+def a_g(predual_rho: AlgebraElement, root_inv: AlgebraElement, tol_pos: float) -> AlgebraElement:
     """Positive a_g with rho^{1/2} a_g^2 rho^{1/2} = g^-1(rho): the root of
-    rho^{-1/2} g^-1(rho) rho^{-1/2}, given rho^{-1/2}.  For ``g`` a stack of
-    maps, such as the group's elements, a_g is a stack over it;
-    ``psd_sqrt`` refuses the first element that is not PSD.
+    rho^{-1/2} g^-1(rho) rho^{-1/2}, given rho^{-1/2} and g^-1(rho), which
+    may be a stack (``CocycleTable.predual_rho``); ``psd_sqrt`` refuses the
+    first element that is not PSD.
 
     Two laws of a_g^2 hold by construction and are not re-tested here.
     a_g^2 = rho^{1/2} x_g rho^{-1/2}, because x_g = rho^-1 g^-1(rho) makes
@@ -40,9 +39,9 @@ def a_g(phi: State, g: Automorphism, root_inv: AlgebraElement, tol_pos: float) -
     ||x_g^-1|| = ||g^-1(x_{g^-1})|| = ||x_{g^-1}|| by the inverse formula,
     which ``check`` reports.
     """
-    middle = root_inv @ predual(g, phi.density) @ root_inv
+    middle = root_inv @ predual_rho @ root_inv
     return AlgebraElement._unchecked(
-        phi.descriptor, [matcore.psd_sqrt(b, tol_pos=tol_pos) for b in middle.blocks])
+        middle.descriptor, [matcore.psd_sqrt(b, tol_pos=tol_pos) for b in middle.blocks])
 
 
 def spatial_factors(group: FiniteGroup, roots, a: AlgebraElement, tol_eq: float):
@@ -54,7 +53,7 @@ def spatial_factors(group: FiniteGroup, roots, a: AlgebraElement, tol_eq: float)
     ||U_g||^2 = ||v_g v_g*|| = ||v_g||^2."""
     root, root_inv = roots
     w = root @ a
-    v = apply(group.elements, root_inv)[group.inv] @ w
+    v = predual(group.elements, root_inv) @ w
     vv = v @ v.adjoint()
     res, sq = (vv - identity(a.descriptor)).op_norms(), vv.op_norms()
     bad = res > tol_eq * np.maximum(1.0, sq)
@@ -106,25 +105,26 @@ def verify_covariance(an) -> Check:
 
 
 def verify_representation(an) -> Check:
-    """Product rule U_g U_h = U_{hg}; asserted only in the strong case,
-    otherwise the deviation is recorded as a diagnostic.
+    """Product rule U_g U_h = U_{hg} on the Cayley edges; asserted only in
+    the strong case, otherwise the deviation is recorded as a diagnostic.
 
     Moving R(w_h rho^{-1/2}) through A(g^-1) gives U_g U_h =
     R(g^-1(w_h rho^{-1/2}) w_g) A((hg)^-1) R(rho^{-1/2}), so U_g U_h - U_{hg}
     = R(D) A((hg)^-1) R(rho^{-1/2}) = R((hg)^-1(rho^{-1/2}) D) A((hg)^-1),
     D = g^-1(w_h rho^{-1/2}) w_g - w_{hg}.  A is unitary, so the residual
-    is ||g^-1(v_h rho^{-1/2}) w_g - v_{hg}||, taken for every g and as many
-    h at once as ``batch_slices`` allows.
+    is ||g^-1(v_h rho^{-1/2}) w_g - v_{hg}||, taken for each generator s
+    and every h at once, with v_{hs} read at ``right[:, s]`` (``EDGES``).
+    With P(g, h) = U_g U_h - U_{hg}, exactly P(1, h) = 0 as U_1 = 1, and
+    P(g's, h) = P(s, hg') + U_s P(g', h) - P(s, g') U_h.
     """
     group, strong, (w, v, _) = an.group, an.strong, an.factors
     z = v @ an.roots[1]
-    # entry [g, h] against v at mult[h, g], the index of hg
-    worst = worst_op_norm(apply(group.elements, z[hs])[group.inv] @ w[:, None]
-                          - v[group.mult[hs].T]
-                          for hs in batch_slices(group.order, group.order))
+    worst = worst_op_norm(predual(group.elements[g], z) @ w[g] - v[group.right[:, s]]
+                          for s, g in enumerate(group.first_layer))
     return residual_check("representation", "U_g U_h = U_{hg}", worst, an.tol_eq,
                           asserted=strong,
-                          detail="" if strong else "recorded only: product rule unproven here")
+                          detail=(EDGES if strong else
+                                  "recorded only: product rule unproven here; " + EDGES))
 
 
 def gamma_factorization(an):
@@ -151,7 +151,7 @@ def gamma_factorization(an):
         return rho @ x @ rho_inv
 
     group, x = an.group, an.table.entries
-    gamma_g = apply(group.elements, gamma.inv())[group.inv] @ gamma
+    gamma_g = predual(group.elements, gamma.inv()) @ gamma
     return gamma, d, [
         residual_check("gamma_root_link", "rho_psi^{1/2} = gamma rho^{1/2}",
                        (psi_root - gamma @ root).op_norm(), tol_eq, psi_root.op_norm()),
@@ -171,8 +171,7 @@ def lemma_chain_checks(an) -> list:
     g^*(rho) = rho^{1/2} a_g^2 rho^{1/2} = x_g* rho = rho x_g; in the strong
     case additionally a_g = x_g^{1/2} and a_g rho^{1/2} = rho^{1/2} a_g."""
     rho, strong, tol_eq, tol_pos = an.phi.density, an.strong, an.tol_eq, an.tol_pos
-    root, a, x, group = an.roots[0], an.a, an.table.entries, an.group
-    target = apply(group.elements, rho)[group.inv]
+    root, a, x, target = an.roots[0], an.a, an.table.entries, an.table.predual_rho
     scale = max(1.0, an.table.entry_norm)
     checks = [residual_check("predual_via_a_g", "g^*(rho) = rho^{1/2} a_g^2 rho^{1/2}",
                              (target - root @ a @ a @ root).op_norm(), tol_eq, scale),

@@ -51,6 +51,23 @@ def state_from_density(density: AlgebraElement) -> State:
     return State(density.descriptor, density)
 
 
+def multiplication_table(group: FiniteGroup) -> np.ndarray:
+    """The |G|^2 table mult[i, j] = index of elements[i] o elements[j], built
+    from the right Cayley graph alone.  The closure first reaches each
+    element c > 0 as elements[k] o elements[first_layer[s]] at the first
+    (k, s) in row-major order with right[k, s] = c, and k < c; so
+    mult[:, c] = right[mult[:, k], s] fills the columns in order."""
+    right, n = group.right, group.order
+    mult = np.empty((n, n), dtype=int)
+    mult[:, 0] = np.arange(n)
+    values, first = np.unique(right, return_index=True)
+    for c, pos in zip(values.tolist(), first.tolist()):
+        if c:
+            k, s = divmod(pos, right.shape[1])
+            mult[:, c] = right[mult[:, k], s]
+    return mult
+
+
 def trivial_group(descriptor: AlgebraDescriptor) -> FiniteGroup:
     return close_group([identity_automorphism(descriptor)], cap=2)
 

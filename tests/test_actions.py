@@ -12,7 +12,8 @@ from qistate.algebra import AlgebraDescriptor, AlgebraElement, identity, stack, 
 from qistate.cli import parse_instance
 from qistate.matcore import InputError, TOL_EQ
 from generators import (clock_matrix, conjugate_generator, hs_matrix, inner_generator,
-                        permutation_generator, random_group, random_unitary, shift_matrix)
+                        multiplication_table, permutation_generator, random_group,
+                        random_unitary, shift_matrix)
 
 REPO_INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -179,7 +180,8 @@ def test_stack_gives_the_bits_of_one_map_at_a_time(dims, seed, batch):
     # batch 0: one element; otherwise a stack of that many
     rng = np.random.default_rng(seed)
     desc = AlgebraDescriptor(dims)
-    gs = random_group(rng, desc).elements
+    grp = random_group(rng, desc)
+    gs = grp.elements
     elements = [random_element(rng, desc) for _ in range(max(batch, 1))]
     a = stack(elements) if batch else elements[0]
     # apply: the axis of the maps first, then the batch axes of a
@@ -193,6 +195,11 @@ def test_stack_gives_the_bits_of_one_map_at_a_time(dims, seed, batch):
     paired = stack(random_element(rng, desc) for _ in gs)
     assert all(same_bits(predual(gs, paired)[k], predual(g, paired[k]))
                for k, g in enumerate(gs))
+    # g^-1 over the group: apply read at the inverse's index is predual
+    assert (apply(gs, a)[grp.inv] - predual(gs, a[None])).op_norm() <= 1e-12 * max(
+        1.0, a.op_norm())
+    # inverse: map by map
+    assert all(same_bits(inverse(gs)[k], inverse(g)) for k, g in enumerate(gs))
     # compose: every g_k o h_s, k-major
     hs = gs[rng.permutation(len(gs))[:3]]
     prod = compose(gs, hs)
@@ -285,9 +292,10 @@ def test_close_group_commuting_product():
     flip = Automorphism(desc, (0, 1), [X, X])
     grp = close_group([swap, flip], cap=16)
     assert grp.order == 4
+    mult = multiplication_table(grp)
     for i in range(4):
-        assert sorted(grp.mult[i]) == list(range(4))
-        assert sorted(grp.mult[:, i]) == list(range(4))
+        assert sorted(mult[i]) == list(range(4))
+        assert sorted(mult[:, i]) == list(range(4))
 
 
 def test_close_group_hits_cap_for_infinite_order():
@@ -416,8 +424,8 @@ def assert_matches_reference(generators, tol=TOL_EQ):
         assert np.array_equal(e.perm, r.perm)
         for ue, ur in zip(e.unitaries, r.unitaries):
             assert np.array_equal(ue, ur)
-    assert grp.mult.dtype == mult.dtype
-    assert np.array_equal(grp.mult, mult)
+    assert np.array_equal(multiplication_table(grp), mult)
+    assert np.array_equal(grp.right, mult[:, list(grp.first_layer)])
     assert grp.inv == inv
     return grp
 
@@ -470,7 +478,7 @@ def test_closure_matches_reference_random_phases(rng):
         plain = close_group(gens_)
         phased = assert_matches_reference([with_block_phases(rng, g) for g in gens_])
         assert phased.order == plain.order
-        assert np.array_equal(phased.mult, plain.mult)
+        assert np.array_equal(phased.right, plain.right)
         assert phased.inv == plain.inv
 
 
@@ -551,7 +559,7 @@ def test_element_index_member(rng):
     grp = close_group(weyl_generators(4))
     for i, j in [(0, 0), (3, 7), (15, 2)]:
         g = with_block_phases(rng, compose(grp.elements[i], grp.elements[j]))
-        assert find(grp.index, g) == grp.mult[i, j]
+        assert find(grp.index, g) == multiplication_table(grp)[i, j]
 
 
 def test_element_index_non_member_is_absent(rng):

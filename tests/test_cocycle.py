@@ -9,8 +9,8 @@ from qistate.cocycle import (build_table, is_strongly_qi,
                              sz_domination, verify_adjoint_relation,
                              verify_cocycle_identity, verify_inverse_formula)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
-from generators import (all_passed, hadamard2, inner_generator, random_instance,
-                        random_strong_instance, state_from_density)
+from generators import (all_passed, hadamard2, inner_generator, multiplication_table,
+                        random_instance, random_strong_instance, state_from_density)
 
 
 def test_rn_cocycle_identity_element(qubit):
@@ -117,6 +117,7 @@ def test_base_change_consistency(rng):
     inst = random_instance(rng, AlgebraDescriptor((2, 2)))
     phi, grp = inst.phi, inst.group
     table = build_table(phi, grp)
+    mult = multiplication_table(grp)
     for i0 in range(grp.order):
         g0 = grp.elements[i0]
         rho2 = predual(g0, phi.density)
@@ -124,7 +125,7 @@ def test_base_change_consistency(rng):
         table2 = build_table(phi2, grp)
         x0_inv = table.entries[i0].inv()
         for j in range(grp.order):
-            expected = x0_inv @ table.entries[grp.mult[i0, j]]
+            expected = x0_inv @ table.entries[mult[i0, j]]
             assert (table2.entries[j] - expected).op_norm() < 1e-9 * max(
                 1.0, expected.op_norm())
 

@@ -12,8 +12,8 @@ from qistate.expectation import (FixedAlgebra, commutant_f0, cond_expectation,
                                  projection_residual, uniqueness_probe, verify_ks)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS, dagger, psd_sqrt
 from generators import (all_passed, conjugate_generator, dense_unitaries, hs_matrix,
-                        inner_generator, left_mult_matrix, permutation_generator,
-                        random_faithful_density, random_instance, random_strong_instance,
+                        inner_generator, left_mult_matrix, multiplication_table,
+                        permutation_generator, random_faithful_density, random_instance, random_strong_instance,
                         random_unitary, shift_matrix, state_from_density, trivial_group)
 
 
@@ -81,7 +81,8 @@ def test_fixed_vectors_match_stacked_kernels(kind, seed):
 
 def test_swap_with_inner_group_is_non_abelian_and_not_strong(rng):
     phi, group = swap_with_inner_instance(rng, 3)
-    assert group.order == 18 and np.any(group.mult != group.mult.T)
+    mult = multiplication_table(group)
+    assert group.order == 18 and np.any(mult != mult.T)
     assert not Analysis(phi, group, TOL_EQ, TOL_POS).strong
 
 
@@ -89,8 +90,12 @@ def test_first_layer_is_the_distinct_non_identity_generators():
     desc = AlgebraDescriptor((2, 2))
     swap, shift = permutation_generator(desc, (1, 0)), inner_generator(desc, 0, shift_matrix(2))
     ident = inner_generator(desc, 0, np.eye(2))
-    assert close_group([ident, swap, shift, swap]).first_layer == range(1, 3)
+    group = close_group([ident, swap, shift, swap])
+    assert group.first_layer == range(1, 3)
+    # the right Cayley graph has a column per distinct non-identity generator
+    assert group.right.shape == (group.order, 2)
     assert close_group([ident]).first_layer == range(1, 1)
+    assert close_group([ident]).right.shape == (1, 0)
 
 
 def test_fixed_algebra_trivial_group_is_everything():

@@ -4,8 +4,9 @@ from qistate.actions import equal_as_maps, identity_automorphism, predual
 from qistate.algebra import evaluate
 from qistate.cocycle import build_table, is_strongly_qi
 from qistate.matcore import TOL_EQ, TOL_POS
-from generators import (all_passed, clock_matrix, qubit_instance, random_descriptor, random_group,
-                        random_instance, random_strong_instance, shift_matrix)
+from generators import (all_passed, clock_matrix, multiplication_table, qubit_instance,
+                        random_descriptor, random_group, random_instance,
+                        random_strong_instance, shift_matrix)
 
 
 def test_shift_and_clock_orders():
@@ -29,9 +30,10 @@ def test_random_group_is_closed(rng):
         grp = random_group(rng, desc)
         assert 1 <= grp.order <= 24
         # tables are consistent permutations
+        mult = multiplication_table(grp)
         for i in range(grp.order):
-            assert sorted(grp.mult[i]) == list(range(grp.order))
-            assert grp.mult[i, grp.inv[i]] == 0
+            assert sorted(mult[i]) == list(range(grp.order))
+            assert mult[i, grp.inv[i]] == 0
         assert equal_as_maps(grp.elements[0], identity_automorphism(desc))
 
 

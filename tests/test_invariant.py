@@ -12,8 +12,8 @@ from qistate.invariant import (cocycle_from_d, fixed_density_d, gamma_map,
                                gamma_properties_check, invariant_state,
                                strong_case_check)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
-from generators import (all_passed, inner_generator, random_instance, random_strong_instance,
-                        state_from_density)
+from generators import (all_passed, inner_generator, multiplication_table, random_instance,
+                        random_strong_instance, state_from_density)
 
 
 def invariant_qubit():
@@ -33,10 +33,11 @@ def test_gamma_permutes_cocycle_entries(qubit):
     # Gamma_g(x_h) = x_{h g^-1}, checked via the group table
     table = build_table(qubit.phi, qubit.group)
     grp = qubit.group
+    mult = multiplication_table(grp)
     for i in range(grp.order):
         for h in range(grp.order):
             lhs = gamma_map(table, i, table.entries[h])
-            rhs = table.entries[grp.mult[h, grp.inv[i]]]
+            rhs = table.entries[mult[h, grp.inv[i]]]
             assert (lhs - rhs).op_norm() < 1e-12
 
 
@@ -45,9 +46,10 @@ def test_gamma_composition_random(rng, probe_rng):
     grp = inst.group
     table = build_table(inst.phi, grp)
     a = random_psd_probe(probe_rng, inst.descriptor)
+    mult = multiplication_table(grp)
     for i in range(grp.order):
         for j in range(grp.order):
-            lhs = gamma_map(table, grp.mult[i, j], a)
+            lhs = gamma_map(table, mult[i, j], a)
             rhs = gamma_map(table, i, gamma_map(table, j, a))
             assert (lhs - rhs).op_norm() < 1e-10 * max(1.0, rhs.op_norm())
 

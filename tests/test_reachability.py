@@ -25,7 +25,6 @@ INSTANCE_COMMANDS = ("check", "invariant", "implement", "expectation", "trace")
 # perfbench/tracer.py puts a span on each of these and asserts that it
 # finds every spanned name, so they stay although no command calls them.
 UNREACHED = {
-    "actions.inverse": "one element's inverse; commands read the group's inverse table",
     "cocycle.rn_cocycle": "one element's x_g; commands build all of them in build_table",
     "invariant.gamma_map": "one element's Gamma_g; the suites take the whole group at once",
     "invariant.cocycle_from_d": "the converse x_g = d g^-1(d^-1), which no report checks yet",

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power, identity,
                              unvec, vec)
-from qistate.actions import apply, close_group, identity_automorphism, inverse
+from qistate.actions import apply, close_group, identity_automorphism, inverse, predual
 from qistate.analysis import Analysis
 from qistate.cocycle import rn_cocycle
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
@@ -26,7 +26,7 @@ def hs_norm(x):
 
 def test_a_g_identity_element(qubit):
     an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
-    a = a_g(qubit.phi, qubit.group.elements[0], an.roots[1], TOL_POS)
+    a = a_g(predual(qubit.group.elements[0], qubit.phi.density), an.roots[1], TOL_POS)
     assert (a - identity(qubit.descriptor)).op_norm() <= 1e-12
 
 
