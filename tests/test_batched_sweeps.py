@@ -687,6 +687,21 @@ def test_implement_laws_match_dense_loops(analysis):
     assert (checks[-1].residual > 1e-6) == (not analysis.strong)
 
 
+def test_product_rule_sweeps_every_generator():
+    # Off the strong case the deviation is O(1) and differs from edge to
+    # edge, and the set of edges does not depend on the order in which the
+    # generators are listed; a sweep that skipped a generator would read a
+    # different maximum for one of the two orders.
+    desc = AlgebraDescriptor((5,))
+    shift = inner_generator(desc, 0, shift_matrix(5))
+    clock = inner_generator(desc, 0, clock_matrix(5))
+    phi = state_from_density(random_faithful_density(np.random.default_rng(3), desc))
+    deviations = [verify_representation(Analysis(phi, close_group(gens), TOL_EQ, TOL_POS)).residual
+                  for gens in ([shift, clock], [clock, shift])]
+    assert deviations[0] > 1e-3
+    assert abs(deviations[0] - deviations[1]) <= 1e-12 * deviations[0]
+
+
 @pytest.mark.parametrize("name", STRONG)
 def test_verify_ks_matches_loops(name, request, monkeypatch):
     an = make_analysis(name, request)
