@@ -1,18 +1,18 @@
 """Scale ladder: each instance command on instances from |G| = 64 to 11520.
 
-    python3 ladder/run.py LABEL [--timeout SECONDS] [--rung NAME ...]
+    python3 ladder/run.py LABEL
 
 Writes ``BENCH_<LABEL>.json`` at the repository root: machine facts, then
 for each rung and command the wall time, exit code and peak RSS of one
 ``python -m qistate.cli`` process run on this checkout's ``src``.  Each
 rung also has a ``closure`` row: a process that loads the instance and
 closes its group, as every command does first, and nothing else.  Each
-process is pinned to one CPU with BLAS threads 1, and runs under the
-timeout; a process that outlives it is killed and recorded as a timeout,
-with its time up to the kill.
+process is pinned to one CPU with BLAS threads 1, and runs under a
+``TIMEOUT_S`` timeout; a process that outlives it is killed and recorded
+as a timeout, with its time up to the kill.
 
 The rungs, all at seed 401 (densities from ``perfbench/workloads.py``,
-which is only imported):
+which is only imported; generators from ``tests/generators.py``):
 
 - Weyl(n), n = 8, 12, 16, 20, 24: shift and clock on M_n, generic state,
   |G| = n^2.
@@ -37,10 +37,13 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
+from generators import generators_to_json, inner_generator, symmetric_generators  # noqa: E402
+from qistate.algebra import AlgebraDescriptor  # noqa: E402
 
 SEED = 401
+TIMEOUT_S = 300.0    # per process
 # the part of every command that the closure row times on its own
 CLOSURE = ("import sys; from qistate.actions import close_group; "
            "from qistate.cli import load_instance; "
@@ -53,10 +56,6 @@ BLAS_ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                     "MKL_NUM_THREADS")}
 
 
-def _generator(perm, unitaries) -> dict:
-    return {"perm": list(perm), "unitaries": [workloads._matrix_json(u) for u in unitaries]}
-
-
 def weyl(n: int) -> dict:
     w = replace(workloads.WORKLOADS["weyl5-suite"], block_dims=(n,))
     return workloads.instance(w, SEED)
@@ -65,10 +64,8 @@ def weyl(n: int) -> dict:
 def symmetric(k: int, d: int) -> dict:
     w = replace(workloads.WORKLOADS["blocks2x5-strong"], block_dims=(d,) * k)
     data = workloads.instance(w, SEED)
-    ones = [np.eye(d)] * k
-    swap = [1, 0] + list(range(2, k))
-    cycle = [(j + 1) % k for j in range(k)]
-    data["group"]["generators"] = [_generator(swap, ones), _generator(cycle, ones)]
+    gens = symmetric_generators(AlgebraDescriptor((d,) * k))
+    data["group"]["generators"] = generators_to_json(gens)
     return data
 
 
@@ -79,7 +76,8 @@ def clifford2() -> dict:
     one = np.eye(2)
     cnot = np.eye(4)[[0, 1, 3, 2]]
     gens = [np.kron(h, one), np.kron(s, one), np.kron(one, h), np.kron(one, s), cnot]
-    data["group"]["generators"] = [_generator([0], [u]) for u in gens]
+    desc = AlgebraDescriptor((4,))
+    data["group"]["generators"] = generators_to_json(inner_generator(desc, 0, u) for u in gens)
     data["closure_cap"] = 20000
     return data
 
@@ -136,27 +134,22 @@ def machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="the output is BENCH_<label>.json")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds per process (default 300)")
-    parser.add_argument("--rung", action="append", choices=list(RUNGS),
-                        help="run only these rungs (default: all)")
-    args = parser.parse_args(argv)
+    label = parser.parse_args(argv).label
     cpu = max(os.sched_getaffinity(0))
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name in args.rung or RUNGS:
-            build, dim, order = RUNGS[name]
+        for name, (build, dim, order) in RUNGS.items():
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(build(), sort_keys=True))
-            for command, argv in ROWS.items():
-                res = run_one([sys.executable, *argv, str(path)], args.timeout, cpu)
+            for command, args in ROWS.items():
+                res = run_one([sys.executable, *args, str(path)], TIMEOUT_S, cpu)
                 runs.append({"rung": name, "N": dim, "group_order": order,
                              "command": command, **res})
                 print(f"{name:10s} {command:12s} {res['wall_s']:8.2f} s "
                       f"{res['peak_rss_mb']:8.1f} MB  exit {res['exit_code']}"
                       + ("  TIMEOUT" if res["timeout"] else ""), flush=True)
-    out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps({"label": args.label, "seed": SEED, "timeout_s": args.timeout,
+    out = ROOT / f"BENCH_{label}.json"
+    out.write_text(json.dumps({"label": label, "seed": SEED, "timeout_s": TIMEOUT_S,
                                "cpu": cpu, "blas_threads": 1, "machine": machine(),
                                "runs": runs}, indent=1) + "\n")
     print(f"wrote {out}")

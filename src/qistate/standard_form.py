@@ -105,8 +105,8 @@ def verify_covariance(an) -> Check:
 
 
 def verify_representation(an) -> Check:
-    """Product rule U_g U_h = U_{hg} on the Cayley edges; asserted only in
-    the strong case, otherwise the deviation is recorded as a diagnostic.
+    """Product rule U_g U_h = U_{hg} on the Cayley edges of the listed
+    generators: asserted in the strong case, else a diagnostic that depends on them.
 
     Moving R(w_h rho^{-1/2}) through A(g^-1) gives U_g U_h =
     R(g^-1(w_h rho^{-1/2}) w_g) A((hg)^-1) R(rho^{-1/2}), so U_g U_h - U_{hg}
@@ -123,8 +123,8 @@ def verify_representation(an) -> Check:
                           for s, g in enumerate(group.first_layer))
     return residual_check("representation", "U_g U_h = U_{hg}", worst, an.tol_eq,
                           asserted=strong,
-                          detail=(EDGES if strong else
-                                  "recorded only: product rule unproven here; " + EDGES))
+                          detail=(EDGES if strong else "recorded only: product rule unproven "
+                                  f"here; {EDGES}; the value depends on the listed generators"))
 
 
 def gamma_factorization(an):

@@ -129,6 +129,13 @@ def permutation_generator(desc: AlgebraDescriptor, perm) -> Automorphism:
     return Automorphism(desc, perm, [np.eye(n, dtype=complex) for n in desc.block_dims])
 
 
+def symmetric_generators(desc: AlgebraDescriptor) -> list:
+    """S_k on k equal blocks: one transposition and one k-cycle of the blocks."""
+    k = desc.num_blocks
+    return [permutation_generator(desc, [1, 0] + list(range(2, k))),
+            permutation_generator(desc, [(j + 1) % k for j in range(k)])]
+
+
 def _model_generators(rng, desc: AlgebraDescriptor, want: int = 2):
     """Monomial-model generators with a finite (and small) closure."""
     gens = []
@@ -282,15 +289,18 @@ def m2m2_swap_instance() -> Instance:
     return Instance(desc, phi, group, strong=True, generators=gens)
 
 
+def generators_to_json(generators) -> list:
+    """The generator list of an instance file."""
+    return [{"perm": g.perm.tolist(), "unitaries": [matrix_to_json(u) for u in g.unitaries]}
+            for g in generators]
+
+
 def instance_to_json(phi: State, generators) -> dict:
     """Instance file data, as ``cli.parse_instance`` reads it."""
     return {
         "algebra": {"block_dims": list(phi.descriptor.block_dims)},
         "state": {"density": element_to_json(phi.density)},
-        "group": {"generators": [
-            {"perm": g.perm.tolist(),
-             "unitaries": [matrix_to_json(u) for u in g.unitaries]}
-            for g in generators]},
+        "group": {"generators": generators_to_json(generators)},
         "tolerances": {"tol_eq": TOL_EQ, "tol_pos": TOL_POS},
         "closure_cap": 10000,
     }
@@ -328,3 +338,18 @@ def nonstrong_instance(seed: int = 20240601) -> Instance:
     group = close_group(gens, cap=16)
     phi = state_from_density(random_faithful_density(rng, desc))
     return Instance(desc, phi, group, strong=False, generators=gens)
+
+
+def graded_instance(m: float) -> dict:
+    """Instance file data of the graded conditioning family: M_3 under the
+    Weyl(3) shift and clock, with a faithful state of eigenvalues
+    (m, 0.4, 0.6 - m) in a seed-5 eigenbasis, so that cond(rho) grows like 1/m."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    rho = q @ np.diag([m, 0.4, 0.6 - m]) @ q.conj().T
+    shift = np.roll(np.eye(3), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    return {"algebra": {"block_dims": [3]},
+            "state": {"density": [matrix_to_json(0.5 * (rho + rho.conj().T))]},
+            "group": {"generators": [{"perm": [0], "unitaries": [matrix_to_json(u)]}
+                                     for u in (shift, clock)]}}

@@ -10,8 +10,8 @@ import pytest
 from qistate import cocycle, expectation, standard_form
 from qistate.cli import (EXIT_PASS, EXIT_PRECONDITION, EXIT_VALIDATION,
                          InstanceFormatError, main, matrix_to_json, parse_instance)
-from generators import (instance_to_json, m2m2_swap_instance, nonstrong_instance,
-                        qubit_instance, write_bundled_instances)
+from generators import (graded_instance, instance_to_json, m2m2_swap_instance,
+                        nonstrong_instance, qubit_instance, write_bundled_instances)
 
 REPO_INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -344,11 +344,10 @@ def test_instance_tolerances_reach_every_command(tmp_path, capsys):
         assert "cocycle element is numerically singular" in capsys.readouterr().err
 
 
-# The graded conditioning family: M_3 under the Weyl(3) shift and clock, with
-# a faithful state of eigenvalues (m, 0.4, 0.6 - m) in a seed-5 eigenbasis, so
-# that cond(rho) grows like 1/m.  Every command must pass, or refuse with an
-# error that names the conditioning.  At m = 1e-5 ... 1e-4 three commands do
-# neither; those cases are strict xfails, kept until the thresholds are derived.
+# The graded conditioning family (``generators.graded_instance``): every
+# command must pass, or refuse with an error that names the conditioning.
+# At m = 1e-5 ... 1e-4 three commands do neither; those cases are strict
+# xfails, kept until the thresholds are derived.
 GRADED_M = (1e-2, 1e-3, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8, 1e-9)
 GRADED_DEFECTS = {"check": "inverse_formula fails its threshold",
                   "implement": "U_g is refused as not unitary",
@@ -368,17 +367,8 @@ def test_nearly_singular_state_is_refused_as_singular(m, command, tmp_path, caps
     # Below m = 1e-5 some x_g = rho^-1 g^-1(rho) is ill-conditioned (at
     # m = 1e-9, cond(rho) = 6e8), and the refusal names that, not an
     # inconsistency, in every command and before any later artifact is built.
-    rng = np.random.default_rng(5)
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    rho = q @ np.diag([m, 0.4, 0.6 - m]) @ q.conj().T
-    shift = np.roll(np.eye(3), 1, axis=0)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
-    data = {"algebra": {"block_dims": [3]},
-            "state": {"density": [matrix_to_json(0.5 * (rho + rho.conj().T))]},
-            "group": {"generators": [{"perm": [0], "unitaries": [matrix_to_json(u)]}
-                                     for u in (shift, clock)]}}
     path = tmp_path / "nearly_singular.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(graded_instance(m)))
     code = run_cli([command, "--input", str(path)])
     err = capsys.readouterr().err.strip()
     if m >= 1e-5:
