@@ -11,16 +11,23 @@ process is pinned to one CPU with BLAS threads 1, and runs under a
 ``TIMEOUT_S`` timeout; a process that outlives it is killed and recorded
 as a timeout, with its time up to the kill.
 
-The rungs, all at seed 401 (densities from ``perfbench/workloads.py``,
-which is only imported; generators from ``tests/generators.py``):
+The rungs, at seed 401 where random (densities from
+``perfbench/workloads.py``, which is only imported; generators from
+``tests/generators.py``):
 
-- Weyl(n), n = 8, 12, 16, 20, 24: shift and clock on M_n, generic state,
-  |G| = n^2.
-- S_k on k x M_d, (k, d) = (5, 3) and (6, 2): one transposition and one
-  k-cycle of the blocks, diagonal state (strongly quasi-invariant),
-  |G| = k!.
+- Weyl(n), n = 8, 10, 12, 16, 20, 24: shift and clock on M_n, generic
+  state, |G| = n^2.
+- k x M_d, (k, d) = (2, 8), (4, 6) and (2, 10): the cyclic shift of the
+  blocks (``workloads.py``), diagonal state (strongly quasi-invariant),
+  |G| = k.
+- S_k on k x M_d, (k, d) = (5, 3), (6, 2) and (7, 2): one transposition
+  and one k-cycle of the blocks, diagonal state, |G| = k!.
 - Clifford(2 qubits): H x 1, S x 1, 1 x H, 1 x S and CNOT on M_4, generic
   state, |G| = 11520, closure cap 20000.
+- The graded conditioning family (``generators.graded_instance``) at the
+  ten values of m from 1e-2 to 1e-9: M_3 under Weyl(3), |G| = 9, with
+  cond(rho) about 0.6/m.  Several of its cells exit 1 or 3; the exit code
+  and the last stderr line record how.
 """
 
 import argparse
@@ -39,7 +46,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
-from generators import generators_to_json, inner_generator, symmetric_generators  # noqa: E402
+from generators import (generators_to_json, graded_instance, inner_generator,  # noqa: E402
+                        symmetric_generators)
 from qistate.algebra import AlgebraDescriptor  # noqa: E402
 
 SEED = 401
@@ -61,9 +69,13 @@ def weyl(n: int) -> dict:
     return workloads.instance(w, SEED)
 
 
-def symmetric(k: int, d: int) -> dict:
+def blocks(k: int, d: int) -> dict:
     w = replace(workloads.WORKLOADS["blocks2x5-strong"], block_dims=(d,) * k)
-    data = workloads.instance(w, SEED)
+    return workloads.instance(w, SEED)
+
+
+def symmetric(k: int, d: int) -> dict:
+    data = blocks(k, d)
     gens = symmetric_generators(AlgebraDescriptor((d,) * k))
     data["group"]["generators"] = generators_to_json(gens)
     return data
@@ -84,10 +96,15 @@ def clifford2() -> dict:
 
 # name -> (instance data, N, |G|)
 RUNGS = {
-    **{f"weyl{n}": (lambda n=n: weyl(n), n * n, n * n) for n in (8, 12, 16, 20, 24)},
+    **{f"weyl{n}": (lambda n=n: weyl(n), n * n, n * n) for n in (8, 10, 12, 16, 20, 24)},
+    **{f"blocks{k}xM{d}": (lambda k=k, d=d: blocks(k, d), k * d * d, k)
+       for k, d in ((2, 8), (4, 6), (2, 10))},
     "s5-5xM3": (lambda: symmetric(5, 3), 45, 120),
     "s6-6xM2": (lambda: symmetric(6, 2), 24, 720),
+    "s7-7xM2": (lambda: symmetric(7, 2), 28, 5040),
     "clifford2": (clifford2, 16, 11520),
+    **{f"graded{m:g}": (lambda m=m: graded_instance(m), 9, 9)
+       for m in (1e-2, 1e-3, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8, 1e-9)},
 }
 
 

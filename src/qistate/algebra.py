@@ -204,6 +204,12 @@ def worst_op_norm(elements) -> float:
     return matcore.max_op_norm(b for x in elements for b in x.blocks)
 
 
+def max_entry(x: AlgebraElement) -> float:
+    """Largest |entry| of an element or a stack: for a density y, max |tr(y E)|
+    over the matrix units E, as tr(y E_ij) = y_ji exactly (products by 0, 1)."""
+    return max(float(np.max(np.abs(b))) for b in x.blocks)
+
+
 # A sweep over pairs stacks at most this many elements at once.
 STACK_LIMIT = 1024
 

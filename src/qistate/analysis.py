@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .actions import FiniteGroup
 from .algebra import State, density_power
-from .cocycle import build_table, is_strongly_qi
+from .cocycle import build_table, self_adjoint_check
 from .expectation import commutant_f0, cond_expectation, e0_projection, fixed_algebra
 from .invariant import invariant_state
 from .standard_form import a_g, spatial_factors
@@ -37,13 +37,9 @@ class Analysis:
         return build_table(self.phi, self.group, self.tol_pos)
 
     @cached_property
-    def strong_qi(self):
-        """(strong?, checks) of ``is_strongly_qi``."""
-        return is_strongly_qi(self.table, self.tol_eq, self.tol_pos)
-
-    @property
     def strong(self) -> bool:
-        return self.strong_qi[0]
+        """The pass of ``self_adjoint_check``, which alone decides it."""
+        return self_adjoint_check(self.table, self.tol_eq).passed
 
     @cached_property
     def a(self):

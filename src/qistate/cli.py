@@ -20,8 +20,8 @@ from .algebra import AlgebraDescriptor, AlgebraElement, State, identity
 from .actions import Automorphism, close_group
 from .analysis import Analysis
 # build_table is not called here; perfbench's tests read it from this module.
-from .cocycle import (build_table, random_psd_probe, sandwich_check,  # noqa: F401
-                      sz_domination, verify_adjoint_relation,
+from .cocycle import (build_table, is_strongly_qi, random_psd_probe,  # noqa: F401
+                      sandwich_check, sz_domination, verify_adjoint_relation,
                       verify_cocycle_identity, verify_inverse_formula)
 from .expectation import expectation_checks, projection_checks, verify_ks
 from .invariant import gamma_properties_check, strong_case_check
@@ -211,15 +211,16 @@ def cmd_check(args):
     an, digest = _analysis(args)
     desc, table, tol_eq = an.phi.descriptor, an.table, an.tol_eq
     probes = [random_psd_probe(rng, desc) for _ in range(8)] + [identity(desc)]
+    strong, strong_checks = is_strongly_qi(table, tol_eq, an.tol_pos)
     checks = [verify_cocycle_identity(table, tol_eq), verify_inverse_formula(table, tol_eq),
               verify_adjoint_relation(table, tol_eq), sandwich_check(table, probes, tol_eq),
-              *an.strong_qi[1],
+              *strong_checks,
               # positive-form domination, probed with each cocycle element
               sz_domination(table, probes, tol_eq)]
     summary = {
         "lambda": table.lambda_bound,
         "group_order": an.group.order,
-        "strong_qi": bool(an.strong),
+        "strong_qi": strong,
         "fixed_algebra_dim": None,
         "trace_weights": None,
     }

@@ -1,6 +1,6 @@
 """Residual-check bookkeeping shared by the verification suites."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 # A pair law of homomorphism type holds on every pair once it holds on the
 # edges, s in ``first_layer``: by induction on the length of a word, through
@@ -26,15 +26,9 @@ class Check:
     detail: str = ""
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "law": self.law,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "pass": self.passed,
-            "asserted": self.asserted,
-            "detail": self.detail,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 def residual_check(name: str, law: str, residual: float, tol: float,

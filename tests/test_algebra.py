@@ -5,7 +5,7 @@ from scipy.linalg import block_diag
 
 from qistate import algebra
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices,
-                             density_power, evaluate, identity, matrix_unit_basis,
+                             density_power, evaluate, identity, matrix_unit_basis, max_entry,
                              require_faithful, stack, unvec, vec)
 from qistate.matcore import InputError, PreconditionError, dagger
 from generators import hs_matrix, left_mult_matrix, state_from_density
@@ -286,6 +286,22 @@ def test_batched_trace_evaluate_and_vec_match_each_index(dims, seed, size):
     # only up to roundoff
     running = (1.0 / size) * sum(list(x)[1:], x[0])
     assert (x.mean() - running).op_norm() <= 1e-15 * max(1.0, x.op_norm())
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_dims, seeds, st.integers(1, 4))
+def test_max_entry_is_the_largest_value_on_the_matrix_units(dims, seed, size):
+    # The functional a |-> tr(y a), evaluated as ``evaluate`` does, on each
+    # matrix unit: products by 0 and 1 and sums of zeros, so the value on
+    # E_ij is y_ji bit for bit, and the largest |value| is ``max_entry``.
+    rng = np.random.default_rng(seed)
+    desc = AlgebraDescriptor(dims)
+    y = random_stack(rng, desc, size)
+    functional = State._unchecked(desc, y, 0.0)
+    values = np.stack([evaluate(functional, unit) for unit in matrix_unit_basis(desc)], axis=-1)
+    # the units come in vec order, so the values are vec of each y transposed
+    assert np.array_equal(values, np.conj(vec(y.adjoint())))
+    assert max_entry(y) == float(np.max(np.abs(values)))
 
 
 @settings(max_examples=30, deadline=None)

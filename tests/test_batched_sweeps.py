@@ -631,6 +631,26 @@ def test_violated_gamma_laws_match_loops(analysis, monkeypatch):
     assert all(got[law] > 1e-3 for law, value in all_pairs.items() if value > 1e-3)
 
 
+# A psi that the group moves and a perturbed d, with Phi set directly
+# (``cond_expectation`` refuses a non-invariant psi): state_invariance and
+# state_decomposition, each one density identity, read 0.08 to 0.4 and must
+# match the matrix-unit loops.  Without the mean in Phi_*, or with d^-1 on
+# the left of Phi_*(rho_psi), they would not.
+@pytest.mark.parametrize("name", STRONG)
+def test_violated_state_laws_match_loops(name, request):
+    an = make_analysis(name, request)
+    desc = an.phi.descriptor
+    psi = state_from_density(random_faithful_density(np.random.default_rng(0), desc))
+    d = an.certificate.d @ (identity(desc) + 0.3 * random_probe(random.Random(11), desc))
+    an.certificate = dataclasses.replace(an.certificate, psi=psi, d=d)
+    an.Phi = ConditionalExpectation(an.group, an.fixed)
+    checks = expectation_checks(an, random.Random(7)) + verify_ks(an)
+    assert_residuals_match(checks, {**reference_expectation_checks(an, random.Random(7)),
+                                    **reference_verify_ks(an)})
+    got = {c.name: c.residual for c in checks}
+    assert got["state_invariance"] > 1e-3 and got["state_decomposition"] > 1e-3
+
+
 # On these instances the residuals lie far from the thresholds, on either
 # side, and the edge and all-pairs verdicts agree.
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -749,7 +769,7 @@ def test_mean_formula_reduction_matches_dense_products(analysis):
                               for _ in range(group.order))
     v = actions.predual(group.elements, an.roots[1]) @ w
     an.factors = (w, v, an.factors[2])
-    an.strong_qi = (True, an.strong_qi[1])
+    an.strong = True
     reference = reference_verify_ks(an)
     assert (reference["mean_formula"] > 1e-3) == (group.order > 1)
     got = {c.name: c.residual for c in verify_ks(an)}

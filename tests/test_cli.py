@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qistate import cocycle, expectation, standard_form
-from qistate.cli import (EXIT_PASS, EXIT_PRECONDITION, EXIT_VALIDATION,
+from qistate.cli import (EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_PRECONDITION, EXIT_VALIDATION,
                          InstanceFormatError, main, matrix_to_json, parse_instance)
 from generators import (graded_instance, instance_to_json, m2m2_swap_instance,
                         nonstrong_instance, qubit_instance, write_bundled_instances)
@@ -397,8 +397,8 @@ def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
     calls = collections.Counter()
     modules = [m for key, m in list(sys.modules.items())
                if key == "qistate" or key.startswith("qistate.")]
-    for fn in (cocycle.build_table, expectation.fixed_algebra, expectation.e0_projection,
-               standard_form.u_g, standard_form.group_unitaries):
+    for fn in (cocycle.build_table, cocycle.is_strongly_qi, expectation.fixed_algebra,
+               expectation.e0_projection, standard_form.u_g, standard_form.group_unitaries):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -410,6 +410,9 @@ def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
     assert run_cli([command, "--input", path]) == EXIT_PASS
     capsys.readouterr()
     assert calls["build_table"] == 1
+    # the state is strong, and only check builds the consequence checks,
+    # among them the |G|^2/2 commuting sweep
+    assert calls["is_strongly_qi"] == (command == "check")
     assert calls["fixed_algebra"] == calls["e0_projection"] == (command == "expectation")
     # every law of U_g is taken on its block factors: no command builds it dense
     assert calls["group_unitaries"] == calls["u_g"] == 0
@@ -433,6 +436,38 @@ def test_strong_state_self_adjoint_to_roundoff_passes_every_command(tmp_path):
             assert checks["self_adjoint"]["residual"] > 1e-10
         if command != "trace":    # the trace report has no strong flag
             assert report["summary"]["strong_qi"] is True
+
+
+def test_self_adjoint_check_alone_decides_strong(tmp_path, capsys):
+    # Weyl(3) on M_3 at rho = 1/3 + 1e-3 h: x_g is self-adjoint to 1.6e-4
+    # and the x_g commute to 3.1e-4, so at tol_eq = 2.2e-4 the self_adjoint
+    # check passes and pairwise_commuting fails.  The state reads strong in
+    # every command, and check reports the failing consequence (exit 1).
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    h = h + h.conj().T
+    rho = np.eye(3) / 3 + 1e-3 * (h - np.trace(h) / 3 * np.eye(3))
+    shift, clock = np.roll(np.eye(3), 1, axis=0), np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    data = {"algebra": {"block_dims": [3]}, "state": {"density": [matrix_to_json(rho)]},
+            "group": {"generators": [{"perm": [0], "unitaries": [matrix_to_json(u)]}
+                                     for u in (shift, clock)]},
+            "tolerances": {"tol_eq": 2.2e-4}}
+    path = tmp_path / "hermitian_not_commuting.json"
+    path.write_text(json.dumps(data))
+
+    def run(command):
+        out = tmp_path / f"{command}.json"
+        code = run_cli([command, "--input", str(path), "--out", str(out)])
+        return code, json.load(open(out))
+
+    code, report = run("check")
+    checks = {c["name"]: c["pass"] for c in report["checks"]}
+    assert code == EXIT_CHECK_FAILURE and report["summary"]["strong_qi"] is True
+    assert [name for name, passed in checks.items() if not passed] == ["pairwise_commuting"]
+    code, report = run("invariant")
+    assert code == EXIT_PASS and report["summary"]["strong_qi"] is True
+    assert "d_orbit_commutes" in {c["name"] for c in report["checks"]}
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", INSTANCE_COMMANDS)
