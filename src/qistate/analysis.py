@@ -42,15 +42,19 @@ class Analysis:
         return self_adjoint_check(self.table, self.tol_eq).passed
 
     @cached_property
+    def polar(self):
+        """(a_g, v_g) for each group element, stacked in group order."""
+        return a_g(self.group, self.roots)
+
+    @property
     def a(self):
-        """a_g for each group element, stacked in group order."""
-        return a_g(self.table.predual_rho, self.roots[1], self.tol_pos)
+        return self.polar[0]
 
     @cached_property
     def factors(self):
         """(w_g, v_g) of U_g stacked in group order, and max_g ||v_g v_g* - 1||;
         refuses a non-unitary U_g."""
-        return spatial_factors(self.group, self.roots, self.a, self.tol_eq)
+        return spatial_factors(self.roots, *self.polar, self.tol_eq)
 
     @cached_property
     def certificate(self):

@@ -4,9 +4,10 @@ For a faithful state phi with density rho and an automorphism g, the
 cocycle element x_g is the unique solution of phi(g(a)) = phi(x_g a); at
 finite dimension x_g = rho^-1 g^-1(rho).  The table of all x_g carries the
 uniform bound lambda = max_g max(||x_g||, ||x_g^-1||), the chain rule
-x_{hg} = x_g g^-1(x_h), the inverse formula, and the adjoint relation
-rho x_g = x_g* rho.  A state is strongly quasi-invariant when every x_g is
-self-adjoint; then the x_g are positive, commute pairwise, lie in the
+x_{hg} = x_g g^-1(x_h), the inverse formula x_g^-1 = g^-1(x_{g^-1}) (the
+table's inverses, so no x_g is inverted), and the adjoint relation
+rho x_g = x_g* rho.  A state is strongly quasi-invariant when every x_g
+is self-adjoint; then the x_g are positive, commute pairwise, lie in the
 centralizer of phi, and their spectra sit in [1/lambda, lambda].
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .algebra import AlgebraElement, State, evaluate, require_faithful, worst_op_norm
+from .algebra import AlgebraElement, State, evaluate, identity, require_faithful, worst_op_norm
 from .actions import Automorphism, FiniteGroup, predual
 from .matcore import PreconditionError, TOL_EQ, TOL_POS
 from .reporting import EDGES, Check, residual_check
@@ -35,9 +36,9 @@ def rn_cocycle(phi: State, g: Automorphism, tol_pos: float = TOL_POS) -> Algebra
 class CocycleTable:
     """All cocycle elements x_g of a group and their inverses, each as one
     element stacked over the group: ``entries[k]`` is x_g for the group
-    element with index k, built from ``predual_rho``, g^-1(rho) = rho x_g.
-    ``entry_norm`` is max_g ||x_g||, ``inverse_norm`` max_g ||x_g^-1||, and
-    lambda the larger of the two."""
+    element with index k, built from ``predual_rho``, g^-1(rho) = rho x_g,
+    and ``inverses[k]`` its inverse g^-1(x_{g^-1}).  ``entry_norm`` is
+    max_g ||x_g||, ``inverse_norm`` max_g ||x_g^-1||, and lambda the larger."""
 
     phi: State
     group: FiniteGroup
@@ -59,7 +60,7 @@ def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS) -> Coc
     norms = np.max([s[..., 0] for s in svs], axis=0)
     if np.any(np.min([s[..., -1] for s in svs], axis=0) <= tol_pos * np.maximum(1.0, norms)):
         raise PreconditionError("cocycle element is numerically singular")
-    inverses = entries.inv()
+    inverses = predual(group.elements, entries[group.inv])
     entry_norm, inverse_norm = float(np.max(norms)), inverses.op_norm()
     return CocycleTable(phi, group, entries, inverses, predual_rho, entry_norm, inverse_norm,
                         max(entry_norm, inverse_norm))
@@ -80,9 +81,9 @@ def verify_cocycle_identity(table: CocycleTable, tol_eq: float = TOL_EQ) -> Chec
 
 
 def verify_inverse_formula(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check:
-    """Matrix inverse of x_g against g^-1(x_{g^-1}), for every g at once."""
-    grp, x = table.group, table.entries
-    worst = (table.inverses - predual(grp.elements, x[grp.inv])).op_norm()
+    """x_g g^-1(x_{g^-1}) = 1, the chain rule at (g, g^-1) as x_1 = 1, for
+    every g at once: the table's inverses tested against its entries."""
+    worst = (table.entries @ table.inverses - identity(table.phi.descriptor)).op_norm()
     return residual_check("inverse_formula", "x_g^-1 = g^-1(x_{g^-1})",
                           worst, tol_eq, max(1.0, table.inverse_norm))
 

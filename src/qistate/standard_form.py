@@ -1,7 +1,8 @@
 """Spatial implementation of the group action on the Hilbert-Schmidt space.
 
 With rho the density of a faithful state, a_g is the positive square root
-of rho^{-1/2} g^{-1}(rho) rho^{-1/2}, and U_g extends
+of rho^{-1/2} g^{-1}(rho) rho^{-1/2}, read with v_g off the polar
+decomposition g^-1(rho^{-1/2}) rho^{1/2} = v_g a_g^-1, and U_g extends
 x rho^{1/2} |-> g^{-1}(x) rho^{1/2} a_g to a unitary with
 U_g* L_x U_g = L_{g(x)}.  In the strongly quasi-invariant case
 a_g = x_g^{1/2} and U_g U_h = U_{hg}, so g |-> U_g* is a unitary
@@ -20,40 +21,35 @@ import numpy as np
 from . import matcore
 from .algebra import AlgebraElement, density_power, identity, matrix_unit_basis, vec, worst_op_norm
 from .actions import Automorphism, FiniteGroup, predual
-from .matcore import PreconditionError
+from .matcore import PreconditionError, dagger
 from .reporting import EDGES, Check, residual_check
 
 
-def a_g(predual_rho: AlgebraElement, root_inv: AlgebraElement, tol_pos: float) -> AlgebraElement:
-    """Positive a_g with rho^{1/2} a_g^2 rho^{1/2} = g^-1(rho): the root of
-    rho^{-1/2} g^-1(rho) rho^{-1/2}, given rho^{-1/2} and g^-1(rho), which
-    may be a stack (``CocycleTable.predual_rho``); ``psd_sqrt`` refuses the
-    first element that is not PSD.
-
-    Two laws of a_g^2 hold by construction and are not re-tested here.
-    a_g^2 = rho^{1/2} x_g rho^{-1/2}, because x_g = rho^-1 g^-1(rho) makes
-    the right side the very matrix a_g is the root of; ``implement``
-    reports it as ``predual_via_a_g``.  And a_g^2 >= 1/||x_{g^-1}||: a_g^2
-    is similar to x_g, so its least eigenvalue is
-    1/spectral_radius(x_g^-1) >= 1/||x_g^-1||, and
-    ||x_g^-1|| = ||g^-1(x_{g^-1})|| = ||x_{g^-1}|| by the inverse formula,
-    which ``check`` reports.
-    """
-    middle = root_inv @ predual_rho @ root_inv
-    return AlgebraElement._unchecked(
-        middle.descriptor, [matcore.psd_sqrt(b, tol_pos=tol_pos) for b in middle.blocks])
+def a_g(group: FiniteGroup, roots) -> tuple:
+    """(a_g, v_g) for every g, stacked in group order, given ``roots`` =
+    (rho^{1/2}, rho^{-1/2}): the polar decomposition v_g a_g^-1 of
+    K_g = g^-1(rho^{-1/2}) rho^{1/2}, since K_g* K_g = rho^{1/2} g^-1(rho^-1) rho^{1/2}
+    is the inverse of a_g^2 = rho^{-1/2} g^-1(rho) rho^{-1/2}.  One SVD
+    K_g = U S W* per block gives v_g = U W* and a_g = W S^-1 W* (Higham,
+    Functions of Matrices, 2008, ch. 8), unitary and positive to roundoff;
+    nothing of condition number cond(rho)^2 is inverted or rooted.
+    ``implement`` reports their fit to the state,
+    rho^{1/2} a_g^2 rho^{1/2} = g^-1(rho), as ``predual_via_a_g``."""
+    k = predual(group.elements, roots[1]) @ roots[0]
+    svds = [np.linalg.svd(b) for b in k.blocks]
+    a = [(dagger(wh) / s[..., None, :]) @ wh for _, s, wh in svds]
+    return (AlgebraElement._unchecked(k.descriptor, a),
+            AlgebraElement._unchecked(k.descriptor, [u @ wh for u, _, wh in svds]))
 
 
-def spatial_factors(group: FiniteGroup, roots, a: AlgebraElement, tol_eq: float):
-    """(w_g, v_g) stacked in group order, from ``roots`` = (rho^{1/2},
-    rho^{-1/2}) and a_g, and max_g ||v_g v_g* - 1||, the residual of
+def spatial_factors(roots, a: AlgebraElement, v: AlgebraElement, tol_eq: float):
+    """(w_g, v_g) stacked in group order, w_g = rho^{1/2} a_g with ``roots``
+    = (rho^{1/2}, rho^{-1/2}), and max_g ||v_g v_g* - 1||, the residual of
     ``verify_unitarity``'s isometry law and of ``verify_covariance``.
     Refuses U_g when ||v_g v_g* - 1|| > tol_eq max(1, ||v_g||^2), since
     U_g* U_g = R(g(v_g v_g*)) (see ``verify_unitarity``) and
-    ||U_g||^2 = ||v_g v_g*|| = ||v_g||^2."""
-    root, root_inv = roots
-    w = root @ a
-    v = predual(group.elements, root_inv) @ w
+    ||U_g||^2 = ||v_g v_g*|| = ||v_g||^2: a guard, as v_g is a polar factor."""
+    w = roots[0] @ a
     vv = v @ v.adjoint()
     res, sq = (vv - identity(a.descriptor)).op_norms(), vv.op_norms()
     bad = res > tol_eq * np.maximum(1.0, sq)
@@ -84,6 +80,7 @@ def verify_unitarity(an) -> list:
     U_g U_g* = R(w_g) R(g^-1(rho^-1)) R(w_g*) = R(v_g* v_g).  As
     ||R(z)|| = ||z|| and g is isometric, the residuals are
     ||v_g v_g* - 1|| and ||v_g* v_g - 1||; ``spatial_factors`` took the first.
+    Both read roundoff, as v_g is a polar factor (``a_g``).
     """
     _, v, isometry = an.factors
     return [residual_check("unitary_isometry", "U_g* U_g = 1", isometry, an.tol_eq),
@@ -132,20 +129,17 @@ def gamma_factorization(an):
     invariant state of the instance analysis ``an``.
 
     Verifies rho_psi = gamma rho gamma*, d* = gamma sigma_{-i}(gamma*)
-    for the linking element d = rho^-1 rho_psi, and
+    for the certificate's d (rho_psi is the Hermitian part of rho d), and
     x_g* = gamma_g sigma_{-i}(gamma_g*) with gamma_g = g^-1(gamma^-1) gamma
     over the group.  Returns (gamma, d, checks).
     """
     tol_eq, tol_pos = an.tol_eq, an.tol_pos
-    psi = an.certificate.psi
+    psi, d = an.certificate.psi, an.certificate.d
     rho, rho_psi = an.phi.density, psi.density
     root, root_inv = an.roots
     rho_inv = rho.inv()
     psi_root = density_power(psi, -0.5j, tol_pos)
     gamma = psi_root @ root_inv
-    d = rho_inv @ rho_psi
-    if d.min_sv() <= tol_pos * max(1.0, d.op_norm()):
-        raise PreconditionError("linking element d = rho^-1 rho_psi is singular")
 
     def sigma_minus_i(x):
         return rho @ x @ rho_inv

@@ -44,7 +44,7 @@ from qistate.invariant import (N_PROBES, fixed_density_d, gamma_map, gamma_prope
                                strong_case_check)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS, dagger
 from qistate.reporting import EDGES, residual_check
-from qistate.standard_form import (a_g, gamma_factorization, lemma_chain_checks,
+from qistate.standard_form import (gamma_factorization, lemma_chain_checks,
                                    verify_covariance, verify_representation, verify_unitarity)
 from qistate.trace import trace_invariance_check, verify_density_relations
 from generators import (Instance, clock_matrix, dense_unitaries, graded_instance,
@@ -87,22 +87,29 @@ def pair_indices(group, edges=True):
 
 def reference_table(phi, group, tol_pos=TOL_POS):
     """Entries, inverses and lambda of the cocycle table, one rn_cocycle
-    call and one singularity test per group element."""
+    call and one singularity test per group element, then each inverse
+    x_g^-1 = g^-1(x_{g^-1}) by one predual per element."""
     entries = []
     for g in group.elements:
         x = rn_cocycle(phi, g, tol_pos=tol_pos)
         if x.min_sv() <= tol_pos * max(1.0, x.op_norm()):
             raise PreconditionError("cocycle element is numerically singular")
         entries.append(x)
+    inverses = stack(predual(g, entries[k]) for g, k in zip(group.elements, group.inv))
     entries = stack(entries)
-    inverses = entries.inv()
     return entries, inverses, max(entries.op_norm(), inverses.op_norm())
 
 
-def reference_a(an):
-    """a_g stacked from one a_g call per group element."""
-    return stack(a_g(predual(g, an.phi.density), an.roots[1], TOL_POS)
-                 for g in an.group.elements)
+def reference_polar(an):
+    """a_g and v_g stacked, from one SVD g^-1(rho^{-1/2}) rho^{1/2} = U S W*
+    per group element and block: a_g = W S^-1 W*, v_g = U W*."""
+    root, root_inv = an.roots
+    a, v = [], []
+    for g in an.group.elements:
+        svds = [np.linalg.svd(b) for b in (predual(g, root_inv) @ root).blocks]
+        a.append(AlgebraElement(root.descriptor, [(dagger(wh) / s) @ wh for _, s, wh in svds]))
+        v.append(AlgebraElement(root.descriptor, [u @ wh for u, _, wh in svds]))
+    return stack(a), stack(v)
 
 
 def reference_sz_domination(phi, a, probes):
@@ -131,8 +138,8 @@ def reference_cocycle_laws(table, probes, edges=True):
     for i1, i2 in pair_indices(grp, edges):
         g1inv = grp.elements[grp.inv[i1]]
         chain = max(chain, (xs[mult[i2, i1]] - xs[i1] @ apply(g1inv, xs[i2])).op_norm())
-    inverse_formula = max((x_invs[i] - reference_predual(g, xs[grp.inv[i]])).op_norm()
-                          for i, g in enumerate(grp.elements))
+    inverse_formula = max((x @ x_inv - identity(table.phi.descriptor)).op_norm()
+                          for x, x_inv in zip(xs, x_invs))
     adjoint = max((rho @ x - x.adjoint() @ rho).op_norm() for x in xs)
     sandwich = 0.0
     for a in probes:
@@ -509,7 +516,8 @@ def test_table_and_a_g_match_loops_bit_for_bit(analysis):
     entries, inverses, lam = reference_table(analysis.phi, group)
     assert blocks_equal(table.entries, entries) and blocks_equal(table.inverses, inverses)
     assert table.lambda_bound == lam
-    assert blocks_equal(analysis.a, reference_a(analysis))
+    a, v = reference_polar(analysis)
+    assert blocks_equal(analysis.a, a) and blocks_equal(analysis.polar[1], v)
 
 
 def test_inverse_formula_and_domination_match_loops_bit_for_bit(analysis):

@@ -346,23 +346,11 @@ def test_instance_tolerances_reach_every_command(tmp_path, capsys):
 
 # The graded conditioning family (``generators.graded_instance``): every
 # command must pass, or refuse with an error that names the conditioning.
-# At m = 1e-5 ... 1e-4 three commands do neither; those cases are strict
-# xfails, kept until the thresholds are derived.
 GRADED_M = (1e-2, 1e-3, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8, 1e-9)
-GRADED_DEFECTS = {"check": "inverse_formula fails its threshold",
-                  "implement": "U_g is refused as not unitary",
-                  "expectation": "U_g is refused as not unitary"}
 
 
-def graded_cases():
-    for m in GRADED_M:
-        for command in INSTANCE_COMMANDS:
-            defect = GRADED_DEFECTS.get(command) if 1e-5 <= m <= 1e-4 else None
-            marks = pytest.mark.xfail(strict=True, reason=defect) if defect else ()
-            yield pytest.param(m, command, marks=marks, id=f"{m:g}-{command}")
-
-
-@pytest.mark.parametrize("m, command", graded_cases())
+@pytest.mark.parametrize("m, command", [pytest.param(m, command, id=f"{m:g}-{command}")
+                                        for m in GRADED_M for command in INSTANCE_COMMANDS])
 def test_nearly_singular_state_is_refused_as_singular(m, command, tmp_path, capsys):
     # Below m = 1e-5 some x_g = rho^-1 g^-1(rho) is ill-conditioned (at
     # m = 1e-9, cond(rho) = 6e8), and the refusal names that, not an

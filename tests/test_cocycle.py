@@ -76,6 +76,23 @@ def test_inverse_formula_hand_check(qubit):
     assert (lhs - rhs).op_norm() < 1e-12
 
 
+@pytest.mark.parametrize("name", ["nonstrong", "m2m2_swap"])
+def test_inverse_formula_fails_on_entries_from_a_wrong_rho_inverse(name, request, monkeypatch):
+    # build_table takes rho^-1 as phi.density.inv(); made to return
+    # B = (1 + 1e-6 diag(0, 1, ...)) rho^-1, it builds entries B g^-1(rho)
+    # that are no cocycle.  The inverses the table reads off them must show
+    # it; g^-1(B) rho, an inverse taken from the same B, would satisfy
+    # x_g^-1 = g^-1(x_{g^-1}) exactly and hide it.
+    inst = request.getfixturevalue(name)
+    rho, inv = inst.phi.density, AlgebraElement.inv
+    wrong = AlgebraElement(inst.descriptor,
+                           [np.diag(1.0 + 1e-6 * np.arange(n)) for n in inst.descriptor.block_dims]
+                           ) @ inv(rho)
+    monkeypatch.setattr(AlgebraElement, "inv", lambda x: wrong if x is rho else inv(x))
+    check = verify_inverse_formula(build_table(inst.phi, inst.group))
+    assert not check.passed and check.residual > 1e-7
+
+
 def test_adjoint_relation_hand_check(qubit):
     # rho x_g = diag(2/3, 1/3) = x_g* rho
     table = build_table(qubit.phi, qubit.group)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power, identity,
                              unvec, vec)
-from qistate.actions import apply, close_group, identity_automorphism, inverse, predual
+from qistate.actions import apply, close_group, identity_automorphism, inverse
 from qistate.analysis import Analysis
 from qistate.cocycle import rn_cocycle
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
@@ -25,9 +25,10 @@ def hs_norm(x):
 
 
 def test_a_g_identity_element(qubit):
+    # the group's first element is the identity: a_1 = v_1 = 1
     an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
-    a = a_g(predual(qubit.group.elements[0], qubit.phi.density), an.roots[1], TOL_POS)
-    assert (a - identity(qubit.descriptor)).op_norm() <= 1e-12
+    for factor in a_g(qubit.group, an.roots):
+        assert (factor[0] - identity(qubit.descriptor)).op_norm() <= 1e-12
 
 
 def test_a_g_qubit_strong_case(qubit):
@@ -229,16 +230,35 @@ def test_lemma_chain_strong_extras(rng):
 
 @pytest.mark.parametrize("name", ["nonstrong", "m2m2_swap"])
 def test_non_unitary_implementation_is_refused(name, request):
-    # a_g scaled by 1.01 makes U_g* U_g = 1.01^2 R(y_g): residual 0.0201
+    # v_g scaled by 1.01 makes ||v_g v_g* - 1|| = 1.01^2 - 1 = 0.0201
     inst = request.getfixturevalue(name)
     an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
-    an.a = 1.01 * an.a
+    a, v = an.polar
+    an.polar = (a, 1.01 * v)
     # the implement laws, E0 and the dense unitaries share one refusal
     for build in (verify_unitarity, verify_covariance, verify_representation,
                   lambda an: an.e0, dense_unitaries):
         with pytest.raises(PreconditionError,
                            match=r"implementing operator is not unitary: residual 2\.010e-02"):
             build(an)
+
+
+@pytest.mark.parametrize("name", ["nonstrong", "m2m2_swap"])
+def test_predual_via_a_g_fails_on_a_wrong_inverse_root(name, request):
+    # a_g and v_g are polar factors of g^-1(rho^{-1/2}) rho^{1/2} for any
+    # rho^{-1/2}: with a wrong one U_g stays unitary, and only a_g's fit
+    # to g^-1(rho) shows the error
+    inst = request.getfixturevalue(name)
+    an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
+    root, root_inv = an.roots
+    skew = AlgebraElement(inst.descriptor,
+                          [np.diag(1.0 + 1e-6 * np.arange(n)) for n in inst.descriptor.block_dims])
+    an.roots = (root, skew @ root_inv)
+    assert all_passed(verify_unitarity(an))
+    checks = {c.name: c for c in lemma_chain_checks(an)}
+    assert checks["predual_via_x_g"].passed
+    assert not checks["predual_via_a_g"].passed
+    assert checks["predual_via_a_g"].residual > 1e-7
 
 
 def test_a_g_requires_faithful():
