@@ -1,4 +1,4 @@
-"""Scale ladder: each instance command on instances from |G| = 64 to 11520.
+"""Scale ladder: each instance command on instances from |G| = 2 to 40320.
 
     python3 ladder/run.py LABEL
 
@@ -20,8 +20,10 @@ The rungs, at seed 401 where random (densities from
 - k x M_d, (k, d) = (2, 8), (4, 6) and (2, 10): the cyclic shift of the
   blocks (``workloads.py``), diagonal state (strongly quasi-invariant),
   |G| = k.
-- S_k on k x M_d, (k, d) = (5, 3), (6, 2) and (7, 2): one transposition
-  and one k-cycle of the blocks, diagonal state, |G| = k!.
+- S_k on k x M_d, (k, d) = (5, 3), (6, 2), (7, 2) and (8, 2): one
+  transposition and one k-cycle of the blocks, diagonal state, |G| = k!;
+  S_8 at closure cap 50000.  Its ``check`` outlives the timeout, in the
+  all-pairs commutation sweep of the strong case.
 - Clifford(2 qubits): H x 1, S x 1, 1 x H, 1 x S and CNOT on M_4, generic
   state, |G| = 11520, closure cap 20000.
 - The graded conditioning family (``generators.graded_instance``) at the
@@ -102,6 +104,7 @@ RUNGS = {
     "s5-5xM3": (lambda: symmetric(5, 3), 45, 120),
     "s6-6xM2": (lambda: symmetric(6, 2), 24, 720),
     "s7-7xM2": (lambda: symmetric(7, 2), 28, 5040),
+    "s8-8xM2": (lambda: dict(symmetric(8, 2), closure_cap=50000), 32, 40320),
     "clifford2": (clifford2, 16, 11520),
     **{f"graded{m:g}": (lambda m=m: graded_instance(m), 9, 9)
        for m in (1e-2, 1e-3, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8, 1e-9)},

@@ -13,7 +13,6 @@ alike, one map being the stack of batch shape ().  So the elements of a
 finite group are one stack, and one expression acts by all of them.
 """
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -216,34 +215,20 @@ def equal_as_maps(g: Automorphism, h: Automorphism, tol: float = TOL_EQ):
     return same.reshape(g.batch)[()]
 
 
-def _near(cells: dict, key: tuple) -> list:
-    """Sorted entries of the 3 x 3 cells around ``key`` with the same block
-    permutation; ``cells`` holds each grid row (perm, re) as a dict by im."""
-    perm, re, im = key
-    found = []
-    for a in (-1, 0, 1):
-        row = cells.get((perm, re + a))
-        if row:
-            for b in (-1, 0, 1):
-                found += row.get(im + b, ())
-    found.sort()
-    return found
-
-
 class MapIndex:
-    """Automorphisms kept for lookup up to equality as maps, by a hashed fingerprint.
+    """Automorphisms kept for lookup up to equality as maps, by a fingerprint.
 
     The fingerprint of g is f(g) = sum_i <S_i, g(R)_i>
     = sum_i tr(S_i* u_i R_{perm^-1(i)} u_i*) for fixed, seeded probe blocks
     R and S of unit Frobenius norm.  It is blind to the per-block phases of
-    the unitaries, and it moves by at most ``cell_width(tol)`` between two
-    maps that ``equal_as_maps`` accepts at ``tol``, floored at its own roundoff.
-    The key of g is its block permutation plus the real and imaginary parts
-    of f(g) rounded down to a grid of that width, so two such maps have keys
-    at most one cell apart: ``insert`` probes the 3 x 3 neighbouring cells and
-    confirms every candidate with ``equal_as_maps``.
+    the unitaries, and it moves by at most ``width = window_width(tol)``
+    between two maps that ``equal_as_maps`` accepts at ``tol``, floored at
+    its own roundoff.  So the candidates for g are the held maps whose
+    fingerprints lie within ``width`` of f(g) in real and in imaginary part,
+    found by one sorted search, and each is confirmed with ``equal_as_maps``.
 
-    The held maps are one stack, ``elements``, in arrays with spare rows.
+    The held maps are one stack, ``elements``, in arrays with spare rows,
+    and their fingerprints are kept with them.
     """
 
     _PROBE_SEED = 20241204
@@ -254,15 +239,15 @@ class MapIndex:
         self.tol = max(tol, 32.0 * max(descriptor.block_dims) * np.finfo(float).eps)
         self.probes_r = [_unit_probe(rng, n) for n in descriptor.block_dims]
         self.probes_s = [_unit_probe(rng, n) for n in descriptor.block_dims]
-        self.width = self.cell_width(self.tol)
+        self.width = self.window_width(self.tol)
         self.size = 0
         k = descriptor.num_blocks
-        # perm, inv_perm and each block's unitaries, with spare rows
-        self._rows = [np.empty((0, k), dtype=int), np.empty((0, k), dtype=int)] + [
+        # perm, inv_perm, fingerprint and each block's unitaries, with spare rows
+        self._rows = [np.empty((0, k), dtype=int), np.empty((0, k), dtype=int),
+                      np.empty(0, dtype=complex)] + [
             np.empty((0, n, n), dtype=complex) for n in descriptor.block_dims]
-        self.cells = {}
 
-    def cell_width(self, tol: float) -> float:
+    def window_width(self, tol: float) -> float:
         """Bound on |f(g) - f(h)| over pairs with equal_as_maps(g, h, tol).
 
         Blocks are unitary to within t = TOL_EQ (what ``Automorphism``
@@ -289,7 +274,7 @@ class MapIndex:
 
     def _rows_of(self, idx) -> Automorphism:
         """Rows ``idx`` of the arrays, held or spare, as maps."""
-        perm, inv_perm, *unitaries = (a[idx] for a in self._rows)
+        perm, inv_perm, _, *unitaries = (a[idx] for a in self._rows)
         return Automorphism._unchecked(self.descriptor, perm, unitaries, inv_perm)
 
     @property
@@ -304,35 +289,40 @@ class MapIndex:
         return sum(np.einsum("kab,ab->k", b, s.conj())
                    for b, s in zip(moved.blocks, self.probes_s))
 
-    def keys(self, gs: Automorphism) -> list:
-        """The key of each map of the stack ``gs``."""
-        return [(tuple(p), math.floor(z.real / self.width), math.floor(z.imag / self.width))
-                for p, z in zip(gs.perm.tolist(), self.fingerprints(gs).tolist())]
+    def _window(self, f: np.ndarray, fq: np.ndarray) -> tuple:
+        """The pairs (q, p), as two arrays, with fq[q] and f[p] at most
+        ``width`` apart in real and in imaginary part: one ``searchsorted``
+        of Re fq in the sorted Re f, then a filter on Im."""
+        order = np.argsort(f.real)
+        re = f.real[order]
+        lo = np.searchsorted(re, fq.real - self.width, "left")
+        count = np.searchsorted(re, fq.real + self.width, "right") - lo
+        q = np.repeat(np.arange(len(fq)), count)
+        # the pairs of q take the sorted rows from lo[q] on
+        p = order[np.arange(len(q)) + np.repeat(lo - np.cumsum(count) + count, count)]
+        near = np.abs(f.imag[p] - fq.imag[q]) <= self.width
+        return q[near], p[near]
 
-    def near(self, key: tuple) -> list:
-        """Indices of the elements whose keys are at most one cell from ``key``."""
-        return _near(self.cells, key)
-
-    def insert(self, gs: Automorphism, keys: list) -> list:
+    def insert(self, gs: Automorphism) -> list:
         """The index of each map of the stack ``gs`` in turn: the lowest index
         of an element equal to it as a map among those held and those
         appended for earlier entries of ``gs``, else the index at which it is
         appended.
 
-        Candidates come from the neighbouring cells.  While they are
-        confirmed, ``gs`` fills the rows after the held elements, so entry q
-        is candidate size + q, and one stacked ``equal_as_maps`` confirms
-        every candidate pair.
+        Candidates come from the window around each fingerprint, among the
+        held elements and among the earlier entries of ``gs``.  While they
+        are confirmed, ``gs`` fills the rows after the held elements, so
+        entry q is candidate size + q, and one stacked ``equal_as_maps``
+        confirms every candidate pair.
         """
-        n, pairs, cells = self.size, [], {}
-        for q, key in enumerate(keys):
-            pairs += [(q, i) for i in self.near(key)]
-            pairs += [(q, n + p) for p in _near(cells, key)]
-            cells.setdefault(key[:2], {}).setdefault(key[2], []).append(q)
-        self._put(gs)
-        hits = self._confirm(gs, pairs)
+        n, f = self.size, self.fingerprints(gs)
+        held, own = self._window(self._rows[2][:n], f), self._window(f, f)
+        earlier = own[1] < own[0]
+        self._put([gs.perm, gs.inv_perm, f, *gs.unitaries])
+        hits = self._confirm(gs, np.concatenate([held[0], own[0][earlier]]),
+                             np.concatenate([held[1], n + own[1][earlier]]))
         out, appended = [], {}
-        for q in range(len(keys)):
+        for q in range(len(gs)):
             # held elements come first and earlier entries in order, so the
             # first hit that is an element has the lowest index
             j = next((out[p - n] if p >= n else p for p in hits[q]
@@ -340,43 +330,41 @@ class MapIndex:
             if j < 0:
                 j = appended[q] = n + len(appended)
             out.append(j)
-        self.add(self._rows_of(n + np.array(list(appended), dtype=int)),
-                 [keys[q] for q in appended])
+        new = n + np.array(list(appended), dtype=int)
+        self._put([a[new] for a in self._rows])
+        self.size += len(new)
         return out
 
     def lookup(self, gs: Automorphism) -> list:
         """The indices of the held elements equal as maps to each map of gs."""
-        return self._confirm(gs, [(q, i) for q, key in enumerate(self.keys(gs))
-                                  for i in self.near(key)])
+        return self._confirm(gs, *self._window(self._rows[2][:self.size], self.fingerprints(gs)))
 
-    def _confirm(self, gs: Automorphism, pairs: list) -> list:
+    def _confirm(self, gs: Automorphism, q: np.ndarray, p: np.ndarray) -> list:
         """For each map q of gs, the rows p of the candidate pairs (q, p)
-        equal to it as maps, in pair order: one stacked ``equal_as_maps``."""
-        pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+        equal to it as maps, ascending: one stacked ``equal_as_maps``."""
+        first = np.lexsort((p, q))
+        q, p = q[first], p[first]
+        hit = equal_as_maps(self._rows_of(p), gs[q], self.tol)
         hits = [[] for _ in range(len(gs))]
-        for q, p in pairs[equal_as_maps(self._rows_of(pairs[:, 1]), gs[pairs[:, 0]],
-                                        self.tol)].tolist():
-            hits[q].append(p)
+        for qi, pi in zip(q[hit].tolist(), p[hit].tolist()):
+            hits[qi].append(pi)
         return hits
 
-    def _put(self, gs: Automorphism) -> None:
-        """Write the stack gs into the rows after the held elements; the
-        capacity at least doubles when it grows, so that appending copies
-        O(|G|) maps in all."""
-        n, m = self.size, len(gs)
+    def _put(self, rows: list) -> None:
+        """Write ``rows``, arrays in the order of the index's own, into the
+        rows after the held elements; the capacity at least doubles when it
+        grows, so that appending copies O(|G|) maps in all."""
+        n, m = self.size, len(rows[0])
         if n + m > len(self._rows[0]):
             self._rows = [np.concatenate([a[:n], np.empty((max(n, m),) + a.shape[1:], a.dtype)])
                           for a in self._rows]
-        for a, b in zip(self._rows, [gs.perm, gs.inv_perm, *gs.unitaries]):
+        for a, b in zip(self._rows, rows):
             a[n:n + m] = b
 
-    def add(self, gs: Automorphism, keys: list) -> None:
-        """Append the stack gs, whose maps are assumed absent and whose keys
-        are ``keys``."""
-        self._put(gs)
-        for q, key in enumerate(keys):
-            self.cells.setdefault(key[:2], {}).setdefault(key[2], []).append(self.size + q)
-        self.size += len(keys)
+    def add(self, gs: Automorphism) -> None:
+        """Append the stack gs, whose maps are assumed absent."""
+        self._put([gs.perm, gs.inv_perm, self.fingerprints(gs), *gs.unitaries])
+        self.size += len(gs)
 
 
 def _unit_probe(rng: random.Random, n: int) -> np.ndarray:
@@ -387,7 +375,8 @@ def _unit_probe(rng: random.Random, n: int) -> np.ndarray:
 @dataclass(eq=False, slots=True)
 class FiniteGroup:
     """A finite group of automorphisms: its elements as one stack, the
-    closure's fingerprint ``index`` over them, and integer tables.
+    closure's fingerprint ``index`` over them (a sorted window search), and
+    integer tables.
 
     ``first_layer`` holds the indices of the distinct non-identity
     generators, ``right[k, s]`` the index of elements[k] o
@@ -422,12 +411,13 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
     distinct non-identity generators (the first layer), then each frontier
     element composed with each of them in turn.  The search takes a whole
     layer at a time: one ``compose`` of the layer with the first layer, and
-    ``MapIndex.insert`` looks every product up at once (phase-invariant
-    fingerprint on a grid derived from ``tol``, confirmed by stacked
-    ``equal_as_maps``), in the order of one product at a time: (|G| - 1) |S|
-    products for |S| distinct non-identity generators, the Cayley graph
-    ``right``.  Raises once the closure exceeds ``cap`` elements, or when an
-    inverse(g), all looked up at once, does not equal exactly one element.
+    ``MapIndex.insert`` looks every product up at once (one sorted search
+    for the phase-invariant fingerprints within a window derived from
+    ``tol``, confirmed by stacked ``equal_as_maps``), in the order of one
+    product at a time: (|G| - 1) |S| products for |S| distinct non-identity
+    generators, the Cayley graph ``right``.  Raises once the closure
+    exceeds ``cap`` elements, or when an inverse(g), all looked up at once,
+    does not equal exactly one element.
 
     ``compose`` does not test its products for unitarity; instead the
     elements each layer of the search adds are tested at once, by
@@ -443,9 +433,8 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
     gens = stack_maps(generators)
 
     index = MapIndex(desc, tol)
-    ident = identity_automorphism(desc)[None]
-    index.add(ident, index.keys(ident))
-    index.insert(gens, index.keys(gens))
+    index.add(identity_automorphism(desc)[None])
+    index.insert(gens)
     first = range(1, index.size)
     right = [list(first)]    # the identity's row
     lo = 1    # the first element of the layer the search grows from
@@ -454,7 +443,7 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
         if lo > 1:
             _require_unitary(layer)
         products = compose(layer, index.elements[first])
-        found = index.insert(products, index.keys(products))
+        found = index.insert(products)
         if index.size > max(cap, hi):
             raise InputError(f"group not finite at cap {cap}")
         right += [found[k:k + len(first)] for k in range(0, len(found), len(first))]

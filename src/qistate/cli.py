@@ -154,14 +154,17 @@ def parse_instance(data: dict):
 
 
 def load_instance(path: str):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
     try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
         data = json.loads(raw)
+    except OSError as exc:
+        raise InstanceFormatError(f"--input: cannot read {path} ({exc.strerror})")
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"--input: cannot decode {path} ({exc.reason})")
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f": not valid JSON ({exc})")
-    return parse_instance(data), digest
+    return parse_instance(data), hashlib.sha256(raw).hexdigest()
 
 
 # -- report assembly ----------------------------------------------------------
@@ -298,9 +301,13 @@ def cmd_counterexample(args):
     # Imported here: it loads scipy.integrate, which no other command needs.
     from .commutative import counterexample_checks
 
-    checks = counterexample_checks(_probe_rng(args), args.grid_r, args.grid_n)
-    summary = {"grid_radius": args.grid_r, "grid_points": args.grid_n,
-               "seed": args.seed}
+    # a radius of 0 would pass vacuously: the tail bound 1 - (2/pi) atan(R) is 1
+    radius = _tolerance(args.grid_r, "--grid-R")
+    if radius == 0:
+        raise InstanceFormatError("--grid-R: expected a number above 0")
+    points = _closure_cap(args.grid_n, "--grid-N")
+    checks = counterexample_checks(_probe_rng(args), radius, points)
+    summary = {"grid_radius": radius, "grid_points": points, "seed": args.seed}
     return checks, summary, None
 
 

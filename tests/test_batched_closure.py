@@ -1,11 +1,12 @@
 """The layer-batched closure against the per-visit closure it replaced.
 
 ``per_visit_closure`` is ``close_group`` done one step at a time: each
-product composed, keyed, looked up and added alone, with the same index,
-cap and unitarity test, then each element's inverse looked up alone.  The
-batched closure must list the same elements in the same order and give
-the same Cayley graph and inverse table, and refuse with the same
-messages.
+product composed and found alone, by one stacked ``equal_as_maps`` against
+every held element rather than through the closure's fingerprint search,
+with the same tolerance, cap and unitarity test, then each element's
+inverse found alone.  The batched closure must list the same elements in
+the same order and give the same Cayley graph and inverse table, and
+refuse with the same messages.
 """
 
 import json
@@ -21,7 +22,8 @@ from qistate.algebra import AlgebraDescriptor
 from qistate.cli import parse_instance
 from qistate.matcore import InputError, TOL_EQ
 from generators import (clock_matrix, conjugate_generator, inner_generator,
-                        permutation_generator, random_unitary, shift_matrix)
+                        permutation_generator, random_unitary, shift_matrix,
+                        symmetric_generators)
 
 REPO_INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 BUNDLED = ["qubit.json", "c2_swap.json", "m2m2_swap.json", "nonstrong_weyl3.json"]
@@ -30,25 +32,26 @@ BUNDLED = ["qubit.json", "c2_swap.json", "m2m2_swap.json", "nonstrong_weyl3.json
 def per_visit_closure(generators, cap=10000, tol=TOL_EQ):
     """Breadth-first closure one product at a time, over every listed
     generator; returns (elements, right, inv), with ``right`` on the
-    columns of the first generator of each distinct non-identity one."""
+    columns of the first generator of each distinct non-identity one.
+    The ``MapIndex`` only holds the elements and floors the tolerance."""
     desc = generators[0].descriptor
     index = MapIndex(desc, tol)
-    ident = identity_automorphism(desc)[None]
-    index.add(ident, index.keys(ident))
+    index.add(identity_automorphism(desc)[None])
     right, frontier = [[0] * len(generators)], []
 
     def find(g):
-        key = index.keys(g[None])[0]
-        return key, [i for i in index.near(key) if equal_as_maps(index.elements[i], g, index.tol)]
+        """The indices of the held elements equal to g as maps, ascending."""
+        copies = g[None][np.zeros(index.size, dtype=int)]
+        return np.flatnonzero(equal_as_maps(index.elements, copies, index.tol)).tolist()
 
     def visit(k, s, g, check_cap):
-        key, hits = find(g)
+        hits = find(g)
         j = hits[0] if hits else -1
         if j < 0:
             if check_cap and index.size >= cap:
                 raise InputError(f"group not finite at cap {cap}")
             j = index.size
-            index.add(g[None], [key])
+            index.add(g[None])
             right.append([0] * len(generators))
             frontier.append(j)
         right[k][s] = j
@@ -65,7 +68,7 @@ def per_visit_closure(generators, cap=10000, tol=TOL_EQ):
 
     inv = []
     for k in range(index.size):
-        hits = find(inverse(index.elements[k]))[1]
+        hits = find(inverse(index.elements[k]))
         if len(hits) != 1:
             raise InputError(f"closure is inconsistent at tol_eq {tol:.3g}: element {k} has "
                              f"{len(hits)} inverses, not one; try a smaller --tol-eq")
@@ -118,6 +121,15 @@ def test_cyclic_blocks(rng, k, d):
     shift = Automorphism(desc, range(k), [shift_matrix(d)] * k)
     gens = [conjugate_generator(cycle, frame), conjugate_generator(shift, frame)]
     assert assert_same_closure(gens).order == k * d
+
+
+def test_symmetric_group_in_a_random_frame(rng):
+    # S_5 on 5 x M_2: 120 elements over many blocks, so that each product
+    # is found in a window of fingerprints summed over five blocks
+    desc = AlgebraDescriptor((2,) * 5)
+    frame = [random_unitary(rng, 2) for _ in range(5)]
+    gens = [conjugate_generator(g, frame) for g in symmetric_generators(desc)]
+    assert assert_same_closure(gens).order == 120
 
 
 @pytest.mark.parametrize("angles, tol", [((2.95, 5.4), 0.207), ((4.75, 1.86), 0.273),

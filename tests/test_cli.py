@@ -152,6 +152,31 @@ def test_malformed_fields_and_flags_are_validation_errors(tmp_path, capsys, keys
     assert f"validation error at {path}: expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    (b'{"state": "\xe9"}', "cannot decode"),
+], ids=["missing", "latin-1"])
+def test_unreadable_input_is_a_validation_error(tmp_path, capsys, content, message):
+    # exit 2 naming --input, not an uncaught OSError or UnicodeDecodeError (exit 1)
+    path = tmp_path / "instance.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert run_cli(["check", "--input", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error at --input: " in err and message in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--grid-N", "0"], ["--grid-N", "-5"], ["--grid-R", "0"], ["--grid-R", "-1"],
+    ["--grid-R", "nan"], ["--grid-R", "inf"],
+])
+def test_counterexample_grid_flags_are_validation_errors(capsys, flags):
+    # exit 2 naming the flag, not a traceback (N < 1), a vacuous pass (R <= 0,
+    # where the tail bound is at least 1) or "function diverges" (NaN)
+    assert run_cli(["counterexample"] + flags) == EXIT_VALIDATION
+    assert f"validation error at {flags[0]}: expected" in capsys.readouterr().err
+
+
 def test_cmd_check_precondition_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     data = instance_to_json(qubit_instance().phi, qubit_instance().generators)
