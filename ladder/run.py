@@ -3,8 +3,9 @@
     python3 ladder/run.py LABEL
 
 Writes ``BENCH_<LABEL>.json`` at the repository root: machine facts, then
-for each rung and command the wall time, exit code and peak RSS of one
-``python -m qistate.cli`` process run on this checkout's ``src``.  Each
+for each rung and command the wall time, exit code, peak RSS and the
+SHA-256 of the stdout (``report_sha256``, the report; null on a timeout) of
+one ``python -m qistate.cli`` process run on this checkout's ``src``.  Each
 rung also has a ``closure`` row: a process that loads the instance and
 closes its group, as every command does first, and nothing else.  Each
 process is pinned to one CPU with BLAS threads 1, and runs under a
@@ -33,6 +34,7 @@ The rungs, at seed 401 where random (densities from
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -112,31 +114,35 @@ RUNGS = {
 
 
 def run_one(argv, timeout: float, cpu: int) -> dict:
-    """Run ``argv`` pinned to ``cpu``; wall time, exit code and peak RSS
-    (``os.wait4``), or a timeout once ``timeout`` seconds have passed."""
+    """Run ``argv`` pinned to ``cpu``; wall time, exit code, peak RSS
+    (``os.wait4``) and the SHA-256 of its stdout, or a timeout once
+    ``timeout`` seconds have passed.  The stdout goes to a temporary file:
+    a pipe could fill and stall the child while its exit is polled."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **BLAS_ONE_THREAD)
-    start = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE,
-                            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-    timed_out = False
-    while True:
-        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
-        if pid:
-            break
-        if time.perf_counter() - start > timeout:
-            proc.kill()
-            _, status, usage = os.wait4(proc.pid, 0)
-            timed_out = True
-            break
-        time.sleep(0.01)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)    # keeps Popen from reaping again
-    err = proc.stderr.read().decode(errors="replace").strip()
-    proc.stderr.close()
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, env=env, stdout=out, stderr=subprocess.PIPE,
+                                preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        timed_out = False
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid:
+                break
+            if time.perf_counter() - start > timeout:
+                proc.kill()
+                _, status, usage = os.wait4(proc.pid, 0)
+                timed_out = True
+                break
+            time.sleep(0.01)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)    # keeps Popen from reaping again
+        err = proc.stderr.read().decode(errors="replace").strip()
+        proc.stderr.close()
+        out.seek(0)
+        digest = None if timed_out else hashlib.sha256(out.read()).hexdigest()
     return {"wall_s": round(wall, 3), "exit_code": None if timed_out else proc.returncode,
             "timeout": timed_out, "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-            "stderr": err.splitlines()[-1] if err else ""}
+            "stderr": err.splitlines()[-1] if err else "", "report_sha256": digest}
 
 
 def machine() -> dict:

@@ -26,17 +26,20 @@ from .matcore import InputError, TOL_EQ, dagger
 class Automorphism:
     """Block permutation plus per-block unitary conjugation, or a stack of them.
 
-    ``perm[j]`` is the block index that input block j is carried to,
-    ``inv_perm`` the inverse permutation, and ``unitaries[i]`` conjugates on
-    the target block i.  A stack of m maps carries a leading batch axis:
-    ``perm`` and ``inv_perm`` are (m, k) int arrays and ``unitaries[i]`` is
-    an (m, n_i, n_i) stack; ``g[k]`` indexes it.  The public constructor
-    validates one map; ``_unchecked`` builds either.
+    ``perm[j]`` is the block index that input block j is carried to (an
+    integer, not a bool), ``inv_perm`` the inverse permutation, derived from
+    it, and ``unitaries[i]`` conjugates on the target block i.  A stack of m
+    maps carries a leading batch axis: ``perm`` is an (m, k) int array and
+    ``unitaries[i]`` an (m, n_i, n_i) stack; ``g[k]`` indexes it.  The public
+    constructor validates one map; ``_unchecked`` builds either.
     """
 
-    __slots__ = ("descriptor", "perm", "unitaries", "inv_perm")
+    __slots__ = ("descriptor", "perm", "unitaries")
 
     def __init__(self, descriptor: AlgebraDescriptor, perm, unitaries):
+        perm = list(perm)
+        if not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in perm):
+            raise InputError(f"perm {perm} has an entry that is not an integer")
         perm = tuple(int(p) for p in perm)
         k = descriptor.num_blocks
         if sorted(perm) != list(range(k)):
@@ -57,15 +60,19 @@ class Automorphism:
         self.descriptor = descriptor
         self.perm = np.array(perm, dtype=int)
         self.unitaries = unitaries
-        self.inv_perm = np.argsort(self.perm)
 
     @classmethod
-    def _unchecked(cls, descriptor, perm, unitaries, inv_perm):
+    def _unchecked(cls, descriptor, perm, unitaries):
         """An automorphism or a stack from parts known to be valid, such as
         products of checked automorphisms: no permutation or unitarity test."""
         g = object.__new__(cls)
-        g.descriptor, g.perm, g.unitaries, g.inv_perm = descriptor, perm, unitaries, inv_perm
+        g.descriptor, g.perm, g.unitaries = descriptor, perm, unitaries
         return g
+
+    @property
+    def inv_perm(self) -> np.ndarray:
+        """perm^-1 for each map: the block that target block i is taken from."""
+        return np.argsort(self.perm, axis=-1)
 
     @property
     def batch(self) -> tuple:
@@ -77,8 +84,7 @@ class Automorphism:
 
     def __getitem__(self, k):
         """Index the batch axis: one map for an integer, else a stack."""
-        return self._unchecked(self.descriptor, self.perm[k], [u[k] for u in self.unitaries],
-                               self.inv_perm[k])
+        return self._unchecked(self.descriptor, self.perm[k], [u[k] for u in self.unitaries])
 
 
 def identity_automorphism(descriptor: AlgebraDescriptor) -> Automorphism:
@@ -90,8 +96,7 @@ def stack_maps(maps) -> Automorphism:
     """Automorphisms of one algebra as one stack, in order."""
     maps = list(maps)
     return Automorphism._unchecked(maps[0].descriptor, np.array([g.perm for g in maps]),
-                                   [np.array(us) for us in zip(*(g.unitaries for g in maps))],
-                                   np.array([g.inv_perm for g in maps]))
+                                   [np.array(us) for us in zip(*(g.unitaries for g in maps))])
 
 
 def _by_block(blocks: np.ndarray, shape: tuple, f) -> np.ndarray:
@@ -132,8 +137,7 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
     if g.descriptor != h.descriptor:
         raise InputError("cannot compose automorphisms of different algebras")
     k = g.descriptor.num_blocks
-    gp, gi = g.perm.reshape(-1, k), g.inv_perm.reshape(-1, k)
-    hp, hi = h.perm.reshape(-1, k), h.inv_perm.reshape(-1, k)
+    gp, gi, hp = g.perm.reshape(-1, k), g.inv_perm.reshape(-1, k), h.perm.reshape(-1, k)
     batch = (len(gp) * len(hp),) if g.batch or h.batch else ()
     unitaries = []
     for u, src in zip(g.unitaries, gi.T):
@@ -142,11 +146,9 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
         unitaries.append(_by_block(src, (len(gp), len(hp), n, n),
                                    lambda sel, j: u[sel] @ h.unitaries[j].reshape(-1, n, n))
                          .reshape(batch + (n, n)))
-    # perm(j) = perm_g(perm_h(j)) and perm^-1(i) = perm_h^-1(perm_g^-1(i))
+    # perm(j) = perm_g(perm_h(j))
     perm = gp[np.arange(len(gp))[:, None, None], hp[None]]
-    inv_perm = hi[np.arange(len(hp))[None, :, None], gi[:, None]]
-    return Automorphism._unchecked(g.descriptor, perm.reshape(batch + (k,)), unitaries,
-                                   inv_perm.reshape(batch + (k,)))
+    return Automorphism._unchecked(g.descriptor, perm.reshape(batch + (k,)), unitaries)
 
 
 def inverse(g: Automorphism) -> Automorphism:
@@ -156,7 +158,7 @@ def inverse(g: Automorphism) -> Automorphism:
         res = _by_block(tgt, (len(tgt), n, n),
                         lambda sel, p: dagger(g.unitaries[p].reshape(-1, n, n)[sel]))
         out.append(res.reshape(g.batch + (n, n)))
-    return Automorphism._unchecked(g.descriptor, g.inv_perm, out, g.perm)
+    return Automorphism._unchecked(g.descriptor, g.inv_perm, out)
 
 
 def predual(g: Automorphism, a: AlgebraElement) -> AlgebraElement:
@@ -228,7 +230,8 @@ class MapIndex:
     found by one sorted search, and each is confirmed with ``equal_as_maps``.
 
     The held maps are one stack, ``elements``, in arrays with spare rows,
-    and their fingerprints are kept with them.
+    and their fingerprints are kept with them.  Maps enter only by
+    ``insert``, so no two held maps are equal as maps.
     """
 
     _PROBE_SEED = 20241204
@@ -242,9 +245,8 @@ class MapIndex:
         self.width = self.window_width(self.tol)
         self.size = 0
         k = descriptor.num_blocks
-        # perm, inv_perm, fingerprint and each block's unitaries, with spare rows
-        self._rows = [np.empty((0, k), dtype=int), np.empty((0, k), dtype=int),
-                      np.empty(0, dtype=complex)] + [
+        # perm, fingerprint and each block's unitaries, with spare rows
+        self._rows = [np.empty((0, k), dtype=int), np.empty(0, dtype=complex)] + [
             np.empty((0, n, n), dtype=complex) for n in descriptor.block_dims]
 
     def window_width(self, tol: float) -> float:
@@ -274,8 +276,8 @@ class MapIndex:
 
     def _rows_of(self, idx) -> Automorphism:
         """Rows ``idx`` of the arrays, held or spare, as maps."""
-        perm, inv_perm, _, *unitaries = (a[idx] for a in self._rows)
-        return Automorphism._unchecked(self.descriptor, perm, unitaries, inv_perm)
+        perm, _, *unitaries = (a[idx] for a in self._rows)
+        return Automorphism._unchecked(self.descriptor, perm, unitaries)
 
     @property
     def elements(self) -> Automorphism:
@@ -316,9 +318,9 @@ class MapIndex:
         confirms every candidate pair.
         """
         n, f = self.size, self.fingerprints(gs)
-        held, own = self._window(self._rows[2][:n], f), self._window(f, f)
+        held, own = self._window(self._rows[1][:n], f), self._window(f, f)
         earlier = own[1] < own[0]
-        self._put([gs.perm, gs.inv_perm, f, *gs.unitaries])
+        self._put([gs.perm, f, *gs.unitaries])
         hits = self._confirm(gs, np.concatenate([held[0], own[0][earlier]]),
                              np.concatenate([held[1], n + own[1][earlier]]))
         out, appended = [], {}
@@ -337,7 +339,7 @@ class MapIndex:
 
     def lookup(self, gs: Automorphism) -> list:
         """The indices of the held elements equal as maps to each map of gs."""
-        return self._confirm(gs, *self._window(self._rows[2][:self.size], self.fingerprints(gs)))
+        return self._confirm(gs, *self._window(self._rows[1][:self.size], self.fingerprints(gs)))
 
     def _confirm(self, gs: Automorphism, q: np.ndarray, p: np.ndarray) -> list:
         """For each map q of gs, the rows p of the candidate pairs (q, p)
@@ -361,11 +363,6 @@ class MapIndex:
         for a, b in zip(self._rows, rows):
             a[n:n + m] = b
 
-    def add(self, gs: Automorphism) -> None:
-        """Append the stack gs, whose maps are assumed absent."""
-        self._put([gs.perm, gs.inv_perm, self.fingerprints(gs), *gs.unitaries])
-        self.size += len(gs)
-
 
 def _unit_probe(rng: random.Random, n: int) -> np.ndarray:
     m = matcore.gaussian_block(rng, n)
@@ -374,8 +371,7 @@ def _unit_probe(rng: random.Random, n: int) -> np.ndarray:
 
 @dataclass(eq=False, slots=True)
 class FiniteGroup:
-    """A finite group of automorphisms: its elements as one stack, the
-    closure's fingerprint ``index`` over them (a sorted window search), and
+    """A finite group of automorphisms: its elements as one stack, and
     integer tables.
 
     ``first_layer`` holds the indices of the distinct non-identity
@@ -388,7 +384,6 @@ class FiniteGroup:
     elements: Automorphism
     right: np.ndarray
     inv: list
-    index: MapIndex
     first_layer: range
 
     @property
@@ -409,7 +404,9 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
     ``generators`` is an iterable of automorphisms (a list, or a stack).
     Elements are listed in breadth-first order from the identity: the
     distinct non-identity generators (the first layer), then each frontier
-    element composed with each of them in turn.  The search takes a whole
+    element composed with each of them in turn.  The identity and the
+    generators enter the index as one stack, by the same
+    ``MapIndex.insert`` as every layer after them.  The search takes a whole
     layer at a time: one ``compose`` of the layer with the first layer, and
     ``MapIndex.insert`` looks every product up at once (one sorted search
     for the phase-invariant fingerprints within a window derived from
@@ -430,11 +427,9 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
     for g in generators:
         if g.descriptor != desc:
             raise InputError("generators live on different algebras")
-    gens = stack_maps(generators)
 
     index = MapIndex(desc, tol)
-    index.add(identity_automorphism(desc)[None])
-    index.insert(gens)
+    index.insert(stack_maps([identity_automorphism(desc), *generators]))
     first = range(1, index.size)
     right = [list(first)]    # the identity's row
     lo = 1    # the first element of the layer the search grows from
@@ -455,8 +450,7 @@ def close_group(generators, cap: int = 10000, tol: float = TOL_EQ) -> FiniteGrou
         if len(h) != 1:
             raise InputError(f"closure is inconsistent at tol_eq {tol:.3g}: element {k} has "
                              f"{len(h)} inverses, not one; try a smaller --tol-eq")
-    return FiniteGroup(desc, elements, np.array(right, dtype=int),
-                       [h[0] for h in hits], index, first)
+    return FiniteGroup(desc, elements, np.array(right, dtype=int), [h[0] for h in hits], first)
 
 
 def _require_unitary(g: Automorphism) -> None:

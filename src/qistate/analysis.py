@@ -5,7 +5,8 @@ psi; with rho^{1/2} they give a_g and the block factors of U_g, then B,
 Phi, E0 and F0; the invariant trace tau gives the density c of phi.  Each
 artifact is a cached property that calls its builder once, with the
 instance's tolerances, on the upstream artifacts it consumes.  The check
-suites read them from here.
+suites read them from here, and every command reads strong
+quasi-invariance from the one ``self_adjoint`` check held here.
 """
 
 from functools import cached_property
@@ -37,9 +38,14 @@ class Analysis:
         return build_table(self.phi, self.group, self.tol_pos)
 
     @cached_property
+    def self_adjoint(self):
+        """The recorded check x_g = x_g*, whose pass alone decides ``strong``."""
+        return self_adjoint_check(self.table, self.tol_eq)
+
+    @cached_property
     def strong(self) -> bool:
-        """The pass of ``self_adjoint_check``, which alone decides it."""
-        return self_adjoint_check(self.table, self.tol_eq).passed
+        """Strong quasi-invariance, for every suite and summary alike."""
+        return bool(self.self_adjoint.passed)
 
     @cached_property
     def polar(self):

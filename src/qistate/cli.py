@@ -43,9 +43,13 @@ class InstanceFormatError(ValueError):
 
 # -- instance (de)serialization ----------------------------------------------
 
+def _is(value, kinds) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)    # true is no number
+
+
 def _complex_entry(value, path):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+            or not all(_is(v, (int, float)) for v in value)):
         raise InstanceFormatError(f"{path}: expected a [re, im] pair")
     z = complex(value[0], value[1])
     # json accepts NaN and Infinity
@@ -74,14 +78,13 @@ def _object(value, path):
 
 def _tolerance(value, path) -> float:
     # the comparison is False for NaN and bounds big integers before float()
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 <= value <= sys.float_info.max):
+    if not _is(value, (int, float)) or not 0 <= value <= sys.float_info.max:
         raise InstanceFormatError(f"{path}: expected a finite non-negative number")
     return float(value)
 
 
 def _closure_cap(value, path) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not _is(value, int) or value < 1:
         raise InstanceFormatError(f"{path}: expected an integer of at least 1")
     return value
 
@@ -102,8 +105,9 @@ def element_to_json(x: AlgebraElement) -> list:
     return [matrix_to_json(b) for b in x.blocks]
 
 
-def parse_instance(data: dict):
-    """Build (descriptor, state, generators, tolerances, cap) from JSON data."""
+def parse_instance(data: dict, tol_eq=None, tol_pos=None, cap=None):
+    """Build (descriptor, state, generators, tolerances, cap) from JSON data; a
+    tolerance or cap given here (a flag) replaces the file's, which is still checked."""
     if not isinstance(data, dict):
         raise InstanceFormatError(": instance must be a JSON object")
     try:
@@ -111,14 +115,17 @@ def parse_instance(data: dict):
     except (KeyError, TypeError):
         raise InstanceFormatError("algebra.block_dims: missing")
     if (not isinstance(dims, list) or not dims
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
+            or not all(_is(d, int) and d >= 1 for d in dims)):
         raise InstanceFormatError("algebra.block_dims: need a list of positive integers")
     desc = AlgebraDescriptor(tuple(dims))
 
-    tols = _object(data.get("tolerances") or {}, "tolerances")
-    tol_eq = _tolerance(tols.get("tol_eq", TOL_EQ), "tolerances.tol_eq")
-    tol_pos = _tolerance(tols.get("tol_pos", TOL_POS), "tolerances.tol_pos")
-    cap = _closure_cap(data.get("closure_cap", 10000), "closure_cap")
+    tols = _object(data.get("tolerances", {}), "tolerances")
+    file_eq = _tolerance(tols.get("tol_eq", TOL_EQ), "tolerances.tol_eq")
+    file_pos = _tolerance(tols.get("tol_pos", TOL_POS), "tolerances.tol_pos")
+    file_cap = _closure_cap(data.get("closure_cap", 10000), "closure_cap")
+    tol_eq = file_eq if tol_eq is None else tol_eq
+    tol_pos = file_pos if tol_pos is None else tol_pos
+    cap = file_cap if cap is None else cap
 
     density_json = _object(data.get("state", {}), "state").get("density")
     if not isinstance(density_json, list) or len(density_json) != desc.num_blocks:
@@ -153,7 +160,7 @@ def parse_instance(data: dict):
     return desc, phi, gens, {"tol_eq": tol_eq, "tol_pos": tol_pos}, cap
 
 
-def load_instance(path: str):
+def load_instance(path: str, *flags):
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -164,14 +171,14 @@ def load_instance(path: str):
         raise InstanceFormatError(f"--input: cannot decode {path} ({exc.reason})")
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f": not valid JSON ({exc})")
-    return parse_instance(data), hashlib.sha256(raw).hexdigest()
+    return parse_instance(data, *flags), hashlib.sha256(raw).hexdigest()
 
 
 # -- report assembly ----------------------------------------------------------
 
 def emit_report(command: str, checks, summary: dict, digest, out_path) -> bool:
-    """Print the report, and write it to ``out_path`` if given; returns its
-    pass flag, that every asserted check passes."""
+    """Print the report, then write it to ``out_path`` if given (a validation
+    error if that fails); returns its pass flag, that every asserted check passes."""
     entries = [c.to_dict() for c in checks]
     report = {
         "tool": "qistate",
@@ -183,10 +190,13 @@ def emit_report(command: str, checks, summary: dict, digest, out_path) -> bool:
         "summary": summary,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
     print(text)
+    if out_path:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InstanceFormatError(f"--out: cannot write {out_path} ({exc.strerror})")
     return report["pass"]
 
 
@@ -194,13 +204,10 @@ def emit_report(command: str, checks, summary: dict, digest, out_path) -> bool:
 # Each returns (checks, summary, input digest); main emits the report.
 
 def _analysis(args):
-    (desc, phi, gens, tols, cap), digest = load_instance(args.input)
-    if args.tol_eq is not None:
-        tols["tol_eq"] = _tolerance(args.tol_eq, "--tol-eq")
-    if args.tol_pos is not None:
-        tols["tol_pos"] = _tolerance(args.tol_pos, "--tol-pos")
-    if args.closure_cap is not None:
-        cap = _closure_cap(args.closure_cap, "--closure-cap")
+    flags = [None if value is None else check(value, name) for value, check, name in (
+        (args.tol_eq, _tolerance, "--tol-eq"), (args.tol_pos, _tolerance, "--tol-pos"),
+        (args.closure_cap, _closure_cap, "--closure-cap"))]
+    (desc, phi, gens, tols, cap), digest = load_instance(args.input, *flags)
     group = close_group(gens, cap=cap, tol=tols["tol_eq"])
     logging = sys.modules.get("logging")    # loaded by main under QISTATE_LOG, or by a host
     if logging is not None:
@@ -214,16 +221,15 @@ def cmd_check(args):
     an, digest = _analysis(args)
     desc, table, tol_eq = an.phi.descriptor, an.table, an.tol_eq
     probes = [random_psd_probe(rng, desc) for _ in range(8)] + [identity(desc)]
-    strong, strong_checks = is_strongly_qi(table, tol_eq, an.tol_pos)
     checks = [verify_cocycle_identity(table, tol_eq), verify_inverse_formula(table, tol_eq),
               verify_adjoint_relation(table, tol_eq), sandwich_check(table, probes, tol_eq),
-              *strong_checks,
+              *is_strongly_qi(an),
               # positive-form domination, probed with each cocycle element
               sz_domination(table, probes, tol_eq)]
     summary = {
         "lambda": table.lambda_bound,
         "group_order": an.group.order,
-        "strong_qi": strong,
+        "strong_qi": an.strong,
         "fixed_algebra_dim": None,
         "trace_weights": None,
     }
@@ -240,7 +246,7 @@ def cmd_invariant(args):
     summary = {
         "lambda": an.table.lambda_bound,
         "group_order": an.group.order,
-        "strong_qi": bool(an.strong),
+        "strong_qi": an.strong,
         "d": element_to_json(cert.d),
         "psi_density": element_to_json(cert.psi.density),
         "min_singular_value_d": cert.d.min_sv(),
@@ -256,7 +262,7 @@ def cmd_implement(args):
     summary = {
         "lambda": an.table.lambda_bound,
         "group_order": an.group.order,
-        "strong_qi": bool(an.strong),
+        "strong_qi": an.strong,
         "l2_dimension": an.phi.descriptor.dim,
         "representation_deviation": representation.residual,
     }
@@ -272,7 +278,7 @@ def cmd_expectation(args):
     summary = {
         "lambda": an.table.lambda_bound,
         "group_order": an.group.order,
-        "strong_qi": bool(an.strong),
+        "strong_qi": an.strong,
         "fixed_algebra_dim": an.fixed.dimension,
         "e0_rank": an.e0.shape[1],
         "commutant_dim": an.f0.commutant_dim,
@@ -360,14 +366,13 @@ def main(argv=None) -> int:
                             stream=sys.stderr, format="%(name)s %(levelname)s %(message)s")
     args = build_parser(argv).parse_args(argv)
     try:
-        checks, summary, digest = args.func(args)
+        passed = emit_report(args.command, *args.func(args), args.out)
     except InstanceFormatError as exc:
         print(f"validation error at {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (PreconditionError, InputError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    passed = emit_report(args.command, checks, summary, digest, args.out)
     return EXIT_PASS if passed else EXIT_CHECK_FAILURE
 
 

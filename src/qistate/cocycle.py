@@ -103,20 +103,17 @@ def self_adjoint_check(table: CocycleTable, tol_eq: float) -> Check:
                           detail="decides strong quasi-invariance")
 
 
-def is_strongly_qi(table: CocycleTable, tol_eq: float, tol_pos: float):
-    """Self-adjointness of every x_g, plus the consequences when it holds.
+def is_strongly_qi(an) -> list:
+    """The analysis ``an``'s recorded ``self_adjoint`` check, whose pass
+    alone is ``an.strong``, plus the consequences when it holds: checks of
+    positive definiteness, pairwise commutation, centralizer membership
+    [rho, x_g] = 0, and spectra inside [1/lambda, lambda]."""
+    checks = [an.self_adjoint]
+    if not an.strong:
+        return checks
 
-    Returns (strong?, checks).  Strong is the pass of the recorded
-    ``self_adjoint`` check alone.  When strong, the checks assert positive
-    definiteness, pairwise commutation, centralizer membership
-    [rho, x_g] = 0, and spectra inside [1/lambda, lambda].
-    """
-    x, scale = table.entries, table.entry_norm
-    checks = [self_adjoint_check(table, tol_eq)]
-    if not checks[0].passed:
-        return False, checks
-
-    lam = table.lambda_bound
+    table, tol_eq, tol_pos = an.table, an.tol_eq, an.tol_pos
+    x, scale, lam = table.entries, table.entry_norm, table.lambda_bound
     spectra = [matcore.herm_eig(b)[0] for b in x.blocks]
     min_spec = min(float(np.min(w[..., 0])) for w in spectra)
     max_spec = max(float(np.max(w[..., -1])) for w in spectra)
@@ -132,7 +129,7 @@ def is_strongly_qi(table: CocycleTable, tol_eq: float, tol_pos: float):
     rho = table.phi.density
     checks.append(residual_check("centralizer", "[rho, x_g] = 0",
                                  (rho @ x - x @ rho).op_norm(), tol_eq, scale))
-    return True, checks
+    return checks
 
 
 def sz_domination(table: CocycleTable, probes, tol_eq: float = TOL_EQ) -> Check:

@@ -45,22 +45,27 @@ def _range_onb(m: np.ndarray, cutoff: float) -> np.ndarray:
     return u[:, s > cutoff * s.max(initial=1.0)]
 
 
-def _fixed_vectors(q: np.ndarray, images: AlgebraElement, cutoff: float) -> np.ndarray:
-    """Q K: orthonormal columns spanning the vectors of ran Q that a set of
-    maps T fixes, for Q = ``q`` with orthonormal columns (vec coordinates).
-    ``images`` is the stack of T(xi_j) over the maps T and the columns xi_j
-    of Q, as elements with the map axis first and the column axis last.
-    Q c is fixed exactly when (T Q - Q) c = 0 for every T, so K is
-    ``_kernel_onb`` of the T Q - Q stacked.
+def _fixed_vectors(group: FiniteGroup, images, cutoff: float) -> np.ndarray:
+    """Orthonormal columns (vec coordinates) spanning the vectors that the
+    map T_g of every element g fixes.  ``images(idx, xi)`` is the stack of
+    T_g(xi_j) over the elements g = group.elements[idx] and the elements
+    xi_j of the stack xi, with the map axis first.
 
-    It runs first over the generators from the whole space, then over every
-    element on the basis that is left; that basis is small, and where T is
-    not a representation the second pass is needed.
+    Two passes narrow Q, with orthonormal columns, from the whole space:
+    first over the generators (the first layer), then over every element
+    but the identity on the basis that is left; that basis is small, and
+    where T is not a representation the second pass is needed.  Q c is
+    fixed by every T of a pass exactly when (T Q - Q) c = 0, so Q becomes
+    Q K for K ``_kernel_onb`` of the T Q - Q stacked.
     """
-    r = q.shape[1]
-    if r == 0:
-        return q
-    return q @ _kernel_onb((np.swapaxes(vec(images), -1, -2) - q).reshape(-1, r), cutoff)
+    q = np.eye(group.descriptor.dim)
+    for idx in (group.first_layer, slice(1, None)):
+        r = q.shape[1]
+        if r == 0:
+            break
+        moved = np.swapaxes(vec(images(idx, unvec(group.descriptor, q.T))), -1, -2)
+        q = q @ _kernel_onb((moved - q).reshape(-1, r), cutoff)
+    return q
 
 
 @dataclass
@@ -100,12 +105,8 @@ def fixed_algebra(group: FiniteGroup, tol_eq: float, tol_pos: float) -> FixedAlg
     """Joint kernel of (A(g) - 1) over the group, with closure verification;
     A(g) is the map a |-> g(a), a representation, so the second pass of
     ``_fixed_vectors`` only confirms the first."""
-    desc = group.descriptor
-    units = matrix_unit_basis(desc)
-    q = _fixed_vectors(np.eye(desc.dim), apply(group.elements[group.first_layer], units),
-                       tol_pos)
-    fa = FixedAlgebra(desc, _fixed_vectors(q, apply(group.elements, unvec(desc, q.T))[1:],
-                                           tol_pos))
+    fa = FixedAlgebra(group.descriptor, _fixed_vectors(
+        group, lambda idx, xi: apply(group.elements[idx], xi), tol_pos))
     worst = closure_residual(fa)
     norm = max(1.0, fa.basis.op_norm())
     if worst > tol_eq * max(1.0, norm ** 2):
@@ -188,14 +189,10 @@ def e0_projection(group: FiniteGroup, root_inv: AlgebraElement, w: AlgebraElemen
     """Orthonormal basis Q (columns, vec coordinates) of the vectors that
     every U_g fixes, so that E0 = Q Q*; given rho^{-1/2} and w_g stacked in
     group order.  U_g xi = g^-1(xi rho^{-1/2}) w_g is applied to the basis
-    on its factors, per generator and then over the group (``_fixed_vectors``)."""
-    desc = group.descriptor
-    units = matrix_unit_basis(desc)
-    first = group.first_layer
-    q = _fixed_vectors(np.eye(desc.dim), predual(group.elements[first], (units @ root_inv)[None])
-                       @ w[first, None], tol_pos)
-    xi = unvec(desc, q.T) @ root_inv
-    return _fixed_vectors(q, (predual(group.elements, xi[None]) @ w[:, None])[1:], tol_pos)
+    on its factors, by the two passes of ``_fixed_vectors``."""
+    return _fixed_vectors(
+        group, lambda idx, xi: predual(group.elements[idx], (xi @ root_inv)[None]) @ w[idx, None],
+        tol_pos)
 
 
 def projection_residual(q: np.ndarray) -> float:

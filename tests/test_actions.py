@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qistate import actions
-from qistate.actions import (Automorphism, apply, close_group, compose, equal_as_maps,
-                             identity_automorphism, inverse, predual, stack_maps)
+from qistate.actions import (Automorphism, MapIndex, apply, close_group, compose,
+                             equal_as_maps, identity_automorphism, inverse, predual, stack_maps)
 from qistate.algebra import AlgebraDescriptor, AlgebraElement, identity, stack, vec
 from qistate.cli import parse_instance
 from qistate.matcore import InputError, TOL_EQ
@@ -34,6 +34,23 @@ def random_automorphism(rng, desc):
     perm = tuple((j + shift) % k for j in range(k))
     us = [random_unitary(rng, n) for n in desc.block_dims]
     return Automorphism(desc, perm, us)
+
+
+@pytest.mark.parametrize("perm", [["x", 0], [None, 0], [1.7, 0.2], [True, False],
+                                  np.array([1.0, 0.0])],
+                         ids=["string", "none", "float", "bool", "float-array"])
+def test_perm_entries_must_be_integers(perm):
+    # int() would read 1.7 and True as 1, and fail on "x" outside InputError
+    with pytest.raises(InputError, match="not an integer"):
+        Automorphism(AlgebraDescriptor((2, 2)), perm, [np.eye(2)] * 2)
+
+
+def test_perm_takes_numpy_integers_and_derives_its_inverse():
+    desc = AlgebraDescriptor((1, 1, 1))
+    g = Automorphism(desc, np.array([2, 0, 1]), [np.eye(1)] * 3)
+    assert g.perm.tolist() == [2, 0, 1] and g.inv_perm.tolist() == [1, 2, 0]
+    stack = stack_maps([g, inverse(g)])
+    assert stack.inv_perm.tolist() == [[1, 2, 0], [2, 0, 1]]
 
 
 def test_apply_identity(rng):
@@ -170,7 +187,7 @@ def same_bits(x, y) -> bool:
     """Equal arrays, or elements or automorphisms with equal arrays."""
     if isinstance(x, AlgebraElement):
         return all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
-    return (np.array_equal(x.perm, y.perm) and np.array_equal(x.inv_perm, y.inv_perm)
+    return (np.array_equal(x.perm, y.perm)
             and all(np.array_equal(a, b) for a, b in zip(x.unitaries, y.unitaries)))
 
 
@@ -313,7 +330,7 @@ def test_close_group_at_tol_zero_compares_at_the_roundoff_floor():
     data = json.load(open(os.path.join(REPO_INSTANCES, "nonstrong_weyl3.json")))
     group = close_group(parse_instance(data)[2], cap=50, tol=0.0)
     assert group.order == 9
-    assert group.index.tol == 32 * 3 * np.finfo(float).eps
+    assert MapIndex(group.descriptor, 0.0).tol == 32 * 3 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("gens", [("shift",), ("shift", "clock")])
@@ -503,6 +520,13 @@ def test_closure_composes_once_per_element_and_generator(monkeypatch):
     assert sum(calls) == (grp.order - 1) * len(gens)
 
 
+def group_index(grp, tol=TOL_EQ):
+    """A ``MapIndex`` at ``tol`` that holds the elements of ``grp``, in order."""
+    index = MapIndex(grp.descriptor, tol)
+    assert index.insert(grp.elements) == list(range(grp.order))
+    return index
+
+
 def find(index, g):
     """Lowest index of an element of ``index`` equal to g as a map, or -1:
     a lookup without insertion."""
@@ -540,7 +564,7 @@ def edge_perturbation(rng, index, g, tol):
 def test_maps_perturbed_within_tol_deduplicate(rng, tol):
     gens = weyl_generators(4)
     grp = close_group(gens, tol=tol)
-    index = grp.index
+    index = group_index(grp, tol)
     widest = 0.0
     for i, g in enumerate(grp.elements):
         for _ in range(4):
@@ -556,11 +580,23 @@ def test_element_index_member(rng):
     grp = close_group(weyl_generators(4))
     for i, j in [(0, 0), (3, 7), (15, 2)]:
         g = with_block_phases(rng, compose(grp.elements[i], grp.elements[j]))
-        assert find(grp.index, g) == multiplication_table(grp)[i, j]
+        assert find(group_index(grp), g) == multiplication_table(grp)[i, j]
 
 
 def test_element_index_non_member_is_absent(rng):
     grp = close_group(weyl_generators(4))
     stranger = inner_generator(grp.descriptor, 0, random_unitary(rng, 4))
-    assert find(grp.index, stranger) == -1
-    assert find(grp.index, identity_automorphism(AlgebraDescriptor((2, 2)))) == -1
+    index = group_index(grp)
+    assert find(index, stranger) == -1
+    assert find(index, identity_automorphism(AlgebraDescriptor((2, 2)))) == -1
+
+
+def test_insert_into_an_empty_index_appends_a_layer_in_order_without_duplicates(rng):
+    # the closure's first insert: the identity and the generators, as one stack
+    g = close_group(weyl_generators(3)).elements
+    layer = stack_maps([g[0], g[4], with_block_phases(rng, g[0]), g[2],
+                        with_block_phases(rng, g[4]), g[2]])
+    index = MapIndex(g.descriptor)
+    assert index.insert(layer) == [0, 1, 0, 2, 1, 2]
+    assert index.size == 3
+    assert same_bits(index.elements, stack_maps([g[0], g[4], g[2]]))

@@ -17,7 +17,7 @@ import pytest
 
 from qistate import actions
 from qistate.actions import (Automorphism, MapIndex, close_group, compose, equal_as_maps,
-                             identity_automorphism, inverse)
+                             identity_automorphism, inverse, stack_maps)
 from qistate.algebra import AlgebraDescriptor
 from qistate.cli import parse_instance
 from qistate.matcore import InputError, TOL_EQ
@@ -33,25 +33,26 @@ def per_visit_closure(generators, cap=10000, tol=TOL_EQ):
     """Breadth-first closure one product at a time, over every listed
     generator; returns (elements, right, inv), with ``right`` on the
     columns of the first generator of each distinct non-identity one.
-    The ``MapIndex`` only holds the elements and floors the tolerance."""
+    The elements are a list of maps of its own; ``MapIndex`` only floors
+    the tolerance."""
     desc = generators[0].descriptor
-    index = MapIndex(desc, tol)
-    index.add(identity_automorphism(desc)[None])
+    floor = MapIndex(desc, tol).tol
+    elements = [identity_automorphism(desc)]
     right, frontier = [[0] * len(generators)], []
 
     def find(g):
         """The indices of the held elements equal to g as maps, ascending."""
-        copies = g[None][np.zeros(index.size, dtype=int)]
-        return np.flatnonzero(equal_as_maps(index.elements, copies, index.tol)).tolist()
+        copies = g[None][np.zeros(len(elements), dtype=int)]
+        return np.flatnonzero(equal_as_maps(stack_maps(elements), copies, floor)).tolist()
 
     def visit(k, s, g, check_cap):
         hits = find(g)
         j = hits[0] if hits else -1
         if j < 0:
-            if check_cap and index.size >= cap:
+            if check_cap and len(elements) >= cap:
                 raise InputError(f"group not finite at cap {cap}")
-            j = index.size
-            index.add(g[None])
+            j = len(elements)
+            elements.append(g)
             right.append([0] * len(generators))
             frontier.append(j)
         right[k][s] = j
@@ -62,19 +63,19 @@ def per_visit_closure(generators, cap=10000, tol=TOL_EQ):
         layer, frontier = frontier, []
         for k in layer:
             for s, gen in enumerate(generators):
-                visit(k, s, compose(index.elements[k], gen), check_cap=True)
+                visit(k, s, compose(elements[k], gen), check_cap=True)
         if frontier:
-            actions._require_unitary(index.elements[frontier[0]:])
+            actions._require_unitary(stack_maps(elements[frontier[0]:]))
 
     inv = []
-    for k in range(index.size):
-        hits = find(inverse(index.elements[k]))
+    for k, g in enumerate(elements):
+        hits = find(inverse(g))
         if len(hits) != 1:
             raise InputError(f"closure is inconsistent at tol_eq {tol:.3g}: element {k} has "
                              f"{len(hits)} inverses, not one; try a smaller --tol-eq")
         inv.append(hits[0])
     columns = [right[0].index(j) for j in sorted(set(right[0]) - {0})]
-    return index.elements, np.array(right, dtype=int)[:, columns], inv
+    return stack_maps(elements), np.array(right, dtype=int)[:, columns], inv
 
 
 def assert_same_closure(generators, **kwargs):

@@ -563,10 +563,10 @@ def test_violated_sandwich_matches_loops(analysis):
 
 
 def test_strong_qi_matches_loops(analysis):
-    strong, checks = is_strongly_qi(analysis.table, TOL_EQ, TOL_POS)
+    checks = is_strongly_qi(analysis)
     reference = reference_strong_qi(analysis.table, TOL_EQ, TOL_POS)
     assert [c.name for c in checks] == list(reference)
-    assert strong == (len(reference) > 1)
+    assert analysis.strong == (len(reference) > 1)
     assert_residuals_match(checks, reference)
 
 
@@ -874,7 +874,9 @@ def test_check_cocycle_laws_work_is_linear(monkeypatch):
         verify_inverse_formula(table)
         verify_adjoint_relation(table)
         sandwich_check(table, probes)
-        is_strongly_qi(table, TOL_EQ, TOL_POS)
+        for name in ("self_adjoint", "strong"):    # built again, as a command would
+            an.__dict__.pop(name, None)
+        is_strongly_qi(an)
 
     def reference():
         reference_cocycle_laws(table, probes, edges=False)
@@ -934,12 +936,13 @@ def test_check_laws_take_linearly_many_svds(monkeypatch):
     phi, group, probes = an.phi, an.group, check_probes(an.phi.descriptor)
 
     def run():
-        table = build_table(phi, group)
+        fresh = Analysis(phi, group, TOL_EQ, TOL_POS)
+        table = fresh.table
         verify_cocycle_identity(table)
         verify_inverse_formula(table)
         verify_adjoint_relation(table)
         sandwich_check(table, probes)
-        is_strongly_qi(table, TOL_EQ, TOL_POS)
+        is_strongly_qi(fresh)
         sz_domination(table, probes)
 
     def reference():

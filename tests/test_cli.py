@@ -116,6 +116,12 @@ def test_cmd_check_rejects_non_finite_entries(tmp_path, capsys, path, keys, valu
     (("group",), "swap", [], "group"),
     (("group", "generators", 0), 5, [], "group.generators[0]"),
     (("tolerances",), [1e-9], [], "tolerances"),
+    (("tolerances",), [], [], "tolerances"),
+    (("tolerances",), 0, [], "tolerances"),
+    (("tolerances",), False, [], "tolerances"),
+    (("tolerances",), None, [], "tolerances"),
+    (("state", "density", 0, 0, 0), [True, 0.0], [], "state.density[0][0][0]"),
+    (("state", "density", 0, 0, 1), [0.0, False], [], "state.density[0][0][1]"),
     (("tolerances", "tol_eq"), "tight", [], "tolerances.tol_eq"),
     (("tolerances", "tol_eq"), float("nan"), [], "tolerances.tol_eq"),
     (("tolerances", "tol_eq"), 10 ** 400, [], "tolerances.tol_eq"),
@@ -130,7 +136,9 @@ def test_cmd_check_rejects_non_finite_entries(tmp_path, capsys, path, keys, valu
     ((), None, ["--closure-cap", "0"], "--closure-cap"),
     ((), None, ["--seed", "-1"], "--seed"),
 ], ids=[
-    "state-list", "group-string", "generator-number", "tolerances-list", "tol_eq-string",
+    "state-list", "group-string", "generator-number", "tolerances-list",
+    "tolerances-empty-list", "tolerances-zero", "tolerances-false", "tolerances-null",
+    "re-bool", "im-bool", "tol_eq-string",
     "tol_eq-nan", "tol_eq-huge-int", "tol_pos-negative", "tol_pos-inf", "closure_cap-string",
     "closure_cap-float", "closure_cap-zero", "flag-tol-eq-nan", "flag-tol-eq-negative",
     "flag-tol-pos-inf", "flag-closure-cap-zero", "flag-seed-negative",
@@ -139,7 +147,8 @@ def test_malformed_fields_and_flags_are_validation_errors(tmp_path, capsys, keys
                                                           flags, path):
     # exit 2 naming the field, not a traceback (exit 1) or a closure that
     # never matches an element (negative tol_eq) or an ignored cap of 0, or
-    # a negative seed that the generator would take for its absolute value
+    # a negative seed that the generator would take for its absolute value,
+    # a falsy value read as no tolerances, or a bool read as a number
     data = instance_to_json(qubit_instance().phi, qubit_instance().generators)
     if keys:
         node = data
@@ -150,6 +159,75 @@ def test_malformed_fields_and_flags_are_validation_errors(tmp_path, capsys, keys
     bad.write_text(json.dumps(data))
     assert run_cli(["check", "--input", str(bad)] + flags) == EXIT_VALIDATION
     assert f"validation error at {path}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys, value, path, message", [
+    (("group", "generators", 0, "perm"), ["x", 0], "group.generators[0]", "not an integer"),
+    (("group", "generators", 0, "perm"), [None, 0], "group.generators[0]", "not an integer"),
+    (("group", "generators", 0, "perm"), [1.7, 0.2], "group.generators[0]", "not an integer"),
+    (("group", "generators", 0, "perm"), [True, False], "group.generators[0]",
+     "not an integer"),
+    (("algebra", "block_dims"), [True, True], "algebra.block_dims", "positive integers"),
+], ids=["perm-string", "perm-null", "perm-float", "perm-bool", "block_dims-bool"])
+def test_non_integer_perms_and_dims_are_validation_errors(tmp_path, capsys, keys, value,
+                                                          path, message):
+    # exit 2 naming the field: not a traceback (exit 1), or a float or bool
+    # read as an integer, which made [1.7, 0.2] the swap and [true, true]
+    # the dims (1, 1)
+    data = json.load(open(os.path.join(REPO_INSTANCES, "m2m2_swap.json")))
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run_cli(["check", "--input", str(bad)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error at {path}: ") and message in err
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing/report.json", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_unwritable_out_is_a_validation_error_after_the_report(qubit_file, tmp_path, capsys,
+                                                                target, reason):
+    # the report is printed first; the failed write then exits 2 naming --out
+    out = str(tmp_path / target)
+    assert run_cli(["check", "--input", qubit_file, "--out", out]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["command"] == "check"
+    assert captured.err == f"validation error at --out: cannot write {out} ({reason})\n"
+
+
+@pytest.mark.parametrize("density, tols, code, message", [
+    # min eigenvalue -5e-9: not PSD at the default tol_pos, and at 1e-8 PSD
+    # but not faithful
+    (np.diag([1 + 5e-9, -5e-9]), {}, EXIT_VALIDATION, "density is not PSD"),
+    (np.diag([1 + 5e-9, -5e-9]), {"tol_pos": 1e-8}, EXIT_PRECONDITION,
+     "state is not faithful"),
+    # trace off by 2e-6: refused at the default tol_eq, accepted at 1e-5
+    (np.diag([0.3, 0.7 + 2e-6]), {}, EXIT_VALIDATION, "density trace"),
+    (np.diag([0.3, 0.7 + 2e-6]), {"tol_eq": 1e-5}, EXIT_PASS, ""),
+], ids=["not-psd", "psd-within-tol_pos", "trace-off", "trace-within-tol_eq"])
+def test_tolerance_flags_reach_the_state_validation(tmp_path, capsys, density, tols, code,
+                                                     message):
+    # a flag replaces the file's value before the state is validated, so a
+    # tolerance acts the same given either way
+    data = instance_to_json(qubit_instance().phi, qubit_instance().generators)
+    data["state"]["density"] = [matrix_to_json(density)]
+    data.pop("tolerances", None)
+    by_flag = tmp_path / "by_flag.json"
+    by_flag.write_text(json.dumps(data))
+    by_file = tmp_path / "by_file.json"
+    by_file.write_text(json.dumps(dict(data, tolerances=tols)))
+    flags = [f for name, value in tols.items() for f in (f"--{name.replace('_', '-')}", str(value))]
+    results = []
+    for argv in (["--input", str(by_flag), *flags], ["--input", str(by_file)]):
+        results.append(run_cli(["trace", *argv]))
+        err = capsys.readouterr().err
+        assert message in err and (message or err == "")
+    assert results == [code, code]
 
 
 @pytest.mark.parametrize("content, message", [
@@ -410,8 +488,9 @@ def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
     calls = collections.Counter()
     modules = [m for key, m in list(sys.modules.items())
                if key == "qistate" or key.startswith("qistate.")]
-    for fn in (cocycle.build_table, cocycle.is_strongly_qi, expectation.fixed_algebra,
-               expectation.e0_projection, standard_form.u_g, standard_form.group_unitaries):
+    for fn in (cocycle.build_table, cocycle.self_adjoint_check, cocycle.is_strongly_qi,
+               expectation.fixed_algebra, expectation.e0_projection, standard_form.u_g,
+               standard_form.group_unitaries):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -423,6 +502,8 @@ def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
     assert run_cli([command, "--input", path]) == EXIT_PASS
     capsys.readouterr()
     assert calls["build_table"] == 1
+    # one decision of strong quasi-invariance, which trace does not read
+    assert calls["self_adjoint_check"] == (command != "trace")
     # the state is strong, and only check builds the consequence checks,
     # among them the |G|^2/2 commuting sweep
     assert calls["is_strongly_qi"] == (command == "check")

@@ -4,6 +4,7 @@ import pytest
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, evaluate, identity,
                              matrix_unit_basis)
 from qistate.actions import apply, close_group, inverse, predual
+from qistate.analysis import Analysis
 from qistate.cocycle import (build_table, is_strongly_qi,
                              random_psd_probe, rn_cocycle, sandwich_check,
                              sz_domination, verify_adjoint_relation,
@@ -148,11 +149,10 @@ def test_base_change_consistency(rng):
 
 
 def test_is_strongly_qi_qubit(qubit):
-    table = build_table(qubit.phi, qubit.group)
-    strong, checks = is_strongly_qi(table, TOL_EQ, TOL_POS)
-    assert strong and all_passed(checks)
+    an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
+    assert an.strong and all_passed(is_strongly_qi(an))
     # spectrum window [1/lambda, lambda] = [1/2, 2]
-    spec = np.linalg.eigvalsh(table.entries[1].blocks[0])
+    spec = np.linalg.eigvalsh(an.table.entries[1].blocks[0])
     assert spec.min() >= 0.5 - 1e-12 and spec.max() <= 2.0 + 1e-12
 
 
@@ -161,9 +161,8 @@ def test_is_strongly_qi_detects_failure(rng):
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([inner_generator(desc, 0, hadamard2())], cap=4)
-    table = build_table(phi, grp)
-    strong, _ = is_strongly_qi(table, TOL_EQ, TOL_POS)
-    assert not strong
+    an = Analysis(phi, grp, TOL_EQ, TOL_POS)
+    assert is_strongly_qi(an) == [an.self_adjoint] and not an.strong
     # oracle: the commutator [rho, predual(rho)] is visibly nonzero
     comm = (phi.density @ predual(grp.elements[1], phi.density)
             - predual(grp.elements[1], phi.density) @ phi.density)
@@ -174,8 +173,8 @@ def test_is_strongly_qi_trivially_true_for_invariant():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.eye(2) / 2]))
     grp = close_group([inner_generator(desc, 0, np.array([[0, 1.], [1., 0]]))], cap=4)
-    strong, checks = is_strongly_qi(build_table(phi, grp), TOL_EQ, TOL_POS)
-    assert strong and all_passed(checks)
+    an = Analysis(phi, grp, TOL_EQ, TOL_POS)
+    assert an.strong and all_passed(is_strongly_qi(an))
 
 
 def test_sz_domination_identity_is_equality(probe_rng):
@@ -226,8 +225,8 @@ def test_sandwich_random_instances(rng, probe_rng):
 def test_strong_instances_are_strong(rng):
     for _ in range(8):
         inst = random_strong_instance(rng)
-        strong, checks = is_strongly_qi(build_table(inst.phi, inst.group), TOL_EQ, TOL_POS)
-        assert strong and all_passed(checks)
+        an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
+        assert an.strong and all_passed(is_strongly_qi(an))
 
 
 def matrix_unit_defect(phi, g, x):

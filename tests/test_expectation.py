@@ -79,6 +79,21 @@ def test_fixed_vectors_match_stacked_kernels(kind, seed):
     assert np.linalg.norm(q @ dagger(q) - e0_ref, 2) <= 1e-12
 
 
+def test_group_pass_of_fixed_vectors_shrinks_e0():
+    # U_g is not a representation here: the vectors that the generators fix
+    # span a plane, and only the pass over every element finds that no
+    # vector is fixed by all of them
+    phi, group = drawn_instance("generic", 19)
+    an = Analysis(phi, group, TOL_EQ, TOL_POS)
+    _, e0_ref = reference_projections(an)
+    us = dense_unitaries(an)
+    by_generators = reference_fixed_vectors([us[k] for k in group.first_layer], phi.descriptor.dim,
+                                            an.tol_pos)
+    assert an.e0.shape[1] == round(np.trace(e0_ref).real) == 0
+    assert by_generators.shape[1] == 2
+    assert np.linalg.norm(an.e0 @ dagger(an.e0) - e0_ref, 2) <= 1e-12
+
+
 def test_swap_with_inner_group_is_non_abelian_and_not_strong(rng):
     phi, group = swap_with_inner_instance(rng, 3)
     mult = multiplication_table(group)

@@ -2,6 +2,7 @@ import numpy as np
 
 from qistate.actions import equal_as_maps, identity_automorphism, predual
 from qistate.algebra import evaluate
+from qistate.analysis import Analysis
 from qistate.cocycle import build_table, is_strongly_qi
 from qistate.matcore import TOL_EQ, TOL_POS
 from generators import (all_passed, clock_matrix, multiplication_table, qubit_instance,
@@ -46,8 +47,8 @@ def test_random_instance_is_quasi_invariant(rng):
 def test_random_strong_instance_is_strong(rng):
     for _ in range(10):
         inst = random_strong_instance(rng)
-        strong, checks = is_strongly_qi(build_table(inst.phi, inst.group), TOL_EQ, TOL_POS)
-        assert strong and all_passed(checks)
+        an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
+        assert an.strong and all_passed(is_strongly_qi(an))
 
 
 def test_strong_instance_model_data_consistent(rng):
@@ -68,8 +69,7 @@ def test_generic_instance_is_rarely_strong(rng):
         inst = random_instance(rng)
         if inst.group.order == 1:
             continue
-        strong, _ = is_strongly_qi(build_table(inst.phi, inst.group), TOL_EQ, TOL_POS)
-        hits += bool(strong)
+        hits += Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS).strong
     assert hits <= 2
 
 
