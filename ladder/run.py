@@ -12,6 +12,15 @@ process is pinned to one CPU with BLAS threads 1, and runs under a
 ``TIMEOUT_S`` timeout; a process that outlives it is killed and recorded
 as a timeout, with its time up to the kill.
 
+``perfbench/reference.py``, a fixed job that tracks the machine's speed,
+runs the same way before the first cell and after each one.  Each cell
+records ``ref_s``, the mean of the reference times just before and just
+after it, and ``wall_ref = wall_s / ref_s``: compare ladders on
+``wall_ref``, which follows the machine's drift for cells of a second or
+more.  Cells of about 0.15 s are mostly interpreter start-up, which
+drifts differently from the reference, so re-run such a cell as
+alternating pairs before calling it slower.
+
 The rungs, at seed 401 where random (densities from
 ``perfbench/workloads.py``, which is only imported; generators from
 ``tests/generators.py``):
@@ -145,6 +154,14 @@ def run_one(argv, timeout: float, cpu: int) -> dict:
             "stderr": err.splitlines()[-1] if err else "", "report_sha256": digest}
 
 
+def reference(cpu: int) -> float:
+    """Wall time of one pinned run of ``perfbench/reference.py``."""
+    res = run_one([sys.executable, str(ROOT / "perfbench" / "reference.py")], TIMEOUT_S, cpu)
+    if res["exit_code"] != 0:
+        raise RuntimeError(f"reference process exited {res['exit_code']}: {res['stderr']}")
+    return res["wall_s"]
+
+
 def machine() -> dict:
     model = ""
     try:
@@ -162,16 +179,20 @@ def main(argv=None) -> int:
     parser.add_argument("label", help="the output is BENCH_<label>.json")
     label = parser.parse_args(argv).label
     cpu = max(os.sched_getaffinity(0))
-    runs = []
+    runs, refs = [], [reference(cpu)]
     with tempfile.TemporaryDirectory() as tmp:
         for name, (build, dim, order) in RUNGS.items():
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(build(), sort_keys=True))
             for command, args in ROWS.items():
                 res = run_one([sys.executable, *args, str(path)], TIMEOUT_S, cpu)
+                refs.append(reference(cpu))
+                ref_s = (refs[-2] + refs[-1]) / 2
                 runs.append({"rung": name, "N": dim, "group_order": order,
-                             "command": command, **res})
+                             "command": command, **res, "ref_s": round(ref_s, 3),
+                             "wall_ref": round(res["wall_s"] / ref_s, 3)})
                 print(f"{name:10s} {command:12s} {res['wall_s']:8.2f} s "
+                      f"{res['wall_s'] / ref_s:7.2f} ref "
                       f"{res['peak_rss_mb']:8.1f} MB  exit {res['exit_code']}"
                       + ("  TIMEOUT" if res["timeout"] else ""), flush=True)
     out = ROOT / f"BENCH_{label}.json"

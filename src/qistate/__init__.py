@@ -19,7 +19,6 @@ from .standard_form import (a_g, gamma_factorization, u_g,
 from .expectation import (ConditionalExpectation, FixedAlgebra, commutant_f0,
                           cond_expectation, e0_projection, fixed_algebra,
                           verify_ks)
-from .trace import (TraceFunctional, invariant_trace, is_center_ergodic,
-                    trace_density, verify_density_relations)
+from .trace import invariant_trace, is_center_ergodic, trace_density, verify_density_relations
 from .analysis import Analysis
 from .matcore import InputError, PreconditionError

@@ -8,7 +8,8 @@ arithmetic broadcasts over it, the reductions (``op_norm``,
 ``op_norms`` and ``min_eigs`` give one value per element, and ``x[k]``
 indexes it.  So one expression states a law for one element
 or for every group element at once.  Normal states are stored by their
-density matrix.  The Hilbert-Schmidt space of block matrices doubles as
+density matrix and its spectrum, which ``State.power`` reads every rho^p
+off.  The Hilbert-Schmidt space of block matrices doubles as
 the GNS space: vectors use the same block layout as algebra elements, the
 algebra acts by left multiplication, and the cyclic vector of a faithful
 state is the positive root of its density.
@@ -36,10 +37,12 @@ class AlgebraDescriptor:
     block_dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.block_dims)
-        if not dims or any(n < 1 for n in dims):
+        dims = tuple(self.block_dims)
+        # int() would truncate 2.7 and read True or "3"
+        if not dims or not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                               and n >= 1 for n in dims):
             raise InputError(f"block dims must be positive integers, got {dims}")
-        object.__setattr__(self, "block_dims", dims)
+        object.__setattr__(self, "block_dims", tuple(int(n) for n in dims))
 
     @property
     def num_blocks(self) -> int:
@@ -225,35 +228,45 @@ def batch_slices(n: int, inner: int) -> list:
 # -- states -----------------------------------------------------------------
 
 class State:
-    """Normal state given by its density: Hermitian PSD blocks, total trace 1."""
+    """Normal state given by its density: Hermitian PSD blocks, total trace 1;
+    ``spectrum`` is its one eigendecomposition, (w, V) per block by ``herm_eig``."""
 
-    __slots__ = ("descriptor", "density", "min_eig")    # min_eig of the density
+    __slots__ = ("descriptor", "density", "spectrum")
 
     def __init__(self, descriptor: AlgebraDescriptor, density: AlgebraElement,
                  tol_eq: float = TOL_EQ, tol_pos: float = TOL_POS):
         if density.descriptor != descriptor:
             raise InputError("density descriptor does not match the algebra")
+        if density.batch:
+            raise InputError(f"density must be one element, not a stack of shape {density.batch}")
         res = density.herm_residual()
         if res > TOL_HERM * max(1.0, density.op_norm()):
             raise InputError(f"density is not Hermitian: residual {res:.3e}")
-        mn = density.min_eig()
-        if mn < -tol_pos:
-            raise InputError(f"density is not PSD: min eigenvalue {mn:.3e}")
+        self.descriptor, self.density = descriptor, density
+        self.spectrum = [matcore.herm_eig(b) for b in density.blocks]
+        if self.min_eig < -tol_pos:
+            raise InputError(f"density is not PSD: min eigenvalue {self.min_eig:.3e}")
         tr = density.trace()
         if abs(tr - 1.0) > tol_eq * 1.0:
             raise InputError(f"density trace {tr.real:.12g} != 1")
-        self.descriptor = descriptor
-        self.density = density
-        self.min_eig = mn
 
     @classmethod
-    def _unchecked(cls, descriptor: AlgebraDescriptor, density: AlgebraElement,
-                   min_eig: float):
+    def _unchecked(cls, descriptor: AlgebraDescriptor, density: AlgebraElement, spectrum: list):
         """A state from a density derived from checked ones and known to be
-        Hermitian with unit trace, given its smallest eigenvalue: no test."""
+        Hermitian with unit trace, given its ``spectrum``: no test."""
         phi = object.__new__(cls)
-        phi.descriptor, phi.density, phi.min_eig = descriptor, density, min_eig
+        phi.descriptor, phi.density, phi.spectrum = descriptor, density, spectrum
         return phi
+
+    @property
+    def min_eig(self) -> float:
+        """Smallest eigenvalue of the density."""
+        return min(float(w[0]) for w, _ in self.spectrum)
+
+    def power(self, p: float) -> AlgebraElement:
+        """rho^p for real p and a faithful state, as V exp(iz log w) V* at z = -ip."""
+        return AlgebraElement._unchecked(self.descriptor, [
+            (v * np.exp(1j * complex(-1j * p) * np.log(w))) @ dagger(v) for w, v in self.spectrum])
 
 
 def evaluate(phi: State, a: AlgebraElement):
@@ -270,12 +283,3 @@ def require_faithful(phi: State, tol_pos: float = TOL_POS) -> None:
         raise PreconditionError(
             f"state is not faithful: min density eigenvalue {phi.min_eig:.3e} <= {tol_pos:.1e}"
         )
-
-
-def density_power(phi: State, z: complex, tol_pos: float = TOL_POS) -> AlgebraElement:
-    """rho^{iz} blockwise; requires a faithful state."""
-    require_faithful(phi, tol_pos)
-    return AlgebraElement._unchecked(
-        phi.descriptor,
-        [matcore.imag_power(b, z, tol_pos=tol_pos) for b in phi.density.blocks],
-    )

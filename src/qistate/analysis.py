@@ -2,7 +2,7 @@
 
 The cocycle table x_g and its bound lambda give d and the invariant state
 psi; with rho^{1/2} they give a_g and the block factors of U_g, then B,
-Phi, E0 and F0; the invariant trace tau gives the density c of phi.  Each
+Phi, E0 and F0.  The roots rho^{±1/2} are read off the state's spectrum.  Each
 artifact is a cached property that calls its builder once, with the
 instance's tolerances, on the upstream artifacts it consumes.  The check
 suites read them from here, and every command reads strong
@@ -12,12 +12,11 @@ quasi-invariance from the one ``self_adjoint`` check held here.
 from functools import cached_property
 
 from .actions import FiniteGroup
-from .algebra import State, density_power
+from .algebra import State, require_faithful
 from .cocycle import build_table, self_adjoint_check
 from .expectation import commutant_f0, cond_expectation, e0_projection, fixed_algebra
 from .invariant import invariant_state
 from .standard_form import a_g, spatial_factors
-from .trace import invariant_trace, trace_density
 
 
 class Analysis:
@@ -29,9 +28,9 @@ class Analysis:
 
     @cached_property
     def roots(self):
-        """(rho^{1/2}, rho^{-1/2})."""
-        return (density_power(self.phi, -0.5j, self.tol_pos),
-                density_power(self.phi, 0.5j, self.tol_pos))
+        """(rho^{1/2}, rho^{-1/2}); requires a faithful state."""
+        require_faithful(self.phi, self.tol_pos)
+        return self.phi.power(0.5), self.phi.power(-0.5)
 
     @cached_property
     def table(self):
@@ -83,11 +82,3 @@ class Analysis:
     @cached_property
     def f0(self):
         return commutant_f0(self.fixed, self.e0, self.tol_pos)
-
-    @cached_property
-    def tau(self):
-        return invariant_trace(self.group)
-
-    @cached_property
-    def c(self):
-        return trace_density(self.phi, self.tau, self.tol_pos)

@@ -28,7 +28,8 @@ from .invariant import gamma_properties_check, strong_case_check
 from .matcore import InputError, PreconditionError, TOL_EQ, TOL_POS
 from .standard_form import (gamma_factorization, lemma_chain_checks, verify_covariance,
                             verify_representation, verify_unitarity)
-from .trace import trace_invariance_check, trace_property_check, verify_density_relations
+from .trace import (invariant_trace, trace_invariance_check, trace_property_check,
+                    verify_density_relations)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -289,16 +290,16 @@ def cmd_expectation(args):
 def cmd_trace(args):
     rng = _probe_rng(args)
     an, digest = _analysis(args)
-    # an.tau refuses an action that is not ergodic on the center
-    tau = an.tau
+    # refuses an action that is not ergodic on the center
+    weights = invariant_trace(an.group)
     probes = [random_psd_probe(rng, an.phi.descriptor) for _ in range(6)]
     checks = [trace_invariance_check(an, probes), *verify_density_relations(an),
               trace_property_check(an, probes)]
     summary = {
         "lambda": an.table.lambda_bound,
         "group_order": an.group.order,
-        "trace_weights": [float(w) for w in tau.weights],
-        "density": element_to_json(an.c),
+        "trace_weights": [float(w) for w in weights],
+        "density": element_to_json(an.phi.density),    # the trace density c = rho
     }
     return checks, summary, digest
 

@@ -36,8 +36,8 @@ def rn_cocycle(phi: State, g: Automorphism, tol_pos: float = TOL_POS) -> Algebra
 class CocycleTable:
     """All cocycle elements x_g of a group and their inverses, each as one
     element stacked over the group: ``entries[k]`` is x_g for the group
-    element with index k, built from ``predual_rho``, g^-1(rho) = rho x_g,
-    and ``inverses[k]`` its inverse g^-1(x_{g^-1}).  ``entry_norm`` is
+    element with index k, rho^-1 g^-1(rho) = ``rho_inv @ predual_rho`` with
+    ``rho_inv`` the one LU inverse of rho, and ``inverses[k]`` its inverse g^-1(x_{g^-1}).  ``entry_norm`` is
     max_g ||x_g||, ``inverse_norm`` max_g ||x_g^-1||, and lambda the larger."""
 
     phi: State
@@ -45,6 +45,7 @@ class CocycleTable:
     entries: AlgebraElement
     inverses: AlgebraElement
     predual_rho: AlgebraElement
+    rho_inv: AlgebraElement
     entry_norm: float
     inverse_norm: float
     lambda_bound: float
@@ -55,15 +56,16 @@ def build_table(phi: State, group: FiniteGroup, tol_pos: float = TOL_POS) -> Coc
     group; refuses when some x_g has min_sv(x_g) <= tol_pos max(1, ||x_g||)."""
     require_faithful(phi, tol_pos)
     predual_rho = predual(group.elements, phi.density)
-    entries = phi.density.inv() @ predual_rho
+    rho_inv = phi.density.inv()
+    entries = rho_inv @ predual_rho
     svs = [matcore.singular_values(b) for b in entries.blocks]
     norms = np.max([s[..., 0] for s in svs], axis=0)
     if np.any(np.min([s[..., -1] for s in svs], axis=0) <= tol_pos * np.maximum(1.0, norms)):
         raise PreconditionError("cocycle element is numerically singular")
     inverses = predual(group.elements, entries[group.inv])
     entry_norm, inverse_norm = float(np.max(norms)), inverses.op_norm()
-    return CocycleTable(phi, group, entries, inverses, predual_rho, entry_norm, inverse_norm,
-                        max(entry_norm, inverse_norm))
+    return CocycleTable(phi, group, entries, inverses, predual_rho, rho_inv, entry_norm,
+                        inverse_norm, max(entry_norm, inverse_norm))
 
 
 def verify_cocycle_identity(table: CocycleTable, tol_eq: float = TOL_EQ) -> Check:

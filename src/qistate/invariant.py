@@ -136,8 +136,9 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
     ``fixed_density_d`` checks; so psi is not validated again.  It is not
     refused for a negative eigenvalue: rho d = mean_g g^-1(rho) is a mean
     of PSD matrices, ``psi_faithful`` asserts the stronger min eig > tol_pos,
-    and the builders that use psi (``density_power``, ``cond_expectation``)
-    refuse a non-faithful one.
+    and the builders that use psi (``gamma_factorization``,
+    ``cond_expectation``) refuse a non-faithful one.  psi keeps the spectrum
+    of rho_psi taken here, so its min eig and its root read one decomposition.
     """
     phi, group = table.phi, table.group
     d, gamma_res = fixed_density_d(table, tol_eq=tol_eq)
@@ -149,19 +150,19 @@ def invariant_state(table: CocycleTable, tol_eq: float, tol_pos: float) -> Invar
             f"rho d has anti-Hermitian part {skew:.3e}; cannot assemble the invariant density"
         )
     rho_psi = 0.5 * (rho_d + rho_d.adjoint())
-    mn = rho_psi.min_eig()
-    psi = State._unchecked(rho_psi.descriptor, rho_psi, mn)
+    psi = State._unchecked(rho_psi.descriptor, rho_psi,
+                           [matcore.herm_eig(b) for b in rho_psi.blocks])
 
     inv_res = (apply(group.elements, rho_psi) - rho_psi).op_norm()
     # psi is sandwiched between phi/lambda and lambda*phi, hence faithful;
     # the check also asks that its min eigenvalue clear tol_pos
-    shortfall = max(0.0, phi.min_eig / table.lambda_bound - mn)
+    shortfall = max(0.0, phi.min_eig / table.lambda_bound - psi.min_eig)
     return InvariantCertificate(
         d, psi,
         residual_check("gamma_fixed_d", "Gamma_g(d) = d", gamma_res, tol_eq, d.op_norm()),
         residual_check("psi_invariant", "psi o g = psi", inv_res, tol_eq, rho_psi.op_norm()),
         Check("psi_faithful", "psi >= phi/lambda stays faithful", shortfall, tol_eq,
-              shortfall <= tol_eq and mn > tol_pos))
+              shortfall <= tol_eq and psi.min_eig > tol_pos))
 
 
 def cocycle_from_d(table: CocycleTable, d: AlgebraElement, i: int,

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: norms, Hermitian spectra, matrix powers.
+"""Dense complex matrix primitives: norms, Hermitian spectra, square roots.
 
 Everything downstream works with square complex matrices in double
 precision, validated by ``as_square`` where they enter; singular values
@@ -9,6 +9,8 @@ norm goes through ``max_op_norm``, which skips the SVD of each matrix whose
 Frobenius norm cannot beat the running maximum and returns the same float
 as one SVD per matrix; ``op_norms_within`` decides ||A|| <= limit per
 matrix from the same bound, with the decision of one SVD per matrix.
+Powers of a density are not taken here: ``algebra.State.power`` reads
+them off the state's own spectrum.
 """
 
 import numpy as np
@@ -170,21 +172,6 @@ def psd_sqrt(a, tol_pos: float = TOL_POS) -> np.ndarray:
         )
     root = np.sqrt(np.clip(w, 0.0, None))
     return (v * root[..., None, :]) @ dagger(v)
-
-
-def imag_power(a, z: complex, tol_pos: float = TOL_POS) -> np.ndarray:
-    """a^{iz} for Hermitian positive definite ``a``, via the spectral calculus.
-
-    z = 0 gives the identity, z = -i the matrix itself, z = -i/2 the
-    principal positive root.
-    """
-    w, v = herm_eig(a)
-    if w[0] <= tol_pos:
-        raise PreconditionError(
-            f"not positive definite: min eigenvalue {w[0]:.3e} <= {tol_pos:.1e}"
-        )
-    phases = np.exp(1j * complex(z) * np.log(w))
-    return (v * phases) @ dagger(v)
 
 
 def is_unitary(u: np.ndarray):

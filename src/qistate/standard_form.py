@@ -19,7 +19,8 @@ a norm of blocks.  No command builds U_g's dense matrix (``u_g``); E0 and
 import numpy as np
 
 from . import matcore
-from .algebra import AlgebraElement, density_power, identity, matrix_unit_basis, vec, worst_op_norm
+from .algebra import (AlgebraElement, identity, matrix_unit_basis, require_faithful, vec,
+                      worst_op_norm)
 from .actions import Automorphism, FiniteGroup, predual
 from .matcore import PreconditionError, dagger
 from .reporting import EDGES, Check, residual_check
@@ -137,12 +138,12 @@ def gamma_factorization(an):
     psi, d = an.certificate.psi, an.certificate.d
     rho, rho_psi = an.phi.density, psi.density
     root, root_inv = an.roots
-    rho_inv = rho.inv()
-    psi_root = density_power(psi, -0.5j, tol_pos)
+    require_faithful(psi, tol_pos)
+    psi_root = psi.power(0.5)
     gamma = psi_root @ root_inv
 
     def sigma_minus_i(x):
-        return rho @ x @ rho_inv
+        return rho @ x @ an.table.rho_inv
 
     group, x = an.group, an.table.entries
     gamma_g = predual(group.elements, gamma.inv()) @ gamma

@@ -3,12 +3,11 @@
 A weighted sum of block traces tau(a) = sum_i w_i tr(a_i) is invariant
 exactly when the weights are constant along the orbits of the block
 permutations.  Ergodicity of the center action is transitivity of that
-permutation action, and then the invariant trace is unique up to scale.
-The density of a state phi with respect to tau is c_i = rho_i / w_i and
+permutation action, and then the invariant trace is unique up to scale:
+at weight 1 on block 0 every weight is 1, tau is ``AlgebraElement.trace``,
+and the density of a state phi with respect to tau is c = rho.  It
 satisfies the predual relations g(c) = c x_{g^-1} and x_g* c = c x_g.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,25 +17,13 @@ from .matcore import PreconditionError
 from .reporting import Check, residual_check
 
 
-@dataclass
-class TraceFunctional:
-    """tau(a) = sum_i weights[i] tr(a_i), all weights positive."""
-
-    descriptor: object
-    weights: np.ndarray
-
-    def __call__(self, a: AlgebraElement):
-        """tau(a): a complex number, or an array over the batch of a stack."""
-        return sum(w * b.trace(axis1=-2, axis2=-1) for w, b in zip(self.weights, a.blocks))
-
-
 def is_center_ergodic(group: FiniteGroup) -> bool:
     """True iff the block-permutation action is transitive."""
     return len(group.block_orbits()) == 1
 
 
-def invariant_trace(group: FiniteGroup) -> TraceFunctional:
-    """The invariant trace with weight 1 on block 0; requires ergodicity.
+def invariant_trace(group: FiniteGroup) -> np.ndarray:
+    """The weights of the invariant trace, all 1; requires ergodicity.
 
     Invariant weights are exactly the functions constant on the block
     orbits, so the solution space has one dimension per orbit.  The trace
@@ -47,19 +34,19 @@ def invariant_trace(group: FiniteGroup) -> TraceFunctional:
         raise PreconditionError(
             "trace not unique: the action is not ergodic on the center, so the "
             f"solution space has dimension {len(group.block_orbits())}")
-    return TraceFunctional(group.descriptor, np.ones(group.descriptor.num_blocks))
+    return np.ones(group.descriptor.num_blocks)
 
 
-def trace_density(phi: State, tau: TraceFunctional, tol_pos: float) -> AlgebraElement:
-    """c with phi(a) = tau(c a): c_i = rho_i / w_i."""
+def trace_density(phi: State, tol_pos: float) -> AlgebraElement:
+    """c = rho, with phi(a) = tau(c a) for the unit-weight trace, for a faithful phi."""
     require_faithful(phi, tol_pos)
-    return AlgebraElement._unchecked(phi.descriptor,
-                                     [b / w for b, w in zip(phi.density.blocks, tau.weights)])
+    return phi.density
 
 
 def verify_density_relations(an) -> list:
     """Predual and intertwining relations of the trace density with the cocycle."""
-    c, table, tol_eq = an.c, an.table, an.tol_eq
+    c = trace_density(an.phi, an.tol_pos)
+    table, tol_eq = an.table, an.tol_eq
     group, x = table.group, table.entries
     scale = max(1.0, table.lambda_bound * c.op_norm())
     # predual of g^-1 acting on densities is g itself
@@ -71,16 +58,15 @@ def verify_density_relations(an) -> list:
 
 def trace_invariance_check(an, probes) -> Check:
     """tau(g(a)) = tau(a) for each probe a over the whole group at once."""
-    tau = an.tau
-    worst = max(float(np.max(np.abs(tau(apply(an.group.elements, a)) - tau(a)))) for a in probes)
+    worst = max(float(np.max(np.abs(apply(an.group.elements, a).trace() - a.trace())))
+                for a in probes)
     return residual_check("trace_invariance", "tau(g(a)) = tau(a)", worst, an.tol_eq)
 
 
 def trace_property_check(an, probes) -> Check:
     """tau(ab) = tau(ba) for each probe a and each of the first three probes b."""
-    tau = an.tau
     worst = 0.0
     for a in probes:
         for b in probes[:3]:
-            worst = max(worst, abs(tau(a @ b) - tau(b @ a)))
+            worst = max(worst, abs((a @ b).trace() - (b @ a).trace()))
     return residual_check("trace_property", "tau(ab) = tau(ba)", worst, an.tol_eq)

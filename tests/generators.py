@@ -1,6 +1,7 @@
 """Test fixtures: states and finite automorphism groups to test on, the
 four reference instances and the writer of their instance files, and the
-dense Hilbert-Schmidt matrices that tests use as oracles.
+dense Hilbert-Schmidt matrices and the complex power a^{iz} that tests
+use as oracles.
 
 Finite closures are guaranteed by construction: model generators are
 monomial matrices (permutation times roots of unity) or block
@@ -21,7 +22,7 @@ from qistate.algebra import AlgebraDescriptor, AlgebraElement, State, matrix_uni
 from qistate.actions import (Automorphism, FiniteGroup, close_group, identity_automorphism,
                              predual)
 from qistate.cli import element_to_json, matrix_to_json
-from qistate.matcore import InputError, TOL_EQ, TOL_POS, dagger
+from qistate.matcore import InputError, TOL_EQ, TOL_POS, dagger, herm_eig
 from qistate.standard_form import group_unitaries
 
 
@@ -40,6 +41,20 @@ def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
 def dense_unitaries(an) -> list:
     """Dense U_g for each group element of the analysis ``an``, in group order."""
     return group_unitaries(an.group, an.roots[1], an.factors[0])
+
+
+def imag_power(a, z: complex) -> np.ndarray:
+    """a^{iz} for a Hermitian positive definite matrix, by the spectral
+    calculus V exp(iz log w) V*: z = 0 gives the identity, z = -i the
+    matrix, z = -i/2 its positive root.  ``State.power(p)`` must equal it
+    bit for bit at z = -ip, as it reads the same eigendecomposition."""
+    w, v = herm_eig(a)
+    return (v * np.exp(1j * complex(z) * np.log(w))) @ dagger(v)
+
+
+def rho_power(phi: State, z: complex) -> AlgebraElement:
+    """rho^{iz} of a faithful state, blockwise by ``imag_power``."""
+    return AlgebraElement(phi.descriptor, [imag_power(b, z) for b in phi.density.blocks])
 
 
 def all_passed(checks) -> bool:

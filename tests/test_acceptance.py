@@ -218,10 +218,11 @@ def test_criterion_7_invariant_trace():
     for inst in instances:
         assert is_center_ergodic(inst.group)
         assert invariance_solution_space(inst.group).shape[1] == 1
-        tau = invariant_trace(inst.group)
-        c = trace_density(inst.phi, tau, TOL_POS)
+        # tau is the block trace: every weight is 1
+        assert np.array_equal(invariant_trace(inst.group), np.ones(inst.descriptor.num_blocks))
+        c = trace_density(inst.phi, TOL_POS)
         for a in matrix_unit_basis(inst.descriptor):
-            diff = abs(evaluate(inst.phi, a) - tau(c @ a))
+            diff = abs(evaluate(inst.phi, a) - (c @ a).trace())
             worst = max(worst, diff)
             assert diff < TOL
         an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
@@ -298,9 +299,8 @@ def test_criterion_9_commutative_brute_force_oracle():
         # averaging a |-> a o perm over the group hits every rotation once
         worst = max(worst, np.max(np.abs(flat(Phi(probe)) - phi_oracle)))
 
-        tau = invariant_trace(group)
-        worst = max(worst, np.max(np.abs(tau.weights - np.ones(k))))
-        c = trace_density(phi, tau, TOL_POS)
+        worst = max(worst, np.max(np.abs(invariant_trace(group) - np.ones(k))))
+        c = trace_density(phi, TOL_POS)
         worst = max(worst, np.max(np.abs(flat(c) - c_oracle)))
     report("criterion 9: commutative pipeline matches the elementwise "
            "probability-vector oracle within 1e-12", worst < 1e-12,

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,15 @@ from scipy.linalg import block_diag
 
 from qistate import algebra
 from qistate.algebra import (AlgebraDescriptor, AlgebraElement, State, batch_slices,
-                             density_power, evaluate, identity, matrix_unit_basis, max_entry,
+                             evaluate, identity, matrix_unit_basis, max_entry,
                              require_faithful, stack, unvec, vec)
-from qistate.matcore import InputError, PreconditionError, dagger
-from generators import hs_matrix, left_mult_matrix, state_from_density
+from qistate.analysis import Analysis
+from qistate.cli import load_instance, parse_instance
+from qistate.matcore import TOL_EQ, TOL_POS, InputError, PreconditionError, dagger
+from generators import (graded_instance, hs_matrix, imag_power, left_mult_matrix, rho_power,
+                        state_from_density, trivial_group)
+
+INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
 
 def random_element(rng, desc):
@@ -28,8 +35,8 @@ def random_faithful(rng, desc):
 
 
 def modular_flow(phi, a, z):
-    """rho^{iz} a rho^{-iz}, from ``density_power``."""
-    return density_power(phi, z) @ a @ density_power(phi, -z)
+    """rho^{iz} a rho^{-iz}, from the oracle ``rho_power``."""
+    return rho_power(phi, z) @ a @ rho_power(phi, -z)
 
 
 def hs_inner(a, b):
@@ -43,6 +50,19 @@ def test_descriptor_validation():
     with pytest.raises(InputError):
         AlgebraDescriptor((2, 0))
     assert AlgebraDescriptor((2, 3)).dim == 13
+
+
+@pytest.mark.parametrize("dims, accepted", [
+    ((2.7,), False), ((True,), False), (("3",), False), ((2, np.float64(2.0)), False),
+    ((np.int64(2), np.int32(3)), True), ((2, 3), True)])
+def test_descriptor_takes_integer_dims_only(dims, accepted):
+    # a float, a bool or a string would be truncated or parsed by int()
+    if accepted:
+        desc = AlgebraDescriptor(dims)
+        assert desc.block_dims == (2, 3) and all(type(n) is int for n in desc.block_dims)
+    else:
+        with pytest.raises(InputError, match="positive integers"):
+            AlgebraDescriptor(dims)
 
 
 def test_evaluate_identity_is_one(rng):
@@ -137,16 +157,38 @@ def test_kms_identity(rng):
 
 
 def test_modular_flow_requires_faithful():
+    # the roots rho^{±1/2} are taken only after require_faithful
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1.0, 0.0])]))
     with pytest.raises(PreconditionError, match="not faithful"):
-        density_power(phi, 1.0)
+        Analysis(phi, trivial_group(desc), TOL_EQ, TOL_POS).roots
+
+
+def power_test_states():
+    """The bundled states, the graded ones from m = 1e-2 to 1e-5 and seeded
+    random faithful states."""
+    states = [load_instance(os.path.join(INSTANCES, name))[0][1]
+              for name in sorted(os.listdir(INSTANCES))]
+    states += [parse_instance(graded_instance(m))[1] for m in (1e-2, 1e-3, 1e-4, 3e-5, 1e-5)]
+    rng = np.random.default_rng(20240229)
+    states += [random_faithful(rng, AlgebraDescriptor(dims))
+               for dims in ((1,), (2,), (3, 2), (4, 1, 2), (5,))]
+    return states
+
+
+def test_state_power_is_the_complex_power_bit_for_bit():
+    # State.power reads the spectrum its validation took, with the
+    # complex phase form exp(iz log w) at z = -ip of the oracle
+    for phi in power_test_states():
+        for p in (0.5, -0.5):
+            for got, b in zip(phi.power(p).blocks, phi.density.blocks):
+                assert np.array_equal(got, imag_power(b, -1j * p))
 
 
 def test_gns_embed_identity_gives_density_root(rng):
     desc = AlgebraDescriptor((2,))
     phi = random_faithful(rng, desc)
-    xi = identity(desc) @ density_power(phi, -0.5j)
+    xi = identity(desc) @ phi.power(0.5)
     assert np.allclose(xi.blocks[0] @ xi.blocks[0], phi.density.blocks[0])
     assert np.vdot(vec(xi), vec(xi)) == pytest.approx(1.0)
 
@@ -155,7 +197,7 @@ def test_gns_reproduces_state(rng):
     desc = AlgebraDescriptor((2, 3))
     phi = random_faithful(rng, desc)
     x, y = random_element(rng, desc), random_element(rng, desc)
-    root = density_power(phi, -0.5j)
+    root = phi.power(0.5)
     lhs = np.vdot(vec(x @ root), vec(y @ root))
     rhs = evaluate(phi, x.adjoint() @ y)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
@@ -165,7 +207,7 @@ def test_gns_isometry(rng):
     desc = AlgebraDescriptor((2, 2))
     phi = random_faithful(rng, desc)
     x = random_element(rng, desc)
-    xi = x @ density_power(phi, -0.5j)
+    xi = x @ phi.power(0.5)
     assert abs(np.linalg.norm(vec(xi)) ** 2 - evaluate(phi, x.adjoint() @ x).real) < 1e-10
 
 
@@ -235,6 +277,14 @@ def test_state_validation():
         State(desc, AlgebraElement(desc, [np.diag([1.5, -0.5])]))
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_state_refuses_a_stacked_density(size):
+    desc = AlgebraDescriptor((2, 1))
+    rho = AlgebraElement(desc, [np.diag([0.25, 0.25]), np.array([[0.5]])])
+    with pytest.raises(InputError, match="density must be one element, not a stack"):
+        State(desc, stack([rho] * size))
+
+
 # -- elements with a batch axis ----------------------------------------------------
 
 def random_stack(rng, desc, size):
@@ -297,7 +347,7 @@ def test_max_entry_is_the_largest_value_on_the_matrix_units(dims, seed, size):
     rng = np.random.default_rng(seed)
     desc = AlgebraDescriptor(dims)
     y = random_stack(rng, desc, size)
-    functional = State._unchecked(desc, y, 0.0)
+    functional = State._unchecked(desc, y, None)
     values = np.stack([evaluate(functional, unit) for unit in matrix_unit_basis(desc)], axis=-1)
     # the units come in vec order, so the values are vec of each y transposed
     assert np.array_equal(values, np.conj(vec(y.adjoint())))

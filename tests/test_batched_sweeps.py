@@ -30,8 +30,8 @@ from scipy.linalg import block_diag
 
 from qistate import actions, algebra, matcore
 from qistate.actions import apply, close_group, inverse, predual
-from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power, evaluate,
-                             identity, matrix_unit_basis, stack, unvec, vec, worst_op_norm)
+from qistate.algebra import (AlgebraDescriptor, AlgebraElement, evaluate, identity,
+                             matrix_unit_basis, stack, unvec, vec, worst_op_norm)
 from qistate.analysis import Analysis
 from qistate.cli import parse_instance
 from qistate.cocycle import (build_table, is_strongly_qi, random_probe, random_psd_probe,
@@ -50,7 +50,7 @@ from qistate.trace import trace_invariance_check, verify_density_relations
 from generators import (Instance, clock_matrix, dense_unitaries, graded_instance,
                         inner_generator, left_mult_matrix, multiplication_table,
                         permutation_generator, random_faithful_density, random_instance,
-                        random_strong_instance, shift_matrix, state_from_density,
+                        random_strong_instance, rho_power, shift_matrix, state_from_density,
                         symmetric_generators)
 
 from test_actions import reference_action_matrix
@@ -216,7 +216,7 @@ def reference_lemma_chain(an):
 def reference_cocycle_factorization(an):
     rho, root_inv = an.phi.density, an.roots[1]
     rho_inv = rho.inv()
-    gamma = density_power(an.certificate.psi, -0.5j, an.tol_pos) @ root_inv
+    gamma = rho_power(an.certificate.psi, -0.5j) @ root_inv
     gamma_inv = gamma.inv()
     worst = 0.0
     for g, x in zip(an.group.elements, an.table.entries):
@@ -227,7 +227,7 @@ def reference_cocycle_factorization(an):
 
 
 def reference_trace_laws(an, probes):
-    c, table, tau = an.c, an.table, an.tau
+    c, table = an.phi.density, an.table    # the trace density, at unit weights
     group = table.group
     out = {"trace_density_predual": 0.0, "trace_density_intertwine": 0.0,
            "trace_invariance": 0.0}
@@ -240,7 +240,7 @@ def reference_trace_laws(an, probes):
     for a in probes:
         for g in group.elements:
             out["trace_invariance"] = max(out["trace_invariance"],
-                                          abs(tau(apply(g, a)) - tau(a)))
+                                          abs(apply(g, a).trace() - a.trace()))
     return out
 
 
@@ -903,7 +903,6 @@ def test_implement_laws_work_is_linear(monkeypatch):
 
 def test_trace_laws_work_is_linear(monkeypatch):
     an = weyl5_analysis()
-    an.c
     probes = check_probes(an.phi.descriptor, n=24)[:24]
 
     def run():

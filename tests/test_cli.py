@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from qistate import cocycle, expectation, standard_form
+from qistate import cocycle, expectation, matcore, standard_form
+from qistate.algebra import AlgebraElement
+from qistate.analysis import Analysis
 from qistate.cli import (EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_PRECONDITION, EXIT_VALIDATION,
                          InstanceFormatError, main, matrix_to_json, parse_instance)
 from generators import (graded_instance, instance_to_json, m2m2_swap_instance,
@@ -485,22 +487,42 @@ def test_flags_are_registered_only_where_read(argv, capsys):
 def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
     # Every binding of a builder in every loaded qistate module is replaced,
     # so a call by name from any module is counted.
-    calls = collections.Counter()
+    inst = m2m2_swap_instance()
+    psi = Analysis(inst.phi, inst.group, matcore.TOL_EQ, matcore.TOL_POS).certificate.psi
+    densities = [*inst.phi.density.blocks, *psi.density.blocks]
+    calls, decomposed, herm_eig = collections.Counter(), [], matcore.herm_eig
     modules = [m for key, m in list(sys.modules.items())
                if key == "qistate" or key.startswith("qistate.")]
     for fn in (cocycle.build_table, cocycle.self_adjoint_check, cocycle.is_strongly_qi,
                expectation.fixed_algebra, expectation.e0_projection, standard_form.u_g,
-               standard_form.group_unitaries):
+               standard_form.group_unitaries, herm_eig):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
+            if _fn is herm_eig:
+                decomposed.append(np.array(args[0]))
             return _fn(*args, **kwargs)
         for module in modules:
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
+    inv, inverted = AlgebraElement.inv, []
+
+    def recorded_inv(x):
+        inverted.append(x.blocks)
+        return inv(x)
+    monkeypatch.setattr(AlgebraElement, "inv", recorded_inv)
     path = os.path.join(REPO_INSTANCES, "m2m2_swap.json")
     assert run_cli([command, "--input", path]) == EXIT_PASS
     capsys.readouterr()
+    # each block of rho and of rho_psi is decomposed at most once: the
+    # states keep their spectra (the two blocks of rho_psi are equal)
+    for b in densities:
+        def same(m, b=b):
+            return m.shape == b.shape and np.array_equal(m, b)
+        assert sum(map(same, decomposed)) <= sum(map(same, densities))
+    # rho is LU-inverted once, by the cocycle table
+    rho = inst.phi.density.blocks
+    assert sum(all(map(np.array_equal, blocks, rho)) for blocks in inverted) == 1
     assert calls["build_table"] == 1
     # one decision of strong quasi-invariance, which trace does not read
     assert calls["self_adjoint_check"] == (command != "trace")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qistate.algebra import AlgebraDescriptor, AlgebraElement, density_power, identity, vec
+from qistate.algebra import AlgebraDescriptor, AlgebraElement, identity, vec
 from qistate.actions import apply, close_group
 from qistate.analysis import Analysis
 from qistate.expectation import (FixedAlgebra, commutant_f0, cond_expectation,
@@ -239,7 +239,7 @@ def test_e0_contains_invariant_vector_strong(rng):
         an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
         d = an.certificate.d
         droot = AlgebraElement(inst.descriptor, [psd_sqrt(b) for b in d.blocks])
-        xi = vec(droot @ density_power(inst.phi, -0.5j))
+        xi = vec(droot @ inst.phi.power(0.5))
         for u in dense_unitaries(an):
             assert np.linalg.norm(u @ xi - xi) < 1e-9
         q = an.e0

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qistate.algebra import (AlgebraDescriptor, AlgebraElement, density_power, identity,
-                             unvec, vec)
+from qistate.algebra import AlgebraDescriptor, AlgebraElement, identity, unvec, vec
 from qistate.actions import apply, close_group, identity_automorphism, inverse
 from qistate.analysis import Analysis
 from qistate.cocycle import rn_cocycle
@@ -40,8 +39,7 @@ def test_a_g_qubit_strong_case(qubit):
 def test_a_g_squares_to_half_flowed_cocycle(rng):
     inst = random_instance(rng)
     phi = inst.phi
-    root = density_power(phi, -0.5j)
-    root_inv = density_power(phi, 0.5j)
+    root, root_inv = phi.power(0.5), phi.power(-0.5)
     an = Analysis(phi, inst.group, TOL_EQ, TOL_POS)
     for i, g in enumerate(inst.group.elements):
         a = an.a[i]
@@ -107,7 +105,7 @@ def test_u_g_on_cyclic_vector(rng):
     # U_g(rho^{1/2}) = rho^{1/2} a_g  (x = 1 case)
     inst = random_instance(rng)
     phi = inst.phi
-    root = density_power(phi, -0.5j)
+    root = phi.power(0.5)
     an = Analysis(phi, inst.group, TOL_EQ, TOL_POS)
     for i, u in enumerate(dense_unitaries(an)):
         lhs = unvec(inst.descriptor, u @ vec(root))
@@ -139,7 +137,7 @@ def test_u_g_intertwines_gns_embedding(rng):
     from qistate.actions import apply, inverse
     inst = random_instance(rng)
     phi = inst.phi
-    root = density_power(phi, -0.5j)
+    root = phi.power(0.5)
     x = random_l2(rng, inst.descriptor)
     an = Analysis(phi, inst.group, TOL_EQ, TOL_POS)
     for i, (g, u) in enumerate(zip(inst.group.elements, dense_unitaries(an))):

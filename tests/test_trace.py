@@ -44,15 +44,13 @@ def test_inner_only_action_is_not_ergodic():
 
 
 def test_invariant_trace_single_block(qubit):
-    tau = invariant_trace(qubit.group)
-    assert np.allclose(tau.weights, [1.0])
+    assert np.allclose(invariant_trace(qubit.group), [1.0])
     a = AlgebraElement(qubit.descriptor, [np.diag([2.0, 5.0])])
-    assert tau(a) == pytest.approx(7.0)
+    assert a.trace() == pytest.approx(7.0)
 
 
 def test_invariant_trace_swap_weights(m2m2_swap):
-    tau = invariant_trace(m2m2_swap.group)
-    assert np.allclose(tau.weights, [1.0, 1.0])
+    assert np.allclose(invariant_trace(m2m2_swap.group), [1.0, 1.0])
 
 
 def test_invariant_trace_rejects_non_ergodic():
@@ -64,29 +62,26 @@ def test_invariant_trace_rejects_non_ergodic():
 
 
 def test_invariant_trace_is_invariant_and_tracial(probe_rng, m2m2_swap):
-    tau = invariant_trace(m2m2_swap.group)
     probes = [random_psd_probe(probe_rng, m2m2_swap.descriptor) for _ in range(5)]
     an = Analysis(m2m2_swap.phi, m2m2_swap.group, TOL_EQ, TOL_POS)
     assert trace_invariance_check(an, probes).passed
     for a in probes:
         for b in probes:
-            assert abs(tau(a @ b) - tau(b @ a)) < 1e-10
+            assert abs((a @ b).trace() - (b @ a).trace()) < 1e-10
 
 
 def test_trace_density_unit_weights_gives_density(qubit):
-    tau = invariant_trace(qubit.group)
-    c = trace_density(qubit.phi, tau, TOL_POS)
+    c = trace_density(qubit.phi, TOL_POS)
     assert (c - qubit.phi.density).op_norm() <= 1e-12
     assert np.allclose(c.blocks[0], np.diag([1 / 3, 2 / 3]))
 
 
 def test_trace_density_reproduces_state(rng, m2m2_swap):
-    tau = invariant_trace(m2m2_swap.group)
-    c = trace_density(m2m2_swap.phi, tau, TOL_POS)
+    c = trace_density(m2m2_swap.phi, TOL_POS)
     for _ in range(5):
         a = AlgebraElement(m2m2_swap.descriptor,
                            [rng.standard_normal((2, 2)) for _ in range(2)])
-        assert abs(evaluate(m2m2_swap.phi, a) - tau(c @ a)) < 1e-12
+        assert abs(evaluate(m2m2_swap.phi, a) - (c @ a).trace()) < 1e-12
     assert c.min_eig() > 0
 
 
@@ -98,8 +93,7 @@ def test_density_relations_identity_element(qubit):
 def test_density_relations_qubit_hand_check(qubit):
     # X c X = diag(2/3, 1/3) = c x_g with c = diag(1/3, 2/3), x_g = diag(2, 1/2)
     table = build_table(qubit.phi, qubit.group)
-    tau = invariant_trace(qubit.group)
-    c = trace_density(qubit.phi, tau, TOL_POS)
+    c = trace_density(qubit.phi, TOL_POS)
     from qistate.actions import apply
     g = qubit.group.elements[1]
     lhs = apply(g, c)
@@ -140,9 +134,9 @@ def test_invariant_trace_matches_svd_oracle(rng):
         seen.add(space.shape[1] == 1)
         if space.shape[1] == 1:
             w = np.real(space[:, 0] / space[0, 0])
-            tau = invariant_trace(grp)
-            assert np.allclose(w, tau.weights, atol=1e-12)
-            assert np.all(tau.weights == 1.0)
+            weights = invariant_trace(grp)
+            assert np.allclose(w, weights, atol=1e-12)
+            assert np.all(weights == 1.0)
         else:
             with pytest.raises(PreconditionError, match="trace not unique"):
                 invariant_trace(grp)
