@@ -202,9 +202,16 @@ def emit_report(command: str, checks, summary: dict, digest, out_path) -> bool:
 
 
 # -- subcommands ---------------------------------------------------------------
-# Each returns (checks, summary, input digest); main emits the report.
+# An instance command takes the instance's Analysis and the generator of its
+# probe draws (None for implement), and returns its checks and its own summary
+# keys; run_instance is its frame.  The frame and cmd_counterexample return
+# (checks, summary, input digest), and main emits the report.
 
-def _analysis(args):
+def run_instance(command, args):
+    """Validate ``--seed`` where the command has one, load the instance with
+    the flags, close its group and build its Analysis; then run
+    ``command(an, rng)`` and add the summary keys of every instance report."""
+    rng = _probe_rng(args) if "seed" in args else None
     flags = [None if value is None else check(value, name) for value, check, name in (
         (args.tol_eq, _tolerance, "--tol-eq"), (args.tol_pos, _tolerance, "--tol-pos"),
         (args.closure_cap, _closure_cap, "--closure-cap"))]
@@ -214,12 +221,17 @@ def _analysis(args):
     if logging is not None:
         logging.getLogger("qistate").info("closed group of order %d on blocks %s",
                                           group.order, desc.block_dims)
-    return Analysis(phi, group, **tols), digest
+    an = Analysis(phi, group, **tols)
+    checks, own = command(an, rng)
+    summary = {
+        "lambda": an.table.lambda_bound,
+        "group_order": group.order,
+        **own,
+    }
+    return checks, summary, digest
 
 
-def cmd_check(args):
-    rng = _probe_rng(args)
-    an, digest = _analysis(args)
+def cmd_check(an, rng):
     desc, table, tol_eq = an.phi.descriptor, an.table, an.tol_eq
     probes = [random_psd_probe(rng, desc) for _ in range(8)] + [identity(desc)]
     checks = [verify_cocycle_identity(table, tol_eq), verify_inverse_formula(table, tol_eq),
@@ -228,80 +240,63 @@ def cmd_check(args):
               # positive-form domination, probed with each cocycle element
               sz_domination(table, probes, tol_eq)]
     summary = {
-        "lambda": table.lambda_bound,
-        "group_order": an.group.order,
         "strong_qi": an.strong,
         "fixed_algebra_dim": None,
         "trace_weights": None,
     }
-    return checks, summary, digest
+    return checks, summary
 
 
-def cmd_invariant(args):
-    rng = _probe_rng(args)
-    an, digest = _analysis(args)
+def cmd_invariant(an, rng):
     checks = [*gamma_properties_check(an, rng), *an.certificate.checks]
     if an.strong:
         checks.extend(strong_case_check(an))
     cert = an.certificate
     summary = {
-        "lambda": an.table.lambda_bound,
-        "group_order": an.group.order,
         "strong_qi": an.strong,
         "d": element_to_json(cert.d),
         "psi_density": element_to_json(cert.psi.density),
         "min_singular_value_d": cert.d.min_sv(),
     }
-    return checks, summary, digest
+    return checks, summary
 
 
-def cmd_implement(args):
-    an, digest = _analysis(args)
+def cmd_implement(an, rng):
     checks = [*verify_unitarity(an), verify_covariance(an),
               representation := verify_representation(an),
-              *lemma_chain_checks(an), *gamma_factorization(an)[2]]
+              *lemma_chain_checks(an), *gamma_factorization(an)]
     summary = {
-        "lambda": an.table.lambda_bound,
-        "group_order": an.group.order,
         "strong_qi": an.strong,
         "l2_dimension": an.phi.descriptor.dim,
         "representation_deviation": representation.residual,
     }
-    return checks, summary, digest
+    return checks, summary
 
 
-def cmd_expectation(args):
-    rng = _probe_rng(args)
-    an, digest = _analysis(args)
+def cmd_expectation(an, rng):
     checks = [*expectation_checks(an, rng), *projection_checks(an)]
     if an.strong:
         checks.extend(verify_ks(an))
     summary = {
-        "lambda": an.table.lambda_bound,
-        "group_order": an.group.order,
         "strong_qi": an.strong,
         "fixed_algebra_dim": an.fixed.dimension,
         "e0_rank": an.e0.shape[1],
         "commutant_dim": an.f0.commutant_dim,
     }
-    return checks, summary, digest
+    return checks, summary
 
 
-def cmd_trace(args):
-    rng = _probe_rng(args)
-    an, digest = _analysis(args)
+def cmd_trace(an, rng):
     # refuses an action that is not ergodic on the center
     weights = invariant_trace(an.group)
     probes = [random_psd_probe(rng, an.phi.descriptor) for _ in range(6)]
     checks = [trace_invariance_check(an, probes), *verify_density_relations(an),
               trace_property_check(an, probes)]
     summary = {
-        "lambda": an.table.lambda_bound,
-        "group_order": an.group.order,
         "trace_weights": [float(w) for w in weights],
         "density": element_to_json(an.phi.density),    # the trace density c = rho
     }
-    return checks, summary, digest
+    return checks, summary
 
 
 def cmd_counterexample(args):
@@ -367,7 +362,9 @@ def main(argv=None) -> int:
                             stream=sys.stderr, format="%(name)s %(levelname)s %(message)s")
     args = build_parser(argv).parse_args(argv)
     try:
-        passed = emit_report(args.command, *args.func(args), args.out)
+        result = (args.func(args) if args.command == "counterexample"
+                  else run_instance(args.func, args))
+        passed = emit_report(args.command, *result, args.out)
     except InstanceFormatError as exc:
         print(f"validation error at {exc}", file=sys.stderr)
         return EXIT_VALIDATION

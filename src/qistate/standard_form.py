@@ -125,14 +125,13 @@ def verify_representation(an) -> Check:
                                   f"here; {EDGES}; the value depends on the listed generators"))
 
 
-def gamma_factorization(an):
-    """Invertible gamma with rho_psi^{1/2} = gamma rho^{1/2}, for psi the
-    invariant state of the instance analysis ``an``.
-
-    Verifies rho_psi = gamma rho gamma*, d* = gamma sigma_{-i}(gamma*)
+def gamma_factorization(an) -> list:
+    """Checks of the invertible gamma = rho_psi^{1/2} rho^{-1/2}, for psi the
+    invariant state of the instance analysis ``an``: rho_psi^{1/2} = gamma
+    rho^{1/2}, rho_psi = gamma rho gamma*, d* = gamma sigma_{-i}(gamma*)
     for the certificate's d (rho_psi is the Hermitian part of rho d), and
     x_g* = gamma_g sigma_{-i}(gamma_g*) with gamma_g = g^-1(gamma^-1) gamma
-    over the group.  Returns (gamma, d, checks).
+    over the group.
     """
     tol_eq, tol_pos = an.tol_eq, an.tol_pos
     psi, d = an.certificate.psi, an.certificate.d
@@ -147,7 +146,7 @@ def gamma_factorization(an):
 
     group, x = an.group, an.table.entries
     gamma_g = predual(group.elements, gamma.inv()) @ gamma
-    return gamma, d, [
+    return [
         residual_check("gamma_root_link", "rho_psi^{1/2} = gamma rho^{1/2}",
                        (psi_root - gamma @ root).op_norm(), tol_eq, psi_root.op_norm()),
         residual_check("gamma_density_link", "rho_psi = gamma rho gamma*",

@@ -165,7 +165,7 @@ def test_criterion_5_spatial_implementation(strong_family):
         worst = max(worst, cov.residual)
         chain = lemma_chain_checks(an)
         assert all_passed(chain), [(c.name, c.residual) for c in chain]
-        _, _, gchecks = gamma_factorization(an)
+        gchecks = gamma_factorization(an)
         assert all_passed(gchecks), [(c.name, c.residual) for c in gchecks]
         rep = verify_representation(an)
         if strong:

@@ -483,6 +483,16 @@ def test_flags_are_registered_only_where_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "invariant", "expectation", "trace",
+                                     "counterexample"])
+def test_seed_is_validated_before_the_instance_is_read(command, tmp_path, capsys):
+    # the input names no file, so a seed read after the instance would
+    # report the missing file instead
+    inputs = [] if command == "counterexample" else ["--input", str(tmp_path / "none.json")]
+    assert run_cli([command, *inputs, "--seed", "-1"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error at --seed")
+
+
 @pytest.mark.parametrize("command", INSTANCE_COMMANDS)
 def test_each_artifact_is_built_once_per_command(command, monkeypatch, capsys):
     # Every binding of a builder in every loaded qistate module is replaced,

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qistate.algebra import AlgebraDescriptor, AlgebraElement, identity, vec
 from qistate.actions import apply, close_group
@@ -28,6 +28,30 @@ def reference_fixed_vectors(mats, n: int, cutoff: float) -> np.ndarray:
     _, s, vh = np.linalg.svd(np.vstack([m - np.eye(n) for m in mats]), full_matrices=False)
     rank = int(np.sum(s > cutoff * s.max(initial=1.0)))
     return dagger(vh)[:, rank:]
+
+
+def kernel_error_bound(mats, n: int, cutoff: float) -> float:
+    """First-order bound on the error of the kernel projection that the
+    generator pass of ``expectation._fixed_vectors`` finds, from the stack M
+    of the n x n matrices T - 1 over ``mats``: c u ||M|| / s_r, with u the
+    unit roundoff and s_r the smallest singular value the cutoff keeps.
+
+    The QR and SVD that find the kernel are backward stable: they return an
+    exact kernel of M + E with ||E|| <= p u ||M||, p a low-degree function
+    of the stack's size (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 19-20).  Wedin's sin-theta theorem (BIT 12, 1972)
+    bounds the move of the kernel's projection by ||E|| / s_r to first
+    order.  The reference's all-element stack adds a term of the same form,
+    smaller at the pinned draw below, where it keeps s_r = 1.7e-2 against
+    the generator stack's 3.9e-5 (||M|| = 2.45).  There the error of E0 is
+    0.48 u ||M|| / s_r, and on 400 further draws no error above 1e-13
+    exceeded 0.51 u ||M|| / s_r; c = 10 covers p and the second term.
+    """
+    if len(mats) == 0:
+        return 0.0
+    s = np.linalg.svd(np.vstack([m - np.eye(n) for m in mats]), compute_uv=False)
+    rank = int(np.sum(s > cutoff * s.max(initial=1.0)))
+    return 10 * (np.finfo(float).eps / 2) * s[0] / s[rank - 1] if rank else 0.0
 
 
 def reference_projections(an):
@@ -68,15 +92,23 @@ def drawn_instance(kind: str, seed: int):
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["generic", "strong", "swap_with_inner", "trivial"]),
        seed=st.integers(0, 2 ** 32 - 1))
+# the generator pass for E0 keeps s_r = 3.9e-5 over a next value of 6.7e-16,
+# and the error of E0 is 3.4e-12
+@example(kind="generic", seed=104018)
 def test_fixed_vectors_match_stacked_kernels(kind, seed):
     phi, group = drawn_instance(kind, seed)
     an = Analysis(phi, group, TOL_EQ, TOL_POS)
     b_ref, e0_ref = reference_projections(an)
     q, fa = an.e0, an.fixed
+    desc, gens = phi.descriptor, list(group.first_layer)
+    actions = hs_matrix(desc, lambda units: apply(group.elements, units))[gens]
+    us = dense_unitaries(an)
+    b_bound = 1e-12 + kernel_error_bound(actions, desc.dim, an.tol_pos)
+    e0_bound = 1e-12 + kernel_error_bound([us[k] for k in gens], desc.dim, an.tol_pos)
     assert fa.dimension == round(np.trace(b_ref).real)
     assert q.shape[1] == round(np.trace(e0_ref).real)
-    assert np.linalg.norm(fa.q @ dagger(fa.q) - b_ref, 2) <= 1e-12
-    assert np.linalg.norm(q @ dagger(q) - e0_ref, 2) <= 1e-12
+    assert np.linalg.norm(fa.q @ dagger(fa.q) - b_ref, 2) <= b_bound
+    assert np.linalg.norm(q @ dagger(q) - e0_ref, 2) <= e0_bound
 
 
 def test_group_pass_of_fixed_vectors_shrinks_e0():

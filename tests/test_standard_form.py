@@ -191,14 +191,18 @@ def test_gamma_factorization_trivial():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([identity_automorphism(desc)], cap=2)
-    gamma, d, checks = gamma_factorization(Analysis(phi, grp, TOL_EQ, TOL_POS))
+    an = Analysis(phi, grp, TOL_EQ, TOL_POS)
+    checks = gamma_factorization(an)
+    gamma, d = an.certificate.psi.power(0.5) @ an.roots[1], an.certificate.d
     assert (gamma - identity(desc)).op_norm() < 1e-10
     assert (d - identity(desc)).op_norm() < 1e-10
     assert all_passed(checks)
 
 
 def test_gamma_factorization_qubit_hand_values(qubit):
-    gamma, d, checks = gamma_factorization(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS))
+    an = Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS)
+    checks = gamma_factorization(an)
+    gamma, d = an.certificate.psi.power(0.5) @ an.roots[1], an.certificate.d
     assert np.allclose(gamma.blocks[0], np.diag([np.sqrt(1.5), np.sqrt(0.75)]))
     assert np.allclose(d.adjoint().blocks[0], np.diag([1.5, 0.75]))
     assert all_passed(checks) and max(c.residual for c in checks) < 1e-12
@@ -207,7 +211,7 @@ def test_gamma_factorization_qubit_hand_values(qubit):
 def test_gamma_factorization_random(rng):
     for make in (random_strong_instance, random_instance):
         inst = make(rng)
-        _, _, checks = gamma_factorization(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS))
+        checks = gamma_factorization(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS))
         assert all_passed(checks), [(c.name, c.residual) for c in checks]
 
 
