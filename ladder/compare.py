@@ -9,7 +9,8 @@ the median ratio NEW/OLD of ``wall_ref`` over the cells both have
 (``wall_s`` if either file predates ``wall_ref``), and the cells whose
 ratio is over ``SLOWER`` and that ran for at least ``LONG_S`` seconds in
 either run; shorter cells are mostly interpreter start-up, which a single
-run does not resolve.
+run does not resolve.  Last come the cells whose ``peak_rss_mb`` grew by
+more than ``LARGER`` times and by at least ``MORE_MB`` megabytes.
 """
 
 import json
@@ -18,6 +19,8 @@ import sys
 
 SLOWER = 1.3
 LONG_S = 1.0
+LARGER = 1.1
+MORE_MB = 5.0
 
 
 def cells(path: str) -> dict:
@@ -26,7 +29,7 @@ def cells(path: str) -> dict:
 
 
 def compare(old: dict, new: dict) -> tuple:
-    """(lines that name a differing or missing cell, lines on timing)."""
+    """(lines that name a differing or missing cell, lines on time and memory)."""
     differ = [f"only in {side}: {rung} {command}"
               for side, have, other in (("OLD", old, new), ("NEW", new, old))
               for rung, command in have if (rung, command) not in other]
@@ -50,6 +53,11 @@ def compare(old: dict, new: dict) -> tuple:
                f"{new[key]['wall_s']} s)"
                for key, ratio in ratios.items()
                if ratio > SLOWER and max(old[key]["wall_s"], new[key]["wall_s"]) >= LONG_S]
+    rss = {key: (old[key].get("peak_rss_mb"), new[key].get("peak_rss_mb")) for key in common}
+    timing += [f"peak RSS over {LARGER}x and +{MORE_MB} MB: {key[0]} {key[1]}: "
+               f"{was} -> {now} MB"
+               for key, (was, now) in rss.items()
+               if None not in (was, now) and now > LARGER * was and now - was >= MORE_MB]
     return differ, timing
 
 

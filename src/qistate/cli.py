@@ -203,9 +203,9 @@ def emit_report(command: str, checks, summary: dict, digest, out_path) -> bool:
 
 # -- subcommands ---------------------------------------------------------------
 # An instance command takes the instance's Analysis and the generator of its
-# probe draws (None for implement), and returns its checks and its own summary
-# keys; run_instance is its frame.  The frame and cmd_counterexample return
-# (checks, summary, input digest), and main emits the report.
+# probe draws (None for implement and invariant) and returns its checks and
+# own summary keys; run_instance is its frame.  It and cmd_counterexample
+# return (checks, summary, input digest), and main emits the report.
 
 def run_instance(command, args):
     """Validate ``--seed`` where the command has one, load the instance with
@@ -248,7 +248,7 @@ def cmd_check(an, rng):
 
 
 def cmd_invariant(an, rng):
-    checks = [*gamma_properties_check(an, rng), *an.certificate.checks]
+    checks = [*gamma_properties_check(an), *an.certificate.checks]
     if an.strong:
         checks.extend(strong_case_check(an))
     cert = an.certificate
@@ -347,7 +347,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             p.add_argument("--tol-eq", type=float, default=None)
             p.add_argument("--tol-pos", type=float, default=None)
             p.add_argument("--closure-cap", type=int, default=None)
-        if name != "implement":
+        if name not in ("implement", "invariant"):
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the report here as well")
         p.set_defaults(func=COMMANDS[name])

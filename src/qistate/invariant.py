@@ -12,9 +12,9 @@ strongly quasi-invariant and the orbit of d commutes, [d, g(d)] = 0.
 from dataclasses import dataclass
 
 from . import matcore
-from .algebra import AlgebraElement, State, evaluate, max_entry, stack, worst_op_norm
+from .algebra import AlgebraElement, State, evaluate, identity, max_entry, worst_op_norm
 from .actions import apply, predual
-from .cocycle import CocycleTable, random_probe, verify_cocycle_identity
+from .cocycle import CocycleTable, verify_cocycle_identity
 from .matcore import PreconditionError, TOL_EQ, TOL_POS
 from .reporting import EDGES, Check, residual_check
 
@@ -26,48 +26,53 @@ def gamma_map(table: CocycleTable, i: int, a: AlgebraElement) -> AlgebraElement:
 
 
 def _gamma_all(xi: AlgebraElement, group, a: AlgebraElement) -> AlgebraElement:
-    """Gamma_g(a) = x_{g^-1} g(a) for every g, with the group axis first and
-    the batch axes of ``a`` after it; ``xi`` is the table's entries
-    gathered at ``group.inv``, so that ``xi[k]`` is x_{g^-1} for the
-    element g with index k."""
-    return xi[(slice(None),) + (None,) * len(a.batch)] @ apply(group.elements, a)
+    """Gamma_g(a) = x_{g^-1} g(a) for every g, stacked over the group;
+    ``xi`` is the table's entries gathered at ``group.inv``, so that
+    ``xi[k]`` is x_{g^-1} for the element g with index k."""
+    return xi @ apply(group.elements, a)
 
 
-# Random probes a, b of the Gamma laws; (iv) pairs the first two with the rest.
-N_PROBES = 4
+def gamma_properties_check(an) -> list:
+    """The five algebraic properties of the Gamma maps, over the whole group,
+    each read at its worst case over the unit ball: one expression on the
+    table, with no probe drawn.
 
+    (i) Gamma_g(x_h) = x_{g^-1} g(x_h) = x_{h g^-1} is the chain rule at
+    g1 = g^-1, g2 = h, so its residual is that of the chain-rule sweep.
 
-def gamma_properties_check(an, rng) -> list:
-    """The five algebraic properties of the Gamma maps, over the whole group.
-
-    Each law is one expression on group-stacked elements.  The pair laws
-    take the Cayley edges (``EDGES``): (i) reads the chain rule, and (ii)
-    takes h = s a generator and every g, one expression per s.  With
-    D(g, h) = Gamma_{gh} - Gamma_g Gamma_h, exactly D(g, 1) = 0 as
-    Gamma_1 = 1, and D(g, h's) = D(gh', s) + D(g, h') Gamma_s - Gamma_g D(h', s).
+    (ii) takes h = s a generator and every g on the Cayley edges
+    (``EDGES``).  D(g, s) = Gamma_{gs} - Gamma_g Gamma_s is
+    D(g, s)(a) = (x_{(gs)^-1} - x_{g^-1} g(x_{s^-1})) gs(a) = D(g, s)(1) gs(a),
+    and the *-automorphism gs maps the unit ball onto itself, so
+    sup_{||a|| <= 1} ||D(g, s)(a)|| = ||D(g, s)(1)||.  With D(g, h) so
+    defined, exactly D(g, 1) = 0 as Gamma_1 = 1, and
+    D(g, h's) = D(gh', s) + D(g, h') Gamma_s - Gamma_g D(h', s).
 
     (iii) phi(Gamma_g(a)) = tr(g^-1(rho x_{g^-1}) a), so its residual over the
     matrix units E, max |phi(Gamma_g(E)) - phi(E)|, is ``max_entry`` of
     g^-1(rho x_{g^-1}) - rho; x_{g^-1} is the table's, as ``predual_rho``
     would give rho x_{g^-1} = g(rho) and make the law hold by construction.
+
+    (iv) and (v): with X = x_{g^-1} and F = 1 - X^-1 X, X^-1 the table's
+    inverse, the defects are Gamma_g(ab) - Gamma_g(a) X^-1 Gamma_g(b) =
+    X g(a) F g(b) and Gamma_g(a)* - X^-1 Gamma_g(a*) X* = F g(a)* X*.  As
+    g(a), g(b) range over the unit ball with their blocks independent,
+    sup ||X_i A F_i B|| over ||A||, ||B|| <= 1 is ||X_i|| ||F_i|| (A a
+    unitary turning F_i's top left singular vector into X_i's top right
+    one), so both laws read max_g max_i ||X_i|| ||F_i||.
     """
     table, tol_eq = an.table, an.tol_eq
-    phi, group, x, rho = table.phi, table.group, table.entries, table.phi.density
-    xi, xi_inv = x[group.inv], table.inverses[group.inv]    # x_{g^-1}, its inverse
-    probes = stack(random_probe(rng, phi.descriptor) for _ in range(N_PROBES))
-    norms = [a.op_norm() for a in probes]
-    gammas = _gamma_all(xi, group, probes)    # [g, p] = Gamma_g(a_p)
+    group, rho = table.group, table.phi.density
+    xi, xi_inv = table.entries[group.inv], table.inverses[group.inv]    # x_{g^-1}, its inverse
 
-    # (i) Gamma_g(x_h) = x_{g^-1} g(x_h) = x_{h g^-1} is the chain rule at
-    # g1 = g^-1, g2 = h, so its residual is that of the chain-rule sweep
+    # (i) the chain-rule sweep
     checks = [residual_check("gamma_permutes_cocycle", "Gamma_g(x_h) = x_{h g^-1}",
                              verify_cocycle_identity(table, tol_eq).residual, tol_eq,
                              table.lambda_bound, detail=EDGES)]
 
-    # (ii) Gamma_{gs} = Gamma_g o Gamma_s; gammas[group.right[:, s], p] is Gamma_{gs}(a_p)
-    worst = max(worst_op_norm(gammas[group.right[:, s], p] - _gamma_all(xi, group, gammas[h, p])
-                              for s, h in enumerate(group.first_layer)) / max(1.0, norms[p])
-                for p in range(N_PROBES))
+    # (ii) D(g, s)(1), as Gamma_{gs}(1) = xi[group.right[:, s]] and Gamma_s(1) = xi[h]
+    worst = worst_op_norm(xi[group.right[:, s]] - _gamma_all(xi, group, xi[h])
+                          for s, h in enumerate(group.first_layer))
     checks.append(residual_check("gamma_multiplicative", "Gamma_{gh} = Gamma_g Gamma_h",
                                  worst, tol_eq, table.lambda_bound ** 2, detail=EDGES))
 
@@ -75,20 +80,13 @@ def gamma_properties_check(an, rng) -> list:
     checks.append(residual_check("gamma_preserves_state", "phi(Gamma_g(a)) = phi(a)",
                                  max_entry(predual(group.elements, rho @ xi) - rho), tol_eq))
 
-    # (iv) Gamma_g(ab) = Gamma_g(a) (x_{g^-1})^-1 Gamma_g(b), with a among the
-    # first two probes and b among the others
-    lhs = _gamma_all(xi, group, probes[:2, None] @ probes[None, 2:])
-    diff = lhs - gammas[:, :2, None] @ xi_inv[:, None, None] @ gammas[:, None, 2:]
-    worst = max(diff[:, i, j].op_norm() / max(1.0, norms[i] * norms[2 + j])
-                for i in range(2) for j in range(N_PROBES - 2))
+    # (iv) and (v): max_g max_i ||X_i|| ||F_i||
+    defect = identity(rho.descriptor) - xi_inv @ xi
+    worst = max(float((matcore.op_norms(x) * matcore.op_norms(f)).max())
+                for x, f in zip(xi.blocks, defect.blocks))
     checks.append(residual_check("gamma_twisted_product",
                                  "Gamma_g(ab) = Gamma_g(a) x_{g^-1}^-1 Gamma_g(b)",
                                  worst, tol_eq, table.lambda_bound ** 2))
-
-    # (v) Gamma_g(a)* = (x_{g^-1})^-1 Gamma_g(a*) (x_{g^-1})*
-    rhs = xi_inv[:, None] @ _gamma_all(xi, group, probes.adjoint()) @ xi.adjoint()[:, None]
-    diff = gammas.adjoint() - rhs
-    worst = max(diff[:, p].op_norm() / max(1.0, norms[p]) for p in range(N_PROBES))
     checks.append(residual_check("gamma_adjoint",
                                  "Gamma_g(a)* = x_{g^-1}^-1 Gamma_g(a*) x_{g^-1}*",
                                  worst, tol_eq, table.lambda_bound ** 2))

@@ -11,6 +11,10 @@ and must not do quadratic work; the table, ``a_g``, the inverse formula and
 positive-form domination must match their loops bit for bit, and the
 table must raise its error in the loop's order.
 
+The Gamma suite reads laws (ii), (iv) and (v) at their worst case over
+the unit ball; it must match a loop of that form, and the probe loops it
+replaced stay as an oracle that those worst cases bound.
+
 The three pair laws that the checks take on the Cayley edges (the chain
 rule, Gamma law (ii) and the product rule) have loops over the edges,
 which the checks must match, and loops and stacked sweeps over all |G|^2
@@ -26,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from qistate import actions, algebra, matcore
@@ -40,7 +45,7 @@ from qistate.cocycle import (build_table, is_strongly_qi, random_probe, random_p
                              verify_inverse_formula)
 from qistate.expectation import (ConditionalExpectation, FixedAlgebra, closure_residual,
                                  expectation_checks, verify_ks)
-from qistate.invariant import (N_PROBES, fixed_density_d, gamma_map, gamma_properties_check,
+from qistate.invariant import (fixed_density_d, gamma_map, gamma_properties_check,
                                strong_case_check)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS, dagger
 from qistate.reporting import EDGES, residual_check
@@ -244,8 +249,10 @@ def reference_trace_laws(an, probes):
     return out
 
 
-def reference_gamma_properties(an, rng, n_probes=4, edges=True):
-    """The Gamma laws; (i) and (ii) on the Cayley edges, or on all pairs."""
+def reference_gamma_properties(an, rng, n_probes=4, edges=True, floor=1.0):
+    """The Gamma laws; (i) and (ii) on the Cayley edges, or on all pairs.
+    (ii), (iv) and (v) are sampled on random probes a (and b), each residual
+    divided by max(floor, ||a||) (or max(floor, ||a|| ||b||))."""
     table = an.table
     phi, group = table.phi, table.group
     probes = [random_probe(rng, phi.descriptor) for _ in range(n_probes)]
@@ -265,7 +272,7 @@ def reference_gamma_properties(an, rng, n_probes=4, edges=True):
             lhs = gamma_map(table, mult[i, j], a)
             rhs = gamma_map(table, i, gamma_map(table, j, a))
             out["gamma_multiplicative"] = max(out["gamma_multiplicative"],
-                                              (lhs - rhs).op_norm() / max(1.0, a.op_norm()))
+                                              (lhs - rhs).op_norm() / max(floor, a.op_norm()))
     for i in range(group.order):
         for a in matrix_unit_basis(phi.descriptor):
             out["gamma_preserves_state"] = max(
@@ -279,14 +286,33 @@ def reference_gamma_properties(an, rng, n_probes=4, edges=True):
                 rhs = gamma_map(table, i, a) @ xinv @ gamma_map(table, i, b)
                 out["gamma_twisted_product"] = max(
                     out["gamma_twisted_product"],
-                    (lhs - rhs).op_norm() / max(1.0, a.op_norm() * b.op_norm()))
+                    (lhs - rhs).op_norm() / max(floor, a.op_norm() * b.op_norm()))
     for i in range(group.order):
         x, xinv = table.entries[group.inv[i]], table.inverses[group.inv[i]]
         for a in probes:
             lhs = gamma_map(table, i, a).adjoint()
             rhs = xinv @ gamma_map(table, i, a.adjoint()) @ x.adjoint()
             out["gamma_adjoint"] = max(out["gamma_adjoint"],
-                                       (lhs - rhs).op_norm() / max(1.0, a.op_norm()))
+                                       (lhs - rhs).op_norm() / max(floor, a.op_norm()))
+    return out
+
+
+def reference_gamma_worst_cases(an, edges=True):
+    """The Gamma laws at their worst case over the unit ball, one element
+    at a time: (ii) as Gamma_{ij}(1) - Gamma_i Gamma_j(1), and (iv) and (v)
+    as max ||X_i|| ||F_i|| over the blocks i of X = x_{g^-1} and of
+    F = 1 - X^-1 X, from one SVD per matrix; (i) and (iii) as the loops."""
+    table = an.table
+    group, one = table.group, identity(an.phi.descriptor)
+    mult = multiplication_table(group)
+    out = reference_gamma_properties(an, None, n_probes=0, edges=edges)
+    out["gamma_multiplicative"] = max(
+        (gamma_map(table, mult[i, j], one) - gamma_map(table, i, gamma_map(table, j, one)))
+        .op_norm() for j, i in pair_indices(group, edges))
+    out["gamma_twisted_product"] = out["gamma_adjoint"] = max(
+        np.linalg.svd(x)[1][0] * np.linalg.svd(np.eye(len(x)) - x_inv @ x)[1][0]
+        for k in group.inv
+        for x, x_inv in zip(table.entries[k].blocks, table.inverses[k].blocks))
     return out
 
 
@@ -394,22 +420,18 @@ def reference_implement_laws(an, edges=True):
     return out
 
 
-def all_pairs_sweeps(an, rng):
+def all_pairs_sweeps(an):
     """The three edge-checked laws over all |G|^2 pairs, in the stacked
     forms the checks took before they moved to the Cayley edges, on the
-    multiplication table built here.  ``rng`` draws the Gamma probes as
-    ``gamma_properties_check`` does."""
+    multiplication table built here; Gamma law (ii) at a = 1, where
+    Gamma_h(1) = x_{h^-1}."""
     table, group = an.table, an.group
     x, xi, mult = table.entries, table.entries[group.inv], multiplication_table(group)
     out = {"cocycle_identity": worst_op_norm(
         x[mult[:, i]] - x[i] @ apply(group.elements[group.inv[i]], x)
         for i in range(group.order))}
-    probes = stack(random_probe(rng, an.phi.descriptor) for _ in range(N_PROBES))
-    gammas = xi[:, None] @ apply(group.elements, probes)    # [g, p] = Gamma_g(a_p)
-    out["gamma_multiplicative"] = max(
-        worst_op_norm(gammas[mult[:, h], p] - xi @ apply(group.elements, gammas[h, p])
-                      for h in range(group.order)) / max(1.0, probes[p].op_norm())
-        for p in range(N_PROBES))
+    out["gamma_multiplicative"] = worst_op_norm(
+        xi[mult[:, h]] - xi @ apply(group.elements, xi[h]) for h in range(group.order))
     w, v, _ = an.factors
     z = v @ an.roots[1]
     out["representation"] = worst_op_norm(apply(group.elements, z[h])[group.inv] @ w - v[mult[h]]
@@ -600,10 +622,53 @@ def test_trace_laws_match_loops(analysis):
     assert_residuals_match(checks, reference_trace_laws(analysis, probes))
 
 
+def with_table(an, **fields):
+    """A fresh Analysis of the instance of ``an``, its table with ``fields`` replaced."""
+    out = Analysis(an.phi, an.group, TOL_EQ, TOL_POS)
+    out.table = dataclasses.replace(an.table, **fields)
+    return out
+
+
+def scaled_at(x, k, factor):
+    """The stack ``x`` with its element k multiplied by ``factor``."""
+    blocks = [b.copy() for b in x.blocks]
+    for b in blocks:
+        b[k] *= factor
+    return AlgebraElement(x.descriptor, blocks)
+
+
 def test_gamma_properties_match_loops(analysis):
-    checks = gamma_properties_check(analysis, random.Random(7))
-    reference = reference_gamma_properties(analysis, random.Random(7))
-    assert_residuals_match(checks, reference)
+    assert_residuals_match(gamma_properties_check(analysis),
+                           reference_gamma_worst_cases(analysis))
+
+
+# Each exact residual of (ii), (iv) and (v) is a supremum over the unit ball,
+# so it bounds the probe residuals divided by ||a|| (||a|| ||b||), up to
+# roundoff.  Each law is a difference of products of at most three factors
+# of norm <= lam (two Gamma_g(a), with ||Gamma_g|| <= ||x_{g^-1}||, and one
+# inverse), so either side carries an error of order n u lam^3, n the
+# largest block dimension and u the unit roundoff: a product of n x n
+# matrices is exact up to n u times the product of the norms (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5).  On 600
+# draws, half of them on tables with skewed entries, the probe residual
+# exceeded the exact one by at most 5.9 n u lam^3; c = 32 leaves a factor 5.
+@settings(max_examples=30, deadline=None)
+@given(strong=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_gamma_worst_cases_bound_the_probes(strong, seed):
+    inst = (random_strong_instance if strong else random_instance)(np.random.default_rng(seed))
+    desc = inst.descriptor
+    an = Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)
+    skew = identity(desc) + 0.3 * random_probe(random.Random(seed), desc)
+    # the table, and the table with skewed entries and its own inverses kept,
+    # which violates (ii), (iv) and (v)
+    for case in (an, with_table(an, entries=an.table.entries @ skew)):
+        table = case.table
+        lam = max(table.entries.op_norm(), table.inverses.op_norm())
+        slack = 32 * max(desc.block_dims) * np.finfo(float).eps / 2 * lam ** 3
+        exact = {c.name: c.residual for c in gamma_properties_check(case)}
+        probes = reference_gamma_properties(case, random.Random(seed), floor=0.0)
+        for law in ("gamma_multiplicative", "gamma_twisted_product", "gamma_adjoint"):
+            assert exact[law] >= probes[law] - slack, (law, exact[law], probes[law], slack)
 
 
 def test_expectation_checks_match_loops(analysis, monkeypatch):
@@ -627,16 +692,24 @@ def test_violated_gamma_laws_match_loops(analysis, monkeypatch):
     skew = identity(table.phi.descriptor) + 0.3 * random_probe(
         random.Random(11), table.phi.descriptor)
     entries = table.entries @ skew
-    an = Analysis(analysis.phi, analysis.group, TOL_EQ, TOL_POS)
-    an.table = dataclasses.replace(table, entries=entries, inverses=entries.inv())
-    checks = gamma_properties_check(an, random.Random(7))
-    reference = reference_gamma_properties(an, random.Random(7))
-    assert_residuals_match(checks, reference)
+    an = with_table(analysis, entries=entries, inverses=entries.inv())
+    checks = gamma_properties_check(an)
+    assert_residuals_match(checks, reference_gamma_worst_cases(an))
     assert {c.name for c in checks if c.residual > 1e-3} >= {
         "gamma_permutes_cocycle", "gamma_preserves_state"}
-    all_pairs = reference_gamma_properties(an, random.Random(7), edges=False)
+    all_pairs = reference_gamma_worst_cases(an, edges=False)
     got = {c.name: c.residual for c in checks}
     assert all(got[law] > 1e-3 for law, value in all_pairs.items() if value > 1e-3)
+    # one wrong inverse, x_s^-1 scaled by 1 + 1e-3 for a generator s, breaks
+    # (iv) and (v) by ||F|| = 1e-3 alone; one wrong entry x_{s^-1} breaks (ii)
+    # on the edge (s^-1, s), where x_1 - x_s s^-1(x_{s^-1}) = 0 is the chain rule
+    s = analysis.group.first_layer[0]
+    for field, k, broken in (("inverses", s, {"gamma_twisted_product", "gamma_adjoint"}),
+                             ("entries", analysis.group.inv[s], {"gamma_multiplicative"})):
+        an = with_table(analysis, **{field: scaled_at(getattr(table, field), k, 1 + 1e-3)})
+        checks = gamma_properties_check(an)
+        assert_residuals_match(checks, reference_gamma_worst_cases(an))
+        assert broken <= {c.name for c in checks if not c.passed}, field
 
 
 # A psi that the group moves and a perturbed d, with Phi set directly
@@ -665,9 +738,9 @@ def test_violated_state_laws_match_loops(name, request):
 def test_edge_and_all_pairs_verdicts_agree_away_from_the_threshold(name, request):
     an = make_analysis(name, request)
     checks = {c.name: c for c in [verify_cocycle_identity(an.table),
-                                  *gamma_properties_check(an, random.Random(7)),
+                                  *gamma_properties_check(an),
                                   verify_representation(an)]}
-    for law, residual in all_pairs_sweeps(an, random.Random(7)).items():
+    for law, residual in all_pairs_sweeps(an).items():
         check = checks[law]
         assert (residual <= check.threshold) == check.passed, (law, residual, check)
         assert EDGES in check.detail
@@ -751,7 +824,7 @@ def test_product_rule_sweeps_every_generator():
     assert deviations[0] > 1e-3
     assert abs(deviations[0] - deviations[1]) <= 1e-12 * deviations[0]
     assert deviations[2] > deviations[0] + 1e-3
-    all_pairs = all_pairs_sweeps(analyses[0], random.Random(7))["representation"]
+    all_pairs = all_pairs_sweeps(analyses[0])["representation"]
     assert abs(deviations[2] - all_pairs) <= 1e-12
 
 
@@ -841,7 +914,7 @@ def weyl5_analysis(density=None):
 def test_gamma_suite_work_is_linear(monkeypatch):
     an = weyl5_analysis()
     size = an.group.order + 1 + an.phi.descriptor.dim
-    assert_linear(monkeypatch, lambda: gamma_properties_check(an, random.Random(0)),
+    assert_linear(monkeypatch, lambda: gamma_properties_check(an),
                   lambda: reference_gamma_properties(an, random.Random(0), edges=False),
                   2 * size)
 

@@ -475,6 +475,7 @@ def test_nearly_singular_state_is_refused_as_singular(m, command, tmp_path, caps
     ["check", "--input", "x.json", "--grid-N", "5"],
     ["implement", "--input", "x.json", "--seed", "1"],
     ["counterexample", "--tol-eq", "1e-9"],
+    ["invariant", "--input", "x.json", "--seed", "1"],
 ])
 def test_flags_are_registered_only_where_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -483,8 +484,7 @@ def test_flags_are_registered_only_where_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["check", "invariant", "expectation", "trace",
-                                     "counterexample"])
+@pytest.mark.parametrize("command", ["check", "expectation", "trace", "counterexample"])
 def test_seed_is_validated_before_the_instance_is_read(command, tmp_path, capsys):
     # the input names no file, so a seed read after the instance would
     # report the missing file instead

@@ -54,24 +54,22 @@ def test_gamma_composition_random(rng, probe_rng):
             assert (lhs - rhs).op_norm() < 1e-10 * max(1.0, rhs.op_norm())
 
 
-def test_gamma_properties_trivial_group(probe_rng):
+def test_gamma_properties_trivial_group():
     desc = AlgebraDescriptor((2,))
     phi = state_from_density(AlgebraElement(desc, [np.diag([1 / 3, 2 / 3])]))
     grp = close_group([inner_generator(desc, 0, np.eye(2))], cap=2)
-    checks = gamma_properties_check(Analysis(phi, grp, TOL_EQ, TOL_POS), probe_rng)
+    checks = gamma_properties_check(Analysis(phi, grp, TOL_EQ, TOL_POS))
     assert all_passed(checks) and max(c.residual for c in checks) <= 1e-12
 
 
-def test_gamma_properties_qubit(qubit, probe_rng):
-    checks = gamma_properties_check(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS),
-                                    probe_rng)
+def test_gamma_properties_qubit(qubit):
+    checks = gamma_properties_check(Analysis(qubit.phi, qubit.group, TOL_EQ, TOL_POS))
     assert all_passed(checks) and max(c.residual for c in checks) < 1e-12
 
 
-def test_gamma_properties_random(rng, probe_rng):
+def test_gamma_properties_random(rng):
     inst = random_instance(rng)
-    assert all_passed(gamma_properties_check(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS),
-                                             probe_rng))
+    assert all_passed(gamma_properties_check(Analysis(inst.phi, inst.group, TOL_EQ, TOL_POS)))
 
 
 def test_fixed_density_invariant_state():

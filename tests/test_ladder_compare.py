@@ -8,9 +8,9 @@ compare = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare)
 
 
-def cell(rung, command, wall_s, wall_ref, exit_code=0, digest="a"):
+def cell(rung, command, wall_s, wall_ref, exit_code=0, digest="a", rss=None):
     return {"rung": rung, "command": command, "wall_s": wall_s, "wall_ref": wall_ref,
-            "exit_code": exit_code, "report_sha256": digest}
+            "exit_code": exit_code, "report_sha256": digest, "peak_rss_mb": rss}
 
 
 def write(path, runs):
@@ -46,3 +46,18 @@ def test_only_long_cells_are_listed_as_slower(tmp_path, capsys):
     assert compare.main([old, new]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
         "over 1.3x: b check: 2.0 -> 3.0 wall_ref (1.50x; 2.0 -> 3.0 s)"]
+
+
+def test_only_cells_that_grew_by_both_margins_are_listed_as_larger(tmp_path, capsys):
+    # a: 1.2x but +4 MB; b: +6 MB but 1.05x; c: 1.2x and +6 MB; d: no RSS recorded
+    old = write(tmp_path / "old.json", [cell("a", "check", 1, 1, rss=20.0),
+                                        cell("b", "check", 1, 1, rss=120.0),
+                                        cell("c", "check", 1, 1, rss=30.0),
+                                        cell("d", "check", 1, 1)])
+    new = write(tmp_path / "new.json", [cell("a", "check", 1, 1, rss=24.0),
+                                        cell("b", "check", 1, 1, rss=126.0),
+                                        cell("c", "check", 1, 1, rss=36.0),
+                                        cell("d", "check", 1, 1, rss=50.0)])
+    assert compare.main([old, new]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "peak RSS over 1.1x and +5.0 MB: c check: 30.0 -> 36.0 MB"]

@@ -1,15 +1,21 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from qistate.algebra import AlgebraDescriptor, AlgebraElement, evaluate
 from qistate.actions import close_group
 from qistate.analysis import Analysis
+from qistate.cli import parse_instance
 from qistate.cocycle import build_table, random_psd_probe
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS
 from qistate.trace import (invariant_trace, is_center_ergodic, trace_density,
                            trace_invariance_check, verify_density_relations)
 from generators import (all_passed, inner_generator, permutation_generator, random_instance,
-                        random_strong_instance)
+                        random_strong_instance, symmetric_generators)
+
+REPO_INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
 
 def invariance_solution_space(group):
@@ -41,6 +47,32 @@ def test_inner_only_action_is_not_ergodic():
     g = inner_generator(desc, 0, np.array([[0.0, 1.0], [1.0, 0.0]]))
     grp = close_group([g], cap=4)
     assert not is_center_ergodic(grp)
+
+
+def bundled_group(name):
+    with open(os.path.join(REPO_INSTANCES, name)) as fh:
+        _, _, gens, tols, cap = parse_instance(json.load(fh))
+    return close_group(gens, cap=cap, tol=tols["tol_eq"])
+
+
+# each group with its number of block orbits
+ORBIT_COUNTS = {
+    **{name: (lambda name=name: bundled_group(name), 1)
+       for name in ("qubit.json", "c2_swap.json", "m2m2_swap.json", "nonstrong_weyl3.json")},
+    "s5_5xM3": (lambda: close_group(symmetric_generators(AlgebraDescriptor((3,) * 5))), 1),
+    "swap_2_of_3": (lambda: close_group([permutation_generator(AlgebraDescriptor((2, 2, 2)),
+                                                               [1, 0, 2])]), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_COUNTS))
+def test_block_orbits_agree_with_burnside(name):
+    # Burnside's lemma: the number of orbits is the mean number of fixed blocks
+    build, orbits = ORBIT_COUNTS[name]
+    group = build()
+    fixed = group.elements.perm == np.arange(group.descriptor.num_blocks)
+    assert len(group.block_orbits()) == orbits and fixed.sum() == orbits * group.order
+    assert is_center_ergodic(group) == (orbits == 1)
 
 
 def test_invariant_trace_single_block(qubit):
