@@ -19,7 +19,11 @@ after it, and ``wall_ref = wall_s / ref_s``: compare ladders on
 ``wall_ref``, which follows the machine's drift for cells of a second or
 more.  Cells of about 0.15 s are mostly interpreter start-up, which
 drifts differently from the reference, so re-run such a cell as
-alternating pairs before calling it slower.
+alternating pairs before calling it slower.  Two ladders run side by side,
+one per CPU, distort the memory-bound cells: ``S_8`` ``invariant`` read
+10.5 s in ``BENCH_26.json``, run beside another ladder, against 6.7-6.9 s
+alone.  Compare large cells from ladders run alone, or from alternating
+pairs.
 
 The rungs, at seed 401 where random (densities from
 ``perfbench/workloads.py``, which is only imported; generators from

@@ -300,10 +300,12 @@ def cmd_trace(an, rng):
 
 
 def cmd_counterexample(args):
-    # Imported here: it loads scipy.integrate, which no other command needs.
+    # Imported here: no instance command needs the module, and the benchmark's
+    # children compile every module they import (PYTHONDONTWRITEBYTECODE=1).
     from .commutative import counterexample_checks
 
-    # a radius of 0 would pass vacuously: the tail bound 1 - (2/pi) atan(R) is 1
+    # a radius of 0 collapses each chain-rule grid to the single point s = 0,
+    # so the chain rules would pass on one sample
     radius = _tolerance(args.grid_r, "--grid-R")
     if radius == 0:
         raise InstanceFormatError("--grid-R: expected a number above 0")

@@ -251,10 +251,21 @@ def test_unreadable_input_is_a_validation_error(tmp_path, capsys, content, messa
     ["--grid-R", "nan"], ["--grid-R", "inf"],
 ])
 def test_counterexample_grid_flags_are_validation_errors(capsys, flags):
-    # exit 2 naming the flag, not a traceback (N < 1), a vacuous pass (R <= 0,
-    # where the tail bound is at least 1) or "function diverges" (NaN)
+    # exit 2 naming the flag, not a traceback (N < 1), chain rules checked on
+    # the one sample s = 0 (R = 0, where each chain-rule grid collapses) or a
+    # refusal of non-finite cocycle values (NaN)
     assert run_cli(["counterexample"] + flags) == EXIT_VALIDATION
     assert f"validation error at {flags[0]}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius, code", [("1e150", EXIT_PASS), ("1e200", EXIT_PRECONDITION)])
+def test_counterexample_refuses_non_finite_cocycle_values(radius, code, capsys):
+    # at R = 1e200, 1 + s^2 overflows and the cocycle values on the grid are
+    # NaN, which would pass every chain rule and witness as a residual of 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli(["counterexample", "--grid-R", radius, "--grid-N", "301"]) == code
+    err = capsys.readouterr().err
+    assert ("cocycle values are not finite on the" in err) == (code == EXIT_PRECONDITION)
 
 
 def test_cmd_check_precondition_error(tmp_path, capsys):
@@ -369,15 +380,19 @@ def test_console_entry_point_env_logging(qubit_file):
     assert "closed group of order 2" in proc.stderr
 
 
-def test_import_leaves_scipy_for_counterexample():
-    # scipy.integrate is loaded only by the counterexample command
+def test_import_leaves_scipy_for_counterexample(qubit_file):
+    # no command loads scipy: the Cauchy state is one numpy Gauss-Legendre
+    # rule, and scipy is a test dependency only
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     script = (
-        "import sys, qistate.cli\n"
+        "import contextlib, io, sys, qistate.cli\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded on import'\n"
+        f"for command in {INSTANCE_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert qistate.cli.main([command, '--input', {qubit_file!r}]) == 0, command\n"
         "code = qistate.cli.main(['counterexample', '--grid-N', '301'])\n"
-        "assert 'scipy' in sys.modules\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded'\n"
         "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path))

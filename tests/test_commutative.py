@@ -4,13 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from qistate.commutative import (AXB_IDENTITY, AxBElement, axb_apply, axb_chain_rule,
-                                 axb_cocycle, axb_compose, axb_inverse,
-                                 axb_quasi_invariance, cauchy_state, cauchy_tail_bound,
-                                 counterexample_checks, symmetric_grid,
-                                 translation_chain_rule, translation_quasi_invariance,
-                                 unboundedness_witness)
+from qistate.commutative import (AXB_IDENTITY, STATE_NODES, AxBElement, axb_apply,
+                                 axb_chain_rule, axb_cocycle, axb_compose, axb_inverse,
+                                 axb_quasi_invariance, cauchy_state, counterexample_checks,
+                                 symmetric_grid, translation_chain_rule,
+                                 translation_quasi_invariance, unboundedness_witness)
 from qistate.matcore import InputError, PreconditionError
+
+# Roundoff of one rule: a sum of STATE_NODES terms of weights summing to 1,
+# each term of size at most sup|f| (1 here), at the unit roundoff.
+ROUNDOFF = STATE_NODES * np.finfo(float).eps / 2
 
 
 def gauss_bump(s):
@@ -18,19 +21,26 @@ def gauss_bump(s):
 
 
 def test_cauchy_state_normalization():
-    v = cauchy_state(lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                     sup_norm=1.0)
-    assert abs(v.value - 1.0) <= v.budget
+    value, estimate = cauchy_state(lambda s: np.ones_like(np.asarray(s, dtype=float)))
+    assert abs(value - 1.0) <= estimate + ROUNDOFF
+
+
+def test_cauchy_state_gauss_bump_vs_closed_form():
+    # (1/pi) integral e^{-s^2/2}/(1+s^2) ds = e^{1/2} erfc(2^{-1/2}); the
+    # rule hits it to 8.5e-15 against an estimate of 1.2e-14
+    value, estimate = cauchy_state(gauss_bump)
+    assert abs(value - math.exp(0.5) * math.erfc(2 ** -0.5)) <= estimate + ROUNDOFF
 
 
 def test_cauchy_state_indicator_vs_arctan_oracle():
-    # exact oracle: phi(1_[a,b]) = (arctan b - arctan a)/pi; the quadrature
-    # finds the jumps without being told where they are
+    # exact oracle: phi(1_[a,b]) = (arctan b - arctan a)/pi.  The rule is for
+    # smooth f(tan theta): at the jumps it is off by 2e-3, and the estimate
+    # (3.4e-3) still covers that.
     a, b = -1.5, 2.0
     ind = lambda s: np.where((np.asarray(s) >= a) & (np.asarray(s) <= b), 1.0, 0.0)
-    v = cauchy_state(ind, sup_norm=1.0)
+    value, estimate = cauchy_state(ind)
     oracle = (math.atan(b) - math.atan(a)) / math.pi
-    assert abs(v.value - oracle) <= v.budget + 1e-12
+    assert abs(value - oracle) <= estimate + 1e-12
 
 
 def test_cauchy_state_linearity():
@@ -38,22 +48,18 @@ def test_cauchy_state_linearity():
     g = lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float) ** 2)
     al, be = 2.5, -0.75
     combo = lambda s: al * f(s) + be * g(s)
-    v1 = cauchy_state(combo, sup_norm=abs(al) + abs(be))
-    v2a = cauchy_state(f, sup_norm=1.0)
-    v2b = cauchy_state(g, sup_norm=1.0)
-    budget = v1.budget + abs(al) * v2a.budget + abs(be) * v2b.budget
-    assert abs(v1.value - al * v2a.value - be * v2b.value) <= budget + 1e-12
+    v1, e1 = cauchy_state(combo)
+    v2a, e2a = cauchy_state(f)
+    v2b, e2b = cauchy_state(g)
+    budget = e1 + abs(al) * e2a + abs(be) * e2b
+    assert abs(v1 - al * v2a - be * v2b) <= budget + 1e-12
 
 
 def test_cauchy_state_rejects_divergent():
+    # s = 0 is a node of the rule, where 1/s is infinite
     with np.errstate(divide="ignore"):
         with pytest.raises(InputError, match="diverges"):
-            cauchy_state(lambda s: 1.0 / np.asarray(s, dtype=float), sup_norm=1.0)
-
-
-def test_tail_bound_matches_arctan():
-    assert cauchy_tail_bound(1.0, 100.0) == pytest.approx(
-        1.0 - 2.0 * math.atan(100.0) / math.pi)
+            cauchy_state(lambda s: 1.0 / np.asarray(s, dtype=float))
 
 
 def translation_cocycle(t):
@@ -81,15 +87,8 @@ def test_translation_chain_rule_grid():
 
 
 def test_translation_quasi_invariance_bump():
-    grid = symmetric_grid(100.0, 1001)
     c = translation_quasi_invariance(1.0, gauss_bump)
     assert c.passed, (c.residual, c.threshold)
-
-
-def test_quasi_invariance_budget_shrinks_with_radius():
-    budgets = [translation_quasi_invariance(1.0, gauss_bump, radius).threshold
-               for radius in (25.0, 100.0, 400.0)]
-    assert budgets[0] > budgets[1] > budgets[2]
 
 
 def test_unboundedness_witness_values():
@@ -114,6 +113,20 @@ def test_witness_grows_without_bound():
     peaks = [translation_cocycle(t)(np.array([-t]))[0] for t in (1.0, 3.0, 10.0)]
     assert peaks == [2.0, 10.0, 101.0]
     assert all(unboundedness_witness(t, radius=1.0, n=3).passed for t in (1.0, 3.0, 10.0))
+
+
+def test_non_finite_cocycle_values_are_refused():
+    # 1 + s^2 overflows on this grid, and the cocycle values there are NaN:
+    # folded by max they would read as a residual of 0
+    grid = symmetric_grid(1e160, 11)
+    refusal = r"not finite on the \d+-point grid of \[-1e\+160, 1e\+160\]"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for check in (lambda: translation_chain_rule([(1.0, 2.0)], grid),
+                      lambda: axb_chain_rule([(AxBElement(2.0, 1.0),
+                                               AxBElement(3.0, 4.0))], grid),
+                      lambda: unboundedness_witness(3.0, 1e160, 11)):
+            with pytest.raises(PreconditionError, match=refusal):
+                check()
 
 
 def test_axb_identity_element():
@@ -181,3 +194,7 @@ def test_counterexample_checks_in_report_order():
         "unbounded_witness_t3", "unbounded_witness_t10", "axb_chain_rule",
         "axb_quasi_invariance"]
     assert all(c.passed and c.asserted for c in checks)
+    # both thresholds are the two sides' estimates over the 1e-12 floor
+    for c in checks:
+        if c.name.endswith("quasi_invariance"):
+            assert c.threshold < 1e-9, (c.name, c.threshold)
