@@ -34,10 +34,11 @@ The rungs, at seed 401 where random (densities from
 - k x M_d, (k, d) = (2, 8), (4, 6) and (2, 10): the cyclic shift of the
   blocks (``workloads.py``), diagonal state (strongly quasi-invariant),
   |G| = k.
-- S_k on k x M_d, (k, d) = (5, 3), (6, 2), (7, 2) and (8, 2): one
+- S_k on k x M_d, (k, d) = (5, 3), (6, 2), (7, 2), (8, 2) and (6, 6): one
   transposition and one k-cycle of the blocks, diagonal state, |G| = k!;
   S_8 at closure cap 50000.  Its ``check`` outlives the timeout, in the
-  all-pairs commutation sweep of the strong case.
+  all-pairs commutation sweep of the strong case.  S_6 on 6 x M_6 (N 216,
+  |G| 720) has |G| and N in the hundreds together.
 - Clifford(2 qubits): H x 1, S x 1, 1 x H, 1 x S and CNOT on M_4, generic
   state, |G| = 11520, closure cap 20000.
 - The graded conditioning family (``generators.graded_instance``) at the
@@ -120,6 +121,7 @@ RUNGS = {
     "s6-6xM2": (lambda: symmetric(6, 2), 24, 720),
     "s7-7xM2": (lambda: symmetric(7, 2), 28, 5040),
     "s8-8xM2": (lambda: dict(symmetric(8, 2), closure_cap=50000), 32, 40320),
+    "s6-6xM6": (lambda: symmetric(6, 6), 216, 720),
     "clifford2": (clifford2, 16, 11520),
     **{f"graded{m:g}": (lambda m=m: graded_instance(m), 9, 9)
        for m in (1e-2, 1e-3, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8, 1e-9)},

@@ -213,14 +213,14 @@ def max_entry(x: AlgebraElement) -> float:
     return max(float(np.max(np.abs(b))) for b in x.blocks)
 
 
-# A sweep over pairs stacks at most this many elements at once.
-STACK_LIMIT = 1024
+# A sweep holds at most this many complex entries (128 KB) in one stacked array.
+STACK_LIMIT = 8192
 
 
 def batch_slices(n: int, inner: int) -> list:
     """Consecutive slices of range(n) for a sweep in which each index
-    stacks ``inner`` elements: each slice takes STACK_LIMIT // inner
-    indices, and at least one."""
+    puts ``inner`` complex entries into its largest stacked array: each
+    slice takes STACK_LIMIT // inner indices, and at least one."""
     width = max(1, STACK_LIMIT // inner)
     return [slice(k, k + width) for k in range(0, n, width)]
 

@@ -3,11 +3,15 @@ projections that characterize it on the Hilbert-Schmidt space.
 
 The fixed-point algebra B is the joint kernel of (g - id) over the group;
 the conditional expectation is the uniform group average, which is the
-unique invariant mean for a finite group.  E0 projects onto the vectors
-fixed by every implementing unitary U_g, and F0 projects onto the span of
-B' E0; for a strongly quasi-invariant state with bounded cocycle F0 is
-the identity.  B and E0 are each held as an orthonormal basis of their
-range in vec coordinates, found by ``_fixed_vectors``.
+unique invariant mean for a finite group.  It is held as one matrix K on
+the Hilbert-Schmidt space, the natural representation of the average
+(the twirl; Watrous, The Theory of Quantum Information, 2018, 2.2), built
+once per analysis from the group's unitaries, so applying it is one
+product whatever |G| is.  E0 projects onto the vectors fixed by every
+implementing unitary U_g, and F0 projects onto the span of B' E0; for a
+strongly quasi-invariant state with bounded cocycle F0 is the identity.
+B and E0 are each held as an orthonormal basis of their range in vec
+coordinates, found by ``_fixed_vectors``.
 """
 
 from dataclasses import dataclass
@@ -116,18 +120,42 @@ def fixed_algebra(group: FiniteGroup, tol_eq: float, tol_pos: float) -> FixedAlg
 
 @dataclass
 class ConditionalExpectation:
-    """Uniform group average onto the fixed-point algebra."""
+    """Uniform group average onto the fixed-point algebra, held as its
+    matrix ``k`` on the Hilbert-Schmidt space: vec(Phi(a)) = K vec(a).
+
+    g(a)_i = u_i a_j u_i* with j = perm^-1(i), and in the column-major
+    coordinates of ``vec``, vec(u x u*) = (conj(u) kron u) vec(x).  So block
+    (i, j) of K is mean_g [perm_g(j) = i] conj(u_{g,i}) kron u_{g,i}, whose
+    entry at rows (c', r'), columns (c, r) is mean_g conj(u[c', c]) u[r', r]:
+    with those u_{g,i} flattened to the rows of V, it is the Gram product
+    conj(V)^T V at [(c', c), (r', r)], one BLAS product and one axis
+    permutation per block pair.  Phi is a mean of unitary conjugations, so
+    K* is the mean of their inverses, mean_g g^-1(.), which is the predual:
+    tr(Phi_*(y) a) = tr(y Phi(a)).
+    """
 
     group: FiniteGroup
     fixed: FixedAlgebra
 
+    def __post_init__(self):
+        desc, maps = self.group.descriptor, self.group.elements
+        ofs = np.cumsum((0,) + tuple(n * n for n in desc.block_dims))
+        self.k = np.zeros((desc.dim, desc.dim), dtype=complex)
+        for i, (u, src) in enumerate(zip(maps.unitaries, maps.inv_perm.T)):
+            n = u.shape[-1]
+            for j in set(src.tolist()):
+                v = u[src == j].reshape(-1, n * n)
+                gram = (dagger(v) @ v).reshape(n, n, n, n) / self.group.order
+                self.k[ofs[i]:ofs[i + 1], ofs[j]:ofs[j + 1]] = gram.transpose(
+                    0, 2, 1, 3).reshape(n * n, n * n)
+
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         """(1/|G|) sum_g g(a), for one element or each element of a stack."""
-        return apply(self.group.elements, a).mean()
+        return unvec(a.descriptor, vec(a) @ self.k.T)
 
     def predual(self, y: AlgebraElement) -> AlgebraElement:
         """Phi_*(y) = (1/|G|) sum_g g^-1(y), the density of a |-> tr(y Phi(a))."""
-        return predual(self.group.elements, y).mean()
+        return unvec(y.descriptor, vec(y) @ np.conj(self.k))
 
 
 def cond_expectation(cert: InvariantCertificate, group: FiniteGroup, fixed: FixedAlgebra,
@@ -150,12 +178,13 @@ def expectation_checks(an, rng) -> list:
     invariance of psi, bimodule law over the fixed basis.
 
     The probes are averaged as one stack; the bimodule law takes every c
-    and as many b at once as ``batch_slices`` allows, probe by probe.
+    and as many b at once as ``batch_slices`` allows, probe by probe, each
+    b stacking dim B products of N entries.
     psi(Phi(a)) = tr(Phi_*(rho_psi) a), so the residual of the invariance of
     psi over the matrix units is ``max_entry`` of Phi_*(rho_psi) - rho_psi.
     """
     psi, Phi, tol_eq = an.certificate.psi, an.Phi, an.tol_eq
-    desc, order = psi.descriptor, Phi.group.order
+    desc = psi.descriptor
     probes = stack(random_probe(rng, desc) for _ in range(N_PROBES))
     ident = identity(desc)
     phi_probes = Phi(probes)
@@ -174,7 +203,7 @@ def expectation_checks(an, rng) -> list:
                                  max_entry(Phi.predual(psi.density) - psi.density), tol_eq))
     worst = 0.0
     c = Phi.fixed.basis
-    slices = batch_slices(Phi.fixed.dimension, order * Phi.fixed.dimension)
+    slices = batch_slices(Phi.fixed.dimension, Phi.fixed.dimension * desc.dim)
     for a, phi_a in zip(probes[:2], phi_probes[:2]):
         sweep = worst_op_norm(Phi(c[bs, None] @ a @ c) - c[bs, None] @ phi_a @ c
                               for bs in slices)
@@ -220,6 +249,15 @@ def _on_basis(a: AlgebraElement, xi: AlgebraElement) -> np.ndarray:
     return np.swapaxes(vec(a[:, None] @ xi), -1, -2)
 
 
+def _mean_kron(mb: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """mean_g kron(mb_g^T, gb_{g,u}) for each u: mb is (|G|, n, n), gb is
+    (|G|, u, n, n), and the result (u, n^2, n^2) has entry [u, (a, b), (c, d)]
+    = mean_g mb[g, c, a] gb[g, u, b, d], by one product over g."""
+    order, units, n = gb.shape[0], gb.shape[1], gb.shape[-1]
+    prod = (mb.reshape(order, -1).T @ gb.reshape(order, -1)) / order   # [(c, a), (u, b, d)]
+    return prod.reshape(n, n, units, n, n).transpose(2, 1, 3, 0, 4).reshape(units, n * n, n * n)
+
+
 def verify_ks(an) -> list:
     """Characterizations of the expectation in the strong bounded case:
     the compression law Phi(b) E0 = E0 L_b E0 and the group-mean formula,
@@ -242,7 +280,8 @@ def verify_ks(an) -> list:
     mean_g U_{g^-1} L_b U_g - L_{Phi(b)} = mean_g L_{g(b)} R(m_g - 1).  It
     acts on each block i on its own, by mean_g kron((m_g - 1)_i^T, g(b)_i)
     in column-major coordinates, so its norm is the largest over the
-    blocks of these n_i^2 x n_i^2 norms.
+    blocks of these n_i^2 x n_i^2 norms, each mean one product over g
+    (``_mean_kron``).
     """
     if not an.strong:
         raise PreconditionError("state is not strongly quasi-invariant")
@@ -256,7 +295,7 @@ def verify_ks(an) -> list:
     xi = unvec(desc, q.T)
     compression = matcore.max_op_norm(
         _on_basis(Phi(basis[us]), xi) - q @ (dagger(q) @ _on_basis(basis[us], xi))
-        for us in batch_slices(desc.dim, max(1, q.shape[1])))
+        for us in batch_slices(desc.dim, desc.dim * max(1, q.shape[1])))
 
     worst = max_entry(phi.density - Phi.predual(psi.density) @ d.inv())
 
@@ -264,8 +303,8 @@ def verify_ks(an) -> list:
     m = predual(group.elements, v)[group.inv] @ v - identity(desc)     # m_g - 1, in group order
     # per block, unit and index pair (a, b), (c, d): mean_g (m_g - 1)[c, a] g(unit)[b, d]
     mean_worst = matcore.max_op_norm(
-        (np.einsum("gca,gubd->uabcd", mb, gb) / group.order).reshape(-1, mb[0].size, mb[0].size)
-        for us in batch_slices(desc.dim, max(group.order, max(desc.block_dims) ** 2))
+        _mean_kron(mb, gb)
+        for us in batch_slices(desc.dim, max(group.order * desc.dim, max(desc.block_dims) ** 4))
         for mb, gb in zip(m.blocks, apply(group.elements, basis[us]).blocks))
     return [residual_check("compression", "Phi(b) E0 = E0 b E0", compression, tol_eq),
             residual_check("state_decomposition", "phi(a) = psi(Phi(d^-1 a))", worst, tol_eq),

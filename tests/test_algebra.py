@@ -403,8 +403,10 @@ def test_unvec_rejects_wrong_length():
         unvec(desc, np.zeros((4, desc.dim + 1)))
 
 
-@given(st.integers(0, 40), st.integers(1, 40), st.integers(1, 30))
+@given(st.integers(0, 40), st.integers(1, 4096), st.integers(1, 16384))
 def test_batch_slices_partition_the_range(n, inner, limit):
+    # each index puts ``inner`` entries into a stacked array: a slice holds
+    # at most ``limit`` entries, or one index when one index holds more
     old, algebra.STACK_LIMIT = algebra.STACK_LIMIT, limit
     try:
         slices = batch_slices(n, inner)
@@ -412,4 +414,5 @@ def test_batch_slices_partition_the_range(n, inner, limit):
         algebra.STACK_LIMIT = old
     covered = [k for s in slices for k in range(n)[s]]
     assert covered == list(range(n))
-    assert all(len(range(n)[s]) <= max(1, limit // inner) for s in slices)
+    assert all(len(range(n)[s]) * inner <= limit or len(range(n)[s]) == 1 for s in slices)
+    assert all(len(range(n)[s]) == min(n - s.start, max(1, limit // inner)) for s in slices)

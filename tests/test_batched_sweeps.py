@@ -24,6 +24,7 @@ the edge check can pass where the all-pairs residual exceeds it.
 """
 
 import dataclasses
+import functools
 import random
 import sys
 from pathlib import Path
@@ -44,7 +45,7 @@ from qistate.cocycle import (build_table, is_strongly_qi, random_probe, random_p
                              verify_adjoint_relation, verify_cocycle_identity,
                              verify_inverse_formula)
 from qistate.expectation import (ConditionalExpectation, FixedAlgebra, closure_residual,
-                                 expectation_checks, verify_ks)
+                                 expectation_checks, fixed_algebra, verify_ks)
 from qistate.invariant import (fixed_density_d, gamma_map, gamma_properties_check,
                                strong_case_check)
 from qistate.matcore import PreconditionError, TOL_EQ, TOL_POS, dagger
@@ -52,11 +53,12 @@ from qistate.reporting import EDGES, residual_check
 from qistate.standard_form import (gamma_factorization, lemma_chain_checks,
                                    verify_covariance, verify_representation, verify_unitarity)
 from qistate.trace import trace_invariance_check, verify_density_relations
-from generators import (Instance, clock_matrix, dense_unitaries, graded_instance,
-                        inner_generator, left_mult_matrix, multiplication_table,
-                        permutation_generator, random_faithful_density, random_instance,
-                        random_strong_instance, rho_power, shift_matrix, state_from_density,
-                        symmetric_generators)
+from generators import (Instance, c2_swap_instance, clock_matrix, dense_unitaries,
+                        graded_instance, inner_generator, left_mult_matrix,
+                        m2m2_swap_instance, multiplication_table, nonstrong_instance,
+                        permutation_generator, qubit_instance, random_faithful_density,
+                        random_instance, random_strong_instance, rho_power, shift_matrix,
+                        state_from_density, symmetric_generators)
 
 from test_actions import reference_action_matrix
 from test_expectation import reference_projections
@@ -72,6 +74,18 @@ def reference_phi(group, a):
     for g in group.elements:
         out = out + apply(g, a)
     return (1.0 / group.order) * out
+
+
+def reference_twirl(group, left=np.conj, right=lambda u: u):
+    """The matrix of Phi in vec coordinates, summed map by map: block
+    (i, perm_g^-1(i)) gains kron(left(u_{g,i}), right(u_{g,i})) / |G|."""
+    desc = group.descriptor
+    ofs = np.cumsum((0,) + tuple(n * n for n in desc.block_dims))
+    k = np.zeros((desc.dim, desc.dim), dtype=complex)
+    for g in group.elements:
+        for i, (j, u) in enumerate(zip(g.inv_perm, g.unitaries)):
+            k[ofs[i]:ofs[i + 1], ofs[j]:ofs[j + 1]] += np.kron(left(u), right(u)) / group.order
+    return k
 
 
 def reference_span_distance(fa, a):
@@ -673,21 +687,84 @@ def test_gamma_worst_cases_bound_the_probes(strong, seed):
 
 def test_expectation_checks_match_loops(analysis, monkeypatch):
     reference = reference_expectation_checks(analysis, random.Random(7))
-    # the bundled and random groups fit one slice per sweep; a limit of 5
-    # makes the sweeps run in several
-    for limit in (algebra.STACK_LIMIT, 5):
+    # the bimodule sweep stacks dim B products of N entries per basis
+    # element b: the bundled and random instances fit one slice, and a limit
+    # of one b's entries makes the sweep run in dim B slices
+    per_b = analysis.fixed.dimension * analysis.phi.descriptor.dim
+    for limit in (algebra.STACK_LIMIT, per_b):
         monkeypatch.setattr(algebra, "STACK_LIMIT", limit)
         assert_residuals_match(expectation_checks(analysis, random.Random(7)),
                                reference)
 
 
+# the bundled groups, and groups whose K has zero blocks (the swap of 2 of
+# 3 blocks), many maps per block pair (S_5) or complex entries (the random
+# instances)
+TWIRL_GROUPS = {
+    **{make.__name__: lambda make=make: make().group
+       for make in (qubit_instance, c2_swap_instance, m2m2_swap_instance, nonstrong_instance)},
+    "s5_5xM3": lambda: close_group(symmetric_generators(AlgebraDescriptor((3,) * 5))),
+    "swap_2_of_3": lambda: close_group([permutation_generator(AlgebraDescriptor((2, 2, 2)),
+                                                              [1, 0, 2])]),
+    "random_222": lambda: _random((2, 2, 2), 0).group,
+    "random_33": lambda: _random((3, 3), 0).group,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def twirl_case(name):
+    group = TWIRL_GROUPS[name]()
+    return group, ConditionalExpectation(group, fixed_algebra(group, TOL_EQ, TOL_POS))
+
+
+def random_stack(seed, desc, count):
+    rng = np.random.default_rng(seed)
+    return unvec(desc, rng.standard_normal((count, desc.dim))
+                 + 1j * rng.standard_normal((count, desc.dim)))
+
+
+def phi_errors(Phi, group, a):
+    """How far Phi and Phi_* on the stack a are from the group sums."""
+    phi_ref = reference_phi(group, a)
+    predual_ref = (1.0 / group.order) * sum((reference_predual(g, a) for g in group.elements),
+                                            0.0 * a)
+    return (Phi(a) - phi_ref).op_norm(), (Phi.predual(a) - predual_ref).op_norm()
+
+
+@pytest.mark.parametrize("name", sorted(TWIRL_GROUPS))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 3))
+def test_phi_matches_the_group_sum(name, seed, count):
+    group, Phi = twirl_case(name)
+    a = random_stack(seed, group.descriptor, count)
+    tol = 1e-13 * max(1.0, a.op_norm())
+    assert max(phi_errors(Phi, group, a)) <= tol
+    assert np.max(np.abs(Phi.k - reference_twirl(group))) <= 1e-14
+
+
+def test_twirl_with_the_kron_factors_swapped_fails():
+    # kron(u, conj(u)) is the twirl in row-major coordinates.  In the
+    # column-major ones of ``vec`` it averages a |-> conj(u) a u^T, which
+    # for Weyl(3) is the same mean: its unitaries' conjugates are the same
+    # maps, so K is real, and no property of Phi tells the two apart.  The
+    # random block swap with inner unitaries has a complex K, where it fails.
+    for name, same in (("nonstrong_instance", True), ("random_33", False)):
+        group, Phi = twirl_case(name)
+        swapped = ConditionalExpectation(group, Phi.fixed)
+        swapped.k = reference_twirl(group, left=lambda u: u, right=np.conj)
+        a = random_stack(0, group.descriptor, 3)
+        tol = 1e-13 * a.op_norm()
+        assert max(phi_errors(Phi, group, a)) <= tol
+        errors = phi_errors(swapped, group, a)
+        assert (max(errors) <= tol) == same, (name, errors)
+        assert same or min(errors) > 1e-2, (name, errors)
+
+
 # With the laws violated the residuals are O(1) and differ from pair to
-# pair, so a sweep that skips pairs no longer matches the loops.  The
-# limits give slices of three indices each.  A law that fails on some
-# pair fails on some edge too, so the edge residual exceeds 1e-3 wherever
-# the all-pairs one does.
-def test_violated_gamma_laws_match_loops(analysis, monkeypatch):
-    monkeypatch.setattr(algebra, "STACK_LIMIT", 3 * analysis.group.order)
+# pair, so a sweep that skips pairs no longer matches the loops.  A law
+# that fails on some pair fails on some edge too, so the edge residual
+# exceeds 1e-3 wherever the all-pairs one does.
+def test_violated_gamma_laws_match_loops(analysis):
     table = analysis.table
     skew = identity(table.phi.descriptor) + 0.3 * random_probe(
         random.Random(11), table.phi.descriptor)
@@ -769,9 +846,10 @@ def test_edge_check_can_pass_where_the_all_pairs_residual_exceeds_the_threshold(
 def test_violated_bimodule_matches_loops(analysis, monkeypatch):
     an = Analysis(analysis.phi, analysis.group, TOL_EQ, TOL_POS)
     an.certificate
-    # every matrix unit in place of the fixed-point basis
+    # every matrix unit in place of the fixed-point basis; each b stacks
+    # dim products of dim entries, so the limit gives slices of three b's
     dim = an.phi.descriptor.dim
-    monkeypatch.setattr(algebra, "STACK_LIMIT", 3 * an.group.order * dim)
+    monkeypatch.setattr(algebra, "STACK_LIMIT", 3 * dim * dim)
     an.fixed = FixedAlgebra(an.phi.descriptor, np.eye(dim))
     an.Phi = ConditionalExpectation(an.group, an.fixed)
     checks = expectation_checks(an, random.Random(7))
@@ -833,8 +911,10 @@ def test_verify_ks_matches_loops(name, request, monkeypatch):
     an = make_analysis(name, request)
     assert an.strong
     reference = reference_verify_ks(an)
-    # the second limit takes one matrix unit per slice
-    for limit in (algebra.STACK_LIMIT, 1):
+    # each sweep stacks at least N entries per matrix unit (N r for the
+    # compression, |G| N for the mean formula), so a limit of N entries
+    # takes one matrix unit per slice
+    for limit in (algebra.STACK_LIMIT, an.phi.descriptor.dim):
         monkeypatch.setattr(algebra, "STACK_LIMIT", limit)
         assert_residuals_match(verify_ks(an), reference)
 

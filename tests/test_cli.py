@@ -262,10 +262,21 @@ def test_counterexample_grid_flags_are_validation_errors(capsys, flags):
 def test_counterexample_refuses_non_finite_cocycle_values(radius, code, capsys):
     # at R = 1e200, 1 + s^2 overflows and the cocycle values on the grid are
     # NaN, which would pass every chain rule and witness as a residual of 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli(["counterexample", "--grid-R", radius, "--grid-N", "301"]) == code
+    assert run_cli(["counterexample", "--grid-R", radius, "--grid-N", "301"]) == code
     err = capsys.readouterr().err
     assert ("cocycle values are not finite on the" in err) == (code == EXIT_PRECONDITION)
+
+
+def test_counterexample_refusal_is_the_only_stderr_line():
+    # the overflow on the grid is refused by its result, with no numpy
+    # RuntimeWarning printed before the refusal
+    proc = subprocess.run(
+        [sys.executable, "-m", "qistate.cli", "counterexample", "--grid-R", "1e160"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_PRECONDITION
+    assert proc.stderr.splitlines() == [
+        "precondition violation: cocycle values are not finite on the 1001-point grid "
+        "of [-1e+160, 1e+160]"]
 
 
 def test_cmd_check_precondition_error(tmp_path, capsys):
